@@ -44,8 +44,8 @@
 //!   (`vs_parallel`) on the same fault schedule. The per-event stats are
 //!   checksummed and asserted identical to the serial loop's, and the
 //!   row records how many events repaired incrementally vs rebuilt.
-//! * **Serve tiers** (`"mode": "serve"`) — B(2,16), B(2,18) and B(2,20):
-//!   the ring-as-a-service read path. A `RingService` writer thread drains
+//! * **Serve tiers** (`"mode": "serve"`) — B(2,16), B(2,18), B(2,20) and
+//!   B(2,22): the ring-as-a-service read path. A `RingService` writer thread drains
 //!   a PR 6 `ChurnPlan` trace (paced over the measurement window) while
 //!   1, 2 and 4 reader threads walk the ring in `ring_segment` strides of
 //!   256 through epoch-refreshing `ReaderHandle`s. Each configuration is
@@ -54,13 +54,18 @@
 //!   to the initial snapshot (the no-publication baseline). The row
 //!   records `lookups_per_sec` / `frozen_lookups_per_sec` / `vs_frozen`
 //!   per reader count, the snapshot-publication latency
-//!   `publish_p50_ns` / `publish_p99_ns`, and the gated `best_vs_frozen`
+//!   `publish_p50_ns` / `publish_p99_ns` next to the writer's
+//!   `repair_p50_ns` / `repair_p99_ns`, `copied_chunks_per_publication`
+//!   (snapshot chunk buffers a batch's publication copied — the O(cone)
+//!   witness), and the gated `best_vs_frozen`
 //!   = best `vs_frozen` across reader counts — the CI floor that keeps
 //!   epoch publication free for readers (PR 10 unified the field name:
 //!   serve tiers used to overload `speedup`, which named a different
 //!   baseline on every other mode). Every run's final published snapshot
 //!   is asserted bit-identical (stats + ring bytes) to a from-scratch
-//!   `embed_into` of the trace's cumulative fault set.
+//!   `embed_into` of the trace's cumulative fault set. A serve row's
+//!   `allocated_bytes` is the service's footprint: the writer's maintainer
+//!   session plus every chunk the final snapshot references.
 //! * **Churn tiers** (`"mode": "churn"`) — B(2,16), B(2,18) and B(2,20):
 //!   a deterministic churn trace (Poisson arrivals, correlated 4-bursts,
 //!   20% link faults, bounded repair times) replayed through the
@@ -87,8 +92,9 @@
 //! outputs asserted identical, `speedup` = full / skip, gated ≥ 1.0.
 //!
 //! Every tier also reports `allocated_bytes` — the warm steady-state
-//! footprint of the structure the tier exercises (the embed scratch, or
-//! the maintainer session on incremental/churn tiers); incremental tiers
+//! footprint of the structure the tier exercises (the embed scratch, the
+//! maintainer session on incremental/churn tiers, session plus snapshot
+//! chunks on serve tiers); incremental tiers
 //! additionally break out the compact level arrays (`level_bytes`)
 //! against the u32 storage they replaced (`level_bytes_u32`), with the
 //! gated ratio `level_compaction` ≥ 3.0.
@@ -111,8 +117,10 @@
 //!   non-zero if the JSON is malformed, any `speedup` / `best_vs_frozen`
 //!   (or incremental `vs_parallel`) is below 1.0, any full-ring
 //!   `vs_serial` / `best_vs_serial` is below 0.9 (the no-regret floor
-//!   for oversubscribed shard requests), or any incremental
-//!   `level_compaction` is below 3.0 (the compact-level footprint gate).
+//!   for oversubscribed shard requests), any incremental
+//!   `level_compaction` is below 3.0 (the compact-level footprint gate), or
+//!   a serve row with at least 2^20 nodes has `publish_p99_ns` above
+//!   `repair_p99_ns` (publication must not cost more than repair).
 //!
 //! ATOMICS: the serve tier's `go`/`stop` flags are single-writer
 //! booleans — the driver thread alone stores them. `go` is
@@ -241,6 +249,11 @@ const SEGMENT: usize = 256;
 
 /// Reader thread counts the serve tier is measured at.
 const READER_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// Serve rows with at least this many nodes fail `--check` when
+/// `publish_p99_ns > repair_p99_ns`. Smaller tiers stay ungated: at B(2,16)
+/// the two sit level (see PERF.md's publication-cost crossover).
+const PUBLISH_GATE_NODES: f64 = (1u64 << 20) as f64;
 
 /// Timed repetitions per serve-tier configuration (frozen and live each):
 /// the live-vs-frozen ratio is a wash by design, so it needs more samples
@@ -508,7 +521,9 @@ fn kernel_tier(smoke: bool) -> Vec<String> {
 }
 
 /// Validates a written benchmark file: structural JSON sanity (balanced
-/// brackets, the expected top-level keys), every `"speedup"` /
+/// brackets, the expected top-level keys), `publish_p99_ns <=
+/// repair_p99_ns` on every serve row of at least [`PUBLISH_GATE_NODES`]
+/// nodes, every `"speedup"` /
 /// `"vs_parallel"` / `"best_vs_frozen"` value at least 1.0 (the serve
 /// tier's gated field — best frozen-vs-live read throughput across its
 /// reader counts), every `"level_compaction"` at least 3.0 (the compact
@@ -585,11 +600,7 @@ fn validate(contents: &str, filtered: bool) -> Vec<String> {
         let mut rest = contents;
         while let Some(pos) = rest.find(key) {
             rest = &rest[pos + key.len()..];
-            let num: String = rest
-                .chars()
-                .skip_while(|c| c.is_whitespace())
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-                .collect();
+            let num = number_token(rest);
             match num.parse::<f64>() {
                 Ok(v) if v >= floor => speedups += 1,
                 Ok(v) => problems.push(format!("{key} regressed below {floor}: {v}")),
@@ -600,7 +611,41 @@ fn validate(contents: &str, filtered: bool) -> Vec<String> {
     if speedups == 0 && problems.is_empty() {
         problems.push("no speedup values found".into());
     }
+    // On the million-node serve tiers, publishing a repair must cost no
+    // more than computing it.
+    for row in contents.split("\"graph\":").skip(1) {
+        if !row.contains("\"mode\": \"serve\"") {
+            continue;
+        }
+        let field = |key: &str| {
+            let at = row.find(key)? + key.len();
+            number_token(&row[at..]).parse::<f64>().ok()
+        };
+        match (
+            field("\"nodes\":"),
+            field("\"publish_p99_ns\":"),
+            field("\"repair_p99_ns\":"),
+        ) {
+            (Some(nodes), Some(publish), Some(repair)) => {
+                if nodes >= PUBLISH_GATE_NODES && publish > repair {
+                    problems.push(format!(
+                        "serve row with {nodes} nodes publishes slower than it repairs: \
+                         publish_p99_ns {publish} > repair_p99_ns {repair}"
+                    ));
+                }
+            }
+            _ => problems.push("serve row without nodes/publish_p99_ns/repair_p99_ns".into()),
+        }
+    }
     problems
+}
+
+/// The number token at the start of `rest`, after any whitespace.
+fn number_token(rest: &str) -> String {
+    rest.chars()
+        .skip_while(|c| c.is_whitespace())
+        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
+        .collect()
 }
 
 #[allow(clippy::too_many_lines)] // one linear measurement script
@@ -723,6 +768,7 @@ fn main() {
         serve_tier(2, 16, 60, false),
         serve_tier(2, 18, 24, true),
         serve_tier(2, 20, 10, true),
+        serve_tier(2, 22, 8, true),
     ];
 
     let mut matched = 0usize;
@@ -772,7 +818,7 @@ fn main() {
             let window = Duration::from_millis(if cfg.skip_in_smoke { 500 } else { 250 });
             let mut reader_rows = Vec::new();
             let mut best_overall = 0.0f64;
-            let mut gate_report: Option<ServiceReport> = None;
+            let mut gate_report: Option<(ServiceReport, Arc<RingSnapshot>)> = None;
             let mut ring_buf = Vec::new();
             for &readers in &READER_COUNTS {
                 let mut frozen_best = 0.0f64;
@@ -803,7 +849,7 @@ fn main() {
                             frozen_best = frozen_best.max(lps);
                         } else if lps > live_best {
                             live_best = lps;
-                            gate_report = Some(report);
+                            gate_report = Some((report, snap));
                         }
                     }
                 }
@@ -818,16 +864,19 @@ fn main() {
                      \"frozen_lookups_per_sec\": {frozen_best:.1}, \"vs_frozen\": {vs_frozen:.2} }}"
                 ));
             }
-            let report = gate_report.expect("at least one live run");
+            let (report, final_snap) = gate_report.expect("at least one live run");
             let p50 = report.publish_quantile_ns(0.5);
             let p99 = report.publish_quantile_ns(0.99);
             let rp50 = report.repair_quantile_ns(0.5);
             let rp99 = report.repair_quantile_ns(0.99);
+            let copied_per_pub = report.copied_chunks as f64 / report.batches.max(1) as f64;
             eprintln!(
-                "{label}: serve publish p50 {:.1} µs p99 {:.1} µs over {} publications \
-                 ({} events coalesced into {} batches)",
+                "{label}: serve publish p50 {:.1} µs p99 {:.1} µs (repair p99 {:.1} µs) over {} \
+                 publications, {copied_per_pub:.1} chunks copied per publication ({} events \
+                 coalesced into {} batches)",
                 p50 as f64 / 1e3,
                 p99 as f64 / 1e3,
+                rp99 as f64 / 1e3,
                 report.publications,
                 report.events,
                 report.batches,
@@ -842,6 +891,7 @@ fn main() {
                  \"batches\": {},\n      \"publications\": {},\n      \
                  \"publish_p50_ns\": {p50},\n      \"publish_p99_ns\": {p99},\n      \
                  \"repair_p50_ns\": {rp50},\n      \"repair_p99_ns\": {rp99},\n      \
+                 \"copied_chunks_per_publication\": {copied_per_pub:.1},\n      \
                  \"allocated_bytes\": {},\n      \
                  \"readers\": [\n{}\n      ],\n      \
                  \"best_vs_frozen\": {best_overall:.2}\n    }}",
@@ -850,7 +900,7 @@ fn main() {
                 events.len(),
                 report.batches,
                 report.publications,
-                scratch.allocated_bytes(),
+                report.session_bytes + final_snap.allocated_bytes(),
                 reader_rows.join(",\n"),
             )
             .expect("writing to a String cannot fail");
@@ -1365,10 +1415,13 @@ fn main() {
          frozen_lookups_per_sec the same run with readers pinned to the initial snapshot \
          (identical writer-side work), best_vs_frozen = best vs_frozen across reader counts \
          (gated >= 1.0), \
-         publish_p50/p99_ns the snapshot-publication latency, and every run's final snapshot \
+         publish_p50/p99_ns the snapshot-publication latency (publish_p99_ns gated <= \
+         repair_p99_ns from 2^20 nodes up), copied_chunks_per_publication the snapshot chunk \
+         buffers each batch's publication copied, and every run's final snapshot \
          is asserted bit-identical to a from-scratch embed of the trace's fault set; \
          every tier's allocated_bytes is the audited steady-state footprint of its scratch \
-         or maintainer after warmup; \
+         or maintainer after warmup (serve tiers: the writer's session plus the final \
+         snapshot's chunks); \
          the optional kernels array races the two-phase scalar dense kernel against the fused \
          single-pass kernel over warm bitmaps (speedup = scalar/fused, newly-visited checksums \
          asserted identical) and, in kind=skip_scan rows, full-bitmap sparse-frontier \
@@ -1391,5 +1444,29 @@ fn main() {
             }
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::validate;
+
+    fn serve_row(nodes: u64, publish: u64, repair: u64) -> String {
+        format!(
+            "{{ \"graph\": \"g\", \"nodes\": {nodes}, \"mode\": \"serve\", \
+             \"publish_p99_ns\": {publish}, \"repair_p99_ns\": {repair}, \
+             \"best_vs_frozen\": 1.00 }}"
+        )
+    }
+
+    #[test]
+    fn publish_gate_fails_only_million_node_serve_rows() {
+        let file = |rows: &[String]| format!("{{ \"configs\": [{}] }}", rows.join(","));
+        let ok = file(&[serve_row(1 << 20, 100, 200), serve_row(1 << 16, 300, 200)]);
+        assert_eq!(validate(&ok, true), Vec::<String>::new());
+        let slow = file(&[serve_row(1 << 22, 300, 200)]);
+        let problems = validate(&slow, true);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("publishes slower than it repairs"));
     }
 }

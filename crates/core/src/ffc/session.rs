@@ -55,9 +55,9 @@
 //! Repair state is mutable and single-writer, but reads are **not**
 //! confined to the maintainer: [`RingMaintainer::publish`] carves an
 //! immutable, refcounted [`super::RingSnapshot`] off the session
-//! (copy-on-publish — only the structure groups the last repairs touched
-//! are copied; clean groups are shared with the previous snapshot by
-//! `Arc`), which any number of reader threads can query while further
+//! (chunked copy-on-write — only the node-id chunks the last repairs
+//! dirtied are copied; clean chunks are shared with the previous snapshot
+//! by `Arc`), which any number of reader threads can query while further
 //! repairs mutate the session. [`crate::serve::RingService`] wraps this
 //! into a full serving loop with epoch publication.
 
@@ -68,7 +68,7 @@ use crate::bitreach::{
 };
 use crate::mem::grow_to;
 
-use super::snapshot::{RingSnapshot, SnapshotParts, SnapshotPublisher};
+use super::snapshot::{ChunkMask, RingSnapshot, SnapshotParts, SnapshotPublisher};
 use super::{EmbedStats, Ffc, NONE};
 
 /// How many [`RingMaintainer`] events ran as true delta repairs and how
@@ -326,15 +326,15 @@ pub struct EmbedSession {
     /// membership bitmap [`EmbedSession::publish_snapshot`] freezes into
     /// snapshots without an O(n) repack.
     bstar_bits: Vec<u64>,
-    /// Copy-on-publish dirty flag: `succ`/`exit_bits` changed since the
-    /// last publication.
-    snap_ring_dirty: bool,
-    /// Copy-on-publish dirty flag: `bstar_bits` changed since the last
-    /// publication.
-    snap_bstar_dirty: bool,
-    /// Copy-on-publish dirty flag: `bcast_level` changed since the last
-    /// publication (the snapshot's level group).
-    snap_level_dirty: bool,
+    /// Snapshot chunks whose `succ`/`exit_bits` changed since the last
+    /// publication: the d exit slots of every rewired label.
+    snap_ring_dirty: ChunkMask,
+    /// Snapshot chunks whose `bstar_bits` changed since the last
+    /// publication: the nodes of `moved_buf`/`moved_in_buf`.
+    snap_bstar_dirty: ChunkMask,
+    /// Snapshot chunks whose `bcast_level` changed since the last
+    /// publication: the nodes of `bc_nodes`.
+    snap_level_dirty: ChunkMask,
     // -- reusable machinery --
     bits: BitScratch,
     pbits: ParBitScratch,
@@ -500,12 +500,12 @@ impl EmbedSession {
     }
 
     /// Freezes the session's read-side structures into an immutable
-    /// [`RingSnapshot`] via `publisher`, copying only the structure groups
-    /// mutated since the last publication (the ring wiring and membership
-    /// bitmap each carry a dirty flag the repair paths maintain) and
-    /// sharing clean groups with the previous snapshot by `Arc`.
-    /// `applied_events` is stamped into the snapshot so readers can line
-    /// it up with a prefix of the event sequence.
+    /// [`RingSnapshot`] via `publisher`, copying only the chunks mutated
+    /// since the last publication (each structure group carries a
+    /// per-chunk dirty mask the repair paths maintain) and sharing clean
+    /// chunks with the previous snapshot by `Arc`. `applied_events` is
+    /// stamped into the snapshot so readers can line it up with a prefix
+    /// of the event sequence.
     ///
     /// Requires an initialized session ([`RingMaintainer::reset`] ran);
     /// [`RingMaintainer::publish`] is the checked entry point.
@@ -522,9 +522,9 @@ impl EmbedSession {
             n_nodes: self.n_nodes,
             stats: self.stats(),
             infeasible: self.root == INFEASIBLE_ROOT,
-            ring_dirty: self.snap_ring_dirty,
-            bstar_dirty: self.snap_bstar_dirty,
-            level_dirty: self.snap_level_dirty,
+            ring_dirty: &self.snap_ring_dirty,
+            bstar_dirty: &self.snap_bstar_dirty,
+            level_dirty: &self.snap_level_dirty,
             succ: &self.succ[..self.n_nodes],
             exit_bits: &self.exit_bits[..words],
             bstar_bits: &self.bstar_bits[..words],
@@ -532,10 +532,18 @@ impl EmbedSession {
             applied_events,
         };
         let snap = publisher.build(parts);
-        self.snap_ring_dirty = false;
-        self.snap_bstar_dirty = false;
-        self.snap_level_dirty = false;
+        self.snap_ring_dirty.clear();
+        self.snap_bstar_dirty.clear();
+        self.snap_level_dirty.clear();
         snap
+    }
+
+    /// Marks every snapshot chunk of every group dirty (a rebuild, the
+    /// infeasible state, or a new shape rewrote the whole session).
+    fn dirty_all_chunks(&mut self) {
+        self.snap_ring_dirty.mark_all();
+        self.snap_bstar_dirty.mark_all();
+        self.snap_level_dirty.mark_all();
     }
 
     /// Bytes currently reserved by the three per-node level arrays —
@@ -597,6 +605,9 @@ impl EmbedSession {
             + self.bits.allocated_bytes()
             + self.pbits.allocated_bytes()
             + self.delta.allocated_bytes()
+            + self.snap_ring_dirty.allocated_bytes()
+            + self.snap_bstar_dirty.allocated_bytes()
+            + self.snap_level_dirty.allocated_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -690,9 +701,10 @@ impl EmbedSession {
         self.faulty_necklaces = 0;
         self.removed_nodes = 0;
         self.bstar_bits[..n.div_ceil(64)].fill(0);
-        self.snap_ring_dirty = true;
-        self.snap_bstar_dirty = true;
-        self.snap_level_dirty = true;
+        self.snap_ring_dirty.fit(n);
+        self.snap_bstar_dirty.fit(n);
+        self.snap_level_dirty.fit(n);
+        self.dirty_all_chunks();
         self.initialized = true;
     }
 
@@ -902,9 +914,7 @@ impl EmbedSession {
         self.label_children[..self.suffix * self.d].fill(NONE);
         self.exit_bits[..n.div_ceil(64)].fill(0);
         self.bstar_bits[..n.div_ceil(64)].fill(0);
-        self.snap_ring_dirty = true;
-        self.snap_bstar_dirty = true;
-        self.snap_level_dirty = true;
+        self.dirty_all_chunks();
     }
 
     // ------------------------------------------------------------------
@@ -978,9 +988,7 @@ impl EmbedSession {
             }
         }
         self.component_size = component;
-        self.snap_ring_dirty = true;
-        self.snap_bstar_dirty = true;
-        self.snap_level_dirty = true;
+        self.dirty_all_chunks();
         debug_assert_eq!(reached, component, "broadcast must cover B*");
         let _ = reached;
         scatter_levels(&mut self.bcast_level, n, &self.nodes_buf, &self.offsets_buf);
@@ -1155,20 +1163,19 @@ impl EmbedSession {
             let now = !self.node_dead[u]
                 && self.fwd_level.get(u) != UNREACHED
                 && self.bwd_level.get(u) != UNREACHED;
-            if self.in_bstar[u] && !now {
-                self.in_bstar[u] = false;
-                self.bstar_bits[u / 64] &= !(1u64 << (u % 64));
-                self.moved_buf.push(u as u32);
-            } else if !self.in_bstar[u] && now {
-                self.in_bstar[u] = true;
-                self.bstar_bits[u / 64] |= 1u64 << (u % 64);
+            if self.in_bstar[u] == now {
+                continue;
+            }
+            self.in_bstar[u] = now;
+            self.bstar_bits[u / 64] ^= 1u64 << (u % 64);
+            self.snap_bstar_dirty.mark(u);
+            if now {
                 self.moved_in_buf.push(u as u32);
+            } else {
+                self.moved_buf.push(u as u32);
             }
         }
         self.component_size = self.component_size - self.moved_buf.len() + self.moved_in_buf.len();
-        if !self.moved_buf.is_empty() || !self.moved_in_buf.is_empty() {
-            self.snap_bstar_dirty = true;
-        }
 
         // Broadcast repair, with the two passes' change logs merged into
         // `bc_nodes`/`bc_old` keeping each node's first-seen (true
@@ -1234,12 +1241,10 @@ impl EmbedSession {
     fn absorb_bcast_changes(&mut self, ffc: &Ffc) {
         let membership = ffc.partition.membership();
         let (d, suffix) = (self.d, self.suffix);
-        if !self.bc_nodes.is_empty() {
-            self.snap_level_dirty = true;
-        }
         // Histogram.
         for i in 0..self.bc_nodes.len() {
             let u = self.bc_nodes[i] as usize;
+            self.snap_level_dirty.mark(u);
             let old = self.bc_old[i];
             if old != UNREACHED {
                 self.level_counts[old as usize] -= 1;
@@ -1302,11 +1307,6 @@ impl EmbedSession {
         for i in 0..self.dirty_labels.len() {
             let label = self.dirty_labels[i] as usize;
             self.rewire_label(ffc, label);
-        }
-        // Rewiring a label unconditionally rewrites its exit bits, so any
-        // dirty label marks the ring group for copy-on-publish.
-        if !self.dirty_labels.is_empty() {
-            self.snap_ring_dirty = true;
         }
     }
 
@@ -1371,10 +1371,13 @@ impl EmbedSession {
     fn rewire_label(&mut self, ffc: &Ffc, label: usize) {
         let (d, suffix) = (self.d, self.suffix);
         let membership = ffc.partition.membership();
-        // Every possible exit of label w is one of the d nodes a·suffix+w.
+        // Every possible exit of label w is one of the d nodes a·suffix+w;
+        // rewiring rewrites their exit bits and overrides unconditionally,
+        // so their snapshot chunks are dirty.
         for a in 0..d {
             let e = a * suffix + label;
             self.exit_bits[e / 64] &= !(1u64 << (e % 64));
+            self.snap_ring_dirty.mark(e);
         }
         let base = label * d;
         let child_count = self.label_children[base..base + d]
@@ -1439,7 +1442,7 @@ impl EmbedSession {
 ///
 /// The maintainer is the single *writer*; it does **not** monopolise the
 /// read path. [`RingMaintainer::publish`] freezes the current ring into an
-/// immutable [`RingSnapshot`] (copy-on-publish), and
+/// immutable [`RingSnapshot`] (chunked copy-on-write), and
 /// [`crate::serve::RingService`] turns that into wait-free concurrent
 /// reads under live repair.
 #[derive(Clone, Debug, Default)]
@@ -1669,8 +1672,8 @@ impl RingMaintainer {
 
     /// Freezes the current session state into an immutable
     /// [`RingSnapshot`] (see [`EmbedSession::publish_snapshot`]): only the
-    /// structure groups mutated since the last publication are copied, the
-    /// rest are shared with the previous snapshot by `Arc`. The snapshot
+    /// chunks mutated since the last publication are copied, the rest are
+    /// shared with the previous snapshot by `Arc`. The snapshot
     /// stays valid — and bit-identical — no matter how many further events
     /// this maintainer absorbs. `applied_events` is the caller's count of
     /// absorbed events, stamped into the snapshot for prefix bookkeeping.

@@ -1,38 +1,101 @@
-//! Immutable, refcounted ring snapshots and their copy-on-publish builder.
+//! Immutable, refcounted ring snapshots and their chunked copy-on-write
+//! builder.
 //!
 //! [`super::session::EmbedSession`] is the *mutable* half of the embedding
 //! state: delta passes rewrite its levels, records and wiring in place. A
-//! [`RingSnapshot`] is the immutable read-side view carved off it — the
-//! successor overrides, exit bitmap, B* membership bitmap, root and stats,
-//! everything a reader needs to answer `successor`/`contains`/ring-walk
-//! queries — frozen behind `Arc`s so any number of readers can hold it
-//! while repairs continue on the session.
+//! [`RingSnapshot`] is the immutable read-side view carved off it — ring
+//! membership, the exit bitmap and successor overrides, broadcast levels,
+//! root and stats, everything a reader needs to answer
+//! `successor`/`contains`/ring-walk queries — frozen behind `Arc`s so any
+//! number of readers can hold it while repairs continue on the session.
 //!
-//! [`SnapshotPublisher`] builds snapshots **copy-on-publish**: the session
-//! tracks which structure groups a repair actually touched (the ring wiring
-//! `succ`/`exit_bits`; the membership bitmap; the broadcast level group),
-//! and only those are copied into fresh buffers — an untouched group is
-//! shared with the previous snapshot by bumping its `Arc`. A
-//! no-topology-change publication (e.g. a redundant event, or pure stats
-//! refresh) therefore costs O(1). The level group is a compact
-//! [`LevelVec`] (PR 10) — one byte per node instead of four — so the
-//! dominant copy of a dirty publication moved 4× less data. Retired
-//! buffers are reclaimed by refcount once their last reader drops
-//! (grace-period-by-`Arc`) and recycled into free pools, so a steady-state
-//! publish loop stops allocating.
+//! A snapshot is cut into chunks of `CHUNK_NODES` (4096) consecutive node
+//! ids. Each chunk holds one `Arc` per buffer:
+//!
+//! * a record of the chunk's membership and exit words, **interleaved**
+//!   word by word, so `contains` plus the exit test of `successor` read one
+//!   cache line;
+//! * the dense `u32` successor overrides (meaningful where the exit bit is
+//!   set);
+//! * the broadcast levels in the compact one-byte [`LevelVec`] encoding.
+//!
+//! The session marks, per structure group (membership, ring wiring,
+//! broadcast levels), the chunks a repair dirtied, from change logs it keeps
+//! anyway. [`SnapshotPublisher`] copies exactly those chunks and shares
+//! every other chunk with the previous snapshot by refcount, so a
+//! publication costs the dirty chunks' copies plus one refcount bump per
+//! clean chunk. A single-necklace repair dirties the necklace's rotations,
+//! which land in a few dozen chunks of a million-node graph, not in all of
+//! them (PERF.md has the measured counts). A chunk is freed when the last
+//! snapshot referencing it drops; there is no buffer pool.
 
 use std::sync::Arc;
 
 use super::session::RepairOutcome;
 use super::EmbedStats;
 use crate::bitreach::{LevelVec, UNREACHED};
+use crate::mem::{decode_level, grow_to, UNREACHED_U8};
 
-/// Bound on pooled buffers of each width kept for reuse.
-const POOL_CAP: usize = 8;
-/// Bound on retired snapshots tracked for buffer reclamation; beyond this
-/// the oldest are dropped from tracking (their readers still keep them
-/// alive — only the *reuse* opportunity is given up).
-const RETIRED_CAP: usize = 64;
+/// Log2 of [`CHUNK_NODES`].
+const CHUNK_SHIFT: u32 = 12;
+/// Nodes per snapshot chunk. Smaller chunks copy less per dirty chunk but
+/// pay more refcount bumps per publication; the PERF.md sweep measured
+/// 1024/4096/16384 and kept 4096.
+pub(crate) const CHUNK_NODES: usize = 1 << CHUNK_SHIFT;
+const CHUNK_MASK: usize = CHUNK_NODES - 1;
+/// Bitmap words per chunk.
+const CHUNK_WORDS: usize = CHUNK_NODES / 64;
+
+/// One chunk's bitmaps: `[membership, exit]` per 64 nodes.
+type BitsChunk = [[u64; 2]; CHUNK_WORDS];
+type SuccChunk = [u32; CHUNK_NODES];
+type LevelChunk = [u8; CHUNK_NODES];
+
+/// Per-chunk dirty bits of one snapshot group, marked by node id. The
+/// session keeps one per group and clears them after each publication.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ChunkMask {
+    words: Vec<u64>,
+}
+
+impl ChunkMask {
+    /// Grows the mask to cover `n_nodes` nodes (never shrinks).
+    pub(crate) fn fit(&mut self, n_nodes: usize) {
+        grow_to(
+            &mut self.words,
+            n_nodes.div_ceil(CHUNK_NODES).div_ceil(64),
+            0,
+        );
+    }
+
+    /// Marks the chunk holding node `v`.
+    #[inline]
+    pub(crate) fn mark(&mut self, v: usize) {
+        let c = v >> CHUNK_SHIFT;
+        self.words[c / 64] |= 1 << (c % 64);
+    }
+
+    /// Marks every chunk.
+    pub(crate) fn mark_all(&mut self) {
+        self.words.fill(u64::MAX);
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    fn is_marked(&self, chunk: usize) -> bool {
+        self.words[chunk / 64] >> (chunk % 64) & 1 == 1
+    }
+
+    fn any(&self) -> bool {
+        self.words.iter().any(|&w| w != 0)
+    }
+
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        8 * self.words.capacity()
+    }
+}
 
 /// A typed rejection from [`RingSnapshot`] read accessors — the read-side
 /// mirror of [`super::session::RepairError`]'s validation (PR 6): malformed
@@ -71,9 +134,9 @@ impl std::fmt::Display for LookupError {
 impl std::error::Error for LookupError {}
 
 /// One immutable generation of the maintained ring: everything the read
-/// path needs, shared behind `Arc`s. Cheap to clone (three refcount bumps
-/// plus a few words); safe to hold across any number of subsequent
-/// repairs — the structures it references are never mutated after
+/// path needs, in chunks shared behind `Arc`s. Cheap to clone (one
+/// refcount bump per chunk buffer); safe to hold across any number of
+/// subsequent repairs — the chunks it references are never mutated after
 /// publication.
 #[derive(Clone)]
 pub struct RingSnapshot {
@@ -88,15 +151,16 @@ pub struct RingSnapshot {
     pub(crate) seq: u64,
     pub(crate) stats: EmbedStats,
     pub(crate) infeasible: bool,
-    /// Successor overrides (meaningful where the exit bit is set).
-    pub(crate) succ: Arc<Vec<u32>>,
-    /// Bit v set ⟺ node v leaves its necklace through a w-edge.
-    pub(crate) exit_bits: Arc<Vec<u64>>,
-    /// Bit v set ⟺ node v rides the served ring (B* membership).
-    pub(crate) bstar_bits: Arc<Vec<u64>>,
-    /// Broadcast level of every node at publication time, in the compact
-    /// one-byte-per-node encoding ([`UNREACHED`] off the ring).
-    pub(crate) bcast_level: Arc<LevelVec>,
+    /// Chunk tables, one per buffer: node `v` lives in chunk
+    /// `v / CHUNK_NODES` of each. `bits` is copied when the membership or
+    /// the ring group dirtied the chunk, `succ` when the ring group did,
+    /// `levels` when the level group did.
+    bits: Box<[Arc<BitsChunk>]>,
+    succ: Box<[Arc<SuccChunk>]>,
+    levels: Box<[Arc<LevelChunk>]>,
+    /// Broadcast levels too large for the byte encoding, as (node, level)
+    /// pairs — empty in steady state (see [`LevelVec`]).
+    level_overflow: Vec<(u32, u32)>,
 }
 
 impl RingSnapshot {
@@ -138,6 +202,19 @@ impl RingSnapshot {
         self.stats.component_size
     }
 
+    /// Bytes of every chunk this snapshot references, shared ones
+    /// included, plus its chunk table — the read side's footprint.
+    #[must_use]
+    pub fn allocated_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.bits.len()
+            * (3 * size_of::<Arc<()>>()
+                + size_of::<BitsChunk>()
+                + size_of::<SuccChunk>()
+                + size_of::<LevelChunk>())
+            + 8 * self.level_overflow.capacity()
+    }
+
     /// Classifies the snapshot's state exactly like
     /// [`super::session::EmbedSession::outcome`].
     #[must_use]
@@ -158,9 +235,15 @@ impl RingSnapshot {
         }
     }
 
+    /// `v`'s `[membership, exit]` word pair.
+    #[inline]
+    fn words(&self, v: usize) -> [u64; 2] {
+        self.bits[v >> CHUNK_SHIFT][(v & CHUNK_MASK) / 64]
+    }
+
     #[inline]
     fn on_ring(&self, v: usize) -> bool {
-        self.bstar_bits[v / 64] >> (v % 64) & 1 == 1
+        self.words(v)[0] >> (v % 64) & 1 == 1
     }
 
     #[inline]
@@ -174,10 +257,14 @@ impl RingSnapshot {
         Ok(())
     }
 
+    // `contains` and `successor` inline across crates, so a reader's checked
+    // pair on one node loads its chunk-table entry and word pair once.
+
     /// Whether node `u` rides the served ring.
     ///
     /// # Errors
     /// [`LookupError::NodeOutOfRange`] for an id outside the graph.
+    #[inline]
     pub fn contains(&self, u: usize) -> Result<bool, LookupError> {
         self.check_node(u)?;
         Ok(self.on_ring(u))
@@ -191,7 +278,8 @@ impl RingSnapshot {
     /// [`LookupError::NodeOutOfRange`] for an id outside the graph.
     pub fn broadcast_level(&self, u: usize) -> Result<Option<u32>, LookupError> {
         self.check_node(u)?;
-        let l = self.bcast_level.get(u);
+        let byte = self.levels[u >> CHUNK_SHIFT][u & CHUNK_MASK];
+        let l = decode_level(byte, u, &self.level_overflow);
         Ok((l != UNREACHED).then_some(l))
     }
 
@@ -200,6 +288,7 @@ impl RingSnapshot {
     /// # Errors
     /// [`LookupError::NodeOutOfRange`] for an id outside the graph,
     /// [`LookupError::NotOnRing`] for a live id that is not on the ring.
+    #[inline]
     pub fn successor(&self, u: usize) -> Result<usize, LookupError> {
         self.check_node(u)?;
         if !self.on_ring(u) {
@@ -210,10 +299,15 @@ impl RingSnapshot {
 
     #[inline]
     fn successor_unchecked(&self, u: usize) -> usize {
-        if self.exit_bits[u / 64] >> (u % 64) & 1 == 1 {
-            self.succ[u] as usize
+        let (d, suffix) = (self.d, self.suffix);
+        if self.words(u)[1] >> (u % 64) & 1 == 1 {
+            self.succ[u >> CHUNK_SHIFT][u & CHUNK_MASK] as usize
+        } else if d.is_power_of_two() {
+            // The rotation below without its two divisions, which bound a
+            // ring walk: suffix = d^(n-1) is a power of two whenever d is.
+            ((u & (suffix - 1)) << d.trailing_zeros()) | (u >> suffix.trailing_zeros())
         } else {
-            (u % self.suffix) * self.d + u / self.suffix
+            (u % suffix) * d + u / suffix
         }
     }
 
@@ -281,28 +375,30 @@ impl std::fmt::Debug for RingSnapshot {
 }
 
 /// The borrow bundle a session hands the publisher: current structure
-/// slices plus the copy-on-publish dirty flags saying which groups changed
-/// since the last publication.
+/// slices plus the per-group masks of chunks changed since the last
+/// publication.
 pub(crate) struct SnapshotParts<'a> {
     pub d: usize,
     pub suffix: usize,
     pub n_nodes: usize,
     pub stats: EmbedStats,
     pub infeasible: bool,
-    /// `succ`/`exit_bits` changed since the last publication.
-    pub ring_dirty: bool,
-    /// `bstar_bits` changed since the last publication.
-    pub bstar_dirty: bool,
-    /// `bcast_level` changed since the last publication.
-    pub level_dirty: bool,
+    /// Chunks whose `succ`/`exit_bits` changed since the last publication.
+    pub ring_dirty: &'a ChunkMask,
+    /// Chunks whose `bstar_bits` changed since the last publication.
+    pub bstar_dirty: &'a ChunkMask,
+    /// Chunks whose `bcast_level` changed since the last publication.
+    pub level_dirty: &'a ChunkMask,
+    /// `n_nodes` entries.
     pub succ: &'a [u32],
+    /// `n_nodes.div_ceil(64)` words, like `bstar_bits`.
     pub exit_bits: &'a [u64],
     pub bstar_bits: &'a [u64],
     pub bcast_level: &'a LevelVec,
     pub applied_events: u64,
 }
 
-/// Builds [`RingSnapshot`]s copy-on-publish and recycles retired buffers.
+/// Builds [`RingSnapshot`]s chunk by chunk, copy-on-write.
 ///
 /// Owned by whatever drives the session (the [`crate::serve::RingService`]
 /// writer thread, a test harness): it is the *single-threaded* producer
@@ -311,17 +407,11 @@ pub(crate) struct SnapshotParts<'a> {
 #[derive(Debug, Default)]
 pub struct SnapshotPublisher {
     prev: Option<Arc<RingSnapshot>>,
-    /// Superseded snapshots still (possibly) held by readers, tracked so
-    /// their buffers can be pooled once the last reader lets go.
-    retired: Vec<Arc<RingSnapshot>>,
-    free_u32: Vec<Vec<u32>>,
-    free_u64: Vec<Vec<u64>>,
-    free_levels: Vec<LevelVec>,
     publications: u64,
     shared_ring: u64,
     shared_membership: u64,
     shared_levels: u64,
-    reclaimed: u64,
+    copied_chunks: u64,
 }
 
 impl SnapshotPublisher {
@@ -337,29 +427,33 @@ impl SnapshotPublisher {
         self.publications
     }
 
-    /// Publications that shared the previous ring wiring (`succ` +
-    /// `exit_bits`) instead of copying it.
+    /// Publications that dirtied no chunk of the ring wiring (`succ` +
+    /// exit bits), sharing all of it with the previous snapshot.
     #[must_use]
     pub fn shared_ring(&self) -> u64 {
         self.shared_ring
     }
 
-    /// Publications that shared the previous membership bitmap.
+    /// Publications that dirtied no chunk of the membership bitmap.
     #[must_use]
     pub fn shared_membership(&self) -> u64 {
         self.shared_membership
     }
 
-    /// Publications that shared the previous broadcast level group.
+    /// Publications that dirtied no chunk of the broadcast levels.
     #[must_use]
     pub fn shared_levels(&self) -> u64 {
         self.shared_levels
     }
 
-    /// Retired buffers recycled into the free pools so far.
+    /// Chunk buffers copied over all publications: a dirty chunk costs one
+    /// copy of each buffer its groups touch (membership/exit record,
+    /// successors, levels). A first publication copies all three buffers of
+    /// every chunk; later ones copy only what repairs dirtied, which is
+    /// what makes publication O(cone) rather than O(n).
     #[must_use]
-    pub fn reclaimed(&self) -> u64 {
-        self.reclaimed
+    pub fn copied_chunks(&self) -> u64 {
+        self.copied_chunks
     }
 
     /// The most recently published snapshot, if any.
@@ -369,145 +463,117 @@ impl SnapshotPublisher {
     }
 
     /// Assembles a snapshot from the session's current structures, copying
-    /// only the groups flagged dirty and sharing the rest with the previous
-    /// publication.
+    /// the chunks the masks flag dirty and sharing every other chunk with
+    /// the previous publication. Without a previous publication of the
+    /// same shape, every chunk is copied.
     pub(crate) fn build(&mut self, parts: SnapshotParts<'_>) -> Arc<RingSnapshot> {
-        self.sweep_retired();
-        let can_share = |prev: Option<&Arc<RingSnapshot>>| {
-            prev.is_some_and(|p| p.n_nodes == parts.n_nodes && p.d == parts.d)
-        };
-        let share_ring = !parts.ring_dirty && can_share(self.prev.as_ref());
-        let share_bstar = !parts.bstar_dirty && can_share(self.prev.as_ref());
-        let (succ, exit_bits) = if share_ring {
-            let p = self.prev.as_ref().expect("share_ring implies prev");
-            debug_assert_eq!(&**p.succ, parts.succ, "ring flagged clean but succ differs");
-            debug_assert_eq!(
-                &**p.exit_bits, parts.exit_bits,
-                "ring flagged clean but exit bitmap differs"
-            );
-            self.shared_ring += 1;
-            (Arc::clone(&p.succ), Arc::clone(&p.exit_bits))
-        } else {
-            (self.copy_u32(parts.succ), self.copy_u64(parts.exit_bits))
-        };
-        let bstar_bits = if share_bstar {
-            let p = self.prev.as_ref().expect("share_bstar implies prev");
-            debug_assert_eq!(
-                &**p.bstar_bits, parts.bstar_bits,
-                "membership flagged clean but bitmap differs"
-            );
-            self.shared_membership += 1;
-            Arc::clone(&p.bstar_bits)
-        } else {
-            self.copy_u64(parts.bstar_bits)
-        };
-        let share_levels = !parts.level_dirty && can_share(self.prev.as_ref());
-        let bcast_level = if share_levels {
-            let p = self.prev.as_ref().expect("share_levels implies prev");
-            debug_assert_eq!(
-                &*p.bcast_level, parts.bcast_level,
-                "levels flagged clean but broadcast levels differ"
-            );
-            self.shared_levels += 1;
-            Arc::clone(&p.bcast_level)
-        } else {
-            self.copy_levels(parts.bcast_level)
-        };
+        let n = parts.n_nodes;
+        let prev = self
+            .prev
+            .as_ref()
+            .filter(|p| p.n_nodes == n && p.d == parts.d);
+        let n_chunks = n.div_ceil(CHUNK_NODES);
+        let span = |c: usize| c * CHUNK_NODES..((c + 1) * CHUNK_NODES).min(n);
+        let words = |c: usize| c * CHUNK_WORDS..((c + 1) * CHUNK_WORDS).min(n.div_ceil(64));
+        let mut copied = 0u64;
+        let bits = chunk_table(
+            prev.map(|p| &p.bits[..]),
+            n_chunks,
+            |c| parts.bstar_dirty.is_marked(c) || parts.ring_dirty.is_marked(c),
+            |c| {
+                Arc::new(interleave(
+                    &parts.bstar_bits[words(c)],
+                    &parts.exit_bits[words(c)],
+                ))
+            },
+            &mut copied,
+        );
+        let succ = chunk_table(
+            prev.map(|p| &p.succ[..]),
+            n_chunks,
+            |c| parts.ring_dirty.is_marked(c),
+            |c| copy_chunk(&parts.succ[span(c)], 0),
+            &mut copied,
+        );
+        let levels = chunk_table(
+            prev.map(|p| &p.levels[..]),
+            n_chunks,
+            |c| parts.level_dirty.is_marked(c),
+            |c| copy_chunk(&parts.bcast_level.as_bytes()[span(c)], UNREACHED_U8),
+            &mut copied,
+        );
+        if prev.is_some() {
+            self.shared_ring += u64::from(!parts.ring_dirty.any());
+            self.shared_membership += u64::from(!parts.bstar_dirty.any());
+            self.shared_levels += u64::from(!parts.level_dirty.any());
+        }
+        self.copied_chunks += copied;
         self.publications += 1;
         let snap = Arc::new(RingSnapshot {
             d: parts.d,
             suffix: parts.suffix,
-            n_nodes: parts.n_nodes,
+            n_nodes: n,
             applied_events: parts.applied_events,
             seq: self.publications,
             stats: parts.stats,
             infeasible: parts.infeasible,
+            bits,
             succ,
-            exit_bits,
-            bstar_bits,
-            bcast_level,
+            levels,
+            level_overflow: parts.bcast_level.overflow().to_vec(),
         });
-        if let Some(old) = self.prev.replace(Arc::clone(&snap)) {
-            self.retired.push(old);
-        }
+        self.prev = Some(Arc::clone(&snap));
         snap
     }
+}
 
-    /// Harvests retired snapshots whose last reader has gone: their buffers
-    /// (when this publisher holds the last reference to them too) go back
-    /// to the free pools. Readers that still hold a snapshot keep it alive
-    /// untouched — reclamation is purely refcount-driven.
-    fn sweep_retired(&mut self) {
-        let mut i = 0;
-        while i < self.retired.len() {
-            if Arc::strong_count(&self.retired[i]) > 1 {
-                i += 1;
-                continue;
+/// One chunk table of a new snapshot: chunk `c` is shared with `prev`
+/// unless `dirty(c)` (or there is no `prev`), in which case `copy(c)`
+/// builds it from the session and `copied` counts it. Debug builds check
+/// every shared chunk against a fresh copy.
+fn chunk_table<T: PartialEq>(
+    prev: Option<&[Arc<T>]>,
+    n_chunks: usize,
+    dirty: impl Fn(usize) -> bool,
+    copy: impl Fn(usize) -> Arc<T>,
+    copied: &mut u64,
+) -> Box<[Arc<T>]> {
+    (0..n_chunks)
+        .map(|c| match prev {
+            Some(prev) if !dirty(c) => {
+                debug_assert!(prev[c] == copy(c), "chunk {c} flagged clean but differs");
+                Arc::clone(&prev[c])
             }
-            let gone = self.retired.swap_remove(i);
-            // We held the only strong reference and no weaks exist, so this
-            // cannot fail; if it somehow does, dropping is still correct.
-            if let Ok(snap) = Arc::try_unwrap(gone) {
-                if let Ok(buf) = Arc::try_unwrap(snap.succ) {
-                    self.pool_u32(buf);
-                }
-                for arc in [snap.exit_bits, snap.bstar_bits] {
-                    if let Ok(buf) = Arc::try_unwrap(arc) {
-                        self.pool_u64(buf);
-                    }
-                }
-                if let Ok(buf) = Arc::try_unwrap(snap.bcast_level) {
-                    self.pool_levels(buf);
-                }
+            _ => {
+                *copied += 1;
+                copy(c)
             }
-        }
-        if self.retired.len() > RETIRED_CAP {
-            // Stop tracking the oldest; their readers' refcounts free them.
-            let excess = self.retired.len() - RETIRED_CAP;
-            self.retired.drain(..excess);
-        }
-    }
+        })
+        .collect()
+}
 
-    fn pool_u32(&mut self, buf: Vec<u32>) {
-        if self.free_u32.len() < POOL_CAP {
-            self.free_u32.push(buf);
-            self.reclaimed += 1;
-        }
+/// Interleaves one chunk's membership and exit words (the graph's short
+/// last chunk is zero-padded).
+fn interleave(members: &[u64], exits: &[u64]) -> BitsChunk {
+    let mut rec = [[0; 2]; CHUNK_WORDS];
+    for ((pair, &m), &e) in rec.iter_mut().zip(members).zip(exits) {
+        *pair = [m, e];
     }
+    rec
+}
 
-    fn pool_u64(&mut self, buf: Vec<u64>) {
-        if self.free_u64.len() < 2 * POOL_CAP {
-            self.free_u64.push(buf);
-            self.reclaimed += 1;
-        }
-    }
-
-    fn copy_u32(&mut self, src: &[u32]) -> Arc<Vec<u32>> {
-        let mut buf = self.free_u32.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(src);
-        Arc::new(buf)
-    }
-
-    fn copy_u64(&mut self, src: &[u64]) -> Arc<Vec<u64>> {
-        let mut buf = self.free_u64.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(src);
-        Arc::new(buf)
-    }
-
-    fn pool_levels(&mut self, buf: LevelVec) {
-        if self.free_levels.len() < POOL_CAP {
-            self.free_levels.push(buf);
-            self.reclaimed += 1;
+/// Copies one chunk's worth of `src` into a fresh shared chunk: a full
+/// chunk goes straight into its allocation, the graph's short last chunk is
+/// padded with `pad`.
+fn copy_chunk<T: Copy, const N: usize>(src: &[T], pad: T) -> Arc<[T; N]> {
+    if src.len() == N {
+        if let Ok(full) = Arc::<[T]>::from(src).try_into() {
+            return full;
         }
     }
-
-    fn copy_levels(&mut self, src: &LevelVec) -> Arc<LevelVec> {
-        let mut buf = self.free_levels.pop().unwrap_or_default();
-        buf.copy_from(src);
-        Arc::new(buf)
-    }
+    let mut buf = [pad; N];
+    buf[..src.len()].copy_from_slice(src);
+    Arc::new(buf)
 }
 
 #[cfg(test)]
@@ -582,27 +648,68 @@ mod tests {
     }
 
     #[test]
-    fn clean_publications_share_structures_by_refcount() {
+    fn clean_publications_share_chunks_by_refcount() {
         let (ffc, mut maint, mut publisher) = service_pair();
         let first = maint.publish(&mut publisher, 0).expect("publish");
+        assert_eq!(
+            publisher.copied_chunks(),
+            3,
+            "a first publication copies all"
+        );
         // No events in between: everything is clean and shared.
         let second = maint.publish(&mut publisher, 0).expect("publish");
-        assert!(Arc::ptr_eq(&first.succ, &second.succ));
-        assert!(Arc::ptr_eq(&first.exit_bits, &second.exit_bits));
-        assert!(Arc::ptr_eq(&first.bstar_bits, &second.bstar_bits));
-        assert!(Arc::ptr_eq(&first.bcast_level, &second.bcast_level));
+        assert!(Arc::ptr_eq(&first.bits[0], &second.bits[0]));
+        assert!(Arc::ptr_eq(&first.succ[0], &second.succ[0]));
+        assert!(Arc::ptr_eq(&first.levels[0], &second.levels[0]));
+        assert_eq!(publisher.copied_chunks(), 3);
         assert_eq!(publisher.shared_ring(), 1);
         assert_eq!(publisher.shared_membership(), 1);
         assert_eq!(publisher.shared_levels(), 1);
-        // A topology-changing event dirties every group.
+        // A topology-changing event dirties the chunk in every group.
         maint
             .apply_batch(&ffc, &[FaultEvent::NodeDown(5)])
             .expect("repair");
         let third = maint.publish(&mut publisher, 1).expect("publish");
-        assert!(!Arc::ptr_eq(&second.bstar_bits, &third.bstar_bits));
-        assert!(!Arc::ptr_eq(&second.bcast_level, &third.bcast_level));
+        assert!(!Arc::ptr_eq(&second.bits[0], &third.bits[0]));
+        assert!(!Arc::ptr_eq(&second.levels[0], &third.levels[0]));
         assert_eq!(third.seq(), 3);
         assert_eq!(third.applied_events(), 1);
+    }
+
+    #[test]
+    fn a_repair_copies_only_the_chunks_it_dirtied() {
+        // B(2,16): 16 chunks. Killing one necklace dirties the chunks of
+        // its rotations and of the cones around them, not every chunk.
+        let ffc = Ffc::new(2, 16);
+        let mut maint = RingMaintainer::new();
+        maint.reset(&ffc, &[]).expect("reset");
+        let mut publisher = SnapshotPublisher::new();
+        let before = maint.publish(&mut publisher, 0).expect("publish");
+        let full = publisher.copied_chunks();
+        assert_eq!(full, 3 * 16);
+        maint.add_fault(&ffc, 12_345).expect("repair");
+        let after = maint.publish(&mut publisher, 1).expect("publish");
+        let copied = publisher.copied_chunks() - full;
+        assert!(copied > 0 && copied < full, "copied {copied} of {full}");
+        let shared_succ = (0..16)
+            .filter(|&c| Arc::ptr_eq(&before.succ[c], &after.succ[c]))
+            .count();
+        assert!(shared_succ > 0, "some successor chunk must be shared");
+        // Every shared or copied chunk reads like a fresh publication.
+        let mut fresh = RingMaintainer::new();
+        fresh.reset(&ffc, &[12_345]).expect("reset");
+        let want = fresh
+            .publish(&mut SnapshotPublisher::new(), 1)
+            .expect("publish");
+        for v in 0..after.n_nodes() {
+            assert_eq!(after.contains(v), want.contains(v), "node {v}");
+            assert_eq!(after.successor(v), want.successor(v), "node {v}");
+            assert_eq!(
+                after.broadcast_level(v),
+                want.broadcast_level(v),
+                "node {v}"
+            );
+        }
     }
 
     #[test]
@@ -631,29 +738,6 @@ mod tests {
                 n_nodes: n
             })
         );
-    }
-
-    #[test]
-    fn retired_buffers_are_reclaimed_once_readers_drop() {
-        let (ffc, mut maint, mut publisher) = service_pair();
-        let mut held = Vec::new();
-        for i in 0..6u64 {
-            let ev = if i % 2 == 0 {
-                FaultEvent::NodeDown(9)
-            } else {
-                FaultEvent::NodeUp(9)
-            };
-            maint.apply_batch(&ffc, &[ev]).expect("repair");
-            held.push(maint.publish(&mut publisher, i + 1).expect("publish"));
-        }
-        assert_eq!(publisher.reclaimed(), 0, "readers still hold every snap");
-        held.clear();
-        // Two more publishes: the first sweep pools the now-free buffers.
-        maint
-            .apply_batch(&ffc, &[FaultEvent::NodeDown(9)])
-            .expect("repair");
-        maint.publish(&mut publisher, 7).expect("publish");
-        assert!(publisher.reclaimed() > 0, "dropped snapshots must recycle");
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub(crate) fn reserve_more<T>(v: &mut Vec<T>, cap: usize) {
 /// A per-node BFS level array in one byte per node — 4× smaller than the
 /// `Vec<u32>` it replaces, which is 4× less DRAM traffic on every level
 /// sweep (the scatter after a rebuild, the histogram passes, the
-/// copy-on-publish of snapshot level groups).
+/// copy-on-write of snapshot level chunks).
 ///
 /// Encoding: bytes `0..=0xFD` hold the level inline, [`UNREACHED_U8`]
 /// encodes [`UNREACHED`], and the escape byte `0xFE` points into a tiny
@@ -114,25 +114,7 @@ impl LevelVec {
     #[inline]
     #[must_use]
     pub fn get(&self, i: usize) -> u32 {
-        let b = self.bytes[i];
-        if b < ESCAPED_U8 {
-            u32::from(b)
-        } else if b == UNREACHED_U8 {
-            UNREACHED
-        } else {
-            self.get_escaped(i)
-        }
-    }
-
-    #[cold]
-    fn get_escaped(&self, i: usize) -> u32 {
-        self.overflow
-            .iter()
-            .find(|&&(n, _)| n as usize == i)
-            .map(|&(_, l)| l)
-            // PANIC-OK: an escape byte without a side-table entry is an
-            // internal invariant violation `set` cannot produce.
-            .expect("escaped level has a side-table entry")
+        decode_level(self.bytes[i], i, &self.overflow)
     }
 
     /// Sets node `i`'s level to `l` (any `u32`; values above the inline
@@ -164,16 +146,14 @@ impl LevelVec {
         }
     }
 
-    /// Overwrites `self` with a copy of `src`, reusing `self`'s buffers —
-    /// the copy-on-publish path of the snapshot publisher's level pool.
-    pub fn copy_from(&mut self, src: &LevelVec) {
-        self.bytes.clear();
-        self.bytes.extend_from_slice(&src.bytes);
-        self.overflow.clear();
-        self.overflow.extend_from_slice(&src.overflow);
+    /// The escaped entries as (node, level) pairs, for readers of
+    /// [`LevelVec::as_bytes`] to decode with.
+    pub(crate) fn overflow(&self) -> &[(u32, u32)] {
+        &self.overflow
     }
 
-    /// The raw byte encoding (test/bench introspection).
+    /// The raw byte encoding (snapshot chunks copy it; test/bench
+    /// introspection).
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -193,6 +173,30 @@ impl LevelVec {
     pub fn allocated_bytes(&self) -> usize {
         self.bytes.capacity() + 8 * self.overflow.capacity()
     }
+}
+
+/// Decodes byte `b` of node `node` in the [`LevelVec`] encoding, resolving
+/// an escape byte in `overflow` (the (node, level) side table).
+#[inline]
+pub(crate) fn decode_level(b: u8, node: usize, overflow: &[(u32, u32)]) -> u32 {
+    if b < ESCAPED_U8 {
+        u32::from(b)
+    } else if b == UNREACHED_U8 {
+        UNREACHED
+    } else {
+        escaped_level(node, overflow)
+    }
+}
+
+#[cold]
+fn escaped_level(node: usize, overflow: &[(u32, u32)]) -> u32 {
+    overflow
+        .iter()
+        .find(|&&(n, _)| n as usize == node)
+        .map(|&(_, l)| l)
+        // PANIC-OK: an escape byte without a side-table entry is an
+        // internal invariant violation `LevelVec::set` cannot produce.
+        .expect("escaped level has a side-table entry")
 }
 
 /// What the delta level-repair passes need from a level array. Implemented

@@ -13,10 +13,15 @@
 //! and each query costs one atomic epoch load to detect staleness; only
 //! when the writer has published something newer does the handle take the
 //! epoch cell's slot lock to swap its cached `Arc` (and that lock is
-//! uncontended unless the writer lapped the whole slot ring). Snapshots
-//! are copy-on-publish ([`crate::ffc::SnapshotPublisher`]): a repair that
-//! only touched the membership bitmap republishes the ring wiring by
-//! refcount, and retired buffers recycle once their last reader drops.
+//! uncontended unless the writer lapped the whole slot ring).
+//!
+//! Publication is chunked copy-on-write ([`crate::ffc::SnapshotPublisher`]):
+//! a snapshot is cut into 4096-node chunks, and a publication copies only
+//! the chunks the batch's repair dirtied, sharing every other chunk with
+//! the previous generation by refcount. Its cost follows the repair's
+//! footprint rather than the graph size, so at B(2,20) and above
+//! publishing a repair costs less than computing it (PERF.md). A chunk is
+//! freed when the last generation holding it drops.
 //!
 //! Consistency model: readers are **eventually consistent with monotone
 //! generations** — every snapshot a reader observes is the *exact* output
@@ -116,14 +121,25 @@ pub struct ServiceReport {
     pub events: u64,
     /// Publications (batches + the initial one).
     pub publications: u64,
-    /// Publications that shared the ring wiring by refcount.
+    /// Publications that dirtied no chunk of the ring wiring, sharing all
+    /// of it by refcount.
     pub shared_ring: u64,
-    /// Publications that shared the membership bitmap by refcount.
+    /// Publications that dirtied no chunk of the membership bitmap.
     pub shared_membership: u64,
-    /// Publications that shared the broadcast level group by refcount.
+    /// Publications that dirtied no chunk of the broadcast levels.
     pub shared_levels: u64,
-    /// Retired snapshot buffers recycled into the publisher's pools.
+    /// Chunk buffers the per-batch publications copied
+    /// ([`SnapshotPublisher::copied_chunks`], without the initial
+    /// publication's copy of every chunk) — divided by `batches`, the
+    /// per-publication cost that shows publication is O(cone).
+    pub copied_chunks: u64,
+    /// Always 0: snapshot chunks are freed by refcount, with no buffer
+    /// pool to recycle them into. Kept so readers of the report still
+    /// compile.
     pub reclaimed_buffers: u64,
+    /// Bytes reserved by the writer's maintainer session at shutdown
+    /// ([`RingMaintainer::allocated_bytes`]).
+    pub session_bytes: usize,
     /// Per-batch repair times (the `apply_batch` call), nanoseconds.
     pub repair_ns: Vec<u64>,
     /// Per-batch publication times (snapshot build + epoch publish),
@@ -426,6 +442,7 @@ fn writer_loop(
     let mut report = ServiceReport::default();
     let mut batch: Vec<FaultEvent> = Vec::with_capacity(coalesce);
     let mut applied: u64 = 0;
+    let initial_copies = publisher.copied_chunks();
     while let Ok(first) = rx.recv() {
         batch.clear();
         batch.push(first);
@@ -464,7 +481,8 @@ fn writer_loop(
     report.shared_ring = publisher.shared_ring();
     report.shared_membership = publisher.shared_membership();
     report.shared_levels = publisher.shared_levels();
-    report.reclaimed_buffers = publisher.reclaimed();
+    report.copied_chunks = publisher.copied_chunks() - initial_copies;
+    report.session_bytes = maint.allocated_bytes();
     report.repairs = maint.repairs();
     report.effective_shards = maint.effective_shards(ffc);
     report

@@ -125,13 +125,15 @@ fn main() {
     let report = svc.shutdown();
     println!(
         "writer: {} events in {} batches ({} coalesced), {} publications \
-         ({} shared ring wiring, {} shared membership), publish p50 {:.1} µs p99 {:.1} µs",
+         ({} shared ring wiring, {} shared membership, {} chunks copied), \
+         publish p50 {:.1} µs p99 {:.1} µs",
         report.events,
         report.batches,
         report.coalesced_events(),
         report.publications,
         report.shared_ring,
         report.shared_membership,
+        report.copied_chunks,
         report.publish_quantile_ns(0.5) as f64 / 1e3,
         report.publish_quantile_ns(0.99) as f64 / 1e3,
     );

@@ -184,7 +184,7 @@ fn warmed_up_maintainer_absorbs_churn_without_allocating() {
     let mut publisher = SnapshotPublisher::new();
     maint.reset(&ffc, &[]).expect("in-range");
     // Warm-up: enough add/clear/publish cycles to size every buffer —
-    // including the snapshot publisher's pools and the delta scratch.
+    // including the delta scratch.
     let churn: Vec<usize> = (0..12).map(|i| (i * 241 + 7) % total).collect();
     for round in 0..3u64 {
         for &v in &churn {

@@ -6,8 +6,9 @@
 //! event sequence — no torn state, no intermediate mixtures — and the
 //! epochs observed by any one reader handle are monotone. Exhaustive on
 //! B(2,5)/B(3,3) (every ≤2-node fault set, plus link-fault sequences,
-//! with a publication after every event), threaded stress on the live
-//! service, and property tests on B(2,14).
+//! with a publication after every event), seeded streams on B(3,9) and
+//! B(2,16) that span several copy-on-write snapshot chunks, threaded
+//! stress on the live service, and property tests on B(2,14).
 //!
 //! ATOMICS: the stress test's stop flag is a single-writer boolean — the
 //! driver thread alone stores it, reader threads poll it with Relaxed;
@@ -214,6 +215,63 @@ fn seeded_stream(d: usize, total: usize, seed: u64, len: usize) -> Vec<FaultEven
         events.push(FaultEvent::EdgeUp(u, w));
     }
     events
+}
+
+/// Chunked copy-on-write across several snapshot chunks: a seeded stream
+/// with one publication per event, where every node's `contains`,
+/// `successor` and `broadcast_level` must read exactly like a snapshot
+/// freshly built by `RingMaintainer::reset` to the same exclusion set. The
+/// exhaustive grids above fit inside one chunk, so only graphs like these
+/// catch a chunk the session forgot to mark dirty.
+fn chunked_publications_match_fresh_snapshots(d: u64, n: u32, seed: u64, len: usize) {
+    let ffc = Ffc::new(d, n);
+    let total = ffc.graph().len();
+    let events = seeded_stream(d as usize, total, seed, len);
+    let mut maint = RingMaintainer::new();
+    maint.reset(&ffc, &[]).expect("reset");
+    let mut publisher = SnapshotPublisher::new();
+    maint.publish(&mut publisher, 0).expect("publish");
+    let full_copy = publisher.copied_chunks();
+    let mut fresh = RingMaintainer::new();
+    for (i, &ev) in events.iter().enumerate() {
+        maint.apply_batch(&ffc, &[ev]).expect("valid event");
+        let snap = maint
+            .publish(&mut publisher, (i + 1) as u64)
+            .expect("publish");
+        fresh
+            .reset(&ffc, &exclusion_of(&events[..=i]))
+            .expect("reset");
+        let want = fresh
+            .publish(&mut SnapshotPublisher::new(), (i + 1) as u64)
+            .expect("publish");
+        assert_eq!(snap.stats(), want.stats(), "event {i}");
+        for v in 0..total {
+            assert_eq!(snap.contains(v), want.contains(v), "event {i} node {v}");
+            assert_eq!(snap.successor(v), want.successor(v), "event {i} node {v}");
+            assert_eq!(
+                snap.broadcast_level(v),
+                want.broadcast_level(v),
+                "event {i} node {v}"
+            );
+        }
+    }
+    let copied = publisher.copied_chunks() - full_copy;
+    assert!(
+        copied < events.len() as u64 * full_copy,
+        "no publication shared a chunk: {copied} copies over {} events",
+        events.len()
+    );
+}
+
+#[test]
+fn chunked_publications_match_fresh_snapshots_b3_9() {
+    // 19,683 nodes: five chunks, the last one partial.
+    chunked_publications_match_fresh_snapshots(3, 9, 0x39, 14);
+}
+
+#[test]
+fn chunked_publications_match_fresh_snapshots_b2_16() {
+    chunked_publications_match_fresh_snapshots(2, 16, 0x216, 10);
 }
 
 /// Runs `readers` concurrent reader threads against a live service while
