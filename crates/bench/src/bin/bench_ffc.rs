@@ -25,25 +25,16 @@
 //!   whose `speedup` is vs the serial **u8-stamp** loop (the PR 2 engine
 //!   this PR replaces).
 //! * **Full-ring tiers** (`"mode": "full"`) — B(2,16), B(2,18), B(2,20)
-//!   and B(2,22): the serial `embed_into` pipeline vs the parallel engine
-//!   (`embed_into_parallel`) at 1, 2, 4 and 8 shards, with the **cycle
-//!   bytes checksummed and asserted identical** between the two engines
-//!   at every shard count. The row's `best_vs_serial` is the best
-//!   parallel configuration over the serial full-embed loop; per-shard
-//!   rows carry `vs_serial`. Both engines share the streaming readoff,
-//!   so on few-core hosts (where `effective_shards` folds every request
-//!   to the same pipeline) these ratios sit at parity by design — the
-//!   gate is the **no-regret floor 0.9**, not a speedup: asking for
-//!   shards must never cost more than 10% over serial, on any host (and
-//!   the CI bench-smoke job runs the B(2,16) tier).
+//!   and B(2,22): `embed_ns` / `embeds_per_sec` of the full `embed_into`
+//!   pipeline over the trial schedule, with the first trial's cycle
+//!   verified as a de Bruijn ring that avoids its faults.
 //! * **Incremental tiers** (`"mode": "incremental"`) — B(2,16), B(2,18),
 //!   B(2,20) and B(2,22): single-fault repair on the `RingMaintainer`
 //!   (`add_fault` + `clear_fault` events over random single faults)
-//!   against the from-scratch serial `embed_into` loop (`speedup`, the CI
-//!   gate) and the from-scratch `embed_into_parallel` loop
-//!   (`vs_parallel`) on the same fault schedule. The per-event stats are
-//!   checksummed and asserted identical to the serial loop's, and the
-//!   row records how many events repaired incrementally vs rebuilt.
+//!   against the from-scratch `embed_into` loop on the same fault
+//!   schedule (`speedup`, the CI gate). The per-event stats are
+//!   checksummed and asserted identical to the from-scratch loop's, and
+//!   the row records how many events repaired incrementally vs rebuilt.
 //! * **Serve tiers** (`"mode": "serve"`) — B(2,16), B(2,18), B(2,20) and
 //!   B(2,22): the ring-as-a-service read path. A `RingService` writer thread drains
 //!   a PR 6 `ChurnPlan` trace (paced over the measurement window) while
@@ -115,12 +106,10 @@
 //!   emit it as the top-level `"kernels"` array;
 //! * `--check`: after writing, re-read and validate the file — exits
 //!   non-zero if the JSON is malformed, any `speedup` / `best_vs_frozen`
-//!   (or incremental `vs_parallel`) is below 1.0, any full-ring
-//!   `vs_serial` / `best_vs_serial` is below 0.9 (the no-regret floor
-//!   for oversubscribed shard requests), any incremental
-//!   `level_compaction` is below 3.0 (the compact-level footprint gate), or
-//!   a serve row with at least 2^20 nodes has `publish_p99_ns` above
-//!   `repair_p99_ns` (publication must not cost more than repair).
+//!   is below 1.0, any incremental `level_compaction` is below 3.0 (the
+//!   compact-level footprint gate), or a serve row with at least 2^20
+//!   nodes has `publish_p99_ns` above `repair_p99_ns` (publication must
+//!   not cost more than repair).
 //!
 //! ATOMICS: the serve tier's `go`/`stop` flags are single-writer
 //! booleans — the driver thread alone stores them. `go` is
@@ -137,6 +126,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use debruijn_core::bitreach::{extract_bits, extract_bits_skip, sum_words, summarize_bits};
+use debruijn_core::verify::{is_debruijn_ring, ring_avoids_nodes};
 use debruijn_core::{
     replay_churn, BatchEmbedder, BitReach, ChurnPlan, ChurnReport, ChurnStep, EmbedScratch,
     FaultEvent, FaultSchedule, Ffc, RingMaintainer, RingService, RingSnapshot, ServeOptions,
@@ -154,12 +144,10 @@ enum Mode {
     Small,
     /// Large tiers, stats-only engines and batch rows (no cycles).
     StatsOnly,
-    /// Large tiers, full-ring construction: serial `embed_into` vs the
-    /// parallel engine, cycle bytes asserted identical.
+    /// Large tiers, full-ring construction: the `embed_into` pipeline.
     FullRing,
     /// Large tiers, online repair: single-fault `RingMaintainer` events vs
-    /// the from-scratch serial and parallel pipelines, stats checksums
-    /// asserted identical to the serial loop.
+    /// the from-scratch pipeline, stats checksums asserted identical.
     Incremental,
     /// Large tiers, fault churn: a timed arrival/departure trace replayed
     /// through the maintainer (p50/p99 time-to-repair, degraded-time
@@ -184,19 +172,11 @@ struct Config {
     skip_in_smoke: bool,
 }
 
-/// Shard counts the batch engine and the parallel full-ring engine are
-/// measured at.
+/// Shard counts the batch engine is measured at.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Timed repetitions per measurement; the fastest is reported.
 const REPS: usize = 3;
-
-/// Interleaved rounds for the full-ring tier. Its serial and per-shard
-/// rows run the same streaming pipeline and sit near parity on few-core
-/// hosts, so the `vs_serial >= 0.9` no-regret floor needs a tighter
-/// best-of estimate than the order-of-magnitude speedups elsewhere —
-/// more rounds are cheap because one round is a few milliseconds.
-const FULL_RING_REPS: usize = 7;
 
 /// A Table 2.1-style trial schedule: fault sets with f cycling 0..=8.
 fn fault_sets(total: usize, trials: usize, seed: u64) -> Vec<Vec<usize>> {
@@ -523,17 +503,11 @@ fn kernel_tier(smoke: bool) -> Vec<String> {
 /// Validates a written benchmark file: structural JSON sanity (balanced
 /// brackets, the expected top-level keys), `publish_p99_ns <=
 /// repair_p99_ns` on every serve row of at least [`PUBLISH_GATE_NODES`]
-/// nodes, every `"speedup"` /
-/// `"vs_parallel"` / `"best_vs_frozen"` value at least 1.0 (the serve
-/// tier's gated field — best frozen-vs-live read throughput across its
-/// reader counts), every `"level_compaction"` at least 3.0 (the compact
-/// u8 level arrays must stay ≥3× under the u32 storage they replaced),
-/// and every full-ring
-/// `"vs_serial"` / `"best_vs_serial"` at least 0.9 — the no-regret
-/// floor: an oversubscribed shard request may cost a little
-/// coordination, never a regression (on few-core hosts the clamp folds
-/// every request to the serial pipeline, so parity is the expectation,
-/// not a speedup).
+/// nodes, every `"speedup"` / `"best_vs_frozen"` value at least 1.0 (the
+/// serve tier's gated field — best frozen-vs-live read throughput across
+/// its reader counts), and every `"level_compaction"` at least 3.0 (the
+/// compact u8 level arrays must stay ≥3× under the u32 storage they
+/// replaced).
 /// `filtered` skips the required-key checks (a `--filter` run only
 /// writes one tier's shape). Returns the list of problems found.
 fn validate(contents: &str, filtered: bool) -> Vec<String> {
@@ -571,11 +545,11 @@ fn validate(contents: &str, filtered: bool) -> Vec<String> {
     if !filtered {
         for key in [
             "\"benchmark\"",
+            "\"host_cpus\"",
             "\"configs\"",
             "\"batch\"",
             "\"embeds_per_sec\"",
             "\"stats_only\"",
-            "\"parallel\"",
             "\"repair_ns\"",
             "\"p50_repair_ns\"",
             "\"publish_p50_ns\"",
@@ -591,11 +565,8 @@ fn validate(contents: &str, filtered: bool) -> Vec<String> {
     let mut speedups = 0usize;
     for (key, floor) in [
         ("\"speedup\":", 1.0),
-        ("\"vs_parallel\":", 1.0),
         ("\"best_vs_frozen\":", 1.0),
         ("\"level_compaction\":", 3.0),
-        ("\"vs_serial\":", 0.9),
-        ("\"best_vs_serial\":", 0.9),
     ] {
         let mut rest = contents;
         while let Some(pos) = rest.find(key) {
@@ -1051,11 +1022,11 @@ fn main() {
 
         if cfg.mode == Mode::Incremental {
             // Incremental tier: single-fault repair events on the
-            // RingMaintainer vs from-scratch serial and parallel embeds of
-            // the same faults. Stats checksums keep the three loops
-            // provably in agreement (rare root-necklace faults force the
-            // maintainer through its rebuild fallback and stay in the
-            // mean, which is the honest service-level number).
+            // RingMaintainer vs from-scratch embeds of the same faults.
+            // Stats checksums keep the two loops provably in agreement
+            // (rare root-necklace faults force the maintainer through its
+            // rebuild fallback and stay in the mean, which is the honest
+            // service-level number).
             let mut rng = StdRng::seed_from_u64(seed ^ 0x1EC);
             let mut nodes: Vec<usize> = (0..total).collect();
             let singles: Vec<Vec<usize>> = (0..cfg.trials)
@@ -1067,11 +1038,6 @@ fn main() {
             let _ = ffc.embed_into(&mut scratch, &singles[0]);
             let (serial_ns, _serial_eps, serial_sum) =
                 time_loop(&singles, |f| ffc.embed_into(&mut scratch, f).component_size);
-            let _ = ffc.embed_into_parallel(&mut scratch, &singles[0], 1);
-            let (par_ns, _par_eps, par_sum) = time_loop(&singles, |f| {
-                ffc.embed_into_parallel(&mut scratch, f, 1).component_size
-            });
-            assert_eq!(par_sum, serial_sum, "parallel embeds diverge on {label}");
             let mut maint = RingMaintainer::new();
             maint.reset(&ffc, &[]).expect("in-range");
             let _ = maint.add_fault(&ffc, singles[0][0]);
@@ -1095,7 +1061,7 @@ fn main() {
             }
             assert_eq!(
                 repair_sum, serial_sum,
-                "incremental repairs diverge from the serial engine on {label}"
+                "incremental repairs diverge from the from-scratch engine on {label}"
             );
             let events = 2 * singles.len();
             let repair_ns = best.as_nanos() as f64 / events as f64;
@@ -1105,7 +1071,6 @@ fn main() {
                 after.rebuilds - before.rebuilds,
             );
             let speedup = serial_ns / repair_ns;
-            let vs_parallel = par_ns / repair_ns;
             // The compact-level footprint gate: the session's three level
             // arrays in one byte per node vs the 3 × 4 × n_nodes bytes of
             // the u32 storage they replaced (PR 10).
@@ -1113,13 +1078,12 @@ fn main() {
             let level_bytes_u32 = 3 * 4 * total;
             let level_compaction = level_bytes_u32 as f64 / level_bytes as f64;
             eprintln!(
-                "{label}: repair {:.1} µs/event vs serial {:.2} ms ({speedup:.1}x) / parallel \
-                 {:.2} ms ({vs_parallel:.1}x), {incr} delta + {rebuilds} rebuilds per rep, \
+                "{label}: repair {:.1} µs/event vs embed {:.2} ms ({speedup:.1}x), \
+                 {incr} delta + {rebuilds} rebuilds per rep, \
                  levels {level_bytes} B vs u32 {level_bytes_u32} B ({level_compaction:.2}x) \
                  [checksum {repair_sum}]",
                 repair_ns / 1e3,
                 serial_ns / 1e6,
-                par_ns / 1e6,
             );
             let mut entry = String::new();
             write!(
@@ -1128,7 +1092,6 @@ fn main() {
                  \"trials\": {},\n      \"setup_ns\": {setup_ns},\n      \
                  \"mode\": \"incremental\",\n      \
                  \"embed_ns\": {serial_ns:.1},\n      \
-                 \"parallel_embed_ns\": {par_ns:.1},\n      \
                  \"repair_ns\": {repair_ns:.1},\n      \
                  \"repairs_per_sec\": {:.1},\n      \
                  \"delta_events\": {},\n      \"rebuild_events\": {},\n      \
@@ -1136,7 +1099,6 @@ fn main() {
                  \"level_bytes\": {level_bytes},\n      \
                  \"level_bytes_u32\": {level_bytes_u32},\n      \
                  \"level_compaction\": {level_compaction:.2},\n      \
-                 \"vs_parallel\": {vs_parallel:.2},\n      \
                  \"speedup\": {speedup:.2}\n    }}",
                 singles.len(),
                 1e9 / repair_ns,
@@ -1150,113 +1112,33 @@ fn main() {
         }
 
         if cfg.mode == Mode::FullRing {
-            // Full-ring tiers: the serial embed_into pipeline vs the
-            // parallel engine, cycle bytes checksummed and asserted
-            // identical at every shard count. Both engines share the
-            // streaming readoff, so on few-core hosts the rows sit near
-            // parity — the configurations are therefore measured
-            // *interleaved* (every rep times serial plus each shard count
-            // back-to-back) so clock/thermal drift across the tier lands
-            // on every row equally instead of penalising whichever
-            // configuration happens to run last.
-            fn cycle_hash(scratch: &EmbedScratch) -> usize {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                for &v in scratch.cycle() {
-                    h = (h ^ v as u64).wrapping_mul(0x0100_0000_01b3);
-                }
-                h as usize
-            }
-            const ROWS: usize = 1 + SHARD_COUNTS.len();
-            let mut times = [[std::time::Duration::ZERO; ROWS]; FULL_RING_REPS];
-            let mut sums = [0usize; ROWS];
+            // Full-ring tiers: the embed_into pipeline over the trial
+            // schedule; the first trial's cycle is verified first.
             let _ = ffc.embed_into(&mut scratch, &sets[0]);
-            for &shards in &SHARD_COUNTS {
-                let _ = ffc.embed_into_parallel(&mut scratch, &sets[0], shards);
-            }
-            for (round, round_times) in times.iter_mut().enumerate() {
-                // Rotate the starting row per round: position within a
-                // round is itself a bias (the first sweep runs on the
-                // freshest quantum), so every row gets each slot.
-                for k in 0..ROWS {
-                    let row = (round + k) % ROWS;
-                    let mut rep_sum = 0usize;
-                    let start = Instant::now();
-                    for faults in &sets {
-                        let _ = if row == 0 {
-                            ffc.embed_into(&mut scratch, faults)
-                        } else {
-                            ffc.embed_into_parallel(&mut scratch, faults, SHARD_COUNTS[row - 1])
-                        };
-                        rep_sum ^= cycle_hash(&scratch);
-                    }
-                    round_times[row] = start.elapsed();
-                    sums[row] = rep_sum;
-                }
-            }
-            // Throughputs are best-of-rounds as everywhere else; the
-            // gated vs_serial ratios are **paired medians** — each row's
-            // sweep over its own round's serial sweep, median across
-            // rounds — because the rows sit at parity by design and an
-            // unpaired best-of comparison lets one lucky serial round
-            // (scheduler noise on a shared host) poison every ratio.
-            let row_best =
-                |row: usize| -> std::time::Duration { times.iter().map(|r| r[row]).min().unwrap() };
-            let vs_serial = |row: usize| -> f64 {
-                let mut ratios = times.map(|r| r[0].as_secs_f64() / r[row].as_secs_f64());
-                ratios.sort_by(f64::total_cmp);
-                ratios[FULL_RING_REPS / 2]
-            };
-            let serial_best = row_best(0);
-            let serial_ns = serial_best.as_nanos() as f64 / sets.len() as f64;
-            let serial_eps = sets.len() as f64 / serial_best.as_secs_f64();
-            let serial_sum = sums[0];
-            eprintln!(
-                "{label}: full-ring serial {:.2} ms ({serial_eps:.1} embeds/s) \
-                 [checksum {serial_sum}]",
-                serial_ns / 1e6,
+            assert!(
+                is_debruijn_ring(cfg.d, cfg.n, scratch.cycle()),
+                "first trial's cycle is not a ring of {label}"
             );
-            let mut par_rows = Vec::new();
-            let mut best_vs = 0.0f64;
-            let mut best_shards = 1usize;
-            for (k, &shards) in SHARD_COUNTS.iter().enumerate() {
-                let par_best = row_best(k + 1);
-                let par_ns = par_best.as_nanos() as f64 / sets.len() as f64;
-                let par_eps = sets.len() as f64 / par_best.as_secs_f64();
-                let par_sum = sums[k + 1];
-                assert_eq!(
-                    par_sum, serial_sum,
-                    "parallel cycles diverge from serial on {label} x{shards}"
-                );
-                let vs = vs_serial(k + 1);
-                eprintln!(
-                    "{label}: full-ring parallel x{shards}: {:.2} ms ({vs:.2}x serial) \
-                     [checksum {par_sum}]",
-                    par_ns / 1e6,
-                );
-                if vs > best_vs {
-                    best_vs = vs;
-                    best_shards = shards;
-                }
-                par_rows.push(format!(
-                    "        {{ \"shards\": {shards}, \"embeds_per_sec\": {par_eps:.2}, \
-                     \"vs_serial\": {vs:.2} }}"
-                ));
-            }
-            let speedup = best_vs;
+            assert!(
+                ring_avoids_nodes(scratch.cycle(), &sets[0]),
+                "first trial's cycle visits a faulty node on {label}"
+            );
+            let (embed_ns, embeds_per_sec, checksum) =
+                time_loop(&sets, |f| ffc.embed_into(&mut scratch, f).component_size);
+            eprintln!(
+                "{label}: full-ring {:.2} ms ({embeds_per_sec:.1} embeds/s) [checksum {checksum}]",
+                embed_ns / 1e6,
+            );
             let mut entry = String::new();
             write!(
                 entry,
                 "    {{\n      \"graph\": \"{label}\",\n      \"nodes\": {total},\n      \
                  \"trials\": {},\n      \"setup_ns\": {setup_ns},\n      \
                  \"mode\": \"full\",\n      \
-                 \"embed_ns\": {serial_ns:.1},\n      \
-                 \"embeds_per_sec\": {serial_eps:.2},\n      \
-                 \"parallel\": [\n{}\n      ],\n      \
-                 \"parallel_best_shards\": {best_shards},\n      \
-                 \"allocated_bytes\": {},\n      \
-                 \"best_vs_serial\": {speedup:.2}\n    }}",
+                 \"embed_ns\": {embed_ns:.1},\n      \
+                 \"embeds_per_sec\": {embeds_per_sec:.2},\n      \
+                 \"allocated_bytes\": {}\n    }}",
                 sets.len(),
-                par_rows.join(",\n"),
                 scratch.allocated_bytes(),
             )
             .expect("writing to a String cannot fail");
@@ -1389,23 +1271,24 @@ fn main() {
     } else {
         String::new()
     };
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"benchmark\": \"ffc_embed\",\n  \"schedule\": \"f cycles 0..=8, random fault sets\",\n  \
+        "{{\n  \"benchmark\": \"ffc_embed\",\n  \"host_cpus\": {host_cpus},\n  \
+         \"schedule\": \"f cycles 0..=8, random fault sets\",\n  \
          \"unit_note\": \"timed loops take the best of {REPS} repetitions; embed_ns is the mean \
          wall time per embed_into within that best repetition, on a reused scratch; \
          stats_only compares the u8-stamp stats engine (PR 2) against the bit-parallel engine \
          (speedup = u8/bit); batch rows are the stats-only sweep engine (embed_batch) — \
          speedup vs the serial embed_into loop on full tiers, vs the serial u8-stamp loop on \
-         mode=stats_only tiers; mode=full tiers compare the serial embed_into pipeline against \
-         embed_into_parallel (cycle checksums asserted identical; speedup = best parallel \
-         configuration / serial, per-shard rows carry vs_serial); mode=incremental tiers time \
+         mode=stats_only tiers; mode=full tiers time the embed_into pipeline (the first \
+         trial's cycle verified as a fault-avoiding de Bruijn ring); mode=incremental tiers time \
          single-fault RingMaintainer repair events (add_fault + clear_fault) against \
-         from-scratch embeds of the same faults — speedup = serial embed_into / repair event, \
-         vs_parallel = embed_into_parallel / repair event, stats checksums asserted identical \
-         to the serial loop, and level_bytes / level_bytes_u32 / level_compaction report the \
-         compact u8 level-array footprint against the 3 x 4 bytes/node u32 storage it \
-         replaced (gated >= 3.0); mode=churn tiers replay a deterministic arrival/departure trace \
-         (Poisson arrivals, correlated 4-bursts, 20% link faults) through the maintainer — \
+         from-scratch embeds of the same faults — speedup = embed_into / repair event, \
+         stats checksums asserted identical to the from-scratch loop, and level_bytes / \
+         level_bytes_u32 / level_compaction report the compact u8 level-array footprint \
+         against the 3 x 4 bytes/node u32 storage it replaced (gated >= 3.0); mode=churn \
+         tiers replay a deterministic arrival/departure trace (Poisson arrivals, correlated \
+         4-bursts, 20% link faults) through the maintainer — \
          p50/p99_repair_ns are per-batch repair latencies and degraded_fraction is the time \
          share spent past tolerance — and time one batched k-fault repair against k sequential \
          single-fault repairs of the same nodes (speedup = sequential/batched, component-size \

@@ -67,56 +67,14 @@
 //! monomorphised algorithm over both the compact array and the `u32`
 //! differential oracle.
 //!
-//! # The multi-shard parallel passes
-//!
-//! [`BitReach::forward_par`], [`BitReach::backward_par`] and
-//! [`BitReach::broadcast_levels_par`] run the same direction-optimizing
-//! passes sharded over a **persistent worker pool** (`shardpool`,
-//! vendored): the pool lives in [`ParBitScratch`], its threads are
-//! spawned once on first use and reused by every subsequent pass, and
-//! per-level synchronisation is a sense-reversing spin barrier instead of
-//! the mutex-parked `std::sync::Barrier` — one wait per level (plus one
-//! more only on a sparse→dense flip), where the old scoped-thread design
-//! paid a thread spawn per call and up to three parked barriers per
-//! level. Every bitmap is split into contiguous **word ranges**, each
-//! owned by exactly one shard, and each shard runs the fused kernel over
-//! its range; the per-level barrier is what lets a shard read frontier
-//! words another shard wrote on the previous level. The cells are relaxed
-//! atomics ([`AtomicCells`]) — single-writer-per-word, with the barriers
-//! providing the ordering — the same discipline as
-//! `NecklacePartition::with_shards`. Per-level bookkeeping (dense shard
-//! counts, the sparse frontier length) is double-buffered by level parity
-//! so one barrier per level suffices. Sparse (top-down) levels are
-//! executed by shard 0 alone while the others replay the regime schedule
-//! (it depends only on the shared level lengths), so the visited sets,
-//! level counts **and emission bytes** are bit-identical to the serial
-//! engine at every shard count. Shapes that cannot run dense sweeps (and
-//! `shards <= 1`) simply delegate to the serial pass. The
-//! [`effective_shards`] heuristic gives callers the shard count actually
-//! worth running: requested shards clamped by `available_parallelism`
-//! and by one shard per [`MIN_NODES_PER_SHARD`] nodes, so k shards on a
-//! small box or a small graph degrades to near-serial cost.
-//!
-//! # ATOMICS: barrier-phased relaxed cells
-//!
-//! Every `Ordering::Relaxed` in this module is an [`AtomicCells`] access
-//! (or its `sparse_len` twin) under the barrier-phased single-writer
-//! protocol: within one phase — the span between two synchronisation
-//! edges (a `SenseBarrier` crossing, the pool's job publish/drain, or an
-//! explicit [`racecheck::sync_edge`]) — every word has exactly one
-//! writing thread, and the edges provide all inter-thread ordering, so
-//! no individual access needs more than `Relaxed`. `fetch_min` is the
-//! one sanctioned multi-writer operation (a commutative cross-shard
-//! min-reduction ordered by its own RMW). The `racecheck` shadow
-//! detector stamps its shadow words with `Ordering::SeqCst` so the
-//! detector's own bookkeeping is never racy; `--features racecheck`
-//! *executes* this audit instead of trusting it.
+//! One embedding runs these passes serially on its caller's thread. They
+//! are memory-bound, so splitting one BFS across cores adds per-level
+//! barriers without adding bandwidth; the engine's parallelism is across
+//! independent embeddings instead (`crate::sweep`).
 
 use crate::mem::grow_words;
 pub(crate) use crate::mem::reserve_more;
 pub use crate::mem::{LevelStore, LevelVec, UNREACHED, UNREACHED_U8};
-use shardpool::{SenseBarrier, ShardPool};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// The engine indexes nodes with `u32` (queues, CSR offsets, frontier
 /// ids): a space whose node count exceeds [`u32::MAX`] cannot be
@@ -255,8 +213,7 @@ impl BitFrontier {
     }
 
     /// Converts dense → sparse. A skip-scan over the summary visits
-    /// occupied words only, preserving the increasing-id extraction order
-    /// the serial/parallel differential pins.
+    /// occupied words only, extracting ids in increasing order.
     fn make_sparse(&mut self, words: usize) {
         debug_assert!(self.dense);
         self.queue.clear();
@@ -330,320 +287,11 @@ impl BitScratch {
     }
 }
 
-/// Shadow race detection for [`AtomicCells`] — the `racecheck` feature.
-///
-/// The single-writer-per-word-per-phase protocol the sweep kernels rely
-/// on is a *claim* about writer scheduling, which ThreadSanitizer cannot
-/// check (to TSan every relaxed atomic access is race-free by
-/// definition). This module turns the claim into an executable
-/// assertion: every [`AtomicCells`] write stamps a shadow word with
-/// `(mode, writer thread, phase epoch)` — the epoch is the global
-/// counter `shardpool::racecheck` bumps at every synchronisation edge —
-/// and panics the moment a second thread writes the same word inside
-/// the same epoch. Concurrent `fetch_min`/`fetch_min` pairs are exempt:
-/// a commutative min-reduction is the one sanctioned multi-writer use.
-///
-/// Detection is sound but deliberately one-sided: writer-id aliasing
-/// (beyond ~32k threads) or an epoch bump landing between two racing
-/// writes can mask a report, never fabricate one. Running the full
-/// differential suites under `--features racecheck` is therefore a
-/// probabilistic race hunt with zero false alarms by construction.
-#[cfg(feature = "racecheck")]
-pub mod racecheck {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// How a cell was written. `Min`/`Min` is the one combination two
-    /// threads may legally perform on a word in the same phase.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub(crate) enum Mode {
-        Store,
-        Min,
-    }
-
-    const EPOCH_BITS: u32 = 48;
-    const EPOCH_MASK: u64 = (1 << EPOCH_BITS) - 1;
-    const WRITER_MASK: u64 = (1 << 15) - 1;
-
-    static NEXT_WRITER: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static WRITER: u64 = NEXT_WRITER.fetch_add(1, Ordering::SeqCst) & WRITER_MASK;
-    }
-
-    /// Declares a synchronisation edge for fork/join code that does not
-    /// go through the shard pool (`std::thread::scope` spawn and join):
-    /// writes before the edge belong to a different phase than writes
-    /// after it, exactly as a barrier crossing would establish.
-    pub fn sync_edge() {
-        shardpool::racecheck::bump();
-    }
-
-    /// One shadow word per cell, packed `mode:1 | writer:15 | epoch:48`.
-    /// Zero means "never written" (real epochs start at 1).
-    #[derive(Debug, Default)]
-    pub(crate) struct Shadow(Vec<AtomicU64>);
-
-    impl Shadow {
-        pub(crate) fn of_len(len: usize) -> Self {
-            let mut s = Shadow::default();
-            s.grow(len);
-            s
-        }
-
-        pub(crate) fn grow(&mut self, len: usize) {
-            if self.0.len() < len {
-                self.0.resize_with(len, AtomicU64::default);
-            }
-        }
-
-        /// Stamps cell `i` with `(mode, this thread, current epoch)` and
-        /// panics if the previous stamp proves a second writer touched
-        /// the word inside the same phase epoch. The stamp is a single
-        /// `swap`, so of two racing writers at least one observes the
-        /// other and reports.
-        pub(crate) fn record(&self, i: usize, mode: Mode) {
-            let epoch = shardpool::racecheck::epoch() & EPOCH_MASK;
-            let me = WRITER.with(|w| *w);
-            let mode_bit = match mode {
-                Mode::Store => 0u64,
-                Mode::Min => 1,
-            };
-            let pack = (mode_bit << 63) | (me << EPOCH_BITS) | epoch;
-            let prev = self.0[i].swap(pack, Ordering::SeqCst);
-            if prev == 0 {
-                return;
-            }
-            let pmode = prev >> 63;
-            let pwriter = (prev >> EPOCH_BITS) & WRITER_MASK;
-            let pepoch = prev & EPOCH_MASK;
-            if pepoch == epoch && pwriter != me && !(pmode == 1 && mode == Mode::Min) {
-                panic!(
-                    "racecheck: two writers (thread {pwriter} {} then thread {me} \
-                     {mode:?}) hit cell {i} in phase epoch {epoch} — \
-                     single-writer-per-word-per-phase violated",
-                    if pmode == 1 { "Min" } else { "Store" },
-                );
-            }
-        }
-    }
-}
-
-/// A growable vector of relaxed-atomic u64 cells — the shared-write
-/// buffers of the multi-shard passes, governed by the **enforced**
-/// single-writer-per-word-per-phase protocol: within one phase (the span
-/// between two synchronisation edges — barrier crossings, the pool's job
-/// publish/drain, or an explicit `racecheck::sync_edge`) every cell has
-/// exactly one writing thread, and the edges provide the ordering, so
-/// all accesses are `Relaxed` (plain loads/stores on every mainstream
-/// ISA). [`fetch_min`](Self::fetch_min) is the one sanctioned
-/// multi-writer operation: a commutative cross-shard min-reduction
-/// ordered by the cell's own RMW rather than by phases.
-///
-/// In a normal build the protocol is documentation; under
-/// `--features racecheck` every write is checked against a shadow word
-/// recording `(writer thread, phase epoch)` and a violation panics with
-/// the offending cell and threads.
-#[derive(Debug, Default)]
-pub struct AtomicCells {
-    cells: Vec<AtomicU64>,
-    #[cfg(feature = "racecheck")]
-    shadow: racecheck::Shadow,
-}
-
-impl Clone for AtomicCells {
-    fn clone(&self) -> Self {
-        AtomicCells {
-            cells: self
-                .cells
-                .iter()
-                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                .collect(),
-            // The clone starts with a clean write history of its own.
-            #[cfg(feature = "racecheck")]
-            shadow: racecheck::Shadow::of_len(self.cells.len()),
-        }
-    }
-}
-
-impl AtomicCells {
-    /// Number of cells.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the vector holds no cells.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Grows to at least `len` zeroed cells without shrinking.
-    pub fn grow(&mut self, len: usize) {
-        if self.cells.len() < len {
-            self.cells.resize_with(len, AtomicU64::default);
-        }
-        #[cfg(feature = "racecheck")]
-        self.shadow.grow(self.cells.len());
-    }
-
-    /// Relaxed load of cell `i`.
-    #[inline]
-    #[must_use]
-    pub fn load(&self, i: usize) -> u64 {
-        self.cells[i].load(Ordering::Relaxed)
-    }
-
-    /// Relaxed store to cell `i`.
-    #[inline]
-    pub fn store(&self, i: usize, v: u64) {
-        #[cfg(feature = "racecheck")]
-        self.shadow.record(i, racecheck::Mode::Store);
-        self.cells[i].store(v, Ordering::Relaxed);
-    }
-
-    /// Relaxed atomic minimum on cell `i` (for cross-shard min-reductions).
-    #[inline]
-    pub fn fetch_min(&self, i: usize, v: u64) {
-        #[cfg(feature = "racecheck")]
-        self.shadow.record(i, racecheck::Mode::Min);
-        self.cells[i].fetch_min(v, Ordering::Relaxed);
-    }
-
-    /// Bytes currently reserved (the racecheck shadow, when compiled in,
-    /// is detector bookkeeping and deliberately not counted — the
-    /// no-allocation property tests must see identical numbers with and
-    /// without the feature).
-    #[must_use]
-    pub fn allocated_bytes(&self) -> usize {
-        8 * self.cells.capacity()
-    }
-}
-
-/// The shared-write cells of the multi-shard parallel passes: the active
-/// visited bitmap, the ping-pong frontier bitmaps, and the per-level
-/// bookkeeping (double-buffered by level parity so the pass needs only
-/// one barrier per level).
-#[derive(Debug, Default)]
-struct ParCells {
-    /// Visited bitmap of the running pass (copied back into the plain
-    /// [`BitScratch`] set when the pass finishes).
-    vis: AtomicCells,
-    /// Ping-pong frontier bitmaps (`front[pp]` is the current level).
-    front: [AtomicCells; 2],
-    /// Per-shard newly-visited counts of a dense level, `2 × shards`
-    /// cells indexed `parity * shards + shard` — a level's slots are only
-    /// rewritten two levels later, after every shard has read them.
-    counts: AtomicCells,
-    /// Frontier length published by shard 0 after a sparse level, one
-    /// slot per level parity.
-    sparse_len: [AtomicUsize; 2],
-}
-
-impl Clone for ParCells {
-    fn clone(&self) -> Self {
-        ParCells {
-            vis: self.vis.clone(),
-            front: self.front.clone(),
-            counts: self.counts.clone(),
-            sparse_len: self
-                .sparse_len
-                .each_ref()
-                .map(|l| AtomicUsize::new(l.load(Ordering::Relaxed))),
-        }
-    }
-}
-
-/// The state of the multi-shard parallel passes: the shared-write cell
-/// buffers plus the persistent worker pool that executes them. Buffers
-/// are grow-only, like [`BitScratch`], and the pool spawns its threads
-/// once on first use — after the first parallel pass at a given shape
-/// and shard count no method allocates and no thread is spawned.
-#[derive(Debug, Default)]
-pub struct ParBitScratch {
-    cells: ParCells,
-    pool: ShardPool,
-}
-
-impl Clone for ParBitScratch {
-    fn clone(&self) -> Self {
-        // The clone gets its own (lazily spawned) worker pool.
-        ParBitScratch {
-            cells: self.cells.clone(),
-            pool: ShardPool::new(),
-        }
-    }
-}
-
-impl ParBitScratch {
-    /// Creates an empty scratch; buffers are sized (and pool threads
-    /// spawned) by the first parallel pass.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total bytes currently reserved by the scratch's cell buffers (the
-    /// pool's threads hold no engine buffers and are not counted).
-    #[must_use]
-    pub fn allocated_bytes(&self) -> usize {
-        self.cells.vis.allocated_bytes()
-            + self.cells.front[0].allocated_bytes()
-            + self.cells.front[1].allocated_bytes()
-            + self.cells.counts.allocated_bytes()
-    }
-
-    /// Grows the buffers to `reach`'s shape and `shards` workers.
-    fn prepare(&mut self, reach: &BitReach, shards: usize) {
-        self.cells.vis.grow(reach.words);
-        self.cells.front[0].grow(reach.words);
-        self.cells.front[1].grow(reach.words);
-        self.cells.counts.grow(2 * shards);
-    }
-}
-
-/// The contiguous word range shard `shard` of `shards` owns out of
-/// `words` total (the same even split at every call site, so fold and
-/// expand ranges always tile their buffers).
-pub(crate) fn shard_words(words: usize, shards: usize, shard: usize) -> std::ops::Range<usize> {
-    let per = words.div_ceil(shards.max(1));
-    (shard * per).min(words)..((shard + 1) * per).min(words)
-}
-
-/// Smallest graph that justifies a second shard: below one shard per
-/// 2^16 nodes the per-level barrier waits outweigh the sweep work each
-/// extra shard takes off the critical path (measured in PERF.md).
-pub const MIN_NODES_PER_SHARD: usize = 1 << 16;
-
 /// Stack-tile width (in `u64` words) of the fused dense kernel's
 /// backward path: folds are blocked into a `[u64; FUSE_TILE]` register
 /// /L1 buffer so each replication stride sweeps a contiguous run. 32
 /// words = 256 bytes per tile — four cache lines, far below any L1.
 const FUSE_TILE: usize = 32;
-
-/// The shard count actually worth running for a `requested` count on an
-/// `n_nodes`-node graph: clamped to the machine's
-/// `available_parallelism` (a shard beyond the core count only adds
-/// barrier traffic) and to one shard per [`MIN_NODES_PER_SHARD`] nodes
-/// (a shard without enough words to sweep can't amortise its waits).
-/// Never below 1. `Ffc`, `RingMaintainer` and `RingService` apply this
-/// clamp, so asking for 8 shards on a small box or a small graph
-/// degrades to near-serial cost instead of regressing; the raw
-/// `BitReach::*_par` passes do **not** clamp (the differential tests
-/// rely on forcing any shard count).
-#[must_use]
-pub fn effective_shards(requested: usize, n_nodes: usize) -> usize {
-    // `available_parallelism` is not a cheap syscall on Linux — it
-    // re-parses the cgroup cpu quota files every call, tens of µs in a
-    // container — and this clamp sits on the per-embed path.
-    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let cpus = *CPUS.get_or_init(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
-    requested
-        .max(1)
-        .min(cpus)
-        .min((n_nodes / MIN_NODES_PER_SHARD).max(1))
-}
 
 /// The bit-parallel reachability engine for one B(d,n) shape: word-level
 /// constants plus the three direction-optimizing passes the FFC embedding
@@ -917,110 +565,6 @@ impl BitReach {
         }
     }
 
-    // ------------------------------------------------------------------
-    // The multi-shard parallel passes.
-    // ------------------------------------------------------------------
-
-    /// [`BitReach::forward`] sharded over `shards` scoped threads —
-    /// bit-identical results (visited set, count, depth) at any shard
-    /// count. Delegates to the serial pass when `shards <= 1` or the
-    /// shape cannot run dense sweeps.
-    pub fn forward_par(
-        &self,
-        s: &mut BitScratch,
-        par: &mut ParBitScratch,
-        root: usize,
-        shards: usize,
-    ) -> (usize, usize) {
-        if shards <= 1 || !self.dense_capable {
-            return self.forward(s, root);
-        }
-        par.prepare(self, shards);
-        let BitScratch {
-            dead,
-            fwd,
-            cur,
-            nxt,
-            ..
-        } = s;
-        fwd[..self.words].copy_from_slice(&dead[..self.words]);
-        self.run_par::<false>(fwd, &mut cur.queue, &mut nxt.queue, par, root, shards, None)
-    }
-
-    /// [`BitReach::backward`] sharded over `shards` scoped threads (see
-    /// [`BitReach::forward_par`] for the delegation rules).
-    pub fn backward_par(
-        &self,
-        s: &mut BitScratch,
-        par: &mut ParBitScratch,
-        root: usize,
-        shards: usize,
-    ) {
-        if shards <= 1 || !self.dense_capable {
-            return self.backward(s, root);
-        }
-        par.prepare(self, shards);
-        let BitScratch {
-            dead,
-            bwd,
-            cur,
-            nxt,
-            ..
-        } = s;
-        bwd[..self.words].copy_from_slice(&dead[..self.words]);
-        let _ = self.run_par::<true>(bwd, &mut cur.queue, &mut nxt.queue, par, root, shards, None);
-    }
-
-    /// [`BitReach::broadcast_levels`] sharded over `shards` scoped
-    /// threads. The emitted nodes and CSR offsets are **byte-identical**
-    /// to the serial pass at any shard count: the parallel pass follows
-    /// the identical sparse/dense regime schedule (the switch depends
-    /// only on the global frontier length), sparse levels are emitted in
-    /// the serial discovery order by shard 0, and dense levels in
-    /// increasing id order like the serial bottom-up sweep.
-    pub fn broadcast_levels_par(
-        &self,
-        s: &mut BitScratch,
-        par: &mut ParBitScratch,
-        root: usize,
-        nodes: &mut Vec<u32>,
-        offsets: &mut Vec<u32>,
-        shards: usize,
-    ) -> (usize, usize) {
-        if shards <= 1 || !self.dense_capable {
-            return self.broadcast_levels(s, root, nodes, offsets);
-        }
-        par.prepare(self, shards);
-        let BitScratch {
-            dead,
-            fwd,
-            bwd,
-            vis,
-            cur,
-            nxt,
-            ..
-        } = s;
-        for (((v, &f), &b), &x) in vis[..self.words]
-            .iter_mut()
-            .zip(&fwd[..self.words])
-            .zip(&bwd[..self.words])
-            .zip(&dead[..self.words])
-        {
-            *v = !(f & b) | x;
-        }
-        nodes.clear();
-        offsets.clear();
-        self.run_par::<false>(
-            vis,
-            &mut cur.queue,
-            &mut nxt.queue,
-            par,
-            root,
-            shards,
-            Some(LevelSink { nodes, offsets }),
-        )
-    }
-
     /// [`BitReach::broadcast_levels`] fused with the B* mask: one
     /// chunk-streamed pass over (fwd, bwd, dead, vis) writes the B*
     /// membership words (`fwd ∧ bwd ∧ ¬dead`) into `bstar`, counts |B*|
@@ -1050,42 +594,6 @@ impl BitReach {
         (count, reached, depth)
     }
 
-    /// [`BitReach::broadcast_levels_bstar`] sharded over `shards` scoped
-    /// threads (emission byte-identical to the serial pass, like
-    /// [`BitReach::broadcast_levels_par`]). The fused init itself stays
-    /// on the caller thread — it is a single streamed pass, cheaper than
-    /// a barrier round-trip.
-    #[allow(clippy::too_many_arguments)] // the fused rebuild pass, not an API
-    pub fn broadcast_levels_bstar_par(
-        &self,
-        s: &mut BitScratch,
-        par: &mut ParBitScratch,
-        root: usize,
-        nodes: &mut Vec<u32>,
-        offsets: &mut Vec<u32>,
-        bstar: &mut [u64],
-        shards: usize,
-    ) -> (usize, usize, usize) {
-        if shards <= 1 || !self.dense_capable {
-            return self.broadcast_levels_bstar(s, root, nodes, offsets, bstar);
-        }
-        let count = self.bstar_init(s, bstar);
-        par.prepare(self, shards);
-        let BitScratch { vis, cur, nxt, .. } = s;
-        nodes.clear();
-        offsets.clear();
-        let (reached, depth) = self.run_par::<false>(
-            vis,
-            &mut cur.queue,
-            &mut nxt.queue,
-            par,
-            root,
-            shards,
-            Some(LevelSink { nodes, offsets }),
-        );
-        (count, reached, depth)
-    }
-
     /// The fused chunk-streamed broadcast initialisation: per
     /// [`FUSE_TILE`]-word chunk, the four bitmaps are read/written
     /// together while resident, producing the B* mask, its popcount and
@@ -1111,251 +619,6 @@ impl BitReach {
             j += len;
         }
         count
-    }
-
-    /// The sharded direction-optimizing pass: shard 0 (the caller thread)
-    /// leads — it runs the scalar sparse levels, the sink emission and
-    /// the representation conversions — while `shards - 1` persistent
-    /// pool workers join it for the word-range-sharded fused dense
-    /// levels. One sense-reversing barrier per level (plus one more only
-    /// on a sparse→dense flip) keeps the single-writer-per-word
-    /// discipline: per-level bookkeeping is double-buffered by level
-    /// parity, the leader's emission of level L overlaps the workers
-    /// already sweeping level L+1 (emission only reads the new frontier,
-    /// which no one writes until after the *next* barrier), and on a
-    /// dense→sparse flip the workers have nothing to compute, so the
-    /// leader's conversions race nothing. `vis` arrives seeded (dead /
-    /// out-of-scope bits set) and receives the final visited bitmap back.
-    #[allow(clippy::too_many_arguments)] // one pass kernel, not an API
-    fn run_par<const BACKWARD: bool>(
-        &self,
-        vis: &mut [u64],
-        qcur: &mut Vec<u32>,
-        qnxt: &mut Vec<u32>,
-        par: &mut ParBitScratch,
-        root: usize,
-        shards: usize,
-        mut sink: Option<LevelSink<'_>>,
-    ) -> (usize, usize) {
-        debug_assert!(self.dense_capable && shards > 1);
-        debug_assert!(root < self.n_nodes, "root out of range");
-        debug_assert!(vis[root / 64] & (1 << (root % 64)) == 0, "root not live");
-        let ParBitScratch { cells, pool } = par;
-        vis[root / 64] |= 1 << (root % 64);
-        for (i, &w) in vis[..self.words].iter().enumerate() {
-            cells.vis.store(i, w);
-        }
-        qcur.clear();
-        qcur.push(root as u32);
-        let init_dense = self.want_dense(1, false);
-        if init_dense {
-            for i in 0..self.words {
-                cells.front[0].store(i, 0);
-            }
-            cells.front[0].store(root / 64, 1u64 << (root % 64));
-        }
-        if let Some(sink) = sink.as_mut() {
-            sink.offsets.push(0);
-            sink.nodes.push(root as u32);
-        }
-        // Publishing the job to the pool is the happens-before edge that
-        // makes the serial seeding above visible to the workers.
-        let barrier = SenseBarrier::new(shards);
-        let cells = &*cells;
-        let worker = |shard: usize| {
-            let srange = shard_words(self.suffix_words, shards, shard);
-            let mut cur_dense = init_dense;
-            let mut pp = 0usize;
-            let mut parity = 0usize;
-            loop {
-                if cur_dense {
-                    let newly = self.par_fused::<BACKWARD>(cells, pp, srange.clone());
-                    cells.counts.store(parity * shards + shard, newly as u64);
-                }
-                barrier.wait();
-                let nxt_len = level_len(cells, shards, parity, cur_dense);
-                if nxt_len == 0 {
-                    return;
-                }
-                let want = self.want_dense(nxt_len, cur_dense);
-                // A sparse→dense flip needs the leader to materialise the
-                // dense frontier before anyone sweeps it: the one extra
-                // barrier. Every shard replays the same regime decisions
-                // (they depend only on the shared level lengths), so the
-                // barrier sequences always agree.
-                if !cur_dense && want {
-                    barrier.wait();
-                }
-                pp ^= 1;
-                parity ^= 1;
-                cur_dense = want;
-            }
-        };
-        let (count, depth) = pool.run(shards - 1, &worker, || {
-            // Shard 0: the leader loop.
-            let srange = shard_words(self.suffix_words, shards, 0);
-            let mut cur_dense = init_dense;
-            let mut pp = 0usize;
-            let mut parity = 0usize;
-            let mut count = 1usize;
-            let mut depth = 0usize;
-            loop {
-                if cur_dense {
-                    let newly = self.par_fused::<BACKWARD>(cells, pp, srange.clone());
-                    cells.counts.store(parity * shards, newly as u64);
-                } else {
-                    self.par_step_sparse::<BACKWARD>(cells, qcur, qnxt);
-                    cells.sparse_len[parity].store(qnxt.len(), Ordering::Relaxed);
-                }
-                barrier.wait();
-                let nxt_len = level_len(cells, shards, parity, cur_dense);
-                if nxt_len == 0 {
-                    break;
-                }
-                count += nxt_len;
-                depth += 1;
-                if let Some(sink) = sink.as_mut() {
-                    if cur_dense {
-                        emit_cells(sink, &cells.front[pp ^ 1], self.words);
-                    } else {
-                        emit_queue(sink, qnxt);
-                    }
-                }
-                let want = self.want_dense(nxt_len, cur_dense);
-                match (cur_dense, want) {
-                    // Stay sparse: the new queue becomes current.
-                    (false, false) => std::mem::swap(qcur, qnxt),
-                    // Sparse → dense: materialise the new frontier bitmap
-                    // where the flip will look for it, then release the
-                    // workers waiting to sweep it.
-                    (false, true) => {
-                        for i in 0..self.words {
-                            cells.front[pp ^ 1].store(i, 0);
-                        }
-                        for &v in qnxt.iter() {
-                            let v = v as usize;
-                            let j = v / 64;
-                            cells.front[pp ^ 1]
-                                .store(j, cells.front[pp ^ 1].load(j) | 1 << (v % 64));
-                        }
-                        barrier.wait();
-                    }
-                    // Dense → sparse: extract ids in increasing order
-                    // (the serial conversion's order). The workers have
-                    // no dense level to sweep, so nothing races this.
-                    (true, false) => {
-                        qcur.clear();
-                        for j in 0..self.words {
-                            let mut w = cells.front[pp ^ 1].load(j);
-                            while w != 0 {
-                                qcur.push((j * 64) as u32 + w.trailing_zeros());
-                                w &= w - 1;
-                            }
-                        }
-                    }
-                    (true, true) => {}
-                }
-                pp ^= 1;
-                parity ^= 1;
-                cur_dense = want;
-            }
-            (count, depth)
-        });
-        if let Some(sink) = sink.as_mut() {
-            sink.offsets.push(sink.nodes.len() as u32);
-        }
-        // Hand the visited bitmap back for component/B* queries.
-        for (i, w) in vis[..self.words].iter_mut().enumerate() {
-            *w = cells.vis.load(i);
-        }
-        (count, depth)
-    }
-
-    /// One shard's share of a fused dense level: the fused kernel of
-    /// [`BitReach::fused_words`] on the atomic cells, over suffix-word
-    /// `range` — the output words it writes (`d·i + r` forward,
-    /// `i + a·sw` backward) tile the bitmaps across shards, so every
-    /// word has exactly one writer per level. Reads of the *current*
-    /// frontier cross shard boundaries, which is what the per-level
-    /// barrier orders. Returns the shard's newly visited count.
-    fn par_fused<const BACKWARD: bool>(
-        &self,
-        cells: &ParCells,
-        pp: usize,
-        range: std::ops::Range<usize>,
-    ) -> usize {
-        let d = self.d;
-        let sw = self.suffix_words;
-        let bits_per = 64 / d;
-        let chunk_mask = if bits_per == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits_per) - 1
-        };
-        let cur = &cells.front[pp];
-        let nxt = &cells.front[pp ^ 1];
-        let mut newly = 0usize;
-        if BACKWARD {
-            for i in range {
-                let mut h = 0u64;
-                for t in 0..d {
-                    h |= self.squash(cur.load(d * i + t)) << (t * bits_per);
-                }
-                for a in 0..d {
-                    let j = i + a * sw;
-                    let seen = cells.vis.load(j);
-                    let new = h & !seen;
-                    cells.vis.store(j, seen | new);
-                    nxt.store(j, new);
-                    newly += new.count_ones() as usize;
-                }
-            }
-        } else {
-            for i in range {
-                let mut g = 0u64;
-                for a in 0..d {
-                    g |= cur.load(i + a * sw);
-                }
-                for r in 0..d {
-                    let j = d * i + r;
-                    let seen = cells.vis.load(j);
-                    let new = self.expand((g >> (r * bits_per)) & chunk_mask) & !seen;
-                    cells.vis.store(j, seen | new);
-                    nxt.store(j, new);
-                    newly += new.count_ones() as usize;
-                }
-            }
-        }
-        newly
-    }
-
-    /// The leader's scalar sparse step on the shared visited bitmap —
-    /// the atomic-cell twin of [`BitReach::step_sparse`] (parallel
-    /// passes only run on dense-capable, hence power-of-two, shapes).
-    fn par_step_sparse<const BACKWARD: bool>(
-        &self,
-        cells: &ParCells,
-        qcur: &[u32],
-        qnxt: &mut Vec<u32>,
-    ) {
-        debug_assert!(self.pow2);
-        qnxt.clear();
-        for &v in qcur {
-            let v = v as usize;
-            for a in 0..self.d {
-                let u = if BACKWARD {
-                    (v >> self.d_log) + (a << self.suffix_log)
-                } else {
-                    ((v & (self.suffix - 1)) << self.d_log) + a
-                };
-                let (j, m) = (u / 64, 1u64 << (u % 64));
-                let seen = cells.vis.load(j);
-                if seen & m == 0 {
-                    cells.vis.store(j, seen | m);
-                    qnxt.push(u as u32);
-                }
-            }
-        }
     }
 
     /// One direction-optimizing BFS pass over `vis` (bits already set are
@@ -1853,79 +1116,6 @@ impl BitReach {
             self.run::<false, true>(bwd, cur, nxt, root, sink)
         }
     }
-
-    /// [`BitReach::forward_levels`] sharded over `shards` scoped threads —
-    /// emission bytes identical to the serial pass at any shard count
-    /// (delegates like [`BitReach::forward_par`]).
-    pub fn forward_levels_par(
-        &self,
-        s: &mut BitScratch,
-        par: &mut ParBitScratch,
-        root: usize,
-        nodes: &mut Vec<u32>,
-        offsets: &mut Vec<u32>,
-        shards: usize,
-    ) -> (usize, usize) {
-        if shards <= 1 || !self.dense_capable {
-            return self.forward_levels(s, root, nodes, offsets);
-        }
-        par.prepare(self, shards);
-        let BitScratch {
-            dead,
-            fwd,
-            cur,
-            nxt,
-            ..
-        } = s;
-        fwd[..self.words].copy_from_slice(&dead[..self.words]);
-        nodes.clear();
-        offsets.clear();
-        self.run_par::<false>(
-            fwd,
-            &mut cur.queue,
-            &mut nxt.queue,
-            par,
-            root,
-            shards,
-            Some(LevelSink { nodes, offsets }),
-        )
-    }
-
-    /// [`BitReach::backward_levels`] sharded over `shards` scoped threads
-    /// (delegates like [`BitReach::backward_par`]).
-    pub fn backward_levels_par(
-        &self,
-        s: &mut BitScratch,
-        par: &mut ParBitScratch,
-        root: usize,
-        nodes: &mut Vec<u32>,
-        offsets: &mut Vec<u32>,
-        shards: usize,
-    ) -> (usize, usize) {
-        if shards <= 1 || !self.dense_capable {
-            return self.backward_levels(s, root, nodes, offsets);
-        }
-        par.prepare(self, shards);
-        let BitScratch {
-            dead,
-            bwd,
-            cur,
-            nxt,
-            ..
-        } = s;
-        bwd[..self.words].copy_from_slice(&dead[..self.words]);
-        nodes.clear();
-        offsets.clear();
-        self.run_par::<true>(
-            bwd,
-            &mut cur.queue,
-            &mut nxt.queue,
-            par,
-            root,
-            shards,
-            Some(LevelSink { nodes, offsets }),
-        )
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -2392,36 +1582,10 @@ impl BitReach {
     }
 }
 
-/// The global next-level length every shard reads after the per-level
-/// barrier: the sum of this parity's per-shard dense counts, or the
-/// sparse frontier length shard 0 published for this parity.
-fn level_len(cells: &ParCells, shards: usize, parity: usize, cur_dense: bool) -> usize {
-    if cur_dense {
-        (0..shards)
-            .map(|k| cells.counts.load(parity * shards + k) as usize)
-            .sum()
-    } else {
-        cells.sparse_len[parity].load(Ordering::Relaxed)
-    }
-}
-
 /// Appends a sparse level to the sink.
 fn emit_queue(sink: &mut LevelSink<'_>, queue: &[u32]) {
     sink.offsets.push(sink.nodes.len() as u32);
     sink.nodes.extend_from_slice(queue);
-}
-
-/// Appends a dense level held in atomic cells to the sink (set bits in
-/// increasing id order, exactly like [`emit_bits_sum`]).
-fn emit_cells(sink: &mut LevelSink<'_>, cells: &AtomicCells, words: usize) {
-    sink.offsets.push(sink.nodes.len() as u32);
-    for j in 0..words {
-        let mut w = cells.load(j);
-        while w != 0 {
-            sink.nodes.push((j * 64) as u32 + w.trailing_zeros());
-            w &= w - 1;
-        }
-    }
 }
 
 /// Appends a dense level to the sink with a hierarchical summary:
@@ -2697,86 +1861,6 @@ mod tests {
         }
     }
 
-    /// The sharded passes must reproduce the serial engine byte for byte
-    /// at every shard count: forward counts/depths, the visited sets (via
-    /// `in_bstar` over every node), component sizes, and the broadcast's
-    /// emitted nodes/offsets **including their order** — on dense-capable
-    /// shapes (both regimes) and on shapes that delegate to the serial
-    /// pass.
-    #[test]
-    fn parallel_passes_match_serial_at_every_shard_count() {
-        let shapes = [(2usize, 1 << 10), (4, 1 << 10), (2, 1 << 7), (3, 243)];
-        let mut rng = StdRng::seed_from_u64(0x9a11);
-        for &(d, n_nodes) in &shapes {
-            let reach = BitReach::new(d, n_nodes);
-            for trial in 0..10 {
-                let root = 1usize;
-                let deaths = [0, 1, 3, n_nodes / 16, n_nodes / 3][trial % 5];
-                let dead = random_dead(n_nodes, deaths, root, &mut rng);
-                let removed = dead.iter().filter(|&&x| x).count();
-                // Serial oracle run.
-                let mut ser = BitScratch::new();
-                reach.prepare(&mut ser);
-                for (v, &x) in dead.iter().enumerate() {
-                    if x {
-                        reach.kill(&mut ser, v);
-                    }
-                }
-                let want_fwd = reach.forward(&mut ser, root);
-                reach.backward(&mut ser, root);
-                let want_component = reach.component_size(&ser, removed);
-                let mut want_nodes = Vec::new();
-                let mut want_offsets = Vec::new();
-                let want_bcast =
-                    reach.broadcast_levels(&mut ser, root, &mut want_nodes, &mut want_offsets);
-                for shards in [1usize, 2, 3, 4, 5, 7] {
-                    let mut s = BitScratch::new();
-                    let mut par = ParBitScratch::new();
-                    reach.prepare(&mut s);
-                    for (v, &x) in dead.iter().enumerate() {
-                        if x {
-                            reach.kill(&mut s, v);
-                        }
-                    }
-                    let got_fwd = reach.forward_par(&mut s, &mut par, root, shards);
-                    assert_eq!(got_fwd, want_fwd, "forward d={d} n={n_nodes} x{shards}");
-                    reach.backward_par(&mut s, &mut par, root, shards);
-                    assert_eq!(
-                        reach.component_size(&s, removed),
-                        want_component,
-                        "component d={d} n={n_nodes} x{shards}"
-                    );
-                    for v in 0..n_nodes {
-                        assert_eq!(
-                            reach.in_bstar(&s, v),
-                            reach.in_bstar(&ser, v),
-                            "in_bstar v={v} x{shards}"
-                        );
-                    }
-                    let mut nodes = Vec::new();
-                    let mut offsets = Vec::new();
-                    let got_bcast = reach.broadcast_levels_par(
-                        &mut s,
-                        &mut par,
-                        root,
-                        &mut nodes,
-                        &mut offsets,
-                        shards,
-                    );
-                    assert_eq!(
-                        got_bcast, want_bcast,
-                        "broadcast d={d} n={n_nodes} x{shards}"
-                    );
-                    assert_eq!(
-                        nodes, want_nodes,
-                        "emission bytes d={d} n={n_nodes} x{shards}"
-                    );
-                    assert_eq!(offsets, want_offsets, "offsets d={d} n={n_nodes} x{shards}");
-                }
-            }
-        }
-    }
-
     /// Oversized node spaces must be rejected with the typed error, not
     /// silently truncated to u32 ids in release builds.
     #[test]
@@ -2818,11 +1902,9 @@ mod tests {
     }
 
     /// The level-emitting forward/backward passes must produce the scalar
-    /// oracle's levels, and the sharded variants must be byte-identical to
-    /// the serial ones at every shard count (including the backward
-    /// emission order, which no earlier pass covered).
+    /// oracle's levels.
     #[test]
-    fn level_emitting_passes_match_oracle_and_shard_invariantly() {
+    fn level_emitting_passes_match_oracle() {
         let shapes = [(2usize, 1 << 10), (4, 1 << 10), (2, 1 << 7), (3, 243)];
         let mut rng = StdRng::seed_from_u64(0x1e7e15);
         for &(d, n_nodes) in &shapes {
@@ -2859,30 +1941,6 @@ mod tests {
                     };
                     assert_eq!(got, (want_reached, want_depth), "d={d} bwd={backward}");
                     assert_eq!(scatter(&nodes, &offsets), want_lv, "d={d} bwd={backward}");
-                    for shards in [2usize, 3, 4, 5, 7] {
-                        let mut sp = BitScratch::new();
-                        let mut par = ParBitScratch::new();
-                        reach.prepare(&mut sp);
-                        for (v, &x) in dead.iter().enumerate() {
-                            if x {
-                                reach.kill(&mut sp, v);
-                            }
-                        }
-                        let mut pn = Vec::new();
-                        let mut po = Vec::new();
-                        let gp = if backward {
-                            reach.backward_levels_par(
-                                &mut sp, &mut par, root, &mut pn, &mut po, shards,
-                            )
-                        } else {
-                            reach.forward_levels_par(
-                                &mut sp, &mut par, root, &mut pn, &mut po, shards,
-                            )
-                        };
-                        assert_eq!(gp, got, "x{shards} bwd={backward}");
-                        assert_eq!(pn, nodes, "emission bytes x{shards} bwd={backward}");
-                        assert_eq!(po, offsets, "offsets x{shards} bwd={backward}");
-                    }
                 }
             }
         }
@@ -3236,26 +2294,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The effective-shards heuristic: ≥ 1 always, bounded by the host's
-    /// core count and by one shard per [`MIN_NODES_PER_SHARD`] nodes.
-    #[test]
-    fn effective_shards_clamps_to_cores_and_node_count() {
-        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        // Degenerate requests fold to 1.
-        assert_eq!(effective_shards(0, usize::MAX), 1);
-        assert_eq!(effective_shards(1, usize::MAX), 1);
-        // Small graphs fold any request to 1.
-        assert_eq!(effective_shards(1 << 20, MIN_NODES_PER_SHARD - 1), 1);
-        // The node-count bound scales one shard per MIN_NODES_PER_SHARD…
-        assert_eq!(
-            effective_shards(usize::MAX, 3 * MIN_NODES_PER_SHARD),
-            cpus.min(3)
-        );
-        // …and the CPU bound caps an unbounded request.
-        assert_eq!(effective_shards(usize::MAX, usize::MAX), cpus);
-        // A modest request on a huge graph is honoured up to the cores.
-        assert_eq!(effective_shards(2, usize::MAX), cpus.min(2));
     }
 }

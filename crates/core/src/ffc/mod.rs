@@ -41,9 +41,10 @@
 //! * **Broadcast**: a level-synchronous BFS with minimal-predecessor tie
 //!   breaking over B* only.
 //! * **Cycle construction**: the w-group tables are flat arrays keyed by
-//!   necklace id / edge label (no hash maps); the successor function is
-//!   materialised into a flat array and the cycle is read off by pointer
-//!   chasing.
+//!   necklace id / edge label (no hash maps); successor overrides are
+//!   written only at the w-exit nodes, flagged in a word-packed exit
+//!   bitmap, and the cycle is read off by a streaming walk that computes
+//!   every other step as a necklace rotation.
 //!
 //! The textbook formulation (materialised SCCs + hash-map groups) is kept
 //! as [`Ffc::embed_reference`]; it is used by the differential tests and
@@ -56,7 +57,7 @@
 use dbg_graph::DeBruijn;
 use dbg_necklace::NecklacePartition;
 
-use crate::bitreach::{AtomicCells, BitReach, BitScratch, ParBitScratch, SpaceTooLarge};
+use crate::bitreach::{BitReach, BitScratch, SpaceTooLarge};
 
 mod phases;
 mod reference;
@@ -181,25 +182,21 @@ pub struct EmbedScratch {
     /// Word-packed bitmaps and frontiers of the bit-parallel reachability
     /// engine (fault mask, forward/backward/broadcast visited sets).
     bits: BitScratch,
-    /// Shared-write bitmaps of the multi-shard parallel passes
-    /// ([`Ffc::embed_into_parallel`]).
-    pbits: ParBitScratch,
-    /// Parallel engine: packed (stamp << 32 | broadcast level) per node —
-    /// one combined visited/level slot, so the parent lookup costs a
-    /// single random read where the serial engine reads `vis` and `level`.
-    /// Unlike the session's level arrays this slot stays 64-bit under the
-    /// PR 10 compaction: the stamp occupies the full upper half, so "where
-    /// width permits" does not apply — narrowing would force a per-call
-    /// clear, trading the saved bandwidth back for a full-array sweep.
-    plvl: AtomicCells,
-    /// Parallel engine: per-necklace min (level << 32 | node) over B*
-    /// (`u64::MAX` = necklace not in B* this call; cleared per call).
-    pbest: AtomicCells,
+    /// Packed (stamp << 32 | broadcast level) per node — one combined
+    /// visited/level slot, so necklace selection's parent lookup costs a
+    /// single random read. Unlike the session's compact level arrays
+    /// this slot stays 64-bit: the stamp occupies the full upper half,
+    /// and narrowing would force a per-call clear, trading the saved
+    /// bandwidth back for a full-array sweep.
+    plvl: Vec<u64>,
+    /// Per-necklace best (level << 32 | node) over B* (`u64::MAX` =
+    /// necklace not in B* this call; cleared per call).
+    pbest: Vec<u64>,
     /// Bit `v` set ⟺ node `v` leaves its necklace through a w-edge. The
-    /// streaming cycle readoff of both engines tests this bitmap
-    /// (L2-resident even at B(2,20)) and computes the necklace rotation
-    /// arithmetically, instead of loading a fully materialised successor
-    /// array from DRAM on every step.
+    /// streaming cycle readoff tests this bitmap (L2-resident even at
+    /// B(2,20)) and computes the necklace rotation arithmetically, instead
+    /// of loading a fully materialised successor array from DRAM on every
+    /// step.
     exit_bits: Vec<u64>,
     /// Successor overrides: written (and later read) only at the w-exit
     /// nodes flagged in `exit_bits`; every other node follows its
@@ -259,10 +256,7 @@ impl EmbedScratch {
             + self.members.capacity())
             + (self.fwd8.capacity() + self.bwd8.capacity() + self.vis8.capacity())
             + self.bits.allocated_bytes()
-            + self.pbits.allocated_bytes()
-            + self.plvl.allocated_bytes()
-            + self.pbest.allocated_bytes()
-            + 8 * self.exit_bits.capacity()
+            + 8 * (self.plvl.capacity() + self.pbest.capacity() + self.exit_bits.capacity())
             + 8 * self.group_entries.capacity()
             + std::mem::size_of::<usize>() * self.cycle.capacity()
     }
@@ -274,11 +268,9 @@ impl EmbedScratch {
             for arr in [&mut self.faulty, &mut self.probe, &mut self.label_stamp] {
                 arr.iter_mut().for_each(|s| *s = 0);
             }
-            // The packed (stamp | level) slots of the parallel engine carry
-            // the stamp in their high half; zero is never a current stamp.
-            for i in 0..self.plvl.len() {
-                self.plvl.store(i, 0);
-            }
+            // The packed (stamp | level) slots carry the stamp in their
+            // high half; zero is never a current stamp.
+            self.plvl.fill(0);
             self.stamp = 0;
         }
         self.stamp += 1;
@@ -303,21 +295,18 @@ impl EmbedScratch {
         reserve(&mut self.cycle, t.n_nodes);
     }
 
-    /// Grows (and clears where required) the parallel engine's slot
-    /// arrays: the packed level slots are stamp-invalidated like the rest
-    /// of the scratch, while the per-necklace best keys and the exit
-    /// bitmap are cleared per call — both are O(d^n / n) or smaller, a
-    /// vanishing fraction of the embedding itself.
-    fn prepare_parallel(&mut self, t: &EngineTables) {
-        self.plvl.grow(t.n_nodes);
-        self.pbest.grow(t.n_necks);
-        for nid in 0..t.n_necks {
-            self.pbest.store(nid, u64::MAX);
-        }
+    /// Grows the full-ring pipeline's slot arrays and clears the ones
+    /// that are not stamped: the packed level slots are stamp-invalidated
+    /// like the rest of the scratch, while the per-necklace best keys and
+    /// the exit bitmap are cleared per call — both are O(d^n / n) or
+    /// smaller, a vanishing fraction of the embedding itself. Kept out of
+    /// [`EmbedScratch::prepare`] so the stats-only paths never pay it.
+    fn clear_ring_slots(&mut self, t: &EngineTables) {
+        grow(&mut self.plvl, t.n_nodes);
+        grow(&mut self.pbest, t.n_necks);
+        self.pbest[..t.n_necks].fill(u64::MAX);
         let words = t.n_nodes.div_ceil(64);
-        if self.exit_bits.len() < words {
-            self.exit_bits.resize(words, 0);
-        }
+        grow(&mut self.exit_bits, words);
         self.exit_bits[..words].fill(0);
     }
 
@@ -357,9 +346,16 @@ impl Ffc {
     /// Creates the embedder for B(d,n): one FKM necklace-enumeration pass
     /// builds the partition (membership table + member CSR) that the
     /// engine reads directly.
+    ///
+    /// # Panics
+    /// Panics if d^n overflows the engine's u32 node indexing
+    /// ([`Ffc::try_new`] is the non-panicking variant).
     #[must_use]
     pub fn new(d: u64, n: u32) -> Self {
-        Self::with_shards(d, n, 1)
+        match Self::try_new(d, n) {
+            Ok(ffc) => ffc,
+            Err(e) => panic!("engine tables index nodes with u32; B({d},{n}) is too large: {e}"),
+        }
     }
 
     /// [`Ffc::new`], rejecting spaces whose node ids overflow the
@@ -370,52 +366,20 @@ impl Ffc {
     /// Returns [`SpaceTooLarge`] when d^n exceeds [`u32::MAX`] (or
     /// overflows u64 entirely).
     pub fn try_new(d: u64, n: u32) -> Result<Self, SpaceTooLarge> {
-        Self::try_with_shards(d, n, 1)
-    }
-
-    /// [`Ffc::with_shards`] with the [`Ffc::try_new`] error contract.
-    ///
-    /// `shards` is a request, not a mandate: the construction clamps it
-    /// through [`crate::bitreach::effective_shards`] so oversubscribed or
-    /// too-small-to-shard table fills never pay thread overhead for
-    /// nothing (the tables are bit-identical at any count either way).
-    ///
-    /// # Errors
-    /// Returns [`SpaceTooLarge`] when d^n exceeds [`u32::MAX`] (or
-    /// overflows u64 entirely).
-    pub fn try_with_shards(d: u64, n: u32, shards: usize) -> Result<Self, SpaceTooLarge> {
         let n_nodes = dbg_algebra::num::checked_pow(d, n).ok_or(SpaceTooLarge { n_nodes: None })?;
         if u32::try_from(n_nodes).is_err() {
             return Err(SpaceTooLarge {
                 n_nodes: Some(n_nodes),
             });
         }
-        let shards = crate::bitreach::effective_shards(shards, n_nodes as usize);
-        Ok(Self::build(d, n, shards))
-    }
-
-    /// [`Ffc::new`] with the partition's membership/CSR fill sharded over
-    /// `shards` scoped threads ([`NecklacePartition::with_shards`]) — the
-    /// table construction analogue of [`Ffc::embed_batch`]'s sharding,
-    /// useful for B(2,20)-scale setup on multi-core hosts. The tables are
-    /// bit-identical at any shard count.
-    ///
-    /// # Panics
-    /// Panics if d^n overflows the engine's u32 node indexing
-    /// ([`Ffc::try_with_shards`] is the non-panicking variant).
-    #[must_use]
-    pub fn with_shards(d: u64, n: u32, shards: usize) -> Self {
-        match Self::try_with_shards(d, n, shards) {
-            Ok(ffc) => ffc,
-            Err(e) => panic!("engine tables index nodes with u32; B({d},{n}) is too large: {e}"),
-        }
+        Ok(Self::build(d, n))
     }
 
     /// Constructs the embedder once the node count has been validated.
-    fn build(d: u64, n: u32, shards: usize) -> Self {
+    fn build(d: u64, n: u32) -> Self {
         let graph = DeBruijn::new(d, n);
         let n_nodes = graph.len();
-        let partition = NecklacePartition::with_shards(graph.space(), shards);
+        let partition = NecklacePartition::new(graph.space());
         let tables = EngineTables {
             d: graph.d() as usize,
             suffix_count: graph.space().msd_place() as usize,
@@ -510,74 +474,6 @@ impl Ffc {
         root: usize,
     ) -> EmbedStats {
         self.engine_embed(scratch, faulty_nodes, Some(root))
-    }
-
-    /// [`Ffc::embed_into`] on the multi-shard parallel engine: produces
-    /// **bit-identical** [`EmbedStats`] and cycle bytes to the serial
-    /// engine on the same faults, at every shard count (the serial path
-    /// is retained as the differential oracle; exhaustive ≤2-fault
-    /// equality plus B(2,14) property tests pin the contract).
-    ///
-    /// What runs differently:
-    ///
-    /// * the forward/backward component passes and the level-emitting
-    ///   broadcast run on the word-range-sharded bit engine
-    ///   ([`crate::bitreach`]'s `*_par` passes) over `shards` scoped
-    ///   threads;
-    /// * the level-CSR scatter (stamping each B* node's broadcast level)
-    ///   and the per-necklace earliest-member reduction are fused into
-    ///   one sharded pass over the emitted levels — cross-shard safe via
-    ///   an atomic min, lock-free single-writer at one shard.
-    ///
-    /// The structural optimisations that debuted on this path — lazy
-    /// spanning-tree parents (computed only for the d^n/n chosen
-    /// necklace nodes) and the streaming cycle readoff (arithmetic
-    /// rotation plus an L2-resident exit bitmap, no materialised
-    /// successor array) — are now shared by [`Ffc::embed_into`], so at
-    /// `shards == 1` (where the leader runs every shard inline) the two
-    /// entry points perform the same work — see the `"mode": "full"`
-    /// tiers of `BENCH_ffc.json`. `shards`
-    /// is a request: the call clamps it through
-    /// [`crate::bitreach::effective_shards`], so asking for more shards
-    /// than the host has cores — or than the graph has work — costs
-    /// nothing. The `shards - 1` workers live in a persistent pool
-    /// inside the scratch ([`shardpool::ShardPool`]): they are spawned
-    /// once and reused across calls, synchronising on sense-reversing
-    /// atomic barriers instead of re-spawning per level. Root selection
-    /// follows [`Ffc::embed_into`]. After warm-up the call performs no
-    /// heap allocation (the pool threads included).
-    pub fn embed_into_parallel(
-        &self,
-        scratch: &mut EmbedScratch,
-        faulty_nodes: &[usize],
-        shards: usize,
-    ) -> EmbedStats {
-        let shards = crate::bitreach::effective_shards(shards, self.tables.n_nodes);
-        if shards == 1 {
-            // One shard *is* the serial pipeline — same phases, same
-            // passes — so run the same compiled path too, instead of a
-            // second monomorphization whose code layout can drift a few
-            // percent either way.
-            return self.engine_embed(scratch, faulty_nodes, None);
-        }
-        self.engine_embed_parallel(scratch, faulty_nodes, shards)
-    }
-
-    /// [`Ffc::embed_into_parallel`] without the
-    /// [`crate::bitreach::effective_shards`] clamp: runs exactly
-    /// `shards.max(1)` shards regardless of host core count or graph
-    /// size. The differential suites and benches use this to pin the
-    /// bit-identical contract at shard counts the heuristic would fold
-    /// away (non-power-of-two counts, counts above
-    /// `available_parallelism`); production callers want the clamped
-    /// variant.
-    pub fn embed_into_parallel_exact(
-        &self,
-        scratch: &mut EmbedScratch,
-        faulty_nodes: &[usize],
-        shards: usize,
-    ) -> EmbedStats {
-        self.engine_embed_parallel(scratch, faulty_nodes, shards.max(1))
     }
 
     /// The scalar half of an embedding, without materialising the cycle:

@@ -4,14 +4,10 @@
 //! fault marking, root selection, the reachability snapshot (forward +
 //! backward passes that pin down B*), the broadcast/spanning-tree phase,
 //! necklace selection (per-necklace earliest members and their w-labeled
-//! tree edges), w-group wiring, and the cycle readoff. The serial and
-//! parallel engines differ only in *how* a phase runs (scalar loops vs the
-//! sharded bit-parallel passes), never in what it produces: the phase
-//! outputs are bit-identical, which is what lets
-//! [`super::session::EmbedSession`] persist them and repair them
-//! incrementally instead of re-running the pipeline per fault event.
-
-use crate::bitreach::AtomicCells;
+//! tree edges), w-group wiring, and the cycle readoff. Each phase has one
+//! well-defined output, which is what lets [`super::session::EmbedSession`]
+//! persist the outputs and repair them incrementally instead of re-running
+//! the pipeline per fault event.
 
 use super::{EmbedScratch, EmbedStats, Ffc};
 
@@ -145,17 +141,14 @@ impl Ffc {
     /// One full embedding on reusable state, as the explicit serial phase
     /// pipeline: fault marking, root selection, the reachability snapshot,
     /// the level-emitting broadcast, necklace selection, w-group wiring
-    /// and the streaming cycle readoff. Necklace selection runs the fused
-    /// level-scatter of [`Ffc::phase_necklace_selection_par`] at one shard
-    /// — spanning-tree parents are derived lazily per necklace from the
-    /// packed level slots instead of materialising a whole-B* parent
-    /// array (the differential suites pin both flavours byte-identical).
-    /// The readoff is the same arithmetic-rotation walk as the parallel
-    /// engine's: no per-node successor array is materialised and the
-    /// override slots are consulted only where the exit bitmap is set —
-    /// a pointer-chase through a B*-sized successor array is one
-    /// dependent DRAM load per ring node, and it dominated the serial
-    /// embed at a million nodes.
+    /// and the streaming cycle readoff. Necklace selection derives
+    /// spanning-tree parents lazily per necklace from the packed level
+    /// slots instead of materialising a whole-B* parent array. The
+    /// readoff walks the necklace rotation arithmetically: no per-node
+    /// successor array is materialised and the override slots are
+    /// consulted only where the exit bitmap is set — a pointer-chase
+    /// through a B*-sized successor array is one dependent DRAM load per
+    /// ring node, and it dominated the embed at a million nodes.
     /// `forced_root` is `Some` for [`Ffc::embed_into_from`] (panics if
     /// its necklace is faulty) and `None` for the
     /// default-root-with-repair policy of [`Ffc::embed_into`].
@@ -167,7 +160,7 @@ impl Ffc {
     ) -> EmbedStats {
         let t = &self.tables;
         s.prepare(t);
-        s.prepare_parallel(t);
+        s.clear_ring_slots(t);
         // The bit scratch sizes its bitmaps and clears the fault mask
         // here, not in `prepare` — the u8 oracle path never pays for it.
         t.reach.prepare(&mut s.bits);
@@ -176,7 +169,7 @@ impl Ffc {
         let (root, root_neck) = self.phase_select_root(s, forced_root);
         let component_size = self.phase_reachability_snapshot(s, root, removed_nodes);
         let eccentricity = self.phase_broadcast_levels(s, root, component_size);
-        self.phase_necklace_selection_par(s, root_neck, 1);
+        self.phase_necklace_selection(s, root_neck);
         self.wire_w_groups(s);
         self.phase_readoff_streaming(s, root, component_size);
 
@@ -242,8 +235,8 @@ impl Ffc {
         reach.component_size(&s.bits, removed_nodes)
     }
 
-    /// Broadcast phase (Step 1.1), serial flavour: the bit engine runs the
-    /// frontier expansion and emits the reached nodes level by level into
+    /// Broadcast phase (Step 1.1): the bit engine runs the frontier
+    /// expansion and emits the reached nodes level by level into
     /// `bstar` (which therefore lists exactly B*, with `level_offsets` the
     /// CSR level boundaries). The spanning tree itself is *not*
     /// materialised — necklace selection derives the parent of each chosen
@@ -265,14 +258,13 @@ impl Ffc {
         depth
     }
 
-    /// The Step 2 → Step 3 wiring shared by the serial and parallel
-    /// engines: walks the sorted `group_entries` runs, closes each
-    /// w-group (children + parent necklace, in necklace-id order) into a
-    /// directed cycle of w-edges — the modified tree D — and writes the
-    /// successor override of every w-edge into the override slots plus
-    /// the word-packed exit bitmap the streaming readoff tests. Nodes
-    /// without an exit bit never have their override slot read, so no
-    /// per-node successor default is ever materialised.
+    /// The Step 2 → Step 3 wiring: walks the sorted `group_entries` runs,
+    /// closes each w-group (children + parent necklace, in necklace-id
+    /// order) into a directed cycle of w-edges — the modified tree D — and
+    /// writes the successor override of every w-edge into the override
+    /// slots plus the word-packed exit bitmap the streaming readoff tests.
+    /// Nodes without an exit bit never have their override slot read, so
+    /// no per-node successor default is ever materialised.
     fn wire_w_groups(&self, s: &mut EmbedScratch) {
         let t = &self.tables;
         let (d, suffix) = (t.d, t.suffix_count);
@@ -308,153 +300,33 @@ impl Ffc {
         }
     }
 
-    /// One full embedding on the parallel engine, as the same explicit
-    /// phase pipeline as [`Ffc::engine_embed`] with the sharded phase
-    /// flavours substituted (see [`Ffc::embed_into_parallel`] for the
-    /// breakdown). Uses the default-root-with-repair policy of
-    /// [`Ffc::embed_into`].
-    pub(crate) fn engine_embed_parallel(
-        &self,
-        s: &mut EmbedScratch,
-        faulty_nodes: &[usize],
-        shards: usize,
-    ) -> EmbedStats {
-        let t = &self.tables;
-        s.prepare(t);
-        s.prepare_parallel(t);
-        t.reach.prepare(&mut s.bits);
-
-        let (faulty_necklaces, removed_nodes) = self.mark_faults_bits(s, faulty_nodes);
-        let (root, root_neck) = self.phase_select_root(s, None);
-        let (component_size, eccentricity) =
-            self.phase_reachability_snapshot_par(s, root, removed_nodes, shards);
-        self.phase_necklace_selection_par(s, root_neck, shards);
-        self.wire_w_groups(s);
-        self.phase_readoff_streaming(s, root, component_size);
-
-        EmbedStats {
-            root,
-            component_size,
-            eccentricity,
-            faulty_necklaces,
-            removed_nodes,
-        }
-    }
-
-    /// Reachability-snapshot and broadcast phases, sharded flavour: B* and
-    /// the level-emitting broadcast run on the word-range-sharded passes
-    /// (which delegate to the serial engine at one shard or on shapes
-    /// without dense sweeps — bit-identical either way). Returns
-    /// (|B*|, broadcast depth).
-    pub(crate) fn phase_reachability_snapshot_par(
-        &self,
-        s: &mut EmbedScratch,
-        root: usize,
-        removed_nodes: usize,
-        shards: usize,
-    ) -> (usize, usize) {
-        let reach = self.tables.reach;
-        let EmbedScratch {
-            bits,
-            pbits,
-            bstar,
-            level_offsets,
-            ..
-        } = s;
-        let _ = reach.forward_par(bits, pbits, root, shards);
-        reach.backward_par(bits, pbits, root, shards);
-        let component_size = reach.component_size(bits, removed_nodes);
-        let (reached, depth) =
-            reach.broadcast_levels_par(bits, pbits, root, bstar, level_offsets, shards);
-        debug_assert_eq!(reached, component_size, "broadcast must cover B*");
-        let _ = reached;
-        (component_size, depth)
-    }
-
-    /// Necklace-selection phase (Steps 1.2 and 2), sharded flavour. First
-    /// a fused level scatter + reduction: one sharded pass over the
-    /// emitted level CSR stamps every B* node's packed (stamp | level)
-    /// slot and folds each non-root necklace's earliest (level, node) key
-    /// with an atomic min. Contiguous CSR chunks; every slot has one
-    /// logical writer per call and the min reduction is
-    /// order-independent, so the result is identical at any shard count.
-    /// Then, for every live non-root necklace, its best key names the
-    /// earliest-reached member Y; the spanning-tree parent is computed
-    /// **here, once per necklace** — the minimal predecessor of Y one
-    /// level up, a packed-slot compare per candidate — instead of being
-    /// materialised for every node of B* like the serial engine does.
-    /// Group records and their sort are byte-identical to the serial
-    /// engine's.
-    pub(crate) fn phase_necklace_selection_par(
-        &self,
-        s: &mut EmbedScratch,
-        root_neck: usize,
-        shards: usize,
-    ) {
+    /// Necklace-selection phase (Steps 1.2 and 2). First a level scatter
+    /// and reduction: one pass over the emitted level CSR stamps every B*
+    /// node's packed (stamp | level) slot and keeps each non-root
+    /// necklace's earliest (level, node) key. Then, for every live
+    /// non-root necklace, its best key names the earliest-reached member
+    /// Y; the spanning-tree parent is computed **here, once per necklace**
+    /// — the minimal predecessor of Y one level up, a packed-slot compare
+    /// per candidate — instead of being materialised for every node of
+    /// B*.
+    pub(crate) fn phase_necklace_selection(&self, s: &mut EmbedScratch, root_neck: usize) {
         let t = &self.tables;
         let (d, suffix) = (t.d, t.suffix_count);
         let membership = self.partition.membership();
         let stamp = s.stamp;
-        {
-            let EmbedScratch {
-                plvl,
-                pbest,
-                bstar,
-                level_offsets,
-                ..
-            } = s;
-            let bstar = &bstar[..];
-            let offsets = &level_offsets[..];
-            if shards == 1 {
-                scan_levels::<false>(
-                    plvl,
-                    pbest,
-                    bstar,
-                    offsets,
-                    membership,
-                    stamp,
-                    root_neck,
-                    0..bstar.len(),
-                );
-            } else {
-                // The spawns below and the implicit join at the end of the
-                // scope are this region's synchronisation edges — declare
-                // them to the shadow detector so the main thread's earlier
-                // slot initialisation (prepare_parallel) and its later
-                // reads land in different phase epochs than the scatter.
-                #[cfg(feature = "racecheck")]
-                crate::bitreach::racecheck::sync_edge();
-                std::thread::scope(|scope| {
-                    for k in 1..shards {
-                        let range = crate::bitreach::shard_words(bstar.len(), shards, k);
-                        let (plvl, pbest) = (&*plvl, &*pbest);
-                        scope.spawn(move || {
-                            scan_levels::<true>(
-                                plvl, pbest, bstar, offsets, membership, stamp, root_neck, range,
-                            );
-                        });
-                    }
-                    scan_levels::<true>(
-                        plvl,
-                        pbest,
-                        bstar,
-                        offsets,
-                        membership,
-                        stamp,
-                        root_neck,
-                        crate::bitreach::shard_words(bstar.len(), shards, 0),
-                    );
-                });
-                // The matching join edge: whatever the caller writes next
-                // is a new phase.
-                #[cfg(feature = "racecheck")]
-                crate::bitreach::racecheck::sync_edge();
-            }
-        }
+        scan_levels(
+            &mut s.plvl,
+            &mut s.pbest,
+            &s.bstar,
+            &s.level_offsets,
+            membership,
+            stamp,
+            root_neck,
+        );
 
         let stamp_hi = u64::from(stamp) << 32;
         for nid in 0..t.n_necks {
-            let key = s.pbest.load(nid);
+            let key = s.pbest[nid];
             if key == u64::MAX {
                 continue;
             }
@@ -466,7 +338,7 @@ impl Ffc {
             let want = stamp_hi | u64::from(lstar - 1);
             let parent = (0..d)
                 .map(|a| label + a * suffix)
-                .find(|&p| s.plvl.load(p) == want)
+                .find(|&p| s.plvl[p] == want)
                 .expect("chosen node with no frontier predecessor");
             let parent_neck = membership[parent] as usize;
             if s.label_stamp[label] != stamp {
@@ -485,9 +357,8 @@ impl Ffc {
         s.group_entries.sort_unstable();
     }
 
-    /// Cycle-readoff phase, shared by both engines: necklace rotation is
-    /// arithmetic, the exit bitmap says when to consult the override slot
-    /// instead.
+    /// Cycle-readoff phase: necklace rotation is arithmetic, the exit
+    /// bitmap says when to consult the override slot instead.
     pub(crate) fn phase_readoff_streaming(
         &self,
         s: &mut EmbedScratch,
@@ -546,52 +417,39 @@ impl Ffc {
     }
 }
 
-/// One shard of the parallel engine's fused level-scatter + best-key
-/// pass: for every CSR index in `range`, stamps the node's packed
-/// (stamp | level) slot and folds the necklace's (level, node) min.
-/// `ATOMIC` selects `fetch_min` (cross-shard) vs a plain
-/// load/compare/store (single shard, no locked instructions).
-#[allow(clippy::too_many_arguments)] // one scatter kernel, not an API
-fn scan_levels<const ATOMIC: bool>(
-    plvl: &AtomicCells,
-    pbest: &AtomicCells,
+/// The level scatter + best-key pass of necklace selection: stamps every
+/// B* node's packed (stamp | level) slot and folds its necklace's
+/// (level, node) min.
+fn scan_levels(
+    plvl: &mut [u64],
+    pbest: &mut [u64],
     bstar: &[u32],
     offsets: &[u32],
     membership: &[u32],
     stamp: u32,
     root_neck: usize,
-    range: std::ops::Range<usize>,
 ) {
-    if range.is_empty() {
-        return;
-    }
     let stamp_hi = u64::from(stamp) << 32;
-    // Level of the first index: the last CSR boundary at or before it.
-    let mut l = offsets.partition_point(|&o| (o as usize) <= range.start) - 1;
-    for idx in range {
-        while (offsets[l + 1] as usize) <= idx {
-            l += 1;
-        }
-        let v = bstar[idx] as usize;
-        plvl.store(v, stamp_hi | l as u64);
-        let nid = membership[v] as usize;
-        if nid == root_neck {
-            continue;
-        }
-        let key = ((l as u64) << 32) | v as u64;
-        if ATOMIC {
-            pbest.fetch_min(nid, key);
-        } else if key < pbest.load(nid) {
-            pbest.store(nid, key);
+    for (l, level) in offsets.windows(2).enumerate() {
+        for &v in &bstar[level[0] as usize..level[1] as usize] {
+            let v = v as usize;
+            plvl[v] = stamp_hi | l as u64;
+            let nid = membership[v] as usize;
+            if nid == root_neck {
+                continue;
+            }
+            let key = ((l as u64) << 32) | v as u64;
+            if key < pbest[nid] {
+                pbest[nid] = key;
+            }
         }
     }
 }
 
-/// The streaming readoff both engines share: walks the successor
-/// permutation from `root` into the scratch's cycle buffer, computing
-/// the necklace rotation arithmetically and consulting the override
-/// slot only where the exit bitmap is set. `POW2` compiles the rotation
-/// to masks and shifts.
+/// The streaming readoff: walks the successor permutation from `root`
+/// into the scratch's cycle buffer, computing the necklace rotation
+/// arithmetically and consulting the override slot only where the exit
+/// bitmap is set. `POW2` compiles the rotation to masks and shifts.
 fn read_off_cycle<const POW2: bool>(
     s: &mut EmbedScratch,
     root: usize,
@@ -623,7 +481,7 @@ fn read_off_cycle<const POW2: bool>(
     }
 }
 
-/// The w-edge geometry shared by every wiring site — the engines'
+/// The w-edge geometry shared by every wiring site — the engine's
 /// `wire_w_groups` and the session's `rewire_label` call this one
 /// implementation, so the ring bytes they produce can never drift.
 /// `members` lists the group's necklaces in ascending id order; each

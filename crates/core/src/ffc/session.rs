@@ -38,9 +38,9 @@
 //! When the delta's queue work exceeds a budget (a pathological cascade —
 //! e.g. a huge region losing reachability at once), or when the event
 //! changes the repair root, the maintainer falls back to a from-scratch
-//! rebuild of the session (on the sharded level-emitting passes), which
-//! costs one `embed_into_parallel`-shaped pipeline run. [`RepairStats`]
-//! counts which path each event took.
+//! rebuild of the session on the level-emitting passes, which costs one
+//! `embed_into`-shaped pipeline run. [`RepairStats`] counts which path
+//! each event took.
 //!
 //! The repair path **degrades gracefully** instead of panicking: malformed
 //! requests come back as a typed [`RepairError`] before any state is
@@ -64,7 +64,7 @@
 use std::sync::Arc;
 
 use crate::bitreach::{
-    reserve_more, BitScratch, DeltaBudgetExceeded, DeltaScratch, LevelVec, ParBitScratch, UNREACHED,
+    reserve_more, BitScratch, DeltaBudgetExceeded, DeltaScratch, LevelVec, UNREACHED,
 };
 use crate::mem::grow_to;
 
@@ -337,7 +337,6 @@ pub struct EmbedSession {
     snap_level_dirty: ChunkMask,
     // -- reusable machinery --
     bits: BitScratch,
-    pbits: ParBitScratch,
     delta: DeltaScratch,
     /// CSR buffers of the level-emitting rebuild passes.
     nodes_buf: Vec<u32>,
@@ -603,7 +602,6 @@ impl EmbedSession {
                 + self.edge_faults.capacity()
                 + self.touched_necks.capacity())
             + self.bits.allocated_bytes()
-            + self.pbits.allocated_bytes()
             + self.delta.allocated_bytes()
             + self.snap_ring_dirty.allocated_bytes()
             + self.snap_bstar_dirty.allocated_bytes()
@@ -922,10 +920,9 @@ impl EmbedSession {
     // ------------------------------------------------------------------
 
     /// Runs the full phase pipeline into the session: the level-emitting
-    /// reachability passes (sharded over `shards` when the shape supports
-    /// it), B* and the broadcast histogram, every necklace record, the
-    /// w-group tables and the exit/override wiring.
-    fn rebuild(&mut self, ffc: &Ffc, shards: usize) {
+    /// reachability passes, B* and the broadcast histogram, every
+    /// necklace record, the w-group tables and the exit/override wiring.
+    fn rebuild(&mut self, ffc: &Ffc) {
         let t = &ffc.tables;
         let reach = t.reach;
         let membership = ffc.partition.membership();
@@ -946,22 +943,18 @@ impl EmbedSession {
         self.root_neck = membership[self.root] as usize;
 
         // Reachability snapshot, with levels persisted.
-        let _ = reach.forward_levels_par(
+        let _ = reach.forward_levels(
             &mut self.bits,
-            &mut self.pbits,
             self.root,
             &mut self.nodes_buf,
             &mut self.offsets_buf,
-            shards,
         );
         scatter_levels(&mut self.fwd_level, n, &self.nodes_buf, &self.offsets_buf);
-        let _ = reach.backward_levels_par(
+        let _ = reach.backward_levels(
             &mut self.bits,
-            &mut self.pbits,
             self.root,
             &mut self.nodes_buf,
             &mut self.offsets_buf,
-            shards,
         );
         scatter_levels(&mut self.bwd_level, n, &self.nodes_buf, &self.offsets_buf);
 
@@ -970,14 +963,12 @@ impl EmbedSession {
         // visited set, then emits the broadcast levels over B* — no
         // separate bstar-bitmap or component-count sweeps.
         let words = n.div_ceil(64);
-        let (component, reached, depth) = reach.broadcast_levels_bstar_par(
+        let (component, reached, depth) = reach.broadcast_levels_bstar(
             &mut self.bits,
-            &mut self.pbits,
             self.root,
             &mut self.nodes_buf,
             &mut self.offsets_buf,
             &mut self.bstar_bits[..words],
-            shards,
         );
         self.in_bstar[..n].fill(false);
         for (j, &word) in self.bstar_bits[..words].iter().enumerate() {
@@ -1448,33 +1439,16 @@ impl EmbedSession {
 #[derive(Clone, Debug, Default)]
 pub struct RingMaintainer {
     session: EmbedSession,
-    shards: usize,
     budget: Option<usize>,
     repairs: RepairStats,
 }
 
 impl RingMaintainer {
-    /// Creates an empty maintainer (single-shard rebuilds, automatic
-    /// budget). [`RingMaintainer::reset`] must run before the first event.
+    /// Creates an empty maintainer (automatic budget).
+    /// [`RingMaintainer::reset`] must run before the first event.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A maintainer whose rebuild fallbacks run the sharded level-emitting
-    /// passes over `shards` pool workers. The count is a request: each
-    /// rebuild clamps it through [`crate::bitreach::effective_shards`]
-    /// for the graph it runs on ([`RingMaintainer::effective_shards`]
-    /// reports the resolved value). The session state is bit-identical at
-    /// any shard count; the delta passes themselves are serial — their
-    /// work is proportional to the affected cones, far below any
-    /// threading threshold.
-    #[must_use]
-    pub fn with_shards(shards: usize) -> Self {
-        RingMaintainer {
-            shards: shards.max(1),
-            ..Self::default()
-        }
     }
 
     /// Overrides the delta work budget — queue pops per event, shared
@@ -1489,22 +1463,6 @@ impl RingMaintainer {
     pub fn with_budget(mut self, budget: Option<usize>) -> Self {
         self.budget = budget;
         self
-    }
-
-    /// Sets the requested rebuild shard count for future events without
-    /// discarding the warmed session state (the in-place twin of
-    /// [`RingMaintainer::with_shards`]; the same
-    /// [`crate::bitreach::effective_shards`] clamp applies per rebuild).
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
-    /// The shard count rebuilds actually run with on `ffc`: the requested
-    /// count folded through [`crate::bitreach::effective_shards`] for the
-    /// host's core count and `ffc`'s node count.
-    #[must_use]
-    pub fn effective_shards(&self, ffc: &Ffc) -> usize {
-        crate::bitreach::effective_shards(self.shards, ffc.tables.n_nodes)
     }
 
     /// The persisted phase outputs (stats, ring, B* membership, levels).
@@ -1577,7 +1535,7 @@ impl RingMaintainer {
                 self.session.sync_exclusion(ffc, v);
             }
         }
-        self.session.rebuild(ffc, self.effective_shards(ffc));
+        self.session.rebuild(ffc);
         self.repairs.rebuilds += 1;
         Ok(self.session.outcome())
     }
@@ -1626,7 +1584,7 @@ impl RingMaintainer {
                 self.repairs.rebuilds += 1;
             }
             Some(root) if root != self.session.root => {
-                self.session.rebuild(ffc, self.effective_shards(ffc));
+                self.session.rebuild(ffc);
                 self.repairs.rebuilds += 1;
             }
             Some(_) => {
@@ -1634,7 +1592,7 @@ impl RingMaintainer {
                 match (budget > 0).then(|| self.session.delta_batch(ffc, budget)) {
                     Some(Ok(())) => self.repairs.incremental += 1,
                     _ => {
-                        self.session.rebuild(ffc, self.effective_shards(ffc));
+                        self.session.rebuild(ffc);
                         self.repairs.rebuilds += 1;
                     }
                 }

@@ -1,5 +1,5 @@
 //! The FFC engine's test suite: paper reproductions, engine-vs-reference
-//! differentials, allocation pins, and the parallel-engine equivalences.
+//! differentials, allocation pins, and the incremental engine.
 
 use super::*;
 use dbg_graph::algo::cycles::is_cycle;
@@ -507,147 +507,6 @@ fn bit_stats_match_u8_on_b2_14_across_density_regimes() {
     }
 }
 
-/// Satellite exhaustive differential: the parallel engine must
-/// reproduce the serial engine's stats **and cycle bytes** for every
-/// fault set of size ≤ 2 on B(2,5) and B(3,3), at shard counts 1, 2,
-/// 3, 5 and 7 — non-power-of-two counts included — plus 64, far above
-/// any host's `available_parallelism` (B(3,3) and B(2,5) both delegate
-/// the reachability passes — non-pow2 / sub-word shapes — so this also
-/// pins the delegation). Uses the `_exact` variant so the
-/// effective-shards clamp cannot fold the counts away.
-#[test]
-fn parallel_engine_matches_serial_exhaustively_on_small_fault_sets() {
-    for (d, n) in [(2u64, 5u32), (3, 3)] {
-        let ffc = Ffc::new(d, n);
-        let total = ffc.graph().len();
-        let mut serial = EmbedScratch::new();
-        let mut par = EmbedScratch::new();
-        let mut fault_sets: Vec<Vec<usize>> = vec![Vec::new()];
-        fault_sets.extend((0..total).map(|a| vec![a]));
-        for a in 0..total {
-            for b in (a + 1)..total {
-                fault_sets.push(vec![a, b]);
-            }
-        }
-        for faults in &fault_sets {
-            let want = ffc.embed_into(&mut serial, faults);
-            for shards in [1usize, 2, 3, 5, 7, 64] {
-                let got = ffc.embed_into_parallel_exact(&mut par, faults, shards);
-                assert_eq!(
-                    got, want,
-                    "stats diverge for {faults:?} x{shards} B({d},{n})"
-                );
-                assert_eq!(
-                    par.cycle(),
-                    serial.cycle(),
-                    "cycle bytes diverge for {faults:?} x{shards} B({d},{n})"
-                );
-            }
-        }
-    }
-}
-
-/// Satellite property test: on B(2,14) the parallel engine must match
-/// the serial engine under fault loads on both sides of the
-/// density-switch threshold, at shards 1, 2, 3, 5 and 7 (forced via
-/// the `_exact` variant) — light loads run the sharded dense sweeps,
-/// heavy loads keep every level in the leader's sparse regime.
-#[test]
-fn parallel_engine_matches_serial_on_b2_14_across_density_regimes() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let ffc = Ffc::new(2, 14);
-    assert!(ffc.tables.reach.dense_capable());
-    let total = ffc.graph().len();
-    let mut serial = EmbedScratch::new();
-    let mut par = EmbedScratch::new();
-    let mut rng = StdRng::seed_from_u64(0xFA12);
-    let mut check = |faults: &[usize]| {
-        let want = ffc.embed_into(&mut serial, faults);
-        for shards in [1usize, 2, 3, 5, 7] {
-            let got = ffc.embed_into_parallel_exact(&mut par, faults, shards);
-            assert_eq!(got, want, "{} faults x{shards}", faults.len());
-            assert_eq!(
-                par.cycle(),
-                serial.cycle(),
-                "{} faults x{shards}",
-                faults.len()
-            );
-        }
-    };
-    check(&[]);
-    for trial in 0..8 {
-        // Dense side: a handful of faults, B* stays near-complete.
-        let f = trial % 7;
-        let light: Vec<usize> = (0..f).map(|_| rng.gen_range(0..total)).collect();
-        check(&light);
-        // Sparse side: thousands of faults shred the graph so no
-        // frontier ever reaches the dense threshold.
-        let f = 2000 + 500 * (trial % 4);
-        let heavy: Vec<usize> = (0..f).map(|_| rng.gen_range(0..total)).collect();
-        check(&heavy);
-    }
-}
-
-/// The parallel engine honours the scratch's no-allocation contract
-/// once warmed up at a fixed (d, n) and shard count. The pool workers
-/// persist inside the scratch, so after warm-up not even thread spawns
-/// remain (`_exact` keeps the clamp from folding the 3-shard case).
-#[test]
-fn parallel_engine_does_not_allocate_after_warmup() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let ffc = Ffc::new(2, 10);
-    let total = ffc.graph().len();
-    let mut scratch = EmbedScratch::new();
-    let mut rng = StdRng::seed_from_u64(77);
-    for shards in [1usize, 3] {
-        let _ = ffc.embed_into_parallel_exact(&mut scratch, &[], shards);
-        let _ = ffc.embed_into_parallel_exact(&mut scratch, &[1], shards);
-        let heavy: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
-        let _ = ffc.embed_into_parallel_exact(&mut scratch, &heavy, shards);
-        let warm = scratch.allocated_bytes();
-        for trial in 0..60 {
-            let f = [0usize, 5, 40, 300][trial % 4];
-            let faults: Vec<usize> = (0..f).map(|_| rng.gen_range(0..total)).collect();
-            let _ = ffc.embed_into_parallel_exact(&mut scratch, &faults, shards);
-            assert_eq!(
-                scratch.allocated_bytes(),
-                warm,
-                "scratch grew on trial {trial} x{shards}"
-            );
-        }
-    }
-}
-
-/// The effective-shards clamp: a huge requested shard count on a small
-/// graph folds to 1 and the clamped entry point stays byte-identical
-/// to the serial engine (the public contract of
-/// [`Ffc::embed_into_parallel`] vs the `_exact` escape hatch).
-#[test]
-fn embed_into_parallel_clamps_oversubscribed_shard_requests() {
-    let ffc = Ffc::new(2, 10);
-    let mut serial = EmbedScratch::new();
-    let mut par = EmbedScratch::new();
-    for faults in [vec![], vec![7usize], vec![3, 99, 500]] {
-        let want = ffc.embed_into(&mut serial, &faults);
-        let got = ffc.embed_into_parallel(&mut par, &faults, 1 << 20);
-        assert_eq!(got, want, "stats diverge for {faults:?} under the clamp");
-        assert_eq!(par.cycle(), serial.cycle());
-    }
-    // The heuristic itself: small graphs fold any request to one shard;
-    // the node-count bound scales while the CPU bound caps.
-    use crate::bitreach::{effective_shards, MIN_NODES_PER_SHARD};
-    assert_eq!(effective_shards(1 << 20, 1024), 1);
-    assert_eq!(effective_shards(0, 1024), 1);
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    assert_eq!(
-        effective_shards(1 << 20, 64 * MIN_NODES_PER_SHARD),
-        cpus.min(64)
-    );
-    assert_eq!(effective_shards(1, 64 * MIN_NODES_PER_SHARD), 1);
-}
-
 /// Satellite regression: oversized spaces are rejected with the typed
 /// error before any table is allocated, instead of truncating node
 /// ids in release builds.
@@ -661,43 +520,13 @@ fn try_new_rejects_oversized_spaces() {
     assert_eq!(err.n_nodes, None);
     // In-range shapes still construct.
     assert!(Ffc::try_new(2, 10).is_ok());
-    assert!(Ffc::try_with_shards(3, 3, 2).is_ok());
+    assert!(Ffc::try_new(3, 3).is_ok());
 }
 
 #[test]
 #[should_panic(expected = "too large")]
 fn new_panics_on_oversized_spaces() {
     let _ = Ffc::new(2, 32);
-}
-
-/// Satellite audit: `EmbedScratch::allocated_bytes` must account for the
-/// parallel-path buffers. The serial engine shares the selection
-/// machinery (packed (stamp|level) / best-key slots, exit bitmap), so
-/// after a serial warm-up only `ParBitScratch` — the sharded atomic
-/// bitmaps plus worker pool — is still unsized; warming the parallel
-/// path must grow the accounting by at least that much (and then hold,
-/// per `parallel_engine_does_not_allocate_after_warmup`).
-#[test]
-fn allocated_bytes_accounts_for_parallel_path_buffers() {
-    let ffc = Ffc::new(2, 10);
-    let mut scratch = EmbedScratch::new();
-    let _ = ffc.embed_into(&mut scratch, &[]);
-    let _ = ffc.embed_into(&mut scratch, &[1, 5, 9]);
-    let serial_only = scratch.allocated_bytes();
-    // The shared selection buffers are already sized by the serial engine.
-    assert!(scratch.plvl.allocated_bytes() > 0);
-    assert!(scratch.pbest.allocated_bytes() > 0);
-    // The exact variant bypasses the effective-shards clamp (B(2,10) is
-    // far below MIN_NODES_PER_SHARD) so the sharded passes really run.
-    let _ = ffc.embed_into_parallel_exact(&mut scratch, &[1, 5, 9], 2);
-    let with_parallel = scratch.allocated_bytes();
-    assert!(
-        with_parallel > serial_only,
-        "parallel-path buffers (ParBitScratch) are missing from the \
-         accounting: {with_parallel} <= {serial_only}"
-    );
-    // The delta is at least the sharded atomic bitmaps' size.
-    assert!(with_parallel - serial_only >= scratch.pbits.allocated_bytes());
 }
 
 // ------------------------------------------------------------------
@@ -858,8 +687,8 @@ fn incremental_reset_and_graph_switch() {
 /// After warm-up at a fixed (d, n), repair events perform no heap
 /// allocation — the incremental analogue of
 /// `embed_into_does_not_allocate_after_warmup`, and the satellite audit
-/// that the session accounts every buffer it owns (delta scratch, CSR
-/// emission, parallel bitmaps included).
+/// that the session accounts every buffer it owns (delta scratch and CSR
+/// emission included).
 #[test]
 fn incremental_repairs_do_not_allocate_after_warmup() {
     use rand::rngs::StdRng;

@@ -46,7 +46,7 @@ use crate::ffc::{
 
 /// Tuning knobs for [`RingService::start`]. The defaults serve a heavy
 /// churn stream on one maintainer thread: a 1024-event queue, up to
-/// 64 events coalesced per repair batch, single-shard rebuilds.
+/// 64 events coalesced per repair batch.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOptions {
     /// Capacity of the bounded fault-event queue (clamped to ≥ 1).
@@ -58,11 +58,6 @@ pub struct ServeOptions {
     /// granularity for repair throughput: k queued events cost one fused
     /// delta pass and one publication instead of k.
     pub coalesce: usize,
-    /// Requested shard count for the maintainer's rebuild fallbacks.
-    /// Clamped per rebuild through [`crate::bitreach::effective_shards`]
-    /// (host core count, graph size); [`ServiceReport::effective_shards`]
-    /// records the resolved value.
-    pub shards: usize,
     /// Slot count of the epoch publication cell (how many recent
     /// generations stay pinned by the cell itself).
     pub slots: usize,
@@ -73,7 +68,6 @@ impl Default for ServeOptions {
         ServeOptions {
             queue_cap: 1024,
             coalesce: 64,
-            shards: 1,
             slots: epoch::DEFAULT_SLOTS,
         }
     }
@@ -149,10 +143,6 @@ pub struct ServiceReport {
     pub repairs: RepairStats,
     /// Outcome after the last absorbed batch (`None` if no event arrived).
     pub final_outcome: Option<RepairOutcome>,
-    /// Shard count the maintainer's rebuilds actually ran with:
-    /// [`ServeOptions::shards`] folded through
-    /// [`crate::bitreach::effective_shards`].
-    pub effective_shards: usize,
 }
 
 impl ServiceReport {
@@ -325,7 +315,7 @@ impl RingService {
     ) -> Result<RingService, RepairError> {
         let (d, n_nodes) = (ffc.graph().d() as usize, ffc.graph().len());
         let suffix = n_nodes / d;
-        let mut maint = RingMaintainer::with_shards(opts.shards.max(1));
+        let mut maint = RingMaintainer::new();
         maint.reset(&ffc, initial_faults)?;
         let mut publisher = SnapshotPublisher::new();
         let first = maint.publish(&mut publisher, 0)?;
@@ -484,7 +474,6 @@ fn writer_loop(
     report.copied_chunks = publisher.copied_chunks() - initial_copies;
     report.session_bytes = maint.allocated_bytes();
     report.repairs = maint.repairs();
-    report.effective_shards = maint.effective_shards(ffc);
     report
 }
 
@@ -538,9 +527,6 @@ mod tests {
             "one publication per batch plus the initial one"
         );
         assert_eq!(report.repair_ns.len(), report.publish_ns.len());
-        // B(2,5) is far below MIN_NODES_PER_SHARD: the heuristic folds
-        // the requested single shard to exactly one effective shard.
-        assert_eq!(report.effective_shards, 1);
         // After drain the fault set is empty again: the final snapshot is
         // the healthy ring and the reader observes it.
         let snap = reader.snapshot();

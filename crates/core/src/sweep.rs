@@ -100,7 +100,6 @@ pub struct SweepPlan {
     trials: usize,
     seed: u64,
     collect_cycles: bool,
-    embed_shards: usize,
 }
 
 impl SweepPlan {
@@ -113,7 +112,6 @@ impl SweepPlan {
             trials,
             seed,
             collect_cycles: false,
-            embed_shards: 0,
         }
     }
 
@@ -124,21 +122,6 @@ impl SweepPlan {
     #[must_use]
     pub fn collect_cycles(mut self, yes: bool) -> Self {
         self.collect_cycles = yes;
-        self
-    }
-
-    /// Runs each full-cycle trial on the parallel engine
-    /// ([`Ffc::embed_into_parallel`]) with `shards` shards (clamped to at
-    /// least 1; without this call, trials run the serial
-    /// [`Ffc::embed_into`]). Meaningful for plans with **few, huge**
-    /// embeddings — e.g. one B(2,20) full-ring reconfiguration per trial
-    /// — where the parallel engine wins even at `shards == 1` (no
-    /// threads spawned) and per-embedding sharding beats the batch
-    /// engine's trial-level sharding beyond that. The results are
-    /// bit-identical either way; stats-only plans ignore the setting.
-    #[must_use]
-    pub fn embed_shards(mut self, shards: usize) -> Self {
-        self.embed_shards = shards.max(1);
         self
     }
 
@@ -164,14 +147,6 @@ impl SweepPlan {
     #[must_use]
     pub fn cycles_requested(&self) -> bool {
         self.collect_cycles
-    }
-
-    /// The per-embedding shard count full-cycle trials run with on the
-    /// parallel engine, or 0 when the plan keeps the serial engine (the
-    /// default).
-    #[must_use]
-    pub fn embed_shards_requested(&self) -> usize {
-        self.embed_shards
     }
 
     /// The RNG seed of trial `trial`: a SplitMix64-style mix of the plan
@@ -407,12 +382,7 @@ impl Ffc {
             let f = plan.schedule().faults_for(trial);
             let faults = drawer.draw(n_nodes, plan.trial_seed(trial), f);
             let (stats, cycle) = if plan.cycles_requested() {
-                let stats = if plan.embed_shards_requested() > 0 {
-                    self.embed_into_parallel(scratch, faults, plan.embed_shards_requested())
-                } else {
-                    self.embed_into(scratch, faults)
-                };
-                (stats, Some(scratch.cycle()))
+                (self.embed_into(scratch, faults), Some(scratch.cycle()))
             } else {
                 (self.embed_stats_into(scratch, faults), None)
             };
@@ -461,11 +431,6 @@ impl Ffc {
         let max = schedule.max_faults().min(n_nodes);
         row.clear();
         row.extend_from_slice(drawer.draw(n_nodes, plan.trial_seed(0), max));
-        if plan.embed_shards_requested() > 0 {
-            // Retune in place: the warmed session buffers survive across
-            // embed_batch calls.
-            maintainer.set_shards(plan.embed_shards_requested());
-        }
         let mut cur = schedule.faults_for(range.start).min(n_nodes);
         maintainer
             .reset(self, &row[..cur])
@@ -643,52 +608,6 @@ mod tests {
         assert_eq!(one.len(), 37);
         for shards in [2usize, 3, 5, 8, 64] {
             assert_eq!(collect(shards), one, "shards={shards}");
-        }
-    }
-
-    /// A full-cycle plan on the parallel engine must reproduce the serial
-    /// plan bit for bit — faults, stats and cycles — whatever the
-    /// combination of trial-level and embedding-level sharding.
-    #[test]
-    fn batch_with_parallel_embeds_matches_serial_engine() {
-        let ffc = Ffc::new(2, 6);
-        type Row = (usize, Vec<usize>, EmbedStats, Vec<usize>);
-        let collect = |embed_shards: usize, batch_shards: usize| -> Vec<Row> {
-            let plan = SweepPlan::new(FaultSchedule::Cycling(vec![0, 1, 3, 6]), 19, 11)
-                .collect_cycles(true)
-                .embed_shards(embed_shards);
-            let mut batch = BatchEmbedder::new(batch_shards);
-            ffc.embed_batch(&mut batch, &plan, |acc: &mut Vec<Row>, trial| {
-                acc.push((
-                    trial.index,
-                    trial.faults.to_vec(),
-                    trial.stats,
-                    trial.cycle.expect("plan requested cycles").to_vec(),
-                ));
-            })
-        };
-        let want = {
-            let plan = SweepPlan::new(FaultSchedule::Cycling(vec![0, 1, 3, 6]), 19, 11)
-                .collect_cycles(true);
-            let mut batch = BatchEmbedder::new(1);
-            ffc.embed_batch(&mut batch, &plan, |acc: &mut Vec<Row>, trial| {
-                acc.push((
-                    trial.index,
-                    trial.faults.to_vec(),
-                    trial.stats,
-                    trial.cycle.expect("plan requested cycles").to_vec(),
-                ));
-            })
-        };
-        assert_eq!(want.len(), 19);
-        // embed_shards(1) selects the single-threaded parallel engine —
-        // still bit-identical to the serial default above.
-        for (embed_shards, batch_shards) in [(1usize, 1usize), (2, 1), (3, 2), (5, 4)] {
-            assert_eq!(
-                collect(embed_shards, batch_shards),
-                want,
-                "embed x{embed_shards} batch x{batch_shards}"
-            );
         }
     }
 

@@ -16,13 +16,10 @@
 //!   justifies it. `Relaxed` is only legal in modules whose header
 //!   declares a `barrier-phased` or `single-writer` protocol — those are
 //!   the two disciplines under which a relaxed store is provably not a
-//!   data-race-hiding shortcut (and the `racecheck` shadow detector
-//!   executes exactly that claim, see `debruijn_core::bitreach`).
+//!   data-race-hiding shortcut.
 //! * **`forbid-unsafe`** — every crate root (`src/lib.rs`,
 //!   `src/main.rs`, `src/bin/*.rs`) must declare
-//!   `#![forbid(unsafe_code)]` unless the crate is on the explicit
-//!   allowlist (`vendor/shardpool` only, whose lifetime-erasing job
-//!   publication is the one audited `unsafe` island of the workspace).
+//!   `#![forbid(unsafe_code)]`; no workspace crate holds `unsafe` code.
 //! * **`no-panic-path`** — in the repair/serve path modules
 //!   (`ffc/session.rs`, `serve.rs`) the panic family (`.unwrap()`,
 //!   `.expect(`, `panic!`, `todo!`) is forbidden outside `#[cfg(test)]`
@@ -98,12 +95,10 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Lint configuration: which crates may hold `unsafe`, which modules are
-/// on the no-panic path, and which directories the walker skips.
+/// Lint configuration: which modules are on the no-panic path, and which
+/// directories the walker skips.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Crate roots (relative paths) allowed to omit `#![forbid(unsafe_code)]`.
-    pub unsafe_allowlist: Vec<PathBuf>,
     /// Path suffixes of modules where the panic family is forbidden.
     pub no_panic_modules: Vec<PathBuf>,
     /// Directory names / relative prefixes the walker skips.
@@ -115,7 +110,6 @@ impl Config {
     #[must_use]
     pub fn repo_default() -> Self {
         Config {
-            unsafe_allowlist: vec![PathBuf::from("vendor/shardpool/src/lib.rs")],
             no_panic_modules: vec![
                 PathBuf::from("crates/core/src/ffc/session.rs"),
                 PathBuf::from("crates/core/src/serve.rs"),
@@ -479,7 +473,7 @@ pub fn lint_file(path: &Path, contents: &str, config: &Config) -> Vec<Diagnostic
         || path
             .parent()
             .is_some_and(|p| p.ends_with("src/bin") && path.extension().is_some());
-    if is_crate_root && !config.unsafe_allowlist.iter().any(|a| path.ends_with(a)) {
+    if is_crate_root {
         let has_forbid = lines
             .iter()
             .any(|l| l.code.replace(' ', "").contains("#![forbid(unsafe_code)]"));
@@ -487,9 +481,7 @@ pub fn lint_file(path: &Path, contents: &str, config: &Config) -> Vec<Diagnostic
             out.push(diag(
                 1,
                 Rule::ForbidUnsafe,
-                "crate root must declare #![forbid(unsafe_code)] (only allowlisted \
-                 crates may hold unsafe code)"
-                    .to_string(),
+                "crate root must declare #![forbid(unsafe_code)]".to_string(),
             ));
         }
     }

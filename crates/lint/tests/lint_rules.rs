@@ -86,15 +86,6 @@ fn panic_family_on_the_repair_path_fires() {
 }
 
 #[test]
-fn allowlisted_crate_root_may_omit_forbid() {
-    let mut config = fixture_config();
-    config
-        .unsafe_allowlist
-        .push(PathBuf::from("bad/missing_forbid/src/lib.rs"));
-    assert_eq!(findings("bad/missing_forbid/src/lib.rs", &config), vec![]);
-}
-
-#[test]
 fn good_corpus_is_clean() {
     // clean_module.rs is linted AS a no-panic path module (the config
     // names it), so its PANIC-OK waiver and cfg(test) exemption are

@@ -90,23 +90,15 @@ impl NecklacePartition {
     /// Builds the necklace partition of the words of `space` with a single
     /// FKM (Fredricksen–Kessler–Maiorana) necklace-enumeration pass: the
     /// representatives arrive in increasing order with their periods for
-    /// free, so no word is ever canonicalised individually.
-    #[must_use]
-    pub fn new(space: WordSpace) -> Self {
-        Self::with_shards(space, 1)
-    }
-
-    /// [`NecklacePartition::new`] with the membership/CSR fill sharded
-    /// over `shards` scoped threads (clamped to at least 1). The output is
-    /// bit-identical at any shard count: shards own disjoint necklace-id
-    /// ranges, so every membership slot and CSR entry has exactly one
-    /// writer.
+    /// free, so no word is ever canonicalised individually. The member CSR
+    /// lists each necklace in rotation order ([`WordSpace::rotate_left`]
+    /// is mask/shift arithmetic for power-of-two alphabets).
     ///
     /// # Panics
     /// Panics if the space has more than `u32::MAX` words (the same node
     /// indexing limit as the embedding engine's tables).
     #[must_use]
-    pub fn with_shards(space: WordSpace, shards: usize) -> Self {
+    pub fn new(space: WordSpace) -> Self {
         let count = space.count() as usize;
         assert!(
             u32::try_from(count).is_ok(),
@@ -122,22 +114,17 @@ impl NecklacePartition {
         }
         debug_assert_eq!(total as usize, count, "necklace lengths must tile d^n");
 
-        let shards = shards.max(1).min(necklaces.len().max(1));
-        let (membership, neck_node) = if shards == 1 {
-            let mut membership = vec![u32::MAX; count];
-            let mut neck_node = vec![0u32; count];
-            fill_members(
-                &necklaces,
-                &neck_offset,
-                0,
-                space,
-                &mut neck_node,
-                |code, id| membership[code] = id,
-            );
-            (membership, neck_node)
-        } else {
-            fill_members_sharded(&necklaces, &neck_offset, space, count, shards)
-        };
+        let mut membership = vec![u32::MAX; count];
+        let mut neck_node = vec![0u32; count];
+        for (id, neck) in necklaces.iter().enumerate() {
+            let lo = neck_offset[id] as usize;
+            let mut cur = neck.representative;
+            for slot in &mut neck_node[lo..lo + neck.length as usize] {
+                *slot = cur as u32;
+                membership[cur as usize] = id as u32;
+                cur = space.rotate_left(cur);
+            }
+        }
         NecklacePartition {
             space,
             membership,
@@ -290,86 +277,6 @@ fn enumerate_necklaces(space: WordSpace) -> Vec<Necklace> {
     out
 }
 
-/// Walks the members of `necklaces[first_id..]` whose CSR slots fall in
-/// `neck_node` (already narrowed to the shard's slice): writes the CSR
-/// entries in rotation order ([`WordSpace::rotate_left`] is mask/shift
-/// arithmetic for power-of-two alphabets) and reports each `(code, id)`
-/// pair to `membership` (a closure so the serial and sharded fills can
-/// share the loop while storing into `Vec<u32>` and `Vec<AtomicU32>`
-/// respectively).
-fn fill_members<F: FnMut(usize, u32)>(
-    necklaces: &[Necklace],
-    neck_offset: &[u32],
-    first_id: usize,
-    space: WordSpace,
-    neck_node: &mut [u32],
-    mut membership: F,
-) {
-    let base = neck_offset[first_id] as usize;
-    for (k, neck) in necklaces.iter().enumerate() {
-        let id = (first_id + k) as u32;
-        let lo = neck_offset[first_id + k] as usize - base;
-        let mut cur = neck.representative;
-        for slot in &mut neck_node[lo..lo + neck.length as usize] {
-            *slot = cur as u32;
-            membership(cur as usize, id);
-            cur = space.rotate_left(cur);
-        }
-    }
-}
-
-/// The sharded membership/CSR fill: necklace ids are split into contiguous
-/// ranges balanced by member count; each scoped thread writes its own
-/// `neck_node` slice (disjoint by construction) and its members' slots of
-/// an atomic membership table (every word belongs to exactly one necklace,
-/// so the relaxed stores never race on a slot).
-///
-/// ATOMICS: single-writer Relaxed stores — every membership slot belongs
-/// to exactly one necklace and hence to exactly one shard, and the scope
-/// join publishes the table to the caller; no cross-thread read happens
-/// before the join, so no store needs release semantics.
-fn fill_members_sharded(
-    necklaces: &[Necklace],
-    neck_offset: &[u32],
-    space: WordSpace,
-    count: usize,
-    shards: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    let membership: Vec<AtomicU32> = (0..count).map(|_| AtomicU32::new(u32::MAX)).collect();
-    let mut neck_node = vec![0u32; count];
-    // Shard k owns necklace ids [bounds[k], bounds[k+1]): the first id
-    // whose CSR offset reaches the k-th equal slice of the node count.
-    let bounds: Vec<usize> = (0..=shards)
-        .map(|k| neck_offset.partition_point(|&o| (o as usize) < count * k / shards))
-        .collect();
-    std::thread::scope(|scope| {
-        let mut rest = neck_node.as_mut_slice();
-        let mut consumed = 0usize;
-        for k in 0..shards {
-            let (lo, hi) = (bounds[k], bounds[k + 1]);
-            let span = neck_offset[hi] as usize - neck_offset[lo] as usize;
-            let (mine, tail) = rest.split_at_mut(span);
-            rest = tail;
-            debug_assert_eq!(neck_offset[lo] as usize, consumed);
-            consumed += span;
-            let necks = &necklaces[lo..hi];
-            let membership = &membership;
-            scope.spawn(move || {
-                fill_members(necks, neck_offset, lo, space, mine, |code, id| {
-                    membership[code].store(id, Ordering::Relaxed);
-                });
-            });
-        }
-    });
-    let membership = membership
-        .into_iter()
-        .map(std::sync::atomic::AtomicU32::into_inner)
-        .collect();
-    (membership, neck_node)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,27 +394,6 @@ mod tests {
             for (neck, &(rep, period)) in part.necklaces().iter().zip(&necklaces) {
                 assert_eq!(neck.representative(), rep, "d={d} n={n}");
                 assert_eq!(neck.len() as u32, period, "d={d} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_build_is_bit_identical_at_any_shard_count() {
-        for (d, n) in [(2u64, 9u32), (3, 4), (4, 3), (5, 2)] {
-            let s = WordSpace::new(d, n);
-            let serial = NecklacePartition::new(s);
-            for shards in [2usize, 3, 5, 16, 1000] {
-                let sharded = NecklacePartition::with_shards(s, shards);
-                assert_eq!(sharded.membership(), serial.membership(), "shards={shards}");
-                assert_eq!(sharded.necklaces(), serial.necklaces(), "shards={shards}");
-                assert_eq!(
-                    sharded.member_offsets(),
-                    serial.member_offsets(),
-                    "shards={shards}"
-                );
-                for id in 0..serial.len() {
-                    assert_eq!(sharded.members(id), serial.members(id), "shards={shards}");
-                }
             }
         }
     }

@@ -1018,18 +1018,15 @@ mod tests {
     /// ≤ 2, the distributed protocol, the centralized incremental engine
     /// (`RingMaintainer`, via the shared online harness — which also
     /// pins the protocol's per-round message counts against the
-    /// maintainer's phase work), the centralized serial engine and the
-    /// centralized **parallel** engine (`embed_into_parallel`, at a
-    /// genuinely multi-threaded shard count) must all trace the identical
-    /// cycle (same nodes, same order). Both B(2,5) and B(3,3) push past
-    /// the f ≤ d−2 guarantee, so this also covers fault loads where B*
-    /// needs a genuine component search.
+    /// maintainer's phase work) and the centralized from-scratch engine
+    /// must all trace the identical cycle (same nodes, same order). Both
+    /// B(2,5) and B(3,3) push past the f ≤ d−2 guarantee, so this also
+    /// covers fault loads where B* needs a genuine component search.
     #[test]
     fn exhaustively_matches_centralized_on_small_fault_sets() {
         for (d, n) in [(2u64, 5u32), (3, 3)] {
             let runner = DistributedFfc::new(d, n);
             let total = runner.graph().len();
-            let mut scratch = debruijn_core::EmbedScratch::new();
             let mut maint = debruijn_core::RingMaintainer::new();
             let mut ring = Vec::new();
             let mut fault_sets: Vec<Vec<usize>> = vec![Vec::new()];
@@ -1052,20 +1049,11 @@ mod tests {
                     &mut ring,
                 )
                 .unwrap_or_else(|e| panic!("{faults:?} in B({d},{n}): {e}"));
-                // …and the serial + parallel engines close the loop.
+                // …and the from-scratch engine closes the loop.
                 let reference = runner.reference().embed(faults);
                 assert_eq!(
                     reference.cycle, ring,
                     "serial engine differs for {faults:?} in B({d},{n})"
-                );
-                let parallel = runner
-                    .reference()
-                    .embed_into_parallel(&mut scratch, faults, 3);
-                assert_eq!(parallel.root, reference.root, "{faults:?} in B({d},{n})");
-                assert_eq!(
-                    scratch.cycle(),
-                    &ring[..],
-                    "parallel engine deviates from the protocol for {faults:?} in B({d},{n})"
                 );
             }
         }

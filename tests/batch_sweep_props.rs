@@ -91,53 +91,6 @@ proptest! {
         }
     }
 
-    /// Full-pipeline plans on the parallel embedding engine
-    /// (`SweepPlan::embed_shards`): per-trial stats, fault draws and cycle
-    /// bytes stay bit-identical to the serial `embed_into` loop for every
-    /// combination of trial-level and embedding-level sharding.
-    #[test]
-    fn embed_batch_with_parallel_engine_matches_serial(
-        (d, n) in small_debruijn(),
-        sched in schedule(),
-        trials in 1usize..24,
-        seed in any::<u64>(),
-    ) {
-        let ffc = Ffc::new(d, n);
-        let base = SweepPlan::new(sched, trials, seed).collect_cycles(true);
-        let expected = serial_oracle(&ffc, &base);
-        for (embed_shards, batch_shards) in [(2usize, 1usize), (3, 2), (5, 5)] {
-            let plan = base.clone().embed_shards(embed_shards);
-            let mut batch = BatchEmbedder::new(batch_shards);
-            type Row = (usize, Vec<usize>, EmbedStats, Vec<usize>);
-            let got: Vec<Row> = ffc.embed_batch(&mut batch, &plan, |acc: &mut Vec<Row>, trial| {
-                acc.push((
-                    trial.index,
-                    trial.faults.to_vec(),
-                    trial.stats,
-                    trial.cycle.expect("plan requested cycles").to_vec(),
-                ));
-            });
-            prop_assert_eq!(got.len(), trials);
-            for (i, ((faults, stats, cycle), (idx, b_faults, b_stats, b_cycle))) in
-                expected.iter().zip(&got).enumerate()
-            {
-                prop_assert_eq!(*idx, i, "embed x{} batch x{}", embed_shards, batch_shards);
-                prop_assert_eq!(
-                    faults, b_faults,
-                    "faults diverge at trial {} embed x{} batch x{}", i, embed_shards, batch_shards
-                );
-                prop_assert_eq!(
-                    stats, b_stats,
-                    "stats diverge at trial {} embed x{} batch x{}", i, embed_shards, batch_shards
-                );
-                prop_assert_eq!(
-                    cycle, b_cycle,
-                    "cycle diverges at trial {} embed x{} batch x{}", i, embed_shards, batch_shards
-                );
-            }
-        }
-    }
-
     /// Stats-only plans: the bit-parallel fast path reports the identical
     /// stats (and no cycle) at every shard count — identical to both the
     /// full-pipeline serial loop and the retained u8-stamp oracle path on

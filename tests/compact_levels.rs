@@ -2,10 +2,10 @@
 //! `LevelVec` storage behind every level array must be bit-for-bit
 //! invisible. Exhaustive ≤2-fault sweeps on B(2,5) and B(3,3) pin the
 //! published broadcast levels against a scalar BFS oracle and pin the
-//! incremental (delta-pass) path against from-scratch resets at rebuild
-//! shard counts 1, 2 and 5; a B(2,14) property test crosses the
-//! sparse↔dense switch; and a warmed-up maintainer must absorb further
-//! churn through the skip-scan delta path without allocating.
+//! incremental (delta-pass) path against from-scratch resets; a B(2,14)
+//! property test crosses the sparse↔dense switch; and a warmed-up
+//! maintainer must absorb further churn through the skip-scan delta path
+//! without allocating.
 
 use std::collections::VecDeque;
 
@@ -55,34 +55,32 @@ fn exhaustive_two_fault_broadcast_levels_match_the_scalar_oracle() {
     for &(d, n) in &[(2u64, 5u32), (3, 3)] {
         let ffc = Ffc::new(d, n);
         let total = ffc.graph().len();
-        for shards in [1usize, 2, 5] {
-            let mut maint = RingMaintainer::with_shards(shards);
-            let mut publisher = SnapshotPublisher::new();
-            for faults in fault_sets(total) {
-                maint.reset(&ffc, &faults).expect("in-range");
-                let snap = maint.publish(&mut publisher, 0).expect("publish");
-                match snap.root() {
-                    Some(root) => {
-                        let member: Vec<bool> = (0..total)
-                            .map(|v| snap.contains(v).expect("in range"))
-                            .collect();
-                        let want = oracle_levels(d as usize, total, &member, root);
-                        for (v, want_v) in want.iter().enumerate() {
-                            assert_eq!(
-                                snap.broadcast_level(v).expect("in range"),
-                                *want_v,
-                                "d={d} n={n} shards={shards} faults={faults:?} node {v}"
-                            );
-                        }
+        let mut maint = RingMaintainer::new();
+        let mut publisher = SnapshotPublisher::new();
+        for faults in fault_sets(total) {
+            maint.reset(&ffc, &faults).expect("in-range");
+            let snap = maint.publish(&mut publisher, 0).expect("publish");
+            match snap.root() {
+                Some(root) => {
+                    let member: Vec<bool> = (0..total)
+                        .map(|v| snap.contains(v).expect("in range"))
+                        .collect();
+                    let want = oracle_levels(d as usize, total, &member, root);
+                    for (v, want_v) in want.iter().enumerate() {
+                        assert_eq!(
+                            snap.broadcast_level(v).expect("in range"),
+                            *want_v,
+                            "d={d} n={n} faults={faults:?} node {v}"
+                        );
                     }
-                    None => {
-                        for v in 0..total {
-                            assert_eq!(
-                                snap.broadcast_level(v).expect("in range"),
-                                None,
-                                "infeasible levels d={d} faults={faults:?}"
-                            );
-                        }
+                }
+                None => {
+                    for v in 0..total {
+                        assert_eq!(
+                            snap.broadcast_level(v).expect("in range"),
+                            None,
+                            "infeasible levels d={d} faults={faults:?}"
+                        );
                     }
                 }
             }
@@ -95,32 +93,30 @@ fn exhaustive_two_fault_incremental_levels_match_from_scratch() {
     for &(d, n) in &[(2u64, 5u32), (3, 3)] {
         let ffc = Ffc::new(d, n);
         let total = ffc.graph().len();
-        for shards in [1usize, 2, 5] {
-            let mut inc = RingMaintainer::with_shards(shards);
-            let mut fresh = RingMaintainer::with_shards(shards);
-            let mut pub_inc = SnapshotPublisher::new();
-            let mut pub_fresh = SnapshotPublisher::new();
-            for faults in fault_sets(total) {
-                // The incremental maintainer reaches the fault set through
-                // the delta passes (one add_fault at a time from empty);
-                // the fresh one rebuilds it from scratch.
-                inc.reset(&ffc, &[]).expect("in-range");
-                for &v in &faults {
-                    inc.add_fault(&ffc, v).expect("in-range");
-                }
-                fresh.reset(&ffc, &faults).expect("in-range");
-                assert_eq!(inc.stats(), fresh.stats(), "stats faults={faults:?}");
-                let a = inc
-                    .publish(&mut pub_inc, faults.len() as u64)
-                    .expect("publish");
-                let b = fresh.publish(&mut pub_fresh, 0).expect("publish");
-                for v in 0..total {
-                    assert_eq!(
-                        a.broadcast_level(v).expect("in range"),
-                        b.broadcast_level(v).expect("in range"),
-                        "d={d} shards={shards} faults={faults:?} node {v}"
-                    );
-                }
+        let mut inc = RingMaintainer::new();
+        let mut fresh = RingMaintainer::new();
+        let mut pub_inc = SnapshotPublisher::new();
+        let mut pub_fresh = SnapshotPublisher::new();
+        for faults in fault_sets(total) {
+            // The incremental maintainer reaches the fault set through the
+            // delta passes (one add_fault at a time from empty); the fresh
+            // one rebuilds it from scratch.
+            inc.reset(&ffc, &[]).expect("in-range");
+            for &v in &faults {
+                inc.add_fault(&ffc, v).expect("in-range");
+            }
+            fresh.reset(&ffc, &faults).expect("in-range");
+            assert_eq!(inc.stats(), fresh.stats(), "stats faults={faults:?}");
+            let a = inc
+                .publish(&mut pub_inc, faults.len() as u64)
+                .expect("publish");
+            let b = fresh.publish(&mut pub_fresh, 0).expect("publish");
+            for v in 0..total {
+                assert_eq!(
+                    a.broadcast_level(v).expect("in range"),
+                    b.broadcast_level(v).expect("in range"),
+                    "d={d} faults={faults:?} node {v}"
+                );
             }
         }
     }

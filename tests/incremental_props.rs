@@ -3,8 +3,7 @@
 //! root-necklace kills that force rebuild fallbacks — must leave the
 //! `RingMaintainer` with stats identical to a from-scratch
 //! `embed_stats_into` of the accumulated fault set after **every** event,
-//! and with ring bytes identical to `embed_into` at checkpoints, at
-//! rebuild shard counts 1, 2 and 5.
+//! and with ring bytes identical to `embed_into` at checkpoints.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,14 +17,12 @@ proptest! {
     #[test]
     fn maintainer_matches_from_scratch_on_b2_14(
         seed in any::<u64>(),
-        shards_idx in 0usize..3,
         events in 10usize..24,
     ) {
-        let shards = [1usize, 2, 5][shards_idx];
         let ffc = Ffc::new(2, 14);
         let total = ffc.graph().len();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut maint = RingMaintainer::with_shards(shards);
+        let mut maint = RingMaintainer::new();
         let mut scratch = EmbedScratch::new();
         let mut ring = Vec::new();
         let mut faults: Vec<usize> = Vec::new();
@@ -52,7 +49,7 @@ proptest! {
             let want = ffc.embed_stats_into(&mut scratch, &faults);
             prop_assert_eq!(
                 maint.stats(), want,
-                "stats diverge at step {} (shards={}, faults={:?})", step, shards, &faults
+                "stats diverge at step {} (faults={:?})", step, &faults
             );
             // Ring bytes at checkpoints (the walk is O(|B*|), so not every
             // step).
@@ -62,7 +59,7 @@ proptest! {
                 maint.ring_into(&mut ring);
                 prop_assert_eq!(
                     &ring[..], scratch.cycle(),
-                    "ring bytes diverge at step {} (shards={})", step, shards
+                    "ring bytes diverge at step {}", step
                 );
             }
         }
@@ -74,21 +71,19 @@ proptest! {
     /// fault/repair events through `apply_batch`, checked after every
     /// batch against a from-scratch `embed_stats_into` of the modelled
     /// exclusion set (node faults plus edge-fault sources), with ring
-    /// bytes at checkpoints — at rebuild shard counts 1, 2 and 5.
+    /// bytes at checkpoints.
     #[test]
     fn batched_mixed_events_match_from_scratch_on_b2_14(
         seed in any::<u64>(),
-        shards_idx in 0usize..3,
         batches in 6usize..14,
     ) {
-        let shards = [1usize, 2, 5][shards_idx];
         let ffc = Ffc::new(2, 14);
         let d = 2usize;
         let n = 14u32;
         let total = ffc.graph().len();
         let suffix = total / d;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut maint = RingMaintainer::with_shards(shards);
+        let mut maint = RingMaintainer::new();
         let mut scratch = EmbedScratch::new();
         let mut ring = Vec::new();
         maint.reset(&ffc, &[]).expect("in-range");
@@ -137,7 +132,7 @@ proptest! {
             let want = ffc.embed_stats_into(&mut scratch, &faults);
             prop_assert_eq!(
                 maint.stats(), want,
-                "stats diverge at batch {} (shards={}, batch={:?})", step, shards, &batch
+                "stats diverge at batch {} (batch={:?})", step, &batch
             );
             if step % 5 == 0 || step + 1 == batches {
                 let full = ffc.embed_into(&mut scratch, &faults);
@@ -145,7 +140,7 @@ proptest! {
                 maint.ring_into(&mut ring);
                 prop_assert_eq!(
                     &ring[..], scratch.cycle(),
-                    "ring bytes diverge at batch {} (shards={})", step, shards
+                    "ring bytes diverge at batch {}", step
                 );
             }
         }

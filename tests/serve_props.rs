@@ -78,6 +78,17 @@ fn assert_snapshot_matches_prefix(
         "snapshot claims more events than were ever submitted"
     );
     let excl = exclusion_of(&events[..k]);
+    if snap.outcome().is_infeasible() {
+        // Every necklace of the prefix carries a fault: there is no ring to
+        // embed from scratch, and the snapshot must serve the empty one.
+        assert!(
+            ffc.faulty_necklace_mask(&excl).iter().all(|&faulty| faulty),
+            "infeasible snapshot at prefix {k} although a necklace is live"
+        );
+        assert_eq!(snap.ring_len(), 0);
+        assert!((0..snap.n_nodes()).all(|v| snap.contains(v) == Ok(false)));
+        return;
+    }
     let want = ffc.embed_into(scratch, &excl);
     assert_eq!(
         snap.stats(),
