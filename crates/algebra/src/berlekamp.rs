@@ -7,7 +7,7 @@
 //! the symbol sequence alone. It is used to validate generated cycles, to
 //! identify which translate an observed window belongs to, and as the
 //! standard tool for linear-complexity analysis of de Bruijn-like
-//! sequences [Fre82].
+//! sequences \[Fre82\].
 
 use crate::gf::GField;
 use crate::polygf::PolyGf;

@@ -249,7 +249,7 @@ impl PolyGf {
     }
 
     /// Finds a monic primitive polynomial of degree n over GF(q) by
-    /// exhaustive search. Exists for every finite field and n ≥ 1 [LP84].
+    /// exhaustive search. Exists for every finite field and n ≥ 1 \[LP84\].
     ///
     /// # Panics
     /// Panics if q^n overflows u64 (far beyond any realistic network size).

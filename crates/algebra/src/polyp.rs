@@ -1,7 +1,7 @@
 //! Dense polynomials over the prime field Z_p.
 //!
 //! These are the workhorse for constructing Galois fields GF(p^e): the
-//! field is built as Z_p[x] modulo a degree-e primitive polynomial, which
+//! field is built as `Z_p[x]` modulo a degree-e primitive polynomial, which
 //! this module can find by exhaustive search (alphabet sizes in
 //! interconnection networks are tiny, so the search space is as well).
 //!

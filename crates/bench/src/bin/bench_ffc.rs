@@ -8,11 +8,12 @@
 //!   - `embed_ns` / `embeds_per_sec` — the full `embed_into` pipeline on a
 //!     reused scratch over a Table 2.1-style trial schedule (f cycles
 //!     0..=8);
-//!   - `reference_embed_ns` / `speedup` — the retained textbook
-//!     implementation on the same fault sets (fewer trials);
+//!   - `reference_embed_ns` / `speedup` — the textbook implementation
+//!     (`oracle::embed_reference`) on the same fault sets (fewer trials);
 //!   - `stats_only` — the stats-only paths head to head: the PR 2
-//!     u8-stamp engine (`embed_stats_into_u8`) vs the bit-parallel engine
-//!     (`embed_stats_into`), with `speedup` = u8 / bit;
+//!     u8-stamp engine (`oracle::embed_stats_into_u8`, on its own
+//!     scratch) vs the bit-parallel engine (`embed_stats_into`), with
+//!     `speedup` = u8 / bit;
 //!   - `batch` — the batch sweep engine (`Ffc::embed_batch`, stats-only
 //!     plan, bit-parallel path) at 1, 2, 4 and 8 shards; `speedup` is vs
 //!     the serial `embed_into` loop above.
@@ -70,8 +71,8 @@
 //!   a CI-gated floor of 1.0 like every other `speedup`).
 //!
 //! A `--kernels` micro-tier additionally races the two dense sweep
-//! kernels word for word — the retained two-phase scalar reference
-//! (`BitReach::kernel_step_scalar`: fold pass, then expand pass) against
+//! kernels word for word — the two-phase scalar reference
+//! (`oracle::kernel_step_scalar`: fold pass, then expand pass) against
 //! the fused kernel the engine runs (`BitReach::kernel_step_fused`) —
 //! over warm bitmaps at B(2,16), B(2,18) and B(2,20) shapes, forward
 //! and backward. Rows report words/sec per kernel and `speedup` =
@@ -126,6 +127,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use debruijn_core::bitreach::{extract_bits, extract_bits_skip, sum_words, summarize_bits};
+use debruijn_core::oracle::{self, U8StatsScratch};
 use debruijn_core::verify::{is_debruijn_ring, ring_avoids_nodes};
 use debruijn_core::{
     replay_churn, BatchEmbedder, BitReach, ChurnPlan, ChurnReport, ChurnStep, EmbedScratch,
@@ -413,7 +415,9 @@ fn kernel_tier(smoke: bool) -> Vec<String> {
                         rep_sink ^= if fused {
                             reach.kernel_step_fused(backward, &cur, &mut vis, &mut nxt)
                         } else {
-                            reach.kernel_step_scalar(backward, &cur, &mut vis, &mut nxt, &mut fold)
+                            oracle::kernel_step_scalar(
+                                &reach, backward, &cur, &mut vis, &mut nxt, &mut fold,
+                            )
                         };
                     }
                     best = best.min(start.elapsed());
@@ -1146,12 +1150,14 @@ fn main() {
             continue;
         }
 
-        // Stats-only paths head to head: PR 2's u8-stamp engine vs the
-        // bit-parallel engine (warm-up sizes every buffer first).
-        let _ = ffc.embed_stats_into_u8(&mut scratch, &sets[0]);
+        // Stats-only paths head to head: the u8-stamp engine (the oracle,
+        // on its own scratch) vs the bit-parallel engine (warm-up sizes
+        // every buffer first).
+        let mut u8_scratch = U8StatsScratch::default();
+        let _ = oracle::embed_stats_into_u8(&ffc, &mut u8_scratch, &sets[0]);
         let _ = ffc.embed_stats_into(&mut scratch, &sets[0]);
         let (u8_ns, u8_eps, c1) = time_loop(&sets, |f| {
-            ffc.embed_stats_into_u8(&mut scratch, f).component_size
+            oracle::embed_stats_into_u8(&ffc, &mut u8_scratch, f).component_size
         });
         let (bit_ns, bit_eps, c2) = time_loop(&sets, |f| {
             ffc.embed_stats_into(&mut scratch, f).component_size
@@ -1182,7 +1188,7 @@ fn main() {
             let ref_trials = (cfg.trials / 20).max(20).min(sets.len());
             let start = Instant::now();
             for faults in sets.iter().take(ref_trials) {
-                checksum ^= ffc.embed_reference(faults).component_size;
+                checksum ^= oracle::embed_reference(&ffc, faults).component_size;
             }
             let reference = start.elapsed();
             let reference_embed_ns = reference.as_nanos() as f64 / ref_trials as f64;

@@ -42,10 +42,10 @@
 //! visited-set mask-and-update and the next-frontier store back to back —
 //! the `d = 2` hot shape additionally processes four suffix words (eight
 //! output words) per unrolled iteration so the independent word lanes
-//! autovectorize. [`BitReach::kernel_step_scalar`] retains the two-phase
-//! reference kernel and [`BitReach::kernel_step_fused`] exposes the fused
-//! one; the unit tests pin them bit-for-bit against each other and
-//! `bench_ffc --kernels` tracks the words/sec ratio.
+//! autovectorize. The two-phase kernel it replaced lives on as the oracle
+//! [`crate::oracle::kernel_step_scalar`], and [`BitReach::kernel_step_fused`]
+//! exposes the fused one; the unit tests pin them bit-for-bit against each
+//! other and `bench_ffc --kernels` tracks the words/sec ratio.
 //!
 //! # Hierarchical summaries and compact levels (PR 10)
 //!
@@ -61,8 +61,9 @@
 //! touch only occupied blocks — the win grows with the node space, which
 //! is what lets the B(2,22)/B(2,24) tiers stream early and late BFS
 //! phases without full-array sweeps. Per-node level arrays use the
-//! compact one-byte [`LevelVec`] (levels are diameter-bounded; see
-//! [`crate::mem`]) behind the [`LevelStore`] trait, so the delta passes
+//! compact one-byte [`LevelVec`] (levels are diameter-bounded, with an
+//! escape table for the transient deeper ones) behind the [`LevelStore`]
+//! trait, so the delta passes
 //! ([`BitReach::levels_delete`] / [`BitReach::levels_insert`]) run one
 //! monomorphised algorithm over both the compact array and the `u32`
 //! differential oracle.
@@ -72,8 +73,7 @@
 //! barriers without adding bandwidth; the engine's parallelism is across
 //! independent embeddings instead (`crate::sweep`).
 
-use crate::mem::grow_words;
-pub(crate) use crate::mem::reserve_more;
+use crate::mem::{grow_to, reserve_more};
 pub use crate::mem::{LevelStore, LevelVec, UNREACHED, UNREACHED_U8};
 
 /// The engine indexes nodes with `u32` (queues, CSR offsets, frontier
@@ -298,14 +298,14 @@ const FUSE_TILE: usize = 32;
 /// runs (forward, backward, broadcast).
 #[derive(Clone, Copy, Debug)]
 pub struct BitReach {
-    d: usize,
+    pub(crate) d: usize,
     n_nodes: usize,
     /// d^(n−1) — the chunk size of the fold/replicate direction.
     suffix: usize,
     /// Live words of every bitmap (`ceil(n_nodes / 64)`).
     words: usize,
     /// `suffix / 64` — fold-buffer words (0 when dense sweeps are off).
-    suffix_words: usize,
+    pub(crate) suffix_words: usize,
     /// log2 d (meaningful only when `pow2`).
     d_log: u32,
     /// log2 d^(n−1) (meaningful only when `pow2`).
@@ -313,7 +313,7 @@ pub struct BitReach {
     /// Power-of-two d: scalar walks use masks/shifts instead of divisions.
     pow2: bool,
     /// Dense sweeps available: pow2, d ≤ 64, chunks word-aligned.
-    dense_capable: bool,
+    pub(crate) dense_capable: bool,
     policy: DensePolicy,
 }
 
@@ -402,18 +402,18 @@ impl BitReach {
     /// once per embedding before [`BitReach::kill`]ing the faulty nodes.
     pub fn prepare(&self, s: &mut BitScratch) {
         let sw = sum_words(self.words);
-        grow_words(&mut s.dead, self.words);
-        grow_words(&mut s.dead_sum, sw);
-        grow_words(&mut s.fwd, self.words);
-        grow_words(&mut s.bwd, self.words);
-        grow_words(&mut s.vis, self.words);
-        grow_words(&mut s.cur.bits, self.words);
-        grow_words(&mut s.cur.sum, sw);
-        grow_words(&mut s.nxt.bits, self.words);
-        grow_words(&mut s.nxt.sum, sw);
+        grow_to(&mut s.dead, self.words, 0);
+        grow_to(&mut s.dead_sum, sw, 0);
+        grow_to(&mut s.fwd, self.words, 0);
+        grow_to(&mut s.bwd, self.words, 0);
+        grow_to(&mut s.vis, self.words, 0);
+        grow_to(&mut s.cur.bits, self.words, 0);
+        grow_to(&mut s.cur.sum, sw, 0);
+        grow_to(&mut s.nxt.bits, self.words, 0);
+        grow_to(&mut s.nxt.sum, sw, 0);
         // A level can hold every node; presize so pushes never reallocate.
-        crate::ffc::reserve(&mut s.cur.queue, self.n_nodes);
-        crate::ffc::reserve(&mut s.nxt.queue, self.n_nodes);
+        reserve_more(&mut s.cur.queue, self.n_nodes);
+        reserve_more(&mut s.nxt.queue, self.n_nodes);
         if s.dead_words == self.words {
             // Skip-clear: only the words a previous kill dirtied. Fault
             // masks carry a handful of necklaces, so this replaces an
@@ -788,8 +788,8 @@ impl BitReach {
     /// buffer: per suffix word, fold (forward) or squash (backward) the
     /// frontier, expand/replicate, mask against `vis`, update `vis` and
     /// store the new frontier into `nxt` — one pass, no fold buffer.
-    /// Word-for-word identical output to the retained two-phase
-    /// reference kernel ([`BitReach::kernel_step_scalar`]); returns the
+    /// Word-for-word identical output to the two-phase reference kernel
+    /// ([`crate::oracle::kernel_step_scalar`]); returns the
     /// newly visited node count. The hot d = 2 shape runs a 4-wide
     /// unrolled tile (eight output words per iteration). With `SUM` the
     /// kernel also maintains `sum`, the hierarchical summary of `nxt`
@@ -945,78 +945,8 @@ impl BitReach {
         newly
     }
 
-    /// The retained two-phase dense step — fold into the caller-supplied
-    /// `fold` buffer (at least `suffix / 64` words), then expand against
-    /// `vis` into `nxt` — kept as the bit-exact reference the fused
-    /// kernel is pinned against (unit tests) and raced against
-    /// (`bench_ffc --kernels`). All buffers cover `self.words` words.
-    /// Returns the newly visited node count.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the shape is not dense-capable.
-    pub fn kernel_step_scalar(
-        &self,
-        backward: bool,
-        cur: &[u64],
-        vis: &mut [u64],
-        nxt: &mut [u64],
-        fold: &mut [u64],
-    ) -> usize {
-        debug_assert!(self.dense_capable);
-        let d = self.d;
-        let bits_per = 64 / d;
-        let chunk_mask = if bits_per == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits_per) - 1
-        };
-        if backward {
-            for (i, h) in fold[..self.suffix_words].iter_mut().enumerate() {
-                let mut acc = 0u64;
-                for t in 0..d {
-                    acc |= self.squash(cur[d * i + t]) << (t * bits_per);
-                }
-                *h = acc;
-            }
-        } else {
-            for (i, g) in fold[..self.suffix_words].iter_mut().enumerate() {
-                let mut acc = 0u64;
-                for a in 0..d {
-                    acc |= cur[i + a * self.suffix_words];
-                }
-                *g = acc;
-            }
-        }
-        let mut newly = 0usize;
-        let mut j = 0usize;
-        if backward {
-            // P word j replicates H word (j mod suffix_words).
-            for _a in 0..d {
-                for &h in &fold[..self.suffix_words] {
-                    let new = h & !vis[j];
-                    vis[j] |= new;
-                    nxt[j] = new;
-                    newly += new.count_ones() as usize;
-                    j += 1;
-                }
-            }
-        } else {
-            // S word j expands the (j mod d)-th chunk of G word (j div d).
-            for &g in &fold[..self.suffix_words] {
-                for r in 0..d {
-                    let new = self.expand((g >> (r * bits_per)) & chunk_mask) & !vis[j];
-                    vis[j] |= new;
-                    nxt[j] = new;
-                    newly += new.count_ones() as usize;
-                    j += 1;
-                }
-            }
-        }
-        newly
-    }
-
     /// The fused single-pass dense step the engine runs — same contract
-    /// as [`BitReach::kernel_step_scalar`] minus the fold buffer.
+    /// as [`crate::oracle::kernel_step_scalar`] minus the fold buffer.
     ///
     /// # Panics
     /// Panics (in debug builds) if the shape is not dense-capable.
@@ -1038,7 +968,7 @@ impl BitReach {
 
     /// Duplicates each of the low 64/d bits of `x` into d adjacent bits.
     #[inline]
-    fn expand(&self, x: u64) -> u64 {
+    pub(crate) fn expand(&self, x: u64) -> u64 {
         let mut x = x;
         for _ in 0..self.d_log {
             x = spread2(x);
@@ -1048,7 +978,7 @@ impl BitReach {
 
     /// ORs each aligned d-bit group of `x` into one of the low 64/d bits.
     #[inline]
-    fn squash(&self, x: u64) -> u64 {
+    pub(crate) fn squash(&self, x: u64) -> u64 {
         let mut x = x;
         for _ in 0..self.d_log {
             x = squash2(x);
@@ -1062,7 +992,7 @@ impl BitReach {
     /// visited set, count and depth, but every reached node is also
     /// emitted level by level into `nodes`/`offsets` (the same CSR shape
     /// as [`BitReach::broadcast_levels`]). This is the pass the
-    /// incremental engine's [`crate::ffc::EmbedSession`] rebuilds its
+    /// incremental engine's [`crate::ffc::RingMaintainer`] rebuilds its
     /// forward level array from.
     pub fn forward_levels(
         &self,
@@ -2284,8 +2214,9 @@ mod tests {
                     let (mut vis_a, mut vis_b) = (vis0.clone(), vis0);
                     let mut nxt_a = vec![u64::MAX; words]; // must be fully overwritten
                     let mut nxt_b = vec![0u64; words];
-                    let na =
-                        reach.kernel_step_scalar(backward, &cur, &mut vis_a, &mut nxt_a, &mut fold);
+                    let na = crate::oracle::kernel_step_scalar(
+                        &reach, backward, &cur, &mut vis_a, &mut nxt_a, &mut fold,
+                    );
                     let nb = reach.kernel_step_fused(backward, &cur, &mut vis_b, &mut nxt_b);
                     let tag = format!("d={d} n={n_nodes} bwd={backward} sparse={sparse}");
                     assert_eq!(na, nb, "newly count diverges: {tag}");

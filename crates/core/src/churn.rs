@@ -307,7 +307,7 @@ mod tests {
         let mut maint = RingMaintainer::new();
         let mut scratch = EmbedScratch::new();
         let report = replay_churn(&ffc, &mut maint, &steps, |_, outcome, m| {
-            let want = ffc.embed_stats_into(&mut scratch, m.session().faulty_nodes());
+            let want = ffc.embed_stats_into(&mut scratch, m.faulty_nodes());
             assert_eq!(outcome.stats(), want);
         })
         .expect("generated trace is valid");

@@ -47,8 +47,8 @@
 //!   every other step as a necklace rotation.
 //!
 //! The textbook formulation (materialised SCCs + hash-map groups) is kept
-//! as [`Ffc::embed_reference`]; it is used by the differential tests and
-//! as the baseline in the Criterion benchmarks.
+//! as [`crate::oracle::embed_reference`]; it is used by the differential
+//! tests and as the baseline in the Criterion benchmarks.
 //!
 //! This module is the *centralized* reference implementation; the
 //! message-passing version that mirrors Section 2.4 round by round lives in
@@ -58,18 +58,17 @@ use dbg_graph::DeBruijn;
 use dbg_necklace::NecklacePartition;
 
 use crate::bitreach::{BitReach, BitScratch, SpaceTooLarge};
+use crate::mem::{grow_to, reserve_more};
 
 mod phases;
-mod reference;
 pub mod session;
 pub mod snapshot;
 
 #[cfg(test)]
 mod tests;
 
-pub use session::{
-    EmbedSession, FaultEvent, RepairError, RepairOutcome, RepairStats, RingMaintainer,
-};
+pub(crate) use phases::RootProbe;
+pub use session::{FaultEvent, RepairError, RepairOutcome, RepairStats, RingMaintainer};
 pub use snapshot::{LookupError, RingSnapshot, SnapshotPublisher};
 
 /// The FFC embedder for a fixed B(d,n): owns the necklace partition and the
@@ -79,7 +78,7 @@ pub use snapshot::{LookupError, RingSnapshot, SnapshotPublisher};
 pub struct Ffc {
     graph: DeBruijn,
     partition: NecklacePartition,
-    tables: EngineTables,
+    pub(crate) tables: EngineTables,
 }
 
 /// Immutable engine constants shared by every embedding at a fixed (d, n).
@@ -87,25 +86,26 @@ pub struct Ffc {
 /// the [`NecklacePartition`], which builds them in its single
 /// FKM-enumeration pass — the engine no longer duplicates them.
 #[derive(Clone, Debug)]
-struct EngineTables {
+pub(crate) struct EngineTables {
     /// Alphabet size d, as usize for index arithmetic.
-    d: usize,
+    pub(crate) d: usize,
     /// d^(n−1): the place value of the leading digit, and the number of
     /// distinct (n−1)-digit edge labels.
-    suffix_count: usize,
+    pub(crate) suffix_count: usize,
     /// d^n.
-    n_nodes: usize,
+    pub(crate) n_nodes: usize,
     /// Number of necklaces.
-    n_necks: usize,
+    pub(crate) n_necks: usize,
     /// The bit-parallel reachability engine for this shape.
-    reach: BitReach,
+    pub(crate) reach: BitReach,
 }
 
 /// The result of one FFC embedding.
 #[derive(Clone, Debug)]
 pub struct FfcOutcome {
     /// The root processor R used for the broadcast (always the minimal node
-    /// of its necklace).
+    /// of its necklace), or `usize::MAX` when every necklace is faulty and
+    /// no ring exists (the cycle is then empty and |B*| = 0).
     pub root: usize,
     /// The fault-free cycle, as a sequence of node ids. Its length equals
     /// the size of B*. A single-node "cycle" is only meaningful when that
@@ -136,7 +136,9 @@ impl FfcOutcome {
 /// stays in the scratch's buffer ([`EmbedScratch::cycle`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EmbedStats {
-    /// The root processor R used for the broadcast.
+    /// The root processor R used for the broadcast, or `usize::MAX` when
+    /// every necklace is faulty: no root exists, |B*| and the eccentricity
+    /// are 0 and the cycle is empty.
     pub root: usize,
     /// |B*| — also the length of the cycle left in the scratch.
     pub component_size: usize,
@@ -150,6 +152,10 @@ pub struct EmbedStats {
 
 const NONE: u32 = u32::MAX;
 
+/// The root of a fault set that kills every necklace: no ring exists. It
+/// compares unequal to every real node id.
+pub(crate) const INFEASIBLE_ROOT: usize = usize::MAX;
+
 /// Reusable per-call state for the embedding engine.
 ///
 /// One scratch serves any number of [`Ffc::embed_into`] calls (including
@@ -162,23 +168,12 @@ const NONE: u32 = u32::MAX;
 pub struct EmbedScratch {
     /// Monotone per-call stamp; slot arrays compare against this.
     stamp: u32,
-    /// Stamp for the stats-only reachability arrays below. One byte per
-    /// slot quarters the hot working set of `embed_stats_into` (the sweep
-    /// engine's fast path); it wraps every 255 calls, at which point the
-    /// arrays are cleared once (amortised O(1/255) per call).
-    stamp8: u8,
     // Per-necklace state.
     /// Stamp: necklace is faulty this call.
     faulty: Vec<u32>,
     // Per-node state.
-    /// Stamp: reached by the root-repair probe.
-    probe: Vec<u32>,
-    /// Byte-stamp: forward-reachable, u8-stamp oracle path.
-    fwd8: Vec<u8>,
-    /// Byte-stamp: backward-reachable, u8-stamp oracle path.
-    bwd8: Vec<u8>,
-    /// Byte-stamp: broadcast-reached, u8-stamp oracle path.
-    vis8: Vec<u8>,
+    /// The root-repair probe's buffers.
+    probe: RootProbe,
     /// Word-packed bitmaps and frontiers of the bit-parallel reachability
     /// engine (fault mask, forward/backward/broadcast visited sets).
     bits: BitScratch,
@@ -208,10 +203,6 @@ pub struct EmbedScratch {
     /// Parent necklace of the label's w-group.
     label_parent: Vec<u32>,
     // Worklists (cleared per call; capacity persists).
-    /// Current BFS frontier / FIFO queue.
-    queue: Vec<u32>,
-    /// Next BFS frontier.
-    next: Vec<u32>,
     /// The nodes of B*, as emitted level by level from the broadcast.
     bstar: Vec<u32>,
     /// CSR boundaries of the broadcast levels within `bstar`.
@@ -245,16 +236,13 @@ impl EmbedScratch {
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
         4 * (self.faulty.capacity()
-            + self.probe.capacity()
             + self.succ.capacity()
             + self.label_stamp.capacity()
             + self.label_parent.capacity()
-            + self.queue.capacity()
-            + self.next.capacity()
             + self.bstar.capacity()
             + self.level_offsets.capacity()
             + self.members.capacity())
-            + (self.fwd8.capacity() + self.bwd8.capacity() + self.vis8.capacity())
+            + self.probe.allocated_bytes()
             + self.bits.allocated_bytes()
             + 8 * (self.plvl.capacity() + self.pbest.capacity() + self.exit_bits.capacity())
             + 8 * self.group_entries.capacity()
@@ -265,7 +253,7 @@ impl EmbedScratch {
     fn prepare(&mut self, t: &EngineTables) {
         if self.stamp == u32::MAX {
             // Stamp wrap-around (once per 2^32 calls): forget all slots.
-            for arr in [&mut self.faulty, &mut self.probe, &mut self.label_stamp] {
+            for arr in [&mut self.faulty, &mut self.label_stamp] {
                 arr.iter_mut().for_each(|s| *s = 0);
             }
             // The packed (stamp | level) slots carry the stamp in their
@@ -274,25 +262,26 @@ impl EmbedScratch {
             self.stamp = 0;
         }
         self.stamp += 1;
-        grow(&mut self.faulty, t.n_necks);
-        grow(&mut self.probe, t.n_nodes);
-        grow(&mut self.succ, t.n_nodes);
-        grow(&mut self.label_stamp, t.suffix_count);
-        grow(&mut self.label_parent, t.suffix_count);
-        // Worklists are cleared and presized to their worst-case bounds, so
-        // no fault pattern can grow them after the first call at this size:
-        // frontiers and the cycle hold at most every node, the necklace
-        // lists at most every necklace, each live necklace contributes
-        // at most two group records (itself plus a first-seen parent), and
-        // the broadcast can have at most one level per node (plus the two
-        // CSR sentinels).
-        reserve(&mut self.queue, t.n_nodes);
-        reserve(&mut self.next, t.n_nodes);
-        reserve(&mut self.bstar, t.n_nodes);
-        reserve(&mut self.level_offsets, t.n_nodes + 2);
-        reserve(&mut self.group_entries, 2 * t.n_necks);
-        reserve(&mut self.members, t.n_necks);
-        reserve(&mut self.cycle, t.n_nodes);
+        grow_to(&mut self.faulty, t.n_necks, 0);
+        self.probe.fit(t.n_nodes);
+        grow_to(&mut self.succ, t.n_nodes, 0);
+        grow_to(&mut self.label_stamp, t.suffix_count, 0);
+        grow_to(&mut self.label_parent, t.suffix_count, 0);
+        // Worklists are presized to their worst-case bounds, so no fault
+        // pattern can grow them after the first call at this size: B* and
+        // the cycle hold at most every node, the necklace lists at most
+        // every necklace, each live necklace contributes at most two group
+        // records (itself plus a first-seen parent), and the broadcast can
+        // have at most one level per node (plus the two CSR sentinels).
+        // The broadcast and the wiring clear their own lists; the group
+        // records and the cycle start empty here.
+        self.group_entries.clear();
+        self.cycle.clear();
+        reserve_more(&mut self.bstar, t.n_nodes);
+        reserve_more(&mut self.level_offsets, t.n_nodes + 2);
+        reserve_more(&mut self.group_entries, 2 * t.n_necks);
+        reserve_more(&mut self.members, t.n_necks);
+        reserve_more(&mut self.cycle, t.n_nodes);
     }
 
     /// Grows the full-ring pipeline's slot arrays and clears the ones
@@ -300,45 +289,14 @@ impl EmbedScratch {
     /// like the rest of the scratch, while the per-necklace best keys and
     /// the exit bitmap are cleared per call — both are O(d^n / n) or
     /// smaller, a vanishing fraction of the embedding itself. Kept out of
-    /// [`EmbedScratch::prepare`] so the stats-only paths never pay it.
+    /// [`EmbedScratch::prepare`] so the stats-only path never pays it.
     fn clear_ring_slots(&mut self, t: &EngineTables) {
-        grow(&mut self.plvl, t.n_nodes);
-        grow(&mut self.pbest, t.n_necks);
+        grow_to(&mut self.plvl, t.n_nodes, 0);
+        grow_to(&mut self.pbest, t.n_necks, 0);
         self.pbest[..t.n_necks].fill(u64::MAX);
         let words = t.n_nodes.div_ceil(64);
-        grow(&mut self.exit_bits, words);
+        grow_to(&mut self.exit_bits, words, 0);
         self.exit_bits[..words].fill(0);
-    }
-
-    /// Grows and (on wrap-around) clears the byte-stamped reachability
-    /// arrays of the stats-only path, and advances their stamp.
-    fn prepare_stats(&mut self, t: &EngineTables) {
-        grow(&mut self.fwd8, t.n_nodes);
-        grow(&mut self.bwd8, t.n_nodes);
-        grow(&mut self.vis8, t.n_nodes);
-        self.stamp8 = self.stamp8.wrapping_add(1);
-        if self.stamp8 == 0 {
-            for arr in [&mut self.fwd8, &mut self.bwd8, &mut self.vis8] {
-                arr.iter_mut().for_each(|b| *b = 0);
-            }
-            self.stamp8 = 1;
-        }
-    }
-}
-
-/// Grows a slot vector to at least `len` entries without ever shrinking.
-fn grow<T: Default + Clone>(v: &mut Vec<T>, len: usize) {
-    if v.len() < len {
-        v.resize(len, T::default());
-    }
-}
-
-/// Empties a worklist and guarantees room for `cap` entries (shared with
-/// the bit-parallel scratch's frontier queues).
-pub(crate) fn reserve<T>(v: &mut Vec<T>, cap: usize) {
-    v.clear();
-    if v.capacity() < cap {
-        v.reserve_exact(cap - v.len());
     }
 }
 
@@ -431,7 +389,8 @@ impl Ffc {
     /// Embeds a fault-free cycle avoiding `faulty_nodes`, rooted at the
     /// default root R = 0…01 (if R's necklace is faulty, the nearest
     /// non-faulty node found by a breadth-first probe is used instead,
-    /// matching the protocol of Section 2.5.2).
+    /// matching the protocol of Section 2.5.2). When every necklace is
+    /// faulty the outcome is infeasible: root `usize::MAX`, empty cycle.
     ///
     /// Allocates a fresh [`EmbedScratch`] per call; steady-state callers
     /// (sweeps, services) should hold a scratch and use
@@ -440,177 +399,14 @@ impl Ffc {
     pub fn embed(&self, faulty_nodes: &[usize]) -> FfcOutcome {
         let mut scratch = EmbedScratch::new();
         let stats = self.embed_into(&mut scratch, faulty_nodes);
-        outcome_from(stats, std::mem::take(&mut scratch.cycle))
-    }
-
-    /// Embeds a fault-free cycle avoiding `faulty_nodes`, rooted at (the
-    /// necklace representative of) `root`.
-    ///
-    /// # Panics
-    /// Panics if `root`'s necklace is itself faulty.
-    #[must_use]
-    pub fn embed_from(&self, faulty_nodes: &[usize], root: usize) -> FfcOutcome {
-        let mut scratch = EmbedScratch::new();
-        let stats = self.embed_into_from(&mut scratch, faulty_nodes, root);
-        outcome_from(stats, std::mem::take(&mut scratch.cycle))
-    }
-
-    /// Embeds a fault-free cycle avoiding `faulty_nodes` using `scratch`
-    /// for all mutable state; the cycle is left in [`EmbedScratch::cycle`].
-    /// Root selection follows [`Ffc::embed`]. After the scratch has warmed
-    /// up at this (d, n), the call performs no heap allocation.
-    pub fn embed_into(&self, scratch: &mut EmbedScratch, faulty_nodes: &[usize]) -> EmbedStats {
-        self.engine_embed(scratch, faulty_nodes, None)
-    }
-
-    /// [`Ffc::embed_into`] with an explicit root, like [`Ffc::embed_from`].
-    ///
-    /// # Panics
-    /// Panics if `root`'s necklace is itself faulty.
-    pub fn embed_into_from(
-        &self,
-        scratch: &mut EmbedScratch,
-        faulty_nodes: &[usize],
-        root: usize,
-    ) -> EmbedStats {
-        self.engine_embed(scratch, faulty_nodes, Some(root))
-    }
-
-    /// The scalar half of an embedding, without materialising the cycle:
-    /// identical [`EmbedStats`] to [`Ffc::embed_into`] on the same faults
-    /// (same root-repair policy, same component, same eccentricity), but
-    /// the spanning-tree, successor-function and cycle-readoff phases are
-    /// skipped entirely and [`EmbedScratch::cycle`] is left empty.
-    ///
-    /// This is the hot path of Monte-Carlo sweeps that only tabulate
-    /// component sizes and eccentricities (Tables 2.1/2.2):
-    /// [`Ffc::embed_batch`] uses it whenever the plan does not request
-    /// cycles. The reachability passes run on the bit-parallel engine
-    /// ([`crate::bitreach`]): direction-optimizing BFS whose dense regime
-    /// advances 64 nodes per word op, with faulty necklaces masked out as
-    /// word-packed pre-visited bits. Like `embed_into`, it performs no
-    /// heap allocation after the scratch has warmed up at this (d, n).
-    pub fn embed_stats_into(
-        &self,
-        scratch: &mut EmbedScratch,
-        faulty_nodes: &[usize],
-    ) -> EmbedStats {
-        let t = &self.tables;
-        let reach = t.reach;
-        let s = scratch;
-        s.prepare(t);
-        reach.prepare(&mut s.bits);
-
-        let (faulty_necklaces, removed_nodes) = self.mark_faults_bits(s, faulty_nodes);
-        let (root, _) = self.phase_select_root(s, None);
-
-        // Forward pass first: when B* turns out to equal the forward set
-        // (the common light-fault case) its depth *is* the broadcast
-        // eccentricity and the third pass is skipped entirely.
-        let (fwd_count, fwd_depth) = reach.forward(&mut s.bits, root);
-        reach.backward(&mut s.bits, root);
-        let component_size = reach.component_size(&s.bits, removed_nodes);
-        let eccentricity = if component_size == fwd_count {
-            fwd_depth
-        } else {
-            reach.broadcast_depth(&mut s.bits, root)
-        };
-
-        EmbedStats {
-            root,
-            component_size,
-            eccentricity,
-            faulty_necklaces,
-            removed_nodes,
+        FfcOutcome {
+            root: stats.root,
+            cycle: scratch.cycle,
+            component_size: stats.component_size,
+            eccentricity: stats.eccentricity,
+            faulty_necklaces: stats.faulty_necklaces,
+            removed_nodes: stats.removed_nodes,
         }
-    }
-
-    /// The u8-stamp stats path of PR 2, retained verbatim as the
-    /// differential oracle for the bit-parallel engine and as the baseline
-    /// the `bench_ffc` large-graph tiers compare against. Semantically
-    /// identical to [`Ffc::embed_stats_into`].
-    pub fn embed_stats_into_u8(
-        &self,
-        scratch: &mut EmbedScratch,
-        faulty_nodes: &[usize],
-    ) -> EmbedStats {
-        let t = &self.tables;
-        let membership = self.partition.membership();
-        let d = t.d;
-        let s = scratch;
-        s.prepare(t);
-        s.prepare_stats(t);
-        let stamp = s.stamp;
-        let stamp8 = s.stamp8;
-
-        // Fault marking and root repair: byte-for-byte the policy of
-        // `engine_embed` with `forced_root = None`. Every node of a faulty
-        // necklace is additionally pre-stamped as "already visited" in the
-        // byte-stamped fwd8/bwd8/vis8 arrays (O(n·f) stores via the
-        // necklace CSR): the BFS loops below then never enqueue a dead
-        // node, and their liveness check collapses into the visited check —
-        // a single one-byte load per edge instead of the membership →
-        // faulty indirection.
-        let mut faulty_necklaces = 0usize;
-        let mut removed_nodes = 0usize;
-        for &v in faulty_nodes {
-            assert!(v < t.n_nodes, "faulty node id {v} out of range");
-            let nid = membership[v] as usize;
-            if s.faulty[nid] != stamp {
-                s.faulty[nid] = stamp;
-                faulty_necklaces += 1;
-                removed_nodes += self.partition.necklace(nid).len();
-                for &member in self.partition.members(nid) {
-                    s.fwd8[member as usize] = stamp8;
-                    s.bwd8[member as usize] = stamp8;
-                    s.vis8[member as usize] = stamp8;
-                }
-            }
-        }
-        let (root, _) = self.phase_select_root(s, None);
-
-        // The reachability passes are monomorphised on whether d is a power
-        // of two: the per-edge `% suffix` / `/ d` then compile to masks and
-        // shifts instead of hardware divisions, which dominate the
-        // otherwise load-light loops of the binary graphs.
-        let (component_size, eccentricity) = if d.is_power_of_two() {
-            self.stats_reach::<true>(s, root, stamp8)
-        } else {
-            self.stats_reach::<false>(s, root, stamp8)
-        };
-
-        EmbedStats {
-            root,
-            component_size,
-            eccentricity,
-            faulty_necklaces,
-            removed_nodes,
-        }
-    }
-
-    /// Shared fault marking of the bit-parallel paths: stamps each faulty
-    /// necklace once and kills its members in the word-packed fault mask.
-    /// Returns `(faulty_necklaces, removed_nodes)`.
-    fn mark_faults_bits(&self, s: &mut EmbedScratch, faulty_nodes: &[usize]) -> (usize, usize) {
-        let t = &self.tables;
-        let membership = self.partition.membership();
-        let stamp = s.stamp;
-        let mut faulty_necklaces = 0usize;
-        let mut removed_nodes = 0usize;
-        for &v in faulty_nodes {
-            assert!(v < t.n_nodes, "faulty node id {v} out of range");
-            let nid = membership[v] as usize;
-            if s.faulty[nid] != stamp {
-                s.faulty[nid] = stamp;
-                faulty_necklaces += 1;
-                let members = self.partition.members(nid);
-                removed_nodes += members.len();
-                for &member in members {
-                    t.reach.kill(&mut s.bits, member as usize);
-                }
-            }
-        }
-        (faulty_necklaces, removed_nodes)
     }
 
     /// The boolean per-necklace fault mask induced by a set of faulty nodes.
@@ -628,40 +424,19 @@ impl Ffc {
     /// from `preferred` over the full graph (faults ignored while
     /// searching), ties broken by minimal node id**.
     ///
-    /// The repair policy is implemented exactly once: this method stamps a
-    /// throwaway scratch from the mask and delegates to the engine's
-    /// `probe_for_live_root`, so the two public entry points cannot drift
-    /// apart (an exhaustive differential test additionally pins the
-    /// policy).
+    /// This is the same probe the engine's root phase and the
+    /// [`RingMaintainer`] run, fed the mask instead of their stamped fault
+    /// state; it allocates its probe buffers only when `preferred` is
+    /// dead.
     ///
     /// # Panics
     /// Panics if every necklace is faulty.
     #[must_use]
     pub fn pick_root(&self, preferred: usize, faulty_mask: &[bool]) -> usize {
-        let alive = |v: usize| !faulty_mask[self.partition.id_of(v as u64)];
-        if alive(preferred) {
-            return preferred;
-        }
-        let mut scratch = EmbedScratch::new();
-        scratch.prepare(&self.tables);
-        let stamp = scratch.stamp;
-        for (nid, &faulty) in faulty_mask.iter().enumerate() {
-            if faulty {
-                scratch.faulty[nid] = stamp;
-            }
-        }
-        self.probe_for_live_root(&mut scratch, preferred)
-    }
-}
-
-/// Builds an [`FfcOutcome`] from engine stats and an owned cycle buffer.
-fn outcome_from(stats: EmbedStats, cycle: Vec<usize>) -> FfcOutcome {
-    FfcOutcome {
-        root: stats.root,
-        cycle,
-        component_size: stats.component_size,
-        eccentricity: stats.eccentricity,
-        faulty_necklaces: stats.faulty_necklaces,
-        removed_nodes: stats.removed_nodes,
+        let t = &self.tables;
+        let live = |v: usize| !faulty_mask[self.partition.id_of(v as u64)];
+        RootProbe::default()
+            .find(t.d, t.suffix_count, preferred, live)
+            .expect("every node of B(d,n) lies on a faulty necklace")
     }
 }

@@ -1,261 +1,176 @@
-//! The embedding pipeline, decomposed into named phases.
+//! The embedding pipeline, decomposed into named phases, and the rules
+//! every embedding path shares.
 //!
-//! Every `Ffc::embed_into*` entry point is a sequence of the same phases —
-//! fault marking, root selection, the reachability snapshot (forward +
-//! backward passes that pin down B*), the broadcast/spanning-tree phase,
-//! necklace selection (per-necklace earliest members and their w-labeled
-//! tree edges), w-group wiring, and the cycle readoff. Each phase has one
-//! well-defined output, which is what lets [`super::session::EmbedSession`]
-//! persist the outputs and repair them incrementally instead of re-running
-//! the pipeline per fault event.
+//! [`Ffc::embed_into`] runs every phase in order — fault marking, root
+//! selection, the reachability snapshot (forward + backward passes that
+//! pin down B*), the broadcast/spanning-tree phase, necklace selection
+//! (per-necklace earliest members and their w-labeled tree edges),
+//! w-group wiring, and the cycle readoff. [`Ffc::embed_stats_into`] runs
+//! the same first three phases and stops at the broadcast depth. Each
+//! phase has one well-defined output, which is what lets
+//! [`super::RingMaintainer`] persist the outputs and repair them
+//! incrementally instead of re-running the pipeline per fault event.
+//!
+//! The rules the maintainer and the snapshots share with the engine are
+//! written here once: root selection with the Section 2.5.2 repair probe
+//! ([`RootProbe`]), the w-edge geometry of a w-group ([`for_each_w_edge`]),
+//! and the necklace rotation ([`rotate`]) with the ring walk built on it
+//! ([`read_off_cycle`]).
 
-use super::{EmbedScratch, EmbedStats, Ffc};
+use super::{EmbedScratch, EmbedStats, Ffc, INFEASIBLE_ROOT};
+use crate::mem::{grow_to, reserve_more};
 
 impl Ffc {
-    /// The reachability passes of [`Ffc::embed_stats_into_u8`] (the
-    /// retained u8-stamp oracle — the production stats path runs on
-    /// [`crate::bitreach`]): forward BFS,
-    /// backward BFS and (only when needed) the broadcast over B*. Returns
-    /// (|B*|, eccentricity of the root within B*). `POW2` selects the
-    /// shift/mask address arithmetic for power-of-two d.
-    pub(crate) fn stats_reach<const POW2: bool>(
-        &self,
-        s: &mut EmbedScratch,
-        root: usize,
-        stamp8: u8,
-    ) -> (usize, usize) {
-        let t = &self.tables;
-        let d = t.d;
-        let suffix = t.suffix_count;
-        let d_log = d.trailing_zeros();
-        let suffix_log = suffix.trailing_zeros();
-        let suffix_mask = suffix.wrapping_sub(1);
-        debug_assert!(!POW2 || (d.is_power_of_two() && suffix.is_power_of_two()));
-        let succ_base = |v: usize| -> usize {
-            if POW2 {
-                (v & suffix_mask) << d_log
-            } else {
-                (v % suffix) * d
-            }
-        };
-        let pred_base = |v: usize| -> usize {
-            if POW2 {
-                v >> d_log
-            } else {
-                v / d
-            }
-        };
-        let pred_step = |a: usize| -> usize {
-            if POW2 {
-                a << suffix_log
-            } else {
-                a * suffix
-            }
-        };
-
-        // Forward reachability, level-synchronous so its depth doubles as
-        // the broadcast depth when B* turns out to be the whole forward set.
-        s.queue.clear();
-        s.fwd8[root] = stamp8;
-        s.queue.push(root as u32);
-        let mut fwd_count = 1usize;
-        let mut fwd_depth = 0u32;
-        loop {
-            s.next.clear();
-            for &v in &s.queue {
-                let base = succ_base(v as usize);
-                for a in 0..d {
-                    let u = base + a;
-                    if s.fwd8[u] != stamp8 {
-                        s.fwd8[u] = stamp8;
-                        s.next.push(u as u32);
-                    }
-                }
-            }
-            if s.next.is_empty() {
-                break;
-            }
-            fwd_count += s.next.len();
-            fwd_depth += 1;
-            std::mem::swap(&mut s.queue, &mut s.next);
-        }
-
-        // Backward reachability (plain FIFO); |B*| is counted, not listed.
-        s.queue.clear();
-        s.bwd8[root] = stamp8;
-        s.queue.push(root as u32);
-        let mut component_size = 1usize;
-        let mut head = 0;
-        while head < s.queue.len() {
-            let v = s.queue[head] as usize;
-            head += 1;
-            let base = pred_base(v);
-            for a in 0..d {
-                let u = base + pred_step(a);
-                if s.bwd8[u] != stamp8 {
-                    s.bwd8[u] = stamp8;
-                    s.queue.push(u as u32);
-                    if s.fwd8[u] == stamp8 {
-                        component_size += 1;
-                    }
-                }
-            }
-        }
-
-        // Eccentricity of the root within B*. When every forward-reachable
-        // node is also backward-reachable (B* equals the forward set — the
-        // common case for light fault loads), the forward BFS above *was*
-        // the broadcast, so its depth is the answer and the third pass is
-        // skipped. Otherwise run the broadcast restricted to B*, levels
-        // only (the spanning-tree parents are not needed for stats).
-        let eccentricity = if component_size == fwd_count {
-            fwd_depth as usize
-        } else {
-            s.queue.clear();
-            s.vis8[root] = stamp8;
-            s.queue.push(root as u32);
-            let mut depth = 0u32;
-            loop {
-                s.next.clear();
-                for &v in &s.queue {
-                    let base = succ_base(v as usize);
-                    for a in 0..d {
-                        let u = base + a;
-                        if s.fwd8[u] == stamp8 && s.bwd8[u] == stamp8 && s.vis8[u] != stamp8 {
-                            s.vis8[u] = stamp8;
-                            s.next.push(u as u32);
-                        }
-                    }
-                }
-                if s.next.is_empty() {
-                    break;
-                }
-                depth += 1;
-                std::mem::swap(&mut s.queue, &mut s.next);
-            }
-            depth as usize
-        };
-        (component_size, eccentricity)
-    }
-
-    /// One full embedding on reusable state, as the explicit serial phase
-    /// pipeline: fault marking, root selection, the reachability snapshot,
-    /// the level-emitting broadcast, necklace selection, w-group wiring
-    /// and the streaming cycle readoff. Necklace selection derives
-    /// spanning-tree parents lazily per necklace from the packed level
-    /// slots instead of materialising a whole-B* parent array. The
-    /// readoff walks the necklace rotation arithmetically: no per-node
-    /// successor array is materialised and the override slots are
-    /// consulted only where the exit bitmap is set — a pointer-chase
-    /// through a B*-sized successor array is one dependent DRAM load per
-    /// ring node, and it dominated the embed at a million nodes.
-    /// `forced_root` is `Some` for [`Ffc::embed_into_from`] (panics if
-    /// its necklace is faulty) and `None` for the
-    /// default-root-with-repair policy of [`Ffc::embed_into`].
-    pub(crate) fn engine_embed(
-        &self,
-        s: &mut EmbedScratch,
-        faulty_nodes: &[usize],
-        forced_root: Option<usize>,
-    ) -> EmbedStats {
-        let t = &self.tables;
-        s.prepare(t);
+    /// Embeds a fault-free cycle avoiding `faulty_nodes` using `scratch`
+    /// for all mutable state; the cycle is left in [`EmbedScratch::cycle`].
+    /// Root selection and the infeasible case follow [`Ffc::embed`]. After
+    /// the scratch has warmed up at this (d, n), the call performs no heap
+    /// allocation.
+    ///
+    /// The phases run serially: the front shared with
+    /// [`Ffc::embed_stats_into`], the level-emitting broadcast, necklace
+    /// selection, w-group wiring and the streaming cycle readoff. Necklace
+    /// selection derives spanning-tree parents lazily per necklace from the
+    /// packed level slots instead of materialising a whole-B* parent array.
+    /// The readoff walks the necklace rotation arithmetically: no per-node
+    /// successor array is materialised and the override slots are consulted
+    /// only where the exit bitmap is set — a pointer-chase through a
+    /// B*-sized successor array is one dependent DRAM load per ring node,
+    /// and it dominated the embed at a million nodes.
+    pub fn embed_into(&self, scratch: &mut EmbedScratch, faulty_nodes: &[usize]) -> EmbedStats {
+        let (t, s) = (&self.tables, scratch);
         s.clear_ring_slots(t);
-        // The bit scratch sizes its bitmaps and clears the fault mask
-        // here, not in `prepare` — the u8 oracle path never pays for it.
-        t.reach.prepare(&mut s.bits);
-
-        let (faulty_necklaces, removed_nodes) = self.mark_faults_bits(s, faulty_nodes);
-        let (root, root_neck) = self.phase_select_root(s, forced_root);
-        let component_size = self.phase_reachability_snapshot(s, root, removed_nodes);
-        let eccentricity = self.phase_broadcast_levels(s, root, component_size);
-        self.phase_necklace_selection(s, root_neck);
-        self.wire_w_groups(s);
-        self.phase_readoff_streaming(s, root, component_size);
-
-        EmbedStats {
-            root,
-            component_size,
-            eccentricity,
-            faulty_necklaces,
-            removed_nodes,
+        let (mut stats, _) = self.phases_to_bstar(s, faulty_nodes);
+        if stats.root == INFEASIBLE_ROOT {
+            return stats;
         }
-    }
-
-    /// Root-selection phase (Section 2.5.2): the forced root when one is
-    /// requested (asserting its necklace is live), otherwise the preferred
-    /// root if live, else the nearest live node by a breadth-first probe
-    /// over the *full* graph — identical to [`Ffc::pick_root`], but
-    /// allocation-free. The returned root is normalised to the minimal
-    /// node of its necklace so N(R) = [R]; its necklace id rides along.
-    pub(crate) fn phase_select_root(
-        &self,
-        s: &mut EmbedScratch,
-        forced_root: Option<usize>,
-    ) -> (usize, usize) {
-        let t = &self.tables;
-        let membership = self.partition.membership();
-        let stamp = s.stamp;
-        let root = match forced_root {
-            Some(r) => {
-                assert!(r < t.n_nodes, "root id {r} out of range");
-                assert!(
-                    s.faulty[membership[r] as usize] != stamp,
-                    "the requested root lies on a faulty necklace"
-                );
-                r
-            }
-            None => {
-                let preferred = self.default_root();
-                if s.faulty[membership[preferred] as usize] != stamp {
-                    preferred
-                } else {
-                    self.probe_for_live_root(s, preferred)
-                }
-            }
-        };
-        let root = self.representative_of(root);
-        (root, membership[root] as usize)
-    }
-
-    /// Reachability-snapshot phase: B* is the strongly connected component
-    /// of the surviving graph that contains the root — the intersection of
-    /// the live forward- and backward-reachable sets of the root, found by
-    /// two direction-optimizing bit-parallel passes (no Tarjan, no
-    /// materialised SCCs). Returns |B*|.
-    pub(crate) fn phase_reachability_snapshot(
-        &self,
-        s: &mut EmbedScratch,
-        root: usize,
-        removed_nodes: usize,
-    ) -> usize {
-        let reach = self.tables.reach;
-        let _ = reach.forward(&mut s.bits, root);
-        reach.backward(&mut s.bits, root);
-        reach.component_size(&s.bits, removed_nodes)
-    }
-
-    /// Broadcast phase (Step 1.1): the bit engine runs the frontier
-    /// expansion and emits the reached nodes level by level into
-    /// `bstar` (which therefore lists exactly B*, with `level_offsets` the
-    /// CSR level boundaries). The spanning tree itself is *not*
-    /// materialised — necklace selection derives the parent of each chosen
-    /// node lazily from the packed level slots, once per necklace instead
-    /// of once per node. Returns the broadcast depth (the root's
-    /// eccentricity within B*).
-    pub(crate) fn phase_broadcast_levels(
-        &self,
-        s: &mut EmbedScratch,
-        root: usize,
-        component_size: usize,
-    ) -> usize {
-        let t = &self.tables;
+        let (root, component_size) = (stats.root, stats.component_size);
+        // Broadcast phase (Step 1.1): the bit engine emits B* level by
+        // level into `bstar`, with `level_offsets` the CSR level boundaries.
+        // The spanning tree itself is never materialised.
         let (reached, depth) =
             t.reach
                 .broadcast_levels(&mut s.bits, root, &mut s.bstar, &mut s.level_offsets);
         debug_assert_eq!(reached, component_size, "broadcast must cover B*");
-        let _ = (reached, component_size);
-        depth
+        stats.eccentricity = depth;
+        self.phase_necklace_selection(s, self.partition.membership()[root] as usize);
+        self.wire_w_groups(s);
+        read_off_cycle(
+            t.d,
+            t.suffix_count,
+            root,
+            component_size,
+            &s.exit_bits,
+            &s.succ,
+            &mut s.cycle,
+        );
+        stats
+    }
+
+    /// The scalar half of an embedding, without materialising the cycle:
+    /// identical [`EmbedStats`] to [`Ffc::embed_into`] on the same faults
+    /// (same root-repair policy, same component, same eccentricity), but
+    /// the spanning-tree, successor-function and cycle-readoff phases are
+    /// skipped entirely and [`EmbedScratch::cycle`] is left empty.
+    ///
+    /// This is the hot path of Monte-Carlo sweeps that only tabulate
+    /// component sizes and eccentricities (Tables 2.1/2.2):
+    /// [`Ffc::embed_batch`] uses it whenever the plan does not request
+    /// cycles. The reachability passes run on the bit-parallel engine
+    /// ([`crate::bitreach`]): direction-optimizing BFS whose dense regime
+    /// advances 64 nodes per word op, with faulty necklaces masked out as
+    /// word-packed pre-visited bits. Like `embed_into`, it performs no
+    /// heap allocation after the scratch has warmed up at this (d, n).
+    pub fn embed_stats_into(
+        &self,
+        scratch: &mut EmbedScratch,
+        faulty_nodes: &[usize],
+    ) -> EmbedStats {
+        let (mut stats, (fwd_count, fwd_depth)) = self.phases_to_bstar(scratch, faulty_nodes);
+        if stats.root == INFEASIBLE_ROOT {
+            return stats;
+        }
+        // When B* equals the forward set (the common light-fault case) the
+        // forward pass's depth *is* the broadcast eccentricity and the
+        // third pass is skipped entirely.
+        stats.eccentricity = if stats.component_size == fwd_count {
+            fwd_depth
+        } else {
+            let reach = self.tables.reach;
+            reach.broadcast_depth(&mut scratch.bits, stats.root)
+        };
+        stats
+    }
+
+    /// The front both embedding paths share: fault marking, root
+    /// selection and the reachability snapshot.
+    ///
+    /// The root is the default root if its necklace survives, otherwise
+    /// the nearest live node ([`RootProbe::find`], Section 2.5.2),
+    /// normalised to the minimal node of its necklace so N(R) = [R]. B* is
+    /// the strongly connected component of the surviving graph that
+    /// contains the root — the intersection of the live forward- and
+    /// backward-reachable sets of the root, found by two
+    /// direction-optimizing bit-parallel passes (no Tarjan, no
+    /// materialised SCCs).
+    ///
+    /// Returns the stats so far, with the eccentricity left 0 for the
+    /// caller's broadcast, and the forward pass's (reached, depth). When
+    /// every necklace is faulty no root exists: the stats come back with
+    /// root [`INFEASIBLE_ROOT`] and |B*| = 0, and no pass runs.
+    fn phases_to_bstar(
+        &self,
+        s: &mut EmbedScratch,
+        faulty_nodes: &[usize],
+    ) -> (EmbedStats, (usize, usize)) {
+        let t = &self.tables;
+        s.prepare(t);
+        t.reach.prepare(&mut s.bits);
+        let (faulty_necklaces, removed_nodes) = self.phase_mark_faults(s, faulty_nodes);
+        let membership = self.partition.membership();
+        let (faulty, stamp) = (&s.faulty, s.stamp);
+        let live = |v: usize| faulty[membership[v] as usize] != stamp;
+        let root = s.probe.find(t.d, t.suffix_count, self.default_root(), live);
+        let root = root.map_or(INFEASIBLE_ROOT, |r| self.representative_of(r));
+        let mut stats = EmbedStats {
+            root,
+            component_size: 0,
+            eccentricity: 0,
+            faulty_necklaces,
+            removed_nodes,
+        };
+        if root == INFEASIBLE_ROOT {
+            return (stats, (0, 0));
+        }
+        let forward = t.reach.forward(&mut s.bits, root);
+        t.reach.backward(&mut s.bits, root);
+        stats.component_size = t.reach.component_size(&s.bits, removed_nodes);
+        (stats, forward)
+    }
+
+    /// Fault-marking phase: stamps each faulty necklace once and kills its
+    /// members in the word-packed fault mask. Returns
+    /// `(faulty_necklaces, removed_nodes)`.
+    fn phase_mark_faults(&self, s: &mut EmbedScratch, faulty_nodes: &[usize]) -> (usize, usize) {
+        let t = &self.tables;
+        let membership = self.partition.membership();
+        let stamp = s.stamp;
+        let mut faulty_necklaces = 0usize;
+        let mut removed_nodes = 0usize;
+        for &v in faulty_nodes {
+            assert!(v < t.n_nodes, "faulty node id {v} out of range");
+            let nid = membership[v] as usize;
+            if s.faulty[nid] != stamp {
+                s.faulty[nid] = stamp;
+                faulty_necklaces += 1;
+                let members = self.partition.members(nid);
+                removed_nodes += members.len();
+                for &member in members {
+                    t.reach.kill(&mut s.bits, member as usize);
+                }
+            }
+        }
+        (faulty_necklaces, removed_nodes)
     }
 
     /// The Step 2 → Step 3 wiring: walks the sorted `group_entries` runs,
@@ -309,7 +224,7 @@ impl Ffc {
     /// — the minimal predecessor of Y one level up, a packed-slot compare
     /// per candidate — instead of being materialised for every node of
     /// B*.
-    pub(crate) fn phase_necklace_selection(&self, s: &mut EmbedScratch, root_neck: usize) {
+    fn phase_necklace_selection(&self, s: &mut EmbedScratch, root_neck: usize) {
         let t = &self.tables;
         let (d, suffix) = (t.d, t.suffix_count);
         let membership = self.partition.membership();
@@ -339,6 +254,9 @@ impl Ffc {
             let parent = (0..d)
                 .map(|a| label + a * suffix)
                 .find(|&p| s.plvl[p] == want)
+                // PANIC-OK: Y was first reached at level lstar >= 1, so one
+                // of its d predecessors sat on the frontier one level up;
+                // the exhaustive engine-vs-reference suites pin it.
                 .expect("chosen node with no frontier predecessor");
             let parent_neck = membership[parent] as usize;
             if s.label_stamp[label] != stamp {
@@ -355,65 +273,6 @@ impl Ffc {
             s.group_entries.push(((label as u64) << 32) | nid as u64);
         }
         s.group_entries.sort_unstable();
-    }
-
-    /// Cycle-readoff phase: necklace rotation is arithmetic, the exit
-    /// bitmap says when to consult the override slot instead.
-    pub(crate) fn phase_readoff_streaming(
-        &self,
-        s: &mut EmbedScratch,
-        root: usize,
-        component_size: usize,
-    ) {
-        let (d, suffix) = (self.tables.d, self.tables.suffix_count);
-        if d.is_power_of_two() && suffix.is_power_of_two() {
-            read_off_cycle::<true>(s, root, d, suffix, component_size);
-        } else {
-            read_off_cycle::<false>(s, root, d, suffix, component_size);
-        }
-    }
-
-    /// The single implementation of root repair, shared by the engine and
-    /// (via a stamped throwaway scratch) by [`Ffc::pick_root`]: the nearest
-    /// live node by breadth-first distance from `preferred`, ties broken by
-    /// minimal node id (each level is sorted before it is scanned). The
-    /// exhaustive differential test `root_repair_order_is_identical` pins
-    /// the policy.
-    ///
-    /// # Panics
-    /// Panics if every necklace is faulty.
-    pub(crate) fn probe_for_live_root(&self, s: &mut EmbedScratch, preferred: usize) -> usize {
-        let t = &self.tables;
-        let membership = self.partition.membership();
-        let stamp = s.stamp;
-        let (d, suffix) = (t.d, t.suffix_count);
-        s.queue.clear();
-        s.probe[preferred] = stamp;
-        s.queue.push(preferred as u32);
-        while !s.queue.is_empty() {
-            s.next.clear();
-            for &v in &s.queue {
-                let base = (v as usize % suffix) * d;
-                for a in 0..d {
-                    let u = base + a;
-                    if s.probe[u] != stamp {
-                        s.probe[u] = stamp;
-                        s.next.push(u as u32);
-                    }
-                }
-            }
-            s.next.sort_unstable();
-            if let Some(&u) = s
-                .next
-                .iter()
-                .find(|&&u| s.faulty[membership[u as usize] as usize] != stamp)
-            {
-                s.queue.clear();
-                return u as usize;
-            }
-            std::mem::swap(&mut s.queue, &mut s.next);
-        }
-        panic!("every node of B(d,n) lies on a faulty necklace");
     }
 }
 
@@ -446,43 +305,151 @@ fn scan_levels(
     }
 }
 
-/// The streaming readoff: walks the successor permutation from `root`
-/// into the scratch's cycle buffer, computing the necklace rotation
-/// arithmetically and consulting the override slot only where the exit
-/// bitmap is set. `POW2` compiles the rotation to masks and shifts.
-fn read_off_cycle<const POW2: bool>(
-    s: &mut EmbedScratch,
-    root: usize,
+/// The buffers of the root-repair probe: visit stamps over the node space
+/// and the two BFS frontiers. The engine's scratch, the maintainer and the
+/// u8 oracle each own one; [`Ffc::pick_root`] builds an empty one, which
+/// allocates only if the preferred root is dead.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RootProbe {
+    /// Monotone per-probe stamp of `seen`.
+    stamp: u32,
+    /// Stamp: node reached by the current probe.
+    seen: Vec<u32>,
+    /// Current BFS level.
+    queue: Vec<u32>,
+    /// Next BFS level.
+    next: Vec<u32>,
+}
+
+impl RootProbe {
+    /// Grows the buffers to `n_nodes` nodes, so no probe allocates.
+    pub(crate) fn fit(&mut self, n_nodes: usize) {
+        grow_to(&mut self.seen, n_nodes, 0);
+        reserve_more(&mut self.queue, n_nodes);
+        reserve_more(&mut self.next, n_nodes);
+    }
+
+    /// Bytes currently reserved by the buffers.
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        4 * (self.seen.capacity() + self.queue.capacity() + self.next.capacity())
+    }
+
+    /// Root selection with the Section 2.5.2 repair rule, the one
+    /// implementation behind every root of the engine, the maintainer,
+    /// [`Ffc::pick_root`] and the u8 oracle: `preferred` if it is `live`,
+    /// otherwise the nearest live node by breadth-first distance from
+    /// `preferred` over the *full* graph B(d,n) (faults ignored while
+    /// searching), ties broken by minimal node id — each level is sorted
+    /// before it is scanned. `None` when no node is live. `suffix` is
+    /// d^(n−1). The exhaustive test `root_repair_order_is_identical` pins
+    /// the policy.
+    pub(crate) fn find(
+        &mut self,
+        d: usize,
+        suffix: usize,
+        preferred: usize,
+        live: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        if live(preferred) {
+            return Some(preferred);
+        }
+        self.fit(d * suffix);
+        if self.stamp == u32::MAX {
+            // Stamp wrap-around (once per 2^32 probes): forget all visits.
+            self.seen.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        let (stamp, seen) = (self.stamp, &mut self.seen);
+        let (queue, next) = (&mut self.queue, &mut self.next);
+        queue.clear();
+        seen[preferred] = stamp;
+        queue.push(preferred as u32);
+        while !queue.is_empty() {
+            next.clear();
+            for &v in queue.iter() {
+                let base = (v as usize % suffix) * d;
+                for a in 0..d {
+                    let u = base + a;
+                    if seen[u] != stamp {
+                        seen[u] = stamp;
+                        next.push(u as u32);
+                    }
+                }
+            }
+            next.sort_unstable();
+            if let Some(&u) = next.iter().find(|&&u| live(u as usize)) {
+                return Some(u as usize);
+            }
+            std::mem::swap(queue, next);
+        }
+        None
+    }
+}
+
+/// The necklace rotation of B(d,n), v ↦ (v mod s)·d + ⌊v / s⌋ with
+/// s = `suffix` = d^(n−1): the ring successor of every node that does not
+/// leave its necklace through a w-edge. With `POW2` (d, and so s, a power
+/// of two) it compiles to a mask and two shifts instead of two divisions;
+/// callers choose `POW2` once, outside their walk loop.
+#[inline(always)]
+pub(crate) fn rotate<const POW2: bool>(v: usize, d: usize, suffix: usize) -> usize {
+    if POW2 {
+        ((v & (suffix - 1)) << d.trailing_zeros()) | (v >> suffix.trailing_zeros())
+    } else {
+        (v % suffix) * d + v / suffix
+    }
+}
+
+/// The ring walk shared by the engine's readoff and
+/// [`super::RingMaintainer::ring_into`]: follows the successor permutation
+/// from `root` into `out` (cleared first), taking the override slot in
+/// `succ` where `exit_bits` is set and the necklace rotation everywhere
+/// else. `len` is |B*|, which bounds the walk in debug builds.
+pub(crate) fn read_off_cycle(
     d: usize,
     suffix: usize,
-    component_size: usize,
+    root: usize,
+    len: usize,
+    exit_bits: &[u64],
+    succ: &[u32],
+    out: &mut Vec<usize>,
 ) {
-    let d_log = d.trailing_zeros();
-    let suffix_log = suffix.trailing_zeros();
-    let suffix_mask = suffix.wrapping_sub(1);
-    debug_assert!(!POW2 || (d.is_power_of_two() && suffix.is_power_of_two()));
+    out.clear();
+    if d.is_power_of_two() {
+        walk::<true>(d, suffix, root, len, exit_bits, succ, out);
+    } else {
+        walk::<false>(d, suffix, root, len, exit_bits, succ, out);
+    }
+}
+
+/// [`read_off_cycle`] with the rotation form fixed at compile time.
+fn walk<const POW2: bool>(
+    d: usize,
+    suffix: usize,
+    root: usize,
+    len: usize,
+    exit_bits: &[u64],
+    succ: &[u32],
+    out: &mut Vec<usize>,
+) {
     let mut v = root;
     loop {
-        s.cycle.push(v);
-        v = if s.exit_bits[v / 64] >> (v % 64) & 1 == 1 {
-            s.succ[v] as usize
-        } else if POW2 {
-            ((v & suffix_mask) << d_log) | (v >> suffix_log)
+        out.push(v);
+        v = if exit_bits[v / 64] >> (v % 64) & 1 == 1 {
+            succ[v] as usize
         } else {
-            (v % suffix) * d + v / suffix
+            rotate::<POW2>(v, d, suffix)
         };
         if v == root {
             break;
         }
-        debug_assert!(
-            s.cycle.len() <= component_size,
-            "successor walk escaped B* or looped early"
-        );
+        debug_assert!(out.len() <= len, "walk escaped B* or looped early");
     }
 }
 
 /// The w-edge geometry shared by every wiring site — the engine's
-/// `wire_w_groups` and the session's `rewire_label` call this one
+/// `wire_w_groups` and the maintainer's `rewire_label` call this one
 /// implementation, so the ring bytes they produce can never drift.
 /// `members` lists the group's necklaces in ascending id order; each
 /// consecutive pair (wrapping) contributes one w-edge, whose exit node is
@@ -504,10 +471,14 @@ pub(crate) fn for_each_w_edge(
         let exit = (0..d)
             .map(|alpha| alpha * suffix + label)
             .find(|&cand| membership[cand] as usize == m)
+            // PANIC-OK: every member of a w-group owns a node αw — that is
+            // what puts it in the group — so the source has an exit.
             .expect("a w-edge of D always has an exit node on the source necklace");
         let entry = (0..d)
             .find(|&beta| membership[beta * suffix + label] as usize == target)
             .map(|beta| label * d + beta)
+            // PANIC-OK: likewise the target owns a node βw, and wβ lies on
+            // the same necklace; a miss means corrupted group tables.
             .expect("a w-edge of D always has an entry node on the target necklace");
         write(exit, entry);
     }

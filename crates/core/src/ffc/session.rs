@@ -1,9 +1,10 @@
-//! Persistent phase outputs and the incremental fault-update engine.
+//! The incremental fault-update engine: persistent phase outputs repaired
+//! by delta passes.
 //!
-//! The phase pipeline of [`super::phases`] recomputes everything per call;
-//! a long-lived reconfiguration service absorbing a *stream* of fault
-//! events should repair, not rebuild. This module persists every phase's
-//! output in an [`EmbedSession`]:
+//! The phase pipeline of the engine recomputes everything per call; a
+//! long-lived reconfiguration service absorbing a *stream* of fault events
+//! should repair, not rebuild. [`RingMaintainer`] persists every phase's
+//! output:
 //!
 //! * **Reachability snapshot** — the forward and backward BFS *level*
 //!   arrays over the live graph (not just the reachable bitmaps: the
@@ -14,10 +15,9 @@
 //! * **Necklace selection** — per-necklace records (earliest member Y,
 //!   tree label w, parent necklace) and the per-label w-group child lists;
 //! * **Cycle readoff** — the successor overrides and exit bitmap, from
-//!   which the ring is walked on demand ([`EmbedSession::ring_into`]).
+//!   which the ring is walked on demand ([`RingMaintainer::ring_into`]).
 //!
-//! [`RingMaintainer`] drives the session through
-//! [`RingMaintainer::apply_batch`] events — [`FaultEvent`] batches mixing
+//! [`RingMaintainer::apply_batch`] absorbs [`FaultEvent`] batches mixing
 //! node arrivals, node repairs and **link faults** in one fused delta pass
 //! ([`RingMaintainer::add_fault`] / [`RingMaintainer::clear_fault`] are the
 //! single-event shorthands). A fault arrival kills one necklace: the bit
@@ -30,7 +30,7 @@
 //! **bit-identical to recompute** — BFS levels are canonical — so every
 //! downstream phase repair (necklace re-selection, w-group rewiring) is
 //! confined to the necklaces whose members or predecessor levels actually
-//! changed, and the session's stats and ring bytes equal a from-scratch
+//! changed, and the maintainer's stats and ring bytes equal a from-scratch
 //! [`Ffc::embed_into`] of the accumulated fault set after every event
 //! (pinned exhaustively over all arrival orders of ≤2-fault sets and by
 //! B(2,14) property tests).
@@ -38,7 +38,7 @@
 //! When the delta's queue work exceeds a budget (a pathological cascade —
 //! e.g. a huge region losing reachability at once), or when the event
 //! changes the repair root, the maintainer falls back to a from-scratch
-//! rebuild of the session on the level-emitting passes, which costs one
+//! rebuild on the level-emitting passes, which costs one
 //! `embed_into`-shaped pipeline run. [`RepairStats`] counts which path
 //! each event took.
 //!
@@ -47,45 +47,39 @@
 //! touched, and every accepted batch returns a [`RepairOutcome`]
 //! classifying the surviving ring — [`RepairOutcome::Repaired`] when every
 //! live node rides it, [`RepairOutcome::Degraded`] when the fault set
-//! exceeds what one ring can absorb (the session keeps serving the largest
-//! surviving ring), and [`RepairOutcome::Infeasible`] when every necklace
-//! carries a fault. All three states stay fully queryable, and clearing
-//! faults lifts the session back up through the variants.
+//! exceeds what one ring can absorb (the maintainer keeps serving the
+//! largest surviving ring), and [`RepairOutcome::Infeasible`] when every
+//! necklace carries a fault. All three states stay fully queryable, and
+//! clearing faults lifts the maintainer back up through the variants.
 //!
 //! Repair state is mutable and single-writer, but reads are **not**
 //! confined to the maintainer: [`RingMaintainer::publish`] carves an
-//! immutable, refcounted [`super::RingSnapshot`] off the session
-//! (chunked copy-on-write — only the node-id chunks the last repairs
-//! dirtied are copied; clean chunks are shared with the previous snapshot
-//! by `Arc`), which any number of reader threads can query while further
-//! repairs mutate the session. [`crate::serve::RingService`] wraps this
-//! into a full serving loop with epoch publication.
+//! immutable, refcounted [`super::RingSnapshot`] off it (chunked
+//! copy-on-write — only the node-id chunks the last repairs dirtied are
+//! copied; clean chunks are shared with the previous snapshot by `Arc`),
+//! which any number of reader threads can query while further repairs
+//! mutate the maintainer. [`crate::serve::RingService`] wraps this into a
+//! full serving loop with epoch publication.
 
 use std::sync::Arc;
 
-use crate::bitreach::{
-    reserve_more, BitScratch, DeltaBudgetExceeded, DeltaScratch, LevelVec, UNREACHED,
-};
-use crate::mem::grow_to;
+use crate::bitreach::{BitScratch, DeltaBudgetExceeded, DeltaScratch, LevelVec, UNREACHED};
+use crate::mem::{grow_to, reserve_more};
 
+use super::phases::{for_each_w_edge, read_off_cycle, RootProbe};
 use super::snapshot::{ChunkMask, RingSnapshot, SnapshotParts, SnapshotPublisher};
-use super::{EmbedStats, Ffc, NONE};
+use super::{EmbedStats, Ffc, INFEASIBLE_ROOT, NONE};
 
 /// How many [`RingMaintainer`] events ran as true delta repairs and how
-/// many fell back to a from-scratch session rebuild.
+/// many fell back to a from-scratch rebuild.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Events absorbed by the delta passes alone.
     pub incremental: usize,
-    /// Events that rebuilt the session (root change, budget exceeded, or
-    /// an explicit [`RingMaintainer::reset`]).
+    /// Events that rebuilt the maintainer's state (root change, budget
+    /// exceeded, or an explicit [`RingMaintainer::reset`]).
     pub rebuilds: usize,
 }
-
-/// A sentinel root meaning "no live necklace exists". It compares unequal
-/// to every real node id, so the maintainer's root-change check routes the
-/// first reviving event through a full rebuild automatically.
-const INFEASIBLE_ROOT: usize = usize::MAX;
 
 /// One fault-churn event for [`RingMaintainer::apply_batch`].
 ///
@@ -114,14 +108,14 @@ pub enum FaultEvent {
 /// A request the repair engine rejects *before* touching any state — the
 /// typed replacement for the slice-bounds panics malformed ids used to
 /// hit. Batches are atomic: one bad event rejects the whole batch and the
-/// session is left exactly as it was.
+/// maintainer is left exactly as it was.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RepairError {
     /// No [`RingMaintainer::reset`] has run yet.
     NotInitialized,
-    /// The session is bound to a different graph than the call's [`Ffc`].
+    /// The maintainer is bound to a different graph than the call's [`Ffc`].
     ShapeMismatch {
-        /// Node count of the graph the session was reset against.
+        /// Node count of the graph the maintainer was reset against.
         bound_nodes: usize,
         /// Node count of the graph passed to the rejected call.
         graph_nodes: usize,
@@ -169,7 +163,7 @@ impl std::fmt::Display for RepairError {
 impl std::error::Error for RepairError {}
 
 /// What state a repair event left the maintained ring in. Every variant
-/// keeps the session fully queryable, and the state is always recoverable:
+/// keeps the maintainer fully queryable, and the state is always recoverable:
 /// clearing faults lifts `Infeasible` back through `Degraded` to
 /// `Repaired` (pinned by tests).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,7 +177,7 @@ pub enum RepairOutcome {
     /// root's strongly connected component) and reports how many live
     /// nodes fell off it.
     Degraded {
-        /// The session's stats (identical to a from-scratch embed of the
+        /// The maintainer's stats (identical to a from-scratch embed of the
         /// accumulated exclusion set).
         stats: EmbedStats,
         /// Length of the surviving ring being served.
@@ -191,16 +185,33 @@ pub enum RepairOutcome {
         /// Live (non-removed) nodes that are not on the surviving ring.
         excluded: usize,
     },
-    /// Every necklace carries a fault: no ring exists at all. The session
-    /// answers every query (empty ring, zeroed reachability) and recovers
-    /// on the next reviving event.
+    /// Every necklace carries a fault: no ring exists at all. The
+    /// maintainer answers every query (empty ring, zeroed reachability) and
+    /// recovers on the next reviving event.
     Infeasible {
-        /// The session's stats (component size 0, sentinel root).
+        /// The stats of the infeasible embed (component size 0, root
+        /// `usize::MAX`).
         stats: EmbedStats,
     },
 }
 
 impl RepairOutcome {
+    /// Classifies the embedding `stats` of a B(d,n) with `n_nodes` nodes —
+    /// the one classification behind [`RingMaintainer::outcome`] and
+    /// [`RingSnapshot::outcome`]: infeasible when no root exists, repaired
+    /// when every live node rides the ring, degraded otherwise.
+    pub(crate) fn classify(stats: EmbedStats, n_nodes: usize) -> Self {
+        match n_nodes - stats.removed_nodes - stats.component_size {
+            _ if stats.root == INFEASIBLE_ROOT => RepairOutcome::Infeasible { stats },
+            0 => RepairOutcome::Repaired(stats),
+            excluded => RepairOutcome::Degraded {
+                stats,
+                ring_len: stats.component_size,
+                excluded,
+            },
+        }
+    }
+
     /// The embedding stats, available in every state.
     #[must_use]
     pub fn stats(&self) -> EmbedStats {
@@ -249,15 +260,38 @@ impl RepairOutcome {
     }
 }
 
-/// The persisted outputs of the embedding pipeline's phases, plus the
-/// accumulated fault state they were computed under. See the module docs
-/// for the phase-by-phase layout. All mutation goes through
-/// [`RingMaintainer`]; the session itself exposes read-only views, and
-/// [`EmbedSession::publish_snapshot`] freezes the read-side structures
-/// into an immutable [`RingSnapshot`] that outlives further mutation.
+/// The incremental fault-update engine: the persisted outputs of the
+/// embedding pipeline's phases (see the module docs for the layout), the
+/// accumulated fault state they were computed under, and the delta
+/// machinery that repairs them.
+///
+/// [`RingMaintainer::apply_batch`] absorbs event batches (node arrivals,
+/// node repairs and link faults; `add_fault` / `clear_fault` are the
+/// single-event shorthands), falling back to a from-scratch rebuild only
+/// when the batch changes the repair root or the delta's work budget is
+/// exceeded. After every batch the stats and ring bytes are identical to
+/// a from-scratch [`Ffc::embed_into`] of the accumulated exclusion set
+/// ([`RingMaintainer::faulty_nodes`]), and the returned [`RepairOutcome`]
+/// classifies the surviving ring — malformed requests are rejected as
+/// typed [`RepairError`]s with no state touched, never panics.
+///
+/// Like [`super::EmbedScratch`], the maintainer is a state object: every
+/// event method takes the [`Ffc`] it was [`RingMaintainer::reset`]
+/// against (the shape is checked). One maintainer serves any number of
+/// events with no heap allocation after warm-up.
+///
+/// The maintainer is the single *writer*; it does **not** monopolise the
+/// read path. [`RingMaintainer::publish`] freezes the current ring into an
+/// immutable [`RingSnapshot`] (chunked copy-on-write), and
+/// [`crate::serve::RingService`] turns that into wait-free concurrent
+/// reads under live repair.
 #[derive(Clone, Debug, Default)]
-pub struct EmbedSession {
-    // -- shape (asserted against the `Ffc` of every call) --
+pub struct RingMaintainer {
+    // -- repair policy and accounting --
+    /// Delta work budget override (see [`RingMaintainer::with_budget`]).
+    budget: Option<usize>,
+    repairs: RepairStats,
+    // -- shape (checked against the `Ffc` of every call) --
     d: usize,
     suffix: usize,
     n_nodes: usize,
@@ -323,7 +357,7 @@ pub struct EmbedSession {
     exit_bits: Vec<u64>,
     // -- snapshot publication --
     /// Word-packed mirror of `in_bstar`, maintained incrementally — the
-    /// membership bitmap [`EmbedSession::publish_snapshot`] freezes into
+    /// membership bitmap [`RingMaintainer::publish`] freezes into
     /// snapshots without an O(n) repack.
     bstar_bits: Vec<u64>,
     /// Snapshot chunks whose `succ`/`exit_bits` changed since the last
@@ -371,13 +405,11 @@ pub struct EmbedSession {
     label_stamp: Vec<u32>,
     dirty_labels: Vec<u32>,
     member_buf: Vec<u32>,
-    /// Root-probe state (mirrors the engine's allocation-free probe).
-    probe_stamp: Vec<u32>,
-    probe_queue: Vec<u32>,
-    probe_next: Vec<u32>,
+    /// The root-repair probe's buffers.
+    probe: RootProbe,
 }
 
-impl EmbedSession {
+impl RingMaintainer {
     /// The scalar results the accumulated fault set embeds to — identical
     /// to [`Ffc::embed_into`] of that set.
     #[must_use]
@@ -394,7 +426,7 @@ impl EmbedSession {
     /// The accumulated **excluded** nodes, unordered: explicitly faulty
     /// processors plus the source endpoints of faulty links. A
     /// from-scratch [`Ffc::embed_into`] of exactly this set reproduces the
-    /// session's stats and ring bytes.
+    /// maintainer's stats and ring bytes.
     #[must_use]
     pub fn faulty_nodes(&self) -> &[usize] {
         &self.fault_list
@@ -406,26 +438,14 @@ impl EmbedSession {
         &self.edge_faults
     }
 
-    /// Classifies the session's current state (see [`RepairOutcome`]):
-    /// repaired when every live node rides the ring, degraded when live
-    /// nodes fell off it, infeasible when every necklace carries a fault.
+    /// The [`RepairOutcome`] of the accumulated fault set — the same
+    /// classification the last event returned, queryable at any time after
+    /// [`RingMaintainer::reset`]: repaired when every live node rides the
+    /// ring, degraded when live nodes fell off it, infeasible when every
+    /// necklace carries a fault.
     #[must_use]
     pub fn outcome(&self) -> RepairOutcome {
-        let stats = self.stats();
-        if self.root == INFEASIBLE_ROOT {
-            return RepairOutcome::Infeasible { stats };
-        }
-        let live = self.n_nodes - self.removed_nodes;
-        let excluded = live - self.component_size;
-        if excluded == 0 {
-            RepairOutcome::Repaired(stats)
-        } else {
-            RepairOutcome::Degraded {
-                stats,
-                ring_len: self.component_size,
-                excluded,
-            }
-        }
+        RepairOutcome::classify(self.stats(), self.n_nodes)
     }
 
     /// Whether node `v` lies in B* under the accumulated fault set.
@@ -434,7 +454,8 @@ impl EmbedSession {
         self.in_bstar[v]
     }
 
-    /// The current repair root (necklace representative).
+    /// The current repair root (necklace representative; `usize::MAX`
+    /// when infeasible).
     #[must_use]
     pub fn root(&self) -> usize {
         self.root
@@ -448,32 +469,24 @@ impl EmbedSession {
 
     /// Walks the maintained ring from the root into `out` — byte-identical
     /// to the cycle a from-scratch [`Ffc::embed_into`] of the accumulated
-    /// fault set leaves in its scratch. O(|B*|); the repair events
-    /// themselves never pay this walk, which is what makes single-fault
-    /// repair sublinear in the ring length. Leaves `out` empty when the
-    /// session is infeasible (no surviving ring).
+    /// fault set leaves in its scratch, and walked by the same readoff.
+    /// O(|B*|); the repair events themselves never pay this walk, which is
+    /// what makes single-fault repair sublinear in the ring length. Leaves
+    /// `out` empty when the fault set is infeasible (no surviving ring).
     pub fn ring_into(&self, out: &mut Vec<usize>) {
         out.clear();
         if self.component_size == 0 {
             return;
         }
-        let (d, suffix) = (self.d, self.suffix);
-        let mut v = self.root;
-        loop {
-            out.push(v);
-            v = if self.exit_bits[v / 64] >> (v % 64) & 1 == 1 {
-                self.succ[v] as usize
-            } else {
-                (v % suffix) * d + v / suffix
-            };
-            if v == self.root {
-                break;
-            }
-            debug_assert!(
-                out.len() <= self.component_size,
-                "ring walk escaped B* or looped early"
-            );
-        }
+        read_off_cycle(
+            self.d,
+            self.suffix,
+            self.root,
+            self.component_size,
+            &self.exit_bits,
+            &self.succ,
+            out,
+        );
     }
 
     /// Histogram of the forward BFS levels over live nodes (index = level,
@@ -498,29 +511,33 @@ impl EmbedSession {
         counts
     }
 
-    /// Freezes the session's read-side structures into an immutable
-    /// [`RingSnapshot`] via `publisher`, copying only the chunks mutated
-    /// since the last publication (each structure group carries a
-    /// per-chunk dirty mask the repair paths maintain) and sharing clean
-    /// chunks with the previous snapshot by `Arc`. `applied_events` is
-    /// stamped into the snapshot so readers can line it up with a prefix
-    /// of the event sequence.
+    /// Freezes the current ring into an immutable [`RingSnapshot`] via
+    /// `publisher`, copying only the chunks mutated since the last
+    /// publication (each structure group carries a per-chunk dirty mask the
+    /// repair paths maintain) and sharing clean chunks with the previous
+    /// snapshot by `Arc`. The snapshot stays valid — and bit-identical — no
+    /// matter how many further events this maintainer absorbs.
+    /// `applied_events` is the caller's count of absorbed events, stamped
+    /// into the snapshot so readers can line it up with a prefix of the
+    /// event sequence.
     ///
-    /// Requires an initialized session ([`RingMaintainer::reset`] ran);
-    /// [`RingMaintainer::publish`] is the checked entry point.
-    pub(crate) fn publish_snapshot(
+    /// # Errors
+    /// [`RepairError::NotInitialized`] before the first
+    /// [`RingMaintainer::reset`].
+    pub fn publish(
         &mut self,
         publisher: &mut SnapshotPublisher,
         applied_events: u64,
-    ) -> Arc<RingSnapshot> {
-        debug_assert!(self.initialized, "publish before reset");
+    ) -> Result<Arc<RingSnapshot>, RepairError> {
+        if !self.initialized {
+            return Err(RepairError::NotInitialized);
+        }
         let words = self.n_nodes.div_ceil(64);
-        let parts = SnapshotParts {
+        let snap = publisher.build(SnapshotParts {
             d: self.d,
             suffix: self.suffix,
             n_nodes: self.n_nodes,
             stats: self.stats(),
-            infeasible: self.root == INFEASIBLE_ROOT,
             ring_dirty: &self.snap_ring_dirty,
             bstar_dirty: &self.snap_bstar_dirty,
             level_dirty: &self.snap_level_dirty,
@@ -529,16 +546,15 @@ impl EmbedSession {
             bstar_bits: &self.bstar_bits[..words],
             bcast_level: &self.bcast_level,
             applied_events,
-        };
-        let snap = publisher.build(parts);
+        });
         self.snap_ring_dirty.clear();
         self.snap_bstar_dirty.clear();
         self.snap_level_dirty.clear();
-        snap
+        Ok(snap)
     }
 
     /// Marks every snapshot chunk of every group dirty (a rebuild, the
-    /// infeasible state, or a new shape rewrote the whole session).
+    /// infeasible state, or a new shape rewrote all state).
     fn dirty_all_chunks(&mut self) {
         self.snap_ring_dirty.mark_all();
         self.snap_bstar_dirty.mark_all();
@@ -555,9 +571,9 @@ impl EmbedSession {
             + self.bcast_level.allocated_bytes()
     }
 
-    /// Total bytes currently reserved by the session's buffers — constant
-    /// across repair events at a fixed (d, n), the incremental engine's
-    /// analogue of [`super::EmbedScratch::allocated_bytes`].
+    /// Total bytes currently reserved by the maintainer's buffers —
+    /// constant across repair events at a fixed (d, n), the incremental
+    /// engine's analogue of [`super::EmbedScratch::allocated_bytes`].
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
         self.node_faulty.capacity()
@@ -592,15 +608,13 @@ impl EmbedSession {
                 + self.dirty_necks.capacity()
                 + self.label_stamp.capacity()
                 + self.dirty_labels.capacity()
-                + self.member_buf.capacity()
-                + self.probe_stamp.capacity()
-                + self.probe_queue.capacity()
-                + self.probe_next.capacity())
+                + self.member_buf.capacity())
             + 8 * (self.exit_bits.capacity()
                 + self.bstar_bits.capacity()
                 + self.best_key.capacity()
                 + self.edge_faults.capacity()
                 + self.touched_necks.capacity())
+            + self.probe.allocated_bytes()
             + self.bits.allocated_bytes()
             + self.delta.allocated_bytes()
             + self.snap_ring_dirty.allocated_bytes()
@@ -617,7 +631,6 @@ impl EmbedSession {
     fn bump_stamp(&mut self) -> u32 {
         if self.stamp == u32::MAX {
             for arr in [
-                &mut self.probe_stamp,
                 &mut self.cand_stamp,
                 &mut self.best_stamp,
                 &mut self.dirty_stamp,
@@ -650,7 +663,6 @@ impl EmbedSession {
         grow_to(&mut self.succ, n, 0);
         grow_to(&mut self.label_children, t.suffix_count * t.d, NONE);
         grow_to(&mut self.cand_stamp, n, 0);
-        grow_to(&mut self.probe_stamp, n, 0);
         grow_to(&mut self.exit_bits, n.div_ceil(64), 0);
         grow_to(&mut self.bstar_bits, n.div_ceil(64), 0);
         grow_to(&mut self.neck_fault_count, self.n_necks, 0);
@@ -686,8 +698,7 @@ impl EmbedSession {
         reserve_more(&mut self.dirty_necks, self.n_necks);
         reserve_more(&mut self.dirty_labels, t.suffix_count);
         reserve_more(&mut self.member_buf, t.d + 1);
-        reserve_more(&mut self.probe_queue, n);
-        reserve_more(&mut self.probe_next, n);
+        self.probe.fit(n);
         // Fault state restarts from empty.
         self.node_faulty[..n].fill(false);
         self.node_dead[..n].fill(false);
@@ -706,7 +717,7 @@ impl EmbedSession {
         self.initialized = true;
     }
 
-    /// Checks this session was built for `ffc`'s shape.
+    /// Checks the maintainer was reset against `ffc`'s shape.
     fn ensure_shape(&self, ffc: &Ffc) -> Result<(), RepairError> {
         if !self.initialized {
             return Err(RepairError::NotInitialized);
@@ -849,50 +860,20 @@ impl EmbedSession {
     // Root policy.
     // ------------------------------------------------------------------
 
-    /// The root the from-scratch policy would pick for the current fault
-    /// set (Section 2.5.2): the preferred root if its necklace survives,
-    /// else the nearest live node by breadth-first distance over the full
-    /// graph, ties broken by minimal id — the identical order to
-    /// [`Ffc::pick_root`] and the engine's probe. `None` when every
-    /// necklace carries a fault (no root can exist).
+    /// The root the from-scratch engine would pick for the current fault
+    /// set: [`RootProbe::find`] fed the per-necklace fault counts, as a
+    /// necklace representative. `None` when every necklace is faulty.
     fn policy_root(&mut self, ffc: &Ffc) -> Option<usize> {
-        let preferred = ffc.default_root();
         let membership = ffc.partition.membership();
-        if self.neck_fault_count[membership[preferred] as usize] == 0 {
-            return Some(ffc.representative_of(preferred));
-        }
-        let stamp = self.bump_stamp();
-        let (d, suffix) = (self.d, self.suffix);
-        self.probe_queue.clear();
-        self.probe_stamp[preferred] = stamp;
-        self.probe_queue.push(preferred as u32);
-        while !self.probe_queue.is_empty() {
-            self.probe_next.clear();
-            for i in 0..self.probe_queue.len() {
-                let v = self.probe_queue[i] as usize;
-                let base = (v % suffix) * d;
-                for a in 0..d {
-                    let u = base + a;
-                    if self.probe_stamp[u] != stamp {
-                        self.probe_stamp[u] = stamp;
-                        self.probe_next.push(u as u32);
-                    }
-                }
-            }
-            self.probe_next.sort_unstable();
-            if let Some(&u) = self
-                .probe_next
-                .iter()
-                .find(|&&u| self.neck_fault_count[membership[u as usize] as usize] == 0)
-            {
-                return Some(ffc.representative_of(u as usize));
-            }
-            std::mem::swap(&mut self.probe_queue, &mut self.probe_next);
-        }
-        None // every node of B(d,n) lies on a faulty necklace
+        let fault_count = &self.neck_fault_count;
+        let live = |v: usize| fault_count[membership[v] as usize] == 0;
+        let root = self
+            .probe
+            .find(self.d, self.suffix, ffc.default_root(), live)?;
+        Some(ffc.representative_of(root))
     }
 
-    /// Parks the session in the no-ring state: every necklace carries a
+    /// Parks the maintainer in the no-ring state: every necklace carries a
     /// fault, so no fault-free cycle exists. Every query stays answerable
     /// (empty ring, empty histogram, zero |B*|), and the sentinel root
     /// compares unequal to every real root, so the next reviving event
@@ -919,7 +900,7 @@ impl EmbedSession {
     // The from-scratch rebuild (fallback and initialisation).
     // ------------------------------------------------------------------
 
-    /// Runs the full phase pipeline into the session: the level-emitting
+    /// Runs the full phase pipeline into the maintainer: the level-emitting
     /// reachability passes, B* and the broadcast histogram, every
     /// necklace record, the w-group tables and the exit/override wiring.
     fn rebuild(&mut self, ffc: &Ffc) {
@@ -1406,41 +1387,12 @@ impl EmbedSession {
             in_bstar,
             ..
         } = self;
-        super::phases::for_each_w_edge(d, suffix, membership, label, member_buf, |exit, entry| {
+        for_each_w_edge(d, suffix, membership, label, member_buf, |exit, entry| {
             debug_assert!(in_bstar[entry]);
             succ[exit] = entry as u32;
             exit_bits[exit / 64] |= 1u64 << (exit % 64);
         });
     }
-}
-
-/// The incremental fault-update engine: owns an [`EmbedSession`] and
-/// repairs it through [`RingMaintainer::apply_batch`] event batches
-/// (node arrivals, node repairs and link faults; `add_fault` /
-/// `clear_fault` are the single-event shorthands), falling back to a
-/// from-scratch rebuild only when the batch changes the repair root or
-/// the delta's work budget is exceeded. After every batch the session's
-/// stats and ring bytes are identical to a from-scratch
-/// [`Ffc::embed_into`] of the accumulated exclusion set
-/// ([`EmbedSession::faulty_nodes`]), and the returned [`RepairOutcome`]
-/// classifies the surviving ring — malformed requests are rejected as
-/// typed [`RepairError`]s with no state touched, never panics.
-///
-/// Like [`super::EmbedScratch`], the maintainer is a state object: every
-/// method takes the [`Ffc`] it was [`RingMaintainer::reset`] against (the
-/// shape is asserted). One maintainer serves any number of events with no
-/// heap allocation after warm-up.
-///
-/// The maintainer is the single *writer*; it does **not** monopolise the
-/// read path. [`RingMaintainer::publish`] freezes the current ring into an
-/// immutable [`RingSnapshot`] (chunked copy-on-write), and
-/// [`crate::serve::RingService`] turns that into wait-free concurrent
-/// reads under live repair.
-#[derive(Clone, Debug, Default)]
-pub struct RingMaintainer {
-    session: EmbedSession,
-    budget: Option<usize>,
-    repairs: RepairStats,
 }
 
 impl RingMaintainer {
@@ -1465,56 +1417,15 @@ impl RingMaintainer {
         self
     }
 
-    /// The persisted phase outputs (stats, ring, B* membership, levels).
-    #[must_use]
-    pub fn session(&self) -> &EmbedSession {
-        &self.session
-    }
-
-    /// Total bytes currently reserved by the maintainer's session —
-    /// constant across repair events at a fixed (d, n)
-    /// ([`EmbedSession::allocated_bytes`]).
-    #[must_use]
-    pub fn allocated_bytes(&self) -> usize {
-        self.session.allocated_bytes()
-    }
-
-    /// Bytes of the session's compact per-node level arrays
-    /// ([`EmbedSession::level_bytes`]).
-    #[must_use]
-    pub fn level_bytes(&self) -> usize {
-        self.session.level_bytes()
-    }
-
     /// How many events ran as delta repairs vs rebuilds.
     #[must_use]
     pub fn repairs(&self) -> RepairStats {
         self.repairs
     }
 
-    /// The scalar results of the current accumulated fault set.
-    #[must_use]
-    pub fn stats(&self) -> EmbedStats {
-        self.session.stats()
-    }
-
-    /// Walks the maintained ring into `out` (see
-    /// [`EmbedSession::ring_into`]).
-    pub fn ring_into(&self, out: &mut Vec<usize>) {
-        self.session.ring_into(out);
-    }
-
-    /// The [`RepairOutcome`] of the current accumulated fault set — the
-    /// same classification the last event returned, queryable at any time
-    /// after [`RingMaintainer::reset`].
-    #[must_use]
-    pub fn outcome(&self) -> RepairOutcome {
-        self.session.outcome()
-    }
-
-    /// (Re)initialises the session for `ffc` with the given fault set via
-    /// one from-scratch pipeline run, and returns its outcome. Duplicate
-    /// nodes in `faults` are tolerated (set semantics, like
+    /// (Re)initialises the maintainer for `ffc` with the given fault set
+    /// via one from-scratch pipeline run, and returns its outcome.
+    /// Duplicate nodes in `faults` are tolerated (set semantics, like
     /// [`Ffc::embed_into`]); accumulated link faults are cleared.
     ///
     /// # Errors
@@ -1526,24 +1437,24 @@ impl RingMaintainer {
         if let Some(&v) = faults.iter().find(|&&v| v >= n_nodes) {
             return Err(RepairError::NodeOutOfRange { node: v, n_nodes });
         }
-        self.session.adopt_shape(ffc);
-        let _ = self.session.bump_stamp();
-        self.session.touched_necks.clear();
+        self.adopt_shape(ffc);
+        let _ = self.bump_stamp();
+        self.touched_necks.clear();
         for &v in faults {
-            if !self.session.node_faulty[v] {
-                self.session.node_faulty[v] = true;
-                self.session.sync_exclusion(ffc, v);
+            if !self.node_faulty[v] {
+                self.node_faulty[v] = true;
+                self.sync_exclusion(ffc, v);
             }
         }
-        self.session.rebuild(ffc);
+        self.rebuild(ffc);
         self.repairs.rebuilds += 1;
-        Ok(self.session.outcome())
+        Ok(self.outcome())
     }
 
     /// Absorbs one batch of simultaneous fault-churn events and returns
     /// the [`RepairOutcome`] of the accumulated fault set — whose stats
     /// and ring bytes are identical to a fresh [`Ffc::embed_into`] of
-    /// [`EmbedSession::faulty_nodes`]. Redundant events (an already-faulty
+    /// [`RingMaintainer::faulty_nodes`]. Redundant events (an already-faulty
     /// node going down, a never-faulty node coming up, a duplicate link
     /// fault) are no-ops inside the batch, and a batch whose net effect
     /// kills or revives no necklace costs nothing beyond bookkeeping.
@@ -1553,13 +1464,13 @@ impl RingMaintainer {
     /// together), so k simultaneous arrivals settle each affected frontier
     /// once instead of k times. The repair falls back to one rebuild when
     /// the batch changes the repair root or exceeds the delta budget, and
-    /// parks the session in the (recoverable) infeasible state when the
+    /// parks the maintainer in the (recoverable) infeasible state when the
     /// batch kills the last live necklace.
     ///
     /// # Errors
     /// The batch is validated atomically before any state changes:
     /// [`RepairError::NotInitialized`] / [`RepairError::ShapeMismatch`]
-    /// when the session is not bound to `ffc`,
+    /// when the maintainer is not bound to `ffc`,
     /// [`RepairError::NodeOutOfRange`] for an id outside the graph, and
     /// [`RepairError::NotAnEdge`] for a link event whose pair is not a de
     /// Bruijn edge.
@@ -1568,37 +1479,35 @@ impl RingMaintainer {
         ffc: &Ffc,
         events: &[FaultEvent],
     ) -> Result<RepairOutcome, RepairError> {
-        self.session.ensure_shape(ffc)?;
-        let n_nodes = self.session.n_nodes;
-        let (d, suffix) = (self.session.d, self.session.suffix);
+        self.ensure_shape(ffc)?;
         for &ev in events {
-            validate_event(d, suffix, n_nodes, ev)?;
+            validate_event(self.d, self.suffix, self.n_nodes, ev)?;
         }
-        self.session.book_events(ffc, events);
-        if self.session.killed_necks.is_empty() && self.session.revived_necks.is_empty() {
-            return Ok(self.session.outcome()); // no topology change
+        self.book_events(ffc, events);
+        if self.killed_necks.is_empty() && self.revived_necks.is_empty() {
+            return Ok(self.outcome()); // no topology change
         }
-        match self.session.policy_root(ffc) {
+        match self.policy_root(ffc) {
             None => {
-                self.session.enter_infeasible();
+                self.enter_infeasible();
                 self.repairs.rebuilds += 1;
             }
-            Some(root) if root != self.session.root => {
-                self.session.rebuild(ffc);
+            Some(root) if root != self.root => {
+                self.rebuild(ffc);
                 self.repairs.rebuilds += 1;
             }
             Some(_) => {
-                let budget = self.effective_budget();
-                match (budget > 0).then(|| self.session.delta_batch(ffc, budget)) {
+                let budget = self.budget.unwrap_or_else(|| self.n_nodes.max(1024));
+                match (budget > 0).then(|| self.delta_batch(ffc, budget)) {
                     Some(Ok(())) => self.repairs.incremental += 1,
                     _ => {
-                        self.session.rebuild(ffc);
+                        self.rebuild(ffc);
                         self.repairs.rebuilds += 1;
                     }
                 }
             }
         }
-        Ok(self.session.outcome())
+        Ok(self.outcome())
     }
 
     /// Absorbs the arrival of a fault at node `v` — shorthand for a
@@ -1620,34 +1529,6 @@ impl RingMaintainer {
     /// See [`RingMaintainer::apply_batch`].
     pub fn clear_fault(&mut self, ffc: &Ffc, v: usize) -> Result<RepairOutcome, RepairError> {
         self.apply_batch(ffc, &[FaultEvent::NodeUp(v)])
-    }
-
-    /// The delta budget in effect.
-    fn effective_budget(&self) -> usize {
-        self.budget
-            .unwrap_or_else(|| self.session.n_nodes.max(1024))
-    }
-
-    /// Freezes the current session state into an immutable
-    /// [`RingSnapshot`] (see [`EmbedSession::publish_snapshot`]): only the
-    /// chunks mutated since the last publication are copied, the rest are
-    /// shared with the previous snapshot by `Arc`. The snapshot
-    /// stays valid — and bit-identical — no matter how many further events
-    /// this maintainer absorbs. `applied_events` is the caller's count of
-    /// absorbed events, stamped into the snapshot for prefix bookkeeping.
-    ///
-    /// # Errors
-    /// [`RepairError::NotInitialized`] before the first
-    /// [`RingMaintainer::reset`].
-    pub fn publish(
-        &mut self,
-        publisher: &mut SnapshotPublisher,
-        applied_events: u64,
-    ) -> Result<Arc<RingSnapshot>, RepairError> {
-        if !self.session.initialized {
-            return Err(RepairError::NotInitialized);
-        }
-        Ok(self.session.publish_snapshot(publisher, applied_events))
     }
 }
 
@@ -1723,7 +1604,7 @@ fn remove_child(children: &mut [u32], d: usize, label: usize, nid: u32) {
         .position(|&c| c == nid)
         // PANIC-OK: callers only remove a child they previously inserted
         // (the w-group records are repaired in lockstep with the tree);
-        // a miss means session state corruption, not bad caller input —
+        // a miss means maintainer state corruption, not bad caller input —
         // pinned by the exhaustive repair-equality suites.
         .expect("removing a child that is not in the label's group");
     slots[pos..].rotate_left(1);

@@ -1,13 +1,13 @@
 //! Immutable, refcounted ring snapshots and their chunked copy-on-write
 //! builder.
 //!
-//! [`super::session::EmbedSession`] is the *mutable* half of the embedding
-//! state: delta passes rewrite its levels, records and wiring in place. A
+//! [`super::RingMaintainer`] is the *mutable* half of the embedding state:
+//! delta passes rewrite its levels, records and wiring in place. A
 //! [`RingSnapshot`] is the immutable read-side view carved off it — ring
 //! membership, the exit bitmap and successor overrides, broadcast levels,
 //! root and stats, everything a reader needs to answer
 //! `successor`/`contains`/ring-walk queries — frozen behind `Arc`s so any
-//! number of readers can hold it while repairs continue on the session.
+//! number of readers can hold it while repairs continue on the maintainer.
 //!
 //! A snapshot is cut into chunks of `CHUNK_NODES` (4096) consecutive node
 //! ids. Each chunk holds one `Arc` per buffer:
@@ -19,7 +19,7 @@
 //!   set);
 //! * the broadcast levels in the compact one-byte [`LevelVec`] encoding.
 //!
-//! The session marks, per structure group (membership, ring wiring,
+//! The maintainer marks, per structure group (membership, ring wiring,
 //! broadcast levels), the chunks a repair dirtied, from change logs it keeps
 //! anyway. [`SnapshotPublisher`] copies exactly those chunks and shares
 //! every other chunk with the previous snapshot by refcount, so a
@@ -31,8 +31,9 @@
 
 use std::sync::Arc;
 
+use super::phases::rotate;
 use super::session::RepairOutcome;
-use super::EmbedStats;
+use super::{EmbedStats, INFEASIBLE_ROOT};
 use crate::bitreach::{LevelVec, UNREACHED};
 use crate::mem::{decode_level, grow_to, UNREACHED_U8};
 
@@ -52,7 +53,7 @@ type SuccChunk = [u32; CHUNK_NODES];
 type LevelChunk = [u8; CHUNK_NODES];
 
 /// Per-chunk dirty bits of one snapshot group, marked by node id. The
-/// session keeps one per group and clears them after each publication.
+/// maintainer keeps one per group and clears them after each publication.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ChunkMask {
     words: Vec<u64>,
@@ -143,14 +144,13 @@ pub struct RingSnapshot {
     pub(crate) d: usize,
     pub(crate) suffix: usize,
     pub(crate) n_nodes: usize,
-    /// How many fault events the producing session had absorbed when this
+    /// How many fault events the producing maintainer had absorbed when this
     /// snapshot was published — readers use it to line the snapshot up
     /// with a prefix of the event sequence.
     pub(crate) applied_events: u64,
     /// Publication sequence number (1 = the initial publication).
     pub(crate) seq: u64,
     pub(crate) stats: EmbedStats,
-    pub(crate) infeasible: bool,
     /// Chunk tables, one per buffer: node `v` lives in chunk
     /// `v / CHUNK_NODES` of each. `bits` is copied when the membership or
     /// the ring group dirtied the chunk, `succ` when the ring group did,
@@ -193,7 +193,7 @@ impl RingSnapshot {
     /// (every necklace faulty — no ring exists).
     #[must_use]
     pub fn root(&self) -> Option<usize> {
-        (!self.infeasible).then_some(self.stats.root)
+        (self.stats.root != INFEASIBLE_ROOT).then_some(self.stats.root)
     }
 
     /// Length of the served ring (0 when infeasible).
@@ -216,23 +216,10 @@ impl RingSnapshot {
     }
 
     /// Classifies the snapshot's state exactly like
-    /// [`super::session::EmbedSession::outcome`].
+    /// [`super::RingMaintainer::outcome`] did at publication time.
     #[must_use]
     pub fn outcome(&self) -> RepairOutcome {
-        if self.infeasible {
-            return RepairOutcome::Infeasible { stats: self.stats };
-        }
-        let live = self.n_nodes - self.stats.removed_nodes;
-        let excluded = live - self.stats.component_size;
-        if excluded == 0 {
-            RepairOutcome::Repaired(self.stats)
-        } else {
-            RepairOutcome::Degraded {
-                stats: self.stats,
-                ring_len: self.stats.component_size,
-                excluded,
-            }
-        }
+        RepairOutcome::classify(self.stats, self.n_nodes)
     }
 
     /// `v`'s `[membership, exit]` word pair.
@@ -303,11 +290,10 @@ impl RingSnapshot {
         if self.words(u)[1] >> (u % 64) & 1 == 1 {
             self.succ[u >> CHUNK_SHIFT][u & CHUNK_MASK] as usize
         } else if d.is_power_of_two() {
-            // The rotation below without its two divisions, which bound a
-            // ring walk: suffix = d^(n-1) is a power of two whenever d is.
-            ((u & (suffix - 1)) << d.trailing_zeros()) | (u >> suffix.trailing_zeros())
+            // The shift form: the two divisions would bound a ring walk.
+            rotate::<true>(u, d, suffix)
         } else {
-            (u % suffix) * d + u / suffix
+            rotate::<false>(u, d, suffix)
         }
     }
 
@@ -339,25 +325,13 @@ impl RingSnapshot {
     }
 
     /// Walks the full served ring from the root into `out` — byte-identical
-    /// to [`super::session::EmbedSession::ring_into`] at publication time.
+    /// to [`super::RingMaintainer::ring_into`] at publication time.
     /// Leaves `out` empty when the snapshot is infeasible.
     pub fn ring_into(&self, out: &mut Vec<usize>) {
         out.clear();
-        if self.infeasible || self.stats.component_size == 0 {
-            return;
-        }
-        let root = self.stats.root;
-        let mut v = root;
-        loop {
-            out.push(v);
-            v = self.successor_unchecked(v);
-            if v == root {
-                break;
-            }
-            debug_assert!(
-                out.len() <= self.stats.component_size,
-                "ring walk escaped B* or looped early"
-            );
+        if let Some(root) = self.root() {
+            // The root rides the ring, so the walk cannot be rejected.
+            let _ = self.ring_segment(root, self.stats.component_size, out);
         }
     }
 }
@@ -369,12 +343,12 @@ impl std::fmt::Debug for RingSnapshot {
             .field("applied_events", &self.applied_events)
             .field("n_nodes", &self.n_nodes)
             .field("ring_len", &self.stats.component_size)
-            .field("infeasible", &self.infeasible)
+            .field("infeasible", &self.root().is_none())
             .finish_non_exhaustive()
     }
 }
 
-/// The borrow bundle a session hands the publisher: current structure
+/// The borrow bundle a maintainer hands the publisher: current structure
 /// slices plus the per-group masks of chunks changed since the last
 /// publication.
 pub(crate) struct SnapshotParts<'a> {
@@ -382,7 +356,6 @@ pub(crate) struct SnapshotParts<'a> {
     pub suffix: usize,
     pub n_nodes: usize,
     pub stats: EmbedStats,
-    pub infeasible: bool,
     /// Chunks whose `succ`/`exit_bits` changed since the last publication.
     pub ring_dirty: &'a ChunkMask,
     /// Chunks whose `bstar_bits` changed since the last publication.
@@ -400,7 +373,7 @@ pub(crate) struct SnapshotParts<'a> {
 
 /// Builds [`RingSnapshot`]s chunk by chunk, copy-on-write.
 ///
-/// Owned by whatever drives the session (the [`crate::serve::RingService`]
+/// Owned by whatever drives the maintainer (the [`crate::serve::RingService`]
 /// writer thread, a test harness): it is the *single-threaded* producer
 /// half; distribution to concurrent readers happens by handing the returned
 /// `Arc<RingSnapshot>` to an [`epoch::EpochCell`].
@@ -462,7 +435,7 @@ impl SnapshotPublisher {
         self.prev.as_ref()
     }
 
-    /// Assembles a snapshot from the session's current structures, copying
+    /// Assembles a snapshot from the maintainer's current structures, copying
     /// the chunks the masks flag dirty and sharing every other chunk with
     /// the previous publication. Without a previous publication of the
     /// same shape, every chunk is copied.
@@ -516,7 +489,6 @@ impl SnapshotPublisher {
             applied_events: parts.applied_events,
             seq: self.publications,
             stats: parts.stats,
-            infeasible: parts.infeasible,
             bits,
             succ,
             levels,
@@ -529,7 +501,7 @@ impl SnapshotPublisher {
 
 /// One chunk table of a new snapshot: chunk `c` is shared with `prev`
 /// unless `dirty(c)` (or there is no `prev`), in which case `copy(c)`
-/// builds it from the session and `copied` counts it. Debug builds check
+/// builds it from the maintainer and `copied` counts it. Debug builds check
 /// every shared chunk against a fresh copy.
 fn chunk_table<T: PartialEq>(
     prev: Option<&[Arc<T>]>,

@@ -2,6 +2,7 @@
 //! differentials, allocation pins, and the incremental engine.
 
 use super::*;
+use crate::oracle::{embed_reference, embed_stats_into_u8, U8StatsScratch};
 use dbg_graph::algo::cycles::is_cycle;
 use dbg_graph::FaultSet;
 
@@ -176,25 +177,6 @@ fn heavy_fault_load_still_yields_valid_cycle() {
 }
 
 #[test]
-fn embed_from_respects_requested_root() {
-    let ffc = Ffc::new(3, 3);
-    let g = ffc.graph();
-    let root = g.node("012").unwrap();
-    let out = ffc.embed_from(&[g.node("020").unwrap()], root);
-    // Root is normalised to its necklace representative — 012 already is.
-    assert_eq!(out.root, root);
-    assert!(out.cycle.contains(&root));
-}
-
-#[test]
-#[should_panic(expected = "faulty necklace")]
-fn embed_from_rejects_faulty_root() {
-    let ffc = Ffc::new(3, 3);
-    let g = ffc.graph();
-    let _ = ffc.embed_from(&[g.node("012").unwrap()], g.node("120").unwrap());
-}
-
-#[test]
 fn guarantee_helper() {
     assert_eq!(FfcOutcome::guarantee(4, 6, 2), 4096 - 12);
     assert_eq!(FfcOutcome::guarantee(2, 10, 50), 1024 - 500);
@@ -208,7 +190,7 @@ fn guarantee_helper() {
 /// The engine and the textbook reference must agree on every output
 /// field for identical inputs.
 fn assert_engine_matches_reference(ffc: &Ffc, scratch: &mut EmbedScratch, faults: &[usize]) {
-    let reference = ffc.embed_reference(faults);
+    let reference = embed_reference(ffc, faults);
     let stats = ffc.embed_into(scratch, faults);
     assert_eq!(stats.root, reference.root, "root mismatch for {faults:?}");
     assert_eq!(
@@ -324,7 +306,8 @@ fn representative_and_members_match_partition() {
 /// Root repair must be one policy, not two: for every fault set of size
 /// ≤ 2 that kills the preferred root's necklace — exhaustively in
 /// B(2,5) and B(3,3), and for non-default preferred roots as well —
-/// `pick_root` and the engine's `probe_for_live_root` must return the
+/// `pick_root` (fed the necklace mask) and the shared probe as the engine
+/// calls it (fed the engine's stamped fault marks) must return the
 /// identical node ("nearest live node, ties broken by minimal id").
 #[test]
 fn root_repair_order_is_identical() {
@@ -348,10 +331,16 @@ fn root_repair_order_is_identical() {
                 // Replay the engine's fault marking, then probe.
                 scratch.prepare(&ffc.tables);
                 let stamp = scratch.stamp;
+                let membership = ffc.partition().membership();
                 for &v in faults {
-                    scratch.faulty[ffc.partition().membership()[v] as usize] = stamp;
+                    scratch.faulty[membership[v] as usize] = stamp;
                 }
-                let probed = ffc.probe_for_live_root(&mut scratch, preferred);
+                let faulty = &scratch.faulty;
+                let live = |v: usize| faulty[membership[v] as usize] != stamp;
+                let probed = scratch
+                    .probe
+                    .find(ffc.tables.d, ffc.tables.suffix_count, preferred, live)
+                    .expect("a fault set of size <= 2 leaves a live necklace");
                 assert_eq!(
                     probed, picked,
                     "repair roots diverge for preferred={preferred} faults={faults:?} \
@@ -369,9 +358,9 @@ fn root_repair_order_is_identical() {
 }
 
 /// `embed_stats_into` must report the identical scalars to the full
-/// pipeline — exhaustively over single faults and on random heavy
-/// loads, which exercises both the merged-broadcast fast path and the
-/// genuine three-pass fallback.
+/// pipeline — exhaustively over single faults, on random heavy loads
+/// (which exercise both the merged-broadcast fast path and the genuine
+/// three-pass fallback), and on the all-nodes set that leaves no root.
 #[test]
 fn stats_only_path_matches_full_pipeline() {
     use rand::rngs::StdRng;
@@ -397,13 +386,15 @@ fn stats_only_path_matches_full_pipeline() {
             let faults: Vec<usize> = (0..f).map(|_| rng.gen_range(0..total)).collect();
             check(&faults);
         }
+        check(&(0..total).collect::<Vec<_>>());
+        assert!(full.cycle().is_empty(), "an infeasible embed has no cycle");
     }
 }
 
 /// The no-allocation property must hold across *both* density regimes
 /// of the bit-parallel stats path — light faults drive the
 /// dense/bottom-up sweeps (and their fold buffers), heavy faults keep
-/// the pass sparse/top-down — and on the retained u8 oracle path.
+/// the pass sparse/top-down — and on the u8 oracle's own scratch.
 #[test]
 fn stats_only_path_does_not_allocate_after_warmup() {
     use rand::rngs::StdRng;
@@ -412,6 +403,7 @@ fn stats_only_path_does_not_allocate_after_warmup() {
     assert!(ffc.tables.reach.dense_capable());
     let total = ffc.graph().len();
     let mut scratch = EmbedScratch::new();
+    let mut u8s = U8StatsScratch::default();
     let mut rng = StdRng::seed_from_u64(3);
     // Warm-up: no faults (dense regime, bottom-up buffers), a faulty
     // root (probe path), and a heavy load (sparse regime throughout).
@@ -419,8 +411,9 @@ fn stats_only_path_does_not_allocate_after_warmup() {
     let _ = ffc.embed_stats_into(&mut scratch, &[1]);
     let heavy: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
     let _ = ffc.embed_stats_into(&mut scratch, &heavy);
-    let _ = ffc.embed_stats_into_u8(&mut scratch, &[1]);
+    let _ = embed_stats_into_u8(&ffc, &mut u8s, &[1]);
     let warm = scratch.allocated_bytes();
+    let warm_u8 = u8s.allocated_bytes();
     for trial in 0..200 {
         let f = match trial % 3 {
             0 => trial % 17,
@@ -434,25 +427,26 @@ fn stats_only_path_does_not_allocate_after_warmup() {
             warm,
             "bit path grew on trial {trial} (f={f})"
         );
-        let _ = ffc.embed_stats_into_u8(&mut scratch, &faults);
+        let _ = embed_stats_into_u8(&ffc, &mut u8s, &faults);
         assert_eq!(
-            scratch.allocated_bytes(),
-            warm,
+            u8s.allocated_bytes(),
+            warm_u8,
             "u8 path grew on trial {trial} (f={f})"
         );
     }
 }
 
-/// Satellite differential: the bit-parallel stats path, the retained
-/// u8-stamp path and the textbook reference must report identical
-/// scalars for **every** fault set of size ≤ 2 on B(2,5) and B(3,3).
+/// Satellite differential: the bit-parallel stats path, the u8-stamp
+/// oracle and the textbook reference must report identical scalars for
+/// **every** fault set of size ≤ 2 on B(2,5) and B(3,3), and for the
+/// all-nodes set, which leaves no root.
 #[test]
 fn bit_u8_and_reference_stats_agree_exhaustively() {
     for (d, n) in [(2u64, 5u32), (3, 3)] {
         let ffc = Ffc::new(d, n);
         let total = ffc.graph().len();
         let mut bit = EmbedScratch::new();
-        let mut u8s = EmbedScratch::new();
+        let mut u8s = U8StatsScratch::default();
         let mut fault_sets: Vec<Vec<usize>> = vec![Vec::new()];
         fault_sets.extend((0..total).map(|a| vec![a]));
         for a in 0..total {
@@ -460,10 +454,11 @@ fn bit_u8_and_reference_stats_agree_exhaustively() {
                 fault_sets.push(vec![a, b]);
             }
         }
+        fault_sets.push((0..total).collect());
         for faults in &fault_sets {
-            let want = ffc.embed_reference(faults);
+            let want = embed_reference(&ffc, faults);
             let got_bit = ffc.embed_stats_into(&mut bit, faults);
-            let got_u8 = ffc.embed_stats_into_u8(&mut u8s, faults);
+            let got_u8 = embed_stats_into_u8(&ffc, &mut u8s, faults);
             assert_eq!(got_bit, got_u8, "bit vs u8 for {faults:?} in B({d},{n})");
             assert_eq!(got_bit.root, want.root, "{faults:?}");
             assert_eq!(got_bit.component_size, want.component_size, "{faults:?}");
@@ -486,11 +481,11 @@ fn bit_stats_match_u8_on_b2_14_across_density_regimes() {
     assert!(ffc.tables.reach.dense_capable());
     let total = ffc.graph().len();
     let mut bit = EmbedScratch::new();
-    let mut u8s = EmbedScratch::new();
+    let mut u8s = U8StatsScratch::default();
     let mut rng = StdRng::seed_from_u64(0xB17);
     let mut check = |faults: &[usize]| {
         let got = ffc.embed_stats_into(&mut bit, faults);
-        let want = ffc.embed_stats_into_u8(&mut u8s, faults);
+        let want = embed_stats_into_u8(&ffc, &mut u8s, faults);
         assert_eq!(got, want, "{} faults", faults.len());
     };
     check(&[]);
@@ -530,7 +525,7 @@ fn new_panics_on_oversized_spaces() {
 }
 
 // ------------------------------------------------------------------
-// Incremental engine (EmbedSession / RingMaintainer) tests.
+// Incremental engine (RingMaintainer) tests.
 // ------------------------------------------------------------------
 
 /// Asserts the maintainer's state equals a from-scratch embed of its
@@ -542,7 +537,7 @@ fn assert_maintainer_matches_scratch(
     ring: &mut Vec<usize>,
     ctx: &str,
 ) {
-    let faults = maint.session().faulty_nodes().to_vec();
+    let faults = maint.faulty_nodes().to_vec();
     let want = ffc.embed_into(scratch, &faults);
     assert_eq!(
         maint.stats(),
@@ -687,7 +682,7 @@ fn incremental_reset_and_graph_switch() {
 /// After warm-up at a fixed (d, n), repair events perform no heap
 /// allocation — the incremental analogue of
 /// `embed_into_does_not_allocate_after_warmup`, and the satellite audit
-/// that the session accounts every buffer it owns (delta scratch and CSR
+/// that the maintainer accounts every buffer it owns (delta scratch and CSR
 /// emission included).
 #[test]
 fn incremental_repairs_do_not_allocate_after_warmup() {
@@ -708,23 +703,23 @@ fn incremental_repairs_do_not_allocate_after_warmup() {
     for v in [5usize, 100, 731] {
         maint.add_fault(&ffc, v).expect("in-range");
     }
-    let warm = maint.session().allocated_bytes();
+    let warm = maint.allocated_bytes();
     for trial in 0..300 {
         let v = rng.gen_range(0..total);
-        if maint.session().faulty_nodes().contains(&v) {
+        if maint.faulty_nodes().contains(&v) {
             maint.clear_fault(&ffc, v).expect("in-range");
         } else {
             maint.add_fault(&ffc, v).expect("in-range");
         }
         assert_eq!(
-            maint.session().allocated_bytes(),
+            maint.allocated_bytes(),
             warm,
-            "session grew on trial {trial}"
+            "maintainer grew on trial {trial}"
         );
     }
 }
 
-/// The session's forward-level histogram sums to the forward-reachable
+/// The maintainer's forward-level histogram sums to the forward-reachable
 /// count and its broadcast histogram to |B*| (the invariant the netsim
 /// online harness leans on).
 #[test]
@@ -732,22 +727,9 @@ fn incremental_forward_histogram_is_consistent() {
     let ffc = Ffc::new(2, 7);
     let mut maint = RingMaintainer::new();
     maint.reset(&ffc, &[9, 33]).expect("in-range");
-    let counts = maint.session().forward_level_counts();
+    let counts = maint.forward_level_counts();
     assert!(!counts.is_empty());
     assert_eq!(counts[0], 1, "exactly the root at level 0");
     let reachable: usize = counts.iter().sum();
     assert!(reachable >= maint.stats().component_size);
-}
-
-#[test]
-fn embed_into_from_matches_embed_from() {
-    let ffc = Ffc::new(3, 3);
-    let g = ffc.graph();
-    let root = g.node("012").unwrap();
-    let faults = vec![g.node("020").unwrap()];
-    let mut scratch = EmbedScratch::new();
-    let stats = ffc.embed_into_from(&mut scratch, &faults, root);
-    let out = ffc.embed_from(&faults, root);
-    assert_eq!(stats.root, out.root);
-    assert_eq!(scratch.cycle(), &out.cycle[..]);
 }

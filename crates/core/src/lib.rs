@@ -8,10 +8,12 @@
 //!   tolerate node failures by stitching non-faulty necklaces into a single
 //!   cycle. For f ≤ d−2 failures the cycle has length at least d^n − n·f
 //!   (Proposition 2.2), and for a single failure in the binary graph at
-//!   least 2^n − (n+1) (Proposition 2.3). The pipeline is decomposed into
-//!   explicit phases whose outputs persist in an [`EmbedSession`], on top
-//!   of which [`RingMaintainer`] repairs the ring under online
-//!   `add_fault`/`clear_fault` streams instead of re-embedding.
+//!   least 2^n − (n+1) (Proposition 2.3). The production surface is one
+//!   full-ring path ([`Ffc::embed_into`]), one stats-only path
+//!   ([`Ffc::embed_stats_into`], batched by [`Ffc::embed_batch`]), the
+//!   [`RingMaintainer`], which persists the pipeline's phase outputs and
+//!   repairs them under online `add_fault`/`clear_fault` streams instead
+//!   of re-embedding, and the [`RingService`] below.
 //! * [`necklace_graph`] — the necklace adjacency graph N* and its spanning
 //!   structures (Figures 2.1–2.4).
 //! * [`disjoint`] — edge-disjoint Hamiltonian cycles (Section 3.2):
@@ -43,6 +45,9 @@
 //!   and the nested incremental rows ([`FaultSchedule::Nested`]) that run
 //!   a whole sweep row through the [`RingMaintainer`].
 //! * [`verify`] — validation helpers shared by tests, benches and examples.
+//! * [`oracle`] — the slow, simple twins the engine is pinned against by
+//!   the differential tests and raced against by the benchmarks. They are
+//!   not re-exported here or in the facade prelude.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +62,7 @@ pub mod ffc;
 mod mem;
 pub mod modified;
 pub mod necklace_graph;
+pub mod oracle;
 pub mod seq;
 pub mod serve;
 pub mod sweep;
@@ -72,8 +78,8 @@ pub use churn::{replay_churn, ChurnPlan, ChurnReport, ChurnStep};
 pub use disjoint::{DisjointHamiltonianCycles, MaximalCycleFamily};
 pub use edge_faults::{EdgeFaultEmbedder, NoFaultFreeCycle};
 pub use ffc::{
-    EmbedScratch, EmbedSession, EmbedStats, FaultEvent, Ffc, FfcOutcome, LookupError, RepairError,
-    RepairOutcome, RepairStats, RingMaintainer, RingSnapshot, SnapshotPublisher,
+    EmbedScratch, EmbedStats, FaultEvent, Ffc, FfcOutcome, LookupError, RepairError, RepairOutcome,
+    RepairStats, RingMaintainer, RingSnapshot, SnapshotPublisher,
 };
 pub use modified::ModifiedDeBruijn;
 pub use necklace_graph::NecklaceAdjacency;

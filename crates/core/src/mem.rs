@@ -1,13 +1,13 @@
 //! Shared grow-only buffer helpers and the compact level storage used by
 //! the engine's memory layer.
 //!
-//! Before PR 10 the `grow_words`-style growth helpers and the
-//! [`UNREACHED`] sentinel were duplicated across `bitreach`, the session
-//! and the FFC scratch; this module is their single home. It also owns
-//! [`LevelVec`] — the u8 level array that quarters the DRAM footprint of
-//! every per-node level sweep — and the [`LevelStore`] abstraction the
-//! delta level-repair passes are generic over, so the compact storage and
-//! the plain `u32` oracle arrays run the exact same code.
+//! This module is the single home of the growth helpers and the
+//! [`UNREACHED`] sentinel that `bitreach`, the maintainer and the FFC
+//! scratch share. It also owns [`LevelVec`] — the u8 level array that
+//! quarters the DRAM footprint of every per-node level sweep — and the
+//! [`LevelStore`] abstraction the delta level-repair passes are generic
+//! over, so the compact storage and the plain `u32` oracle arrays run the
+//! exact same code.
 
 /// Level value of a node outside the structure (unreachable, dead, or not
 /// a member). The delta passes treat it as +∞.
@@ -38,13 +38,6 @@ const OVERFLOW_RESERVE: usize = 16;
 pub(crate) fn grow_to<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
     if v.len() < len {
         v.resize(len, fill);
-    }
-}
-
-/// Grows a word buffer to at least `words` entries without shrinking.
-pub(crate) fn grow_words(v: &mut Vec<u64>, words: usize) {
-    if v.len() < words {
-        v.resize(words, 0);
     }
 }
 

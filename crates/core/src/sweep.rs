@@ -589,8 +589,10 @@ mod tests {
     #[test]
     fn batch_is_shard_count_invariant() {
         let ffc = Ffc::new(3, 3);
-        let plan =
-            SweepPlan::new(FaultSchedule::Cycling(vec![0, 1, 2, 5]), 37, 7).collect_cycles(true);
+        // Every fifth trial draws all 27 nodes: no necklace survives, so it
+        // must come back infeasible (no ring) instead of panicking.
+        let plan = SweepPlan::new(FaultSchedule::Cycling(vec![0, 1, 2, 5, 27]), 37, 7)
+            .collect_cycles(true);
         type Row = (usize, Vec<usize>, usize, usize, Vec<usize>);
         let collect = |shards: usize| -> Vec<Row> {
             let mut batch = BatchEmbedder::new(shards);
@@ -606,6 +608,8 @@ mod tests {
         };
         let one = collect(1);
         assert_eq!(one.len(), 37);
+        let all_down: Vec<&Row> = one.iter().filter(|row| row.1.len() == 27).collect();
+        assert!(all_down.len() == 7 && all_down.iter().all(|row| row.4.is_empty()));
         for shards in [2usize, 3, 5, 8, 64] {
             assert_eq!(collect(shards), one, "shards={shards}");
         }

@@ -2,7 +2,7 @@
 //!
 //! The Kautz graph is the subgraph of B(d+1,n) induced by the words with no
 //! two consecutive equal symbols. It is mentioned by the paper (Chapter 5,
-//! [BP89]) as the natural sibling of the de Bruijn graph for future work on
+//! \[BP89\]) as the natural sibling of the de Bruijn graph for future work on
 //! disjoint Hamiltonian cycles; it is provided here so downstream
 //! experiments can compare topologies.
 

@@ -8,7 +8,7 @@
 //! embeddings need:
 //!
 //! * [`digraph`] / [`ungraph`] — concrete adjacency-list containers.
-//! * [`topology`] — the [`Topology`](topology::Topology) trait: a uniform
+//! * [`topology`] — the [`Topology`] trait: a uniform
 //!   "node count + successor enumeration" view shared by materialised
 //!   graphs, implicit generators and fault-masked views.
 //! * [`debruijn`], [`butterfly`], [`hypercube`], [`shuffle_exchange`],

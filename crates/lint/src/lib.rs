@@ -111,7 +111,9 @@ impl Config {
     pub fn repo_default() -> Self {
         Config {
             no_panic_modules: vec![
+                PathBuf::from("crates/core/src/ffc/phases.rs"),
                 PathBuf::from("crates/core/src/ffc/session.rs"),
+                PathBuf::from("crates/core/src/ffc/snapshot.rs"),
                 PathBuf::from("crates/core/src/serve.rs"),
             ],
             skip: vec![

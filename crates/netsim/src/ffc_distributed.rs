@@ -468,7 +468,7 @@ impl DistributedFfc {
     /// global state has been quiescent for `max_delay + 12` consecutive
     /// rounds (so a lost message is re-offered next round and a delayed
     /// one cannot slip in after the phase closes). Broadcast tokens carry
-    /// their sender's level explicitly ([`Msg::TokenL`]) because receipt
+    /// their sender's level explicitly (`Msg::TokenL`) because receipt
     /// rounds no longer encode BFS distance under delay.
     ///
     /// The fixpoint of each phase equals the perfect-fabric phase result,

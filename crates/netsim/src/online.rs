@@ -12,7 +12,7 @@
 //!
 //! The interesting property is the **round trip against the centralized
 //! maintainer**: after every event, the protocol's outcome must agree with
-//! a [`RingMaintainer`](debruijn_core::RingMaintainer) that absorbed the
+//! a [`RingMaintainer`] that absorbed the
 //! same event incrementally — same root, same ring bytes, and the
 //! protocol's *per-round message counts must equal the maintainer's phase
 //! work*: broadcast round r sends exactly d tokens per node the
@@ -236,7 +236,7 @@ pub fn verify_against_maintainer(
             ring.len()
         ));
     }
-    let histogram = maintainer.session().forward_level_counts();
+    let histogram = maintainer.forward_level_counts();
     if outcome.broadcast_level_counts != histogram {
         return Err(format!(
             "broadcast level counts diverge: protocol {:?} vs forward histogram {:?}",

@@ -79,11 +79,11 @@ pub mod prelude {
     pub use debruijn_core::{
         edge_fault_tolerance, lift_cycle, phi_edge_bound, psi, replay_churn, BatchEmbedder,
         ButterflyEmbedder, ChurnPlan, ChurnReport, ChurnStep, DisjointHamiltonianCycles,
-        EdgeFaultEmbedder, EmbedScratch, EmbedSession, EmbedStats, FaultDrawer, FaultEvent,
-        FaultSchedule, Ffc, FfcOutcome, LookupError, MaximalCycleFamily, ModifiedDeBruijn,
-        NecklaceAdjacency, NoFaultFreeCycle, ReaderHandle, RepairError, RepairOutcome,
-        RingMaintainer, RingService, RingSnapshot, ServeOptions, ServiceReport, SnapshotPublisher,
-        SpaceTooLarge, SubmitError, SweepAccumulator, SweepPlan,
+        EdgeFaultEmbedder, EmbedScratch, EmbedStats, FaultDrawer, FaultEvent, FaultSchedule, Ffc,
+        FfcOutcome, LookupError, MaximalCycleFamily, ModifiedDeBruijn, NecklaceAdjacency,
+        NoFaultFreeCycle, ReaderHandle, RepairError, RepairOutcome, RingMaintainer, RingService,
+        RingSnapshot, ServeOptions, ServiceReport, SnapshotPublisher, SpaceTooLarge, SubmitError,
+        SweepAccumulator, SweepPlan,
     };
 }
 

@@ -213,7 +213,7 @@ fn out_of_range_ids_are_rejected_not_panics() {
     let batch = [FaultEvent::NodeDown(0), FaultEvent::NodeDown(total)];
     assert!(maint.apply_batch(&ffc, &batch).is_err());
     assert_eq!(maint.stats(), clean, "rejected batch must be atomic");
-    assert!(maint.session().faulty_nodes().is_empty());
+    assert!(maint.faulty_nodes().is_empty());
 
     // A rejected reset also leaves state untouched.
     assert!(maint.reset(&ffc, &[total]).is_err());
@@ -253,7 +253,7 @@ fn clear_of_never_faulty_node_is_a_noop() {
     let out = maint.clear_fault(&ffc, 7).expect("in-range no-op");
     assert_eq!(out, before);
     assert_eq!(maint.repairs(), repairs, "no-op must not count as repair");
-    assert_eq!(maint.session().faulty_nodes(), &[3]);
+    assert_eq!(maint.faulty_nodes(), &[3]);
     // Same through the batch path.
     let out = maint
         .apply_batch(&ffc, &[FaultEvent::NodeUp(7), FaultEvent::NodeUp(9)])
