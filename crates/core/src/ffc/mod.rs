@@ -26,10 +26,12 @@
 //! an *engine*: [`Ffc::new`] precomputes immutable flat tables once (node →
 //! necklace id, necklace representatives/lengths, and a CSR layout of
 //! necklace members), and a reusable [`EmbedScratch`] owns every piece of
-//! per-call mutable state — stamped visit masks, BFS queues, the successor
-//! array, and the output cycle buffer. After the first call at a given
-//! (d, n) ("warm-up"), [`Ffc::embed_into`] performs **no heap allocation**:
-//! buffers are stamp-invalidated, not cleared, and only ever grow.
+//! per-call mutable state — the stamped fault marks, the bit-parallel
+//! reachability bitmaps, the broadcast's level CSR, the spanning-tree
+//! stage (broadcast levels, per-necklace records, successor overrides
+//! and exit bitmap), and the output cycle buffer. After the first call at
+//! a given (d, n) ("warm-up"), [`Ffc::embed_into`] performs **no heap
+//! allocation**: buffers only ever grow.
 //!
 //! Per call the engine does:
 //!
@@ -40,11 +42,13 @@
 //!   connected component B* of the root.
 //! * **Broadcast**: a level-synchronous BFS with minimal-predecessor tie
 //!   breaking over B* only.
-//! * **Cycle construction**: the w-group tables are flat arrays keyed by
-//!   necklace id / edge label (no hash maps); successor overrides are
-//!   written only at the w-exit nodes, flagged in a word-packed exit
-//!   bitmap, and the cycle is read off by a streaming walk that computes
-//!   every other step as a necklace rotation.
+//! * **Cycle construction**: one record per necklace (its earliest member
+//!   Y and its parent necklace) in a flat array; the w-group of label w is
+//!   derived from the records of the d nodes w·d+β, with no hash map, sort
+//!   or group table. Successor overrides are written only at the w-exit
+//!   nodes, flagged in a word-packed exit bitmap, and the cycle is read
+//!   off by a streaming walk that computes every other step as a necklace
+//!   rotation.
 //!
 //! The textbook formulation (materialised SCCs + hash-map groups) is kept
 //! as [`crate::oracle::embed_reference`]; it is used by the differential
@@ -67,7 +71,7 @@ pub mod snapshot;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use phases::RootProbe;
+pub(crate) use phases::{RootProbe, TreeStage};
 pub use session::{FaultEvent, RepairError, RepairOutcome, RepairStats, RingMaintainer};
 pub use snapshot::{LookupError, RingSnapshot, SnapshotPublisher};
 
@@ -160,57 +164,28 @@ pub(crate) const INFEASIBLE_ROOT: usize = usize::MAX;
 ///
 /// One scratch serves any number of [`Ffc::embed_into`] calls (including
 /// across different (d, n) — buffers grow to the largest graph seen and
-/// never shrink). Invalidation is by stamping: each call increments a
-/// call counter and a slot is "set this call" iff it holds the current
-/// stamp, so no O(d^n) clearing happens between calls. After the first
-/// call at a fixed (d, n), **no method of this type allocates**.
+/// never shrink). The fault marks are invalidated by stamping: each call
+/// increments a call counter and a necklace is faulty this call iff its
+/// slot holds the current stamp. After the first call at a fixed (d, n),
+/// **no method of this type allocates**.
 #[derive(Clone, Debug, Default)]
 pub struct EmbedScratch {
-    /// Monotone per-call stamp; slot arrays compare against this.
+    /// Monotone per-call stamp of `faulty`.
     stamp: u32,
-    // Per-necklace state.
     /// Stamp: necklace is faulty this call.
     faulty: Vec<u32>,
-    // Per-node state.
     /// The root-repair probe's buffers.
     probe: RootProbe,
     /// Word-packed bitmaps and frontiers of the bit-parallel reachability
     /// engine (fault mask, forward/backward/broadcast visited sets).
     bits: BitScratch,
-    /// Packed (stamp << 32 | broadcast level) per node — one combined
-    /// visited/level slot, so necklace selection's parent lookup costs a
-    /// single random read. Unlike the session's compact level arrays
-    /// this slot stays 64-bit: the stamp occupies the full upper half,
-    /// and narrowing would force a per-call clear, trading the saved
-    /// bandwidth back for a full-array sweep.
-    plvl: Vec<u64>,
-    /// Per-necklace best (level << 32 | node) over B* (`u64::MAX` =
-    /// necklace not in B* this call; cleared per call).
-    pbest: Vec<u64>,
-    /// Bit `v` set ⟺ node `v` leaves its necklace through a w-edge. The
-    /// streaming cycle readoff tests this bitmap (L2-resident even at
-    /// B(2,20)) and computes the necklace rotation arithmetically, instead
-    /// of loading a fully materialised successor array from DRAM on every
-    /// step.
-    exit_bits: Vec<u64>,
-    /// Successor overrides: written (and later read) only at the w-exit
-    /// nodes flagged in `exit_bits`; every other node follows its
-    /// necklace rotation arithmetically.
-    succ: Vec<u32>,
-    // Per-label state (indexed by (n−1)-digit edge label).
-    /// Stamp: label has a w-group this call.
-    label_stamp: Vec<u32>,
-    /// Parent necklace of the label's w-group.
-    label_parent: Vec<u32>,
-    // Worklists (cleared per call; capacity persists).
     /// The nodes of B*, as emitted level by level from the broadcast.
     bstar: Vec<u32>,
     /// CSR boundaries of the broadcast levels within `bstar`.
     level_offsets: Vec<u32>,
-    /// Packed (label << 32 | necklace id) w-group membership records.
-    group_entries: Vec<u64>,
-    /// Member necklaces of the w-group being wired.
-    members: Vec<u32>,
+    /// The spanning-tree stage, sized by the first full-ring call; the
+    /// stats-only path never touches it.
+    tree: TreeStage,
     /// The output cycle of the most recent call.
     cycle: Vec<usize>,
 }
@@ -235,68 +210,32 @@ impl EmbedScratch {
     /// property the engine tests pin down.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
-        4 * (self.faulty.capacity()
-            + self.succ.capacity()
-            + self.label_stamp.capacity()
-            + self.label_parent.capacity()
-            + self.bstar.capacity()
-            + self.level_offsets.capacity()
-            + self.members.capacity())
+        4 * (self.faulty.capacity() + self.bstar.capacity() + self.level_offsets.capacity())
             + self.probe.allocated_bytes()
             + self.bits.allocated_bytes()
-            + 8 * (self.plvl.capacity() + self.pbest.capacity() + self.exit_bits.capacity())
-            + 8 * self.group_entries.capacity()
+            + self.tree.allocated_bytes()
             + std::mem::size_of::<usize>() * self.cycle.capacity()
     }
 
-    /// Grows the slot arrays to the engine's sizes and advances the stamp.
+    /// Grows the buffers both embedding paths use and advances the stamp.
     fn prepare(&mut self, t: &EngineTables) {
         if self.stamp == u32::MAX {
-            // Stamp wrap-around (once per 2^32 calls): forget all slots.
-            for arr in [&mut self.faulty, &mut self.label_stamp] {
-                arr.iter_mut().for_each(|s| *s = 0);
-            }
-            // The packed (stamp | level) slots carry the stamp in their
-            // high half; zero is never a current stamp.
-            self.plvl.fill(0);
+            // Stamp wrap-around (once per 2^32 calls): forget all marks.
+            self.faulty.fill(0);
             self.stamp = 0;
         }
         self.stamp += 1;
         grow_to(&mut self.faulty, t.n_necks, 0);
         self.probe.fit(t.n_nodes);
-        grow_to(&mut self.succ, t.n_nodes, 0);
-        grow_to(&mut self.label_stamp, t.suffix_count, 0);
-        grow_to(&mut self.label_parent, t.suffix_count, 0);
         // Worklists are presized to their worst-case bounds, so no fault
         // pattern can grow them after the first call at this size: B* and
-        // the cycle hold at most every node, the necklace lists at most
-        // every necklace, each live necklace contributes at most two group
-        // records (itself plus a first-seen parent), and the broadcast can
-        // have at most one level per node (plus the two CSR sentinels).
-        // The broadcast and the wiring clear their own lists; the group
-        // records and the cycle start empty here.
-        self.group_entries.clear();
+        // the cycle hold at most every node, and the broadcast can have at
+        // most one level per node (plus the two CSR sentinels). The
+        // broadcast clears its own lists; the cycle starts empty here.
         self.cycle.clear();
         reserve_more(&mut self.bstar, t.n_nodes);
         reserve_more(&mut self.level_offsets, t.n_nodes + 2);
-        reserve_more(&mut self.group_entries, 2 * t.n_necks);
-        reserve_more(&mut self.members, t.n_necks);
         reserve_more(&mut self.cycle, t.n_nodes);
-    }
-
-    /// Grows the full-ring pipeline's slot arrays and clears the ones
-    /// that are not stamped: the packed level slots are stamp-invalidated
-    /// like the rest of the scratch, while the per-necklace best keys and
-    /// the exit bitmap are cleared per call — both are O(d^n / n) or
-    /// smaller, a vanishing fraction of the embedding itself. Kept out of
-    /// [`EmbedScratch::prepare`] so the stats-only path never pays it.
-    fn clear_ring_slots(&mut self, t: &EngineTables) {
-        grow_to(&mut self.plvl, t.n_nodes, 0);
-        grow_to(&mut self.pbest, t.n_necks, 0);
-        self.pbest[..t.n_necks].fill(u64::MAX);
-        let words = t.n_nodes.div_ceil(64);
-        grow_to(&mut self.exit_bits, words, 0);
-        self.exit_bits[..words].fill(0);
     }
 }
 

@@ -3,22 +3,23 @@
 //!
 //! [`Ffc::embed_into`] runs every phase in order — fault marking, root
 //! selection, the reachability snapshot (forward + backward passes that
-//! pin down B*), the broadcast/spanning-tree phase, necklace selection
-//! (per-necklace earliest members and their w-labeled tree edges),
-//! w-group wiring, and the cycle readoff. [`Ffc::embed_stats_into`] runs
-//! the same first three phases and stops at the broadcast depth. Each
-//! phase has one well-defined output, which is what lets
-//! [`super::RingMaintainer`] persist the outputs and repair them
+//! pin down B*), the broadcast, the spanning-tree stage (necklace
+//! selection and w-group wiring) and the cycle readoff.
+//! [`Ffc::embed_stats_into`] runs the same first three phases and stops at
+//! the broadcast depth. Each phase has one well-defined output, which is
+//! what lets [`super::RingMaintainer`] persist the outputs and repair them
 //! incrementally instead of re-running the pipeline per fault event.
 //!
 //! The rules the maintainer and the snapshots share with the engine are
 //! written here once: root selection with the Section 2.5.2 repair probe
-//! ([`RootProbe`]), the w-edge geometry of a w-group ([`for_each_w_edge`]),
-//! and the necklace rotation ([`rotate`]) with the ring walk built on it
-//! ([`read_off_cycle`]).
+//! ([`RootProbe`]), the spanning-tree stage ([`TreeStage`]: each
+//! necklace's record — its earliest member Y and parent necklace — and the
+//! w-groups derived from the records), the w-edge geometry of a w-group
+//! ([`for_each_w_edge`]), and the necklace rotation ([`rotate`]) with the
+//! ring walk built on it ([`read_off_cycle`]).
 
-use super::{EmbedScratch, EmbedStats, Ffc, INFEASIBLE_ROOT};
-use crate::mem::{grow_to, reserve_more};
+use super::{EmbedScratch, EmbedStats, Ffc, INFEASIBLE_ROOT, NONE};
+use crate::mem::{grow_to, reserve_more, LevelVec, UNREACHED};
 
 impl Ffc {
     /// Embeds a fault-free cycle avoiding `faulty_nodes` using `scratch`
@@ -28,10 +29,11 @@ impl Ffc {
     /// allocation.
     ///
     /// The phases run serially: the front shared with
-    /// [`Ffc::embed_stats_into`], the level-emitting broadcast, necklace
-    /// selection, w-group wiring and the streaming cycle readoff. Necklace
-    /// selection derives spanning-tree parents lazily per necklace from the
-    /// packed level slots instead of materialising a whole-B* parent array.
+    /// [`Ffc::embed_stats_into`], the level-emitting broadcast, the
+    /// spanning-tree stage (per-necklace records and the w-group wiring
+    /// derived from them) and the streaming cycle readoff. The tree stage
+    /// derives each necklace's parent from the broadcast levels instead of
+    /// materialising a whole-B* parent array.
     /// The readoff walks the necklace rotation arithmetically: no per-node
     /// successor array is materialised and the override slots are consulted
     /// only where the exit bitmap is set — a pointer-chase through a
@@ -39,7 +41,6 @@ impl Ffc {
     /// and it dominated the embed at a million nodes.
     pub fn embed_into(&self, scratch: &mut EmbedScratch, faulty_nodes: &[usize]) -> EmbedStats {
         let (t, s) = (&self.tables, scratch);
-        s.clear_ring_slots(t);
         let (mut stats, _) = self.phases_to_bstar(s, faulty_nodes);
         if stats.root == INFEASIBLE_ROOT {
             return stats;
@@ -53,15 +54,15 @@ impl Ffc {
                 .broadcast_levels(&mut s.bits, root, &mut s.bstar, &mut s.level_offsets);
         debug_assert_eq!(reached, component_size, "broadcast must cover B*");
         stats.eccentricity = depth;
-        self.phase_necklace_selection(s, self.partition.membership()[root] as usize);
-        self.wire_w_groups(s);
+        let root_neck = self.partition.membership()[root] as usize;
+        s.tree.build(self, root_neck, &s.bstar, &s.level_offsets);
         read_off_cycle(
             t.d,
             t.suffix_count,
             root,
             component_size,
-            &s.exit_bits,
-            &s.succ,
+            &s.tree.exit_bits,
+            &s.tree.succ,
             &mut s.cycle,
         );
         stats
@@ -171,137 +172,6 @@ impl Ffc {
             }
         }
         (faulty_necklaces, removed_nodes)
-    }
-
-    /// The Step 2 → Step 3 wiring: walks the sorted `group_entries` runs,
-    /// closes each w-group (children + parent necklace, in necklace-id
-    /// order) into a directed cycle of w-edges — the modified tree D — and
-    /// writes the successor override of every w-edge into the override
-    /// slots plus the word-packed exit bitmap the streaming readoff tests.
-    /// Nodes without an exit bit never have their override slot read, so
-    /// no per-node successor default is ever materialised.
-    fn wire_w_groups(&self, s: &mut EmbedScratch) {
-        let t = &self.tables;
-        let (d, suffix) = (t.d, t.suffix_count);
-        let membership = self.partition.membership();
-        let EmbedScratch {
-            group_entries,
-            members,
-            succ,
-            exit_bits,
-            bits,
-            ..
-        } = s;
-        let mut i = 0;
-        while i < group_entries.len() {
-            let label = (group_entries[i] >> 32) as usize;
-            members.clear();
-            let mut j = i;
-            while j < group_entries.len() && (group_entries[j] >> 32) as usize == label {
-                let nid = (group_entries[j] & u64::from(u32::MAX)) as u32;
-                // Entries are sorted, so duplicates (a parent that is also
-                // a child of the same label) are adjacent.
-                if members.last() != Some(&nid) {
-                    members.push(nid);
-                }
-                j += 1;
-            }
-            for_each_w_edge(d, suffix, membership, label, members, |exit, entry| {
-                debug_assert!(t.reach.in_bstar(bits, entry));
-                succ[exit] = entry as u32;
-                exit_bits[exit / 64] |= 1u64 << (exit % 64);
-            });
-            i = j;
-        }
-    }
-
-    /// Necklace-selection phase (Steps 1.2 and 2). First a level scatter
-    /// and reduction: one pass over the emitted level CSR stamps every B*
-    /// node's packed (stamp | level) slot and keeps each non-root
-    /// necklace's earliest (level, node) key. Then, for every live
-    /// non-root necklace, its best key names the earliest-reached member
-    /// Y; the spanning-tree parent is computed **here, once per necklace**
-    /// — the minimal predecessor of Y one level up, a packed-slot compare
-    /// per candidate — instead of being materialised for every node of
-    /// B*.
-    fn phase_necklace_selection(&self, s: &mut EmbedScratch, root_neck: usize) {
-        let t = &self.tables;
-        let (d, suffix) = (t.d, t.suffix_count);
-        let membership = self.partition.membership();
-        let stamp = s.stamp;
-        scan_levels(
-            &mut s.plvl,
-            &mut s.pbest,
-            &s.bstar,
-            &s.level_offsets,
-            membership,
-            stamp,
-            root_neck,
-        );
-
-        let stamp_hi = u64::from(stamp) << 32;
-        for nid in 0..t.n_necks {
-            let key = s.pbest[nid];
-            if key == u64::MAX {
-                continue;
-            }
-            debug_assert_ne!(nid, root_neck, "the root necklace has no tree edge");
-            let chosen = (key & u64::from(u32::MAX)) as usize;
-            let lstar = (key >> 32) as u32;
-            debug_assert!(lstar >= 1, "non-root necklace reached at level 0");
-            let label = chosen / d; // the (n−1)-digit prefix of Y
-            let want = stamp_hi | u64::from(lstar - 1);
-            let parent = (0..d)
-                .map(|a| label + a * suffix)
-                .find(|&p| s.plvl[p] == want)
-                // PANIC-OK: Y was first reached at level lstar >= 1, so one
-                // of its d predecessors sat on the frontier one level up;
-                // the exhaustive engine-vs-reference suites pin it.
-                .expect("chosen node with no frontier predecessor");
-            let parent_neck = membership[parent] as usize;
-            if s.label_stamp[label] != stamp {
-                s.label_stamp[label] = stamp;
-                s.label_parent[label] = parent_neck as u32;
-                s.group_entries
-                    .push(((label as u64) << 32) | parent_neck as u64);
-            } else {
-                debug_assert_eq!(
-                    s.label_parent[label] as usize, parent_neck,
-                    "T_w must have a single parent necklace (height-one property)"
-                );
-            }
-            s.group_entries.push(((label as u64) << 32) | nid as u64);
-        }
-        s.group_entries.sort_unstable();
-    }
-}
-
-/// The level scatter + best-key pass of necklace selection: stamps every
-/// B* node's packed (stamp | level) slot and folds its necklace's
-/// (level, node) min.
-fn scan_levels(
-    plvl: &mut [u64],
-    pbest: &mut [u64],
-    bstar: &[u32],
-    offsets: &[u32],
-    membership: &[u32],
-    stamp: u32,
-    root_neck: usize,
-) {
-    let stamp_hi = u64::from(stamp) << 32;
-    for (l, level) in offsets.windows(2).enumerate() {
-        for &v in &bstar[level[0] as usize..level[1] as usize] {
-            let v = v as usize;
-            plvl[v] = stamp_hi | l as u64;
-            let nid = membership[v] as usize;
-            if nid == root_neck {
-                continue;
-            }
-            let key = ((l as u64) << 32) | v as u64;
-            if key < pbest[nid] {
-                pbest[nid] = key;
-            }
-        }
     }
 }
 
@@ -448,15 +318,14 @@ fn walk<const POW2: bool>(
     }
 }
 
-/// The w-edge geometry shared by every wiring site — the engine's
-/// `wire_w_groups` and the maintainer's `rewire_label` call this one
-/// implementation, so the ring bytes they produce can never drift.
-/// `members` lists the group's necklaces in ascending id order; each
-/// consecutive pair (wrapping) contributes one w-edge, whose exit node is
-/// the unique member αw of the source necklace and whose entry node wβ
-/// lies on the target necklace. `write(exit, entry)` performs the
-/// engine-specific stores.
-pub(crate) fn for_each_w_edge(
+/// The w-edge geometry of one w-group, wired by [`TreeStage`] for the
+/// engine and the maintainer alike, so the ring bytes they produce can
+/// never drift. `members` lists the group's necklaces in ascending id
+/// order; each consecutive pair (wrapping) contributes one w-edge, whose
+/// exit node is the unique member αw of the source necklace and whose
+/// entry node wβ lies on the target necklace. `write(exit, entry)`
+/// performs the stores.
+fn for_each_w_edge(
     d: usize,
     suffix: usize,
     membership: &[u32],
@@ -481,5 +350,216 @@ pub(crate) fn for_each_w_edge(
             // the same necklace; a miss means corrupted group tables.
             .expect("a w-edge of D always has an entry node on the target necklace");
         write(exit, entry);
+    }
+}
+
+/// Scatters a level CSR — `nodes` level by level, `offsets` the level
+/// boundaries — into a compact per-node level array whose every other
+/// slot is [`UNREACHED`].
+pub(crate) fn scatter_levels(lv: &mut LevelVec, n_nodes: usize, nodes: &[u32], offsets: &[u32]) {
+    lv.grow(n_nodes);
+    lv.fill_unreached();
+    for (l, level) in offsets.windows(2).enumerate() {
+        for &v in &nodes[level[0] as usize..level[1] as usize] {
+            lv.set(v as usize, l as u32);
+        }
+    }
+}
+
+/// The tree record of a non-root necklace of B* (Steps 1.2 and 2): its
+/// earliest-reached member Y and its parent necklace. Y's (n−1)-digit
+/// prefix ⌊Y/d⌋ is the label w of the necklace's tree edge.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct TreeRecord {
+    /// Y, or [`NONE`] when the necklace has no record.
+    y: u32,
+    /// The parent necklace (meaningful when `y` is set).
+    parent: u32,
+}
+
+impl TreeRecord {
+    /// The record of a dead, off-B* or root necklace.
+    const NONE: TreeRecord = TreeRecord {
+        y: NONE,
+        parent: NONE,
+    };
+}
+
+/// The spanning-tree stage, from the broadcast levels to the successor
+/// overrides (Steps 1.2 to 3). [`Ffc::embed_into`]'s scratch and
+/// [`super::RingMaintainer`] each own one: the engine builds it once per
+/// embedding ([`TreeStage::build`]), the maintainer also repairs it one
+/// necklace ([`TreeStage::select`]) and one label
+/// ([`TreeStage::rewire`]) at a time.
+///
+/// It holds the broadcast levels, one [`TreeRecord`] per necklace, and the
+/// wiring the readoff walks. The w-groups are not stored: the children of
+/// label w are exactly the necklaces whose Y is one of the d nodes w·d+β,
+/// so wiring a label derives its group from d records.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TreeStage {
+    /// Broadcast level per node ([`UNREACHED`] outside B*).
+    pub(crate) levels: LevelVec,
+    /// One record per necklace.
+    records: Vec<TreeRecord>,
+    /// The root's necklace, which has no record.
+    root_neck: usize,
+    /// Successor overrides: written and read only at the w-exit nodes
+    /// flagged in `exit_bits`.
+    pub(crate) succ: Vec<u32>,
+    /// Bit `v` set ⟺ node `v` leaves its necklace through a w-edge. The
+    /// readoff tests this bitmap and computes every other step as a
+    /// necklace rotation.
+    pub(crate) exit_bits: Vec<u64>,
+    /// The w-group being wired: at most d children plus their parent.
+    group: Vec<u32>,
+}
+
+impl TreeStage {
+    /// Bytes currently reserved by the stage's buffers.
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        self.levels.allocated_bytes()
+            + std::mem::size_of::<TreeRecord>() * self.records.capacity()
+            + 4 * (self.succ.capacity() + self.group.capacity())
+            + 8 * self.exit_bits.capacity()
+    }
+
+    /// Builds the stage from scratch out of the broadcast CSR (`nodes`
+    /// level by level, `offsets` the level boundaries) of a root on
+    /// necklace `root_neck`: resets and scatters the levels, rewrites every
+    /// necklace's record, and wires each w-group once, from its first
+    /// child. The empty CSR builds the empty tree: no levels, no records,
+    /// no exits.
+    pub(crate) fn build(&mut self, ffc: &Ffc, root_neck: usize, nodes: &[u32], offsets: &[u32]) {
+        let t = &ffc.tables;
+        let words = t.n_nodes.div_ceil(64);
+        grow_to(&mut self.records, t.n_necks, TreeRecord::NONE);
+        grow_to(&mut self.succ, t.n_nodes, 0);
+        grow_to(&mut self.exit_bits, words, 0);
+        reserve_more(&mut self.group, t.d + 1);
+        // A stale level on a node outside B* would pass the parent test,
+        // so the scatter starts from an all-UNREACHED array; and wiring
+        // reads the records of arbitrary necklaces, so every record is
+        // rewritten.
+        scatter_levels(&mut self.levels, t.n_nodes, nodes, offsets);
+        self.root_neck = root_neck;
+        for nid in 0..t.n_necks {
+            let _ = self.select(ffc, nid);
+        }
+        self.exit_bits[..words].fill(0);
+        for nid in 0..t.n_necks {
+            if let Some((label, _)) = self.edge(t.d, nid) {
+                self.wire(ffc, label, Some(nid as u32));
+            }
+        }
+    }
+
+    /// Rewrites necklace `nid`'s record from the current levels and
+    /// returns its tree edge — (label w, parent necklace) — before and
+    /// after. The root's necklace and a necklace outside B* (dead ones
+    /// included) have no record. Otherwise Y is the member reached first,
+    /// ties to the minimal node, and the parent is the necklace of Y's
+    /// minimal predecessor one broadcast level up.
+    pub(crate) fn select(&mut self, ffc: &Ffc, nid: usize) -> [Option<(usize, u32)>; 2] {
+        let t = &ffc.tables;
+        let old = self.edge(t.d, nid);
+        let levels = &self.levels;
+        let members = ffc.partition.members(nid);
+        let best = if nid == self.root_neck {
+            u64::MAX
+        } else {
+            members
+                .iter()
+                .map(|&m| (u64::from(levels.get(m as usize)) << 32) | u64::from(m))
+                .fold(u64::MAX, u64::min)
+        };
+        let lvl = (best >> 32) as u32;
+        self.records[nid] = if lvl == UNREACHED {
+            TreeRecord::NONE
+        } else {
+            debug_assert!(lvl >= 1, "non-root necklace reached at level 0");
+            debug_assert!(
+                members.iter().all(|&m| levels.get(m as usize) != UNREACHED),
+                "B* necklace member without a level"
+            );
+            let y = (best & u64::from(u32::MAX)) as usize;
+            let label = y / t.d;
+            let parent = (0..t.d)
+                .map(|a| label + a * t.suffix_count)
+                .find(|&p| levels.get(p) == lvl - 1)
+                // PANIC-OK: Y was first reached at level lvl >= 1, so one
+                // of its d predecessors sat on the frontier one level up;
+                // the exhaustive engine-vs-reference suites pin it.
+                .expect("chosen node with no frontier predecessor");
+            TreeRecord {
+                y: y as u32,
+                parent: ffc.partition.membership()[parent],
+            }
+        };
+        [old, self.edge(t.d, nid)]
+    }
+
+    /// The tree edge of necklace `nid`'s record: (label, parent necklace).
+    fn edge(&self, d: usize, nid: usize) -> Option<(usize, u32)> {
+        let r = self.records[nid];
+        (r.y != NONE).then_some((r.y as usize / d, r.parent))
+    }
+
+    /// Clears the exit bits of `label`'s d possible exit nodes αw, then
+    /// wires its group from the current records.
+    pub(crate) fn rewire(&mut self, ffc: &Ffc, label: usize) {
+        let t = &ffc.tables;
+        for a in 0..t.d {
+            let e = a * t.suffix_count + label;
+            self.exit_bits[e / 64] &= !(1u64 << (e % 64));
+        }
+        self.wire(ffc, label, None);
+    }
+
+    /// Closes `label`'s w-group — the children plus their shared parent,
+    /// in necklace-id order — into a directed cycle of w-edges (the
+    /// modified tree D), writing each edge's override and exit bit. A
+    /// label without children has no group. With `from` set, the group is
+    /// wired only if necklace `from` is its first child (the one with the
+    /// smallest Y), so a build that calls this for every child wires each
+    /// group once.
+    fn wire(&mut self, ffc: &Ffc, label: usize, from: Option<u32>) {
+        let (d, suffix) = (ffc.tables.d, ffc.tables.suffix_count);
+        let membership = ffc.partition.membership();
+        let Self {
+            levels,
+            records,
+            succ,
+            exit_bits,
+            group,
+            ..
+        } = self;
+        group.clear();
+        let mut insert = |nid: u32| group.insert(group.partition_point(|&m| m < nid), nid);
+        let mut parent = NONE;
+        let base = label * d;
+        for (y, &nid) in (base..).zip(&membership[base..base + d]) {
+            let r = records[nid as usize];
+            if r.y as usize == y {
+                if parent == NONE && from.is_some_and(|f| f != nid) {
+                    return;
+                }
+                debug_assert!(
+                    parent == NONE || parent == r.parent,
+                    "T_w must have a single parent necklace (height-one property)"
+                );
+                parent = r.parent;
+                insert(nid);
+            }
+        }
+        if parent == NONE {
+            return;
+        }
+        insert(parent);
+        for_each_w_edge(d, suffix, membership, label, group, |exit, entry| {
+            debug_assert!(levels.get(entry) != UNREACHED, "w-edge entry outside B*");
+            succ[exit] = entry as u32;
+            exit_bits[exit / 64] |= 1u64 << (exit % 64);
+        });
     }
 }

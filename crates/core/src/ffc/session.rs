@@ -9,13 +9,14 @@
 //! * **Reachability snapshot** — the forward and backward BFS *level*
 //!   arrays over the live graph (not just the reachable bitmaps: the
 //!   levels are the certificate that makes node deletion repairable), the
-//!   derived B* membership and |B*|;
-//! * **Spanning tree** — the broadcast level array over B* plus its level
-//!   histogram (the eccentricity is its maximum);
-//! * **Necklace selection** — per-necklace records (earliest member Y,
-//!   tree label w, parent necklace) and the per-label w-group child lists;
-//! * **Cycle readoff** — the successor overrides and exit bitmap, from
-//!   which the ring is walked on demand ([`RingMaintainer::ring_into`]).
+//!   derived B* membership bitmap and |B*|;
+//! * **Spanning tree** — the tree stage the engine runs too: the
+//!   broadcast level array over B*, one record per necklace (earliest
+//!   member Y and parent necklace; a label's w-group is derived from the
+//!   records of its d nodes w·d+β), and the successor overrides and exit
+//!   bitmap from which the ring is walked on demand
+//!   ([`RingMaintainer::ring_into`]); plus the broadcast level histogram
+//!   (the eccentricity is its maximum).
 //!
 //! [`RingMaintainer::apply_batch`] absorbs [`FaultEvent`] batches mixing
 //! node arrivals, node repairs and **link faults** in one fused delta pass
@@ -66,7 +67,7 @@ use std::sync::Arc;
 use crate::bitreach::{BitScratch, DeltaBudgetExceeded, DeltaScratch, LevelVec, UNREACHED};
 use crate::mem::{grow_to, reserve_more};
 
-use super::phases::{for_each_w_edge, read_off_cycle, RootProbe};
+use super::phases::{read_off_cycle, scatter_levels, RootProbe, TreeStage};
 use super::snapshot::{ChunkMask, RingSnapshot, SnapshotParts, SnapshotPublisher};
 use super::{EmbedStats, Ffc, INFEASIBLE_ROOT, NONE};
 
@@ -320,7 +321,6 @@ pub struct RingMaintainer {
     removed_nodes: usize,
     // -- reachability snapshot --
     root: usize,
-    root_neck: usize,
     /// Forward BFS levels from the root over live nodes (UNREACHED = dead
     /// or unreachable), in the compact one-byte-per-node encoding — 4×
     /// less DRAM traffic on every level sweep than the `Vec<u32>` it
@@ -328,45 +328,30 @@ pub struct RingMaintainer {
     fwd_level: LevelVec,
     /// Backward BFS levels (distance *to* the root) over live nodes.
     bwd_level: LevelVec,
-    /// B* membership: forward- and backward-reachable and live.
-    in_bstar: Vec<bool>,
+    /// B* membership, word-packed: bit v set ⟺ v is forward- and
+    /// backward-reachable and live. Maintained incrementally, so
+    /// [`RingMaintainer::publish`] freezes it into snapshots without an
+    /// O(n) repack.
+    bstar_bits: Vec<u64>,
     component_size: usize,
-    // -- spanning tree --
-    /// Broadcast levels over the B*-induced subgraph (compact, published
-    /// into snapshots as the level group).
-    bcast_level: LevelVec,
-    /// Histogram of `bcast_level` (eccentricity = the last non-zero bin).
+    // -- spanning tree and cycle readoff --
+    /// Broadcast levels over the B*-induced subgraph (published into
+    /// snapshots as the level group), the per-necklace tree records, and
+    /// the successor overrides and exit bitmap the ring is walked from.
+    tree: TreeStage,
+    /// Histogram of the broadcast levels (eccentricity = the last non-zero
+    /// bin).
     level_counts: Vec<u32>,
     max_level: usize,
-    // -- necklace selection --
-    /// Earliest-reached member Y per necklace (NONE = no tree record:
-    /// dead, outside B*, or the root necklace).
-    neck_chosen: Vec<u32>,
-    /// Tree label w of the necklace's record (valid iff `neck_chosen` set).
-    neck_label: Vec<u32>,
-    /// Parent necklace of the record (valid iff `neck_chosen` set).
-    neck_parent: Vec<u32>,
-    /// d sorted child slots per label (NONE = empty): the necklaces whose
-    /// tree edge carries this label. A label's w-group is its children
-    /// plus their shared parent necklace.
-    label_children: Vec<u32>,
-    // -- cycle readoff --
-    /// Successor overrides (meaningful where the exit bit is set).
-    succ: Vec<u32>,
-    /// Bit v set ⟺ node v leaves its necklace through a w-edge.
-    exit_bits: Vec<u64>,
     // -- snapshot publication --
-    /// Word-packed mirror of `in_bstar`, maintained incrementally — the
-    /// membership bitmap [`RingMaintainer::publish`] freezes into
-    /// snapshots without an O(n) repack.
-    bstar_bits: Vec<u64>,
-    /// Snapshot chunks whose `succ`/`exit_bits` changed since the last
-    /// publication: the d exit slots of every rewired label.
+    /// Snapshot chunks whose successor overrides or exit bits changed
+    /// since the last publication: the d exit slots of every rewired
+    /// label.
     snap_ring_dirty: ChunkMask,
     /// Snapshot chunks whose `bstar_bits` changed since the last
     /// publication: the nodes of `moved_buf`/`moved_in_buf`.
     snap_bstar_dirty: ChunkMask,
-    /// Snapshot chunks whose `bcast_level` changed since the last
+    /// Snapshot chunks whose broadcast levels changed since the last
     /// publication: the nodes of `bc_nodes`.
     snap_level_dirty: ChunkMask,
     // -- reusable machinery --
@@ -375,10 +360,6 @@ pub struct RingMaintainer {
     /// CSR buffers of the level-emitting rebuild passes.
     nodes_buf: Vec<u32>,
     offsets_buf: Vec<u32>,
-    /// Per-necklace best (level, node) fold of the rebuild.
-    best_key: Vec<u64>,
-    best_stamp: Vec<u32>,
-    live_necks: Vec<u32>,
     /// Event-scoped dedup stamps and worklists of the delta path.
     stamp: u32,
     cand_stamp: Vec<u32>,
@@ -404,7 +385,6 @@ pub struct RingMaintainer {
     dirty_necks: Vec<u32>,
     label_stamp: Vec<u32>,
     dirty_labels: Vec<u32>,
-    member_buf: Vec<u32>,
     /// The root-repair probe's buffers.
     probe: RootProbe,
 }
@@ -451,7 +431,7 @@ impl RingMaintainer {
     /// Whether node `v` lies in B* under the accumulated fault set.
     #[must_use]
     pub fn in_bstar(&self, v: usize) -> bool {
-        self.in_bstar[v]
+        bit(&self.bstar_bits, v)
     }
 
     /// The current repair root (necklace representative; `usize::MAX`
@@ -483,8 +463,8 @@ impl RingMaintainer {
             self.suffix,
             self.root,
             self.component_size,
-            &self.exit_bits,
-            &self.succ,
+            &self.tree.exit_bits,
+            &self.tree.succ,
             out,
         );
     }
@@ -541,10 +521,10 @@ impl RingMaintainer {
             ring_dirty: &self.snap_ring_dirty,
             bstar_dirty: &self.snap_bstar_dirty,
             level_dirty: &self.snap_level_dirty,
-            succ: &self.succ[..self.n_nodes],
-            exit_bits: &self.exit_bits[..words],
+            succ: &self.tree.succ[..self.n_nodes],
+            exit_bits: &self.tree.exit_bits[..words],
             bstar_bits: &self.bstar_bits[..words],
-            bcast_level: &self.bcast_level,
+            bcast_level: &self.tree.levels,
             applied_events,
         });
         self.snap_ring_dirty.clear();
@@ -568,7 +548,7 @@ impl RingMaintainer {
     pub fn level_bytes(&self) -> usize {
         self.fwd_level.allocated_bytes()
             + self.bwd_level.allocated_bytes()
-            + self.bcast_level.allocated_bytes()
+            + self.tree.levels.allocated_bytes()
     }
 
     /// Total bytes currently reserved by the maintainer's buffers —
@@ -578,21 +558,15 @@ impl RingMaintainer {
     pub fn allocated_bytes(&self) -> usize {
         self.node_faulty.capacity()
             + self.node_dead.capacity()
-            + self.in_bstar.capacity()
             + std::mem::size_of::<usize>() * self.fault_list.capacity()
-            + self.level_bytes()
+            + self.fwd_level.allocated_bytes()
+            + self.bwd_level.allocated_bytes()
+            + self.tree.allocated_bytes()
             + 4 * (self.fault_pos.capacity()
                 + self.neck_fault_count.capacity()
                 + self.level_counts.capacity()
-                + self.neck_chosen.capacity()
-                + self.neck_label.capacity()
-                + self.neck_parent.capacity()
-                + self.label_children.capacity()
-                + self.succ.capacity()
                 + self.nodes_buf.capacity()
                 + self.offsets_buf.capacity()
-                + self.best_stamp.capacity()
-                + self.live_necks.capacity()
                 + self.cand_stamp.capacity()
                 + self.cand_buf.capacity()
                 + self.batch_buf.capacity()
@@ -607,11 +581,8 @@ impl RingMaintainer {
                 + self.dirty_stamp.capacity()
                 + self.dirty_necks.capacity()
                 + self.label_stamp.capacity()
-                + self.dirty_labels.capacity()
-                + self.member_buf.capacity())
-            + 8 * (self.exit_bits.capacity()
-                + self.bstar_bits.capacity()
-                + self.best_key.capacity()
+                + self.dirty_labels.capacity())
+            + 8 * (self.bstar_bits.capacity()
                 + self.edge_faults.capacity()
                 + self.touched_necks.capacity())
             + self.probe.allocated_bytes()
@@ -632,7 +603,6 @@ impl RingMaintainer {
         if self.stamp == u32::MAX {
             for arr in [
                 &mut self.cand_stamp,
-                &mut self.best_stamp,
                 &mut self.dirty_stamp,
                 &mut self.label_stamp,
             ] {
@@ -654,23 +624,13 @@ impl RingMaintainer {
         let n = self.n_nodes;
         grow_to(&mut self.node_faulty, n, false);
         grow_to(&mut self.node_dead, n, false);
-        grow_to(&mut self.in_bstar, n, false);
         grow_to(&mut self.fault_pos, n, NONE);
         grow_to(&mut self.edge_src, n, 0);
         self.fwd_level.grow(n);
         self.bwd_level.grow(n);
-        self.bcast_level.grow(n);
-        grow_to(&mut self.succ, n, 0);
-        grow_to(&mut self.label_children, t.suffix_count * t.d, NONE);
         grow_to(&mut self.cand_stamp, n, 0);
-        grow_to(&mut self.exit_bits, n.div_ceil(64), 0);
         grow_to(&mut self.bstar_bits, n.div_ceil(64), 0);
         grow_to(&mut self.neck_fault_count, self.n_necks, 0);
-        grow_to(&mut self.neck_chosen, self.n_necks, NONE);
-        grow_to(&mut self.neck_label, self.n_necks, 0);
-        grow_to(&mut self.neck_parent, self.n_necks, 0);
-        grow_to(&mut self.best_key, self.n_necks, 0);
-        grow_to(&mut self.best_stamp, self.n_necks, 0);
         grow_to(&mut self.dirty_stamp, self.n_necks, 0);
         grow_to(&mut self.label_stamp, t.suffix_count, 0);
         // Worklists are presized to their worst-case bounds so repair
@@ -694,10 +654,8 @@ impl RingMaintainer {
         reserve_more(&mut self.nodes_buf, n);
         reserve_more(&mut self.offsets_buf, n + 2);
         reserve_more(&mut self.level_counts, n + 1);
-        reserve_more(&mut self.live_necks, self.n_necks);
         reserve_more(&mut self.dirty_necks, self.n_necks);
         reserve_more(&mut self.dirty_labels, t.suffix_count);
-        reserve_more(&mut self.member_buf, t.d + 1);
         self.probe.fit(n);
         // Fault state restarts from empty.
         self.node_faulty[..n].fill(false);
@@ -878,21 +836,15 @@ impl RingMaintainer {
     /// (empty ring, empty histogram, zero |B*|), and the sentinel root
     /// compares unequal to every real root, so the next reviving event
     /// routes recovery through a full rebuild automatically.
-    fn enter_infeasible(&mut self) {
-        let n = self.n_nodes;
+    fn enter_infeasible(&mut self, ffc: &Ffc) {
         self.root = INFEASIBLE_ROOT;
-        self.root_neck = usize::MAX;
         self.fwd_level.fill_unreached();
         self.bwd_level.fill_unreached();
-        self.bcast_level.fill_unreached();
-        self.in_bstar[..n].fill(false);
+        self.bstar_bits[..self.n_nodes.div_ceil(64)].fill(0);
         self.component_size = 0;
+        self.tree.build(ffc, INFEASIBLE_ROOT, &[], &[]);
         self.level_counts.clear();
         self.max_level = 0;
-        self.neck_chosen[..self.n_necks].fill(NONE);
-        self.label_children[..self.suffix * self.d].fill(NONE);
-        self.exit_bits[..n.div_ceil(64)].fill(0);
-        self.bstar_bits[..n.div_ceil(64)].fill(0);
         self.dirty_all_chunks();
     }
 
@@ -901,8 +853,8 @@ impl RingMaintainer {
     // ------------------------------------------------------------------
 
     /// Runs the full phase pipeline into the maintainer: the level-emitting
-    /// reachability passes, B* and the broadcast histogram, every
-    /// necklace record, the w-group tables and the exit/override wiring.
+    /// reachability passes, B* and the broadcast histogram, and the tree
+    /// stage's build (every necklace record and the exit/override wiring).
     fn rebuild(&mut self, ffc: &Ffc) {
         let t = &ffc.tables;
         let reach = t.reach;
@@ -917,11 +869,10 @@ impl RingMaintainer {
             }
         }
         let Some(root) = self.policy_root(ffc) else {
-            self.enter_infeasible();
+            self.enter_infeasible(ffc);
             return;
         };
         self.root = root;
-        self.root_neck = membership[self.root] as usize;
 
         // Reachability snapshot, with levels persisted.
         let _ = reach.forward_levels(
@@ -951,91 +902,19 @@ impl RingMaintainer {
             &mut self.offsets_buf,
             &mut self.bstar_bits[..words],
         );
-        self.in_bstar[..n].fill(false);
-        for (j, &word) in self.bstar_bits[..words].iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                self.in_bstar[j * 64 + w.trailing_zeros() as usize] = true;
-                w &= w - 1;
-            }
-        }
         self.component_size = component;
         self.dirty_all_chunks();
         debug_assert_eq!(reached, component, "broadcast must cover B*");
         let _ = reached;
-        scatter_levels(&mut self.bcast_level, n, &self.nodes_buf, &self.offsets_buf);
+        let root_neck = membership[root] as usize;
+        self.tree
+            .build(ffc, root_neck, &self.nodes_buf, &self.offsets_buf);
         self.level_counts.clear();
         self.level_counts.resize(depth + 1, 0);
         for l in 0..=depth {
             self.level_counts[l] = self.offsets_buf[l + 1] - self.offsets_buf[l];
         }
         self.max_level = depth;
-
-        // Necklace selection: per-necklace earliest members, labels,
-        // parents; then the per-label child tables and the wiring.
-        self.neck_chosen[..self.n_necks].fill(NONE);
-        self.label_children[..self.suffix * self.d].fill(NONE);
-        let words = n.div_ceil(64);
-        self.exit_bits[..words].fill(0);
-        let stamp = self.bump_stamp();
-        self.live_necks.clear();
-        for l in 0..=depth {
-            let (lo, hi) = (
-                self.offsets_buf[l] as usize,
-                self.offsets_buf[l + 1] as usize,
-            );
-            for &v in &self.nodes_buf[lo..hi] {
-                let nid = membership[v as usize] as usize;
-                if nid == self.root_neck {
-                    continue;
-                }
-                let key = ((l as u64) << 32) | u64::from(v);
-                if self.best_stamp[nid] != stamp {
-                    self.best_stamp[nid] = stamp;
-                    self.best_key[nid] = key;
-                    self.live_necks.push(nid as u32);
-                } else if key < self.best_key[nid] {
-                    self.best_key[nid] = key;
-                }
-            }
-        }
-        self.dirty_labels.clear();
-        for i in 0..self.live_necks.len() {
-            let nid = self.live_necks[i] as usize;
-            let chosen = (self.best_key[nid] & u64::from(u32::MAX)) as usize;
-            let (label, parent_neck) = self.record_fields(ffc, chosen);
-            self.neck_chosen[nid] = chosen as u32;
-            self.neck_label[nid] = label as u32;
-            self.neck_parent[nid] = parent_neck as u32;
-            insert_child(&mut self.label_children, self.d, label, nid as u32);
-            if self.label_stamp[label] != stamp {
-                self.label_stamp[label] = stamp;
-                self.dirty_labels.push(label as u32);
-            }
-        }
-        for i in 0..self.dirty_labels.len() {
-            let label = self.dirty_labels[i] as usize;
-            self.rewire_label(ffc, label);
-        }
-    }
-
-    /// The (label, parent necklace) of a chosen node: its (n−1)-digit
-    /// prefix and its minimal predecessor one broadcast level up.
-    fn record_fields(&self, ffc: &Ffc, chosen: usize) -> (usize, usize) {
-        let (d, suffix) = (self.d, self.suffix);
-        let label = chosen / d;
-        let lvl = self.bcast_level.get(chosen);
-        debug_assert!(lvl != UNREACHED && lvl >= 1, "chosen node outside the tree");
-        let parent = (0..d)
-            .map(|a| label + a * suffix)
-            .find(|&p| self.bcast_level.get(p) == lvl - 1)
-            // PANIC-OK: a chosen node sits at broadcast level >= 1, so one
-            // of its d predecessors was on the frontier one level up — the
-            // debug_assert above states the invariant and the exhaustive
-            // differential suites pin it; reachable only via memory
-            // corruption, never via caller input.
-            .expect("chosen node with no frontier predecessor");
-        (label, ffc.partition.membership()[parent] as usize)
     }
 
     // ------------------------------------------------------------------
@@ -1135,10 +1014,9 @@ impl RingMaintainer {
             let now = !self.node_dead[u]
                 && self.fwd_level.get(u) != UNREACHED
                 && self.bwd_level.get(u) != UNREACHED;
-            if self.in_bstar[u] == now {
+            if bit(&self.bstar_bits, u) == now {
                 continue;
             }
-            self.in_bstar[u] = now;
             self.bstar_bits[u / 64] ^= 1u64 << (u % 64);
             self.snap_bstar_dirty.mark(u);
             if now {
@@ -1158,8 +1036,8 @@ impl RingMaintainer {
         let bstamp = self.bump_stamp();
         {
             let Self {
-                bcast_level,
-                in_bstar,
+                tree,
+                bstar_bits,
                 delta,
                 moved_buf,
                 moved_in_buf,
@@ -1179,10 +1057,10 @@ impl RingMaintainer {
             };
             if !moved_buf.is_empty() {
                 let pops = reach.levels_delete(
-                    &mut *bcast_level,
+                    &mut tree.levels,
                     delta,
                     moved_buf,
-                    |u| in_bstar[u],
+                    |u| bit(bstar_bits, u),
                     false,
                     remaining,
                 )?;
@@ -1191,10 +1069,10 @@ impl RingMaintainer {
             }
             if !moved_in_buf.is_empty() {
                 let _ = reach.levels_insert(
-                    &mut *bcast_level,
+                    &mut tree.levels,
                     delta,
                     moved_in_buf,
-                    |u| in_bstar[u],
+                    |u| bit(bstar_bits, u),
                     false,
                     remaining,
                 )?;
@@ -1221,7 +1099,7 @@ impl RingMaintainer {
             if old != UNREACHED {
                 self.level_counts[old as usize] -= 1;
             }
-            let new = self.bcast_level.get(u);
+            let new = self.tree.levels.get(u);
             if new != UNREACHED {
                 let new = new as usize;
                 if self.level_counts.len() <= new {
@@ -1251,7 +1129,7 @@ impl RingMaintainer {
                 bc_nodes,
                 dirty_necks,
                 dirty_stamp,
-                in_bstar,
+                bstar_bits,
                 ..
             } = self;
             let mut mark = |nid: usize| {
@@ -1266,132 +1144,35 @@ impl RingMaintainer {
                 let base = (u % suffix) * d;
                 for a in 0..d {
                     let s = base + a;
-                    if in_bstar[s] {
+                    if bit(bstar_bits, s) {
                         mark(membership[s] as usize);
                     }
                 }
             }
         }
+        // Re-select every dirty necklace; a changed tree edge dirties the
+        // labels of its old and new edge.
         for i in 0..self.dirty_necks.len() {
-            let nid = self.dirty_necks[i] as usize;
-            self.refresh_neck(ffc, nid, stamp);
+            let [old, new] = self.tree.select(ffc, self.dirty_necks[i] as usize);
+            if old == new {
+                continue;
+            }
+            for (label, _) in old.into_iter().chain(new) {
+                if self.label_stamp[label] != stamp {
+                    self.label_stamp[label] = stamp;
+                    self.dirty_labels.push(label as u32);
+                }
+            }
         }
+        // Rewiring rewrites the exit bits of a label's d possible exits
+        // a·d^(n−1)+w, so their snapshot chunks are dirty.
         for i in 0..self.dirty_labels.len() {
             let label = self.dirty_labels[i] as usize;
-            self.rewire_label(ffc, label);
-        }
-    }
-
-    /// Recomputes one necklace's tree record from the current broadcast
-    /// levels and updates the per-label child tables, marking every label
-    /// whose group changed.
-    fn refresh_neck(&mut self, ffc: &Ffc, nid: usize, stamp: u32) {
-        if nid == self.root_neck {
-            return;
-        }
-        let members = ffc.partition.members(nid);
-        let rep = members[0] as usize;
-        let had = self.neck_chosen[nid] != NONE;
-        let old_label = self.neck_label[nid] as usize;
-        if !self.in_bstar[rep] {
-            if had {
-                remove_child(&mut self.label_children, self.d, old_label, nid as u32);
-                mark_label(
-                    old_label,
-                    stamp,
-                    &mut self.dirty_labels,
-                    &mut self.label_stamp,
-                );
-                self.neck_chosen[nid] = NONE;
+            for a in 0..d {
+                self.snap_ring_dirty.mark(a * suffix + label);
             }
-            return;
+            self.tree.rewire(ffc, label);
         }
-        let mut best = u64::MAX;
-        for &m in members {
-            let lvl = self.bcast_level.get(m as usize);
-            debug_assert!(lvl != UNREACHED, "B* necklace member without a level");
-            let key = (u64::from(lvl) << 32) | u64::from(m);
-            best = best.min(key);
-        }
-        let chosen = (best & u64::from(u32::MAX)) as usize;
-        let (label, parent_neck) = self.record_fields(ffc, chosen);
-        let group_changed =
-            !had || old_label != label || self.neck_parent[nid] as usize != parent_neck;
-        self.neck_chosen[nid] = chosen as u32;
-        self.neck_label[nid] = label as u32;
-        self.neck_parent[nid] = parent_neck as u32;
-        if !group_changed {
-            return;
-        }
-        if had {
-            remove_child(&mut self.label_children, self.d, old_label, nid as u32);
-            mark_label(
-                old_label,
-                stamp,
-                &mut self.dirty_labels,
-                &mut self.label_stamp,
-            );
-        }
-        insert_child(&mut self.label_children, self.d, label, nid as u32);
-        mark_label(label, stamp, &mut self.dirty_labels, &mut self.label_stamp);
-    }
-
-    /// Unwires and (if the label still has children) rewires one w-group:
-    /// the group's member necklaces — its children plus their shared
-    /// parent, in necklace-id order — are closed into a directed cycle of
-    /// w-edges, exactly like the engines' `wire_w_groups`.
-    fn rewire_label(&mut self, ffc: &Ffc, label: usize) {
-        let (d, suffix) = (self.d, self.suffix);
-        let membership = ffc.partition.membership();
-        // Every possible exit of label w is one of the d nodes a·suffix+w;
-        // rewiring rewrites their exit bits and overrides unconditionally,
-        // so their snapshot chunks are dirty.
-        for a in 0..d {
-            let e = a * suffix + label;
-            self.exit_bits[e / 64] &= !(1u64 << (e % 64));
-            self.snap_ring_dirty.mark(e);
-        }
-        let base = label * d;
-        let child_count = self.label_children[base..base + d]
-            .iter()
-            .take_while(|&&c| c != NONE)
-            .count();
-        if child_count == 0 {
-            return;
-        }
-        let parent = self.neck_parent[self.label_children[base] as usize];
-        self.member_buf.clear();
-        let mut inserted = false;
-        for i in 0..child_count {
-            let c = self.label_children[base + i];
-            debug_assert_eq!(
-                self.neck_parent[c as usize], parent,
-                "T_w must have a single parent necklace (height-one property)"
-            );
-            if !inserted && parent < c {
-                self.member_buf.push(parent);
-                inserted = true;
-            }
-            if c == parent {
-                inserted = true;
-            }
-            self.member_buf.push(c);
-        }
-        if !inserted {
-            self.member_buf.push(parent);
-        }
-        let Self {
-            member_buf,
-            succ,
-            exit_bits,
-            in_bstar,
-            ..
-        } = self;
-        for_each_w_edge(d, suffix, membership, label, member_buf, |exit, entry| {
-            debug_assert!(in_bstar[entry]);
-            succ[exit] = entry as u32;
-            exit_bits[exit / 64] |= 1u64 << (exit % 64);
-        });
     }
 }
 
@@ -1489,7 +1270,7 @@ impl RingMaintainer {
         }
         match self.policy_root(ffc) {
             None => {
-                self.enter_infeasible();
+                self.enter_infeasible(ffc);
                 self.repairs.rebuilds += 1;
             }
             Some(root) if root != self.root => {
@@ -1561,52 +1342,7 @@ pub(crate) fn validate_event(
     Ok(())
 }
 
-/// Marks a label dirty exactly once per event.
-fn mark_label(label: usize, stamp: u32, labels: &mut Vec<u32>, stamps: &mut [u32]) {
-    if stamps[label] != stamp {
-        stamps[label] = stamp;
-        labels.push(label as u32);
-    }
-}
-
-/// Scatters a level CSR into a compact per-node level array (UNREACHED
-/// holes).
-fn scatter_levels(lv: &mut LevelVec, n_nodes: usize, nodes: &[u32], offsets: &[u32]) {
-    lv.grow(n_nodes);
-    lv.fill_unreached();
-    for l in 0..offsets.len().saturating_sub(1) {
-        for &v in &nodes[offsets[l] as usize..offsets[l + 1] as usize] {
-            lv.set(v as usize, l as u32);
-        }
-    }
-}
-
-/// Inserts `nid` into label `label`'s sorted child slots.
-fn insert_child(children: &mut [u32], d: usize, label: usize, nid: u32) {
-    let base = label * d;
-    let slots = &mut children[base..base + d];
-    debug_assert_eq!(slots[d - 1], NONE, "a label can have at most d children");
-    let mut pos = 0;
-    while slots[pos] != NONE && slots[pos] < nid {
-        pos += 1;
-    }
-    debug_assert_ne!(slots[pos], nid, "child inserted twice");
-    slots[pos..].rotate_right(1);
-    slots[pos] = nid;
-}
-
-/// Removes `nid` from label `label`'s sorted child slots.
-fn remove_child(children: &mut [u32], d: usize, label: usize, nid: u32) {
-    let base = label * d;
-    let slots = &mut children[base..base + d];
-    let pos = slots
-        .iter()
-        .position(|&c| c == nid)
-        // PANIC-OK: callers only remove a child they previously inserted
-        // (the w-group records are repaired in lockstep with the tree);
-        // a miss means maintainer state corruption, not bad caller input —
-        // pinned by the exhaustive repair-equality suites.
-        .expect("removing a child that is not in the label's group");
-    slots[pos..].rotate_left(1);
-    slots[d - 1] = NONE;
+/// Whether bit `v` of the word-packed bitmap `words` is set.
+fn bit(words: &[u64], v: usize) -> bool {
+    words[v / 64] >> (v % 64) & 1 == 1
 }

@@ -394,7 +394,8 @@ fn stats_only_path_matches_full_pipeline() {
 /// The no-allocation property must hold across *both* density regimes
 /// of the bit-parallel stats path — light faults drive the
 /// dense/bottom-up sweeps (and their fold buffers), heavy faults keep
-/// the pass sparse/top-down — and on the u8 oracle's own scratch.
+/// the pass sparse/top-down — and on the u8 oracle's own scratch. The
+/// stats-only path never sizes the spanning-tree stage at all.
 #[test]
 fn stats_only_path_does_not_allocate_after_warmup() {
     use rand::rngs::StdRng;
@@ -412,6 +413,11 @@ fn stats_only_path_does_not_allocate_after_warmup() {
     let heavy: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
     let _ = ffc.embed_stats_into(&mut scratch, &heavy);
     let _ = embed_stats_into_u8(&ffc, &mut u8s, &[1]);
+    assert_eq!(
+        scratch.tree.allocated_bytes(),
+        0,
+        "the stats-only path must not size the spanning-tree stage"
+    );
     let warm = scratch.allocated_bytes();
     let warm_u8 = u8s.allocated_bytes();
     for trial in 0..200 {
@@ -552,15 +558,16 @@ fn assert_maintainer_matches_scratch(
     );
 }
 
-/// The ISSUE 5 acceptance grid: on B(2,5) and B(3,3), for **every**
+/// The arrival-order grid: on B(2,5), B(3,3) and B(4,3), for **every**
 /// ≤2-fault set and **every arrival order** (both permutations of each
 /// pair), and for add-then-clear round trips, the maintainer's stats and
 /// ring bytes must equal a from-scratch `embed_into` of the accumulated
 /// fault set after every single event. Root-killing faults are included,
-/// so the rebuild fallback is exercised alongside the delta path.
+/// so the rebuild fallback is exercised alongside the delta path; B(4,3)
+/// puts up to four children in one w-group on the delta path.
 #[test]
 fn incremental_matches_from_scratch_exhaustively_on_all_arrival_orders() {
-    for (d, n) in [(2u64, 5u32), (3, 3)] {
+    for (d, n) in [(2u64, 5u32), (3, 3), (4, 3)] {
         let ffc = Ffc::new(d, n);
         let total = ffc.graph().len();
         let mut maint = RingMaintainer::new();

@@ -41,9 +41,8 @@
 //!   published generation.
 //! * [`sweep`] — the batch sweep engine: deterministic Monte-Carlo plans
 //!   ([`SweepPlan`]), sharded allocation-free execution
-//!   ([`BatchEmbedder`], [`Ffc::embed_batch`]), reusable fault drawing,
-//!   and the nested incremental rows ([`FaultSchedule::Nested`]) that run
-//!   a whole sweep row through the [`RingMaintainer`].
+//!   ([`BatchEmbedder`], [`Ffc::embed_batch`]) and reusable fault
+//!   drawing.
 //! * [`verify`] — validation helpers shared by tests, benches and examples.
 //! * [`oracle`] — the slow, simple twins the engine is pinned against by
 //!   the differential tests and raced against by the benchmarks. They are

@@ -38,7 +38,7 @@ use crossbeam::thread;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ffc::{EmbedScratch, EmbedStats, Ffc, RingMaintainer};
+use crate::ffc::{EmbedScratch, EmbedStats, Ffc};
 
 /// Per-trial fault-count schedule of a sweep.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,17 +48,6 @@ pub enum FaultSchedule {
     /// Trial t draws `counts[t % counts.len()]` faults — the mixed-load
     /// schedule the engine benchmarks use (f cycling 0..=8).
     Cycling(Vec<usize>),
-    /// **Nested** fault sets: one permutation is drawn for the whole row
-    /// (from `trial_seed(0)`), and trial t's fault set is its first
-    /// `counts[t % counts.len()]` elements. Consecutive trials therefore
-    /// differ by single fault arrivals/repairs, which
-    /// [`Ffc::embed_batch`] exploits by driving a [`RingMaintainer`]
-    /// through `add_fault`/`clear_fault` deltas instead of re-embedding
-    /// from scratch — the sweep analogue of an online fault stream. Each
-    /// shard rebuilds once at its range start and repairs from there, so
-    /// results stay bit-identical at any shard count (and identical to a
-    /// serial loop of `embed_into` over the same prefixes).
-    Nested(Vec<usize>),
 }
 
 impl FaultSchedule {
@@ -70,7 +59,7 @@ impl FaultSchedule {
     pub fn faults_for(&self, trial: usize) -> usize {
         match self {
             FaultSchedule::Constant(f) => *f,
-            FaultSchedule::Cycling(counts) | FaultSchedule::Nested(counts) => {
+            FaultSchedule::Cycling(counts) => {
                 assert!(!counts.is_empty(), "a cycling fault schedule needs counts");
                 counts[trial % counts.len()]
             }
@@ -82,9 +71,7 @@ impl FaultSchedule {
     pub fn max_faults(&self) -> usize {
         match self {
             FaultSchedule::Constant(f) => *f,
-            FaultSchedule::Cycling(counts) | FaultSchedule::Nested(counts) => {
-                counts.iter().copied().max().unwrap_or(0)
-            }
+            FaultSchedule::Cycling(counts) => counts.iter().copied().max().unwrap_or(0),
         }
     }
 }
@@ -234,16 +221,11 @@ impl FaultDrawer {
     }
 }
 
-/// One shard's private state: an embedding scratch, a fault drawer, and
-/// the incremental machinery of [`FaultSchedule::Nested`] rows (a ring
-/// maintainer plus the row's shared permutation and ring buffer).
+/// One shard's private state: an embedding scratch and a fault drawer.
 #[derive(Clone, Debug, Default)]
 struct Shard {
     scratch: EmbedScratch,
     drawer: FaultDrawer,
-    maintainer: RingMaintainer,
-    row: Vec<usize>,
-    ring: Vec<usize>,
 }
 
 /// Sharded per-sweep state: N independent [`EmbedScratch`]es and fault
@@ -371,13 +353,8 @@ impl Ffc {
         A: SweepAccumulator,
         F: Fn(&mut A, Trial<'_>) + Sync,
     {
-        if matches!(plan.schedule(), FaultSchedule::Nested(_)) {
-            return self.run_shard_nested(shard, plan, range, record, acc);
-        }
         let n_nodes = self.graph().len();
-        let Shard {
-            scratch, drawer, ..
-        } = shard;
+        let Shard { scratch, drawer } = shard;
         for trial in range {
             let f = plan.schedule().faults_for(trial);
             let faults = drawer.draw(n_nodes, plan.trial_seed(trial), f);
@@ -392,75 +369,6 @@ impl Ffc {
                     index: trial,
                     faults,
                     stats,
-                    cycle,
-                },
-            );
-        }
-    }
-
-    /// The incremental trial loop of [`FaultSchedule::Nested`] rows: the
-    /// shard draws the row's shared permutation once, rebuilds its
-    /// [`RingMaintainer`] at the range's first prefix, and then absorbs
-    /// each trial-to-trial difference as `add_fault`/`clear_fault` events.
-    /// The recorded stats (and cycles, when requested) are identical to a
-    /// from-scratch embed of each prefix — the maintainer's contract — so
-    /// the sweep stays bit-identical at any shard count.
-    fn run_shard_nested<A, F>(
-        &self,
-        shard: &mut Shard,
-        plan: &SweepPlan,
-        range: std::ops::Range<usize>,
-        record: &F,
-        acc: &mut A,
-    ) where
-        A: SweepAccumulator,
-        F: Fn(&mut A, Trial<'_>) + Sync,
-    {
-        if range.is_empty() {
-            return;
-        }
-        let n_nodes = self.graph().len();
-        let Shard {
-            drawer,
-            maintainer,
-            row,
-            ring,
-            ..
-        } = shard;
-        let schedule = plan.schedule();
-        let max = schedule.max_faults().min(n_nodes);
-        row.clear();
-        row.extend_from_slice(drawer.draw(n_nodes, plan.trial_seed(0), max));
-        let mut cur = schedule.faults_for(range.start).min(n_nodes);
-        maintainer
-            .reset(self, &row[..cur])
-            .expect("drawer yields in-range fault ids");
-        for trial in range {
-            let q = schedule.faults_for(trial).min(n_nodes);
-            while cur < q {
-                maintainer
-                    .add_fault(self, row[cur])
-                    .expect("drawer yields in-range fault ids");
-                cur += 1;
-            }
-            while cur > q {
-                cur -= 1;
-                maintainer
-                    .clear_fault(self, row[cur])
-                    .expect("drawer yields in-range fault ids");
-            }
-            let cycle = if plan.cycles_requested() {
-                maintainer.ring_into(ring);
-                Some(&ring[..])
-            } else {
-                None
-            };
-            record(
-                acc,
-                Trial {
-                    index: trial,
-                    faults: &row[..q],
-                    stats: maintainer.stats(),
                     cycle,
                 },
             );
@@ -612,78 +520,6 @@ mod tests {
         assert!(all_down.len() == 7 && all_down.iter().all(|row| row.4.is_empty()));
         for shards in [2usize, 3, 5, 8, 64] {
             assert_eq!(collect(shards), one, "shards={shards}");
-        }
-    }
-
-    /// A nested plan's trials must be bit-identical to a serial loop of
-    /// from-scratch embeds over the same prefixes — stats, fault slices
-    /// and cycles — at every shard count (each shard rebuilds once at its
-    /// range start, then repairs incrementally).
-    #[test]
-    fn nested_plan_matches_from_scratch_prefix_loop_at_any_shard_count() {
-        let ffc = Ffc::new(2, 6);
-        let total = ffc.graph().len();
-        // Counts rise and fall so both add_fault and clear_fault deltas
-        // run mid-row; 0 forces a full clear-down.
-        let counts = vec![0usize, 1, 3, 6, 4, 2, 5, 0, 2];
-        let plan =
-            SweepPlan::new(FaultSchedule::Nested(counts.clone()), 31, 0xAB).collect_cycles(true);
-        // Serial oracle: embed each prefix of the shared permutation.
-        let mut drawer = FaultDrawer::new();
-        let row = drawer
-            .draw(
-                total,
-                plan.trial_seed(0),
-                counts.iter().copied().max().unwrap(),
-            )
-            .to_vec();
-        let mut scratch = EmbedScratch::new();
-        type Row = (usize, Vec<usize>, EmbedStats, Vec<usize>);
-        let want: Vec<Row> = (0..plan.trials())
-            .map(|t| {
-                let f = counts[t % counts.len()];
-                let faults = row[..f].to_vec();
-                let stats = ffc.embed_into(&mut scratch, &faults);
-                (t, faults, stats, scratch.cycle().to_vec())
-            })
-            .collect();
-        for shards in [1usize, 2, 5] {
-            let mut batch = BatchEmbedder::new(shards);
-            let got: Vec<Row> = ffc.embed_batch(&mut batch, &plan, |acc: &mut Vec<Row>, trial| {
-                acc.push((
-                    trial.index,
-                    trial.faults.to_vec(),
-                    trial.stats,
-                    trial.cycle.expect("plan requested cycles").to_vec(),
-                ));
-            });
-            assert_eq!(got, want, "shards={shards}");
-        }
-    }
-
-    /// Stats-only nested plans match `embed_stats_into` per prefix and
-    /// report no cycles.
-    #[test]
-    fn nested_stats_only_plan_matches_stats_path() {
-        let ffc = Ffc::new(3, 3);
-        let total = ffc.graph().len();
-        let counts = vec![2usize, 4, 1, 5, 3];
-        let plan = SweepPlan::new(FaultSchedule::Nested(counts.clone()), 17, 9);
-        let mut drawer = FaultDrawer::new();
-        let row = drawer.draw(total, plan.trial_seed(0), 5).to_vec();
-        let mut scratch = EmbedScratch::new();
-        let mut batch = BatchEmbedder::new(3);
-        let got: Vec<(Vec<usize>, EmbedStats, bool)> =
-            ffc.embed_batch(&mut batch, &plan, |acc: &mut Vec<_>, trial| {
-                acc.push((trial.faults.to_vec(), trial.stats, trial.cycle.is_some()));
-            });
-        assert_eq!(got.len(), 17);
-        for (t, (faults, stats, has_cycle)) in got.iter().enumerate() {
-            let f = counts[t % counts.len()];
-            assert_eq!(faults, &row[..f], "prefix of trial {t}");
-            let want = ffc.embed_stats_into(&mut scratch, faults);
-            assert_eq!(*stats, want, "trial {t}");
-            assert!(!has_cycle);
         }
     }
 

@@ -45,24 +45,10 @@ pub fn distributed_sweep_range(
     assert!(range.end <= plan.trials(), "trial range exceeds the plan");
     let n_nodes = runner.graph().len();
     let mut drawer = FaultDrawer::new();
-    // Nested schedules share one permutation for the whole row (drawn from
-    // trial_seed(0)); trial t's fault set is its first `counts[t]`
-    // elements — exactly the draws `Ffc::embed_batch` makes, so the
-    // identical-draw contract holds for every schedule kind.
-    let nested_row: Option<Vec<usize>> =
-        if matches!(plan.schedule(), debruijn_core::FaultSchedule::Nested(_)) {
-            let max = plan.schedule().max_faults().min(n_nodes);
-            Some(drawer.draw(n_nodes, plan.trial_seed(0), max).to_vec())
-        } else {
-            None
-        };
     range
         .map(|trial| {
-            let f = plan.schedule().faults_for(trial).min(n_nodes);
-            let faults = match &nested_row {
-                Some(row) => row[..f].to_vec(),
-                None => drawer.draw(n_nodes, plan.trial_seed(trial), f).to_vec(),
-            };
+            let f = plan.schedule().faults_for(trial);
+            let faults = drawer.draw(n_nodes, plan.trial_seed(trial), f).to_vec();
             let out = runner.run(&faults);
             DistributedTrial {
                 index: trial,
@@ -123,36 +109,6 @@ mod tests {
                 "cycle length diverged at trial {idx}"
             );
             assert_eq!(dt.broadcast_depth, stats.eccentricity, "trial {idx}");
-        }
-    }
-
-    /// Nested plans must keep the identical-draw contract: the
-    /// distributed sweep's per-trial fault sets (shared-permutation
-    /// prefixes) and cycles equal the centralized batch engine's, trial
-    /// for trial.
-    #[test]
-    fn nested_distributed_sweep_matches_centralized_batch() {
-        let (d, n) = (2u64, 5u32);
-        let runner = DistributedFfc::new(d, n);
-        let ffc = Ffc::new(d, n);
-        let plan = SweepPlan::new(FaultSchedule::Nested(vec![0, 2, 4, 1]), 14, 0xBEEF)
-            .collect_cycles(true);
-        let mut batch = BatchEmbedder::new(3);
-        type Row = (usize, Vec<usize>, usize);
-        let central: Vec<Row> = ffc.embed_batch(&mut batch, &plan, |acc: &mut Vec<Row>, trial| {
-            acc.push((
-                trial.index,
-                trial.faults.to_vec(),
-                trial.cycle.expect("cycles requested").len(),
-            ));
-        });
-        let mut distributed = distributed_sweep_range(&runner, &plan, 0..7);
-        distributed.extend(distributed_sweep_range(&runner, &plan, 7..14));
-        assert_eq!(central.len(), distributed.len());
-        for ((idx, faults, cycle_len), dt) in central.iter().zip(&distributed) {
-            assert_eq!(*idx, dt.index);
-            assert_eq!(faults, &dt.faults, "nested draw diverged at trial {idx}");
-            assert_eq!(dt.cycle_len, Some(*cycle_len), "trial {idx}");
         }
     }
 

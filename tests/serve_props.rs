@@ -11,8 +11,11 @@
 //! stress on the live service, and property tests on B(2,14).
 //!
 //! ATOMICS: the stress test's stop flag is a single-writer boolean — the
-//! driver thread alone stores it, reader threads poll it with Relaxed;
-//! all checked state flows through the epoch-published snapshots.
+//! submitting thread alone stores it, with Release, after `shutdown()` has
+//! published the last snapshot; reader threads load it with Acquire, so a
+//! reader that sees it set also sees that publication, and takes one more
+//! snapshot before it exits. All checked state flows through the
+//! epoch-published snapshots.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -295,6 +298,9 @@ fn stress_service(
             let mut last_applied = 0u64;
             let mut buf = Vec::new();
             loop {
+                // Read before the snapshot: once the flag is seen, the
+                // snapshot below is the last publication.
+                let stopping = stop.load(Ordering::Acquire);
                 let snap = reader.snapshot();
                 assert!(
                     reader.epoch() >= last_epoch,
@@ -319,7 +325,7 @@ fn stress_service(
                 if seen.last().is_none_or(|p| p.seq() != snap.seq()) {
                     seen.push(snap);
                 }
-                if stop.load(Ordering::Relaxed) {
+                if stopping {
                     break;
                 }
                 std::thread::yield_now();
@@ -331,7 +337,7 @@ fn stress_service(
         svc.submit(ev).expect("valid event");
     }
     let report = svc.shutdown();
-    stop.store(true, Ordering::Relaxed);
+    stop.store(true, Ordering::Release);
     assert_eq!(
         report.events,
         events.len() as u64,
