@@ -224,14 +224,17 @@ impl BitFrontier {
         );
         self.dense = false;
     }
-}
 
-/// Per-level node emission of [`BitReach::broadcast_levels`]: `nodes` gets
-/// every reached node, `offsets` the CSR boundaries of the levels
-/// (`offsets[l]..offsets[l+1]` indexes level `l`'s slice of `nodes`).
-struct LevelSink<'a> {
-    nodes: &'a mut Vec<u32>,
-    offsets: &'a mut Vec<u32>,
+    /// Calls `f` on every frontier node: the queue in discovery order
+    /// while sparse, a summary skip-scan in increasing id order while
+    /// dense.
+    fn for_each_node(&self, words: usize, mut f: impl FnMut(usize)) {
+        if self.dense {
+            for_each_bit_skip(&self.bits[..words], &self.sum[..sum_words(words)], f);
+        } else {
+            self.queue.iter().for_each(|&v| f(v as usize));
+        }
+    }
 }
 
 /// The reusable buffers of the bit-parallel engine: the per-call fault
@@ -464,37 +467,34 @@ impl BitReach {
     /// root and `depth` is the last level with a new node — the broadcast
     /// eccentricity whenever B* turns out to equal the forward set.
     pub fn forward(&self, s: &mut BitScratch, root: usize) -> (usize, usize) {
-        let BitScratch {
-            dead,
-            fwd,
-            cur,
-            nxt,
-            ..
-        } = s;
-        fwd[..self.words].copy_from_slice(&dead[..self.words]);
-        if self.pow2 {
-            self.run::<true, false>(fwd, cur, nxt, root, None)
-        } else {
-            self.run::<false, false>(fwd, cur, nxt, root, None)
-        }
+        self.pass::<false>(s, root, |_, _| {})
     }
 
     /// Backward BFS from `root` over live nodes (visited set left in the
     /// scratch for [`BitReach::component_size`] / [`BitReach::in_bstar`]).
     pub fn backward(&self, s: &mut BitScratch, root: usize) {
+        self.pass::<true>(s, root, |_, _| {});
+    }
+
+    /// The shared forward/backward pass: the direction's visited set
+    /// starts as the fault mask.
+    fn pass<const BACKWARD: bool>(
+        &self,
+        s: &mut BitScratch,
+        root: usize,
+        on_level: impl FnMut(u32, &BitFrontier),
+    ) -> (usize, usize) {
         let BitScratch {
             dead,
+            fwd,
             bwd,
             cur,
             nxt,
             ..
         } = s;
-        bwd[..self.words].copy_from_slice(&dead[..self.words]);
-        if self.pow2 {
-            self.run::<true, true>(bwd, cur, nxt, root, None);
-        } else {
-            self.run::<false, true>(bwd, cur, nxt, root, None);
-        }
+        let vis = if BACKWARD { bwd } else { fwd };
+        vis[..self.words].copy_from_slice(&dead[..self.words]);
+        self.run::<BACKWARD>(vis, cur, nxt, root, on_level)
     }
 
     /// |B*| after the two passes: the popcount of `fwd ∧ bwd` minus the
@@ -513,15 +513,35 @@ impl BitReach {
     /// eccentricity of `root` within B*. Requires the forward and backward
     /// passes to have run.
     pub fn broadcast_depth(&self, s: &mut BitScratch, root: usize) -> usize {
-        self.broadcast(s, root, None).1
+        self.broadcast(s, root, |_, _| {}).1
+    }
+
+    /// The broadcast restricted to B*, writing every reached node's level
+    /// into `levels` (grown to the node space; every other slot
+    /// [`UNREACHED`]). Returns `(reached, depth)`. Requires the forward
+    /// and backward passes to have run.
+    pub fn broadcast_levels_into(
+        &self,
+        s: &mut BitScratch,
+        root: usize,
+        levels: &mut LevelVec,
+    ) -> (usize, usize) {
+        self.broadcast(s, root, self.level_writer(levels))
     }
 
     /// The broadcast restricted to B*, emitting every reached node level
-    /// by level: `nodes` receives the nodes (cleared first), `offsets` the
-    /// CSR level boundaries (`offsets[l]..offsets[l+1]` is level `l`;
-    /// `offsets.len()` ends up `depth + 2`). Returns `(reached, depth)`.
-    /// The within-level order is unspecified (discovery order top-down,
-    /// increasing id bottom-up) — callers must not depend on it.
+    /// by level as a CSR: `nodes` receives the nodes (cleared first),
+    /// `offsets` the level boundaries (`offsets[l]..offsets[l+1]` is level
+    /// `l`; `offsets.len()` ends up `depth + 2`). Returns
+    /// `(reached, depth)`. The within-level order is unspecified
+    /// (discovery order top-down, increasing id bottom-up) — callers must
+    /// not depend on it.
+    ///
+    /// This is the one CSR entry point, kept for external callers that
+    /// want B* grouped by level; the engine and the maintainer write
+    /// levels straight into a [`LevelVec`] instead
+    /// ([`BitReach::broadcast_levels_into`],
+    /// [`BitReach::broadcast_levels_bstar`]).
     pub fn broadcast_levels(
         &self,
         s: &mut BitScratch,
@@ -529,9 +549,19 @@ impl BitReach {
         nodes: &mut Vec<u32>,
         offsets: &mut Vec<u32>,
     ) -> (usize, usize) {
+        let words = self.words;
         nodes.clear();
         offsets.clear();
-        self.broadcast(s, root, Some(LevelSink { nodes, offsets }))
+        let found = self.broadcast(s, root, |_, f| {
+            offsets.push(nodes.len() as u32);
+            if f.dense {
+                extract_bits_skip(&f.bits[..words], &f.sum[..sum_words(words)], nodes);
+            } else {
+                nodes.extend_from_slice(&f.queue);
+            }
+        });
+        offsets.push(nodes.len() as u32);
+        found
     }
 
     /// Shared broadcast setup: visited starts as "outside B* or dead".
@@ -539,7 +569,7 @@ impl BitReach {
         &self,
         s: &mut BitScratch,
         root: usize,
-        sink: Option<LevelSink<'_>>,
+        on_level: impl FnMut(u32, &BitFrontier),
     ) -> (usize, usize) {
         let BitScratch {
             dead,
@@ -558,39 +588,34 @@ impl BitReach {
         {
             *v = !(f & b) | x;
         }
-        if self.pow2 {
-            self.run::<true, false>(vis, cur, nxt, root, sink)
-        } else {
-            self.run::<false, false>(vis, cur, nxt, root, sink)
-        }
+        self.run::<false>(vis, cur, nxt, root, on_level)
     }
 
-    /// [`BitReach::broadcast_levels`] fused with the B* mask: one
+    /// [`BitReach::broadcast_levels_into`] fused with the B* mask: one
     /// chunk-streamed pass over (fwd, bwd, dead, vis) writes the B*
     /// membership words (`fwd ∧ bwd ∧ ¬dead`) into `bstar`, counts |B*|
     /// and initialises the broadcast visited set to the complement —
     /// replacing the separate vis-init sweep, B*-bitmap sweep and
     /// popcount the session's rebuild used to run back-to-back over the
-    /// full arrays. Returns `(bstar_count, reached, depth)`; the level
-    /// emission is unchanged.
+    /// full arrays. `counts` receives the number of nodes on each level
+    /// (cleared first; `counts.len()` ends up `depth + 1`). Returns
+    /// `(bstar_count, reached, depth)`; the level writes are unchanged.
     pub fn broadcast_levels_bstar(
         &self,
         s: &mut BitScratch,
         root: usize,
-        nodes: &mut Vec<u32>,
-        offsets: &mut Vec<u32>,
+        levels: &mut LevelVec,
+        counts: &mut Vec<u32>,
         bstar: &mut [u64],
     ) -> (usize, usize, usize) {
         let count = self.bstar_init(s, bstar);
         let BitScratch { vis, cur, nxt, .. } = s;
-        nodes.clear();
-        offsets.clear();
-        let sink = Some(LevelSink { nodes, offsets });
-        let (reached, depth) = if self.pow2 {
-            self.run::<true, false>(vis, cur, nxt, root, sink)
-        } else {
-            self.run::<false, false>(vis, cur, nxt, root, sink)
-        };
+        let mut write = self.level_writer(levels);
+        counts.clear();
+        let (reached, depth) = self.run::<false>(vis, cur, nxt, root, |l, f| {
+            counts.push(f.len as u32);
+            write(l, f);
+        });
         (count, reached, depth)
     }
 
@@ -621,16 +646,45 @@ impl BitReach {
         count
     }
 
+    /// The direct level write of the level-emitting passes: grows
+    /// `levels` to the node space, marks every slot [`UNREACHED`], and
+    /// returns the per-level callback that writes level `l` for every node
+    /// of a settled frontier.
+    fn level_writer<'a>(&self, levels: &'a mut LevelVec) -> impl FnMut(u32, &BitFrontier) + 'a {
+        levels.grow(self.n_nodes);
+        levels.fill_unreached();
+        let words = self.words;
+        move |l, f| f.for_each_node(words, |v| levels.set(v, l))
+    }
+
     /// One direction-optimizing BFS pass over `vis` (bits already set are
     /// never re-entered; the caller pre-sets dead / out-of-scope bits).
-    /// Returns `(newly visited count incl. root, depth)`.
-    fn run<const POW2: bool, const BACKWARD: bool>(
+    /// `on_level(l, frontier)` sees every level as it settles, the root's
+    /// level 0 included; the stats-only passes hand it a no-op that
+    /// compiles away. Returns `(newly visited count incl. root, depth)`.
+    fn run<const BACKWARD: bool>(
         &self,
         vis: &mut [u64],
         cur: &mut BitFrontier,
         nxt: &mut BitFrontier,
         root: usize,
-        mut sink: Option<LevelSink<'_>>,
+        on_level: impl FnMut(u32, &BitFrontier),
+    ) -> (usize, usize) {
+        if self.pow2 {
+            self.run_impl::<true, BACKWARD>(vis, cur, nxt, root, on_level)
+        } else {
+            self.run_impl::<false, BACKWARD>(vis, cur, nxt, root, on_level)
+        }
+    }
+
+    /// [`BitReach::run`] with the edge arithmetic fixed at compile time.
+    fn run_impl<const POW2: bool, const BACKWARD: bool>(
+        &self,
+        vis: &mut [u64],
+        cur: &mut BitFrontier,
+        nxt: &mut BitFrontier,
+        root: usize,
+        mut on_level: impl FnMut(u32, &BitFrontier),
     ) -> (usize, usize) {
         debug_assert!(root < self.n_nodes, "root out of range");
         debug_assert!(vis[root / 64] & (1 << (root % 64)) == 0, "root not live");
@@ -639,10 +693,7 @@ impl BitReach {
         if self.want_dense(cur.len, false) {
             cur.make_dense(self.words);
         }
-        if let Some(sink) = sink.as_mut() {
-            sink.offsets.push(0);
-            sink.nodes.push(root as u32);
-        }
+        on_level(0, cur);
         let mut count = 1usize;
         let mut depth = 0usize;
         loop {
@@ -656,17 +707,7 @@ impl BitReach {
             }
             count += nxt.len;
             depth += 1;
-            if let Some(sink) = sink.as_mut() {
-                if nxt.dense {
-                    emit_bits_sum(
-                        sink,
-                        &nxt.bits[..self.words],
-                        &nxt.sum[..sum_words(self.words)],
-                    );
-                } else {
-                    emit_queue(sink, &nxt.queue);
-                }
-            }
+            on_level(depth as u32, nxt);
             // Pick the representation for the next expansion.
             let dense = self.want_dense(nxt.len, nxt.dense);
             if nxt.dense && !dense {
@@ -675,9 +716,6 @@ impl BitReach {
                 nxt.make_dense(self.words);
             }
             std::mem::swap(cur, nxt);
-        }
-        if let Some(sink) = sink.as_mut() {
-            sink.offsets.push(sink.nodes.len() as u32);
         }
         (count, depth)
     }
@@ -988,63 +1026,31 @@ impl BitReach {
 }
 
 impl BitReach {
-    /// [`BitReach::forward`] with per-level node emission: identical
-    /// visited set, count and depth, but every reached node is also
-    /// emitted level by level into `nodes`/`offsets` (the same CSR shape
-    /// as [`BitReach::broadcast_levels`]). This is the pass the
-    /// incremental engine's [`crate::ffc::RingMaintainer`] rebuilds its
-    /// forward level array from.
+    /// [`BitReach::forward`] writing every reached node's forward level
+    /// into `levels` (grown to the node space; every other slot
+    /// [`UNREACHED`]): identical visited set, count and depth. This is
+    /// the pass the incremental engine's [`crate::ffc::RingMaintainer`]
+    /// rebuilds its forward level array with.
     pub fn forward_levels(
         &self,
         s: &mut BitScratch,
         root: usize,
-        nodes: &mut Vec<u32>,
-        offsets: &mut Vec<u32>,
+        levels: &mut LevelVec,
     ) -> (usize, usize) {
-        let BitScratch {
-            dead,
-            fwd,
-            cur,
-            nxt,
-            ..
-        } = s;
-        fwd[..self.words].copy_from_slice(&dead[..self.words]);
-        nodes.clear();
-        offsets.clear();
-        let sink = Some(LevelSink { nodes, offsets });
-        if self.pow2 {
-            self.run::<true, false>(fwd, cur, nxt, root, sink)
-        } else {
-            self.run::<false, false>(fwd, cur, nxt, root, sink)
-        }
+        self.pass::<false>(s, root, self.level_writer(levels))
     }
 
-    /// [`BitReach::backward`] with per-level node emission (see
+    /// [`BitReach::backward`] writing every reached node's backward level
+    /// (its distance *to* the root) into `levels` (see
     /// [`BitReach::forward_levels`]); returns `(reached, depth)` of the
     /// backward pass.
     pub fn backward_levels(
         &self,
         s: &mut BitScratch,
         root: usize,
-        nodes: &mut Vec<u32>,
-        offsets: &mut Vec<u32>,
+        levels: &mut LevelVec,
     ) -> (usize, usize) {
-        let BitScratch {
-            dead,
-            bwd,
-            cur,
-            nxt,
-            ..
-        } = s;
-        bwd[..self.words].copy_from_slice(&dead[..self.words]);
-        nodes.clear();
-        offsets.clear();
-        let sink = Some(LevelSink { nodes, offsets });
-        if self.pow2 {
-            self.run::<true, true>(bwd, cur, nxt, root, sink)
-        } else {
-            self.run::<false, true>(bwd, cur, nxt, root, sink)
-        }
+        self.pass::<true>(s, root, self.level_writer(levels))
     }
 }
 
@@ -1512,21 +1518,6 @@ impl BitReach {
     }
 }
 
-/// Appends a sparse level to the sink.
-fn emit_queue(sink: &mut LevelSink<'_>, queue: &[u32]) {
-    sink.offsets.push(sink.nodes.len() as u32);
-    sink.nodes.extend_from_slice(queue);
-}
-
-/// Appends a dense level to the sink with a hierarchical summary:
-/// skip-scans the occupied words only, set bits in increasing id order.
-/// Identical output to a full-word scan (the summary never misses an
-/// occupied word; false positives just visit a zero word).
-fn emit_bits_sum(sink: &mut LevelSink<'_>, bits: &[u64], sum: &[u64]) {
-    sink.offsets.push(sink.nodes.len() as u32);
-    extract_bits_skip(bits, sum, sink.nodes);
-}
-
 /// Number of summary words covering `words` bitmap words (one summary
 /// *bit* per word, one summary *word* per 64-word / 4096-node block).
 #[inline]
@@ -1590,6 +1581,12 @@ pub fn extract_bits(bits: &[u64], out: &mut Vec<u32>) {
 /// is set, in increasing order, so the output is identical whenever the
 /// summary covers every occupied word (`occupied ⊆ marked`).
 pub fn extract_bits_skip(bits: &[u64], sum: &[u64], out: &mut Vec<u32>) {
+    for_each_bit_skip(bits, sum, |v| out.push(v as u32));
+}
+
+/// Calls `f` on every set bit of `bits` in increasing order, visiting only
+/// the words whose summary bit is set (`occupied ⊆ marked`).
+fn for_each_bit_skip(bits: &[u64], sum: &[u64], mut f: impl FnMut(usize)) {
     for (sj, &sword) in sum.iter().enumerate() {
         let mut s = sword;
         while s != 0 {
@@ -1600,7 +1597,7 @@ pub fn extract_bits_skip(bits: &[u64], sum: &[u64], out: &mut Vec<u32>) {
             }
             let mut w = bits[j];
             while w != 0 {
-                out.push((j * 64) as u32 + w.trailing_zeros());
+                f(j * 64 + w.trailing_zeros() as usize);
                 w &= w - 1;
             }
         }
@@ -1831,47 +1828,89 @@ mod tests {
         assert!(!BitReach::new(2, 32).dense_capable()); // suffix below a word
     }
 
-    /// The level-emitting forward/backward passes must produce the scalar
-    /// oracle's levels.
+    /// Every level-emitting pass must produce the scalar oracle's levels:
+    /// the forward and backward passes and both level-writing broadcasts
+    /// into a [`LevelVec`] (the fused one also returning B* and the
+    /// per-level counts), and the CSR broadcast scattered by hand.
     #[test]
     fn level_emitting_passes_match_oracle() {
-        let shapes = [(2usize, 1 << 10), (4, 1 << 10), (2, 1 << 7), (3, 243)];
+        let shapes = [
+            (2usize, 1 << 10),
+            (4, 1 << 10),
+            (2, 1 << 7),
+            (3, 243),
+            (5, 625),
+        ];
         let mut rng = StdRng::seed_from_u64(0x1e7e15);
+        let as_u32 = |lv: &[usize]| -> Vec<u32> {
+            lv.iter()
+                .map(|&l| if l == usize::MAX { UNREACHED } else { l as u32 })
+                .collect()
+        };
+        let read = |lv: &LevelVec, n_nodes: usize| -> Vec<u32> {
+            (0..n_nodes).map(|v| lv.get(v)).collect()
+        };
         for &(d, n_nodes) in &shapes {
             let reach = BitReach::new(d, n_nodes);
             for trial in 0..6 {
                 let root = 1usize;
                 let deaths = [0, 1, n_nodes / 16, n_nodes / 3][trial % 4];
                 let dead = random_dead(n_nodes, deaths, root, &mut rng);
-                let scatter = |nodes: &[u32], offsets: &[u32]| -> Vec<usize> {
-                    let mut lv = vec![usize::MAX; n_nodes];
-                    for l in 0..offsets.len() - 1 {
-                        for &v in &nodes[offsets[l] as usize..offsets[l + 1] as usize] {
-                            lv[v as usize] = l;
-                        }
+                let tag = format!("d={d} n={n_nodes} deaths={deaths}");
+                let (fl, fwd_reached, fwd_depth) = oracle_bfs(d, n_nodes, &dead, root, false, None);
+                let (bl, bwd_reached, bwd_depth) = oracle_bfs(d, n_nodes, &dead, root, true, None);
+                let bstar: Vec<bool> = (0..n_nodes)
+                    .map(|v| fl[v] != usize::MAX && bl[v] != usize::MAX)
+                    .collect();
+                let component = bstar.iter().filter(|&&x| x).count();
+                let (vl, _, ecc) = oracle_bfs(d, n_nodes, &dead, root, false, Some(&bstar));
+                let want_bcast = as_u32(&vl);
+                let mut s = BitScratch::new();
+                reach.prepare(&mut s);
+                for (v, &x) in dead.iter().enumerate() {
+                    if x {
+                        reach.kill(&mut s, v);
                     }
-                    lv
-                };
-                for backward in [false, true] {
-                    let (want_lv, want_reached, want_depth) =
-                        oracle_bfs(d, n_nodes, &dead, root, backward, None);
-                    let mut s = BitScratch::new();
-                    reach.prepare(&mut s);
-                    for (v, &x) in dead.iter().enumerate() {
-                        if x {
-                            reach.kill(&mut s, v);
-                        }
-                    }
-                    let mut nodes = Vec::new();
-                    let mut offsets = Vec::new();
-                    let got = if backward {
-                        reach.backward_levels(&mut s, root, &mut nodes, &mut offsets)
-                    } else {
-                        reach.forward_levels(&mut s, root, &mut nodes, &mut offsets)
-                    };
-                    assert_eq!(got, (want_reached, want_depth), "d={d} bwd={backward}");
-                    assert_eq!(scatter(&nodes, &offsets), want_lv, "d={d} bwd={backward}");
                 }
+                // A stale level left in the array must not survive a pass.
+                let mut lv = LevelVec::new();
+                lv.grow(n_nodes);
+                lv.set(0, 3);
+                let got = reach.forward_levels(&mut s, root, &mut lv);
+                assert_eq!(got, (fwd_reached, fwd_depth), "forward {tag}");
+                assert_eq!(read(&lv, n_nodes), as_u32(&fl), "forward {tag}");
+                let got = reach.backward_levels(&mut s, root, &mut lv);
+                assert_eq!(got, (bwd_reached, bwd_depth), "backward {tag}");
+                assert_eq!(read(&lv, n_nodes), as_u32(&bl), "backward {tag}");
+
+                let got = reach.broadcast_levels_into(&mut s, root, &mut lv);
+                assert_eq!(got, (component, ecc), "broadcast {tag}");
+                assert_eq!(read(&lv, n_nodes), want_bcast, "broadcast {tag}");
+
+                let mut counts = vec![7u32];
+                let mut bits = vec![u64::MAX; n_nodes.div_ceil(64)];
+                let got =
+                    reach.broadcast_levels_bstar(&mut s, root, &mut lv, &mut counts, &mut bits);
+                assert_eq!(got, (component, component, ecc), "fused broadcast {tag}");
+                assert_eq!(read(&lv, n_nodes), want_bcast, "fused broadcast {tag}");
+                for (v, &want) in bstar.iter().enumerate() {
+                    assert_eq!(bits[v / 64] >> (v % 64) & 1 == 1, want, "B* bit {v} {tag}");
+                }
+                let want_counts: Vec<u32> = (0..=ecc)
+                    .map(|l| vl.iter().filter(|&&x| x == l).count() as u32)
+                    .collect();
+                assert_eq!(counts, want_counts, "level counts {tag}");
+
+                let (mut nodes, mut offsets) = (vec![9u32], vec![9u32]);
+                let got = reach.broadcast_levels(&mut s, root, &mut nodes, &mut offsets);
+                assert_eq!(got, (component, ecc), "CSR broadcast {tag}");
+                let mut scattered = vec![UNREACHED; n_nodes];
+                for (l, level) in offsets.windows(2).enumerate() {
+                    for &v in &nodes[level[0] as usize..level[1] as usize] {
+                        scattered[v as usize] = l as u32;
+                    }
+                }
+                assert_eq!(scattered, want_bcast, "CSR broadcast {tag}");
             }
         }
     }

@@ -27,11 +27,12 @@
 //! necklace id, necklace representatives/lengths, and a CSR layout of
 //! necklace members), and a reusable [`EmbedScratch`] owns every piece of
 //! per-call mutable state — the stamped fault marks, the bit-parallel
-//! reachability bitmaps, the broadcast's level CSR, the spanning-tree
-//! stage (broadcast levels, per-necklace records, successor overrides
-//! and exit bitmap), and the output cycle buffer. After the first call at
-//! a given (d, n) ("warm-up"), [`Ffc::embed_into`] performs **no heap
-//! allocation**: buffers only ever grow.
+//! reachability bitmaps, the spanning-tree stage (the one-byte broadcast
+//! levels, which the broadcast writes straight from its frontier, the
+//! per-necklace records, and the ring wiring: an exit bitmap plus one
+//! packed entry digit per node), and the output cycle buffer. After the
+//! first call at a given (d, n) ("warm-up"), [`Ffc::embed_into`] performs
+//! **no heap allocation**: buffers only ever grow.
 //!
 //! Per call the engine does:
 //!
@@ -45,10 +46,11 @@
 //! * **Cycle construction**: one record per necklace (its earliest member
 //!   Y and its parent necklace) in a flat array; the w-group of label w is
 //!   derived from the records of the d nodes w·d+β, with no hash map, sort
-//!   or group table. Successor overrides are written only at the w-exit
-//!   nodes, flagged in a word-packed exit bitmap, and the cycle is read
-//!   off by a streaming walk that computes every other step as a necklace
-//!   rotation.
+//!   or group table. A w-exit αw's successor is its entry w·d+β, so the
+//!   wiring stores only β: b bits per node (b the smallest power of two
+//!   ≥ ⌈log2 d⌉, one bit at d = 2), non-zero only at the exits, which a
+//!   word-packed exit bitmap flags. The cycle is read off by a streaming
+//!   walk that computes every other step as a necklace rotation.
 //!
 //! The textbook formulation (materialised SCCs + hash-map groups) is kept
 //! as [`crate::oracle::embed_reference`]; it is used by the differential
@@ -179,11 +181,8 @@ pub struct EmbedScratch {
     /// Word-packed bitmaps and frontiers of the bit-parallel reachability
     /// engine (fault mask, forward/backward/broadcast visited sets).
     bits: BitScratch,
-    /// The nodes of B*, as emitted level by level from the broadcast.
-    bstar: Vec<u32>,
-    /// CSR boundaries of the broadcast levels within `bstar`.
-    level_offsets: Vec<u32>,
-    /// The spanning-tree stage, sized by the first full-ring call; the
+    /// The spanning-tree stage — broadcast levels, necklace records, exit
+    /// bitmap and entry digits — sized by the first full-ring call; the
     /// stats-only path never touches it.
     tree: TreeStage,
     /// The output cycle of the most recent call.
@@ -210,7 +209,7 @@ impl EmbedScratch {
     /// property the engine tests pin down.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
-        4 * (self.faulty.capacity() + self.bstar.capacity() + self.level_offsets.capacity())
+        4 * self.faulty.capacity()
             + self.probe.allocated_bytes()
             + self.bits.allocated_bytes()
             + self.tree.allocated_bytes()
@@ -227,14 +226,9 @@ impl EmbedScratch {
         self.stamp += 1;
         grow_to(&mut self.faulty, t.n_necks, 0);
         self.probe.fit(t.n_nodes);
-        // Worklists are presized to their worst-case bounds, so no fault
-        // pattern can grow them after the first call at this size: B* and
-        // the cycle hold at most every node, and the broadcast can have at
-        // most one level per node (plus the two CSR sentinels). The
-        // broadcast clears its own lists; the cycle starts empty here.
+        // The cycle is presized to its worst case, every node, so no fault
+        // pattern can grow it after the first call at this size.
         self.cycle.clear();
-        reserve_more(&mut self.bstar, t.n_nodes);
-        reserve_more(&mut self.level_offsets, t.n_nodes + 2);
         reserve_more(&mut self.cycle, t.n_nodes);
     }
 }

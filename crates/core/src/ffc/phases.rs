@@ -15,8 +15,14 @@
 //! ([`RootProbe`]), the spanning-tree stage ([`TreeStage`]: each
 //! necklace's record — its earliest member Y and parent necklace — and the
 //! w-groups derived from the records), the w-edge geometry of a w-group
-//! ([`for_each_w_edge`]), and the necklace rotation ([`rotate`]) with the
-//! ring walk built on it ([`read_off_cycle`]).
+//! ([`for_each_w_edge`]), the ring successor ([`ring_step`]: the
+//! necklace rotation, or at a w-exit the entry w·d+β whose last digit β
+//! sits in a packed table, [`DigitWidth`]) and the ring walk built on it
+//! ([`read_off_cycle`]).
+//!
+//! Every level-emitting pass writes its levels straight into a
+//! [`LevelVec`](crate::mem::LevelVec) from the BFS frontier; no pass
+//! materialises a per-level node list.
 
 use super::{EmbedScratch, EmbedStats, Ffc, INFEASIBLE_ROOT, NONE};
 use crate::mem::{grow_to, reserve_more, LevelVec, UNREACHED};
@@ -29,16 +35,17 @@ impl Ffc {
     /// allocation.
     ///
     /// The phases run serially: the front shared with
-    /// [`Ffc::embed_stats_into`], the level-emitting broadcast, the
+    /// [`Ffc::embed_stats_into`], the broadcast (which writes each node's
+    /// level straight into the tree stage's level array), the
     /// spanning-tree stage (per-necklace records and the w-group wiring
     /// derived from them) and the streaming cycle readoff. The tree stage
     /// derives each necklace's parent from the broadcast levels instead of
     /// materialising a whole-B* parent array.
     /// The readoff walks the necklace rotation arithmetically: no per-node
-    /// successor array is materialised and the override slots are consulted
-    /// only where the exit bitmap is set — a pointer-chase through a
-    /// B*-sized successor array is one dependent DRAM load per ring node,
-    /// and it dominated the embed at a million nodes.
+    /// successor array is materialised, and the packed entry digits are
+    /// consulted only where the exit bitmap is set — a pointer-chase
+    /// through a B*-sized successor array is one dependent DRAM load per
+    /// ring node, and it dominated the embed at a million nodes.
     pub fn embed_into(&self, scratch: &mut EmbedScratch, faulty_nodes: &[usize]) -> EmbedStats {
         let (t, s) = (&self.tables, scratch);
         let (mut stats, _) = self.phases_to_bstar(s, faulty_nodes);
@@ -46,23 +53,23 @@ impl Ffc {
             return stats;
         }
         let (root, component_size) = (stats.root, stats.component_size);
-        // Broadcast phase (Step 1.1): the bit engine emits B* level by
-        // level into `bstar`, with `level_offsets` the CSR level boundaries.
-        // The spanning tree itself is never materialised.
-        let (reached, depth) =
-            t.reach
-                .broadcast_levels(&mut s.bits, root, &mut s.bstar, &mut s.level_offsets);
+        // Broadcast phase (Step 1.1): the bit engine writes every B* node's
+        // level straight into the tree stage. The spanning tree itself is
+        // never materialised.
+        let (reached, depth) = t
+            .reach
+            .broadcast_levels_into(&mut s.bits, root, &mut s.tree.levels);
         debug_assert_eq!(reached, component_size, "broadcast must cover B*");
         stats.eccentricity = depth;
         let root_neck = self.partition.membership()[root] as usize;
-        s.tree.build(self, root_neck, &s.bstar, &s.level_offsets);
+        s.tree.build(self, root_neck);
         read_off_cycle(
             t.d,
             t.suffix_count,
             root,
             component_size,
             &s.tree.exit_bits,
-            &s.tree.succ,
+            &s.tree.digits,
             &mut s.cycle,
         );
         stats
@@ -257,60 +264,137 @@ impl RootProbe {
     }
 }
 
-/// The necklace rotation of B(d,n), v ↦ (v mod s)·d + ⌊v / s⌋ with
-/// s = `suffix` = d^(n−1): the ring successor of every node that does not
-/// leave its necklace through a w-edge. With `POW2` (d, and so s, a power
-/// of two) it compiles to a mask and two shifts instead of two divisions;
-/// callers choose `POW2` once, outside their walk loop.
+/// Node v = αw's out-neighbour w·d + x of B(d,n): (v mod s)·d + x with
+/// s = `suffix` = d^(n−1). With `POW2` (d, and so s, a power of two) it
+/// compiles to a mask, a shift and an OR instead of a division; callers
+/// choose `POW2` once, outside their walk loop. Every ring successor has
+/// this form: x is α along the necklace ([`rotate`]) and the entry's last
+/// digit β along a w-edge.
 #[inline(always)]
-pub(crate) fn rotate<const POW2: bool>(v: usize, d: usize, suffix: usize) -> usize {
+fn shift_in<const POW2: bool>(v: usize, d: usize, suffix: usize, x: usize) -> usize {
     if POW2 {
-        ((v & (suffix - 1)) << d.trailing_zeros()) | (v >> suffix.trailing_zeros())
+        ((v & (suffix - 1)) << d.trailing_zeros()) | x
     } else {
-        (v % suffix) * d + v / suffix
+        (v % suffix) * d + x
+    }
+}
+
+/// The necklace rotation of B(d,n), v ↦ (v mod s)·d + ⌊v / s⌋: the ring
+/// successor of every node that does not leave its necklace through a
+/// w-edge.
+#[inline(always)]
+fn rotate<const POW2: bool>(v: usize, d: usize, suffix: usize) -> usize {
+    let lead = if POW2 {
+        v >> suffix.trailing_zeros()
+    } else {
+        v / suffix
+    };
+    shift_in::<POW2>(v, d, suffix, lead)
+}
+
+/// The ring successor rule of the engine's readoff, the maintainer's walk
+/// and the snapshots: a w-exit (`exit`) enters w·d+β with β = `digit()`,
+/// every other node takes the necklace rotation. The branch stays, so a
+/// non-exit step never waits on a digit load.
+#[inline(always)]
+pub(crate) fn ring_step<const POW2: bool>(
+    v: usize,
+    d: usize,
+    suffix: usize,
+    exit: bool,
+    digit: impl FnOnce() -> usize,
+) -> usize {
+    if exit {
+        shift_in::<POW2>(v, d, suffix, digit())
+    } else {
+        rotate::<POW2>(v, d, suffix)
+    }
+}
+
+/// The packed digit table of the ring wiring: one digit β < d per node,
+/// b bits wide, where b is the smallest power of two ≥ ⌈log2 d⌉ (one bit
+/// at d = 2), so no digit straddles a word and every index is a shift.
+/// The width rule and the one get/set pair behind the engine's and the
+/// maintainer's [`TreeStage`] and the snapshots' digit chunks. Digits are
+/// zero except at the w-exits, so two tables of the same wiring hold the
+/// same bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DigitWidth {
+    /// log2 b.
+    log: u32,
+    /// The low b bits.
+    mask: u64,
+}
+
+impl DigitWidth {
+    /// The width for alphabet size `d` ≥ 2.
+    pub(crate) fn of(d: usize) -> Self {
+        debug_assert!((2..=1 << 32).contains(&d), "digits must fit 32 bits");
+        let bits = (usize::BITS - (d - 1).leading_zeros()).next_power_of_two();
+        DigitWidth {
+            log: bits.trailing_zeros(),
+            mask: u64::MAX >> (64 - bits),
+        }
+    }
+
+    /// Words of a table holding `nodes` digits.
+    pub(crate) fn words(self, nodes: usize) -> usize {
+        (nodes << self.log).div_ceil(64)
+    }
+
+    /// The digit of node `v`.
+    #[inline]
+    pub(crate) fn get(self, table: &[u64], v: usize) -> usize {
+        (table[v >> (6 - self.log)] >> ((v << self.log) & 63) & self.mask) as usize
+    }
+
+    /// Sets the digit of node `v` to `digit` (< d).
+    #[inline]
+    pub(crate) fn set(self, table: &mut [u64], v: usize, digit: usize) {
+        let (j, off) = (v >> (6 - self.log), (v << self.log) & 63);
+        table[j] = table[j] & !(self.mask << off) | (digit as u64) << off;
     }
 }
 
 /// The ring walk shared by the engine's readoff and
 /// [`super::RingMaintainer::ring_into`]: follows the successor permutation
-/// from `root` into `out` (cleared first), taking the override slot in
-/// `succ` where `exit_bits` is set and the necklace rotation everywhere
-/// else. `len` is |B*|, which bounds the walk in debug builds.
+/// from `root` into `out` (cleared first), entering w·d+β with β from the
+/// packed `digits` where `exit_bits` is set and taking the necklace
+/// rotation everywhere else. `len` is |B*|, which bounds the walk in debug
+/// builds.
 pub(crate) fn read_off_cycle(
     d: usize,
     suffix: usize,
     root: usize,
     len: usize,
     exit_bits: &[u64],
-    succ: &[u32],
+    digits: &[u64],
     out: &mut Vec<usize>,
 ) {
     out.clear();
     if d.is_power_of_two() {
-        walk::<true>(d, suffix, root, len, exit_bits, succ, out);
+        walk::<true>(d, suffix, root, len, exit_bits, digits, out);
     } else {
-        walk::<false>(d, suffix, root, len, exit_bits, succ, out);
+        walk::<false>(d, suffix, root, len, exit_bits, digits, out);
     }
 }
 
-/// [`read_off_cycle`] with the rotation form fixed at compile time.
+/// [`read_off_cycle`] with the successor arithmetic fixed at compile time.
 fn walk<const POW2: bool>(
     d: usize,
     suffix: usize,
     root: usize,
     len: usize,
     exit_bits: &[u64],
-    succ: &[u32],
+    digits: &[u64],
     out: &mut Vec<usize>,
 ) {
+    let width = DigitWidth::of(d);
     let mut v = root;
     loop {
         out.push(v);
-        v = if exit_bits[v / 64] >> (v % 64) & 1 == 1 {
-            succ[v] as usize
-        } else {
-            rotate::<POW2>(v, d, suffix)
-        };
+        let exit = exit_bits[v / 64] >> (v % 64) & 1 == 1;
+        v = ring_step::<POW2>(v, d, suffix, exit, || width.get(digits, v));
         if v == root {
             break;
         }
@@ -323,8 +407,8 @@ fn walk<const POW2: bool>(
 /// never drift. `members` lists the group's necklaces in ascending id
 /// order; each consecutive pair (wrapping) contributes one w-edge, whose
 /// exit node is the unique member αw of the source necklace and whose
-/// entry node wβ lies on the target necklace. `write(exit, entry)`
-/// performs the stores.
+/// entry node wβ lies on the target necklace. `write(exit, β)` performs
+/// the stores.
 fn for_each_w_edge(
     d: usize,
     suffix: usize,
@@ -343,26 +427,12 @@ fn for_each_w_edge(
             // PANIC-OK: every member of a w-group owns a node αw — that is
             // what puts it in the group — so the source has an exit.
             .expect("a w-edge of D always has an exit node on the source necklace");
-        let entry = (0..d)
+        let beta = (0..d)
             .find(|&beta| membership[beta * suffix + label] as usize == target)
-            .map(|beta| label * d + beta)
             // PANIC-OK: likewise the target owns a node βw, and wβ lies on
             // the same necklace; a miss means corrupted group tables.
             .expect("a w-edge of D always has an entry node on the target necklace");
-        write(exit, entry);
-    }
-}
-
-/// Scatters a level CSR — `nodes` level by level, `offsets` the level
-/// boundaries — into a compact per-node level array whose every other
-/// slot is [`UNREACHED`].
-pub(crate) fn scatter_levels(lv: &mut LevelVec, n_nodes: usize, nodes: &[u32], offsets: &[u32]) {
-    lv.grow(n_nodes);
-    lv.fill_unreached();
-    for (l, level) in offsets.windows(2).enumerate() {
-        for &v in &nodes[level[0] as usize..level[1] as usize] {
-            lv.set(v as usize, l as u32);
-        }
+        write(exit, beta);
     }
 }
 
@@ -385,8 +455,8 @@ impl TreeRecord {
     };
 }
 
-/// The spanning-tree stage, from the broadcast levels to the successor
-/// overrides (Steps 1.2 to 3). [`Ffc::embed_into`]'s scratch and
+/// The spanning-tree stage, from the broadcast levels to the ring wiring
+/// (Steps 1.2 to 3). [`Ffc::embed_into`]'s scratch and
 /// [`super::RingMaintainer`] each own one: the engine builds it once per
 /// embedding ([`TreeStage::build`]), the maintainer also repairs it one
 /// necklace ([`TreeStage::select`]) and one label
@@ -404,9 +474,9 @@ pub(crate) struct TreeStage {
     records: Vec<TreeRecord>,
     /// The root's necklace, which has no record.
     root_neck: usize,
-    /// Successor overrides: written and read only at the w-exit nodes
-    /// flagged in `exit_bits`.
-    pub(crate) succ: Vec<u32>,
+    /// The last digit β of each w-exit's entry w·d+β, packed per
+    /// [`DigitWidth`]; zero at every node not flagged in `exit_bits`.
+    pub(crate) digits: Vec<u64>,
     /// Bit `v` set ⟺ node `v` leaves its necklace through a w-edge. The
     /// readoff tests this bitmap and computes every other step as a
     /// necklace rotation.
@@ -420,33 +490,33 @@ impl TreeStage {
     pub(crate) fn allocated_bytes(&self) -> usize {
         self.levels.allocated_bytes()
             + std::mem::size_of::<TreeRecord>() * self.records.capacity()
-            + 4 * (self.succ.capacity() + self.group.capacity())
-            + 8 * self.exit_bits.capacity()
+            + 4 * self.group.capacity()
+            + 8 * (self.digits.capacity() + self.exit_bits.capacity())
     }
 
-    /// Builds the stage from scratch out of the broadcast CSR (`nodes`
-    /// level by level, `offsets` the level boundaries) of a root on
-    /// necklace `root_neck`: resets and scatters the levels, rewrites every
+    /// Builds the stage from scratch out of the broadcast levels of a root
+    /// on necklace `root_neck`, which a level-writing broadcast has left
+    /// in `levels` (every node outside B* [`UNREACHED`]): rewrites every
     /// necklace's record, and wires each w-group once, from its first
-    /// child. The empty CSR builds the empty tree: no levels, no records,
+    /// child. All-[`UNREACHED`] levels build the empty tree: no records,
     /// no exits.
-    pub(crate) fn build(&mut self, ffc: &Ffc, root_neck: usize, nodes: &[u32], offsets: &[u32]) {
+    pub(crate) fn build(&mut self, ffc: &Ffc, root_neck: usize) {
         let t = &ffc.tables;
         let words = t.n_nodes.div_ceil(64);
+        let digit_words = DigitWidth::of(t.d).words(t.n_nodes);
+        debug_assert!(self.levels.len() >= t.n_nodes, "levels not written");
         grow_to(&mut self.records, t.n_necks, TreeRecord::NONE);
-        grow_to(&mut self.succ, t.n_nodes, 0);
+        grow_to(&mut self.digits, digit_words, 0);
         grow_to(&mut self.exit_bits, words, 0);
         reserve_more(&mut self.group, t.d + 1);
-        // A stale level on a node outside B* would pass the parent test,
-        // so the scatter starts from an all-UNREACHED array; and wiring
-        // reads the records of arbitrary necklaces, so every record is
-        // rewritten.
-        scatter_levels(&mut self.levels, t.n_nodes, nodes, offsets);
+        // Wiring reads the records of arbitrary necklaces, so every record
+        // is rewritten.
         self.root_neck = root_neck;
         for nid in 0..t.n_necks {
             let _ = self.select(ffc, nid);
         }
         self.exit_bits[..words].fill(0);
+        self.digits[..digit_words].fill(0);
         for nid in 0..t.n_necks {
             if let Some((label, _)) = self.edge(t.d, nid) {
                 self.wire(ffc, label, Some(nid as u32));
@@ -505,20 +575,22 @@ impl TreeStage {
         (r.y != NONE).then_some((r.y as usize / d, r.parent))
     }
 
-    /// Clears the exit bits of `label`'s d possible exit nodes αw, then
-    /// wires its group from the current records.
+    /// Clears the exit bits and digits of `label`'s d possible exit nodes
+    /// αw, then wires its group from the current records.
     pub(crate) fn rewire(&mut self, ffc: &Ffc, label: usize) {
         let t = &ffc.tables;
+        let width = DigitWidth::of(t.d);
         for a in 0..t.d {
             let e = a * t.suffix_count + label;
             self.exit_bits[e / 64] &= !(1u64 << (e % 64));
+            width.set(&mut self.digits, e, 0);
         }
         self.wire(ffc, label, None);
     }
 
     /// Closes `label`'s w-group — the children plus their shared parent,
     /// in necklace-id order — into a directed cycle of w-edges (the
-    /// modified tree D), writing each edge's override and exit bit. A
+    /// modified tree D), writing each edge's entry digit and exit bit. A
     /// label without children has no group. With `from` set, the group is
     /// wired only if necklace `from` is its first child (the one with the
     /// smallest Y), so a build that calls this for every child wires each
@@ -529,7 +601,7 @@ impl TreeStage {
         let Self {
             levels,
             records,
-            succ,
+            digits,
             exit_bits,
             group,
             ..
@@ -556,9 +628,13 @@ impl TreeStage {
             return;
         }
         insert(parent);
-        for_each_w_edge(d, suffix, membership, label, group, |exit, entry| {
-            debug_assert!(levels.get(entry) != UNREACHED, "w-edge entry outside B*");
-            succ[exit] = entry as u32;
+        let width = DigitWidth::of(d);
+        for_each_w_edge(d, suffix, membership, label, group, |exit, beta| {
+            debug_assert!(
+                levels.get(label * d + beta) != UNREACHED,
+                "w-edge entry outside B*"
+            );
+            width.set(digits, exit, beta);
             exit_bits[exit / 64] |= 1u64 << (exit % 64);
         });
     }

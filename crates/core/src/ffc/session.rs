@@ -13,8 +13,8 @@
 //! * **Spanning tree** — the tree stage the engine runs too: the
 //!   broadcast level array over B*, one record per necklace (earliest
 //!   member Y and parent necklace; a label's w-group is derived from the
-//!   records of its d nodes w·d+β), and the successor overrides and exit
-//!   bitmap from which the ring is walked on demand
+//!   records of its d nodes w·d+β), and the exit bitmap and packed entry
+//!   digits β from which the ring is walked on demand
 //!   ([`RingMaintainer::ring_into`]); plus the broadcast level histogram
 //!   (the eccentricity is its maximum).
 //!
@@ -39,9 +39,10 @@
 //! When the delta's queue work exceeds a budget (a pathological cascade —
 //! e.g. a huge region losing reachability at once), or when the event
 //! changes the repair root, the maintainer falls back to a from-scratch
-//! rebuild on the level-emitting passes, which costs one
-//! `embed_into`-shaped pipeline run. [`RepairStats`] counts which path
-//! each event took.
+//! rebuild on the level-emitting passes — each writes its levels straight
+//! into the maintainer's level arrays, and the broadcast also counts the
+//! histogram — which costs one `embed_into`-shaped pipeline run.
+//! [`RepairStats`] counts which path each event took.
 //!
 //! The repair path **degrades gracefully** instead of panicking: malformed
 //! requests come back as a typed [`RepairError`] before any state is
@@ -67,7 +68,7 @@ use std::sync::Arc;
 use crate::bitreach::{BitScratch, DeltaBudgetExceeded, DeltaScratch, LevelVec, UNREACHED};
 use crate::mem::{grow_to, reserve_more};
 
-use super::phases::{read_off_cycle, scatter_levels, RootProbe, TreeStage};
+use super::phases::{read_off_cycle, DigitWidth, RootProbe, TreeStage};
 use super::snapshot::{ChunkMask, RingSnapshot, SnapshotParts, SnapshotPublisher};
 use super::{EmbedStats, Ffc, INFEASIBLE_ROOT, NONE};
 
@@ -337,16 +338,16 @@ pub struct RingMaintainer {
     // -- spanning tree and cycle readoff --
     /// Broadcast levels over the B*-induced subgraph (published into
     /// snapshots as the level group), the per-necklace tree records, and
-    /// the successor overrides and exit bitmap the ring is walked from.
+    /// the exit bitmap and packed entry digits the ring is walked from
+    /// (published as the ring group).
     tree: TreeStage,
     /// Histogram of the broadcast levels (eccentricity = the last non-zero
-    /// bin).
+    /// bin), filled by the rebuild's broadcast and kept by the delta path.
     level_counts: Vec<u32>,
     max_level: usize,
     // -- snapshot publication --
-    /// Snapshot chunks whose successor overrides or exit bits changed
-    /// since the last publication: the d exit slots of every rewired
-    /// label.
+    /// Snapshot chunks whose entry digits or exit bits changed since the
+    /// last publication: the d exit slots of every rewired label.
     snap_ring_dirty: ChunkMask,
     /// Snapshot chunks whose `bstar_bits` changed since the last
     /// publication: the nodes of `moved_buf`/`moved_in_buf`.
@@ -357,9 +358,6 @@ pub struct RingMaintainer {
     // -- reusable machinery --
     bits: BitScratch,
     delta: DeltaScratch,
-    /// CSR buffers of the level-emitting rebuild passes.
-    nodes_buf: Vec<u32>,
-    offsets_buf: Vec<u32>,
     /// Event-scoped dedup stamps and worklists of the delta path.
     stamp: u32,
     cand_stamp: Vec<u32>,
@@ -464,7 +462,7 @@ impl RingMaintainer {
             self.root,
             self.component_size,
             &self.tree.exit_bits,
-            &self.tree.succ,
+            &self.tree.digits,
             out,
         );
     }
@@ -513,6 +511,7 @@ impl RingMaintainer {
             return Err(RepairError::NotInitialized);
         }
         let words = self.n_nodes.div_ceil(64);
+        let digit_words = DigitWidth::of(self.d).words(self.n_nodes);
         let snap = publisher.build(SnapshotParts {
             d: self.d,
             suffix: self.suffix,
@@ -521,7 +520,7 @@ impl RingMaintainer {
             ring_dirty: &self.snap_ring_dirty,
             bstar_dirty: &self.snap_bstar_dirty,
             level_dirty: &self.snap_level_dirty,
-            succ: &self.tree.succ[..self.n_nodes],
+            digits: &self.tree.digits[..digit_words],
             exit_bits: &self.tree.exit_bits[..words],
             bstar_bits: &self.bstar_bits[..words],
             bcast_level: &self.tree.levels,
@@ -565,8 +564,6 @@ impl RingMaintainer {
             + 4 * (self.fault_pos.capacity()
                 + self.neck_fault_count.capacity()
                 + self.level_counts.capacity()
-                + self.nodes_buf.capacity()
-                + self.offsets_buf.capacity()
                 + self.cand_stamp.capacity()
                 + self.cand_buf.capacity()
                 + self.batch_buf.capacity()
@@ -651,8 +648,6 @@ impl RingMaintainer {
         // beyond any realistic churn trace; a small reservation keeps the
         // common case allocation-free).
         reserve_more(&mut self.edge_faults, 16);
-        reserve_more(&mut self.nodes_buf, n);
-        reserve_more(&mut self.offsets_buf, n + 2);
         reserve_more(&mut self.level_counts, n + 1);
         reserve_more(&mut self.dirty_necks, self.n_necks);
         reserve_more(&mut self.dirty_labels, t.suffix_count);
@@ -842,7 +837,9 @@ impl RingMaintainer {
         self.bwd_level.fill_unreached();
         self.bstar_bits[..self.n_nodes.div_ceil(64)].fill(0);
         self.component_size = 0;
-        self.tree.build(ffc, INFEASIBLE_ROOT, &[], &[]);
+        self.tree.levels.grow(self.n_nodes);
+        self.tree.levels.fill_unreached();
+        self.tree.build(ffc, INFEASIBLE_ROOT);
         self.level_counts.clear();
         self.max_level = 0;
         self.dirty_all_chunks();
@@ -854,7 +851,7 @@ impl RingMaintainer {
 
     /// Runs the full phase pipeline into the maintainer: the level-emitting
     /// reachability passes, B* and the broadcast histogram, and the tree
-    /// stage's build (every necklace record and the exit/override wiring).
+    /// stage's build (every necklace record and the exit/digit wiring).
     fn rebuild(&mut self, ffc: &Ffc) {
         let t = &ffc.tables;
         let reach = t.reach;
@@ -875,45 +872,27 @@ impl RingMaintainer {
         self.root = root;
 
         // Reachability snapshot, with levels persisted.
-        let _ = reach.forward_levels(
-            &mut self.bits,
-            self.root,
-            &mut self.nodes_buf,
-            &mut self.offsets_buf,
-        );
-        scatter_levels(&mut self.fwd_level, n, &self.nodes_buf, &self.offsets_buf);
-        let _ = reach.backward_levels(
-            &mut self.bits,
-            self.root,
-            &mut self.nodes_buf,
-            &mut self.offsets_buf,
-        );
-        scatter_levels(&mut self.bwd_level, n, &self.nodes_buf, &self.offsets_buf);
+        let _ = reach.forward_levels(&mut self.bits, root, &mut self.fwd_level);
+        let _ = reach.backward_levels(&mut self.bits, root, &mut self.bwd_level);
 
         // Spanning tree: one fused chunk-streamed pass writes the B* mask
         // (fwd ∧ bwd ∧ ¬dead), counts |B*| and seeds the broadcast
-        // visited set, then emits the broadcast levels over B* — no
-        // separate bstar-bitmap or component-count sweeps.
+        // visited set, then the broadcast writes the levels over B* and
+        // the histogram — no separate bstar-bitmap or component-count
+        // sweeps.
         let words = n.div_ceil(64);
         let (component, reached, depth) = reach.broadcast_levels_bstar(
             &mut self.bits,
-            self.root,
-            &mut self.nodes_buf,
-            &mut self.offsets_buf,
+            root,
+            &mut self.tree.levels,
+            &mut self.level_counts,
             &mut self.bstar_bits[..words],
         );
         self.component_size = component;
         self.dirty_all_chunks();
         debug_assert_eq!(reached, component, "broadcast must cover B*");
         let _ = reached;
-        let root_neck = membership[root] as usize;
-        self.tree
-            .build(ffc, root_neck, &self.nodes_buf, &self.offsets_buf);
-        self.level_counts.clear();
-        self.level_counts.resize(depth + 1, 0);
-        for l in 0..=depth {
-            self.level_counts[l] = self.offsets_buf[l + 1] - self.offsets_buf[l];
-        }
+        self.tree.build(ffc, membership[root] as usize);
         self.max_level = depth;
     }
 
@@ -1189,7 +1168,7 @@ impl RingMaintainer {
     /// which an event falls back to a rebuild. `None` restores the automatic
     /// budget, `max(1024, d^n)` — a queue pop (a handful of implicit-edge
     /// probes) costs well under what the rebuild pays per node across its
-    /// level-emitting passes and scatters, so the break-even sits near
+    /// level-emitting passes and tree build, so the break-even sits near
     /// one pop per node. A budget of 0 forces every event to rebuild (the
     /// differential tests use this to pin fallback equality).
     #[must_use]

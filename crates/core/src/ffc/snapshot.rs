@@ -4,8 +4,8 @@
 //! [`super::RingMaintainer`] is the *mutable* half of the embedding state:
 //! delta passes rewrite its levels, records and wiring in place. A
 //! [`RingSnapshot`] is the immutable read-side view carved off it — ring
-//! membership, the exit bitmap and successor overrides, broadcast levels,
-//! root and stats, everything a reader needs to answer
+//! membership, the exit bitmap and entry digits, broadcast levels, root
+//! and stats, everything a reader needs to answer
 //! `successor`/`contains`/ring-walk queries — frozen behind `Arc`s so any
 //! number of readers can hold it while repairs continue on the maintainer.
 //!
@@ -15,8 +15,9 @@
 //! * a record of the chunk's membership and exit words, **interleaved**
 //!   word by word, so `contains` plus the exit test of `successor` read one
 //!   cache line;
-//! * the dense `u32` successor overrides (meaningful where the exit bit is
-//!   set);
+//! * the packed entry digits: a w-exit αw's successor is w·d+β, so the
+//!   chunk stores β in b bits per node (b the smallest power of two
+//!   ≥ ⌈log2 d⌉: 512 B per chunk at d = 2), zero at every non-exit node;
 //! * the broadcast levels in the compact one-byte [`LevelVec`] encoding.
 //!
 //! The maintainer marks, per structure group (membership, ring wiring,
@@ -31,7 +32,7 @@
 
 use std::sync::Arc;
 
-use super::phases::rotate;
+use super::phases::{ring_step, DigitWidth};
 use super::session::RepairOutcome;
 use super::{EmbedStats, INFEASIBLE_ROOT};
 use crate::bitreach::{LevelVec, UNREACHED};
@@ -49,7 +50,8 @@ const CHUNK_WORDS: usize = CHUNK_NODES / 64;
 
 /// One chunk's bitmaps: `[membership, exit]` per 64 nodes.
 type BitsChunk = [[u64; 2]; CHUNK_WORDS];
-type SuccChunk = [u32; CHUNK_NODES];
+/// One chunk's entry digits: `DigitWidth::words(CHUNK_NODES)` words.
+type DigitChunk = [u64];
 type LevelChunk = [u8; CHUNK_NODES];
 
 /// Per-chunk dirty bits of one snapshot group, marked by node id. The
@@ -144,6 +146,8 @@ pub struct RingSnapshot {
     pub(crate) d: usize,
     pub(crate) suffix: usize,
     pub(crate) n_nodes: usize,
+    /// The width of the entry digits.
+    width: DigitWidth,
     /// How many fault events the producing maintainer had absorbed when this
     /// snapshot was published — readers use it to line the snapshot up
     /// with a prefix of the event sequence.
@@ -153,10 +157,10 @@ pub struct RingSnapshot {
     pub(crate) stats: EmbedStats,
     /// Chunk tables, one per buffer: node `v` lives in chunk
     /// `v / CHUNK_NODES` of each. `bits` is copied when the membership or
-    /// the ring group dirtied the chunk, `succ` when the ring group did,
+    /// the ring group dirtied the chunk, `digits` when the ring group did,
     /// `levels` when the level group did.
     bits: Box<[Arc<BitsChunk>]>,
-    succ: Box<[Arc<SuccChunk>]>,
+    digits: Box<[Arc<DigitChunk>]>,
     levels: Box<[Arc<LevelChunk>]>,
     /// Broadcast levels too large for the byte encoding, as (node, level)
     /// pairs — empty in steady state (see [`LevelVec`]).
@@ -208,9 +212,11 @@ impl RingSnapshot {
     pub fn allocated_bytes(&self) -> usize {
         use std::mem::size_of;
         self.bits.len()
-            * (3 * size_of::<Arc<()>>()
+            * (size_of::<Arc<BitsChunk>>()
+                + size_of::<Arc<DigitChunk>>()
+                + size_of::<Arc<LevelChunk>>()
                 + size_of::<BitsChunk>()
-                + size_of::<SuccChunk>()
+                + 8 * self.width.words(CHUNK_NODES)
                 + size_of::<LevelChunk>())
             + 8 * self.level_overflow.capacity()
     }
@@ -245,7 +251,10 @@ impl RingSnapshot {
     }
 
     // `contains` and `successor` inline across crates, so a reader's checked
-    // pair on one node loads its chunk-table entry and word pair once.
+    // pair on one node loads its chunk-table entry and word pair once. The
+    // exit path's digit decode put `successor` past the compiler's inlining
+    // threshold, and a call per lookup cost a quarter or more on random
+    // checked pairs at B(2,20), so the successor path is always inlined.
 
     /// Whether node `u` rides the served ring.
     ///
@@ -275,7 +284,7 @@ impl RingSnapshot {
     /// # Errors
     /// [`LookupError::NodeOutOfRange`] for an id outside the graph,
     /// [`LookupError::NotOnRing`] for a live id that is not on the ring.
-    #[inline]
+    #[inline(always)]
     pub fn successor(&self, u: usize) -> Result<usize, LookupError> {
         self.check_node(u)?;
         if !self.on_ring(u) {
@@ -284,16 +293,19 @@ impl RingSnapshot {
         Ok(self.successor_unchecked(u))
     }
 
-    #[inline]
+    #[inline(always)]
     fn successor_unchecked(&self, u: usize) -> usize {
         let (d, suffix) = (self.d, self.suffix);
-        if self.words(u)[1] >> (u % 64) & 1 == 1 {
-            self.succ[u >> CHUNK_SHIFT][u & CHUNK_MASK] as usize
-        } else if d.is_power_of_two() {
+        let exit = self.words(u)[1] >> (u % 64) & 1 == 1;
+        let digit = || {
+            self.width
+                .get(&self.digits[u >> CHUNK_SHIFT], u & CHUNK_MASK)
+        };
+        if d.is_power_of_two() {
             // The shift form: the two divisions would bound a ring walk.
-            rotate::<true>(u, d, suffix)
+            ring_step::<true>(u, d, suffix, exit, digit)
         } else {
-            rotate::<false>(u, d, suffix)
+            ring_step::<false>(u, d, suffix, exit, digit)
         }
     }
 
@@ -356,14 +368,15 @@ pub(crate) struct SnapshotParts<'a> {
     pub suffix: usize,
     pub n_nodes: usize,
     pub stats: EmbedStats,
-    /// Chunks whose `succ`/`exit_bits` changed since the last publication.
+    /// Chunks whose `digits`/`exit_bits` changed since the last
+    /// publication.
     pub ring_dirty: &'a ChunkMask,
     /// Chunks whose `bstar_bits` changed since the last publication.
     pub bstar_dirty: &'a ChunkMask,
     /// Chunks whose `bcast_level` changed since the last publication.
     pub level_dirty: &'a ChunkMask,
-    /// `n_nodes` entries.
-    pub succ: &'a [u32],
+    /// The packed entry digits, `DigitWidth::words(n_nodes)` words.
+    pub digits: &'a [u64],
     /// `n_nodes.div_ceil(64)` words, like `bstar_bits`.
     pub exit_bits: &'a [u64],
     pub bstar_bits: &'a [u64],
@@ -400,8 +413,8 @@ impl SnapshotPublisher {
         self.publications
     }
 
-    /// Publications that dirtied no chunk of the ring wiring (`succ` +
-    /// exit bits), sharing all of it with the previous snapshot.
+    /// Publications that dirtied no chunk of the ring wiring (entry digits
+    /// + exit bits), sharing all of it with the previous snapshot.
     #[must_use]
     pub fn shared_ring(&self) -> u64 {
         self.shared_ring
@@ -421,7 +434,7 @@ impl SnapshotPublisher {
 
     /// Chunk buffers copied over all publications: a dirty chunk costs one
     /// copy of each buffer its groups touch (membership/exit record,
-    /// successors, levels). A first publication copies all three buffers of
+    /// entry digits, levels). A first publication copies all three buffers of
     /// every chunk; later ones copy only what repairs dirtied, which is
     /// what makes publication O(cone) rather than O(n).
     #[must_use]
@@ -446,8 +459,12 @@ impl SnapshotPublisher {
             .as_ref()
             .filter(|p| p.n_nodes == n && p.d == parts.d);
         let n_chunks = n.div_ceil(CHUNK_NODES);
+        let width = DigitWidth::of(parts.d);
         let span = |c: usize| c * CHUNK_NODES..((c + 1) * CHUNK_NODES).min(n);
         let words = |c: usize| c * CHUNK_WORDS..((c + 1) * CHUNK_WORDS).min(n.div_ceil(64));
+        let digit_words = width.words(CHUNK_NODES);
+        let digit_span =
+            |c: usize| c * digit_words..((c + 1) * digit_words).min(parts.digits.len());
         let mut copied = 0u64;
         let bits = chunk_table(
             prev.map(|p| &p.bits[..]),
@@ -461,11 +478,11 @@ impl SnapshotPublisher {
             },
             &mut copied,
         );
-        let succ = chunk_table(
-            prev.map(|p| &p.succ[..]),
+        let digits = chunk_table(
+            prev.map(|p| &p.digits[..]),
             n_chunks,
             |c| parts.ring_dirty.is_marked(c),
-            |c| copy_chunk(&parts.succ[span(c)], 0),
+            |c| copy_digits(&parts.digits[digit_span(c)], digit_words),
             &mut copied,
         );
         let levels = chunk_table(
@@ -486,11 +503,12 @@ impl SnapshotPublisher {
             d: parts.d,
             suffix: parts.suffix,
             n_nodes: n,
+            width,
             applied_events: parts.applied_events,
             seq: self.publications,
             stats: parts.stats,
             bits,
-            succ,
+            digits,
             levels,
             level_overflow: parts.bcast_level.overflow().to_vec(),
         });
@@ -503,7 +521,7 @@ impl SnapshotPublisher {
 /// unless `dirty(c)` (or there is no `prev`), in which case `copy(c)`
 /// builds it from the maintainer and `copied` counts it. Debug builds check
 /// every shared chunk against a fresh copy.
-fn chunk_table<T: PartialEq>(
+fn chunk_table<T: PartialEq + ?Sized>(
     prev: Option<&[Arc<T>]>,
     n_chunks: usize,
     dirty: impl Fn(usize) -> bool,
@@ -532,6 +550,20 @@ fn interleave(members: &[u64], exits: &[u64]) -> BitsChunk {
         *pair = [m, e];
     }
     rec
+}
+
+/// Copies one chunk's `len` digit words into a fresh shared chunk,
+/// zero-padding the graph's short last chunk.
+fn copy_digits(src: &[u64], len: usize) -> Arc<DigitChunk> {
+    if src.len() == len {
+        Arc::from(src)
+    } else {
+        src.iter()
+            .copied()
+            .chain(std::iter::repeat(0))
+            .take(len)
+            .collect()
+    }
 }
 
 /// Copies one chunk's worth of `src` into a fresh shared chunk: a full
@@ -631,7 +663,7 @@ mod tests {
         // No events in between: everything is clean and shared.
         let second = maint.publish(&mut publisher, 0).expect("publish");
         assert!(Arc::ptr_eq(&first.bits[0], &second.bits[0]));
-        assert!(Arc::ptr_eq(&first.succ[0], &second.succ[0]));
+        assert!(Arc::ptr_eq(&first.digits[0], &second.digits[0]));
         assert!(Arc::ptr_eq(&first.levels[0], &second.levels[0]));
         assert_eq!(publisher.copied_chunks(), 3);
         assert_eq!(publisher.shared_ring(), 1);
@@ -663,10 +695,10 @@ mod tests {
         let after = maint.publish(&mut publisher, 1).expect("publish");
         let copied = publisher.copied_chunks() - full;
         assert!(copied > 0 && copied < full, "copied {copied} of {full}");
-        let shared_succ = (0..16)
-            .filter(|&c| Arc::ptr_eq(&before.succ[c], &after.succ[c]))
+        let shared_digits = (0..16)
+            .filter(|&c| Arc::ptr_eq(&before.digits[c], &after.digits[c]))
             .count();
-        assert!(shared_succ > 0, "some successor chunk must be shared");
+        assert!(shared_digits > 0, "some digit chunk must be shared");
         // Every shared or copied chunk reads like a fresh publication.
         let mut fresh = RingMaintainer::new();
         fresh.reset(&ffc, &[12_345]).expect("reset");

@@ -558,16 +558,18 @@ fn assert_maintainer_matches_scratch(
     );
 }
 
-/// The arrival-order grid: on B(2,5), B(3,3) and B(4,3), for **every**
-/// ≤2-fault set and **every arrival order** (both permutations of each
-/// pair), and for add-then-clear round trips, the maintainer's stats and
-/// ring bytes must equal a from-scratch `embed_into` of the accumulated
-/// fault set after every single event. Root-killing faults are included,
-/// so the rebuild fallback is exercised alongside the delta path; B(4,3)
-/// puts up to four children in one w-group on the delta path.
+/// The arrival-order grid: on B(2,5), B(3,3), B(4,3) and B(5,3), for
+/// **every** ≤2-fault set and **every arrival order** (both permutations
+/// of each pair), and for add-then-clear round trips, the maintainer's
+/// stats and ring bytes must equal a from-scratch `embed_into` of the
+/// accumulated fault set after every single event. Root-killing faults
+/// are included, so the rebuild fallback is exercised alongside the delta
+/// path; B(4,3) puts up to four children in one w-group on the delta
+/// path, and the four shapes cover every packed entry-digit width the
+/// walks read (1, 2 and 4 bits).
 #[test]
 fn incremental_matches_from_scratch_exhaustively_on_all_arrival_orders() {
-    for (d, n) in [(2u64, 5u32), (3, 3), (4, 3)] {
+    for (d, n) in [(2u64, 5u32), (3, 3), (4, 3), (5, 3)] {
         let ffc = Ffc::new(d, n);
         let total = ffc.graph().len();
         let mut maint = RingMaintainer::new();
@@ -689,8 +691,8 @@ fn incremental_reset_and_graph_switch() {
 /// After warm-up at a fixed (d, n), repair events perform no heap
 /// allocation — the incremental analogue of
 /// `embed_into_does_not_allocate_after_warmup`, and the satellite audit
-/// that the maintainer accounts every buffer it owns (delta scratch and CSR
-/// emission included).
+/// that the maintainer accounts every buffer it owns (delta scratch and the
+/// rebuild's level arrays included).
 #[test]
 fn incremental_repairs_do_not_allocate_after_warmup() {
     use rand::rngs::StdRng;
@@ -699,9 +701,9 @@ fn incremental_repairs_do_not_allocate_after_warmup() {
     let total = ffc.graph().len();
     let mut maint = RingMaintainer::new();
     let mut rng = StdRng::seed_from_u64(0x5e55);
-    // Warm up: a rebuild with a heavy fault set (sizes the CSR buffers at
-    // their worst case), a root-killing event (probe path + rebuild), and
-    // a few delta events.
+    // Warm up: a rebuild with a heavy fault set (a deep, sparse
+    // broadcast), a root-killing event (probe path + rebuild), and a few
+    // delta events.
     let heavy: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
     maint.reset(&ffc, &heavy).expect("in-range");
     maint.reset(&ffc, &[]).expect("in-range");

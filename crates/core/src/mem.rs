@@ -50,7 +50,7 @@ pub(crate) fn reserve_more<T>(v: &mut Vec<T>, cap: usize) {
 
 /// A per-node BFS level array in one byte per node — 4× smaller than the
 /// `Vec<u32>` it replaces, which is 4× less DRAM traffic on every level
-/// sweep (the scatter after a rebuild, the histogram passes, the
+/// sweep (the level writes of a rebuild, the histogram passes, the
 /// copy-on-write of snapshot level chunks).
 ///
 /// Encoding: bytes `0..=0xFD` hold the level inline, [`UNREACHED_U8`]

@@ -6,9 +6,10 @@
 //! event sequence — no torn state, no intermediate mixtures — and the
 //! epochs observed by any one reader handle are monotone. Exhaustive on
 //! B(2,5)/B(3,3) (every ≤2-node fault set, plus link-fault sequences,
-//! with a publication after every event), seeded streams on B(3,9) and
-//! B(2,16) that span several copy-on-write snapshot chunks, threaded
-//! stress on the live service, and property tests on B(2,14).
+//! with a publication after every event), seeded streams on B(3,9),
+//! B(5,6) and B(2,16) that span several copy-on-write snapshot chunks
+//! (between them every packed entry-digit width: 2, 4 and 1 bits),
+//! threaded stress on the live service, and property tests on B(2,14).
 //!
 //! ATOMICS: the stress test's stop flag is a single-writer boolean — the
 //! submitting thread alone stores it, with Release, after `shutdown()` has
@@ -270,6 +271,13 @@ fn chunked_publications_match_fresh_snapshots(d: u64, n: u32, seed: u64, len: us
 fn chunked_publications_match_fresh_snapshots_b3_9() {
     // 19,683 nodes: five chunks, the last one partial.
     chunked_publications_match_fresh_snapshots(3, 9, 0x39, 14);
+}
+
+#[test]
+fn chunked_publications_match_fresh_snapshots_b5_6() {
+    // 15,625 nodes at four-bit digits: four chunks, the last one partial,
+    // so the tail digit chunk is padded.
+    chunked_publications_match_fresh_snapshots(5, 6, 0x56, 14);
 }
 
 #[test]
