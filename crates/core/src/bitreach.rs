@@ -131,29 +131,15 @@ pub fn squash2(x: u64) -> u64 {
     (x | (x >> 16)) & 0x0000_0000_FFFF_FFFF
 }
 
-/// When the dense (bottom-up) regime is allowed to kick in. `Auto` is the
-/// production policy; `Never`/`Always` pin one regime so the differential
-/// tests can compare them bit for bit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DensePolicy {
-    /// Direction-optimizing: top-down while sparse, bottom-up once the
-    /// frontier carries at least one edge per [`DENSE_SWITCH`] nodes.
-    #[default]
-    Auto,
-    /// Scalar top-down only (also what unsupported shapes always do).
-    Never,
-    /// Bottom-up from the first level, when the shape supports it.
-    Always,
-}
-
-/// Auto switches **to** the dense regime when `frontier · d · DENSE_SWITCH
-/// ≥ n_nodes` — one frontier edge per 64 nodes, the break-even between a
-/// scalar walk of the frontier's edges and a whole-bitmap sweep.
+/// A pass switches **to** the dense regime when `frontier · d ·
+/// DENSE_SWITCH ≥ n_nodes` — one frontier edge per 64 nodes, the
+/// break-even between a scalar walk of the frontier's edges and a
+/// whole-bitmap sweep.
 pub const DENSE_SWITCH: usize = 64;
 
-/// Auto switches **back** to top-down when `frontier · d · SPARSE_SWITCH <
-/// n_nodes` (4× hysteresis below [`DENSE_SWITCH`]), so the shrinking tail
-/// of a pass doesn't pay full sweeps for near-empty levels.
+/// A pass switches **back** to top-down when `frontier · d ·
+/// SPARSE_SWITCH < n_nodes` (4× hysteresis below [`DENSE_SWITCH`]), so the
+/// shrinking tail of a pass doesn't pay full sweeps for near-empty levels.
 pub const SPARSE_SWITCH: usize = 256;
 
 /// A BFS frontier in either representation: a queue of node ids (sparse /
@@ -317,60 +303,17 @@ pub struct BitReach {
     pow2: bool,
     /// Dense sweeps available: pow2, d ≤ 64, chunks word-aligned.
     pub(crate) dense_capable: bool,
-    policy: DensePolicy,
 }
 
 impl BitReach {
-    /// The engine for B(d,n) given `d` and `n_nodes = d^n`, with the
-    /// production [`DensePolicy::Auto`].
+    /// The engine for B(d,n) given `d` and `n_nodes = d^n`.
     ///
     /// # Panics
-    /// Panics if the node ids do not fit the engine's u32 indexing
-    /// ([`BitReach::try_new`] is the non-panicking variant).
+    /// Panics if `d < 2`, if `n_nodes` is not `d` times a whole suffix
+    /// count, or if the node ids do not fit the engine's u32 indexing
+    /// ([`BitReach::try_new`] rejects that case without panicking).
     #[must_use]
     pub fn new(d: usize, n_nodes: usize) -> Self {
-        Self::with_policy(d, n_nodes, DensePolicy::Auto)
-    }
-
-    /// [`BitReach::new`], rejecting spaces whose node ids overflow the
-    /// engine's u32 indexing with a typed error instead of panicking.
-    ///
-    /// # Errors
-    /// Returns [`SpaceTooLarge`] when `n_nodes > u32::MAX` — in release
-    /// builds the queue and CSR stores would otherwise silently truncate
-    /// ids (`v as u32`).
-    pub fn try_new(d: usize, n_nodes: usize) -> Result<Self, SpaceTooLarge> {
-        Self::try_with_policy(d, n_nodes, DensePolicy::Auto)
-    }
-
-    /// [`BitReach::try_new`] with an explicit density policy.
-    ///
-    /// # Errors
-    /// Returns [`SpaceTooLarge`] when `n_nodes` exceeds [`u32::MAX`].
-    ///
-    /// # Panics
-    /// Panics if `n_nodes` is not `d` times a whole suffix count.
-    pub fn try_with_policy(
-        d: usize,
-        n_nodes: usize,
-        policy: DensePolicy,
-    ) -> Result<Self, SpaceTooLarge> {
-        if u32::try_from(n_nodes).is_err() {
-            return Err(SpaceTooLarge {
-                n_nodes: Some(n_nodes as u64),
-            });
-        }
-        Ok(Self::with_policy(d, n_nodes, policy))
-    }
-
-    /// [`BitReach::new`] with an explicit density policy (the differential
-    /// tests pin `Never == Auto == Always`).
-    ///
-    /// # Panics
-    /// Panics if `n_nodes` is not `d` times a whole suffix count, or if
-    /// the node ids do not fit the engine's u32 indexing.
-    #[must_use]
-    pub fn with_policy(d: usize, n_nodes: usize, policy: DensePolicy) -> Self {
         assert!(d >= 2, "alphabet size d must be at least 2");
         assert_eq!(n_nodes % d, 0, "n_nodes must be d^n");
         assert!(
@@ -391,8 +334,27 @@ impl BitReach {
             suffix_log: suffix.trailing_zeros(),
             pow2,
             dense_capable,
-            policy,
         }
+    }
+
+    /// [`BitReach::new`], rejecting spaces whose node ids overflow the
+    /// engine's u32 indexing with a typed error instead of panicking.
+    ///
+    /// # Errors
+    /// Returns [`SpaceTooLarge`] when `n_nodes > u32::MAX` — in release
+    /// builds the queue and CSR stores would otherwise silently truncate
+    /// ids (`v as u32`).
+    ///
+    /// # Panics
+    /// Panics if `d < 2` or if `n_nodes` is not `d` times a whole suffix
+    /// count.
+    pub fn try_new(d: usize, n_nodes: usize) -> Result<Self, SpaceTooLarge> {
+        if u32::try_from(n_nodes).is_err() {
+            return Err(SpaceTooLarge {
+                n_nodes: Some(n_nodes as u64),
+            });
+        }
+        Ok(Self::new(d, n_nodes))
     }
 
     /// Whether this shape can run the word-parallel bottom-up sweeps.
@@ -720,24 +682,17 @@ impl BitReach {
         (count, depth)
     }
 
-    /// Whether a frontier of `len` nodes should expand bottom-up. Under
-    /// `Auto` the up- and down-switches use different thresholds
-    /// ([`DENSE_SWITCH`] / [`SPARSE_SWITCH`]) so a frontier hovering at
-    /// the boundary doesn't pay a conversion per level.
+    /// Whether a frontier of `len` nodes should expand bottom-up. The up-
+    /// and down-switches use different thresholds ([`DENSE_SWITCH`] /
+    /// [`SPARSE_SWITCH`]) so a frontier hovering at the boundary doesn't
+    /// pay a conversion per level.
     fn want_dense(&self, len: usize, currently_dense: bool) -> bool {
-        self.dense_capable
-            && match self.policy {
-                DensePolicy::Never => false,
-                DensePolicy::Always => true,
-                DensePolicy::Auto => {
-                    let scale = if currently_dense {
-                        SPARSE_SWITCH
-                    } else {
-                        DENSE_SWITCH
-                    };
-                    len * self.d * scale >= self.n_nodes
-                }
-            }
+        let scale = if currently_dense {
+            SPARSE_SWITCH
+        } else {
+            DENSE_SWITCH
+        };
+        self.dense_capable && len * self.d * scale >= self.n_nodes
     }
 
     /// Scalar top-down step: walk the queue's edges, test-and-set bits.
@@ -750,23 +705,8 @@ impl BitReach {
         debug_assert!(!cur.dense);
         nxt.queue.clear();
         for &v in &cur.queue {
-            let v = v as usize;
             for a in 0..self.d {
-                let u = if BACKWARD {
-                    let base = if POW2 { v >> self.d_log } else { v / self.d };
-                    base + if POW2 {
-                        a << self.suffix_log
-                    } else {
-                        a * self.suffix
-                    }
-                } else {
-                    let base = if POW2 {
-                        (v & (self.suffix - 1)) << self.d_log
-                    } else {
-                        (v % self.suffix) * self.d
-                    };
-                    base + a
-                };
+                let u = self.edge::<POW2>(v as usize, a, BACKWARD);
                 let (j, m) = (u / 64, 1u64 << (u % 64));
                 if vis[j] & m == 0 {
                     vis[j] |= m;
@@ -1058,13 +998,14 @@ impl BitReach {
 // The delta level-repair passes (incremental reachability).
 // ----------------------------------------------------------------------
 
-/// Returned by the delta passes when a repair's queue work exceeds the
-/// caller's budget — the signal that a from-scratch recompute is cheaper
+/// Returned by a delta pass when its batch's queue work exceeds the
+/// batch's budget — the signal that a from-scratch recompute is cheaper
 /// than continuing the delta (the [`crate::ffc::RingMaintainer`] then
 /// falls back to a full rebuild).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaBudgetExceeded {
-    /// Queue pops performed before giving up.
+    /// Queue pops the batch performed, over all of its passes, before
+    /// giving up.
     pub pops: usize,
 }
 
@@ -1081,14 +1022,25 @@ impl std::fmt::Display for DeltaBudgetExceeded {
 impl std::error::Error for DeltaBudgetExceeded {}
 
 /// Reusable state of the delta level-repair passes
-/// ([`BitReach::levels_delete`] / [`BitReach::levels_insert`]): a
-/// monotone two-level queue (during the drain every push lands exactly
-/// one level above the level being processed, so a sorted seed list plus
-/// a current/next ping-pong replaces a priority queue at O(1) per
-/// operation), the changed-node log, and the deduplication stamps.
-/// Grow-only; the queues are reserved to their worst case up front, so
-/// repairs perform no heap allocation after warm-up at a fixed graph
-/// size.
+/// ([`BitReach::levels_delete`] / [`BitReach::levels_insert`]), which run
+/// in **batches**:
+///
+/// * [`DeltaScratch::open`] starts a batch: one budget of queue pops and
+///   an empty change log. Every pass until the next `open` charges its
+///   pops to that budget, and the pass that takes the batch's total past
+///   it fails with [`DeltaBudgetExceeded`].
+/// * Every pass appends each node whose level it changed to the log. A
+///   node already in the log keeps its entry, so a log spanning several
+///   passes holds each changed node once, with its level before the
+///   first pass that changed it. [`DeltaScratch::restart_log`] starts an
+///   empty log under the running budget.
+///
+/// Both passes drain one monotone two-level queue: every push lands
+/// exactly one level above the level being drained, so a sorted seed list
+/// plus a current/next ping-pong replaces a priority queue at O(1) per
+/// operation. Grow-only; the queues and the log are reserved to their
+/// worst case up front, so repairs perform no heap allocation after
+/// warm-up at a fixed graph size.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaScratch {
     /// Seed entries as packed `level << 32 | node`, sorted ascending and
@@ -1102,40 +1054,52 @@ pub struct DeltaScratch {
     /// [`UNREACHED`] = not queued) — dedups pushes and catches stale
     /// entries.
     pending: Vec<u32>,
-    /// Nodes whose level changed in the most recent pass, in first-change
-    /// order.
+    /// The nodes of the current log, in first-change order.
     changed: Vec<u32>,
-    /// The pre-pass level of each changed node (parallel to `changed`;
-    /// [`UNREACHED`] for nodes that entered the structure).
+    /// The level of each logged node before its first logged change
+    /// (parallel to `changed`; [`UNREACHED`] for nodes that entered the
+    /// structure).
     old_levels: Vec<u32>,
-    /// Per-node stamp marking "already logged this pass".
+    /// Per-node stamp marking "already in the current log".
     changed_stamp: Vec<u32>,
-    /// Monotone pass stamp for the log dedup.
+    /// Stamp of the current log; 0 until the first batch is opened.
     stamp: u32,
+    /// Queue pops the open batch may perform.
+    budget: usize,
+    /// Queue pops the open batch has performed so far.
+    pops: usize,
 }
 
 impl DeltaScratch {
-    /// Creates an empty scratch; buffers are sized by the first pass.
+    /// Creates an empty scratch; [`DeltaScratch::open`] must start a batch
+    /// before the first pass, and the passes size the buffers.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The nodes whose level changed in the most recent pass (each node
-    /// appears exactly once, in first-change order).
-    #[must_use]
-    pub fn changed_nodes(&self) -> &[u32] {
-        &self.changed
+    /// Starts a batch: every pass until the next `open` shares `budget`
+    /// queue pops, and the change log starts empty.
+    pub fn open(&mut self, budget: usize) {
+        self.budget = budget;
+        self.pops = 0;
+        self.restart_log();
     }
 
-    /// The pre-pass levels of [`DeltaScratch::changed_nodes`], parallel to
-    /// it ([`UNREACHED`] for nodes that entered the structure).
-    #[must_use]
-    pub fn old_levels(&self) -> &[u32] {
-        &self.old_levels
+    /// Starts an empty change log; the open batch keeps its budget and
+    /// the pops already charged to it.
+    pub fn restart_log(&mut self) {
+        if self.stamp == u32::MAX {
+            self.changed_stamp.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.changed.clear();
+        self.old_levels.clear();
     }
 
-    /// `(node, pre-pass level)` pairs of the most recent pass.
+    /// `(node, level before its first logged change)` pairs of the
+    /// current log: each changed node once, in first-change order.
     pub fn changed(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.changed
             .iter()
@@ -1155,22 +1119,13 @@ impl DeltaScratch {
             + 8 * self.seeds.capacity()
     }
 
-    /// Starts a pass: advances the stamp, clears the log, and sizes the
-    /// queues so the pass never reallocates.
+    /// Starts a pass: sizes the per-node arrays and reserves the queues
+    /// and the log so the pass never reallocates.
     fn begin(&mut self, n_nodes: usize, seed_cap: usize) {
-        if self.changed_stamp.len() < n_nodes {
-            self.changed_stamp.resize(n_nodes, 0);
-        }
-        if self.pending.len() < n_nodes {
-            self.pending.resize(n_nodes, UNREACHED);
-        }
-        if self.stamp == u32::MAX {
-            self.changed_stamp.iter_mut().for_each(|s| *s = 0);
-            self.stamp = 0;
-        }
-        self.stamp += 1;
-        self.changed.clear();
-        self.old_levels.clear();
+        // Stamp 0 would read every node as already logged.
+        assert_ne!(self.stamp, 0, "DeltaScratch::open must start a batch");
+        grow_to(&mut self.changed_stamp, n_nodes, 0);
+        grow_to(&mut self.pending, n_nodes, UNREACHED);
         self.seeds.clear();
         self.cur.clear();
         self.nxt.clear();
@@ -1181,8 +1136,8 @@ impl DeltaScratch {
         reserve_more(&mut self.old_levels, n_nodes);
     }
 
-    /// Logs `v`'s first level change of this pass (later changes of the
-    /// same node keep the original pre-pass level).
+    /// Logs `v` with its level `old` before this change, unless it is
+    /// already in the current log.
     #[inline]
     fn record(&mut self, v: u32, old: u32) {
         if self.changed_stamp[v as usize] != self.stamp {
@@ -1190,6 +1145,82 @@ impl DeltaScratch {
             self.changed.push(v);
             self.old_levels.push(old);
         }
+    }
+
+    /// Stages `v` as a seed at level `l`, unless it is already queued
+    /// there.
+    #[inline]
+    fn push_seed(&mut self, v: usize, l: u32) {
+        if self.pending[v] != l {
+            self.pending[v] = l;
+            self.seeds.push((u64::from(l) << 32) | v as u64);
+        }
+    }
+
+    /// Queues `v` at level `l`, one above the level being drained, unless
+    /// it is already queued there.
+    #[inline]
+    fn push_next(&mut self, v: usize, l: u32) {
+        if self.pending[v] != l {
+            self.pending[v] = l;
+            self.nxt.push(v as u32);
+        }
+    }
+
+    /// The drain both passes share. Merges the sorted seeds into the queue
+    /// level by level and hands each entry whose node still holds the
+    /// level it was queued at to `step(ds, levels, node, level)`, which
+    /// may queue nodes one level up ([`DeltaScratch::push_next`]). Each
+    /// such pop is charged to the open batch; the pop that takes the
+    /// batch past its budget aborts the drain.
+    fn drain<L: LevelStore>(
+        &mut self,
+        levels: &mut L,
+        mut step: impl FnMut(&mut Self, &mut L, u32, u32),
+    ) -> Result<(), DeltaBudgetExceeded> {
+        if self.seeds.is_empty() {
+            return Ok(());
+        }
+        self.seeds.sort_unstable();
+        let mut si = 0usize;
+        let mut l = (self.seeds[0] >> 32) as u32;
+        loop {
+            while si < self.seeds.len() && (self.seeds[si] >> 32) as u32 == l {
+                self.cur.push(self.seeds[si] as u32);
+                si += 1;
+            }
+            if self.cur.is_empty() {
+                if si >= self.seeds.len() {
+                    break;
+                }
+                l = (self.seeds[si] >> 32) as u32;
+                continue;
+            }
+            let mut head = 0usize;
+            while head < self.cur.len() {
+                let u = self.cur[head];
+                head += 1;
+                if self.pending[u as usize] == l {
+                    self.pending[u as usize] = UNREACHED;
+                }
+                if levels.level(u as usize) != l {
+                    continue; // stale entry
+                }
+                self.pops += 1;
+                if self.pops > self.budget {
+                    self.abort();
+                    return Err(DeltaBudgetExceeded { pops: self.pops });
+                }
+                step(self, levels, u, l);
+            }
+            self.cur.clear();
+            std::mem::swap(&mut self.cur, &mut self.nxt);
+            l += 1;
+            if self.cur.is_empty() && si >= self.seeds.len() {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Clears the pending markers of every still-queued entry (budget
@@ -1225,17 +1256,17 @@ impl BitReach {
     /// produce — **bit-identical to recompute** (levels are canonical, so
     /// this is exact, not approximate).
     ///
-    /// Every node whose level changed (including the deleted nodes) is
-    /// logged in `ds` with its pre-pass level. Levels only ever increase;
-    /// a node whose level would reach `n_nodes` is unreachable and goes to
-    /// [`UNREACHED`] directly. On success the number of queue pops the
-    /// repair consumed is returned, so a caller running several passes per
-    /// event can deduct them from one shared budget.
+    /// Levels only ever increase; a node whose level would reach
+    /// `n_nodes` is unreachable and goes to [`UNREACHED`] directly. Every
+    /// node whose level changed (including the deleted nodes) is appended
+    /// to `ds`'s change log, and every queue pop is charged to `ds`'s open
+    /// batch (see [`DeltaScratch`]).
     ///
     /// # Errors
-    /// Returns [`DeltaBudgetExceeded`] when more than `budget` queue pops
-    /// were needed — the levels array is then partially repaired and must
-    /// be rebuilt from scratch (the log is meaningless in that case).
+    /// Returns [`DeltaBudgetExceeded`] when this pass takes the batch's
+    /// queue pops past its budget — the levels array is then partially
+    /// repaired and must be rebuilt from scratch (the log is meaningless
+    /// in that case).
     ///
     /// The root must never be deleted (rebuild instead); `member` must
     /// already reflect the post-deletion membership.
@@ -1243,38 +1274,40 @@ impl BitReach {
     /// Generic over [`LevelStore`], so the compact [`LevelVec`] the
     /// engine stores and the plain `u32` arrays the differential oracle
     /// keeps run the exact same monomorphised pass.
-    pub fn levels_delete<L: LevelStore + ?Sized, M: Fn(usize) -> bool>(
+    ///
+    /// # Panics
+    /// Panics if no batch was ever opened on `ds`.
+    pub fn levels_delete<L: LevelStore, M: Fn(usize) -> bool>(
         &self,
         levels: &mut L,
         ds: &mut DeltaScratch,
         deleted: &[u32],
         member: M,
         backward: bool,
-        budget: usize,
-    ) -> Result<usize, DeltaBudgetExceeded> {
+    ) -> Result<(), DeltaBudgetExceeded> {
         if self.pow2 {
-            self.levels_delete_impl::<true, L, M>(levels, ds, deleted, member, backward, budget)
+            self.levels_delete_impl::<true, L, M>(levels, ds, deleted, member, backward)
         } else {
-            self.levels_delete_impl::<false, L, M>(levels, ds, deleted, member, backward, budget)
+            self.levels_delete_impl::<false, L, M>(levels, ds, deleted, member, backward)
         }
     }
 
-    fn levels_delete_impl<const POW2: bool, L: LevelStore + ?Sized, M: Fn(usize) -> bool>(
+    fn levels_delete_impl<const POW2: bool, L: LevelStore, M: Fn(usize) -> bool>(
         &self,
         levels: &mut L,
         ds: &mut DeltaScratch,
         deleted: &[u32],
         member: M,
         backward: bool,
-        budget: usize,
-    ) -> Result<usize, DeltaBudgetExceeded> {
+    ) -> Result<(), DeltaBudgetExceeded> {
         let d = self.d;
         ds.begin(self.n_nodes, deleted.len() * d + 1);
         // Out-edges of the structure (the direction levels grow along) and
         // in-edges (the direction support is checked along).
         let out = |v: usize, a: usize| self.edge::<POW2>(v, a, backward);
         let inn = |v: usize, a: usize| self.edge::<POW2>(v, a, !backward);
-        // Seed: drop the deleted nodes and stage their dependents.
+        // Seed: drop the deleted nodes and stage their dependents. Deleted
+        // nodes never test as members, so none of them is staged.
         for &x in deleted {
             let xi = x as usize;
             debug_assert!(!member(xi), "deleted node still tests as a member");
@@ -1284,92 +1317,38 @@ impl BitReach {
             }
             ds.record(x, lx);
             levels.set_level(xi, UNREACHED);
-        }
-        for i in 0..ds.changed.len() {
-            let (x, lx) = (ds.changed[i] as usize, ds.old_levels[i]);
             for a in 0..d {
-                let s = out(x, a);
-                if member(s) && levels.level(s) == lx + 1 && ds.pending[s] != lx + 1 {
-                    ds.pending[s] = lx + 1;
-                    ds.seeds.push((u64::from(lx + 1) << 32) | s as u64);
+                let s = out(xi, a);
+                if member(s) && levels.level(s) == lx + 1 {
+                    ds.push_seed(s, lx + 1);
                 }
             }
         }
-        if ds.seeds.is_empty() {
-            return Ok(0);
-        }
-        ds.seeds.sort_unstable();
-        // Drain level by level: all pushes land exactly one level up, so a
-        // current/next ping-pong with seed merging replaces a heap.
-        let mut si = 0usize;
-        let mut l = (ds.seeds[0] >> 32) as usize;
-        let mut pops = 0usize;
-        loop {
-            while si < ds.seeds.len() && (ds.seeds[si] >> 32) as usize == l {
-                ds.cur.push((ds.seeds[si] & u64::from(u32::MAX)) as u32);
-                si += 1;
+        ds.drain(levels, |ds, levels, u, l| {
+            let ui = u as usize;
+            // A surviving predecessor one level up keeps u settled:
+            // every level below l is final, so the check is exact.
+            let supported = (0..d).any(|a| {
+                let p = inn(ui, a);
+                member(p) && levels.level(p) == l - 1
+            });
+            if supported {
+                return;
             }
-            if ds.cur.is_empty() {
-                if si >= ds.seeds.len() {
-                    break;
-                }
-                l = (ds.seeds[si] >> 32) as usize;
-                continue;
-            }
-            let mut head = 0usize;
-            while head < ds.cur.len() {
-                let u = ds.cur[head];
-                head += 1;
-                let ui = u as usize;
-                if ds.pending[ui] == l as u32 {
-                    ds.pending[ui] = UNREACHED;
-                }
-                if levels.level(ui) != l as u32 {
-                    continue; // stale entry
-                }
-                pops += 1;
-                if pops > budget {
-                    ds.abort();
-                    return Err(DeltaBudgetExceeded { pops });
-                }
-                // A surviving predecessor one level up keeps u settled:
-                // every level below l is final, so the check is exact.
-                let supported = (0..d).any(|a| {
-                    let p = inn(ui, a);
-                    member(p) && levels.level(p) == (l - 1) as u32
-                });
-                if supported {
-                    continue;
-                }
-                ds.record(u, l as u32);
-                for a in 0..d {
-                    let s = out(ui, a);
-                    if member(s)
-                        && levels.level(s) == (l + 1) as u32
-                        && ds.pending[s] != (l + 1) as u32
-                    {
-                        ds.pending[s] = (l + 1) as u32;
-                        ds.nxt.push(s as u32);
-                    }
-                }
-                if l + 1 >= self.n_nodes {
-                    levels.set_level(ui, UNREACHED);
-                } else {
-                    levels.set_level(ui, (l + 1) as u32);
-                    if ds.pending[ui] != (l + 1) as u32 {
-                        ds.pending[ui] = (l + 1) as u32;
-                        ds.nxt.push(u);
-                    }
+            ds.record(u, l);
+            for a in 0..d {
+                let s = out(ui, a);
+                if member(s) && levels.level(s) == l + 1 {
+                    ds.push_next(s, l + 1);
                 }
             }
-            ds.cur.clear();
-            std::mem::swap(&mut ds.cur, &mut ds.nxt);
-            l += 1;
-            if ds.cur.is_empty() && si >= ds.seeds.len() {
-                break;
+            if l as usize + 1 >= self.n_nodes {
+                levels.set_level(ui, UNREACHED);
+            } else {
+                levels.set_level(ui, l + 1);
+                ds.push_next(ui, l + 1);
             }
-        }
-        Ok(pops)
+        })
     }
 
     /// Batch **node-insertion** repair of a BFS level array — the delta
@@ -1379,37 +1358,39 @@ impl BitReach {
     /// and carry [`UNREACHED`]), and this pass computes their levels and
     /// relaxes every node whose distance shrank — unit-weight Dijkstra out
     /// of the healed frontier, **bit-identical to recompute**. Levels only
-    /// ever decrease; changes are logged like the delete pass, and the
-    /// consumed queue pops are returned on success.
+    /// ever decrease; changes are logged and pops charged to the open
+    /// batch like the delete pass.
     ///
     /// # Errors
-    /// Returns [`DeltaBudgetExceeded`] when more than `budget` queue pops
-    /// were needed (same contract as [`BitReach::levels_delete`]).
-    pub fn levels_insert<L: LevelStore + ?Sized, M: Fn(usize) -> bool>(
+    /// Returns [`DeltaBudgetExceeded`] when this pass takes the batch's
+    /// queue pops past its budget (same contract as
+    /// [`BitReach::levels_delete`]).
+    ///
+    /// # Panics
+    /// Panics if no batch was ever opened on `ds`.
+    pub fn levels_insert<L: LevelStore, M: Fn(usize) -> bool>(
         &self,
         levels: &mut L,
         ds: &mut DeltaScratch,
         inserted: &[u32],
         member: M,
         backward: bool,
-        budget: usize,
-    ) -> Result<usize, DeltaBudgetExceeded> {
+    ) -> Result<(), DeltaBudgetExceeded> {
         if self.pow2 {
-            self.levels_insert_impl::<true, L, M>(levels, ds, inserted, member, backward, budget)
+            self.levels_insert_impl::<true, L, M>(levels, ds, inserted, member, backward)
         } else {
-            self.levels_insert_impl::<false, L, M>(levels, ds, inserted, member, backward, budget)
+            self.levels_insert_impl::<false, L, M>(levels, ds, inserted, member, backward)
         }
     }
 
-    fn levels_insert_impl<const POW2: bool, L: LevelStore + ?Sized, M: Fn(usize) -> bool>(
+    fn levels_insert_impl<const POW2: bool, L: LevelStore, M: Fn(usize) -> bool>(
         &self,
         levels: &mut L,
         ds: &mut DeltaScratch,
         inserted: &[u32],
         member: M,
         backward: bool,
-        budget: usize,
-    ) -> Result<usize, DeltaBudgetExceeded> {
+    ) -> Result<(), DeltaBudgetExceeded> {
         let d = self.d;
         ds.begin(self.n_nodes, inserted.len() + 1);
         let out = |v: usize, a: usize| self.edge::<POW2>(v, a, backward);
@@ -1434,68 +1415,22 @@ impl BitReach {
             if best != UNREACHED {
                 ds.record(x, UNREACHED);
                 levels.set_level(xi, best + 1);
-                ds.pending[xi] = best + 1;
-                ds.seeds.push((u64::from(best + 1) << 32) | u64::from(x));
+                ds.push_seed(xi, best + 1);
             }
         }
-        if ds.seeds.is_empty() {
-            return Ok(0);
-        }
-        ds.seeds.sort_unstable();
-        let mut si = 0usize;
-        let mut l = (ds.seeds[0] >> 32) as usize;
-        let mut pops = 0usize;
-        loop {
-            while si < ds.seeds.len() && (ds.seeds[si] >> 32) as usize == l {
-                ds.cur.push((ds.seeds[si] & u64::from(u32::MAX)) as u32);
-                si += 1;
-            }
-            if ds.cur.is_empty() {
-                if si >= ds.seeds.len() {
-                    break;
-                }
-                l = (ds.seeds[si] >> 32) as usize;
-                continue;
-            }
-            let mut head = 0usize;
-            while head < ds.cur.len() {
-                let u = ds.cur[head];
-                head += 1;
-                let ui = u as usize;
-                if ds.pending[ui] == l as u32 {
-                    ds.pending[ui] = UNREACHED;
-                }
-                if levels.level(ui) != l as u32 {
-                    continue; // stale entry (relaxed below its queued level)
-                }
-                pops += 1;
-                if pops > budget {
-                    ds.abort();
-                    return Err(DeltaBudgetExceeded { pops });
-                }
-                for a in 0..d {
-                    let s = out(ui, a);
-                    if member(s) && levels.level(s) > (l + 1) as u32 {
-                        ds.record(s as u32, levels.level(s));
-                        levels.set_level(s, (l + 1) as u32);
-                        if ds.pending[s] != (l + 1) as u32 {
-                            ds.pending[s] = (l + 1) as u32;
-                            ds.nxt.push(s as u32);
-                        }
-                    }
+        ds.drain(levels, |ds, levels, u, l| {
+            for a in 0..d {
+                let s = out(u as usize, a);
+                if member(s) && levels.level(s) > l + 1 {
+                    ds.record(s as u32, levels.level(s));
+                    levels.set_level(s, l + 1);
+                    ds.push_next(s, l + 1);
                 }
             }
-            ds.cur.clear();
-            std::mem::swap(&mut ds.cur, &mut ds.nxt);
-            l += 1;
-            if ds.cur.is_empty() && si >= ds.seeds.len() {
-                break;
-            }
-        }
-        Ok(pops)
+        })
     }
 
-    /// One implicit edge of the structure: `forward == false` follows a
+    /// One implicit edge of the structure: `backward == false` follows a
     /// graph successor, `true` a graph predecessor. `POW2` compiles the
     /// arithmetic to shifts and masks.
     #[inline]
@@ -1713,19 +1648,26 @@ mod tests {
         dead
     }
 
-    /// All three policies must agree with the scalar oracle on every pass
-    /// (forward counts/depths, component sizes, broadcast levels).
+    /// Every pass must agree with the scalar oracle (forward counts and
+    /// depths, component sizes, broadcast levels) in both regimes and
+    /// across the switches between them. B(2,7) expands densely from the
+    /// root, and B(2,14) switches sparse → dense on the way out and dense
+    /// → sparse in the tail; the forward passes' per-level regimes pin
+    /// that all three occur.
     #[test]
-    fn passes_match_scalar_oracle_under_every_policy() {
+    fn passes_match_scalar_oracle_across_density_switches() {
         let shapes = [
             (2usize, 1 << 9),
             (2, 1 << 7),
             (4, 1 << 10),
             (3, 243),
             (8, 512),
+            (2, 1 << 14),
         ];
         let mut rng = StdRng::seed_from_u64(2026);
+        let (mut dense_root, mut to_dense, mut to_sparse) = (false, false, false);
         for &(d, n_nodes) in &shapes {
+            let reach = BitReach::new(d, n_nodes);
             for trial in 0..24 {
                 let root = 1usize;
                 let deaths = [0, 1, 3, n_nodes / 20, n_nodes / 4][trial % 5];
@@ -1738,54 +1680,57 @@ mod tests {
                     .collect();
                 let component = bstar.iter().filter(|&&x| x).count();
                 let (vl, _, ecc) = oracle_bfs(d, n_nodes, &dead, root, false, Some(&bstar));
-                for policy in [DensePolicy::Auto, DensePolicy::Never, DensePolicy::Always] {
-                    let reach = BitReach::with_policy(d, n_nodes, policy);
-                    let mut s = BitScratch::new();
-                    reach.prepare(&mut s);
-                    for (v, &x) in dead.iter().enumerate() {
-                        if x {
-                            reach.kill(&mut s, v);
-                        }
+                let tag = format!("d={d} n={n_nodes} deaths={deaths}");
+                let mut s = BitScratch::new();
+                reach.prepare(&mut s);
+                for (v, &x) in dead.iter().enumerate() {
+                    if x {
+                        reach.kill(&mut s, v);
                     }
-                    let (count, depth) = reach.forward(&mut s, root);
-                    assert_eq!(
-                        (count, depth),
-                        (fwd_reached, fwd_depth),
-                        "forward d={d} n={n_nodes} deaths={deaths} {policy:?}"
-                    );
-                    reach.backward(&mut s, root);
-                    assert_eq!(
-                        reach.component_size(&s, removed),
-                        component,
-                        "component d={d} n={n_nodes} deaths={deaths} {policy:?}"
-                    );
-                    for (v, &want) in bstar.iter().enumerate() {
-                        assert_eq!(reach.in_bstar(&s, v), want, "v={v} {policy:?}");
-                    }
-                    let mut nodes = Vec::new();
-                    let mut offsets = Vec::new();
-                    let (breached, bdepth) =
-                        reach.broadcast_levels(&mut s, root, &mut nodes, &mut offsets);
-                    assert_eq!(bdepth, ecc, "broadcast depth {policy:?}");
-                    assert_eq!(breached, component, "broadcast covers B* {policy:?}");
-                    assert_eq!(nodes.len(), component);
-                    assert_eq!(offsets.len(), bdepth + 2);
-                    for l in 0..=bdepth {
-                        let mut lvl: Vec<u32> =
-                            nodes[offsets[l] as usize..offsets[l + 1] as usize].to_vec();
-                        lvl.sort_unstable();
-                        let mut want: Vec<u32> = (0..n_nodes)
-                            .filter(|&v| bstar[v] && vl[v] == l)
-                            .map(|v| v as u32)
-                            .collect();
-                        want.sort_unstable();
-                        assert_eq!(lvl, want, "level {l} {policy:?}");
-                    }
-                    // And the stats-only depth variant agrees.
-                    assert_eq!(reach.broadcast_depth(&mut s, root), ecc, "{policy:?}");
                 }
+                // Level l's flag is the regime level l − 1 expanded in
+                // (the root's: the regime it starts in).
+                let mut regimes = Vec::new();
+                let got = reach.pass::<false>(&mut s, root, |_, f| regimes.push(f.is_dense()));
+                assert_eq!(got, (fwd_reached, fwd_depth), "forward {tag}");
+                dense_root |= regimes[0];
+                to_dense |= regimes.windows(2).any(|w| !w[0] && w[1]);
+                to_sparse |= regimes.windows(2).any(|w| w[0] && !w[1]);
+                reach.backward(&mut s, root);
+                assert_eq!(
+                    reach.component_size(&s, removed),
+                    component,
+                    "component {tag}"
+                );
+                for (v, &want) in bstar.iter().enumerate() {
+                    assert_eq!(reach.in_bstar(&s, v), want, "v={v} {tag}");
+                }
+                let mut nodes = Vec::new();
+                let mut offsets = Vec::new();
+                let (breached, bdepth) =
+                    reach.broadcast_levels(&mut s, root, &mut nodes, &mut offsets);
+                assert_eq!(bdepth, ecc, "broadcast depth {tag}");
+                assert_eq!(breached, component, "broadcast covers B* {tag}");
+                assert_eq!(nodes.len(), component);
+                assert_eq!(offsets.len(), bdepth + 2);
+                for l in 0..=bdepth {
+                    let mut lvl: Vec<u32> =
+                        nodes[offsets[l] as usize..offsets[l + 1] as usize].to_vec();
+                    lvl.sort_unstable();
+                    let mut want: Vec<u32> = (0..n_nodes)
+                        .filter(|&v| bstar[v] && vl[v] == l)
+                        .map(|v| v as u32)
+                        .collect();
+                    want.sort_unstable();
+                    assert_eq!(lvl, want, "level {l} {tag}");
+                }
+                // And the stats-only depth variant agrees.
+                assert_eq!(reach.broadcast_depth(&mut s, root), ecc, "{tag}");
             }
         }
+        assert!(dense_root, "no forward pass started dense at the root");
+        assert!(to_dense, "no forward pass switched sparse -> dense");
+        assert!(to_sparse, "no forward pass switched dense -> sparse");
     }
 
     /// Oversized node spaces must be rejected with the typed error, not
@@ -1965,34 +1910,21 @@ mod tests {
                         let k = 1 + rng.gen_range(0..removed.len());
                         removed.drain(..k).collect()
                     };
+                    ds.open(usize::MAX);
                     if delete {
                         for &v in &batch {
                             member[v as usize] = false;
                             removed.push(v);
                         }
                         reach
-                            .levels_delete(
-                                &mut levels,
-                                &mut ds,
-                                &batch,
-                                |u| member[u],
-                                backward,
-                                usize::MAX,
-                            )
+                            .levels_delete(&mut levels, &mut ds, &batch, |u| member[u], backward)
                             .expect("unbounded budget");
                     } else {
                         for &v in &batch {
                             member[v as usize] = true;
                         }
                         reach
-                            .levels_insert(
-                                &mut levels,
-                                &mut ds,
-                                &batch,
-                                |u| member[u],
-                                backward,
-                                usize::MAX,
-                            )
+                            .levels_insert(&mut levels, &mut ds, &batch, |u| member[u], backward)
                             .expect("unbounded budget");
                     }
                     let want = oracle_levels(d, n_nodes, &member, root, backward);
@@ -2033,8 +1965,9 @@ mod tests {
         for &v in &batch {
             member[v as usize] = false;
         }
+        ds.open(3);
         let err = reach
-            .levels_delete(&mut levels, &mut ds, &batch, |u| member[u], false, 3)
+            .levels_delete(&mut levels, &mut ds, &batch, |u| member[u], false)
             .expect_err("three pops cannot absorb a 192-node deletion");
         assert!(err.pops > 3);
         // The array is now partial; a recompute (what the maintainer's
@@ -2046,6 +1979,53 @@ mod tests {
 
     fn backward_false() -> bool {
         false
+    }
+
+    /// One budget spans every pass of a batch. At B(2,10), deleting both
+    /// predecessors of node 700 (pass A) and then both predecessors of
+    /// node 300 (pass B) each fit 3000 pops on their own — each sends its
+    /// node climbing toward `n_nodes` — but not together: under one
+    /// batch the second pass fails with the batch's total.
+    #[test]
+    fn delta_budget_spans_every_pass_of_a_batch() {
+        let (d, n_nodes) = (2usize, 1 << 10);
+        let reach = BitReach::new(d, n_nodes);
+        let root = 1usize;
+        let (a, b) = ([350u32, 862], [150u32, 662]);
+        let mut ds = DeltaScratch::new();
+        for pass in [&a, &b] {
+            let mut member = vec![true; n_nodes];
+            let mut levels = oracle_levels(d, n_nodes, &member, root, false);
+            for &v in pass {
+                member[v as usize] = false;
+            }
+            ds.open(3000);
+            reach
+                .levels_delete(&mut levels, &mut ds, pass, |u| member[u], false)
+                .expect("one pass alone fits 3000 pops");
+        }
+        for budget in [3000, usize::MAX] {
+            let mut member = vec![true; n_nodes];
+            let mut levels = oracle_levels(d, n_nodes, &member, root, false);
+            ds.open(budget);
+            for &v in &a {
+                member[v as usize] = false;
+            }
+            reach
+                .levels_delete(&mut levels, &mut ds, &a, |u| member[u], false)
+                .expect("pass A fits the batch");
+            for &v in &b {
+                member[v as usize] = false;
+            }
+            let got = reach.levels_delete(&mut levels, &mut ds, &b, |u| member[u], false);
+            if budget == usize::MAX {
+                got.expect("unbounded budget");
+                assert_eq!(levels, oracle_levels(d, n_nodes, &member, root, false));
+            } else {
+                let err = got.expect_err("A and B together exceed 3000 pops");
+                assert!(err.pops > 3000, "pops {} count the whole batch", err.pops);
+            }
+        }
     }
 
     /// A delete cascade that climbs a node through the whole u8 escape
@@ -2080,11 +2060,13 @@ mod tests {
         // values (> 253) bit-for-bit.
         let mut u32_part = u32_levels.clone();
         let mut lv_part = lv.clone();
+        ds.open(500);
         let e1 = reach
-            .levels_delete(&mut u32_part, &mut ds, &batch, |u| member[u], false, 500)
+            .levels_delete(&mut u32_part, &mut ds, &batch, |u| member[u], false)
             .expect_err("a 1000-step climb cannot fit 500 pops");
+        ds.open(500);
         let e2 = reach
-            .levels_delete(&mut lv_part, &mut ds, &batch, |u| member[u], false, 500)
+            .levels_delete(&mut lv_part, &mut ds, &batch, |u| member[u], false)
             .expect_err("a 1000-step climb cannot fit 500 pops");
         assert_eq!(e1.pops, e2.pops, "abort point must match");
         for (v, &u32_v) in u32_part.iter().enumerate() {
@@ -2095,18 +2077,13 @@ mod tests {
             "the abort landed inside the escape band"
         );
         // The unbounded run settles both stores at the recompute oracle.
+        ds.open(usize::MAX);
         reach
-            .levels_delete(
-                &mut u32_levels,
-                &mut ds,
-                &batch,
-                |u| member[u],
-                false,
-                usize::MAX,
-            )
+            .levels_delete(&mut u32_levels, &mut ds, &batch, |u| member[u], false)
             .expect("unbounded budget");
+        ds.open(usize::MAX);
         reach
-            .levels_delete(&mut lv, &mut ds, &batch, |u| member[u], false, usize::MAX)
+            .levels_delete(&mut lv, &mut ds, &batch, |u| member[u], false)
             .expect("unbounded budget");
         let want = oracle_levels(d, n_nodes, &member, root, false);
         assert_eq!(u32_levels, want);

@@ -36,13 +36,15 @@
 //! (pinned exhaustively over all arrival orders of ≤2-fault sets and by
 //! B(2,14) property tests).
 //!
-//! When the delta's queue work exceeds a budget (a pathological cascade —
-//! e.g. a huge region losing reachability at once), or when the event
+//! Every delta pass of a batch — the forward and backward delete and
+//! insert passes and the two broadcast passes — charges its queue pops to
+//! one budget. When the batch's pops exceed it (a pathological cascade —
+//! e.g. a huge region losing reachability at once), or when the batch
 //! changes the repair root, the maintainer falls back to a from-scratch
 //! rebuild on the level-emitting passes — each writes its levels straight
 //! into the maintainer's level arrays, and the broadcast also counts the
 //! histogram — which costs one `embed_into`-shaped pipeline run.
-//! [`RepairStats`] counts which path each event took.
+//! [`RepairStats`] counts which path each batch took.
 //!
 //! The repair path **degrades gracefully** instead of panicking: malformed
 //! requests come back as a typed [`RepairError`] before any state is
@@ -353,26 +355,20 @@ pub struct RingMaintainer {
     /// publication: the nodes of `moved_buf`/`moved_in_buf`.
     snap_bstar_dirty: ChunkMask,
     /// Snapshot chunks whose broadcast levels changed since the last
-    /// publication: the nodes of `bc_nodes`.
+    /// publication: the nodes of the broadcast passes' change log.
     snap_level_dirty: ChunkMask,
     // -- reusable machinery --
     bits: BitScratch,
+    /// The delta passes' queues, and the batch's budget and change log.
     delta: DeltaScratch,
     /// Event-scoped dedup stamps and worklists of the delta path.
     stamp: u32,
-    cand_stamp: Vec<u32>,
-    cand_buf: Vec<u32>,
     batch_buf: Vec<u32>,
     moved_buf: Vec<u32>,
     /// Seeds of the batched insert passes (members of revived necklaces).
     ins_buf: Vec<u32>,
     /// Candidates that *joined* B* this batch (mirror of `moved_buf`).
     moved_in_buf: Vec<u32>,
-    /// Merged broadcast change log of one batch: nodes whose broadcast
-    /// level changed across the delete *and* insert passes, each with its
-    /// first-seen (true pre-batch) level.
-    bc_nodes: Vec<u32>,
-    bc_old: Vec<u32>,
     /// Necklaces whose dead-state toggled while booking a batch, packed as
     /// `(nid << 1) | was_dead`, classified after booking into net kill and
     /// revive seed lists.
@@ -564,15 +560,11 @@ impl RingMaintainer {
             + 4 * (self.fault_pos.capacity()
                 + self.neck_fault_count.capacity()
                 + self.level_counts.capacity()
-                + self.cand_stamp.capacity()
-                + self.cand_buf.capacity()
                 + self.batch_buf.capacity()
                 + self.moved_buf.capacity()
                 + self.edge_src.capacity()
                 + self.ins_buf.capacity()
                 + self.moved_in_buf.capacity()
-                + self.bc_nodes.capacity()
-                + self.bc_old.capacity()
                 + self.killed_necks.capacity()
                 + self.revived_necks.capacity()
                 + self.dirty_stamp.capacity()
@@ -598,11 +590,7 @@ impl RingMaintainer {
     /// (once per 2^32 stamped scopes).
     fn bump_stamp(&mut self) -> u32 {
         if self.stamp == u32::MAX {
-            for arr in [
-                &mut self.cand_stamp,
-                &mut self.dirty_stamp,
-                &mut self.label_stamp,
-            ] {
+            for arr in [&mut self.dirty_stamp, &mut self.label_stamp] {
                 arr.iter_mut().for_each(|x| *x = 0);
             }
             self.stamp = 0;
@@ -625,7 +613,6 @@ impl RingMaintainer {
         grow_to(&mut self.edge_src, n, 0);
         self.fwd_level.grow(n);
         self.bwd_level.grow(n);
-        grow_to(&mut self.cand_stamp, n, 0);
         grow_to(&mut self.bstar_bits, n.div_ceil(64), 0);
         grow_to(&mut self.neck_fault_count, self.n_necks, 0);
         grow_to(&mut self.dirty_stamp, self.n_necks, 0);
@@ -634,13 +621,10 @@ impl RingMaintainer {
         // events never grow them; `level_counts` can in principle index up
         // to n_nodes - 1 during a delete cascade, so it gets full range.
         reserve_more(&mut self.fault_list, n);
-        reserve_more(&mut self.cand_buf, n);
         reserve_more(&mut self.moved_buf, n);
         reserve_more(&mut self.batch_buf, n);
         reserve_more(&mut self.ins_buf, n);
         reserve_more(&mut self.moved_in_buf, n);
-        reserve_more(&mut self.bc_nodes, n);
-        reserve_more(&mut self.bc_old, n);
         reserve_more(&mut self.touched_necks, self.n_necks);
         reserve_more(&mut self.killed_necks, self.n_necks);
         reserve_more(&mut self.revived_necks, self.n_necks);
@@ -912,8 +896,14 @@ impl RingMaintainer {
     /// mid-state graph; the insert pass then re-expands from the revived
     /// members and settles the canonical levels of the final graph. The
     /// broadcast structure is repaired the same way from the nodes that
-    /// left/joined B*, with both passes' change logs merged (first-seen
-    /// old levels) so the histogram update counts each node once.
+    /// left/joined B*.
+    ///
+    /// All six passes run in one [`DeltaScratch`] batch, so `budget` caps
+    /// their queue pops together. The four reachability passes share one
+    /// change log: B* membership is live ∧ fwd ≠ ∞ ∧ bwd ≠ ∞, so every
+    /// node that left or joined B* changed a level and is in that log. The
+    /// two broadcast passes share a fresh log, whose first-seen old levels
+    /// let a node deleted then re-inserted update the histogram once.
     fn delta_batch(&mut self, ffc: &Ffc, budget: usize) -> Result<(), DeltaBudgetExceeded> {
         let reach = ffc.tables.reach;
         self.batch_buf.clear();
@@ -926,155 +916,68 @@ impl RingMaintainer {
             let nid = self.revived_necks[i] as usize;
             self.ins_buf.extend_from_slice(ffc.partition.members(nid));
         }
-        let stamp = self.bump_stamp();
-        self.cand_buf.clear();
-        // One budget covers the whole batch: each pass deducts the pops it
-        // consumed, so the per-batch cap holds across all structures.
-        let mut remaining = budget;
 
-        {
-            let Self {
-                fwd_level,
-                bwd_level,
-                node_dead,
-                delta,
-                batch_buf,
-                ins_buf,
-                cand_buf,
-                cand_stamp,
-                ..
-            } = self;
-            let mut fold = |seeds: &[u32], delta: &DeltaScratch| {
-                for &u in seeds.iter().chain(delta.changed_nodes()) {
-                    if cand_stamp[u as usize] != stamp {
-                        cand_stamp[u as usize] = stamp;
-                        cand_buf.push(u);
-                    }
-                }
-            };
-            for pass in 0..2 {
-                let (levels, backward) = if pass == 0 {
-                    (&mut *fwd_level, false)
-                } else {
-                    (&mut *bwd_level, true)
-                };
-                if !batch_buf.is_empty() {
-                    let pops = reach.levels_delete(
-                        &mut *levels,
-                        delta,
-                        batch_buf,
-                        |u| !node_dead[u],
-                        backward,
-                        remaining,
-                    )?;
-                    remaining = remaining.saturating_sub(pops);
-                    fold(batch_buf, delta);
-                }
-                if !ins_buf.is_empty() {
-                    let pops = reach.levels_insert(
-                        &mut *levels,
-                        delta,
-                        ins_buf,
-                        |u| !node_dead[u],
-                        backward,
-                        remaining,
-                    )?;
-                    remaining = remaining.saturating_sub(pops);
-                    fold(ins_buf, delta);
-                }
-            }
+        let Self {
+            fwd_level,
+            bwd_level,
+            node_dead,
+            bstar_bits,
+            component_size,
+            snap_bstar_dirty,
+            tree,
+            delta,
+            batch_buf,
+            ins_buf,
+            moved_buf,
+            moved_in_buf,
+            ..
+        } = self;
+        delta.open(budget);
+        let live = |u: usize| !node_dead[u];
+        for (levels, backward) in [(&mut *fwd_level, false), (&mut *bwd_level, true)] {
+            reach.levels_delete(levels, delta, batch_buf, live, backward)?;
+            reach.levels_insert(levels, delta, ins_buf, live, backward)?;
         }
 
-        // B* transitions: candidates that lost or gained membership.
-        self.moved_buf.clear();
-        self.moved_in_buf.clear();
-        for i in 0..self.cand_buf.len() {
-            let u = self.cand_buf[i] as usize;
-            let now = !self.node_dead[u]
-                && self.fwd_level.get(u) != UNREACHED
-                && self.bwd_level.get(u) != UNREACHED;
-            if bit(&self.bstar_bits, u) == now {
+        // B* transitions: logged nodes that lost or gained membership.
+        moved_buf.clear();
+        moved_in_buf.clear();
+        for (u, _) in delta.changed() {
+            let u = u as usize;
+            let now = live(u) && fwd_level.get(u) != UNREACHED && bwd_level.get(u) != UNREACHED;
+            if bit(bstar_bits, u) == now {
                 continue;
             }
-            self.bstar_bits[u / 64] ^= 1u64 << (u % 64);
-            self.snap_bstar_dirty.mark(u);
+            bstar_bits[u / 64] ^= 1u64 << (u % 64);
+            snap_bstar_dirty.mark(u);
             if now {
-                self.moved_in_buf.push(u as u32);
+                moved_in_buf.push(u as u32);
             } else {
-                self.moved_buf.push(u as u32);
+                moved_buf.push(u as u32);
             }
         }
-        self.component_size = self.component_size - self.moved_buf.len() + self.moved_in_buf.len();
+        *component_size = *component_size - moved_buf.len() + moved_in_buf.len();
 
-        // Broadcast repair, with the two passes' change logs merged into
-        // `bc_nodes`/`bc_old` keeping each node's first-seen (true
-        // pre-batch) level — a node deleted then re-inserted must update
-        // the histogram exactly once, old -> final.
-        self.bc_nodes.clear();
-        self.bc_old.clear();
-        let bstamp = self.bump_stamp();
-        {
-            let Self {
-                tree,
-                bstar_bits,
-                delta,
-                moved_buf,
-                moved_in_buf,
-                bc_nodes,
-                bc_old,
-                cand_stamp,
-                ..
-            } = self;
-            let mut merge = |delta: &DeltaScratch| {
-                for (i, &u) in delta.changed_nodes().iter().enumerate() {
-                    if cand_stamp[u as usize] != bstamp {
-                        cand_stamp[u as usize] = bstamp;
-                        bc_nodes.push(u);
-                        bc_old.push(delta.old_levels()[i]);
-                    }
-                }
-            };
-            if !moved_buf.is_empty() {
-                let pops = reach.levels_delete(
-                    &mut tree.levels,
-                    delta,
-                    moved_buf,
-                    |u| bit(bstar_bits, u),
-                    false,
-                    remaining,
-                )?;
-                remaining = remaining.saturating_sub(pops);
-                merge(delta);
-            }
-            if !moved_in_buf.is_empty() {
-                let _ = reach.levels_insert(
-                    &mut tree.levels,
-                    delta,
-                    moved_in_buf,
-                    |u| bit(bstar_bits, u),
-                    false,
-                    remaining,
-                )?;
-                merge(delta);
-            }
-        }
+        // Broadcast repair into a fresh log for `absorb_bcast_changes`.
+        delta.restart_log();
+        let in_bstar = |u: usize| bit(bstar_bits, u);
+        reach.levels_delete(&mut tree.levels, delta, moved_buf, in_bstar, false)?;
+        reach.levels_insert(&mut tree.levels, delta, moved_in_buf, in_bstar, false)?;
         self.absorb_bcast_changes(ffc);
         Ok(())
     }
 
-    /// Applies the batch's merged broadcast change log
-    /// (`bc_nodes`/`bc_old`): histogram (and eccentricity) updates, then
-    /// re-selection of every necklace whose members or predecessor levels
-    /// changed, then rewiring of every w-group whose membership or parent
-    /// changed.
+    /// Applies the broadcast passes' change log: histogram (and
+    /// eccentricity) updates, then re-selection of every necklace whose
+    /// members or predecessor levels changed, then rewiring of every
+    /// w-group whose membership or parent changed.
     fn absorb_bcast_changes(&mut self, ffc: &Ffc) {
         let membership = ffc.partition.membership();
         let (d, suffix) = (self.d, self.suffix);
         // Histogram.
-        for i in 0..self.bc_nodes.len() {
-            let u = self.bc_nodes[i] as usize;
+        for (u, old) in self.delta.changed() {
+            let u = u as usize;
             self.snap_level_dirty.mark(u);
-            let old = self.bc_old[i];
             if old != UNREACHED {
                 self.level_counts[old as usize] -= 1;
             }
@@ -1105,7 +1008,7 @@ impl RingMaintainer {
         self.dirty_labels.clear();
         {
             let Self {
-                bc_nodes,
+                delta,
                 dirty_necks,
                 dirty_stamp,
                 bstar_bits,
@@ -1117,7 +1020,7 @@ impl RingMaintainer {
                     dirty_necks.push(nid as u32);
                 }
             };
-            for &u in bc_nodes.iter() {
+            for (u, _) in delta.changed() {
                 let u = u as usize;
                 mark(membership[u] as usize);
                 let base = (u % suffix) * d;
@@ -1163,13 +1066,14 @@ impl RingMaintainer {
         Self::default()
     }
 
-    /// Overrides the delta work budget — queue pops per event, shared
-    /// across the event's forward/backward/broadcast repairs — above
-    /// which an event falls back to a rebuild. `None` restores the automatic
-    /// budget, `max(1024, d^n)` — a queue pop (a handful of implicit-edge
-    /// probes) costs well under what the rebuild pays per node across its
+    /// Overrides the delta work budget — queue pops per batch, shared by
+    /// every delta pass of the batch (forward and backward delete and
+    /// insert, broadcast delete and insert) — above which the batch falls
+    /// back to a rebuild. `None` restores the automatic budget,
+    /// `max(1024, d^n)` — a queue pop (a handful of implicit-edge probes)
+    /// costs well under what the rebuild pays per node across its
     /// level-emitting passes and tree build, so the break-even sits near
-    /// one pop per node. A budget of 0 forces every event to rebuild (the
+    /// one pop per node. A budget of 0 forces every batch to rebuild (the
     /// differential tests use this to pin fallback equality).
     #[must_use]
     pub fn with_budget(mut self, budget: Option<usize>) -> Self {

@@ -68,8 +68,8 @@ pub mod sweep;
 pub mod verify;
 
 pub use bitreach::{
-    BitFrontier, BitReach, BitScratch, DeltaBudgetExceeded, DeltaScratch, DensePolicy, LevelStore,
-    LevelVec, SpaceTooLarge, UNREACHED, UNREACHED_U8,
+    BitFrontier, BitReach, BitScratch, DeltaBudgetExceeded, DeltaScratch, LevelStore, LevelVec,
+    SpaceTooLarge, UNREACHED, UNREACHED_U8,
 };
 pub use bounds::{edge_fault_tolerance, phi_edge_bound, psi};
 pub use butterfly::{lift_cycle, ButterflyEmbedder};

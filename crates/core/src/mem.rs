@@ -192,9 +192,10 @@ fn escaped_level(node: usize, overflow: &[(u32, u32)]) -> u32 {
         .expect("escaped level has a side-table entry")
 }
 
-/// What the delta level-repair passes need from a level array. Implemented
-/// by plain `u32` slices (the differential oracle) and by [`LevelVec`]
-/// (the engine), so [`crate::bitreach::BitReach::levels_delete`] /
+/// What the delta level-repair passes need from a level array. It has two
+/// implementations, the plain `Vec<u32>` of the differential oracle and
+/// the engine's [`LevelVec`], so
+/// [`crate::bitreach::BitReach::levels_delete`] /
 /// [`crate::bitreach::BitReach::levels_insert`] run the *same*
 /// monomorphised algorithm over both and bit-equality is a test, not a
 /// hope.
@@ -203,18 +204,6 @@ pub trait LevelStore {
     fn level(&self, i: usize) -> u32;
     /// Sets node `i`'s level to `l`.
     fn set_level(&mut self, i: usize, l: u32);
-}
-
-impl LevelStore for [u32] {
-    #[inline]
-    fn level(&self, i: usize) -> u32 {
-        self[i]
-    }
-
-    #[inline]
-    fn set_level(&mut self, i: usize, l: u32) {
-        self[i] = l;
-    }
 }
 
 impl LevelStore for Vec<u32> {

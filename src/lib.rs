@@ -9,8 +9,8 @@
 //!
 //! * [`algebra`] — number theory, finite fields GF(p^e), polynomials, LFSR
 //!   sequences and d-ary words.
-//! * [`graph`] — de Bruijn, butterfly, hypercube, shuffle-exchange and Kautz
-//!   topologies plus the graph algorithms used by the embeddings.
+//! * [`graph`] — de Bruijn, butterfly and hypercube topologies plus the
+//!   graph algorithms used by the embeddings.
 //! * [`necklace`] — necklace (rotation-class) machinery and the Chapter 4
 //!   counting formulas.
 //! * [`core`] — the embeddings themselves: the FFC algorithm for node
