@@ -35,7 +35,10 @@
 //!   against the from-scratch `embed_into` loop on the same fault
 //!   schedule (`speedup`, the CI gate). The per-event stats are
 //!   checksummed and asserted identical to the from-scratch loop's, and
-//!   the row records how many events repaired incrementally vs rebuilt.
+//!   the row records how many events repaired incrementally vs rebuilt,
+//!   the worst single event of the timed reps (`repair_max_ns`) and the
+//!   median warm `reset` of the final fault set (`rebuild_ns`), the
+//!   rebuild that worst repair is read against.
 //! * **Serve tiers** (`"mode": "serve"`) — B(2,16), B(2,18), B(2,20) and
 //!   B(2,22): the ring-as-a-service read path. A `RingService` writer thread drains
 //!   a PR 6 `ChurnPlan` trace (paced over the measurement window) while
@@ -47,7 +50,9 @@
 //!   records `lookups_per_sec` / `frozen_lookups_per_sec` / `vs_frozen`
 //!   per reader count, the snapshot-publication latency
 //!   `publish_p50_ns` / `publish_p99_ns` next to the writer's
-//!   `repair_p50_ns` / `repair_p99_ns`, `copied_chunks_per_publication`
+//!   `repair_p50_ns` / `repair_p99_ns` / `repair_max_ns` (the worst
+//!   batch) with `rebuild_ns` (the median warm `reset` of the trace's
+//!   final fault set), `copied_chunks_per_publication`
 //!   (snapshot chunk buffers a batch's publication copied — the O(cone)
 //!   witness), and the gated `best_vs_frozen`
 //!   = best `vs_frozen` across reader counts — the CI floor that keeps
@@ -242,6 +247,26 @@ const PUBLISH_GATE_NODES: f64 = (1u64 << 20) as f64;
 /// the live-vs-frozen ratio is a wash by design, so it needs more samples
 /// than the order-of-magnitude speedups elsewhere to beat scheduler noise.
 const SERVE_REPS: usize = 5;
+
+/// Timed warm `reset`s behind a row's `rebuild_ns` (the median is kept).
+const REBUILD_REPS: usize = 5;
+
+/// The median wall time, in ns, of a warm `RingMaintainer::reset` of
+/// `maint` to `faults` — one from-scratch rebuild, the yardstick a
+/// row's worst repair (`repair_max_ns`) is read against. One untimed
+/// reset warms the maintainer first.
+fn warm_rebuild_ns(ffc: &Ffc, maint: &mut RingMaintainer, faults: &[usize]) -> u64 {
+    maint.reset(ffc, faults).expect("in-range");
+    let mut times: Vec<u64> = (0..REBUILD_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            maint.reset(ffc, faults).expect("in-range");
+            start.elapsed().as_nanos() as u64
+        })
+        .collect();
+    times.sort_unstable();
+    times[REBUILD_REPS / 2]
+}
 
 /// The exclusion set a fault-event stream accumulates to: explicitly
 /// faulty nodes plus the source endpoints of still-faulty links — the
@@ -845,6 +870,8 @@ fn main() {
             let p99 = report.publish_quantile_ns(0.99);
             let rp50 = report.repair_quantile_ns(0.5);
             let rp99 = report.repair_quantile_ns(0.99);
+            let repair_max = report.repair_quantile_ns(1.0);
+            let rebuild = warm_rebuild_ns(&ffc, &mut RingMaintainer::new(), &excl);
             let copied_per_pub = report.copied_chunks as f64 / report.batches.max(1) as f64;
             eprintln!(
                 "{label}: serve publish p50 {:.1} µs p99 {:.1} µs (repair p99 {:.1} µs) over {} \
@@ -867,6 +894,7 @@ fn main() {
                  \"batches\": {},\n      \"publications\": {},\n      \
                  \"publish_p50_ns\": {p50},\n      \"publish_p99_ns\": {p99},\n      \
                  \"repair_p50_ns\": {rp50},\n      \"repair_p99_ns\": {rp99},\n      \
+                 \"repair_max_ns\": {repair_max},\n      \"rebuild_ns\": {rebuild},\n      \
                  \"copied_chunks_per_publication\": {copied_per_pub:.1},\n      \
                  \"allocated_bytes\": {},\n      \
                  \"readers\": [\n{}\n      ],\n      \
@@ -1055,17 +1083,21 @@ fn main() {
             let _ = maint.clear_fault(&ffc, singles[0][0]);
             let before = maint.repairs();
             let mut best = std::time::Duration::MAX;
+            let mut repair_max = Duration::ZERO;
             let mut repair_sum = 0usize;
             for _ in 0..REPS {
                 let mut rep_sum = 0usize;
                 let start = Instant::now();
                 for f in &singles {
+                    let t_add = Instant::now();
                     rep_sum ^= maint
                         .add_fault(&ffc, f[0])
                         .expect("in-range")
                         .stats()
                         .component_size;
+                    let t_clear = Instant::now();
                     let _ = maint.clear_fault(&ffc, f[0]);
+                    repair_max = repair_max.max(t_clear - t_add).max(t_clear.elapsed());
                 }
                 best = best.min(start.elapsed());
                 repair_sum = rep_sum;
@@ -1081,6 +1113,8 @@ fn main() {
                 after.incremental - before.incremental,
                 after.rebuilds - before.rebuilds,
             );
+            let faults = maint.faulty_nodes().to_vec();
+            let rebuild = warm_rebuild_ns(&ffc, &mut maint, &faults);
             let speedup = serial_ns / repair_ns;
             // The compact-level footprint gate: the session's three level
             // arrays in one byte per node vs the 3 × 4 × n_nodes bytes of
@@ -1104,6 +1138,7 @@ fn main() {
                  \"mode\": \"incremental\",\n      \
                  \"embed_ns\": {serial_ns:.1},\n      \
                  \"repair_ns\": {repair_ns:.1},\n      \
+                 \"repair_max_ns\": {},\n      \"rebuild_ns\": {rebuild},\n      \
                  \"repairs_per_sec\": {:.1},\n      \
                  \"delta_events\": {},\n      \"rebuild_events\": {},\n      \
                  \"allocated_bytes\": {},\n      \
@@ -1112,6 +1147,7 @@ fn main() {
                  \"level_compaction\": {level_compaction:.2},\n      \
                  \"speedup\": {speedup:.2}\n    }}",
                 singles.len(),
+                repair_max.as_nanos(),
                 1e9 / repair_ns,
                 incr / REPS,
                 rebuilds.div_ceil(REPS),
@@ -1297,6 +1333,8 @@ fn main() {
          trial's cycle verified as a fault-avoiding de Bruijn ring); mode=incremental tiers time \
          single-fault RingMaintainer repair events (add_fault + clear_fault) against \
          from-scratch embeds of the same faults — speedup = embed_into / repair event, \
+         repair_max_ns the worst single event of the timed reps, rebuild_ns the median \
+         warm RingMaintainer::reset of the final fault set, \
          stats checksums asserted identical to the from-scratch loop, and level_bytes / \
          level_bytes_u32 / level_compaction report the compact u8 level-array footprint \
          against the 3 x 4 bytes/node u32 storage it replaced (gated >= 3.0); mode=churn \
@@ -1312,7 +1350,9 @@ fn main() {
          (identical writer-side work), best_vs_frozen = best vs_frozen across reader counts \
          (gated >= 1.0), \
          publish_p50/p99_ns the snapshot-publication latency (publish_p99_ns gated <= \
-         repair_p99_ns from 2^20 nodes up), copied_chunks_per_publication the snapshot chunk \
+         repair_p99_ns from 2^20 nodes up), repair_max_ns the writer's worst batch, \
+         rebuild_ns the median warm RingMaintainer::reset of the trace's final fault set, \
+         copied_chunks_per_publication the snapshot chunk \
          buffers each batch's publication copied, and every run's final snapshot \
          is asserted bit-identical to a from-scratch embed of the trace's fault set; \
          every tier's allocated_bytes is the audited steady-state footprint of its scratch \

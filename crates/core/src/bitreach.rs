@@ -1038,9 +1038,9 @@ impl std::error::Error for DeltaBudgetExceeded {}
 /// Both passes drain one monotone two-level queue: every push lands
 /// exactly one level above the level being drained, so a sorted seed list
 /// plus a current/next ping-pong replaces a priority queue at O(1) per
-/// operation. Grow-only; the queues and the log are reserved to their
-/// worst case up front, so repairs perform no heap allocation after
-/// warm-up at a fixed graph size.
+/// operation. Grow-only; [`DeltaScratch::fit`] sizes the per-node arrays
+/// and reserves the queues and the log to their worst case for a graph,
+/// so repairs perform no heap allocation after it.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaScratch {
     /// Seed entries as packed `level << 32 | node`, sorted ascending and
@@ -1071,11 +1071,24 @@ pub struct DeltaScratch {
 }
 
 impl DeltaScratch {
-    /// Creates an empty scratch; [`DeltaScratch::open`] must start a batch
-    /// before the first pass, and the passes size the buffers.
+    /// Creates an empty scratch; [`DeltaScratch::fit`] must size it for
+    /// the graph and [`DeltaScratch::open`] start a batch before the first
+    /// pass.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sizes the per-node arrays for a graph of `n_nodes` nodes and
+    /// reserves the queues and the change log to their worst case, so no
+    /// pass on that graph allocates beyond its seed list. Grow-only.
+    pub fn fit(&mut self, n_nodes: usize) {
+        grow_to(&mut self.changed_stamp, n_nodes, 0);
+        grow_to(&mut self.pending, n_nodes, UNREACHED);
+        reserve_more(&mut self.cur, n_nodes);
+        reserve_more(&mut self.nxt, n_nodes);
+        reserve_more(&mut self.changed, n_nodes);
+        reserve_more(&mut self.old_levels, n_nodes);
     }
 
     /// Starts a batch: every pass until the next `open` shares `budget`
@@ -1119,21 +1132,37 @@ impl DeltaScratch {
             + 8 * self.seeds.capacity()
     }
 
-    /// Starts a pass: sizes the per-node arrays and reserves the queues
-    /// and the log so the pass never reallocates.
+    /// The largest graph the per-node arrays and the n-sized
+    /// reservations cover.
+    #[cfg(test)]
+    pub(crate) fn fitted_nodes(&self) -> usize {
+        let caps = [self.cur.capacity(), self.nxt.capacity()];
+        let logs = [self.changed.capacity(), self.old_levels.capacity()];
+        let lens = [self.pending.len(), self.changed_stamp.len()];
+        caps.into_iter().chain(logs).chain(lens).min().unwrap_or(0)
+    }
+
+    /// Moves the log stamp to `stamp` and marks every node as logged
+    /// under `stale`, so a test can run batches across the wrap-around
+    /// with the previous cycle's stamps left in place.
+    #[cfg(test)]
+    pub(crate) fn set_stamp(&mut self, stamp: u32, stale: u32) {
+        self.stamp = stamp;
+        self.changed_stamp.fill(stale);
+    }
+
+    /// Starts a pass: clears the queues and reserves `seed_cap` seeds.
     fn begin(&mut self, n_nodes: usize, seed_cap: usize) {
         // Stamp 0 would read every node as already logged.
         assert_ne!(self.stamp, 0, "DeltaScratch::open must start a batch");
-        grow_to(&mut self.changed_stamp, n_nodes, 0);
-        grow_to(&mut self.pending, n_nodes, UNREACHED);
+        assert!(
+            self.pending.len() >= n_nodes,
+            "DeltaScratch::fit must size the scratch for the graph"
+        );
         self.seeds.clear();
         self.cur.clear();
         self.nxt.clear();
         reserve_more(&mut self.seeds, seed_cap);
-        reserve_more(&mut self.cur, n_nodes);
-        reserve_more(&mut self.nxt, n_nodes);
-        reserve_more(&mut self.changed, n_nodes);
-        reserve_more(&mut self.old_levels, n_nodes);
     }
 
     /// Logs `v` with its level `old` before this change, unless it is
@@ -1276,7 +1305,8 @@ impl BitReach {
     /// keeps run the exact same monomorphised pass.
     ///
     /// # Panics
-    /// Panics if no batch was ever opened on `ds`.
+    /// Panics if no batch was ever opened on `ds`, or if `ds` was never
+    /// [fit](DeltaScratch::fit) to a graph this large.
     pub fn levels_delete<L: LevelStore, M: Fn(usize) -> bool>(
         &self,
         levels: &mut L,
@@ -1367,7 +1397,8 @@ impl BitReach {
     /// [`BitReach::levels_delete`]).
     ///
     /// # Panics
-    /// Panics if no batch was ever opened on `ds`.
+    /// Panics if no batch was ever opened on `ds`, or if `ds` was never
+    /// [fit](DeltaScratch::fit) to a graph this large.
     pub fn levels_insert<L: LevelStore, M: Fn(usize) -> bool>(
         &self,
         levels: &mut L,
@@ -1892,6 +1923,7 @@ mod tests {
                 let mut member = vec![true; n_nodes];
                 let mut levels = oracle_levels(d, n_nodes, &member, root, backward);
                 let mut ds = DeltaScratch::new();
+                ds.fit(n_nodes);
                 let mut removed: Vec<u32> = Vec::new();
                 for round in 0..30 {
                     let before = levels.clone();
@@ -1960,6 +1992,7 @@ mod tests {
         let mut member = vec![true; n_nodes];
         let mut levels = oracle_levels(d, n_nodes, &member, root, backward_false());
         let mut ds = DeltaScratch::new();
+        ds.fit(n_nodes);
         // Kill a thick band of nodes: plenty of cascading work.
         let batch: Vec<u32> = (64..256u32).collect();
         for &v in &batch {
@@ -1993,6 +2026,7 @@ mod tests {
         let root = 1usize;
         let (a, b) = ([350u32, 862], [150u32, 662]);
         let mut ds = DeltaScratch::new();
+        ds.fit(n_nodes);
         for pass in [&a, &b] {
             let mut member = vec![true; n_nodes];
             let mut levels = oracle_levels(d, n_nodes, &member, root, false);
@@ -2055,6 +2089,7 @@ mod tests {
             member[v as usize] = false;
         }
         let mut ds = DeltaScratch::new();
+        ds.fit(n_nodes);
         // A budget-bounded run aborts mid-climb: the deterministic pass
         // leaves both stores in the same partial state, pinning escaped
         // values (> 253) bit-for-bit.

@@ -459,8 +459,14 @@ impl TreeRecord {
 /// (Steps 1.2 to 3). [`Ffc::embed_into`]'s scratch and
 /// [`super::RingMaintainer`] each own one: the engine builds it once per
 /// embedding ([`TreeStage::build`]), the maintainer also repairs it one
-/// necklace ([`TreeStage::select`]) and one label
-/// ([`TreeStage::rewire`]) at a time.
+/// necklace and one label ([`TreeStage::rewire`]) at a time. A necklace's
+/// record is repaired in one of three ways, by what changed: a full
+/// re-selection over its members ([`TreeStage::select`]), one changed
+/// member offered as the new Y ([`TreeStage::offer`]), or the parent
+/// alone recomputed from Y's d predecessors ([`TreeStage::reparent`]).
+/// The argmin key ([`TreeStage::key`]) and the parent rule
+/// ([`TreeStage::parent_of`]) are each written once, for the build and
+/// the repairs alike.
 ///
 /// It holds the broadcast levels, one [`TreeRecord`] per necklace, and the
 /// wiring the readoff walks. The w-groups are not stored: the children of
@@ -524,49 +530,105 @@ impl TreeStage {
         }
     }
 
-    /// Rewrites necklace `nid`'s record from the current levels and
-    /// returns its tree edge — (label w, parent necklace) — before and
-    /// after. The root's necklace and a necklace outside B* (dead ones
-    /// included) have no record. Otherwise Y is the member reached first,
-    /// ties to the minimal node, and the parent is the necklace of Y's
-    /// minimal predecessor one broadcast level up.
+    /// Re-selects necklace `nid`'s record over all its members from the
+    /// current levels and returns its tree edge — (label w, parent
+    /// necklace) — before and after. The root's necklace and a necklace
+    /// outside B* (dead ones included) have no record. Otherwise Y is the
+    /// member with the least [`TreeStage::key`] (reached first, ties to the
+    /// minimal node) and the parent follows from Y
+    /// ([`TreeStage::parent_of`]).
     pub(crate) fn select(&mut self, ffc: &Ffc, nid: usize) -> [Option<(usize, u32)>; 2] {
-        let t = &ffc.tables;
-        let old = self.edge(t.d, nid);
-        let levels = &self.levels;
+        let old = self.edge(ffc.tables.d, nid);
         let members = ffc.partition.members(nid);
         let best = if nid == self.root_neck {
             u64::MAX
         } else {
             members
                 .iter()
-                .map(|&m| (u64::from(levels.get(m as usize)) << 32) | u64::from(m))
+                .map(|&m| self.key(m as usize))
                 .fold(u64::MAX, u64::min)
         };
         let lvl = (best >> 32) as u32;
         self.records[nid] = if lvl == UNREACHED {
             TreeRecord::NONE
         } else {
-            debug_assert!(lvl >= 1, "non-root necklace reached at level 0");
             debug_assert!(
-                members.iter().all(|&m| levels.get(m as usize) != UNREACHED),
+                members
+                    .iter()
+                    .all(|&m| self.levels.get(m as usize) != UNREACHED),
                 "B* necklace member without a level"
             );
-            let y = (best & u64::from(u32::MAX)) as usize;
-            let label = y / t.d;
-            let parent = (0..t.d)
-                .map(|a| label + a * t.suffix_count)
-                .find(|&p| levels.get(p) == lvl - 1)
-                // PANIC-OK: Y was first reached at level lvl >= 1, so one
-                // of its d predecessors sat on the frontier one level up;
-                // the exhaustive engine-vs-reference suites pin it.
-                .expect("chosen node with no frontier predecessor");
+            let y = best as u32;
             TreeRecord {
-                y: y as u32,
-                parent: ffc.partition.membership()[parent],
+                y,
+                parent: self.parent_of(ffc, y as usize, lvl),
             }
         };
-        [old, self.edge(t.d, nid)]
+        [old, self.edge(ffc.tables.d, nid)]
+    }
+
+    /// Recomputes necklace `nid`'s parent from its current Y in O(d), with
+    /// no member scan, and returns its tree edge before and after.
+    pub(crate) fn reparent(&mut self, ffc: &Ffc, nid: usize) -> [Option<(usize, u32)>; 2] {
+        let old = self.edge(ffc.tables.d, nid);
+        let y = self.records[nid].y as usize;
+        if y != NONE as usize {
+            self.records[nid].parent = self.parent_of(ffc, y, self.levels.get(y));
+        }
+        [old, self.edge(ffc.tables.d, nid)]
+    }
+
+    /// The parent rule: the necklace of the minimal predecessor of `y`, a
+    /// chosen node at level `lvl`, one broadcast level up. It reads only
+    /// the levels of y's d predecessors.
+    #[inline]
+    fn parent_of(&self, ffc: &Ffc, y: usize, lvl: u32) -> u32 {
+        let t = &ffc.tables;
+        debug_assert!(lvl >= 1, "non-root necklace reached at level 0");
+        let label = y / t.d;
+        let parent = (0..t.d)
+            .map(|a| label + a * t.suffix_count)
+            .find(|&p| self.levels.get(p) == lvl - 1)
+            // PANIC-OK: Y was first reached at level lvl >= 1, so one
+            // of its d predecessors sat on the frontier one level up;
+            // the exhaustive engine-vs-reference suites pin it.
+            .expect("chosen node with no frontier predecessor");
+        ffc.partition.membership()[parent]
+    }
+
+    /// The incremental argmin step for member `u` of necklace `nid`, whose
+    /// level changed: `u` becomes Y if it has a level and its key beats
+    /// the current Y's under the current levels, or the necklace has no
+    /// record yet (it is joining B*). Returns the Y it replaced ([`NONE`]
+    /// for a new record); the parent is left for
+    /// [`TreeStage::reparent`]. The root's necklace never takes a record.
+    pub(crate) fn offer(&mut self, nid: usize, u: usize) -> Option<u32> {
+        let y = self.records[nid].y;
+        let beats = nid != self.root_neck
+            && self.levels.get(u) != UNREACHED
+            && (y == NONE || self.key(u) < self.key(y as usize));
+        beats.then(|| std::mem::replace(&mut self.records[nid].y, u as u32))
+    }
+
+    /// Necklace `nid`'s record as (Y, parent), [`NONE`] for both when it
+    /// has none.
+    #[cfg(test)]
+    pub(crate) fn record(&self, nid: usize) -> (u32, u32) {
+        let r = self.records[nid];
+        (r.y, r.parent)
+    }
+
+    /// Necklace `nid`'s Y, or [`NONE`] when it has no record.
+    pub(crate) fn chosen(&self, nid: usize) -> u32 {
+        self.records[nid].y
+    }
+
+    /// The argmin key of node `v` under the current levels, (level, node):
+    /// a necklace's Y is its member with the least key, and [`UNREACHED`]
+    /// sorts above every level.
+    #[inline]
+    fn key(&self, v: usize) -> u64 {
+        (u64::from(self.levels.get(v)) << 32) | v as u64
     }
 
     /// The tree edge of necklace `nid`'s record: (label, parent necklace).

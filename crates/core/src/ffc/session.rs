@@ -30,11 +30,12 @@
 //! ([`crate::bitreach::BitReach::levels_insert`]). Both are
 //! **bit-identical to recompute** — BFS levels are canonical — so every
 //! downstream phase repair (necklace re-selection, w-group rewiring) is
-//! confined to the necklaces whose members or predecessor levels actually
-//! changed, and the maintainer's stats and ring bytes equal a from-scratch
-//! [`Ffc::embed_into`] of the accumulated fault set after every event
-//! (pinned exhaustively over all arrival orders of ≤2-fault sets and by
-//! B(2,14) property tests).
+//! confined to the necklaces whose chosen node, or a predecessor of it,
+//! actually changed level, or which hold a changed member that beats it
+//! (see `absorb_bcast_changes`), and the maintainer's stats and ring bytes
+//! equal a from-scratch [`Ffc::embed_into`] of the accumulated fault set
+//! after every event (pinned exhaustively over all arrival orders of
+//! ≤2-fault sets and by B(2,14) property tests).
 //!
 //! Every delta pass of a batch — the forward and backward delete and
 //! insert passes and the two broadcast passes — charges its queue pops to
@@ -636,6 +637,7 @@ impl RingMaintainer {
         reserve_more(&mut self.dirty_necks, self.n_necks);
         reserve_more(&mut self.dirty_labels, t.suffix_count);
         self.probe.fit(n);
+        self.delta.fit(n);
         // Fault state restarts from empty.
         self.node_faulty[..n].fill(false);
         self.node_dead[..n].fill(false);
@@ -967,82 +969,137 @@ impl RingMaintainer {
         Ok(())
     }
 
-    /// Applies the broadcast passes' change log: histogram (and
-    /// eccentricity) updates, then re-selection of every necklace whose
-    /// members or predecessor levels changed, then rewiring of every
-    /// w-group whose membership or parent changed.
+    /// Applies the broadcast passes' change log — each changed node once,
+    /// with its level before the batch — to the histogram and the tree
+    /// stage, in work proportional to the log. No member scan runs unless
+    /// a necklace's Y rose.
+    ///
+    /// 1. One pass over the log, on the records as they were before the
+    ///    batch: the histogram (and eccentricity); a rescan flag for the
+    ///    necklace of every changed node u that was its Y and rose
+    ///    ([`UNREACHED`] counting as highest); and, by the successor rule,
+    ///    a mark for the necklace of a B* successor of u, s = (u mod
+    ///    d^(n−1))·d + a, only when s is that necklace's Y — a parent is
+    ///    read from Y's predecessors alone.
+    /// 2. The incremental argmin ([`TreeStage::offer`]): on every
+    ///    necklace not flagged, a changed node with a level becomes Y if
+    ///    its (level, node) key beats Y's current one. This is exact: an
+    ///    unchanged member kept its old key, which is ≥ the old Y's old
+    ///    key, which is ≥ the old Y's current key since the old Y did not
+    ///    rise; so the new argmin is the old Y or a changed member. A
+    ///    necklace joining B* takes its Y from its logged members, which
+    ///    are all of them (B* is a union of whole necklaces). A change of
+    ///    Y, and a change of Y's own level, mark the necklace; a Y that
+    ///    moves to another label dirties both labels.
+    /// 3. Each flagged necklace is re-selected over its members
+    ///    ([`TreeStage::select`]), each marked one recomputes its parent
+    ///    in O(d) ([`TreeStage::reparent`]), and every changed tree edge
+    ///    dirties the labels of its old and new edge. The dirty labels'
+    ///    w-groups are rewired from the final records.
     fn absorb_bcast_changes(&mut self, ffc: &Ffc) {
         let membership = ffc.partition.membership();
         let (d, suffix) = (self.d, self.suffix);
-        // Histogram.
-        for (u, old) in self.delta.changed() {
-            let u = u as usize;
-            self.snap_level_dirty.mark(u);
-            if old != UNREACHED {
-                self.level_counts[old as usize] -= 1;
+        // Both stamps are drawn before any mark, so a wrap-around between
+        // them clears nothing this absorb marked. `dirty_stamp[nid]` reads
+        // `dirty` (recompute the parent) or `rescan` (re-select), and
+        // `label_stamp` reads `dirty` for a label to rewire.
+        let dirty = self.bump_stamp();
+        let rescan = self.bump_stamp();
+        self.dirty_necks.clear();
+        self.dirty_labels.clear();
+        let Self {
+            delta,
+            tree,
+            level_counts,
+            max_level,
+            snap_level_dirty,
+            dirty_stamp,
+            dirty_necks,
+            label_stamp,
+            dirty_labels,
+            ..
+        } = self;
+        // Lists a necklace under `flag` once; a rescan is never downgraded.
+        let mut mark = |slot: &mut u32, nid: usize, flag: u32| {
+            if *slot != dirty && *slot != rescan {
+                dirty_necks.push(nid as u32);
             }
-            let new = self.tree.levels.get(u);
+            if *slot != rescan {
+                *slot = flag;
+            }
+        };
+        for (u, old) in delta.changed() {
+            let u = u as usize;
+            snap_level_dirty.mark(u);
+            if old != UNREACHED {
+                level_counts[old as usize] -= 1;
+            }
+            let new = tree.levels.get(u);
             if new != UNREACHED {
                 let new = new as usize;
-                if self.level_counts.len() <= new {
-                    self.level_counts.resize(new + 1, 0);
+                if level_counts.len() <= new {
+                    level_counts.resize(new + 1, 0);
                 }
-                self.level_counts[new] += 1;
-                self.max_level = self.max_level.max(new);
+                level_counts[new] += 1;
+                *max_level = (*max_level).max(new);
+            }
+            let nid = membership[u] as usize;
+            if new > old && tree.chosen(nid) == u as u32 {
+                mark(&mut dirty_stamp[nid], nid, rescan);
+            }
+            let base = (u % suffix) * d;
+            for (s, &ns) in (base..).zip(&membership[base..base + d]) {
+                if tree.chosen(ns as usize) == s as u32 {
+                    mark(&mut dirty_stamp[ns as usize], ns as usize, dirty);
+                }
             }
         }
-        while self.max_level > 0 && self.level_counts[self.max_level] == 0 {
-            self.max_level -= 1;
+        while *max_level > 0 && level_counts[*max_level] == 0 {
+            *max_level -= 1;
         }
         debug_assert_eq!(
-            self.level_counts.iter().map(|&c| c as usize).sum::<usize>(),
+            level_counts.iter().map(|&c| c as usize).sum::<usize>(),
             self.component_size,
             "histogram out of sync with |B*|"
         );
 
-        // Dirty necklaces: those of changed nodes (their earliest member
-        // may differ) and of their B* successors (their chosen node's
-        // minimal predecessor may differ).
-        let stamp = self.bump_stamp();
-        self.dirty_necks.clear();
-        self.dirty_labels.clear();
-        {
-            let Self {
-                delta,
-                dirty_necks,
-                dirty_stamp,
-                bstar_bits,
-                ..
-            } = self;
-            let mut mark = |nid: usize| {
-                if dirty_stamp[nid] != stamp {
-                    dirty_stamp[nid] = stamp;
-                    dirty_necks.push(nid as u32);
-                }
-            };
-            for (u, _) in delta.changed() {
-                let u = u as usize;
-                mark(membership[u] as usize);
-                let base = (u % suffix) * d;
-                for a in 0..d {
-                    let s = base + a;
-                    if bit(bstar_bits, s) {
-                        mark(membership[s] as usize);
-                    }
-                }
+        let mut mark_label = |label: usize| {
+            if label_stamp[label] != dirty {
+                label_stamp[label] = dirty;
+                dirty_labels.push(label as u32);
             }
-        }
-        // Re-select every dirty necklace; a changed tree edge dirties the
-        // labels of its old and new edge.
-        for i in 0..self.dirty_necks.len() {
-            let [old, new] = self.tree.select(ffc, self.dirty_necks[i] as usize);
-            if old == new {
+        };
+        for (u, _) in delta.changed() {
+            let u = u as usize;
+            let nid = membership[u] as usize;
+            if dirty_stamp[nid] == rescan {
                 continue;
             }
-            for (label, _) in old.into_iter().chain(new) {
-                if self.label_stamp[label] != stamp {
-                    self.label_stamp[label] = stamp;
-                    self.dirty_labels.push(label as u32);
+            if tree.chosen(nid) == u as u32 {
+                mark(&mut dirty_stamp[nid], nid, dirty);
+            } else if let Some(prev) = tree.offer(nid, u) {
+                // A w-group's wiring depends on which necklaces are its
+                // children, not on their Y: a Y that stays in its label
+                // rewires it only if the parent changes (below).
+                if prev as usize / d != u / d {
+                    if prev != NONE {
+                        mark_label(prev as usize / d);
+                    }
+                    mark_label(u / d);
+                }
+                mark(&mut dirty_stamp[nid], nid, dirty);
+            }
+        }
+        for &nid in dirty_necks.iter() {
+            let nid = nid as usize;
+            let [old, new] = if dirty_stamp[nid] == rescan {
+                tree.select(ffc, nid)
+            } else {
+                tree.reparent(ffc, nid)
+            };
+            if old != new {
+                for (label, _) in old.into_iter().chain(new) {
+                    mark_label(label);
                 }
             }
         }
@@ -1228,4 +1285,139 @@ pub(crate) fn validate_event(
 /// Whether bit `v` of the word-packed bitmap `words` is set.
 fn bit(words: &[u64], v: usize) -> bool {
     words[v / 64] >> (v % 64) & 1 == 1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::churn::ChurnPlan;
+    use crate::ffc::tests::assert_maintainer_matches_scratch;
+    use crate::ffc::EmbedScratch;
+
+    /// Checks `maint` against a fresh [`RingMaintainer::reset`] of `fresh`
+    /// to the same exclusion set — every necklace's record, Y and parent —
+    /// and against a from-scratch [`Ffc::embed_into`]: stats and ring
+    /// bytes. Ring bytes alone can miss a wrong Y in the right label,
+    /// which a later batch would then compare against.
+    fn assert_matches_fresh(
+        ffc: &Ffc,
+        maint: &RingMaintainer,
+        fresh: &mut RingMaintainer,
+        scratch: &mut EmbedScratch,
+        ring: &mut Vec<usize>,
+        ctx: &str,
+    ) {
+        let faults = maint.faulty_nodes();
+        fresh.reset(ffc, faults).expect("in-range");
+        for nid in 0..maint.n_necks {
+            assert_eq!(
+                maint.tree.record(nid),
+                fresh.tree.record(nid),
+                "record of necklace {nid} diverges ({ctx}) faults={faults:?}"
+            );
+        }
+        assert_maintainer_matches_scratch(ffc, maint, scratch, ring, ctx);
+    }
+
+    /// After every batch of seeded churn streams (node and link events,
+    /// bursts of 4) on B(2,12) and B(3,7), every necklace's Y and parent
+    /// equal those a fresh `reset` to the same fault set computes.
+    #[test]
+    fn maintained_records_equal_a_fresh_reset_under_churn() {
+        for (d, n) in [(2u64, 12u32), (3, 7)] {
+            let ffc = Ffc::new(d, n);
+            let (mut maint, mut fresh) = (RingMaintainer::new(), RingMaintainer::new());
+            let mut scratch = EmbedScratch::new();
+            let mut ring = Vec::new();
+            for seed in 0..3u64 {
+                let steps = ChurnPlan::new(seed)
+                    .arrivals(80)
+                    .bursts(4, 0.4)
+                    .edge_fault_prob(0.3)
+                    .generate(&ffc);
+                maint.reset(&ffc, &[]).expect("in-range");
+                for (i, step) in steps.iter().enumerate() {
+                    maint
+                        .apply_batch(&ffc, &step.batch)
+                        .expect("generated events are valid");
+                    let ctx = format!("B({d},{n}) seed {seed} batch {i}");
+                    assert_matches_fresh(&ffc, &maint, &mut fresh, &mut scratch, &mut ring, &ctx);
+                }
+            }
+            assert!(
+                maint.repairs().incremental > 300,
+                "too few delta repairs on B({d},{n}): {:?}",
+                maint.repairs()
+            );
+        }
+    }
+
+    /// The maintainer's event stamp and the delta log's stamp both start
+    /// just below `u32::MAX`, at every offset up to 7, so their
+    /// wrap-arounds fall at each point of a batch — between the absorb's
+    /// two stamps included. Every entry of `dirty_stamp`, `label_stamp`
+    /// and `changed_stamp` holds 1, as if last stamped in the previous
+    /// cycle, so a wrap that skipped its clear would read every necklace,
+    /// label or node as already marked under the first stamp after it.
+    /// Every batch must still match a fresh reset and `embed_into`.
+    #[test]
+    fn stamps_wrap_around_mid_stream() {
+        let ffc = Ffc::new(2, 10);
+        let steps = ChurnPlan::new(7)
+            .arrivals(12)
+            .bursts(4, 0.5)
+            .edge_fault_prob(0.2)
+            .generate(&ffc);
+        let (mut maint, mut fresh) = (RingMaintainer::new(), RingMaintainer::new());
+        let mut scratch = EmbedScratch::new();
+        let mut ring = Vec::new();
+        for offset in 0..8u32 {
+            maint.reset(&ffc, &[]).expect("in-range");
+            maint.stamp = u32::MAX - offset;
+            maint.dirty_stamp.fill(1);
+            maint.label_stamp.fill(1);
+            maint.delta.set_stamp(u32::MAX - offset, 1);
+            let before = maint.repairs().incremental;
+            for (i, step) in steps.iter().enumerate() {
+                maint
+                    .apply_batch(&ffc, &step.batch)
+                    .expect("generated events are valid");
+                let ctx = format!("offset {offset} batch {i}");
+                assert_matches_fresh(&ffc, &maint, &mut fresh, &mut scratch, &mut ring, &ctx);
+            }
+            // Each batch bumps the event stamp at least once and each
+            // delta batch bumps the log stamp twice, so both wrapped.
+            assert!(steps.len() > 8 && maint.stamp < u32::MAX - 8);
+            assert!(
+                maint.repairs().incremental - before >= 4,
+                "too few delta batches"
+            );
+        }
+    }
+
+    /// `reset` sizes the delta passes' per-node arrays and n-sized
+    /// reservations, so the first batch after it does not.
+    #[test]
+    fn reset_sizes_the_delta_scratch_before_the_first_batch() {
+        let ffc = Ffc::new(2, 10);
+        let mut maint = RingMaintainer::new();
+        maint.reset(&ffc, &[]).expect("in-range");
+        let sized = maint.delta.fitted_nodes();
+        assert_eq!(
+            sized,
+            ffc.graph().len(),
+            "reset left the delta scratch unsized"
+        );
+        maint.add_fault(&ffc, 341).expect("in-range");
+        assert_eq!(
+            maint.repairs().incremental,
+            1,
+            "the batch fell back to a rebuild"
+        );
+        assert_eq!(
+            maint.delta.fitted_nodes(),
+            sized,
+            "the first batch resized the scratch"
+        );
+    }
 }

@@ -536,7 +536,7 @@ fn new_panics_on_oversized_spaces() {
 
 /// Asserts the maintainer's state equals a from-scratch embed of its
 /// accumulated fault set: stats and ring bytes.
-fn assert_maintainer_matches_scratch(
+pub(super) fn assert_maintainer_matches_scratch(
     ffc: &Ffc,
     maint: &RingMaintainer,
     scratch: &mut EmbedScratch,
