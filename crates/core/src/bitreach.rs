@@ -1038,9 +1038,10 @@ impl std::error::Error for DeltaBudgetExceeded {}
 /// Both passes drain one monotone two-level queue: every push lands
 /// exactly one level above the level being drained, so a sorted seed list
 /// plus a current/next ping-pong replaces a priority queue at O(1) per
-/// operation. Grow-only; [`DeltaScratch::fit`] sizes the per-node arrays
-/// and reserves the queues and the log to their worst case for a graph,
-/// so repairs perform no heap allocation after it.
+/// operation. Grow-only; the queues and the log are reserved to their
+/// worst case up front ([`DeltaScratch::fit`], which every pass calls),
+/// so repairs perform no heap allocation after warm-up at a fixed graph
+/// size.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaScratch {
     /// Seed entries as packed `level << 32 | node`, sorted ascending and
@@ -1071,9 +1072,8 @@ pub struct DeltaScratch {
 }
 
 impl DeltaScratch {
-    /// Creates an empty scratch; [`DeltaScratch::fit`] must size it for
-    /// the graph and [`DeltaScratch::open`] start a batch before the first
-    /// pass.
+    /// Creates an empty scratch; [`DeltaScratch::open`] must start a batch
+    /// before the first pass, and the passes size the buffers.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -1081,7 +1081,9 @@ impl DeltaScratch {
 
     /// Sizes the per-node arrays for a graph of `n_nodes` nodes and
     /// reserves the queues and the change log to their worst case, so no
-    /// pass on that graph allocates beyond its seed list. Grow-only.
+    /// pass on that graph allocates beyond its seed list. Every pass
+    /// calls it; calling it ahead moves that first sizing out of the
+    /// first pass. Grow-only.
     pub fn fit(&mut self, n_nodes: usize) {
         grow_to(&mut self.changed_stamp, n_nodes, 0);
         grow_to(&mut self.pending, n_nodes, UNREACHED);
@@ -1142,23 +1144,19 @@ impl DeltaScratch {
         caps.into_iter().chain(logs).chain(lens).min().unwrap_or(0)
     }
 
-    /// Moves the log stamp to `stamp` and marks every node as logged
-    /// under `stale`, so a test can run batches across the wrap-around
-    /// with the previous cycle's stamps left in place.
+    /// The log stamp and the per-node stamps it is compared with, so a
+    /// test can move the log across its wrap-around.
     #[cfg(test)]
-    pub(crate) fn set_stamp(&mut self, stamp: u32, stale: u32) {
-        self.stamp = stamp;
-        self.changed_stamp.fill(stale);
+    pub(crate) fn stamps_mut(&mut self) -> (&mut u32, &mut [u32]) {
+        (&mut self.stamp, &mut self.changed_stamp)
     }
 
-    /// Starts a pass: clears the queues and reserves `seed_cap` seeds.
+    /// Starts a pass: sizes the scratch for the graph, clears the queues
+    /// and reserves `seed_cap` seeds.
     fn begin(&mut self, n_nodes: usize, seed_cap: usize) {
         // Stamp 0 would read every node as already logged.
         assert_ne!(self.stamp, 0, "DeltaScratch::open must start a batch");
-        assert!(
-            self.pending.len() >= n_nodes,
-            "DeltaScratch::fit must size the scratch for the graph"
-        );
+        self.fit(n_nodes);
         self.seeds.clear();
         self.cur.clear();
         self.nxt.clear();
@@ -1305,8 +1303,7 @@ impl BitReach {
     /// keeps run the exact same monomorphised pass.
     ///
     /// # Panics
-    /// Panics if no batch was ever opened on `ds`, or if `ds` was never
-    /// [fit](DeltaScratch::fit) to a graph this large.
+    /// Panics if no batch was ever opened on `ds`.
     pub fn levels_delete<L: LevelStore, M: Fn(usize) -> bool>(
         &self,
         levels: &mut L,
@@ -1397,8 +1394,7 @@ impl BitReach {
     /// [`BitReach::levels_delete`]).
     ///
     /// # Panics
-    /// Panics if no batch was ever opened on `ds`, or if `ds` was never
-    /// [fit](DeltaScratch::fit) to a graph this large.
+    /// Panics if no batch was ever opened on `ds`.
     pub fn levels_insert<L: LevelStore, M: Fn(usize) -> bool>(
         &self,
         levels: &mut L,
@@ -1923,7 +1919,6 @@ mod tests {
                 let mut member = vec![true; n_nodes];
                 let mut levels = oracle_levels(d, n_nodes, &member, root, backward);
                 let mut ds = DeltaScratch::new();
-                ds.fit(n_nodes);
                 let mut removed: Vec<u32> = Vec::new();
                 for round in 0..30 {
                     let before = levels.clone();
@@ -1992,7 +1987,6 @@ mod tests {
         let mut member = vec![true; n_nodes];
         let mut levels = oracle_levels(d, n_nodes, &member, root, backward_false());
         let mut ds = DeltaScratch::new();
-        ds.fit(n_nodes);
         // Kill a thick band of nodes: plenty of cascading work.
         let batch: Vec<u32> = (64..256u32).collect();
         for &v in &batch {
@@ -2026,7 +2020,6 @@ mod tests {
         let root = 1usize;
         let (a, b) = ([350u32, 862], [150u32, 662]);
         let mut ds = DeltaScratch::new();
-        ds.fit(n_nodes);
         for pass in [&a, &b] {
             let mut member = vec![true; n_nodes];
             let mut levels = oracle_levels(d, n_nodes, &member, root, false);
@@ -2089,7 +2082,6 @@ mod tests {
             member[v as usize] = false;
         }
         let mut ds = DeltaScratch::new();
-        ds.fit(n_nodes);
         // A budget-bounded run aborts mid-climb: the deterministic pass
         // leaves both stores in the same partial state, pinning escaped
         // values (> 253) bit-for-bit.

@@ -460,13 +460,13 @@ impl TreeRecord {
 /// [`super::RingMaintainer`] each own one: the engine builds it once per
 /// embedding ([`TreeStage::build`]), the maintainer also repairs it one
 /// necklace and one label ([`TreeStage::rewire`]) at a time. A necklace's
-/// record is repaired in one of three ways, by what changed: a full
-/// re-selection over its members ([`TreeStage::select`]), one changed
-/// member offered as the new Y ([`TreeStage::offer`]), or the parent
-/// alone recomputed from Y's d predecessors ([`TreeStage::reparent`]).
-/// The argmin key ([`TreeStage::key`]) and the parent rule
-/// ([`TreeStage::parent_of`]) are each written once, for the build and
-/// the repairs alike.
+/// record is repaired in one of two ways, by what changed: a full
+/// re-selection over its members ([`TreeStage::select`]) when its Y may
+/// have moved (Y's level rose, or a changed member [`TreeStage::beats`]
+/// it), or the parent alone recomputed from Y's d predecessors
+/// ([`TreeStage::reparent`]) when only the levels of Y or its
+/// predecessors did. The parent rule ([`TreeStage::parent_of`]) is
+/// written once, for the build and the repairs alike.
 ///
 /// It holds the broadcast levels, one [`TreeRecord`] per necklace, and the
 /// wiring the readoff walks. The w-groups are not stored: the children of
@@ -534,11 +534,13 @@ impl TreeStage {
     /// current levels and returns its tree edge — (label w, parent
     /// necklace) — before and after. The root's necklace and a necklace
     /// outside B* (dead ones included) have no record. Otherwise Y is the
-    /// member with the least [`TreeStage::key`] (reached first, ties to the
-    /// minimal node) and the parent follows from Y
+    /// member with the least [`TreeStage::key`] (reached first, ties to
+    /// the minimal node), and the parent follows from Y
     /// ([`TreeStage::parent_of`]).
     pub(crate) fn select(&mut self, ffc: &Ffc, nid: usize) -> [Option<(usize, u32)>; 2] {
-        let old = self.edge(ffc.tables.d, nid);
+        let t = &ffc.tables;
+        let old = self.edge(t.d, nid);
+        let levels = &self.levels;
         let members = ffc.partition.members(nid);
         let best = if nid == self.root_neck {
             u64::MAX
@@ -553,9 +555,7 @@ impl TreeStage {
             TreeRecord::NONE
         } else {
             debug_assert!(
-                members
-                    .iter()
-                    .all(|&m| self.levels.get(m as usize) != UNREACHED),
+                members.iter().all(|&m| levels.get(m as usize) != UNREACHED),
                 "B* necklace member without a level"
             );
             let y = best as u32;
@@ -564,7 +564,7 @@ impl TreeStage {
                 parent: self.parent_of(ffc, y as usize, lvl),
             }
         };
-        [old, self.edge(ffc.tables.d, nid)]
+        [old, self.edge(t.d, nid)]
     }
 
     /// Recomputes necklace `nid`'s parent from its current Y in O(d), with
@@ -596,18 +596,14 @@ impl TreeStage {
         ffc.partition.membership()[parent]
     }
 
-    /// The incremental argmin step for member `u` of necklace `nid`, whose
-    /// level changed: `u` becomes Y if it has a level and its key beats
-    /// the current Y's under the current levels, or the necklace has no
-    /// record yet (it is joining B*). Returns the Y it replaced ([`NONE`]
-    /// for a new record); the parent is left for
-    /// [`TreeStage::reparent`]. The root's necklace never takes a record.
-    pub(crate) fn offer(&mut self, nid: usize, u: usize) -> Option<u32> {
+    /// Whether member `u` of necklace `nid` would be chosen over its
+    /// current Y: `u` has a level and a lesser [`TreeStage::key`], or the
+    /// necklace has no record. The root's necklace never takes a record.
+    pub(crate) fn beats(&self, nid: usize, u: usize) -> bool {
         let y = self.records[nid].y;
-        let beats = nid != self.root_neck
+        nid != self.root_neck
             && self.levels.get(u) != UNREACHED
-            && (y == NONE || self.key(u) < self.key(y as usize));
-        beats.then(|| std::mem::replace(&mut self.records[nid].y, u as u32))
+            && (y == NONE || self.key(u) < self.key(y as usize))
     }
 
     /// Necklace `nid`'s record as (Y, parent), [`NONE`] for both when it

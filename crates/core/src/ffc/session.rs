@@ -30,12 +30,12 @@
 //! ([`crate::bitreach::BitReach::levels_insert`]). Both are
 //! **bit-identical to recompute** — BFS levels are canonical — so every
 //! downstream phase repair (necklace re-selection, w-group rewiring) is
-//! confined to the necklaces whose chosen node, or a predecessor of it,
-//! actually changed level, or which hold a changed member that beats it
-//! (see `absorb_bcast_changes`), and the maintainer's stats and ring bytes
-//! equal a from-scratch [`Ffc::embed_into`] of the accumulated fault set
-//! after every event (pinned exhaustively over all arrival orders of
-//! ≤2-fault sets and by B(2,14) property tests).
+//! confined to the necklaces whose chosen node may have moved or has a
+//! changed predecessor (see `absorb_bcast_changes`), and the
+//! maintainer's stats and ring bytes equal a from-scratch
+//! [`Ffc::embed_into`] of the accumulated fault set after every event
+//! (pinned exhaustively over all arrival orders of ≤2-fault sets and by
+//! B(2,14) property tests).
 //!
 //! Every delta pass of a batch — the forward and backward delete and
 //! insert passes and the two broadcast passes — charges its queue pops to
@@ -971,40 +971,34 @@ impl RingMaintainer {
 
     /// Applies the broadcast passes' change log — each changed node once,
     /// with its level before the batch — to the histogram and the tree
-    /// stage, in work proportional to the log. No member scan runs unless
-    /// a necklace's Y rose.
+    /// stage, in work proportional to the log. A necklace's members are
+    /// scanned only when its Y may have moved.
     ///
-    /// 1. One pass over the log, on the records as they were before the
-    ///    batch: the histogram (and eccentricity); a rescan flag for the
-    ///    necklace of every changed node u that was its Y and rose
-    ///    ([`UNREACHED`] counting as highest); and, by the successor rule,
-    ///    a mark for the necklace of a B* successor of u, s = (u mod
-    ///    d^(n−1))·d + a, only when s is that necklace's Y — a parent is
-    ///    read from Y's predecessors alone.
-    /// 2. The incremental argmin ([`TreeStage::offer`]): on every
-    ///    necklace not flagged, a changed node with a level becomes Y if
-    ///    its (level, node) key beats Y's current one. This is exact: an
-    ///    unchanged member kept its old key, which is ≥ the old Y's old
-    ///    key, which is ≥ the old Y's current key since the old Y did not
-    ///    rise; so the new argmin is the old Y or a changed member. A
-    ///    necklace joining B* takes its Y from its logged members, which
-    ///    are all of them (B* is a union of whole necklaces). A change of
-    ///    Y, and a change of Y's own level, mark the necklace; a Y that
-    ///    moves to another label dirties both labels.
-    /// 3. Each flagged necklace is re-selected over its members
-    ///    ([`TreeStage::select`]), each marked one recomputes its parent
-    ///    in O(d) ([`TreeStage::reparent`]), and every changed tree edge
-    ///    dirties the labels of its old and new edge. The dirty labels'
-    ///    w-groups are rewired from the final records.
+    /// For each changed node u, on necklace N:
+    /// - **Incremental argmin.** N is re-selected over its members
+    ///   ([`TreeStage::select`]) when u is N's Y and its level rose
+    ///   ([`UNREACHED`] counting as highest), or when u beats N's Y
+    ///   ([`TreeStage::beats`]; a necklace joining B* has no Y, and all
+    ///   its members are in the log). Otherwise Y stays: an unchanged
+    ///   member kept its level and was not chosen over Y before the
+    ///   batch, and Y did not rise.
+    /// - **Successor rule.** A parent is read from the levels of Y and Y's
+    ///   d predecessors alone, so u marks the necklace of a successor
+    ///   s = (u mod d^(n−1))·d + a only when s is that necklace's Y, to
+    ///   recompute its parent in O(d) ([`TreeStage::reparent`]). Y's own
+    ///   level is one more than its predecessors' least, so a Y whose
+    ///   level fell has a changed predecessor and is marked this way.
+    ///
+    /// Records are re-selected while the log is read. That is exact: a
+    /// re-selection runs on the batch's final levels, so its record is
+    /// final (a later mark only recomputes the same parent), and every
+    /// other necklace keeps its Y through the pass. Every changed tree
+    /// edge dirties the labels of its old and new edge, and the dirty
+    /// labels' w-groups are rewired from the final records.
     fn absorb_bcast_changes(&mut self, ffc: &Ffc) {
         let membership = ffc.partition.membership();
         let (d, suffix) = (self.d, self.suffix);
-        // Both stamps are drawn before any mark, so a wrap-around between
-        // them clears nothing this absorb marked. `dirty_stamp[nid]` reads
-        // `dirty` (recompute the parent) or `rescan` (re-select), and
-        // `label_stamp` reads `dirty` for a label to rewire.
-        let dirty = self.bump_stamp();
-        let rescan = self.bump_stamp();
+        let stamp = self.bump_stamp();
         self.dirty_necks.clear();
         self.dirty_labels.clear();
         let Self {
@@ -1019,13 +1013,20 @@ impl RingMaintainer {
             dirty_labels,
             ..
         } = self;
-        // Lists a necklace under `flag` once; a rescan is never downgraded.
-        let mut mark = |slot: &mut u32, nid: usize, flag: u32| {
-            if *slot != dirty && *slot != rescan {
+        let mut mark = |nid: usize| {
+            if dirty_stamp[nid] != stamp {
+                dirty_stamp[nid] = stamp;
                 dirty_necks.push(nid as u32);
             }
-            if *slot != rescan {
-                *slot = flag;
+        };
+        let mut mark_labels = |[old, new]: [Option<(usize, u32)>; 2]| {
+            if old != new {
+                for (label, _) in old.into_iter().chain(new) {
+                    if label_stamp[label] != stamp {
+                        label_stamp[label] = stamp;
+                        dirty_labels.push(label as u32);
+                    }
+                }
             }
         };
         for (u, old) in delta.changed() {
@@ -1044,65 +1045,27 @@ impl RingMaintainer {
                 *max_level = (*max_level).max(new);
             }
             let nid = membership[u] as usize;
-            if new > old && tree.chosen(nid) == u as u32 {
-                mark(&mut dirty_stamp[nid], nid, rescan);
+            if (tree.chosen(nid) == u as u32 && new > old) || tree.beats(nid, u) {
+                mark_labels(tree.select(ffc, nid));
             }
             let base = (u % suffix) * d;
             for (s, &ns) in (base..).zip(&membership[base..base + d]) {
                 if tree.chosen(ns as usize) == s as u32 {
-                    mark(&mut dirty_stamp[ns as usize], ns as usize, dirty);
+                    mark(ns as usize);
                 }
-            }
-        }
-        while *max_level > 0 && level_counts[*max_level] == 0 {
-            *max_level -= 1;
-        }
-        debug_assert_eq!(
-            level_counts.iter().map(|&c| c as usize).sum::<usize>(),
-            self.component_size,
-            "histogram out of sync with |B*|"
-        );
-
-        let mut mark_label = |label: usize| {
-            if label_stamp[label] != dirty {
-                label_stamp[label] = dirty;
-                dirty_labels.push(label as u32);
-            }
-        };
-        for (u, _) in delta.changed() {
-            let u = u as usize;
-            let nid = membership[u] as usize;
-            if dirty_stamp[nid] == rescan {
-                continue;
-            }
-            if tree.chosen(nid) == u as u32 {
-                mark(&mut dirty_stamp[nid], nid, dirty);
-            } else if let Some(prev) = tree.offer(nid, u) {
-                // A w-group's wiring depends on which necklaces are its
-                // children, not on their Y: a Y that stays in its label
-                // rewires it only if the parent changes (below).
-                if prev as usize / d != u / d {
-                    if prev != NONE {
-                        mark_label(prev as usize / d);
-                    }
-                    mark_label(u / d);
-                }
-                mark(&mut dirty_stamp[nid], nid, dirty);
             }
         }
         for &nid in dirty_necks.iter() {
-            let nid = nid as usize;
-            let [old, new] = if dirty_stamp[nid] == rescan {
-                tree.select(ffc, nid)
-            } else {
-                tree.reparent(ffc, nid)
-            };
-            if old != new {
-                for (label, _) in old.into_iter().chain(new) {
-                    mark_label(label);
-                }
-            }
+            mark_labels(tree.reparent(ffc, nid as usize));
         }
+        while self.max_level > 0 && self.level_counts[self.max_level] == 0 {
+            self.max_level -= 1;
+        }
+        debug_assert_eq!(
+            self.level_counts.iter().map(|&c| c as usize).sum::<usize>(),
+            self.component_size,
+            "histogram out of sync with |B*|"
+        );
         // Rewiring rewrites the exit bits of a label's d possible exits
         // a·d^(n−1)+w, so their snapshot chunks are dirty.
         for i in 0..self.dirty_labels.len() {
@@ -1354,17 +1317,21 @@ mod tests {
 
     /// The maintainer's event stamp and the delta log's stamp both start
     /// just below `u32::MAX`, at every offset up to 7, so their
-    /// wrap-arounds fall at each point of a batch — between the absorb's
-    /// two stamps included. Every entry of `dirty_stamp`, `label_stamp`
-    /// and `changed_stamp` holds 1, as if last stamped in the previous
-    /// cycle, so a wrap that skipped its clear would read every necklace,
-    /// label or node as already marked under the first stamp after it.
-    /// Every batch must still match a fresh reset and `embed_into`.
+    /// wrap-arounds fall at each point of a batch. Every entry of
+    /// `dirty_stamp`, `label_stamp` and `changed_stamp` starts at 1, as if
+    /// last stamped in the previous cycle. After a batch in which a stamp
+    /// wrapped, it is moved back to the same offset below `u32::MAX` with
+    /// the arrays left as they are, standing in for the next cycle: a
+    /// stamp of the old cycle written after a wrap's clear, or a clear
+    /// that was skipped, then reads a necklace, label or node as already
+    /// marked. Every batch must still match a fresh reset and
+    /// `embed_into`.
     #[test]
     fn stamps_wrap_around_mid_stream() {
+        const NEAR_WRAP: u32 = u32::MAX - 8;
         let ffc = Ffc::new(2, 10);
         let steps = ChurnPlan::new(7)
-            .arrivals(12)
+            .arrivals(24)
             .bursts(4, 0.5)
             .edge_fault_prob(0.2)
             .generate(&ffc);
@@ -1376,21 +1343,29 @@ mod tests {
             maint.stamp = u32::MAX - offset;
             maint.dirty_stamp.fill(1);
             maint.label_stamp.fill(1);
-            maint.delta.set_stamp(u32::MAX - offset, 1);
-            let before = maint.repairs().incremental;
+            let (log_stamp, logged) = maint.delta.stamps_mut();
+            *log_stamp = u32::MAX - offset;
+            logged.fill(1);
+            let (mut wraps, mut log_wraps) = (0, 0);
             for (i, step) in steps.iter().enumerate() {
                 maint
                     .apply_batch(&ffc, &step.batch)
                     .expect("generated events are valid");
                 let ctx = format!("offset {offset} batch {i}");
                 assert_matches_fresh(&ffc, &maint, &mut fresh, &mut scratch, &mut ring, &ctx);
+                if maint.stamp < NEAR_WRAP {
+                    maint.stamp = u32::MAX - offset;
+                    wraps += 1;
+                }
+                let (log_stamp, _) = maint.delta.stamps_mut();
+                if *log_stamp < NEAR_WRAP {
+                    *log_stamp = u32::MAX - offset;
+                    log_wraps += 1;
+                }
             }
-            // Each batch bumps the event stamp at least once and each
-            // delta batch bumps the log stamp twice, so both wrapped.
-            assert!(steps.len() > 8 && maint.stamp < u32::MAX - 8);
             assert!(
-                maint.repairs().incremental - before >= 4,
-                "too few delta batches"
+                wraps >= 3 && log_wraps >= 3,
+                "offset {offset}: {wraps} event-stamp and {log_wraps} log-stamp wraps"
             );
         }
     }
