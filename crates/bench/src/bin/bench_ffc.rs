@@ -42,7 +42,10 @@
 //!   against.
 //! * **Serve tiers** (`"mode": "serve"`) — B(2,16), B(2,18), B(2,20) and
 //!   B(2,22): the ring-as-a-service read path. A `RingService` writer thread drains
-//!   a PR 6 `ChurnPlan` trace (paced over the measurement window) while
+//!   a PR 6 `ChurnPlan` trace (paced over the measurement window, at least
+//!   [`SERVE_STEP_PACE`] per step; the B(2,20) and B(2,22) traces are long
+//!   enough for more than 1,000 batches, so their p99s are not single
+//!   maxima) while
 //!   1, 2 and 4 reader threads walk the ring in `ring_segment` strides of
 //!   256 through epoch-refreshing `ReaderHandle`s. Each configuration is
 //!   measured twice with identical writer-side work: **live** readers
@@ -54,8 +57,9 @@
 //!   `repair_p50_ns` / `repair_p99_ns` / `repair_max_ns` (the worst
 //!   batch) with `rebuild_ns` (the median warm `reset` of the trace's
 //!   final fault set), `copied_chunks_per_publication`
-//!   (snapshot chunk buffers a batch's publication copied — the O(cone)
-//!   witness), and the gated `best_vs_frozen`
+//!   (dirty snapshot chunks a batch's publication copied — the O(cone)
+//!   witness) with `forwarded_chunks_per_publication` (clean chunks it
+//!   re-copied only to retire a sparse segment), and the gated `best_vs_frozen`
 //!   = best `vs_frozen` across reader counts — the CI floor that keeps
 //!   epoch publication free for readers (PR 10 unified the field name:
 //!   serve tiers used to overload `speedup`, which named a different
@@ -63,7 +67,7 @@
 //!   is asserted bit-identical (stats + ring bytes) to a from-scratch
 //!   `embed_into` of the trace's cumulative fault set. A serve row's
 //!   `allocated_bytes` is the service's footprint: the writer's maintainer
-//!   session plus every chunk the final snapshot references.
+//!   session plus every segment the final snapshot references.
 //! * **Churn tiers** (`"mode": "churn"`) — B(2,16), B(2,18) and B(2,20):
 //!   a deterministic churn trace (Poisson arrivals, correlated 4-bursts,
 //!   20% link faults, bounded repair times) replayed through the
@@ -248,6 +252,13 @@ const PUBLISH_GATE_NODES: f64 = (1u64 << 20) as f64;
 /// the live-vs-frozen ratio is a wash by design, so it needs more samples
 /// than the order-of-magnitude speedups elsewhere to beat scheduler noise.
 const SERVE_REPS: usize = 5;
+
+/// Least mean gap, per churn step, a serve run paces its trace at. The
+/// million-node tiers stream 1,400 to 1,800 steps so their p99 latencies have
+/// ten batches beyond them; at this pace the writer keeps up between its
+/// heavy batches, so the steps stay separate batches rather than
+/// coalescing.
+const SERVE_STEP_PACE: Duration = Duration::from_millis(2);
 
 /// Timed warm `reset`s behind a row's `rebuild_ns` (the median is kept).
 const REBUILD_REPS: usize = 5;
@@ -769,8 +780,8 @@ fn main() {
         churn_tier(2, 20, 16, true),
         serve_tier(2, 16, 60, false),
         serve_tier(2, 18, 24, true),
-        serve_tier(2, 20, 10, true),
-        serve_tier(2, 22, 8, true),
+        serve_tier(2, 20, 500, true),
+        serve_tier(2, 22, 640, true),
     ];
 
     let mut matched = 0usize;
@@ -814,10 +825,11 @@ fn main() {
             let excl = exclusion_of(&events);
             let want = ffc.embed_into(&mut scratch, &excl);
             let want_hash = ring_hash(scratch.cycle());
-            // The big tiers pace fewer, heavier repairs through the same
-            // window; give them a longer one so the bursty writer work
-            // averages out of the reader-throughput ratio.
-            let window = Duration::from_millis(if cfg.skip_in_smoke { 500 } else { 250 });
+            // The big tiers pace heavier repairs; give them a longer window
+            // so the bursty writer work averages out of the reader-throughput
+            // ratio, and at least `SERVE_STEP_PACE` per step.
+            let window = Duration::from_millis(if cfg.skip_in_smoke { 500 } else { 250 })
+                .max(SERVE_STEP_PACE * steps.len() as u32);
             let mut reader_rows = Vec::new();
             let mut best_overall = 0.0f64;
             let mut gate_report: Option<(ServiceReport, Arc<RingSnapshot>)> = None;
@@ -874,10 +886,11 @@ fn main() {
             let repair_max = report.repair_quantile_ns(1.0);
             let rebuild = warm_rebuild_ns(&ffc, &mut RingMaintainer::new(), &excl);
             let copied_per_pub = report.copied_chunks as f64 / report.batches.max(1) as f64;
+            let forwarded_per_pub = report.forwarded_chunks as f64 / report.batches.max(1) as f64;
             eprintln!(
                 "{label}: serve publish p50 {:.1} µs p99 {:.1} µs (repair p99 {:.1} µs) over {} \
-                 publications, {copied_per_pub:.1} chunks copied per publication ({} events \
-                 coalesced into {} batches)",
+                 publications, {copied_per_pub:.1} chunks copied and {forwarded_per_pub:.1} \
+                 forwarded per publication ({} events coalesced into {} batches)",
                 p50 as f64 / 1e3,
                 p99 as f64 / 1e3,
                 rp99 as f64 / 1e3,
@@ -897,6 +910,7 @@ fn main() {
                  \"repair_p50_ns\": {rp50},\n      \"repair_p99_ns\": {rp99},\n      \
                  \"repair_max_ns\": {repair_max},\n      \"rebuild_ns\": {rebuild},\n      \
                  \"copied_chunks_per_publication\": {copied_per_pub:.1},\n      \
+                 \"forwarded_chunks_per_publication\": {forwarded_per_pub:.1},\n      \
                  \"allocated_bytes\": {},\n      \
                  \"readers\": [\n{}\n      ],\n      \
                  \"best_vs_frozen\": {best_overall:.2}\n    }}",
@@ -1361,12 +1375,13 @@ fn main() {
          publish_p50/p99_ns the snapshot-publication latency (publish_p99_ns gated <= \
          repair_p99_ns from 2^20 nodes up), repair_max_ns the writer's worst batch, \
          rebuild_ns the median warm RingMaintainer::reset of the trace's final fault set, \
-         copied_chunks_per_publication the snapshot chunk \
-         buffers each batch's publication copied, and every run's final snapshot \
+         copied_chunks_per_publication the dirty snapshot chunks each batch's publication \
+         copied, forwarded_chunks_per_publication the clean chunks it re-copied only to \
+         retire a sparse segment, and every run's final snapshot \
          is asserted bit-identical to a from-scratch embed of the trace's fault set; \
          every tier's allocated_bytes is the audited steady-state footprint of its scratch \
          or maintainer after warmup (serve tiers: the writer's session plus the final \
-         snapshot's chunks); \
+         snapshot's segments); \
          the optional kernels array races the two-phase scalar dense kernel against the fused \
          single-pass kernel over warm bitmaps (speedup = scalar/fused, newly-visited checksums \
          asserted identical) and, in kind=skip_scan rows, full-bitmap sparse-frontier \

@@ -1,4 +1,4 @@
-//! Immutable, refcounted ring snapshots and their chunked copy-on-write
+//! Immutable, refcounted ring snapshots and their segmented copy-on-write
 //! builder.
 //!
 //! [`super::RingMaintainer`] is the *mutable* half of the embedding state:
@@ -9,26 +9,52 @@
 //! `successor`/`contains`/ring-walk queries — frozen behind `Arc`s so any
 //! number of readers can hold it while repairs continue on the maintainer.
 //!
-//! A snapshot is cut into chunks of `CHUNK_NODES` (4096) consecutive node
-//! ids. Each chunk holds one `Arc` per buffer:
+//! A snapshot is cut into chunks of `CHUNK_NODES` (2048) consecutive node
+//! ids, in three groups:
 //!
 //! * a record of the chunk's membership and exit words, **interleaved**
 //!   word by word, so `contains` plus the exit test of `successor` read one
 //!   cache line;
 //! * the packed entry digits: a w-exit αw's successor is w·d+β, so the
 //!   chunk stores β in b bits per node (b the smallest power of two
-//!   ≥ ⌈log2 d⌉: 512 B per chunk at d = 2), zero at every non-exit node;
+//!   ≥ ⌈log2 d⌉: 256 B per chunk at d = 2), zero at every non-exit node;
 //! * the broadcast levels in the compact one-byte [`LevelVec`] encoding.
+//!
+//! Each group stores its chunks in **segments**: immutable `Arc<[_]>`
+//! blocks of chunks, at most `MAX_SEGMENTS` (64) per group, shared between
+//! generations. A snapshot holds per group a location table (segment and
+//! slot per chunk) and the `Arc`s of its segments, so a reader's lookup
+//! costs one table load and one load from the small segment list before
+//! the chunk itself.
 //!
 //! The maintainer marks, per structure group (membership, ring wiring,
 //! broadcast levels), the chunks a repair dirtied, from change logs it keeps
-//! anyway. [`SnapshotPublisher`] copies exactly those chunks and shares
-//! every other chunk with the previous snapshot by refcount, so a
-//! publication costs the dirty chunks' copies plus one refcount bump per
-//! clean chunk. A single-necklace repair dirties the necklace's rotations,
-//! which land in a few dozen chunks of a million-node graph, not in all of
-//! them (PERF.md has the measured counts). A chunk is freed when the last
-//! snapshot referencing it drops; there is no buffer pool.
+//! anyway. [`SnapshotPublisher`] writes exactly those chunks, once each,
+//! into one new segment per group, copies the previous location table and
+//! points the dirty chunks at their new slots; every other chunk stays
+//! where it was. A publication thus costs the dirty chunks' copies, a
+//! table copy of a few KB and a refcount per segment — not one per chunk —
+//! and dropping a generation costs one decrement per segment. A single-
+//! necklace repair dirties the necklace's rotations, which land in a few
+//! dozen chunks of a million-node graph (PERF.md has the measured counts).
+//!
+//! A chunk a later publication rewrote stays in its old segment as dead
+//! weight until the segment is retired: when a segment's live chunks fill
+//! less than a quarter of it, and, while a group would exceed
+//! `MAX_SEGMENTS` segments, for the segments with the fewest live chunks,
+//! the publisher *forwards* the segment's live chunks into the new segment
+//! and drops the old one from the table
+//! ([`SnapshotPublisher::forwarded_chunks`] counts them). Every segment a
+//! snapshot references is therefore at least a quarter live, and the bytes
+//! it references stay within four times one flat copy. A segment is freed
+//! when the last snapshot referencing it drops.
+//!
+//! A first publication puts each chunk in its own segment when a group has
+//! at most 512 chunks (B(2,20) has 512), and otherwise cuts it into 512
+//! equal segments; the next publication brings the group down to
+//! `MAX_SEGMENTS`, forwarding single chunks. Chunk-sized first pieces are
+//! the allocation pattern under which glibc keeps a torn-down service's
+//! heap for the next one (PERF.md, PR 22, measured the page faults).
 
 use std::sync::Arc;
 
@@ -39,21 +65,32 @@ use crate::bitreach::{LevelVec, UNREACHED};
 use crate::mem::{decode_level, grow_to, UNREACHED_U8};
 
 /// Log2 of [`CHUNK_NODES`].
-const CHUNK_SHIFT: u32 = 12;
+const CHUNK_SHIFT: u32 = 11;
 /// Nodes per snapshot chunk. Smaller chunks copy less per dirty chunk but
-/// pay more refcount bumps per publication; the PERF.md sweep measured
-/// 1024/4096/16384 and kept 4096.
+/// make longer location tables, and more segments for the cleaner to
+/// retire; PERF.md compares 1024, 2048 and 4096 and kept 2048.
 pub(crate) const CHUNK_NODES: usize = 1 << CHUNK_SHIFT;
 const CHUNK_MASK: usize = CHUNK_NODES - 1;
 /// Bitmap words per chunk.
 const CHUNK_WORDS: usize = CHUNK_NODES / 64;
 
+/// Most segments a group keeps after any publication but the first. The
+/// quarter-live rule alone keeps about 1.4 × chunks / dirty chunks per
+/// publication (28 at B(2,20), 105 at B(2,22)); above the bound the
+/// segments with the fewest live chunks, the cheapest to forward, go.
+const MAX_SEGMENTS: usize = 64;
+/// A segment whose live chunks fill less than `1 / LIVE_DIVISOR` of its
+/// slots is retired at the next publication.
+const LIVE_DIVISOR: usize = 4;
+/// Low bits of a location-table entry that name the segment (a first
+/// publication names up to `1 << SEG_BITS` segments); the chunk's slot in
+/// that segment sits above them.
+const SEG_BITS: u32 = 9;
+const SEG_MASK: u32 = (1 << SEG_BITS) - 1;
+
 /// One chunk's bitmaps: `[membership, exit]` per 64 nodes.
 type BitsChunk = [[u64; 2]; CHUNK_WORDS];
-/// One chunk's entry digits: `DigitWidth::words(CHUNK_NODES)` words.
-type DigitChunk = [u64];
 type LevelChunk = [u8; CHUNK_NODES];
-
 /// Per-chunk dirty bits of one snapshot group, marked by node id. The
 /// maintainer keeps one per group and clears them after each publication.
 #[derive(Clone, Debug, Default)]
@@ -87,8 +124,9 @@ impl ChunkMask {
         self.words.fill(0);
     }
 
-    fn is_marked(&self, chunk: usize) -> bool {
-        self.words[chunk / 64] >> (chunk % 64) & 1 == 1
+    /// The marks of chunks `64 i .. 64 i + 64`.
+    fn word(&self, i: usize) -> u64 {
+        self.words[i]
     }
 
     fn any(&self) -> bool {
@@ -137,10 +175,10 @@ impl std::fmt::Display for LookupError {
 impl std::error::Error for LookupError {}
 
 /// One immutable generation of the maintained ring: everything the read
-/// path needs, in chunks shared behind `Arc`s. Cheap to clone (one
-/// refcount bump per chunk buffer); safe to hold across any number of
-/// subsequent repairs — the chunks it references are never mutated after
-/// publication.
+/// path needs, in segments shared behind `Arc`s. Cheap to clone (one
+/// location table per group and one refcount bump per segment); safe to
+/// hold across any number of subsequent repairs — the segments it
+/// references are never mutated after publication.
 #[derive(Clone)]
 pub struct RingSnapshot {
     pub(crate) d: usize,
@@ -155,13 +193,14 @@ pub struct RingSnapshot {
     /// Publication sequence number (1 = the initial publication).
     pub(crate) seq: u64,
     pub(crate) stats: EmbedStats,
-    /// Chunk tables, one per buffer: node `v` lives in chunk
-    /// `v / CHUNK_NODES` of each. `bits` is copied when the membership or
-    /// the ring group dirtied the chunk, `digits` when the ring group did,
-    /// `levels` when the level group did.
-    bits: Box<[Arc<BitsChunk>]>,
-    digits: Box<[Arc<DigitChunk>]>,
-    levels: Box<[Arc<LevelChunk>]>,
+    /// One segment table per group: node `v` lives in chunk
+    /// `v / CHUNK_NODES` of each. A `bits` chunk is rewritten when the
+    /// membership or the ring group dirtied it, a `digits` chunk (a run of
+    /// `DigitWidth::words(CHUNK_NODES)` words) when the ring group did, a
+    /// `levels` chunk when the level group did.
+    bits: Segments<BitsChunk>,
+    digits: Segments<u64>,
+    levels: Segments<LevelChunk>,
     /// Broadcast levels too large for the byte encoding, as (node, level)
     /// pairs — empty in steady state (see [`LevelVec`]).
     level_overflow: Vec<(u32, u32)>,
@@ -206,18 +245,14 @@ impl RingSnapshot {
         self.stats.component_size
     }
 
-    /// Bytes of every chunk this snapshot references, shared ones
-    /// included, plus its chunk table — the read side's footprint.
+    /// Bytes of every segment this snapshot references, shared ones and
+    /// the dead chunks they still hold included, plus its location tables —
+    /// the read side's footprint.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.bits.len()
-            * (size_of::<Arc<BitsChunk>>()
-                + size_of::<Arc<DigitChunk>>()
-                + size_of::<Arc<LevelChunk>>()
-                + size_of::<BitsChunk>()
-                + 8 * self.width.words(CHUNK_NODES)
-                + size_of::<LevelChunk>())
+        self.bits.allocated_bytes()
+            + self.digits.allocated_bytes()
+            + self.levels.allocated_bytes()
             + 8 * self.level_overflow.capacity()
     }
 
@@ -231,7 +266,8 @@ impl RingSnapshot {
     /// `v`'s `[membership, exit]` word pair.
     #[inline]
     fn words(&self, v: usize) -> [u64; 2] {
-        self.bits[v >> CHUNK_SHIFT][(v & CHUNK_MASK) / 64]
+        let (seg, slot) = self.bits.locate(v >> CHUNK_SHIFT);
+        seg[slot][(v & CHUNK_MASK) / 64]
     }
 
     #[inline]
@@ -251,10 +287,11 @@ impl RingSnapshot {
     }
 
     // `contains` and `successor` inline across crates, so a reader's checked
-    // pair on one node loads its chunk-table entry and word pair once. The
-    // exit path's digit decode put `successor` past the compiler's inlining
-    // threshold, and a call per lookup cost a quarter or more on random
-    // checked pairs at B(2,20), so the successor path is always inlined.
+    // pair on one node loads its location-table entry, segment and word
+    // pair once. The exit path's digit decode put `successor` past the
+    // compiler's inlining threshold, and a call per lookup cost a quarter
+    // or more on random checked pairs at B(2,20), so the successor path is
+    // always inlined.
 
     /// Whether node `u` rides the served ring.
     ///
@@ -274,8 +311,8 @@ impl RingSnapshot {
     /// [`LookupError::NodeOutOfRange`] for an id outside the graph.
     pub fn broadcast_level(&self, u: usize) -> Result<Option<u32>, LookupError> {
         self.check_node(u)?;
-        let byte = self.levels[u >> CHUNK_SHIFT][u & CHUNK_MASK];
-        let l = decode_level(byte, u, &self.level_overflow);
+        let (seg, slot) = self.levels.locate(u >> CHUNK_SHIFT);
+        let l = decode_level(seg[slot][u & CHUNK_MASK], u, &self.level_overflow);
         Ok((l != UNREACHED).then_some(l))
     }
 
@@ -297,9 +334,12 @@ impl RingSnapshot {
     fn successor_unchecked(&self, u: usize) -> usize {
         let (d, suffix) = (self.d, self.suffix);
         let exit = self.words(u)[1] >> (u % 64) & 1 == 1;
+        // A digit chunk is a run of words in its segment, so the segment
+        // reads as one packed table in which the chunk's nodes sit at
+        // `slot * CHUNK_NODES` onwards.
         let digit = || {
-            self.width
-                .get(&self.digits[u >> CHUNK_SHIFT], u & CHUNK_MASK)
+            let (seg, slot) = self.digits.locate(u >> CHUNK_SHIFT);
+            self.width.get(seg, slot << CHUNK_SHIFT | (u & CHUNK_MASK))
         };
         if d.is_power_of_two() {
             // The shift form: the two divisions would bound a ring walk.
@@ -384,7 +424,7 @@ pub(crate) struct SnapshotParts<'a> {
     pub applied_events: u64,
 }
 
-/// Builds [`RingSnapshot`]s chunk by chunk, copy-on-write.
+/// Builds [`RingSnapshot`]s segment by segment, copy-on-write.
 ///
 /// Owned by whatever drives the maintainer (the [`crate::serve::RingService`]
 /// writer thread, a test harness): it is the *single-threaded* producer
@@ -397,7 +437,7 @@ pub struct SnapshotPublisher {
     shared_ring: u64,
     shared_membership: u64,
     shared_levels: u64,
-    copied_chunks: u64,
+    tally: Tally,
 }
 
 impl SnapshotPublisher {
@@ -432,14 +472,24 @@ impl SnapshotPublisher {
         self.shared_levels
     }
 
-    /// Chunk buffers copied over all publications: a dirty chunk costs one
-    /// copy of each buffer its groups touch (membership/exit record,
-    /// entry digits, levels). A first publication copies all three buffers of
-    /// every chunk; later ones copy only what repairs dirtied, which is
-    /// what makes publication O(cone) rather than O(n).
+    /// Dirty-chunk copies over all publications: a dirty chunk costs one
+    /// copy in each group it touches (membership/exit record, entry
+    /// digits, levels). A first publication copies every chunk of all
+    /// three groups; later ones copy only what repairs dirtied, which is
+    /// what makes publication O(cone) rather than O(n). Chunks moved only
+    /// to retire a segment are counted by
+    /// [`SnapshotPublisher::forwarded_chunks`] instead.
     #[must_use]
     pub fn copied_chunks(&self) -> u64 {
-        self.copied_chunks
+        self.tally.copied
+    }
+
+    /// Clean chunks re-copied over all publications only because their
+    /// segment was retired (too sparse, or one segment too many) — the
+    /// cleaner's work, on top of [`SnapshotPublisher::copied_chunks`].
+    #[must_use]
+    pub fn forwarded_chunks(&self) -> u64 {
+        self.tally.forwarded
     }
 
     /// The most recently published snapshot, if any.
@@ -448,8 +498,9 @@ impl SnapshotPublisher {
         self.prev.as_ref()
     }
 
-    /// Assembles a snapshot from the maintainer's current structures, copying
-    /// the chunks the masks flag dirty and sharing every other chunk with
+    /// Assembles a snapshot from the maintainer's current structures,
+    /// writing the chunks the masks flag dirty into one new segment per
+    /// group and leaving every other chunk in the segments it shares with
     /// the previous publication. Without a previous publication of the
     /// same shape, every chunk is copied.
     pub(crate) fn build(&mut self, parts: SnapshotParts<'_>) -> Arc<RingSnapshot> {
@@ -460,44 +511,49 @@ impl SnapshotPublisher {
             .filter(|p| p.n_nodes == n && p.d == parts.d);
         let n_chunks = n.div_ceil(CHUNK_NODES);
         let width = DigitWidth::of(parts.d);
-        let span = |c: usize| c * CHUNK_NODES..((c + 1) * CHUNK_NODES).min(n);
-        let words = |c: usize| c * CHUNK_WORDS..((c + 1) * CHUNK_WORDS).min(n.div_ceil(64));
+        let n_words = n.div_ceil(64);
         let digit_words = width.words(CHUNK_NODES);
-        let digit_span =
-            |c: usize| c * digit_words..((c + 1) * digit_words).min(parts.digits.len());
-        let mut copied = 0u64;
-        let bits = chunk_table(
-            prev.map(|p| &p.bits[..]),
+        let tally = &mut self.tally;
+        let bits = Segments::publish::<MAX_SEGMENTS>(
+            prev.map(|p| &p.bits),
             n_chunks,
-            |c| parts.bstar_dirty.is_marked(c) || parts.ring_dirty.is_marked(c),
-            |c| {
-                Arc::new(interleave(
-                    &parts.bstar_bits[words(c)],
-                    &parts.exit_bits[words(c)],
-                ))
+            0,
+            |i| parts.bstar_dirty.word(i) | parts.ring_dirty.word(i),
+            |c, _| {
+                let words = c * CHUNK_WORDS..((c + 1) * CHUNK_WORDS).min(n_words);
+                interleave(&parts.bstar_bits[words.clone()], &parts.exit_bits[words])
             },
-            &mut copied,
+            tally,
         );
-        let digits = chunk_table(
-            prev.map(|p| &p.digits[..]),
+        // A digit chunk is `digit_words` (a power of two) words, zero past
+        // the graph's last node.
+        let digits = Segments::publish::<MAX_SEGMENTS>(
+            prev.map(|p| &p.digits),
             n_chunks,
-            |c| parts.ring_dirty.is_marked(c),
-            |c| copy_digits(&parts.digits[digit_span(c)], digit_words),
-            &mut copied,
+            digit_words.trailing_zeros(),
+            |i| parts.ring_dirty.word(i),
+            |c, k| parts.digits.get(c * digit_words + k).copied().unwrap_or(0),
+            tally,
         );
-        let levels = chunk_table(
-            prev.map(|p| &p.levels[..]),
+        let levels = Segments::publish::<MAX_SEGMENTS>(
+            prev.map(|p| &p.levels),
             n_chunks,
-            |c| parts.level_dirty.is_marked(c),
-            |c| copy_chunk(&parts.bcast_level.as_bytes()[span(c)], UNREACHED_U8),
-            &mut copied,
+            0,
+            |i| parts.level_dirty.word(i),
+            |c, _| {
+                let bytes = parts.bcast_level.as_bytes();
+                padded(
+                    &bytes[c * CHUNK_NODES..((c + 1) * CHUNK_NODES).min(n)],
+                    UNREACHED_U8,
+                )
+            },
+            tally,
         );
         if prev.is_some() {
             self.shared_ring += u64::from(!parts.ring_dirty.any());
             self.shared_membership += u64::from(!parts.bstar_dirty.any());
             self.shared_levels += u64::from(!parts.level_dirty.any());
         }
-        self.copied_chunks += copied;
         self.publications += 1;
         let snap = Arc::new(RingSnapshot {
             d: parts.d,
@@ -517,28 +573,199 @@ impl SnapshotPublisher {
     }
 }
 
-/// One chunk table of a new snapshot: chunk `c` is shared with `prev`
-/// unless `dirty(c)` (or there is no `prev`), in which case `copy(c)`
-/// builds it from the maintainer and `copied` counts it. Debug builds check
-/// every shared chunk against a fresh copy.
-fn chunk_table<T: PartialEq + ?Sized>(
-    prev: Option<&[Arc<T>]>,
-    n_chunks: usize,
-    dirty: impl Fn(usize) -> bool,
-    copy: impl Fn(usize) -> Arc<T>,
-    copied: &mut u64,
-) -> Box<[Arc<T>]> {
-    (0..n_chunks)
-        .map(|c| match prev {
-            Some(prev) if !dirty(c) => {
-                debug_assert!(prev[c] == copy(c), "chunk {c} flagged clean but differs");
-                Arc::clone(&prev[c])
+/// Chunk writes of one or more publications: chunks copied because a
+/// repair dirtied them, and clean chunks forwarded out of a retired
+/// segment.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    copied: u64,
+    forwarded: u64,
+}
+
+/// One group's chunks in a snapshot. A chunk is a run of `1 << unit_log`
+/// units (the group's element type `E`); chunk `c` is run `slot` of
+/// segment `seg`, where `loc[c]` packs `slot << SEG_BITS | seg`. Segments
+/// are shared between generations and never written once built.
+#[derive(Clone)]
+struct Segments<E> {
+    loc: Box<[u32]>,
+    segs: Box<[Arc<[E]>]>,
+    /// How many entries of `loc` name each segment.
+    live: Box<[u32]>,
+}
+
+impl<E: Copy + PartialEq> Segments<E> {
+    /// The segment holding chunk `c`, and the chunk's slot in it.
+    #[inline(always)]
+    fn locate(&self, c: usize) -> (&[E], usize) {
+        let at = self.loc[c];
+        (
+            &self.segs[(at & SEG_MASK) as usize],
+            (at >> SEG_BITS) as usize,
+        )
+    }
+
+    fn allocated_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&*self.loc)
+            + size_of_val(&*self.segs)
+            + size_of_val(&*self.live)
+            + self.segs.iter().map(|s| size_of_val(&**s)).sum::<usize>()
+    }
+
+    /// The next generation's table of a group of `n_chunks` chunks: at most
+    /// `K` segments when there is a `prev`. `dirty(i)` is the word of chunks `64 i ..` that
+    /// changed since `prev` was built (bits past the last chunk are
+    /// ignored), and `unit(c, k)` reads unit `k` of chunk `c` from the
+    /// maintainer.
+    ///
+    /// Without `prev` every chunk is copied, one chunk per segment, or into
+    /// `1 << SEG_BITS` segments of equal size when there are more chunks.
+    /// Otherwise the dirty chunks, plus the live chunks of every
+    /// retired segment, are written once into one new segment, and every
+    /// other chunk keeps its segment and slot. A segment is retired when
+    /// its live chunks fill less than `1 / LIVE_DIVISOR` of it (one with
+    /// none left is simply dropped), and then, while the group would hold
+    /// more than `K` with the new segment, the one with the fewest live
+    /// chunks is retired too. Debug builds check every clean chunk against
+    /// a fresh copy.
+    fn publish<const K: usize>(
+        prev: Option<&Self>,
+        n_chunks: usize,
+        unit_log: u32,
+        dirty: impl Fn(usize) -> u64,
+        unit: impl Fn(usize, usize) -> E,
+        tally: &mut Tally,
+    ) -> Self {
+        const { assert!(K >= 1 && K <= 1 << SEG_BITS) };
+        let dirty = |i: usize| dirty(i) & u64::MAX >> (64 * (i + 1)).saturating_sub(n_chunks);
+        let Some(prev) = prev else {
+            let per = n_chunks.div_ceil(1 << SEG_BITS).max(1);
+            let loc = (0..n_chunks)
+                .map(|c| ((c % per) as u32) << SEG_BITS | (c / per) as u32)
+                .collect();
+            let segs: Box<[Arc<[E]>]> = (0..n_chunks)
+                .step_by(per)
+                .map(|first| {
+                    let len = per.min(n_chunks - first);
+                    write_segment(len, unit_log, |i| first + i, &unit)
+                })
+                .collect();
+            let live = segs.iter().map(|s| (s.len() >> unit_log) as u32).collect();
+            tally.copied += n_chunks as u64;
+            return Segments { loc, segs, live };
+        };
+        // The dirty chunks, in ascending order.
+        let dirty_chunks = || {
+            (0..n_chunks.div_ceil(64)).flat_map(move |i| {
+                let mut word = dirty(i);
+                std::iter::from_fn(move || {
+                    let j = (word != 0).then(|| word.trailing_zeros() as usize)?;
+                    word &= word - 1;
+                    Some(64 * i + j)
+                })
+            })
+        };
+        let seg_of = |c: usize| (prev.loc[c] & SEG_MASK) as usize;
+        // Live chunks per segment once the dirty ones move out.
+        let n_old = prev.segs.len();
+        let mut live = [0u32; 1 << SEG_BITS];
+        live[..n_old].copy_from_slice(&prev.live);
+        let mut n_dirty = 0;
+        for c in dirty_chunks() {
+            n_dirty += 1;
+            live[seg_of(c)] -= 1;
+        }
+        let slots = |s: usize| prev.segs[s].len() >> unit_log;
+        let mut retired = [false; 1 << SEG_BITS];
+        for s in 0..n_old {
+            retired[s] = (live[s] as usize) * LIVE_DIVISOR < slots(s);
+        }
+        let forwards = |retired: &[bool]| -> usize {
+            (0..n_old)
+                .filter(|&s| retired[s])
+                .map(|s| live[s] as usize)
+                .sum()
+        };
+        let mut kept = retired[..n_old].iter().filter(|&&r| !r).count();
+        let mut moved_count = n_dirty + forwards(&retired);
+        while kept + usize::from(moved_count > 0) > K {
+            // The cheapest to retire: the fewest live chunks to forward.
+            let Some(s) = (0..n_old).filter(|&s| !retired[s]).min_by_key(|&s| live[s]) else {
+                break;
+            };
+            retired[s] = true;
+            kept -= 1;
+            moved_count += live[s] as usize;
+        }
+        let mut segs = Vec::with_capacity(kept + 1);
+        let mut next_live = Vec::with_capacity(kept + 1);
+        let mut remap = [0u32; 1 << SEG_BITS];
+        for (s, seg) in prev.segs.iter().enumerate() {
+            if !retired[s] {
+                remap[s] = segs.len() as u32;
+                next_live.push(live[s]);
+                segs.push(Arc::clone(seg));
             }
-            _ => {
-                *copied += 1;
-                copy(c)
+        }
+        let fresh = segs.len() as u32;
+        if cfg!(debug_assertions) {
+            for c in (0..n_chunks).filter(|&c| dirty(c / 64) >> (c % 64) & 1 == 0) {
+                debug_assert!(
+                    prev.chunk_equals(c, unit_log, |k| unit(c, k)),
+                    "chunk {c} flagged clean but differs"
+                );
             }
-        })
+        }
+        // Every chunk keeps its slot under its segment's new index; then
+        // the moved ones, those of retired segments and the dirty ones,
+        // take the new segment's slots in that order.
+        let mut loc: Box<[u32]> = prev
+            .loc
+            .iter()
+            .map(|&at| at & !SEG_MASK | remap[(at & SEG_MASK) as usize])
+            .collect();
+        let mut moved = Vec::with_capacity(moved_count);
+        if kept < n_old {
+            moved.extend((0..n_chunks).filter(|&c| retired[seg_of(c)]));
+        }
+        moved.extend(dirty_chunks().filter(|&c| !retired[seg_of(c)]));
+        for (slot, &c) in moved.iter().enumerate() {
+            loc[c] = (slot as u32) << SEG_BITS | fresh;
+        }
+        tally.copied += n_dirty as u64;
+        tally.forwarded += (moved.len() - n_dirty) as u64;
+        if !moved.is_empty() {
+            next_live.push(moved.len() as u32);
+            segs.push(write_segment(moved.len(), unit_log, |i| moved[i], &unit));
+        }
+        Segments {
+            loc,
+            segs: segs.into_boxed_slice(),
+            live: next_live.into_boxed_slice(),
+        }
+    }
+
+    /// Whether chunk `c` holds the units `fresh` reads.
+    fn chunk_equals(&self, c: usize, unit_log: u32, fresh: impl Fn(usize) -> E) -> bool {
+        let (seg, slot) = self.locate(c);
+        let run = &seg[slot << unit_log..(slot + 1) << unit_log];
+        run.iter().enumerate().all(|(k, &u)| u == fresh(k))
+    }
+}
+
+/// One new segment of `len` chunks: chunk `chunk(i)` goes to slot `i`.
+/// The units are written straight into the shared allocation (a mapped
+/// range has an exact length, so `Arc<[E]>` collects it in place).
+fn write_segment<E>(
+    len: usize,
+    unit_log: u32,
+    chunk: impl Fn(usize) -> usize,
+    unit: impl Fn(usize, usize) -> E,
+) -> Arc<[E]> {
+    let mask = (1 << unit_log) - 1;
+    (0..len << unit_log)
+        .map(|i| unit(chunk(i >> unit_log), i & mask))
         .collect()
 }
 
@@ -552,32 +779,14 @@ fn interleave(members: &[u64], exits: &[u64]) -> BitsChunk {
     rec
 }
 
-/// Copies one chunk's `len` digit words into a fresh shared chunk,
-/// zero-padding the graph's short last chunk.
-fn copy_digits(src: &[u64], len: usize) -> Arc<DigitChunk> {
-    if src.len() == len {
-        Arc::from(src)
-    } else {
-        src.iter()
-            .copied()
-            .chain(std::iter::repeat(0))
-            .take(len)
-            .collect()
-    }
-}
-
-/// Copies one chunk's worth of `src` into a fresh shared chunk: a full
-/// chunk goes straight into its allocation, the graph's short last chunk is
-/// padded with `pad`.
-fn copy_chunk<T: Copy, const N: usize>(src: &[T], pad: T) -> Arc<[T; N]> {
-    if src.len() == N {
-        if let Ok(full) = Arc::<[T]>::from(src).try_into() {
-            return full;
-        }
-    }
-    let mut buf = [pad; N];
-    buf[..src.len()].copy_from_slice(src);
-    Arc::new(buf)
+/// One chunk's worth of `src`: a full chunk as it is, the graph's short
+/// last chunk padded with `pad`.
+fn padded<T: Copy, const N: usize>(src: &[T], pad: T) -> [T; N] {
+    src.try_into().unwrap_or_else(|_| {
+        let mut buf = [pad; N];
+        buf[..src.len()].copy_from_slice(src);
+        buf
+    })
 }
 
 #[cfg(test)]
@@ -651,6 +860,12 @@ mod tests {
         }
     }
 
+    /// Whether chunk `c` sits in the same segment and slot of both tables.
+    fn same_chunk<E: Copy + PartialEq>(a: &Segments<E>, b: &Segments<E>, c: usize) -> bool {
+        let ((sa, ia), (sb, ib)) = (a.locate(c), b.locate(c));
+        ia == ib && std::ptr::eq(sa, sb)
+    }
+
     #[test]
     fn clean_publications_share_chunks_by_refcount() {
         let (ffc, mut maint, mut publisher) = service_pair();
@@ -662,10 +877,11 @@ mod tests {
         );
         // No events in between: everything is clean and shared.
         let second = maint.publish(&mut publisher, 0).expect("publish");
-        assert!(Arc::ptr_eq(&first.bits[0], &second.bits[0]));
-        assert!(Arc::ptr_eq(&first.digits[0], &second.digits[0]));
-        assert!(Arc::ptr_eq(&first.levels[0], &second.levels[0]));
+        assert!(Arc::ptr_eq(&first.bits.segs[0], &second.bits.segs[0]));
+        assert!(Arc::ptr_eq(&first.digits.segs[0], &second.digits.segs[0]));
+        assert!(Arc::ptr_eq(&first.levels.segs[0], &second.levels.segs[0]));
         assert_eq!(publisher.copied_chunks(), 3);
+        assert_eq!(publisher.forwarded_chunks(), 0);
         assert_eq!(publisher.shared_ring(), 1);
         assert_eq!(publisher.shared_membership(), 1);
         assert_eq!(publisher.shared_levels(), 1);
@@ -674,31 +890,39 @@ mod tests {
             .apply_batch(&ffc, &[FaultEvent::NodeDown(5)])
             .expect("repair");
         let third = maint.publish(&mut publisher, 1).expect("publish");
-        assert!(!Arc::ptr_eq(&second.bits[0], &third.bits[0]));
-        assert!(!Arc::ptr_eq(&second.levels[0], &third.levels[0]));
+        assert!(!same_chunk(&second.bits, &third.bits, 0));
+        assert!(!same_chunk(&second.levels, &third.levels, 0));
+        // The one chunk left its segment, so the old segment is dropped
+        // rather than forwarded.
+        assert_eq!(third.levels.segs.len(), 1);
+        assert_eq!(publisher.forwarded_chunks(), 0);
         assert_eq!(third.seq(), 3);
         assert_eq!(third.applied_events(), 1);
     }
 
     #[test]
     fn a_repair_copies_only_the_chunks_it_dirtied() {
-        // B(2,16): 16 chunks. Killing one necklace dirties the chunks of
-        // its rotations and of the cones around them, not every chunk.
+        // B(2,16): 32 chunks. Killing one necklace dirties the chunks
+        // of its rotations and of the cones around them, not every chunk.
         let ffc = Ffc::new(2, 16);
+        let chunks = (1 << 16) / CHUNK_NODES;
         let mut maint = RingMaintainer::new();
         maint.reset(&ffc, &[]).expect("reset");
         let mut publisher = SnapshotPublisher::new();
         let before = maint.publish(&mut publisher, 0).expect("publish");
         let full = publisher.copied_chunks();
-        assert_eq!(full, 3 * 16);
+        assert_eq!(full, 3 * chunks as u64);
         maint.add_fault(&ffc, 12_345).expect("repair");
         let after = maint.publish(&mut publisher, 1).expect("publish");
         let copied = publisher.copied_chunks() - full;
         assert!(copied > 0 && copied < full, "copied {copied} of {full}");
-        let shared_digits = (0..16)
-            .filter(|&c| Arc::ptr_eq(&before.digits[c], &after.digits[c]))
+        let shared_digits = (0..chunks)
+            .filter(|&c| same_chunk(&before.digits, &after.digits, c))
             .count();
         assert!(shared_digits > 0, "some digit chunk must be shared");
+        for table in [&after.bits.segs.len(), &after.levels.segs.len()] {
+            assert!(*table <= MAX_SEGMENTS);
+        }
         // Every shared or copied chunk reads like a fresh publication.
         let mut fresh = RingMaintainer::new();
         fresh.reset(&ffc, &[12_345]).expect("reset");
@@ -714,6 +938,111 @@ mod tests {
                 "node {v}"
             );
         }
+    }
+
+    /// Drives the segment store of one group on its own: `n_chunks` chunks
+    /// of `1 << unit_log` words, random dirty masks from empty to dense,
+    /// one publication per round, and a few old generations held at random
+    /// with the data they were built from. After every publication but
+    /// the first (which may name up to `1 << SEG_BITS` segments): at most
+    /// `K` segments, each at least `1 / LIVE_DIVISOR` live (so the table
+    /// references at most `LIVE_DIVISOR` flat copies); after every one,
+    /// every chunk of every held generation equal to its copy.
+    fn drive_segment_store<const K: usize>(n_chunks: usize, unit_log: u32, seed: u64) -> Tally {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        let units = 1 << unit_log;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data: Vec<u64> = (0..(n_chunks * units) as u64).collect();
+        let mut tally = Tally::default();
+        let read = |data: &[u64], c: usize, k: usize| data[c * units + k];
+        let mut table = Segments::publish::<K>(
+            None,
+            n_chunks,
+            unit_log,
+            |_| 0,
+            |c, k| read(&data, c, k),
+            &mut tally,
+        );
+        assert!(table.segs.len() <= 1 << SEG_BITS, "first publication");
+        let mut held = vec![(table.clone(), data.clone())];
+        for round in 0..600 {
+            let density = [0.0, 0.02, 0.1, 0.3, 0.9][rng.gen_range(0..5)];
+            // Mask words with stray bits past the last chunk, as
+            // `ChunkMask::mark_all` leaves them.
+            let mut dirty = vec![0u64; n_chunks.div_ceil(64) + 1];
+            for c in 0..dirty.len() * 64 {
+                if c >= n_chunks || rng.gen_bool(density) {
+                    dirty[c / 64] |= 1 << (c % 64);
+                }
+            }
+            for c in (0..n_chunks).filter(|c| dirty[c / 64] >> (c % 64) & 1 == 1) {
+                for k in 0..units {
+                    data[c * units + k] = rng.next_u64();
+                }
+            }
+            table = Segments::publish::<K>(
+                Some(&table),
+                n_chunks,
+                unit_log,
+                |i| dirty[i],
+                |c, k| read(&data, c, k),
+                &mut tally,
+            );
+            assert!(
+                table.segs.len() <= K,
+                "round {round}: {} segments",
+                table.segs.len()
+            );
+            let mut live = vec![0usize; table.segs.len()];
+            for &at in table.loc.iter() {
+                live[(at & SEG_MASK) as usize] += 1;
+            }
+            for (s, seg) in table.segs.iter().enumerate() {
+                let slots = seg.len() >> unit_log;
+                assert_eq!(
+                    table.live[s] as usize, live[s],
+                    "round {round}: segment {s}"
+                );
+                assert!(
+                    live[s] * LIVE_DIVISOR >= slots,
+                    "round {round}: segment {s} holds {} live of {slots}",
+                    live[s]
+                );
+            }
+            let seg_words: usize = table.segs.iter().map(|s| s.len()).sum();
+            assert!(
+                seg_words <= LIVE_DIVISOR * n_chunks * units,
+                "round {round}"
+            );
+            if rng.gen_bool(0.2) {
+                held.push((table.clone(), data.clone()));
+            }
+            if held.len() > 6 {
+                held.swap_remove(rng.gen_range(0..held.len()));
+            }
+            for (t, want) in held.iter().chain([(table.clone(), data.clone())].iter()) {
+                for c in 0..n_chunks {
+                    assert!(
+                        t.chunk_equals(c, unit_log, |k| read(want, c, k)),
+                        "round {round}: chunk {c} of a held generation differs"
+                    );
+                }
+            }
+        }
+        tally
+    }
+
+    #[test]
+    fn segment_store_keeps_every_held_generation_exact() {
+        // K = 2 retires a segment at nearly every publication; multi-word
+        // chunks exercise the run arithmetic the digit group uses.
+        for (seed, unit_log) in [(1, 0), (2, 2), (3, 6)] {
+            let tally = drive_segment_store::<2>(37, unit_log, seed);
+            assert!(tally.forwarded > 0, "the cleaner never ran");
+        }
+        let tally = drive_segment_store::<MAX_SEGMENTS>(150, 1, 4);
+        assert!(tally.forwarded > 0, "the cleaner never ran");
     }
 
     #[test]

@@ -15,13 +15,15 @@
 //! epoch cell's slot lock to swap its cached `Arc` (and that lock is
 //! uncontended unless the writer lapped the whole slot ring).
 //!
-//! Publication is chunked copy-on-write ([`crate::ffc::SnapshotPublisher`]):
-//! a snapshot is cut into 4096-node chunks, and a publication copies only
-//! the chunks the batch's repair dirtied, sharing every other chunk with
-//! the previous generation by refcount. Its cost follows the repair's
-//! footprint rather than the graph size, so at B(2,20) and above
-//! publishing a repair costs less than computing it (PERF.md). A chunk is
-//! freed when the last generation holding it drops.
+//! Publication is segmented copy-on-write
+//! ([`crate::ffc::SnapshotPublisher`]): a snapshot is cut into 2048-node
+//! chunks stored in shared segments per structure group, and a
+//! publication writes only the chunks the batch's repair dirtied into one
+//! new segment per group, leaving every other chunk where the previous
+//! generation has it. It costs those copies, a location-table copy of a
+//! few KB and one refcount per segment, so its cost follows the repair's
+//! footprint rather than the graph size (PERF.md). A segment is freed when
+//! the last generation holding it drops.
 //!
 //! Consistency model: readers are **eventually consistent with monotone
 //! generations** — every snapshot a reader observes is the *exact* output
@@ -122,12 +124,15 @@ pub struct ServiceReport {
     pub shared_membership: u64,
     /// Publications that dirtied no chunk of the broadcast levels.
     pub shared_levels: u64,
-    /// Chunk buffers the per-batch publications copied
+    /// Dirty chunks the per-batch publications copied
     /// ([`SnapshotPublisher::copied_chunks`], without the initial
     /// publication's copy of every chunk) — divided by `batches`, the
     /// per-publication cost that shows publication is O(cone).
     pub copied_chunks: u64,
-    /// Always 0: snapshot chunks are freed by refcount, with no buffer
+    /// Clean chunks the per-batch publications re-copied only to retire a
+    /// sparse segment ([`SnapshotPublisher::forwarded_chunks`]).
+    pub forwarded_chunks: u64,
+    /// Always 0: snapshot segments are freed by refcount, with no buffer
     /// pool to recycle them into. Kept so readers of the report still
     /// compile.
     pub reclaimed_buffers: u64,
@@ -432,7 +437,8 @@ fn writer_loop(
     let mut report = ServiceReport::default();
     let mut batch: Vec<FaultEvent> = Vec::with_capacity(coalesce);
     let mut applied: u64 = 0;
-    let initial_copies = publisher.copied_chunks();
+    let (initial_copies, initial_forwards) =
+        (publisher.copied_chunks(), publisher.forwarded_chunks());
     while let Ok(first) = rx.recv() {
         batch.clear();
         batch.push(first);
@@ -472,6 +478,7 @@ fn writer_loop(
     report.shared_membership = publisher.shared_membership();
     report.shared_levels = publisher.shared_levels();
     report.copied_chunks = publisher.copied_chunks() - initial_copies;
+    report.forwarded_chunks = publisher.forwarded_chunks() - initial_forwards;
     report.session_bytes = maint.allocated_bytes();
     report.repairs = maint.repairs();
     report

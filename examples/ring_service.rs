@@ -125,7 +125,7 @@ fn main() {
     let report = svc.shutdown();
     println!(
         "writer: {} events in {} batches ({} coalesced), {} publications \
-         ({} shared ring wiring, {} shared membership, {} chunks copied), \
+         ({} shared ring wiring, {} shared membership, {} chunks copied, {} forwarded), \
          publish p50 {:.1} µs p99 {:.1} µs",
         report.events,
         report.batches,
@@ -134,6 +134,7 @@ fn main() {
         report.shared_ring,
         report.shared_membership,
         report.copied_chunks,
+        report.forwarded_chunks,
         report.publish_quantile_ns(0.5) as f64 / 1e3,
         report.publish_quantile_ns(0.99) as f64 / 1e3,
     );

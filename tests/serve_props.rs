@@ -26,8 +26,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use debruijn_rings::core::{
-    EmbedScratch, FaultEvent, Ffc, LookupError, RingMaintainer, RingService, RingSnapshot,
-    ServeOptions, SnapshotPublisher,
+    ChurnPlan, EmbedScratch, FaultEvent, Ffc, LookupError, RingMaintainer, RingService,
+    RingSnapshot, ServeOptions, SnapshotPublisher,
 };
 
 /// The exclusion set a prefix of events accumulates to: explicitly faulty
@@ -283,6 +283,93 @@ fn chunked_publications_match_fresh_snapshots_b5_6() {
 #[test]
 fn chunked_publications_match_fresh_snapshots_b2_16() {
     chunked_publications_match_fresh_snapshots(2, 16, 0x216, 10);
+}
+
+/// A snapshot pinned while the publisher moves on: a churn trace with one
+/// publication per batch, the snapshot of publication `pin` held, and after
+/// every further 250 publications (and at the end, at least 1,000 later)
+/// every node of it must still read like a snapshot freshly built by
+/// `RingMaintainer::reset` to its own exclusion set. Later publications
+/// retire and forward the segments the pinned snapshot references, so this
+/// catches a segment written after it was shared. Returns the chunks the
+/// publisher forwarded.
+fn pinned_snapshot_survives_later_publications(n: u32, seed: u64, arrivals: usize) -> u64 {
+    let ffc = Ffc::new(2, n);
+    let total = ffc.graph().len();
+    let steps = ChurnPlan::new(seed)
+        .arrivals(arrivals)
+        .bursts(4, 0.25)
+        .edge_fault_prob(0.2)
+        .generate(&ffc);
+    let mut maint = RingMaintainer::new();
+    maint.reset(&ffc, &[]).expect("reset");
+    let mut publisher = SnapshotPublisher::new();
+    let pin = 20;
+    let mut events = Vec::new();
+    let mut pinned: Option<(Arc<RingSnapshot>, Arc<RingSnapshot>)> = None;
+    let mut later = 0usize;
+    let check = |snap: &RingSnapshot, want: &RingSnapshot, later: usize| {
+        assert_eq!(snap.stats(), want.stats());
+        for v in 0..total {
+            assert_eq!(
+                snap.contains(v),
+                want.contains(v),
+                "{later} later, node {v}"
+            );
+            assert_eq!(
+                snap.successor(v),
+                want.successor(v),
+                "{later} later, node {v}"
+            );
+            assert_eq!(
+                snap.broadcast_level(v),
+                want.broadcast_level(v),
+                "{later} later, node {v}"
+            );
+        }
+    };
+    for (i, step) in steps.iter().enumerate() {
+        maint.apply_batch(&ffc, &step.batch).expect("valid churn");
+        events.extend_from_slice(&step.batch);
+        let snap = maint
+            .publish(&mut publisher, events.len() as u64)
+            .expect("publish");
+        match &pinned {
+            None if i == pin => {
+                let mut fresh = RingMaintainer::new();
+                fresh.reset(&ffc, &exclusion_of(&events)).expect("reset");
+                let want = fresh
+                    .publish(&mut SnapshotPublisher::new(), snap.applied_events())
+                    .expect("publish");
+                check(&snap, &want, 0);
+                pinned = Some((snap, want));
+            }
+            None => {}
+            Some((snap, want)) => {
+                later += 1;
+                if later.is_multiple_of(250) {
+                    check(snap, want, later);
+                }
+            }
+        }
+    }
+    assert!(later >= 1000, "only {later} publications after the pin");
+    let (snap, want) = pinned.expect("the trace reaches the pinned publication");
+    check(&snap, &want, later);
+    publisher.forwarded_chunks()
+}
+
+#[test]
+fn pinned_snapshot_matches_its_fault_set_after_1000_publications_b2_12() {
+    pinned_snapshot_survives_later_publications(12, 0x212, 500);
+}
+
+#[test]
+fn pinned_snapshot_matches_its_fault_set_after_1000_publications_b2_14() {
+    // 16 chunks per group: partly dirtied segments get retired and their
+    // live chunks forwarded while the pinned snapshot still reads them.
+    let forwarded = pinned_snapshot_survives_later_publications(14, 0x214, 500);
+    assert!(forwarded > 0, "no segment was retired");
 }
 
 /// Runs `readers` concurrent reader threads against a live service while
