@@ -15,8 +15,11 @@
 //!     scratch) vs the bit-parallel engine (`embed_stats_into`), with
 //!     `speedup` = u8 / bit;
 //!   - `batch` — the batch sweep engine (`Ffc::embed_batch`, stats-only
-//!     plan, bit-parallel path) at 1, 2, 4 and 8 shards; `speedup` is vs
-//!     the serial `embed_into` loop above.
+//!     plan, bit-parallel path) at 1 and 2 shards, and at 4 and 8 on hosts
+//!     with more than two CPUs; `speedup` is vs the serial `embed_into`
+//!     loop above. Each rep repeats the plan for at least
+//!     [`MIN_BATCH_REP`], and each round of reps runs every shard count
+//!     once, starting from a different one each round.
 //! * **Stats-only tiers** (`"mode": "stats_only"`) — B(2,18), B(2,20),
 //!   B(2,22) and B(2,24), the million-node scale the bit-parallel engine
 //!   exists for (the top two tiers are what the PR 10 compact-level +
@@ -84,11 +87,12 @@
 //! A `--kernels` micro-tier additionally races the two dense sweep
 //! kernels word for word — the two-phase scalar reference
 //! (`oracle::kernel_step_scalar`: fold pass, then expand pass) against
-//! the fused kernel the engine runs (`BitReach::kernel_step_fused`) —
-//! over warm bitmaps at B(2,16), B(2,18) and B(2,20) shapes, forward
-//! and backward. Rows report words/sec per kernel and `speedup` =
-//! scalar / fused, gated at ≥ 1.0 by `--check` like every other
-//! speedup: the fusion must never lose on the engine's hot shapes. The
+//! the block kernel the engine runs, here without summaries so that no
+//! block is skipped (`BitReach::kernel_step_fused`) — over warm bitmaps
+//! at B(2,16), B(2,18) and B(2,20) shapes, forward and backward. Rows
+//! report words/sec per kernel and `speedup` = scalar / fused, gated at
+//! ≥ 1.0 by `--check` like every other speedup: the block kernel must
+//! never lose on the engine's hot shapes, even with nothing to skip. The
 //! same flag emits `"kind": "skip_scan"` rows racing the full-bitmap
 //! extraction (`extract_bits`) against the two-level summary skip-scan
 //! (`extract_bits_skip`) over sparse frontiers at the same shapes —
@@ -185,8 +189,24 @@ struct Config {
     skip_in_smoke: bool,
 }
 
-/// Shard counts the batch engine is measured at.
+/// Shard counts the batch engine is measured at (4 and 8 only on hosts
+/// with more than two CPUs, see [`batch_shard_counts`]).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Least wall time of one batch-tier rep: a rep repeats its plan until
+/// it has run this long, so a smoke-sized plan (a few ms) is not timed
+/// alone on a shared host.
+const MIN_BATCH_REP: Duration = Duration::from_millis(100);
+
+/// The batch tier's shard counts on a host with `host_cpus` CPUs. On two
+/// or fewer, 4 and 8 shards only measure oversubscription, so they are
+/// dropped.
+fn batch_shard_counts(host_cpus: usize) -> Vec<usize> {
+    SHARD_COUNTS
+        .into_iter()
+        .filter(|&s| s <= 2 || host_cpus > 2)
+        .collect()
+}
 
 /// Timed repetitions per measurement; the fastest is reported.
 const REPS: usize = 3;
@@ -406,17 +426,16 @@ fn serve_run(
     (total as f64 / elapsed.as_secs_f64(), report, fin.snapshot())
 }
 
-/// Dense-capable shapes the `--kernels` micro-tier measures: the d=2
-/// specialisation at B(2,16), B(2,18) and B(2,20) word counts — the
-/// engine's hot shapes and the ones the full-ring gates sweep. The
-/// generic-d fused path runs at parity with the two-phase reference
-/// (its only saving is the small fold buffer), so it is pinned by unit
-/// tests rather than raced under a ≥ 1.0 gate.
+/// Dense-capable shapes the `--kernels` micro-tier measures: d = 2 at
+/// B(2,16), B(2,18) and B(2,20) word counts — the engine's hot shapes and
+/// the ones the full-ring gates sweep. The other d run the same block
+/// kernel, instantiated per d, and are pinned by unit tests rather than
+/// raced under a ≥ 1.0 gate.
 const KERNEL_SHAPES: [(usize, usize); 3] = [(2, 1 << 16), (2, 1 << 18), (2, 1 << 20)];
 
 /// Races the two dense kernels over warm bitmaps and returns one JSON
 /// row per (shape, direction): words/sec for the retained two-phase
-/// scalar reference and the fused single-pass kernel, plus `speedup` =
+/// scalar reference and the block kernel without summaries, plus `speedup` =
 /// scalar ns / fused ns. Both kernels start from identical bitmaps and
 /// their newly-visited checksums are asserted equal, so the race also
 /// re-pins bit-equality on every measured shape.
@@ -705,6 +724,7 @@ fn main() {
     }
     let out_path =
         out_path.unwrap_or_else(|| format!("{}/../../BENCH_ffc.json", env!("CARGO_MANIFEST_DIR")));
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let scale = |trials: usize| {
         // The floor never raises a tier above its configured count: the
         // biggest smoke-visible tiers (B(2,22) stats) set trials < 60 and
@@ -1284,26 +1304,48 @@ fn main() {
         };
 
         // Batch sweep engine: the same f 0..=8 schedule as a stats-only
-        // plan, at increasing shard counts.
+        // plan, at increasing shard counts. Each rep repeats the plan for
+        // at least MIN_BATCH_REP, and every round of reps runs each shard
+        // count once, starting from a different one each round, so host
+        // noise falls on all of them alike.
         let plan = SweepPlan::new(FaultSchedule::Cycling((0..=8).collect()), cfg.trials, seed);
-        let mut batch_rows = Vec::new();
-        for &shards in &SHARD_COUNTS {
-            let mut batch = BatchEmbedder::new(shards);
-            // Warm up every shard's scratch before timing.
-            let warm = SweepPlan::new(FaultSchedule::Cycling((0..=8).collect()), 2 * shards, seed);
-            let _ = ffc.embed_batch(&mut batch, &warm, |acc: &mut Checksum, trial| {
-                acc.0 ^= trial.stats.component_size as u64;
-            });
-            let mut elapsed = std::time::Duration::MAX;
-            let mut sum = Checksum::default();
-            for _ in 0..REPS {
-                let start = Instant::now();
-                sum = ffc.embed_batch(&mut batch, &plan, |acc: &mut Checksum, trial| {
+        let shard_counts = batch_shard_counts(host_cpus);
+        let mut engines: Vec<BatchEmbedder> = shard_counts
+            .iter()
+            .map(|&shards| {
+                let mut batch = BatchEmbedder::new(shards);
+                // Warm up every shard's scratch before timing.
+                let warm =
+                    SweepPlan::new(FaultSchedule::Cycling((0..=8).collect()), 2 * shards, seed);
+                let _ = ffc.embed_batch(&mut batch, &warm, |acc: &mut Checksum, trial| {
                     acc.0 ^= trial.stats.component_size as u64;
                 });
-                elapsed = elapsed.min(start.elapsed());
+                batch
+            })
+            .collect();
+        let count = engines.len();
+        let mut best = vec![f64::MAX; count];
+        let mut sums = vec![Checksum::default(); count];
+        for round in 0..REPS {
+            for k in (0..count).map(|k| (k + round) % count) {
+                let (mut runs, start) = (0u32, Instant::now());
+                while runs == 0 || start.elapsed() < MIN_BATCH_REP {
+                    sums[k] =
+                        ffc.embed_batch(&mut engines[k], &plan, |acc: &mut Checksum, trial| {
+                            acc.0 ^= trial.stats.component_size as u64;
+                        });
+                    runs += 1;
+                }
+                best[k] = best[k].min(start.elapsed().as_secs_f64() / f64::from(runs));
             }
-            let batch_eps = plan.trials() as f64 / elapsed.as_secs_f64();
+        }
+        let mut batch_rows = Vec::new();
+        for ((&shards, &plan_s), sum) in shard_counts.iter().zip(&best).zip(&sums) {
+            assert_eq!(
+                sum.0, sums[0].0,
+                "{label}: batch x{shards} disagrees with x1"
+            );
+            let batch_eps = plan.trials() as f64 / plan_s;
             let speedup = batch_eps / batch_baseline_eps;
             eprintln!(
                 "{label}: batch x{shards}: {batch_eps:.0} embeds/s \
@@ -1343,7 +1385,6 @@ fn main() {
     } else {
         String::new()
     };
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
         "{{\n  \"benchmark\": \"ffc_embed\",\n  \"host_cpus\": {host_cpus},\n  \
          \"schedule\": \"f cycles 0..=8, random fault sets\",\n  \
@@ -1352,7 +1393,9 @@ fn main() {
          stats_only compares the u8-stamp stats engine (PR 2) against the bit-parallel engine \
          (speedup = u8/bit); batch rows are the stats-only sweep engine (embed_batch) — \
          speedup vs the serial embed_into loop on full tiers, vs the serial u8-stamp loop on \
-         mode=stats_only tiers; mode=full tiers time the embed_into pipeline (the first \
+         mode=stats_only tiers, each rep repeating the plan for at least 100 ms, the shard \
+         counts alternating within each round of reps, and 4 and 8 shards measured only when \
+         host_cpus > 2; mode=full tiers time the embed_into pipeline (the first \
          trial's cycle verified as a fault-avoiding de Bruijn ring); mode=incremental tiers time \
          single-fault RingMaintainer repair events (add_fault + clear_fault) against \
          from-scratch embeds of the same faults — speedup = embed_into / repair event, \
@@ -1382,10 +1425,11 @@ fn main() {
          every tier's allocated_bytes is the audited steady-state footprint of its scratch \
          or maintainer after warmup (serve tiers: the writer's session plus the final \
          snapshot's segments); \
-         the optional kernels array races the two-phase scalar dense kernel against the fused \
-         single-pass kernel over warm bitmaps (speedup = scalar/fused, newly-visited checksums \
-         asserted identical) and, in kind=skip_scan rows, full-bitmap sparse-frontier \
-         extraction against the hierarchical-summary skip-scan (speedup = skip/full \
+         the optional kernels array races the two-phase scalar dense kernel against the block \
+         kernel without summaries, so nothing is skipped (speedup = scalar/fused, \
+         newly-visited checksums asserted identical) and, in kind=skip_scan rows, \
+         full-bitmap sparse-frontier extraction against the hierarchical-summary skip-scan \
+         (speedup = skip/full \
          words per second, outputs asserted identical, gated >= 1.0)\",\n{kernels_block}  \
          \"configs\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")

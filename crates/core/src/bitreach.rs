@@ -30,37 +30,57 @@
 //! sweeps — so every (d, n) runs through one code path with one set of
 //! buffers ([`BitScratch`], embedded in the engine's `EmbedScratch`).
 //!
-//! # The fused dense kernel
+//! # The block kernel
 //!
-//! A dense level used to run as two phases over two buffers: a fold pass
-//! that materialised `fold_d(F)` (or `squash_d(F)`) into a scratch word
-//! array, then an expand pass that re-read it, masked against visited and
-//! wrote the next frontier. Both phases are memory-bound, so the round
-//! trip through the fold buffer cost a full extra sweep of traffic. The
-//! kernels are now **fused**: one pass walks the frontier in word tiles
-//! and, per tile, performs fold, `spread2`/`squash2` expand, the
-//! visited-set mask-and-update and the next-frontier store back to back —
-//! the `d = 2` hot shape additionally processes four suffix words (eight
-//! output words) per unrolled iteration so the independent word lanes
-//! autovectorize. The two-phase kernel it replaced lives on as the oracle
-//! [`crate::oracle::kernel_step_scalar`], and [`BitReach::kernel_step_fused`]
-//! exposes the fused one; the unit tests pin them bit-for-bit against each
-//! other and `bench_ffc --kernels` tracks the words/sec ratio.
+//! A dense level runs one **block kernel** per direction, instantiated for
+//! every power-of-two d ≤ 64. A block is the 64 output words one summary
+//! word covers (the whole bitmap when it is smaller than that):
 //!
-//! # Hierarchical summaries and compact levels (PR 10)
+//! * forward, output word `d·i + r` expands chunk `r` of `G[i]`, the OR of
+//!   suffix word `i` over the `d` leading digits, so a block reads `64/d`
+//!   suffix words from each of the `d` strides of the frontier;
+//! * backward, `H[i]` ORs the `d`-bit successor groups of suffix word `i`
+//!   and output word `a·sw + i` is `H[i]` for every leading digit `a`, so
+//!   a tile of 64 `H` words is squashed once from `64·d` contiguous input
+//!   words and feeds one block in each of the `d` strides (every block,
+//!   each holding several copies, when the suffix is shorter than 64
+//!   words).
 //!
-//! Every frontier/visited-class bitmap carries a **one-bit-per-word
-//! summary** (one summary word per 64-word / 4096-node block): summary
-//! bit `j` set ⟺ `bits[j]` may be non-zero, with the invariant
-//! *occupied ⊆ marked* — a false positive costs one wasted word probe, a
-//! false negative would drop nodes and is never produced. The fused
-//! kernels maintain the summaries in-flight for near-zero cost (a tile
-//! that produced new bits ORs a precomputed block mask), so the
-//! dense→sparse switch, the dense level emission and fault-set
-//! iteration become two-level skip-scans ([`extract_bits_skip`]) that
-//! touch only occupied blocks — the win grows with the node space, which
-//! is what lets the B(2,22)/B(2,24) tiers stream early and late BFS
-//! phases without full-array sweeps. Per-node level arrays use the
+//! Per block the kernel folds or squashes into a stack tile, then expands,
+//! masks against visited, updates visited and stores the next frontier in
+//! one pass over exact chunks (no per-index bounds checks), and writes the
+//! block's next-frontier summary word once. First it reads the current
+//! frontier's summary: when that marks every input word of the block
+//! empty, the block's output is zeroed instead of computed. Forward level
+//! `k` from the root lies in one aligned id range (the nodes sharing one
+//! (n−k)-digit prefix), so at B(2,18) the seven dense forward steps of a
+//! fault-free pass compute 127 of 448 blocks. A backward level is one
+//! residue class,
+//! spread over every block, so the backward pass skips next to nothing
+//! and is now the larger share of a stats-only embedding.
+//!
+//! The two-phase kernel (a fold pass into a buffer, then an expand pass)
+//! lives on as the oracle [`crate::oracle::kernel_step_scalar`].
+//! [`BitReach::kernel_step_fused`] runs the block kernel with no
+//! summaries, so it never skips; the unit tests pin it and the skipping
+//! step against the oracle, and `bench_ffc --kernels` races it against
+//! the oracle.
+//!
+//! # Hierarchical summaries and compact levels
+//!
+//! Every frontier bitmap carries a **one-bit-per-word summary** (one
+//! summary word per 64-word / 4096-node block): summary bit `j` set ⟺
+//! `bits[j]` may be non-zero, with the invariant *occupied ⊆ marked* — a
+//! false positive costs a wasted probe or a block computed that could
+//! have been skipped, a false negative would drop nodes and is never
+//! produced. The dense step writes each block's summary word from the
+//! words it has just stored (exactly: one multiply gathers eight
+//! non-zero flags), and the sparse → dense conversion sets the bits of
+//! the queued nodes. Besides the next step's skip test, the summaries
+//! turn the dense → sparse switch and the dense level emission into
+//! two-level skip-scans ([`extract_bits_skip`]) that touch only occupied
+//! words, and the fault mask keeps one so that a re-prepare clears only
+//! the words a kill dirtied. Per-node level arrays use the
 //! compact one-byte [`LevelVec`] (levels are diameter-bounded, with an
 //! escape table for the transient deeper ones) behind the [`LevelStore`]
 //! trait, so the delta passes
@@ -224,9 +244,10 @@ impl BitFrontier {
 }
 
 /// The reusable buffers of the bit-parallel engine: the per-call fault
-/// bitmap, the three visited sets and the two frontiers (the fused dense
-/// kernels need no fold scratch). Grow-only; after the first call at a
-/// given graph size no method allocates.
+/// bitmap, the three visited sets and the two frontiers (the dense block
+/// kernel folds into a stack tile, so there is no fold scratch).
+/// Grow-only; after the first call at a given graph size no method
+/// allocates.
 #[derive(Clone, Debug, Default)]
 pub struct BitScratch {
     /// Bit `v` set ⟺ node `v` was removed with a faulty necklace.
@@ -275,12 +296,6 @@ impl BitScratch {
             + 4 * (self.cur.queue.capacity() + self.nxt.queue.capacity())
     }
 }
-
-/// Stack-tile width (in `u64` words) of the fused dense kernel's
-/// backward path: folds are blocked into a `[u64; FUSE_TILE]` register
-/// /L1 buffer so each replication stride sweeps a contiguous run. 32
-/// words = 256 bytes per tile — four cache lines, far below any L1.
-const FUSE_TILE: usize = 32;
 
 /// The bit-parallel reachability engine for one B(d,n) shape: word-level
 /// constants plus the three direction-optimizing passes the FFC embedding
@@ -581,10 +596,8 @@ impl BitReach {
         (count, reached, depth)
     }
 
-    /// The fused chunk-streamed broadcast initialisation: per
-    /// [`FUSE_TILE`]-word chunk, the four bitmaps are read/written
-    /// together while resident, producing the B* mask, its popcount and
-    /// the seeded visited set in a single memory pass.
+    /// The broadcast initialisation in one pass over the four bitmaps:
+    /// the B* mask, its popcount and the seeded visited set.
     fn bstar_init(&self, s: &mut BitScratch, bstar: &mut [u64]) -> usize {
         let BitScratch {
             dead,
@@ -593,17 +606,19 @@ impl BitReach {
             vis,
             ..
         } = s;
+        let w = self.words;
         let mut count = 0usize;
-        let mut j = 0usize;
-        while j < self.words {
-            let len = (self.words - j).min(FUSE_TILE);
-            for k in j..j + len {
-                let m = fwd[k] & bwd[k] & !dead[k];
-                bstar[k] = m;
-                vis[k] = !m;
-                count += m.count_ones() as usize;
-            }
-            j += len;
+        for ((((b, v), &f), &r), &x) in bstar[..w]
+            .iter_mut()
+            .zip(&mut vis[..w])
+            .zip(&fwd[..w])
+            .zip(&bwd[..w])
+            .zip(&dead[..w])
+        {
+            let m = f & r & !x;
+            *b = m;
+            *v = !m;
+            count += m.count_ones() as usize;
         }
         count
     }
@@ -718,9 +733,9 @@ impl BitReach {
         nxt.len = nxt.queue.len();
     }
 
-    /// Word-parallel bottom-up step: one fused pass of fold, expand (or
-    /// squash/replicate), visited mask-and-update and next-frontier store
-    /// — 64 nodes per handful of word ops, no fold scratch.
+    /// Word-parallel bottom-up step: the block kernel over the whole
+    /// bitmap, skipping the blocks whose input words `cur`'s summary marks
+    /// empty and writing `nxt`'s summary one word per block.
     fn step_dense<const BACKWARD: bool>(
         &self,
         vis: &mut [u64],
@@ -728,206 +743,163 @@ impl BitReach {
         nxt: &mut BitFrontier,
     ) {
         debug_assert!(cur.dense && self.dense_capable);
-        nxt.sum[..sum_words(self.words)].fill(0);
-        nxt.len = self.fused_words::<BACKWARD, true>(&cur.bits, vis, &mut nxt.bits, &mut nxt.sum);
+        let (words, sums) = (self.words, sum_words(self.words));
+        nxt.len = self.block_kernel::<BACKWARD>(
+            &cur.bits[..words],
+            Some(&cur.sum[..sums]),
+            &mut vis[..words],
+            &mut nxt.bits[..words],
+            Some(&mut nxt.sum[..sums]),
+        );
         nxt.dense = true;
     }
 
-    /// One fused 2i-wide output tile of the d = 2 forward kernel: folds
-    /// suffix word `i` over both leading digits, spreads each half into
-    /// an output word, masks against visited and stores the frontier —
-    /// all in registers, so the unrolled caller's four independent tiles
-    /// autovectorize.
-    #[inline(always)]
-    fn fused2_fwd<const SUM: bool>(
-        i: usize,
-        sw: usize,
-        cur: &[u64],
-        vis: &mut [u64],
-        nxt: &mut [u64],
-        sum: &mut [u64],
-    ) -> usize {
-        let g = cur[i] | cur[sw + i];
-        let w0 = spread2(g & 0xFFFF_FFFF) & !vis[2 * i];
-        let w1 = spread2(g >> 32) & !vis[2 * i + 1];
-        vis[2 * i] |= w0;
-        vis[2 * i + 1] |= w1;
-        nxt[2 * i] = w0;
-        nxt[2 * i + 1] = w1;
-        if SUM {
-            // Words 2i and 2i+1 always share a summary word (2i is even).
-            sum[(2 * i) >> 6] |=
-                (u64::from(w0 != 0) << ((2 * i) & 63)) | (u64::from(w1 != 0) << ((2 * i + 1) & 63));
-        }
-        (w0.count_ones() + w1.count_ones()) as usize
-    }
-
-    /// The fused dense kernel over exactly `self.words` words of each
-    /// buffer: per suffix word, fold (forward) or squash (backward) the
-    /// frontier, expand/replicate, mask against `vis`, update `vis` and
-    /// store the new frontier into `nxt` — one pass, no fold buffer.
-    /// Word-for-word identical output to the two-phase reference kernel
-    /// ([`crate::oracle::kernel_step_scalar`]); returns the
-    /// newly visited node count. The hot d = 2 shape runs a 4-wide
-    /// unrolled tile (eight output words per iteration). With `SUM` the
-    /// kernel also maintains `sum`, the hierarchical summary of `nxt`
-    /// (bit `j` ⟺ `nxt[j] != 0`), marking blocks as it streams each
-    /// tile — the summary rides the tile already in registers/L1, so the
-    /// downstream skip-scans come at near-zero kernel cost. With `SUM =
-    /// false` (the raced public kernel) the summary code compiles out.
-    fn fused_words<const BACKWARD: bool, const SUM: bool>(
+    /// The dense kernel over exactly `self.words` words of each buffer,
+    /// with `d` fixed at compile time: [`BitReach::forward_blocks`] or
+    /// [`BitReach::backward_blocks`]. Returns the newly visited node count.
+    fn block_kernel<const BACKWARD: bool>(
         &self,
         cur: &[u64],
+        cur_sum: Option<&[u64]>,
         vis: &mut [u64],
         nxt: &mut [u64],
-        sum: &mut [u64],
+        nxt_sum: Option<&mut [u64]>,
     ) -> usize {
-        debug_assert!(self.dense_capable);
-        let sw = self.suffix_words;
-        let mut newly = 0usize;
-        if self.d == 2 {
-            let mut i = 0usize;
-            if BACKWARD {
-                // Cache-blocked squash-then-replicate: fold a tile of
-                // suffix words into a stack buffer, then sweep each
-                // replication stride as one contiguous run. The fold
-                // never touches the heap and both sweeps autovectorize.
-                while i < sw {
-                    let len = (sw - i).min(FUSE_TILE);
-                    let mut h = [0u64; FUSE_TILE];
-                    for (k, hk) in h[..len].iter_mut().enumerate() {
-                        let b = 2 * (i + k);
-                        *hk = squash2(cur[b]) | (squash2(cur[b + 1]) << 32);
-                    }
-                    for base in [i, sw + i] {
-                        let vw = &mut vis[base..base + len];
-                        let nw = &mut nxt[base..base + len];
-                        let before = newly;
-                        for ((vj, nj), &hk) in vw.iter_mut().zip(nw.iter_mut()).zip(h[..len].iter())
-                        {
-                            let new = hk & !*vj;
-                            *vj |= new;
-                            *nj = new;
-                            newly += new.count_ones() as usize;
-                        }
-                        if SUM && newly != before {
-                            mark_sum_range(sum, base, len);
-                        }
-                    }
-                    i += len;
+        macro_rules! by_d {
+            ($($d:literal)*) => {
+                match self.d {
+                    $($d => if BACKWARD {
+                        self.backward_blocks::<$d>(cur, cur_sum, vis, nxt, nxt_sum)
+                    } else {
+                        self.forward_blocks::<$d>(cur, cur_sum, vis, nxt, nxt_sum)
+                    },)*
+                    d => unreachable!("dense sweeps need a power-of-two d <= 64, got {d}"),
                 }
-            } else {
-                while i + 4 <= sw {
-                    newly += Self::fused2_fwd::<SUM>(i, sw, cur, vis, nxt, sum);
-                    newly += Self::fused2_fwd::<SUM>(i + 1, sw, cur, vis, nxt, sum);
-                    newly += Self::fused2_fwd::<SUM>(i + 2, sw, cur, vis, nxt, sum);
-                    newly += Self::fused2_fwd::<SUM>(i + 3, sw, cur, vis, nxt, sum);
-                    i += 4;
-                }
-                while i < sw {
-                    newly += Self::fused2_fwd::<SUM>(i, sw, cur, vis, nxt, sum);
-                    i += 1;
-                }
-            }
-            return newly;
+            };
         }
-        let d = self.d;
-        let bits_per = 64 / d;
-        let chunk_mask = if bits_per == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits_per) - 1
-        };
-        if BACKWARD {
-            // H = OR of the d-bit successor blocks of suffix word i: u is
-            // a predecessor of the frontier iff H[u mod suffix] is set;
-            // predecessor word i + a·sw replicates H for every digit a.
-            // Cache-blocked like the d = 2 path: fold a stack tile, then
-            // sweep each replication stride as one contiguous run.
-            let mut i = 0usize;
-            while i < sw {
-                let len = (sw - i).min(FUSE_TILE);
-                let mut h = [0u64; FUSE_TILE];
-                for (k, hk) in h[..len].iter_mut().enumerate() {
-                    let mut acc = 0u64;
-                    for t in 0..d {
-                        acc |= self.squash(cur[d * (i + k) + t]) << (t * bits_per);
-                    }
-                    *hk = acc;
-                }
-                for a in 0..d {
-                    let base = i + a * sw;
-                    let vw = &mut vis[base..base + len];
-                    let nw = &mut nxt[base..base + len];
-                    let before = newly;
-                    for ((vj, nj), &hk) in vw.iter_mut().zip(nw.iter_mut()).zip(h[..len].iter()) {
-                        let new = hk & !*vj;
-                        *vj |= new;
-                        *nj = new;
-                        newly += new.count_ones() as usize;
-                    }
-                    if SUM && newly != before {
-                        mark_sum_range(sum, base, len);
-                    }
-                }
-                i += len;
-            }
-        } else {
-            // G = OR over leading digits; successor word d·i + r expands
-            // the r-th chunk of G. Tiled four suffix words at a time so
-            // the fold reads four contiguous words per stride and the
-            // expands write 4·d contiguous words.
-            let mut i = 0usize;
-            while i + 4 <= sw {
-                let mut g = [0u64; 4];
-                for a in 0..d {
-                    let base = i + a * sw;
-                    for (k, gk) in g.iter_mut().enumerate() {
-                        *gk |= cur[base + k];
+        by_d!(2 4 8 16 32 64)
+    }
+
+    /// The forward block kernel. Output word `D·i + r` expands chunk `r`
+    /// of `G[i]`, the OR of suffix word `i` over the `D` leading digits
+    /// (`cur[i + a·sw]`), so an output block of `bw` words reads the same
+    /// `bw / D` suffix words from each of the `D` strides. When
+    /// `cur_sum` marks all of them empty the block is zeroed; otherwise
+    /// the folds go to a stack tile and the block is expanded, masked
+    /// against `vis` and stored in one pass. `nxt_sum`, when given,
+    /// receives each block's occupancy word.
+    fn forward_blocks<const D: usize>(
+        &self,
+        cur: &[u64],
+        cur_sum: Option<&[u64]>,
+        vis: &mut [u64],
+        nxt: &mut [u64],
+        mut nxt_sum: Option<&mut [u64]>,
+    ) -> usize {
+        let (sw, bw) = (self.suffix_words, self.words.min(64));
+        let gw = bw / D;
+        let bits = 64 / D;
+        let chunk = u64::MAX >> (64 - bits);
+        let mut newly = 0usize;
+        let blocks = vis.chunks_exact_mut(bw).zip(nxt.chunks_exact_mut(bw));
+        for (b, (vb, nb)) in blocks.enumerate() {
+            let i0 = b * gw;
+            let empty = cur_sum.is_some_and(|s| (0..D).all(|a| sum_clear(s, a * sw + i0, gw)));
+            if empty {
+                nb.fill(0);
+            } else {
+                let mut tile = [0u64; 32];
+                let g = &mut tile[..gw];
+                for a in 0..D {
+                    for (gk, &c) in g.iter_mut().zip(&cur[a * sw + i0..][..gw]) {
+                        *gk |= c;
                     }
                 }
-                let before = newly;
-                for (k, &gk) in g.iter().enumerate() {
-                    for r in 0..d {
-                        let j = d * (i + k) + r;
-                        let new = self.expand((gk >> (r * bits_per)) & chunk_mask) & !vis[j];
-                        vis[j] |= new;
-                        nxt[j] = new;
+                let (vc, _) = vb.as_chunks_mut::<D>();
+                let (nc, _) = nb.as_chunks_mut::<D>();
+                for ((v, n), &gk) in vc.iter_mut().zip(nc.iter_mut()).zip(g.iter()) {
+                    for r in 0..D {
+                        let new = expand_d::<D>((gk >> (r * bits)) & chunk) & !v[r];
+                        v[r] |= new;
+                        n[r] = new;
                         newly += new.count_ones() as usize;
                     }
                 }
-                if SUM && newly != before {
-                    mark_sum_range(sum, d * i, 4 * d);
-                }
-                i += 4;
             }
-            while i < sw {
-                let mut g = 0u64;
-                for a in 0..d {
-                    g |= cur[i + a * sw];
-                }
-                let before = newly;
-                for r in 0..d {
-                    let j = d * i + r;
-                    let new = self.expand((g >> (r * bits_per)) & chunk_mask) & !vis[j];
-                    vis[j] |= new;
-                    nxt[j] = new;
-                    newly += new.count_ones() as usize;
-                }
-                if SUM && newly != before {
-                    mark_sum_range(sum, d * i, d);
-                }
-                i += 1;
+            if let Some(s) = nxt_sum.as_deref_mut() {
+                s[b] = if empty { 0 } else { occupancy(nb) };
             }
         }
         newly
     }
 
-    /// The fused single-pass dense step the engine runs — same contract
-    /// as [`crate::oracle::kernel_step_scalar`] minus the fold buffer.
+    /// The backward block kernel. `H[i]` ORs the `D`-bit successor groups
+    /// of suffix word `i` (input words `D·i .. D·i + D`), and output word
+    /// `a·sw + i` is `H[i]` for every leading digit `a`. A tile of
+    /// `ht = min(sw, 64)` `H` words is squashed once from `D·ht`
+    /// contiguous input words (zero when `cur_sum` marks them all empty)
+    /// and feeds `D·ht / bw` output blocks: one per stride when `sw ≥ 64`,
+    /// every block, each holding `bw / ht` copies, when the graph is
+    /// smaller. `nxt_sum`, when given, receives each block's occupancy
+    /// word.
+    fn backward_blocks<const D: usize>(
+        &self,
+        cur: &[u64],
+        cur_sum: Option<&[u64]>,
+        vis: &mut [u64],
+        nxt: &mut [u64],
+        mut nxt_sum: Option<&mut [u64]>,
+    ) -> usize {
+        let (sw, bw) = (self.suffix_words, self.words.min(64));
+        let ht = sw.min(64);
+        let (tiles, blocks) = (sw / ht, self.words / bw);
+        let bits = 64 / D;
+        let mut newly = 0usize;
+        for t in 0..tiles {
+            let base = D * ht * t;
+            let empty = cur_sum.is_some_and(|s| sum_clear(s, base, D * ht));
+            let mut tile = [0u64; 64];
+            let h = &mut tile[..ht];
+            if !empty {
+                let (src, _) = cur[base..base + D * ht].as_chunks::<D>();
+                for (hk, c) in h.iter_mut().zip(src) {
+                    let mut acc = 0u64;
+                    for (r, &w) in c.iter().enumerate() {
+                        acc |= squash_d::<D>(w) << (r * bits);
+                    }
+                    *hk = acc;
+                }
+            }
+            for b in (t..blocks).step_by(tiles) {
+                let vb = &mut vis[b * bw..][..bw];
+                let nb = &mut nxt[b * bw..][..bw];
+                if empty {
+                    nb.fill(0);
+                } else {
+                    for (vc, nc) in vb.chunks_exact_mut(ht).zip(nb.chunks_exact_mut(ht)) {
+                        for ((v, n), &hk) in vc.iter_mut().zip(nc.iter_mut()).zip(h.iter()) {
+                            let new = hk & !*v;
+                            *v |= new;
+                            *n = new;
+                            newly += new.count_ones() as usize;
+                        }
+                    }
+                }
+                if let Some(s) = nxt_sum.as_deref_mut() {
+                    s[b] = if empty { 0 } else { occupancy(nb) };
+                }
+            }
+        }
+        newly
+    }
+
+    /// The dense step with no summaries: the block kernel on every block
+    /// (nothing is skipped), the contract of
+    /// [`crate::oracle::kernel_step_scalar`] minus the fold buffer.
+    /// All buffers cover the shape's full word count.
     ///
     /// # Panics
-    /// Panics (in debug builds) if the shape is not dense-capable.
+    /// Panics if the shape is not dense-capable.
     pub fn kernel_step_fused(
         &self,
         backward: bool,
@@ -935,33 +907,14 @@ impl BitReach {
         vis: &mut [u64],
         nxt: &mut [u64],
     ) -> usize {
-        // SUM = false: the raced reference entry point stays summary-free
-        // so the ≥1.0 kernel gate measures the sweep alone.
+        assert!(self.dense_capable, "the shape has no dense sweeps");
+        let words = self.words;
+        let (cur, vis, nxt) = (&cur[..words], &mut vis[..words], &mut nxt[..words]);
         if backward {
-            self.fused_words::<true, false>(cur, vis, nxt, &mut [])
+            self.block_kernel::<true>(cur, None, vis, nxt, None)
         } else {
-            self.fused_words::<false, false>(cur, vis, nxt, &mut [])
+            self.block_kernel::<false>(cur, None, vis, nxt, None)
         }
-    }
-
-    /// Duplicates each of the low 64/d bits of `x` into d adjacent bits.
-    #[inline]
-    pub(crate) fn expand(&self, x: u64) -> u64 {
-        let mut x = x;
-        for _ in 0..self.d_log {
-            x = spread2(x);
-        }
-        x
-    }
-
-    /// ORs each aligned d-bit group of `x` into one of the low 64/d bits.
-    #[inline]
-    pub(crate) fn squash(&self, x: u64) -> u64 {
-        let mut x = x;
-        for _ in 0..self.d_log {
-            x = squash2(x);
-        }
-        x
     }
 }
 
@@ -1488,31 +1441,55 @@ pub fn sum_words(words: usize) -> usize {
     words.div_ceil(64)
 }
 
-/// Marks the summary bits covering bitmap words `base..base + len`.
+/// Whether `sum` marks none of the bitmap words `base..base + len`, an
+/// aligned range: `len` is a power of two and divides `base`, so below 64
+/// words it lies inside one summary word.
 #[inline]
-fn mark_sum_range(sum: &mut [u64], base: usize, len: usize) {
-    let (first, last) = (base >> 6, (base + len - 1) >> 6);
-    if first == last {
-        let lo = base & 63;
-        let width = len as u64;
-        let mask = if width == 64 {
-            u64::MAX
-        } else {
-            ((1u64 << width) - 1) << lo
-        };
-        sum[first] |= mask;
+fn sum_clear(sum: &[u64], base: usize, len: usize) -> bool {
+    if len >= 64 {
+        sum[base >> 6..(base + len) >> 6].iter().all(|&s| s == 0)
     } else {
-        sum[first] |= u64::MAX << (base & 63);
-        for w in &mut sum[first + 1..last] {
-            *w = u64::MAX;
-        }
-        let hi = (base + len - 1) & 63;
-        sum[last] |= if hi == 63 {
-            u64::MAX
-        } else {
-            (1u64 << (hi + 1)) - 1
-        };
+        (sum[base >> 6] >> (base & 63)) & ((1u64 << len) - 1) == 0
     }
+}
+
+/// The summary word of a block of at most 64 bitmap words: bit `j` set
+/// iff `block[j] != 0`. Each run of eight words becomes one flag byte per
+/// word, and one multiply gathers the eight flags into the top byte (the
+/// eight partial products land on distinct bits, so nothing carries).
+#[inline]
+fn occupancy(block: &[u64]) -> u64 {
+    let flag = |w: u64| u64::from(w != 0);
+    let (octets, rest) = block.as_chunks::<8>();
+    let mut occ = 0u64;
+    for (k, oct) in octets.iter().enumerate() {
+        let bytes = (0..8).fold(0, |x, i| x | flag(oct[i]) << (8 * i));
+        occ |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    let done = 8 * octets.len();
+    (rest.iter().enumerate()).fold(occ, |o, (j, &w)| o | flag(w) << (done + j))
+}
+
+/// Duplicates each of the low `64 / D` bits of `x` into `D` adjacent bits
+/// ([`spread2`] applied log2 `D` times).
+#[inline(always)]
+fn expand_d<const D: usize>(x: u64) -> u64 {
+    let mut x = x;
+    for _ in 0..D.trailing_zeros() {
+        x = spread2(x);
+    }
+    x
+}
+
+/// ORs each aligned `D`-bit group of `x` into one of the low `64 / D` bits
+/// ([`squash2`] applied log2 `D` times).
+#[inline(always)]
+fn squash_d<const D: usize>(x: u64) -> u64 {
+    let mut x = x;
+    for _ in 0..D.trailing_zeros() {
+        x = squash2(x);
+    }
+    x
 }
 
 /// Rebuilds the hierarchical summary of `bits` from scratch: summary bit
@@ -2154,34 +2131,6 @@ mod tests {
         }
     }
 
-    /// `mark_sum_range` must cover exactly the requested word range for
-    /// every alignment, including spans crossing summary-word boundaries.
-    #[test]
-    fn mark_sum_range_covers_exactly_the_requested_words() {
-        for &(base, len) in &[
-            (0usize, 1usize),
-            (0, 64),
-            (63, 1),
-            (63, 2),
-            (5, 200),
-            (64, 64),
-            (100, 1),
-            (0, 193),
-        ] {
-            let total = (base + len).div_ceil(64) + 1;
-            let mut sum = vec![0u64; total];
-            mark_sum_range(&mut sum, base, len);
-            for j in 0..total * 64 {
-                let marked = sum[j >> 6] >> (j & 63) & 1 == 1;
-                assert_eq!(
-                    marked,
-                    (base..base + len).contains(&j),
-                    "base={base} len={len} word {j}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn no_allocation_after_first_pass_in_both_regimes() {
         let reach = BitReach::new(2, 1 << 12);
@@ -2217,56 +2166,145 @@ mod tests {
         }
     }
 
-    /// Pins the fused single-pass dense kernel bit-for-bit against the
-    /// retained two-phase scalar reference, forward and backward, on
-    /// random frontiers at both sparse (~3%) and dense (~50%) fills —
-    /// the populations the engine sees on either side of the
-    /// density-switch thresholds. Shapes cover the d=2 specialisation's
-    /// unrolled 4-word tile (suffix_words ≥ 4), its remainder loop
-    /// (suffix_words ∈ {1, 2}), and the generic-d path (d = 4, 8).
+    /// A frontier bitmap in one of the shapes the engine's dense levels
+    /// take: `0` one aligned id range (a forward level from the root), `1`
+    /// one residue class (a backward level), `2` random words in randomly
+    /// chosen 64-word blocks (so whole input blocks are empty while their
+    /// neighbours are not), `3` and `4` random words everywhere at about
+    /// 3% and 50% fill, either side of the density switches.
+    fn shaped_frontier(kind: usize, n_nodes: usize, rng: &mut StdRng) -> Vec<u64> {
+        let words = n_nodes / 64;
+        let mut bits = vec![0u64; words];
+        let mut set = |v: usize| bits[v / 64] |= 1u64 << (v % 64);
+        let log = n_nodes.trailing_zeros() as usize;
+        match kind {
+            0 => {
+                let size = 1usize << rng.gen_range(0..log + 1);
+                let start = rng.gen_range(0..n_nodes / size) * size;
+                (start..start + size).for_each(&mut set);
+            }
+            1 => {
+                let stride = 1usize << rng.gen_range(0..log + 1);
+                let first = rng.gen_range(0..stride);
+                (first..n_nodes).step_by(stride).for_each(&mut set);
+            }
+            2 => {
+                for block in bits.chunks_mut(64) {
+                    if rng.gen_range(0..2) == 0 {
+                        for w in block.iter_mut() {
+                            *w = rng.next_u64() & rng.next_u64();
+                        }
+                    }
+                }
+            }
+            3 => {
+                for w in &mut bits {
+                    *w = (0..5).fold(u64::MAX, |acc, _| acc & rng.next_u64());
+                }
+            }
+            _ => bits.iter_mut().for_each(|w| *w = rng.next_u64()),
+        }
+        bits
+    }
+
+    /// Both entry points of the dense block kernel must match the
+    /// two-phase scalar reference word for word, on every power-of-two d
+    /// the kernel is instantiated for, for shapes with one partial block,
+    /// one whole block and many blocks, forward and backward: the
+    /// summary-aware step the passes run ([`BitReach::step_dense`], which
+    /// may skip blocks) and the summary-free [`BitReach::kernel_step_fused`].
+    /// Frontiers come from [`shaped_frontier`]; their summaries carry
+    /// random false-positive bits, and the output buffers start with
+    /// garbage words and garbage summaries. Checked: the frontier words,
+    /// the visited words, the count, and that the output summary marks
+    /// every occupied output word.
     #[test]
-    fn fused_kernel_matches_two_phase_scalar_bit_for_bit() {
+    fn dense_step_matches_the_scalar_oracle() {
         let shapes = [
-            (2usize, 128usize), // suffix_words = 1: remainder loop only
-            (2, 256),           // suffix_words = 2: remainder loop only
-            (2, 1 << 11),       // suffix_words = 16: full 4-word tiles
-            (2, 1 << 14),       // suffix_words = 128: many tiles
-            (4, 1 << 10),       // generic-d fold of 16-bit chunks
-            (8, 4096),          // generic-d fold of 8-bit chunks
+            (2usize, 1usize << 7), // 2 words: one partial block, 1-word suffix
+            (2, 1 << 8),           // 4 words
+            (2, 1 << 12),          // one block, backward tile replicated
+            (2, 1 << 13),          // two blocks
+            (2, 1 << 16),          // 16 blocks
+            (4, 1 << 10),          // B(4,5): 16 words
+            (4, 1 << 12),          // B(4,6)
+            (4, 1 << 14),          // B(4,7): four blocks
+            (8, 1 << 12),          // B(8,4)
+            (8, 1 << 15),          // B(8,5): eight blocks
+            (64, 1 << 12),         // B(64,2): suffix of one word
+            (64, 1 << 18),         // B(64,3): 64 blocks
         ];
-        let mut rng = StdRng::seed_from_u64(0xF05E);
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        let mut skipped = 0usize;
         for &(d, n_nodes) in &shapes {
             let reach = BitReach::new(d, n_nodes);
             assert!(reach.dense_capable(), "d={d} n={n_nodes}");
             let words = n_nodes / 64;
-            let sw = words / d;
-            let mut fold = vec![0u64; sw];
-            for trial in 0..16 {
-                let sparse = trial % 2 == 0;
-                let word = |rng: &mut StdRng| {
-                    if sparse {
-                        // ~1/32 bit density: AND of five random words.
-                        (0..5).fold(u64::MAX, |acc, _| acc & rng.next_u64())
-                    } else {
-                        rng.next_u64()
-                    }
-                };
+            let sums = sum_words(words);
+            let mut fold = vec![0u64; words / d];
+            for trial in 0..20 {
+                let kind = trial % 5;
                 for backward in [false, true] {
-                    let cur: Vec<u64> = (0..words).map(|_| word(&mut rng)).collect();
-                    let vis0: Vec<u64> = (0..words).map(|_| word(&mut rng)).collect();
-                    let (mut vis_a, mut vis_b) = (vis0.clone(), vis0);
-                    let mut nxt_a = vec![u64::MAX; words]; // must be fully overwritten
-                    let mut nxt_b = vec![0u64; words];
-                    let na = crate::oracle::kernel_step_scalar(
-                        &reach, backward, &cur, &mut vis_a, &mut nxt_a, &mut fold,
+                    let bits = shaped_frontier(kind, n_nodes, &mut rng);
+                    let mut sum = vec![0u64; sums];
+                    summarize_bits(&bits, &mut sum);
+                    // False positives: one stray bit in about half the
+                    // summary words, so some empty blocks stay unmarked.
+                    for s in &mut sum {
+                        if rng.gen_range(0..2) == 0 {
+                            *s |= 1u64 << rng.gen_range(0..64);
+                        }
+                    }
+                    skipped += sum.iter().filter(|&&s| s == 0).count();
+                    let cur = BitFrontier {
+                        queue: Vec::new(),
+                        bits: bits.clone(),
+                        sum,
+                        dense: true,
+                        len: 0,
+                    };
+                    let vis0: Vec<u64> = (0..words)
+                        .map(|_| rng.next_u64() & rng.next_u64())
+                        .collect();
+                    let mut nxt = BitFrontier {
+                        queue: Vec::new(),
+                        bits: (0..words).map(|_| rng.next_u64()).collect(),
+                        sum: (0..sums).map(|_| rng.next_u64()).collect(),
+                        dense: false,
+                        len: 0,
+                    };
+                    let (mut vis_want, mut vis_got) = (vis0.clone(), vis0.clone());
+                    let mut want = vec![0u64; words];
+                    let count = crate::oracle::kernel_step_scalar(
+                        &reach,
+                        backward,
+                        &bits,
+                        &mut vis_want,
+                        &mut want,
+                        &mut fold,
                     );
-                    let nb = reach.kernel_step_fused(backward, &cur, &mut vis_b, &mut nxt_b);
-                    let tag = format!("d={d} n={n_nodes} bwd={backward} sparse={sparse}");
-                    assert_eq!(na, nb, "newly count diverges: {tag}");
-                    assert_eq!(vis_a, vis_b, "visited words diverge: {tag}");
-                    assert_eq!(nxt_a, nxt_b, "frontier words diverge: {tag}");
+                    if backward {
+                        reach.step_dense::<true>(&mut vis_got, &cur, &mut nxt);
+                    } else {
+                        reach.step_dense::<false>(&mut vis_got, &cur, &mut nxt);
+                    }
+                    let tag = format!("d={d} n={n_nodes} kind={kind} bwd={backward}");
+                    assert!(nxt.dense, "{tag}");
+                    assert_eq!(nxt.len, count, "count: {tag}");
+                    assert_eq!(nxt.bits, want, "frontier words: {tag}");
+                    assert_eq!(vis_got, vis_want, "visited words: {tag}");
+                    for (j, &w) in nxt.bits.iter().enumerate() {
+                        let marked = nxt.sum[j >> 6] >> (j & 63) & 1 == 1;
+                        assert!(w == 0 || marked, "word {j} occupied but unmarked: {tag}");
+                    }
+                    let (mut vis_free, mut free) = (vis0, vec![u64::MAX; words]);
+                    let got = reach.kernel_step_fused(backward, &bits, &mut vis_free, &mut free);
+                    assert_eq!(got, count, "summary-free count: {tag}");
+                    assert_eq!(free, want, "summary-free frontier words: {tag}");
+                    assert_eq!(vis_free, vis_want, "summary-free visited words: {tag}");
                 }
             }
         }
+        assert!(skipped > 0, "no input block was ever empty");
     }
 }

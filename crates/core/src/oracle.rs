@@ -14,7 +14,7 @@ use dbg_graph::algo::bfs::bfs_tree;
 use dbg_graph::algo::components::scc_component_ids;
 use dbg_graph::{DeBruijn, Topology};
 
-use crate::bitreach::BitReach;
+use crate::bitreach::{spread2, squash2, BitReach};
 use crate::ffc::{EmbedStats, EngineTables, Ffc, FfcOutcome, RootProbe, INFEASIBLE_ROOT};
 use crate::mem::{grow_to, reserve_more};
 
@@ -478,6 +478,9 @@ pub fn kernel_step_scalar(
 ) -> usize {
     debug_assert!(reach.dense_capable);
     let d = reach.d;
+    let steps = d.trailing_zeros();
+    let expand = |x: u64| (0..steps).fold(x, |x, _| spread2(x));
+    let squash = |x: u64| (0..steps).fold(x, |x, _| squash2(x));
     let bits_per = 64 / d;
     let chunk_mask = if bits_per == 64 {
         u64::MAX
@@ -488,7 +491,7 @@ pub fn kernel_step_scalar(
         for (i, h) in fold[..reach.suffix_words].iter_mut().enumerate() {
             let mut acc = 0u64;
             for t in 0..d {
-                acc |= reach.squash(cur[d * i + t]) << (t * bits_per);
+                acc |= squash(cur[d * i + t]) << (t * bits_per);
             }
             *h = acc;
         }
@@ -518,7 +521,7 @@ pub fn kernel_step_scalar(
         // S word j expands the (j mod d)-th chunk of G word (j div d).
         for &g in &fold[..reach.suffix_words] {
             for r in 0..d {
-                let new = reach.expand((g >> (r * bits_per)) & chunk_mask) & !vis[j];
+                let new = expand((g >> (r * bits_per)) & chunk_mask) & !vis[j];
                 vis[j] |= new;
                 nxt[j] = new;
                 newly += new.count_ones() as usize;
