@@ -102,8 +102,8 @@
 //! footprint of the structure the tier exercises (the embed scratch, the
 //! maintainer session on incremental/churn tiers, session plus snapshot
 //! chunks on serve tiers); incremental tiers
-//! additionally break out the compact level arrays (`level_bytes`)
-//! against the u32 storage they replaced (`level_bytes_u32`), with the
+//! additionally break out the compact level array (`level_bytes`)
+//! against the u32 storage it replaced (`level_bytes_u32`), with the
 //! gated ratio `level_compaction` ≥ 3.0.
 //!
 //! Usage: `cargo run --release -p dbg-bench --bin bench_ffc [out.json]
@@ -1159,11 +1159,10 @@ fn main() {
             }
             let rebuild = warm_rebuild_ns(&ffc, &mut maint, &[worst]);
             let speedup = serial_ns / repair_ns;
-            // The compact-level footprint gate: the session's three level
-            // arrays in one byte per node vs the 3 × 4 × n_nodes bytes of
-            // the u32 storage they replaced (PR 10).
+            // The compact-level footprint gate: the session's level array
+            // in one byte per node vs the 4 × n_nodes bytes of u32 storage.
             let level_bytes = maint.level_bytes();
-            let level_bytes_u32 = 3 * 4 * total;
+            let level_bytes_u32 = 4 * total;
             let level_compaction = level_bytes_u32 as f64 / level_bytes as f64;
             eprintln!(
                 "{label}: repair {:.1} µs/event vs embed {:.2} ms ({speedup:.1}x), \
@@ -1403,7 +1402,7 @@ fn main() {
          rebuild_ns the median warm RingMaintainer::reset to that event's fault, \
          stats checksums asserted identical to the from-scratch loop, and level_bytes / \
          level_bytes_u32 / level_compaction report the compact u8 level-array footprint \
-         against the 3 x 4 bytes/node u32 storage it replaced (gated >= 3.0); mode=churn \
+         against the 4 bytes/node of u32 storage (gated >= 3.0); mode=churn \
          tiers replay a deterministic arrival/departure trace (Poisson arrivals, correlated \
          4-bursts, 20% link faults) through the maintainer — \
          p50/p99_repair_ns are per-batch repair latencies and degraded_fraction is the time \

@@ -1,7 +1,12 @@
 //! Bit-parallel reachability over the implicit shift arithmetic of B(d,n).
 //!
-//! The FFC engine's hot loops are three BFS passes (forward, backward,
-//! broadcast) over a de Bruijn graph with some necklaces removed. For a
+//! The FFC engine's hot loop is one forward BFS from the root over a de
+//! Bruijn graph with some necklaces removed: faults remove whole necklaces,
+//! so the forward set is the root's strongly connected component B* and
+//! its levels are the broadcast levels (see the `ffc` module docs). The
+//! backward pass and the broadcast restricted to fwd ∧ bwd remain public:
+//! they give B* under a dead set that is not a union of necklaces, and the
+//! ring benchmark's traced run times them beside the engine. For a
 //! power-of-two alphabet the successor set of a *set* of nodes is pure
 //! word arithmetic on its bitmap: node `v`'s successors are the aligned
 //! block `d·(v mod d^(n−1)) + a`, so
@@ -55,9 +60,8 @@
 //! `k` from the root lies in one aligned id range (the nodes sharing one
 //! (n−k)-digit prefix), so at B(2,18) the seven dense forward steps of a
 //! fault-free pass compute 127 of 448 blocks. A backward level is one
-//! residue class,
-//! spread over every block, so the backward pass skips next to nothing
-//! and is now the larger share of a stats-only embedding.
+//! residue class, spread over every block, so the backward pass skips next
+//! to nothing.
 //!
 //! The two-phase kernel (a fold pass into a buffer, then an expand pass)
 //! lives on as the oracle [`crate::oracle::kernel_step_scalar`].
@@ -244,8 +248,10 @@ impl BitFrontier {
 }
 
 /// The reusable buffers of the bit-parallel engine: the per-call fault
-/// bitmap, the three visited sets and the two frontiers (the dense block
-/// kernel folds into a stack tile, so there is no fold scratch).
+/// bitmap, the visited sets of the forward, backward and broadcast passes
+/// and the two frontiers (the dense block kernel folds into a stack tile,
+/// so there is no fold scratch). The engine's passes touch only the fault
+/// bitmap, the forward set and the frontiers.
 /// Grow-only; after the first call at a given graph size no method
 /// allocates.
 #[derive(Clone, Debug, Default)]
@@ -298,8 +304,9 @@ impl BitScratch {
 }
 
 /// The bit-parallel reachability engine for one B(d,n) shape: word-level
-/// constants plus the three direction-optimizing passes the FFC embedding
-/// runs (forward, backward, broadcast).
+/// constants plus the direction-optimizing passes — forward (the one the
+/// FFC embedding runs), backward, and the broadcast over their
+/// intersection.
 #[derive(Clone, Copy, Debug)]
 pub struct BitReach {
     pub(crate) d: usize,
@@ -430,25 +437,17 @@ impl BitReach {
         s.dead[v / 64] & (1u64 << (v % 64)) != 0
     }
 
-    /// Whether `v` lies in B* — forward- and backward-reachable and live.
-    /// Valid after [`BitReach::forward`] and [`BitReach::backward`].
-    #[inline]
-    #[must_use]
-    pub fn in_bstar(&self, s: &BitScratch, v: usize) -> bool {
-        let (j, m) = (v / 64, 1u64 << (v % 64));
-        s.fwd[j] & s.bwd[j] & !s.dead[j] & m != 0
-    }
-
     /// Forward BFS from `root` over live nodes. Returns `(reached, depth)`
     /// where `reached` counts live forward-reachable nodes including the
-    /// root and `depth` is the last level with a new node — the broadcast
-    /// eccentricity whenever B* turns out to equal the forward set.
+    /// root and `depth` is the last level with a new node. When the dead
+    /// nodes form whole necklaces the forward set is B*, so these are |B*|
+    /// and the broadcast eccentricity.
     pub fn forward(&self, s: &mut BitScratch, root: usize) -> (usize, usize) {
         self.pass::<false>(s, root, |_, _| {})
     }
 
     /// Backward BFS from `root` over live nodes (visited set left in the
-    /// scratch for [`BitReach::component_size`] / [`BitReach::in_bstar`]).
+    /// scratch for [`BitReach::broadcast_levels`]).
     pub fn backward(&self, s: &mut BitScratch, root: usize) {
         self.pass::<true>(s, root, |_, _| {});
     }
@@ -474,51 +473,20 @@ impl BitReach {
         self.run::<BACKWARD>(vis, cur, nxt, root, on_level)
     }
 
-    /// |B*| after the two passes: the popcount of `fwd ∧ bwd` minus the
-    /// `removed_nodes` dead bits (dead nodes are pre-visited in both sets).
-    #[must_use]
-    pub fn component_size(&self, s: &BitScratch, removed_nodes: usize) -> usize {
-        let both: usize = s.fwd[..self.words]
-            .iter()
-            .zip(&s.bwd[..self.words])
-            .map(|(&a, &b)| (a & b).count_ones() as usize)
-            .sum();
-        both - removed_nodes
-    }
-
-    /// The broadcast restricted to B*, levels only: returns the
-    /// eccentricity of `root` within B*. Requires the forward and backward
-    /// passes to have run.
-    pub fn broadcast_depth(&self, s: &mut BitScratch, root: usize) -> usize {
-        self.broadcast(s, root, |_, _| {}).1
-    }
-
-    /// The broadcast restricted to B*, writing every reached node's level
-    /// into `levels` (grown to the node space; every other slot
-    /// [`UNREACHED`]). Returns `(reached, depth)`. Requires the forward
-    /// and backward passes to have run.
-    pub fn broadcast_levels_into(
-        &self,
-        s: &mut BitScratch,
-        root: usize,
-        levels: &mut LevelVec,
-    ) -> (usize, usize) {
-        self.broadcast(s, root, self.level_writer(levels))
-    }
-
-    /// The broadcast restricted to B*, emitting every reached node level
-    /// by level as a CSR: `nodes` receives the nodes (cleared first),
-    /// `offsets` the level boundaries (`offsets[l]..offsets[l+1]` is level
-    /// `l`; `offsets.len()` ends up `depth + 2`). Returns
-    /// `(reached, depth)`. The within-level order is unspecified
+    /// The broadcast restricted to B* = `fwd ∧ bwd ∧ ¬dead`, emitting
+    /// every reached node level by level as a CSR: `nodes` receives the
+    /// nodes (cleared first), `offsets` the level boundaries
+    /// (`offsets[l]..offsets[l+1]` is level `l`; `offsets.len()` ends up
+    /// `depth + 2`). Returns `(reached, depth)`. Requires the forward and
+    /// backward passes to have run. The within-level order is unspecified
     /// (discovery order top-down, increasing id bottom-up) — callers must
     /// not depend on it.
     ///
     /// This is the one CSR entry point, kept for external callers that
-    /// want B* grouped by level; the engine and the maintainer write
-    /// levels straight into a [`LevelVec`] instead
-    /// ([`BitReach::broadcast_levels_into`],
-    /// [`BitReach::broadcast_levels_bstar`]).
+    /// want B* grouped by level under any dead set; the engine and the
+    /// maintainer write forward levels straight into a [`LevelVec`]
+    /// instead ([`BitReach::forward_levels`],
+    /// [`BitReach::forward_levels_reached`]).
     pub fn broadcast_levels(
         &self,
         s: &mut BitScratch,
@@ -541,7 +509,7 @@ impl BitReach {
         found
     }
 
-    /// Shared broadcast setup: visited starts as "outside B* or dead".
+    /// The broadcast setup: visited starts as "outside B* or dead".
     fn broadcast(
         &self,
         s: &mut BitScratch,
@@ -566,61 +534,6 @@ impl BitReach {
             *v = !(f & b) | x;
         }
         self.run::<false>(vis, cur, nxt, root, on_level)
-    }
-
-    /// [`BitReach::broadcast_levels_into`] fused with the B* mask: one
-    /// chunk-streamed pass over (fwd, bwd, dead, vis) writes the B*
-    /// membership words (`fwd ∧ bwd ∧ ¬dead`) into `bstar`, counts |B*|
-    /// and initialises the broadcast visited set to the complement —
-    /// replacing the separate vis-init sweep, B*-bitmap sweep and
-    /// popcount the session's rebuild used to run back-to-back over the
-    /// full arrays. `counts` receives the number of nodes on each level
-    /// (cleared first; `counts.len()` ends up `depth + 1`). Returns
-    /// `(bstar_count, reached, depth)`; the level writes are unchanged.
-    pub fn broadcast_levels_bstar(
-        &self,
-        s: &mut BitScratch,
-        root: usize,
-        levels: &mut LevelVec,
-        counts: &mut Vec<u32>,
-        bstar: &mut [u64],
-    ) -> (usize, usize, usize) {
-        let count = self.bstar_init(s, bstar);
-        let BitScratch { vis, cur, nxt, .. } = s;
-        let mut write = self.level_writer(levels);
-        counts.clear();
-        let (reached, depth) = self.run::<false>(vis, cur, nxt, root, |l, f| {
-            counts.push(f.len as u32);
-            write(l, f);
-        });
-        (count, reached, depth)
-    }
-
-    /// The broadcast initialisation in one pass over the four bitmaps:
-    /// the B* mask, its popcount and the seeded visited set.
-    fn bstar_init(&self, s: &mut BitScratch, bstar: &mut [u64]) -> usize {
-        let BitScratch {
-            dead,
-            fwd,
-            bwd,
-            vis,
-            ..
-        } = s;
-        let w = self.words;
-        let mut count = 0usize;
-        for ((((b, v), &f), &r), &x) in bstar[..w]
-            .iter_mut()
-            .zip(&mut vis[..w])
-            .zip(&fwd[..w])
-            .zip(&bwd[..w])
-            .zip(&dead[..w])
-        {
-            let m = f & r & !x;
-            *b = m;
-            *v = !m;
-            count += m.count_ones() as usize;
-        }
-        count
     }
 
     /// The direct level write of the level-emitting passes: grows
@@ -922,8 +835,7 @@ impl BitReach {
     /// [`BitReach::forward`] writing every reached node's forward level
     /// into `levels` (grown to the node space; every other slot
     /// [`UNREACHED`]): identical visited set, count and depth. This is
-    /// the pass the incremental engine's [`crate::ffc::RingMaintainer`]
-    /// rebuilds its forward level array with.
+    /// the pass `Ffc::embed_into` writes its tree stage's levels with.
     pub fn forward_levels(
         &self,
         s: &mut BitScratch,
@@ -933,17 +845,34 @@ impl BitReach {
         self.pass::<false>(s, root, self.level_writer(levels))
     }
 
-    /// [`BitReach::backward`] writing every reached node's backward level
-    /// (its distance *to* the root) into `levels` (see
-    /// [`BitReach::forward_levels`]); returns `(reached, depth)` of the
-    /// backward pass.
-    pub fn backward_levels(
+    /// [`BitReach::forward_levels`] for a from-scratch rebuild of
+    /// [`crate::ffc::RingMaintainer`]: `counts` receives the number of
+    /// nodes on each level (cleared first; `counts.len()` ends up
+    /// `depth + 1`), and `reached_bits` the reached set `fwd ∧ ¬dead`.
+    /// Returns `(reached, depth)`.
+    pub fn forward_levels_reached(
         &self,
         s: &mut BitScratch,
         root: usize,
         levels: &mut LevelVec,
+        counts: &mut Vec<u32>,
+        reached_bits: &mut [u64],
     ) -> (usize, usize) {
-        self.pass::<true>(s, root, self.level_writer(levels))
+        let mut write = self.level_writer(levels);
+        counts.clear();
+        let found = self.pass::<false>(s, root, |l, f| {
+            counts.push(f.len as u32);
+            write(l, f);
+        });
+        let w = self.words;
+        for ((b, &f), &x) in reached_bits[..w]
+            .iter_mut()
+            .zip(&s.fwd[..w])
+            .zip(&s.dead[..w])
+        {
+            *b = f & !x;
+        }
+        found
     }
 }
 
@@ -985,8 +914,7 @@ impl std::error::Error for DeltaBudgetExceeded {}
 /// * Every pass appends each node whose level it changed to the log. A
 ///   node already in the log keeps its entry, so a log spanning several
 ///   passes holds each changed node once, with its level before the
-///   first pass that changed it. [`DeltaScratch::restart_log`] starts an
-///   empty log under the running budget.
+///   first pass that changed it.
 ///
 /// Both passes drain one monotone two-level queue: every push lands
 /// exactly one level above the level being drained, so a sorted seed list
@@ -1051,12 +979,6 @@ impl DeltaScratch {
     pub fn open(&mut self, budget: usize) {
         self.budget = budget;
         self.pops = 0;
-        self.restart_log();
-    }
-
-    /// Starts an empty change log; the open batch keeps its budget and
-    /// the pops already charged to it.
-    pub fn restart_log(&mut self) {
         if self.stamp == u32::MAX {
             self.changed_stamp.fill(0);
             self.stamp = 0;
@@ -1546,6 +1468,7 @@ fn for_each_bit_skip(bits: &[u64], sum: &[u64], mut f: impl FnMut(usize)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ffc::Ffc;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
@@ -1653,7 +1576,7 @@ mod tests {
     }
 
     /// Every pass must agree with the scalar oracle (forward counts and
-    /// depths, component sizes, broadcast levels) in both regimes and
+    /// depths, B* and its broadcast levels) in both regimes and
     /// across the switches between them. B(2,7) expands densely from the
     /// root, and B(2,14) switches sparse → dense on the way out and dense
     /// → sparse in the tail; the forward passes' per-level regimes pin
@@ -1676,7 +1599,6 @@ mod tests {
                 let root = 1usize;
                 let deaths = [0, 1, 3, n_nodes / 20, n_nodes / 4][trial % 5];
                 let dead = random_dead(n_nodes, deaths, root, &mut rng);
-                let removed = dead.iter().filter(|&&x| x).count();
                 let (fl, fwd_reached, fwd_depth) = oracle_bfs(d, n_nodes, &dead, root, false, None);
                 let (bl, _, _) = oracle_bfs(d, n_nodes, &dead, root, true, None);
                 let bstar: Vec<bool> = (0..n_nodes)
@@ -1701,14 +1623,6 @@ mod tests {
                 to_dense |= regimes.windows(2).any(|w| !w[0] && w[1]);
                 to_sparse |= regimes.windows(2).any(|w| w[0] && !w[1]);
                 reach.backward(&mut s, root);
-                assert_eq!(
-                    reach.component_size(&s, removed),
-                    component,
-                    "component {tag}"
-                );
-                for (v, &want) in bstar.iter().enumerate() {
-                    assert_eq!(reach.in_bstar(&s, v), want, "v={v} {tag}");
-                }
                 let mut nodes = Vec::new();
                 let mut offsets = Vec::new();
                 let (breached, bdepth) =
@@ -1728,8 +1642,6 @@ mod tests {
                     want.sort_unstable();
                     assert_eq!(lvl, want, "level {l} {tag}");
                 }
-                // And the stats-only depth variant agrees.
-                assert_eq!(reach.broadcast_depth(&mut s, root), ecc, "{tag}");
             }
         }
         assert!(dense_root, "no forward pass started dense at the root");
@@ -1758,6 +1670,7 @@ mod tests {
     #[test]
     fn scratch_reuse_across_shapes_never_leaks_state() {
         let mut s = BitScratch::new();
+        let (mut nodes, mut offsets) = (Vec::new(), Vec::new());
         for &(d, n_nodes) in &[(2usize, 1 << 10), (4, 256), (2, 64), (3, 81), (2, 1 << 10)] {
             let reach = BitReach::new(d, n_nodes);
             reach.prepare(&mut s);
@@ -1765,7 +1678,8 @@ mod tests {
             let (count, _) = reach.forward(&mut s, 1);
             reach.backward(&mut s, 1);
             assert_eq!(count, n_nodes - 1, "d={d} n={n_nodes}");
-            assert_eq!(reach.component_size(&s, 1), n_nodes - 1);
+            let (component, _) = reach.broadcast_levels(&mut s, 1, &mut nodes, &mut offsets);
+            assert_eq!(component, n_nodes - 1, "d={d} n={n_nodes}");
         }
     }
 
@@ -1778,9 +1692,9 @@ mod tests {
     }
 
     /// Every level-emitting pass must produce the scalar oracle's levels:
-    /// the forward and backward passes and both level-writing broadcasts
-    /// into a [`LevelVec`] (the fused one also returning B* and the
-    /// per-level counts), and the CSR broadcast scattered by hand.
+    /// the forward pass into a [`LevelVec`] (the rebuild's variant also
+    /// returning the per-level counts and the reached set), and the CSR
+    /// broadcast over fwd ∧ bwd scattered by hand.
     #[test]
     fn level_emitting_passes_match_oracle() {
         let shapes = [
@@ -1807,13 +1721,12 @@ mod tests {
                 let dead = random_dead(n_nodes, deaths, root, &mut rng);
                 let tag = format!("d={d} n={n_nodes} deaths={deaths}");
                 let (fl, fwd_reached, fwd_depth) = oracle_bfs(d, n_nodes, &dead, root, false, None);
-                let (bl, bwd_reached, bwd_depth) = oracle_bfs(d, n_nodes, &dead, root, true, None);
+                let (bl, _, _) = oracle_bfs(d, n_nodes, &dead, root, true, None);
                 let bstar: Vec<bool> = (0..n_nodes)
                     .map(|v| fl[v] != usize::MAX && bl[v] != usize::MAX)
                     .collect();
                 let component = bstar.iter().filter(|&&x| x).count();
                 let (vl, _, ecc) = oracle_bfs(d, n_nodes, &dead, root, false, Some(&bstar));
-                let want_bcast = as_u32(&vl);
                 let mut s = BitScratch::new();
                 reach.prepare(&mut s);
                 for (v, &x) in dead.iter().enumerate() {
@@ -1828,28 +1741,24 @@ mod tests {
                 let got = reach.forward_levels(&mut s, root, &mut lv);
                 assert_eq!(got, (fwd_reached, fwd_depth), "forward {tag}");
                 assert_eq!(read(&lv, n_nodes), as_u32(&fl), "forward {tag}");
-                let got = reach.backward_levels(&mut s, root, &mut lv);
-                assert_eq!(got, (bwd_reached, bwd_depth), "backward {tag}");
-                assert_eq!(read(&lv, n_nodes), as_u32(&bl), "backward {tag}");
 
-                let got = reach.broadcast_levels_into(&mut s, root, &mut lv);
-                assert_eq!(got, (component, ecc), "broadcast {tag}");
-                assert_eq!(read(&lv, n_nodes), want_bcast, "broadcast {tag}");
-
+                lv.set(0, 3);
                 let mut counts = vec![7u32];
                 let mut bits = vec![u64::MAX; n_nodes.div_ceil(64)];
                 let got =
-                    reach.broadcast_levels_bstar(&mut s, root, &mut lv, &mut counts, &mut bits);
-                assert_eq!(got, (component, component, ecc), "fused broadcast {tag}");
-                assert_eq!(read(&lv, n_nodes), want_bcast, "fused broadcast {tag}");
-                for (v, &want) in bstar.iter().enumerate() {
-                    assert_eq!(bits[v / 64] >> (v % 64) & 1 == 1, want, "B* bit {v} {tag}");
+                    reach.forward_levels_reached(&mut s, root, &mut lv, &mut counts, &mut bits);
+                assert_eq!(got, (fwd_reached, fwd_depth), "rebuild forward {tag}");
+                assert_eq!(read(&lv, n_nodes), as_u32(&fl), "rebuild forward {tag}");
+                for (v, &l) in fl.iter().enumerate() {
+                    let want = l != usize::MAX;
+                    assert_eq!(bits[v / 64] >> (v % 64) & 1 == 1, want, "reached {v} {tag}");
                 }
-                let want_counts: Vec<u32> = (0..=ecc)
-                    .map(|l| vl.iter().filter(|&&x| x == l).count() as u32)
+                let want_counts: Vec<u32> = (0..=fwd_depth)
+                    .map(|l| fl.iter().filter(|&&x| x == l).count() as u32)
                     .collect();
                 assert_eq!(counts, want_counts, "level counts {tag}");
 
+                reach.backward(&mut s, root);
                 let (mut nodes, mut offsets) = (vec![9u32], vec![9u32]);
                 let got = reach.broadcast_levels(&mut s, root, &mut nodes, &mut offsets);
                 assert_eq!(got, (component, ecc), "CSR broadcast {tag}");
@@ -1859,9 +1768,128 @@ mod tests {
                         scattered[v as usize] = l as u32;
                     }
                 }
-                assert_eq!(scattered, want_bcast, "CSR broadcast {tag}");
+                assert_eq!(scattered, as_u32(&vl), "CSR broadcast {tag}");
             }
         }
+    }
+
+    /// The forward levels [`BitReach::forward_levels`] writes from `root`
+    /// with the `dead` nodes killed, and the oracle's broadcast levels over
+    /// B* — its forward ∩ backward set — each as a `u32` array with
+    /// [`UNREACHED`] holes and with its (reached, depth).
+    fn forward_and_bstar_levels(
+        reach: &BitReach,
+        dead: &[bool],
+        root: usize,
+        s: &mut BitScratch,
+        lv: &mut LevelVec,
+    ) -> [(Vec<u32>, (usize, usize)); 2] {
+        let (d, n_nodes) = (reach.d, dead.len());
+        reach.prepare(s);
+        for v in (0..n_nodes).filter(|&v| dead[v]) {
+            reach.kill(s, v);
+        }
+        let got = reach.forward_levels(s, root, lv);
+        let (fl, _, _) = oracle_bfs(d, n_nodes, dead, root, false, None);
+        let (bl, _, _) = oracle_bfs(d, n_nodes, dead, root, true, None);
+        let bstar: Vec<bool> = (0..n_nodes)
+            .map(|v| fl[v] != usize::MAX && bl[v] != usize::MAX)
+            .collect();
+        let (vl, component, ecc) = oracle_bfs(d, n_nodes, dead, root, false, Some(&bstar));
+        let want = vl
+            .iter()
+            .map(|&l| if l == usize::MAX { UNREACHED } else { l as u32 })
+            .collect();
+        [
+            ((0..n_nodes).map(|v| lv.get(v)).collect(), got),
+            (want, (component, ecc)),
+        ]
+    }
+
+    /// The fact the engine's one-pass embedding rests on: when faults kill
+    /// whole necklaces, the set [`BitReach::forward`] reaches from any live
+    /// root is B*, the oracle's forward ∩ backward set, and its levels are
+    /// the broadcast levels over B*. Every edge αz → zβ between two
+    /// necklaces has a twin βz → zα between the same two the other way.
+    /// Checked on every necklace subset of B(2,3)–B(2,6), B(3,2), B(3,3),
+    /// B(4,2) and B(5,2), with the root on a live necklace chosen by the
+    /// subset, and on seeded random subsets of up to 70% of the necklaces
+    /// of B(2,10), B(3,5), B(4,4) and B(8,3) (the dense regime included).
+    /// The negative control kills single nodes of B(2,5) instead of
+    /// necklaces and must find a root whose forward set is not B*.
+    #[test]
+    fn forward_set_is_bstar_under_necklace_faults() {
+        let mut s = BitScratch::new();
+        let mut lv = LevelVec::new();
+        let kill = |ffc: &Ffc, dead_necks: &[bool]| -> Vec<bool> {
+            let membership = ffc.partition().membership();
+            membership.iter().map(|&m| dead_necks[m as usize]).collect()
+        };
+        let mut cases = 0usize;
+        for (d, n) in [
+            (2u64, 3u32),
+            (2, 4),
+            (2, 5),
+            (2, 6),
+            (3, 2),
+            (3, 3),
+            (4, 2),
+            (5, 2),
+        ] {
+            let ffc = Ffc::new(d, n);
+            let reach = BitReach::new(d as usize, ffc.graph().len());
+            let necks = ffc.partition().len();
+            for subset in 0..(1usize << necks) - 1 {
+                let dead_necks: Vec<bool> = (0..necks).map(|k| subset >> k & 1 == 1).collect();
+                let live: Vec<usize> = (0..necks).filter(|&k| !dead_necks[k]).collect();
+                let root = ffc.partition().members(live[subset % live.len()])[0] as usize;
+                let dead = kill(&ffc, &dead_necks);
+                let [got, want] = forward_and_bstar_levels(&reach, &dead, root, &mut s, &mut lv);
+                assert_eq!(
+                    got, want,
+                    "B({d},{n}) dead necklaces {subset:#b} root {root}"
+                );
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 15 + 63 + 255 + 16383 + 63 + 2047 + 1023 + 32767);
+        let mut rng = StdRng::seed_from_u64(0xF0B5);
+        for (d, n) in [(2u64, 10u32), (3, 5), (4, 4), (8, 3)] {
+            let ffc = Ffc::new(d, n);
+            let reach = BitReach::new(d as usize, ffc.graph().len());
+            let necks = ffc.partition().len();
+            for trial in 0..60 {
+                let mut order: Vec<usize> = (0..necks).collect();
+                for i in (1..necks).rev() {
+                    order.swap(i, rng.gen_range(0..i + 1));
+                }
+                let killed = rng.gen_range(0..necks * 7 / 10 + 1);
+                let mut dead_necks = vec![false; necks];
+                order[..killed].iter().for_each(|&k| dead_necks[k] = true);
+                let members = ffc.partition().members(order[rng.gen_range(killed..necks)]);
+                let root = members[rng.gen_range(0..members.len())] as usize;
+                let dead = kill(&ffc, &dead_necks);
+                let [got, want] = forward_and_bstar_levels(&reach, &dead, root, &mut s, &mut lv);
+                assert_eq!(
+                    got, want,
+                    "B({d},{n}) trial {trial}: {killed} necklaces, root {root}"
+                );
+            }
+        }
+        let reach = BitReach::new(2, 32);
+        let mut differ = 0usize;
+        for v in 0..32 {
+            let mut dead = vec![false; 32];
+            dead[v] = true;
+            for root in (0..32).filter(|&r| r != v) {
+                let [got, want] = forward_and_bstar_levels(&reach, &dead, root, &mut s, &mut lv);
+                differ += usize::from(got != want);
+            }
+        }
+        assert!(
+            differ > 0,
+            "single-node faults never split the forward set from B*"
+        );
     }
 
     /// Scalar level oracle as a u32 array with [`UNREACHED`] holes.
@@ -2135,6 +2163,7 @@ mod tests {
     fn no_allocation_after_first_pass_in_both_regimes() {
         let reach = BitReach::new(2, 1 << 12);
         let mut s = BitScratch::new();
+        let (mut nodes, mut offsets) = (Vec::new(), Vec::new());
         let mut rng = StdRng::seed_from_u64(7);
         // Warm up one dense-regime and one sparse-regime pass.
         for deaths in [0, 1 << 10] {
@@ -2147,7 +2176,7 @@ mod tests {
             }
             let _ = reach.forward(&mut s, 1);
             reach.backward(&mut s, 1);
-            let _ = reach.broadcast_depth(&mut s, 1);
+            let _ = reach.broadcast_levels(&mut s, 1, &mut nodes, &mut offsets);
         }
         let warm = s.allocated_bytes();
         for trial in 0..100 {
@@ -2161,7 +2190,7 @@ mod tests {
             }
             let _ = reach.forward(&mut s, 1);
             reach.backward(&mut s, 1);
-            let _ = reach.broadcast_depth(&mut s, 1);
+            let _ = reach.broadcast_levels(&mut s, 1, &mut nodes, &mut offsets);
             assert_eq!(s.allocated_bytes(), warm, "trial {trial}");
         }
     }

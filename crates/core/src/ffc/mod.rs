@@ -28,7 +28,7 @@
 //! necklace members), and a reusable [`EmbedScratch`] owns every piece of
 //! per-call mutable state — the stamped fault marks, the bit-parallel
 //! reachability bitmaps, the spanning-tree stage (the one-byte broadcast
-//! levels, which the broadcast writes straight from its frontier, the
+//! levels, which the forward pass writes straight from its frontier, the
 //! per-necklace records, and the ring wiring: an exit bitmap plus one
 //! packed entry digit per node), and the output cycle buffer. After the
 //! first call at a given (d, n) ("warm-up"), [`Ffc::embed_into`] performs
@@ -36,13 +36,18 @@
 //!
 //! Per call the engine does:
 //!
-//! * **Component**: instead of a whole-graph Tarjan SCC pass, a
-//!   forward-BFS and a backward-BFS from the root over the implicit
-//!   successor/predecessor arithmetic of B(d,n), restricted to live nodes;
-//!   the intersection of the two reachable sets is exactly the strongly
-//!   connected component B* of the root.
-//! * **Broadcast**: a level-synchronous BFS with minimal-predecessor tie
-//!   breaking over B* only.
+//! * **Component and broadcast**: one forward BFS from the root over the
+//!   implicit successor arithmetic of B(d,n), restricted to live nodes.
+//!   Faults remove whole necklaces, each necklace is a rotation cycle, and
+//!   every edge αz → zβ between two necklaces has a twin βz → zα between
+//!   the same two necklaces the other way (N*'s antiparallel w-edges,
+//!   [`crate::necklace_graph`]). So every live node the root reaches also
+//!   reaches the root: the forward set is the strongly connected component
+//!   B* — no Tarjan pass and no backward BFS — and its levels are the
+//!   broadcast levels over B* that the tree stage reads (the minimal
+//!   predecessor one level up breaks ties). The oracles keep their own
+//!   backward reachability, and the differential suites check the two
+//!   agree.
 //! * **Cycle construction**: one record per necklace (its earliest member
 //!   Y and its parent necklace) in a flat array; the w-group of label w is
 //!   derived from the records of the d nodes w·d+β, with no hash map, sort
@@ -179,7 +184,7 @@ pub struct EmbedScratch {
     /// The root-repair probe's buffers.
     probe: RootProbe,
     /// Word-packed bitmaps and frontiers of the bit-parallel reachability
-    /// engine (fault mask, forward/backward/broadcast visited sets).
+    /// engine (the fault mask and the forward visited set).
     bits: BitScratch,
     /// The spanning-tree stage — broadcast levels, necklace records, exit
     /// bitmap and entry digits — sized by the first full-ring call; the

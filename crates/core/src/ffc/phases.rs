@@ -2,13 +2,14 @@
 //! every embedding path shares.
 //!
 //! [`Ffc::embed_into`] runs every phase in order — fault marking, root
-//! selection, the reachability snapshot (forward + backward passes that
-//! pin down B*), the broadcast, the spanning-tree stage (necklace
+//! selection, one forward pass from the root (B* and its broadcast levels
+//! at once, see [`Ffc::embed_into`]), the spanning-tree stage (necklace
 //! selection and w-group wiring) and the cycle readoff.
-//! [`Ffc::embed_stats_into`] runs the same first three phases and stops at
-//! the broadcast depth. Each phase has one well-defined output, which is
-//! what lets [`super::RingMaintainer`] persist the outputs and repair them
-//! incrementally instead of re-running the pipeline per fault event.
+//! [`Ffc::embed_stats_into`] runs the same first three phases without the
+//! level writes and stops there. Each phase has one well-defined output,
+//! which is what lets [`super::RingMaintainer`] persist the outputs and
+//! repair them incrementally instead of re-running the pipeline per fault
+//! event.
 //!
 //! The rules the maintainer and the snapshots share with the engine are
 //! written here once: root selection with the Section 2.5.2 repair probe
@@ -35,12 +36,19 @@ impl Ffc {
     /// allocation.
     ///
     /// The phases run serially: the front shared with
-    /// [`Ffc::embed_stats_into`], the broadcast (which writes each node's
-    /// level straight into the tree stage's level array), the
-    /// spanning-tree stage (per-necklace records and the w-group wiring
-    /// derived from them) and the streaming cycle readoff. The tree stage
-    /// derives each necklace's parent from the broadcast levels instead of
-    /// materialising a whole-B* parent array.
+    /// [`Ffc::embed_stats_into`], one forward pass from the root that
+    /// writes each node's level straight into the tree stage's level array,
+    /// the spanning-tree stage (per-necklace records and the w-group wiring
+    /// derived from them) and the streaming cycle readoff.
+    ///
+    /// That one pass is both the component search and the broadcast
+    /// (Step 1.1): faults remove whole necklaces, so the forward set over
+    /// live nodes *is* the strongly connected component B*, and its BFS
+    /// levels are the broadcast levels over B* (the twin-edge argument in
+    /// the [`crate::ffc`] module docs, "Component and broadcast").
+    ///
+    /// The tree stage derives each necklace's parent from the levels
+    /// instead of materialising a whole-B* parent array.
     /// The readoff walks the necklace rotation arithmetically: no per-node
     /// successor array is materialised, and the packed entry digits are
     /// consulted only where the exit bitmap is set — a pointer-chase
@@ -48,18 +56,15 @@ impl Ffc {
     /// ring node, and it dominated the embed at a million nodes.
     pub fn embed_into(&self, scratch: &mut EmbedScratch, faulty_nodes: &[usize]) -> EmbedStats {
         let (t, s) = (&self.tables, scratch);
-        let (mut stats, _) = self.phases_to_bstar(s, faulty_nodes);
+        let mut stats = self.phases_to_root(s, faulty_nodes);
         if stats.root == INFEASIBLE_ROOT {
             return stats;
         }
-        let (root, component_size) = (stats.root, stats.component_size);
-        // Broadcast phase (Step 1.1): the bit engine writes every B* node's
-        // level straight into the tree stage. The spanning tree itself is
-        // never materialised.
+        let root = stats.root;
         let (reached, depth) = t
             .reach
-            .broadcast_levels_into(&mut s.bits, root, &mut s.tree.levels);
-        debug_assert_eq!(reached, component_size, "broadcast must cover B*");
+            .forward_levels(&mut s.bits, root, &mut s.tree.levels);
+        stats.component_size = reached;
         stats.eccentricity = depth;
         let root_neck = self.partition.membership()[root] as usize;
         s.tree.build(self, root_neck);
@@ -67,7 +72,7 @@ impl Ffc {
             t.d,
             t.suffix_count,
             root,
-            component_size,
+            reached,
             &s.tree.exit_bits,
             &s.tree.digits,
             &mut s.cycle,
@@ -84,8 +89,10 @@ impl Ffc {
     /// This is the hot path of Monte-Carlo sweeps that only tabulate
     /// component sizes and eccentricities (Tables 2.1/2.2):
     /// [`Ffc::embed_batch`] uses it whenever the plan does not request
-    /// cycles. The reachability passes run on the bit-parallel engine
-    /// ([`crate::bitreach`]): direction-optimizing BFS whose dense regime
+    /// cycles. |B*| and the eccentricity are the count and depth of one
+    /// forward pass from the root (B* is the forward set, see the
+    /// [`crate::ffc`] module docs) on the bit-parallel engine
+    /// ([`crate::bitreach`]): a direction-optimizing BFS whose dense regime
     /// advances 64 nodes per word op, with faulty necklaces masked out as
     /// word-packed pre-visited bits. Like `embed_into`, it performs no
     /// heap allocation after the scratch has warmed up at this (d, n).
@@ -94,43 +101,26 @@ impl Ffc {
         scratch: &mut EmbedScratch,
         faulty_nodes: &[usize],
     ) -> EmbedStats {
-        let (mut stats, (fwd_count, fwd_depth)) = self.phases_to_bstar(scratch, faulty_nodes);
-        if stats.root == INFEASIBLE_ROOT {
-            return stats;
+        let mut stats = self.phases_to_root(scratch, faulty_nodes);
+        if stats.root != INFEASIBLE_ROOT {
+            let (reached, depth) = self.tables.reach.forward(&mut scratch.bits, stats.root);
+            stats.component_size = reached;
+            stats.eccentricity = depth;
         }
-        // When B* equals the forward set (the common light-fault case) the
-        // forward pass's depth *is* the broadcast eccentricity and the
-        // third pass is skipped entirely.
-        stats.eccentricity = if stats.component_size == fwd_count {
-            fwd_depth
-        } else {
-            let reach = self.tables.reach;
-            reach.broadcast_depth(&mut scratch.bits, stats.root)
-        };
         stats
     }
 
-    /// The front both embedding paths share: fault marking, root
-    /// selection and the reachability snapshot.
+    /// The front both embedding paths share: fault marking and root
+    /// selection.
     ///
     /// The root is the default root if its necklace survives, otherwise
     /// the nearest live node ([`RootProbe::find`], Section 2.5.2),
-    /// normalised to the minimal node of its necklace so N(R) = [R]. B* is
-    /// the strongly connected component of the surviving graph that
-    /// contains the root — the intersection of the live forward- and
-    /// backward-reachable sets of the root, found by two
-    /// direction-optimizing bit-parallel passes (no Tarjan, no
-    /// materialised SCCs).
+    /// normalised to the minimal node of its necklace so N(R) = [R].
     ///
-    /// Returns the stats so far, with the eccentricity left 0 for the
-    /// caller's broadcast, and the forward pass's (reached, depth). When
-    /// every necklace is faulty no root exists: the stats come back with
-    /// root [`INFEASIBLE_ROOT`] and |B*| = 0, and no pass runs.
-    fn phases_to_bstar(
-        &self,
-        s: &mut EmbedScratch,
-        faulty_nodes: &[usize],
-    ) -> (EmbedStats, (usize, usize)) {
+    /// Returns the stats so far, with |B*| and the eccentricity left 0 for
+    /// the caller's forward pass. When every necklace is faulty no root
+    /// exists: the stats come back with root [`INFEASIBLE_ROOT`].
+    fn phases_to_root(&self, s: &mut EmbedScratch, faulty_nodes: &[usize]) -> EmbedStats {
         let t = &self.tables;
         s.prepare(t);
         t.reach.prepare(&mut s.bits);
@@ -139,21 +129,13 @@ impl Ffc {
         let (faulty, stamp) = (&s.faulty, s.stamp);
         let live = |v: usize| faulty[membership[v] as usize] != stamp;
         let root = s.probe.find(t.d, t.suffix_count, self.default_root(), live);
-        let root = root.map_or(INFEASIBLE_ROOT, |r| self.representative_of(r));
-        let mut stats = EmbedStats {
-            root,
+        EmbedStats {
+            root: root.map_or(INFEASIBLE_ROOT, |r| self.representative_of(r)),
             component_size: 0,
             eccentricity: 0,
             faulty_necklaces,
             removed_nodes,
-        };
-        if root == INFEASIBLE_ROOT {
-            return (stats, (0, 0));
         }
-        let forward = t.reach.forward(&mut s.bits, root);
-        t.reach.backward(&mut s.bits, root);
-        stats.component_size = t.reach.component_size(&s.bits, removed_nodes);
-        (stats, forward)
     }
 
     /// Fault-marking phase: stamps each faulty necklace once and kills its
@@ -474,7 +456,8 @@ impl TreeRecord {
 /// so wiring a label derives its group from d records.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TreeStage {
-    /// Broadcast level per node ([`UNREACHED`] outside B*).
+    /// Broadcast level per node: the forward BFS level from the root over
+    /// live nodes, which is [`UNREACHED`] exactly outside B*.
     pub(crate) levels: LevelVec,
     /// One record per necklace.
     records: Vec<TreeRecord>,
@@ -501,8 +484,8 @@ impl TreeStage {
     }
 
     /// Builds the stage from scratch out of the broadcast levels of a root
-    /// on necklace `root_neck`, which a level-writing broadcast has left
-    /// in `levels` (every node outside B* [`UNREACHED`]): rewrites every
+    /// on necklace `root_neck`, which a level-writing forward pass has
+    /// left in `levels` (every node outside B* [`UNREACHED`]): rewrites every
     /// necklace's record, and wires each w-group once, from its first
     /// child. All-[`UNREACHED`] levels build the empty tree: no records,
     /// no exits.

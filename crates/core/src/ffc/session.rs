@@ -6,45 +6,49 @@
 //! should repair, not rebuild. [`RingMaintainer`] persists every phase's
 //! output:
 //!
-//! * **Reachability snapshot** — the forward and backward BFS *level*
-//!   arrays over the live graph (not just the reachable bitmaps: the
-//!   levels are the certificate that makes node deletion repairable), the
-//!   derived B* membership bitmap and |B*|;
-//! * **Spanning tree** — the tree stage the engine runs too: the
-//!   broadcast level array over B*, one record per necklace (earliest
-//!   member Y and parent necklace; a label's w-group is derived from the
-//!   records of its d nodes w·d+β), and the exit bitmap and packed entry
-//!   digits β from which the ring is walked on demand
-//!   ([`RingMaintainer::ring_into`]); plus the broadcast level histogram
-//!   (the eccentricity is its maximum).
+//! * **Reachability and spanning tree** — the tree stage the engine runs
+//!   too: one BFS *level* array from the root over the live graph (the
+//!   levels, not just the reachable bitmap, are the certificate that makes
+//!   node deletion repairable), one record per necklace (earliest member Y
+//!   and parent necklace; a label's w-group is derived from the records of
+//!   its d nodes w·d+β), and the exit bitmap and packed entry digits β
+//!   from which the ring is walked on demand
+//!   ([`RingMaintainer::ring_into`]);
+//! * the B* membership bitmap, |B*| and the level histogram (the
+//!   eccentricity is its maximum).
+//!
+//! Faults kill whole necklaces, so the root's forward set over live nodes
+//! is B* (the twin-edge argument in the [`crate::ffc`] module docs): the
+//! one level array is at once the reachability certificate and the
+//! broadcast levels the tree stage reads, and B* is the set of nodes with
+//! a level.
 //!
 //! [`RingMaintainer::apply_batch`] absorbs [`FaultEvent`] batches mixing
 //! node arrivals, node repairs and **link faults** in one fused delta pass
 //! ([`RingMaintainer::add_fault`] / [`RingMaintainer::clear_fault`] are the
 //! single-event shorthands). A fault arrival kills one necklace: the bit
-//! engine's delta passes
-//! ([`crate::bitreach::BitReach::levels_delete`]) invalidate exactly the
-//! necklace's forward/backward cones (the nodes whose BFS support ran
-//! through it) and re-settle them in increasing level order; a fault
-//! removal re-expands from the healed frontier
+//! engine's delete pass
+//! ([`crate::bitreach::BitReach::levels_delete`]) invalidates exactly the
+//! necklace's forward cone (the nodes whose BFS support ran through it)
+//! and re-settles it in increasing level order; a fault removal
+//! re-expands from the healed frontier
 //! ([`crate::bitreach::BitReach::levels_insert`]). Both are
 //! **bit-identical to recompute** — BFS levels are canonical — so every
-//! downstream phase repair (necklace re-selection, w-group rewiring) is
-//! confined to the necklaces whose chosen node may have moved or has a
-//! changed predecessor (see `absorb_bcast_changes`), and the
-//! maintainer's stats and ring bytes equal a from-scratch
-//! [`Ffc::embed_into`] of the accumulated fault set after every event
-//! (pinned exhaustively over all arrival orders of ≤2-fault sets and by
-//! B(2,14) property tests).
+//! downstream phase repair (B* membership, necklace re-selection, w-group
+//! rewiring) is confined to the nodes in the two passes' change log and
+//! the necklaces whose chosen node may have moved or has a changed
+//! predecessor (see `absorb_bcast_changes`), and the maintainer's stats
+//! and ring bytes equal a from-scratch [`Ffc::embed_into`] of the
+//! accumulated fault set after every event (pinned exhaustively over all
+//! arrival orders of ≤2-fault sets and by B(2,14) property tests).
 //!
-//! Every delta pass of a batch — the forward and backward delete and
-//! insert passes and the two broadcast passes — charges its queue pops to
-//! one budget. When the batch's pops exceed it (a pathological cascade —
-//! e.g. a huge region losing reachability at once), or when the batch
-//! changes the repair root, the maintainer falls back to a from-scratch
-//! rebuild on the level-emitting passes — each writes its levels straight
-//! into the maintainer's level arrays, and the broadcast also counts the
-//! histogram — which costs one `embed_into`-shaped pipeline run.
+//! Both delta passes of a batch charge their queue pops to one budget.
+//! When the batch's pops exceed it (a pathological cascade — e.g. a huge
+//! region losing reachability at once), or when the batch changes the
+//! repair root, the maintainer falls back to a from-scratch rebuild: one
+//! level-emitting forward pass writes the levels straight into the tree
+//! stage, counts the histogram and sets the B* bitmap, and the tree stage
+//! is built — one `embed_into`-shaped pipeline run.
 //! [`RepairStats`] counts which path each batch took.
 //!
 //! The repair path **degrades gracefully** instead of panicking: malformed
@@ -68,7 +72,7 @@
 
 use std::sync::Arc;
 
-use crate::bitreach::{BitScratch, DeltaBudgetExceeded, DeltaScratch, LevelVec, UNREACHED};
+use crate::bitreach::{BitScratch, DeltaBudgetExceeded, DeltaScratch, UNREACHED};
 use crate::mem::{grow_to, reserve_more};
 
 use super::phases::{read_off_cycle, DigitWidth, RootProbe, TreeStage};
@@ -323,29 +327,22 @@ pub struct RingMaintainer {
     node_dead: Vec<bool>,
     faulty_necklaces: usize,
     removed_nodes: usize,
-    // -- reachability snapshot --
+    // -- reachability and spanning tree --
     root: usize,
-    /// Forward BFS levels from the root over live nodes (UNREACHED = dead
-    /// or unreachable), in the compact one-byte-per-node encoding — 4×
-    /// less DRAM traffic on every level sweep than the `Vec<u32>` it
-    /// replaced.
-    fwd_level: LevelVec,
-    /// Backward BFS levels (distance *to* the root) over live nodes.
-    bwd_level: LevelVec,
-    /// B* membership, word-packed: bit v set ⟺ v is forward- and
-    /// backward-reachable and live. Maintained incrementally, so
-    /// [`RingMaintainer::publish`] freezes it into snapshots without an
-    /// O(n) repack.
+    /// B* membership, word-packed: bit v set ⟺ v is live and
+    /// forward-reachable from the root, i.e. has a level. Maintained
+    /// incrementally, so [`RingMaintainer::publish`] freezes it into
+    /// snapshots without an O(n) repack.
     bstar_bits: Vec<u64>,
     component_size: usize,
-    // -- spanning tree and cycle readoff --
-    /// Broadcast levels over the B*-induced subgraph (published into
-    /// snapshots as the level group), the per-necklace tree records, and
-    /// the exit bitmap and packed entry digits the ring is walked from
-    /// (published as the ring group).
+    /// The forward BFS levels from the root over live nodes ([`UNREACHED`]
+    /// outside B*) in the compact one-byte-per-node encoding, which are
+    /// the broadcast levels (published into snapshots as the level group);
+    /// the per-necklace tree records; and the exit bitmap and packed entry
+    /// digits the ring is walked from (published as the ring group).
     tree: TreeStage,
-    /// Histogram of the broadcast levels (eccentricity = the last non-zero
-    /// bin), filled by the rebuild's broadcast and kept by the delta path.
+    /// Histogram of the levels (eccentricity = the last non-zero bin),
+    /// filled by the rebuild's forward pass and kept by the delta path.
     level_counts: Vec<u32>,
     max_level: usize,
     // -- snapshot publication --
@@ -353,10 +350,10 @@ pub struct RingMaintainer {
     /// last publication: the d exit slots of every rewired label.
     snap_ring_dirty: ChunkMask,
     /// Snapshot chunks whose `bstar_bits` changed since the last
-    /// publication: the nodes of `moved_buf`/`moved_in_buf`.
+    /// publication: the logged nodes that joined or left B*.
     snap_bstar_dirty: ChunkMask,
-    /// Snapshot chunks whose broadcast levels changed since the last
-    /// publication: the nodes of the broadcast passes' change log.
+    /// Snapshot chunks whose levels changed since the last publication:
+    /// the nodes of the delta passes' change log.
     snap_level_dirty: ChunkMask,
     // -- reusable machinery --
     bits: BitScratch,
@@ -364,12 +361,10 @@ pub struct RingMaintainer {
     delta: DeltaScratch,
     /// Event-scoped dedup stamps and worklists of the delta path.
     stamp: u32,
+    /// Seeds of the batch's delete pass (members of killed necklaces).
     batch_buf: Vec<u32>,
-    moved_buf: Vec<u32>,
-    /// Seeds of the batched insert passes (members of revived necklaces).
+    /// Seeds of the batch's insert pass (members of revived necklaces).
     ins_buf: Vec<u32>,
-    /// Candidates that *joined* B* this batch (mirror of `moved_buf`).
-    moved_in_buf: Vec<u32>,
     /// Necklaces whose dead-state toggled while booking a batch, packed as
     /// `(nid << 1) | was_dead`, classified after booking into net kill and
     /// revive seed lists.
@@ -465,25 +460,18 @@ impl RingMaintainer {
     }
 
     /// Histogram of the forward BFS levels over live nodes (index = level,
-    /// value = nodes first reached at that level). This is exactly the
-    /// per-round new-receiver count of the distributed protocol's
-    /// broadcast phase, which the netsim online harness asserts its
-    /// message trace against.
+    /// value = nodes first reached at that level; empty when infeasible),
+    /// read from the maintained histogram in O(eccentricity). This is
+    /// exactly the per-round new-receiver count of the distributed
+    /// protocol's broadcast phase, which the netsim online harness asserts
+    /// its message trace against.
     #[must_use]
     pub fn forward_level_counts(&self) -> Vec<usize> {
-        let mut counts = Vec::new();
-        for v in 0..self.n_nodes {
-            let l = self.fwd_level.get(v);
-            if l == UNREACHED {
-                continue;
-            }
-            let l = l as usize;
-            if counts.len() <= l {
-                counts.resize(l + 1, 0usize);
-            }
-            counts[l] += 1;
-        }
-        counts
+        let bins = self.level_counts.len().min(self.max_level + 1);
+        self.level_counts[..bins]
+            .iter()
+            .map(|&c| c as usize)
+            .collect()
     }
 
     /// Freezes the current ring into an immutable [`RingSnapshot`] via
@@ -537,14 +525,12 @@ impl RingMaintainer {
         self.snap_level_dirty.mark_all();
     }
 
-    /// Bytes currently reserved by the three per-node level arrays —
-    /// the footprint the benchmark's `level_bytes` column audits against
-    /// the `3 · 4 · n` a `u32` encoding would pay.
+    /// Bytes currently reserved by the per-node level array — the
+    /// footprint the benchmark's `level_bytes` column audits against the
+    /// `4 · n` a `u32` encoding would pay.
     #[must_use]
     pub fn level_bytes(&self) -> usize {
-        self.fwd_level.allocated_bytes()
-            + self.bwd_level.allocated_bytes()
-            + self.tree.levels.allocated_bytes()
+        self.tree.levels.allocated_bytes()
     }
 
     /// Total bytes currently reserved by the maintainer's buffers —
@@ -555,17 +541,13 @@ impl RingMaintainer {
         self.node_faulty.capacity()
             + self.node_dead.capacity()
             + std::mem::size_of::<usize>() * self.fault_list.capacity()
-            + self.fwd_level.allocated_bytes()
-            + self.bwd_level.allocated_bytes()
             + self.tree.allocated_bytes()
             + 4 * (self.fault_pos.capacity()
                 + self.neck_fault_count.capacity()
                 + self.level_counts.capacity()
                 + self.batch_buf.capacity()
-                + self.moved_buf.capacity()
                 + self.edge_src.capacity()
                 + self.ins_buf.capacity()
-                + self.moved_in_buf.capacity()
                 + self.killed_necks.capacity()
                 + self.revived_necks.capacity()
                 + self.dirty_stamp.capacity()
@@ -612,8 +594,6 @@ impl RingMaintainer {
         grow_to(&mut self.node_dead, n, false);
         grow_to(&mut self.fault_pos, n, NONE);
         grow_to(&mut self.edge_src, n, 0);
-        self.fwd_level.grow(n);
-        self.bwd_level.grow(n);
         grow_to(&mut self.bstar_bits, n.div_ceil(64), 0);
         grow_to(&mut self.neck_fault_count, self.n_necks, 0);
         grow_to(&mut self.dirty_stamp, self.n_necks, 0);
@@ -622,10 +602,8 @@ impl RingMaintainer {
         // events never grow them; `level_counts` can in principle index up
         // to n_nodes - 1 during a delete cascade, so it gets full range.
         reserve_more(&mut self.fault_list, n);
-        reserve_more(&mut self.moved_buf, n);
         reserve_more(&mut self.batch_buf, n);
         reserve_more(&mut self.ins_buf, n);
-        reserve_more(&mut self.moved_in_buf, n);
         reserve_more(&mut self.touched_necks, self.n_necks);
         reserve_more(&mut self.killed_necks, self.n_necks);
         reserve_more(&mut self.revived_necks, self.n_necks);
@@ -819,8 +797,6 @@ impl RingMaintainer {
     /// routes recovery through a full rebuild automatically.
     fn enter_infeasible(&mut self, ffc: &Ffc) {
         self.root = INFEASIBLE_ROOT;
-        self.fwd_level.fill_unreached();
-        self.bwd_level.fill_unreached();
         self.bstar_bits[..self.n_nodes.div_ceil(64)].fill(0);
         self.component_size = 0;
         self.tree.levels.grow(self.n_nodes);
@@ -835,9 +811,10 @@ impl RingMaintainer {
     // The from-scratch rebuild (fallback and initialisation).
     // ------------------------------------------------------------------
 
-    /// Runs the full phase pipeline into the maintainer: the level-emitting
-    /// reachability passes, B* and the broadcast histogram, and the tree
-    /// stage's build (every necklace record and the exit/digit wiring).
+    /// Runs the full phase pipeline into the maintainer: one level-emitting
+    /// forward pass, which also fills the histogram and the B* bitmap, and
+    /// the tree stage's build (every necklace record and the exit/digit
+    /// wiring).
     fn rebuild(&mut self, ffc: &Ffc) {
         let t = &ffc.tables;
         let reach = t.reach;
@@ -856,30 +833,19 @@ impl RingMaintainer {
             return;
         };
         self.root = root;
-
-        // Reachability snapshot, with levels persisted.
-        let _ = reach.forward_levels(&mut self.bits, root, &mut self.fwd_level);
-        let _ = reach.backward_levels(&mut self.bits, root, &mut self.bwd_level);
-
-        // Spanning tree: one fused chunk-streamed pass writes the B* mask
-        // (fwd ∧ bwd ∧ ¬dead), counts |B*| and seeds the broadcast
-        // visited set, then the broadcast writes the levels over B* and
-        // the histogram — no separate bstar-bitmap or component-count
-        // sweeps.
-        let words = n.div_ceil(64);
-        let (component, reached, depth) = reach.broadcast_levels_bstar(
+        // B* is the forward set, so the forward levels are the broadcast
+        // levels and the reached set is the B* mask.
+        let (component, depth) = reach.forward_levels_reached(
             &mut self.bits,
             root,
             &mut self.tree.levels,
             &mut self.level_counts,
-            &mut self.bstar_bits[..words],
+            &mut self.bstar_bits[..n.div_ceil(64)],
         );
         self.component_size = component;
-        self.dirty_all_chunks();
-        debug_assert_eq!(reached, component, "broadcast must cover B*");
-        let _ = reached;
-        self.tree.build(ffc, membership[root] as usize);
         self.max_level = depth;
+        self.dirty_all_chunks();
+        self.tree.build(ffc, membership[root] as usize);
     }
 
     // ------------------------------------------------------------------
@@ -888,23 +854,20 @@ impl RingMaintainer {
 
     /// The fused delta path of one event batch: one delete pass seeded by
     /// **every** killed necklace's members and one insert pass seeded by
-    /// every revived necklace's members, per level structure — k
-    /// simultaneous arrivals cost one frontier settlement instead of k.
+    /// every revived necklace's members — k simultaneous arrivals cost one
+    /// frontier settlement instead of k.
     ///
     /// Order matters only between the two passes, not inside them: the
     /// delete pass runs with the *final* liveness predicate (revived nodes
     /// are already live but still hold `UNREACHED`, so they offer no
     /// support), which makes its result the canonical levels of the
     /// mid-state graph; the insert pass then re-expands from the revived
-    /// members and settles the canonical levels of the final graph. The
-    /// broadcast structure is repaired the same way from the nodes that
-    /// left/joined B*.
+    /// members and settles the canonical levels of the final graph.
     ///
-    /// All six passes run in one [`DeltaScratch`] batch, so `budget` caps
-    /// their queue pops together. The four reachability passes share one
-    /// change log: B* membership is live ∧ fwd ≠ ∞ ∧ bwd ≠ ∞, so every
-    /// node that left or joined B* changed a level and is in that log. The
-    /// two broadcast passes share a fresh log, whose first-seen old levels
+    /// Both passes run in one [`DeltaScratch`] batch, so `budget` caps
+    /// their queue pops together, and share one change log. B* is the set
+    /// of nodes with a level, so every node that left or joined B* changed
+    /// its level and is in that log, and the log's first-seen old levels
     /// let a node deleted then re-inserted update the histogram once.
     fn delta_batch(&mut self, ffc: &Ffc, budget: usize) -> Result<(), DeltaBudgetExceeded> {
         let reach = ffc.tables.reach;
@@ -920,61 +883,29 @@ impl RingMaintainer {
         }
 
         let Self {
-            fwd_level,
-            bwd_level,
             node_dead,
-            bstar_bits,
-            component_size,
-            snap_bstar_dirty,
             tree,
             delta,
             batch_buf,
             ins_buf,
-            moved_buf,
-            moved_in_buf,
             ..
         } = self;
         delta.open(budget);
         let live = |u: usize| !node_dead[u];
-        for (levels, backward) in [(&mut *fwd_level, false), (&mut *bwd_level, true)] {
-            reach.levels_delete(levels, delta, batch_buf, live, backward)?;
-            reach.levels_insert(levels, delta, ins_buf, live, backward)?;
-        }
-
-        // B* transitions: logged nodes that lost or gained membership.
-        moved_buf.clear();
-        moved_in_buf.clear();
-        for (u, _) in delta.changed() {
-            let u = u as usize;
-            let now = live(u) && fwd_level.get(u) != UNREACHED && bwd_level.get(u) != UNREACHED;
-            if bit(bstar_bits, u) == now {
-                continue;
-            }
-            bstar_bits[u / 64] ^= 1u64 << (u % 64);
-            snap_bstar_dirty.mark(u);
-            if now {
-                moved_in_buf.push(u as u32);
-            } else {
-                moved_buf.push(u as u32);
-            }
-        }
-        *component_size = *component_size - moved_buf.len() + moved_in_buf.len();
-
-        // Broadcast repair into a fresh log for `absorb_bcast_changes`.
-        delta.restart_log();
-        let in_bstar = |u: usize| bit(bstar_bits, u);
-        reach.levels_delete(&mut tree.levels, delta, moved_buf, in_bstar, false)?;
-        reach.levels_insert(&mut tree.levels, delta, moved_in_buf, in_bstar, false)?;
+        reach.levels_delete(&mut tree.levels, delta, batch_buf, live, false)?;
+        reach.levels_insert(&mut tree.levels, delta, ins_buf, live, false)?;
         self.absorb_bcast_changes(ffc);
         Ok(())
     }
 
-    /// Applies the broadcast passes' change log — each changed node once,
-    /// with its level before the batch — to the histogram and the tree
-    /// stage, in work proportional to the log. A necklace's members are
-    /// scanned only when its Y may have moved.
+    /// Applies the delta passes' change log — each changed node once, with
+    /// its level before the batch — to the B* bitmap, the histogram and the
+    /// tree stage, in work proportional to the log. A necklace's members
+    /// are scanned only when its Y may have moved.
     ///
-    /// For each changed node u, on necklace N:
+    /// A logged node joined B* when its old level is [`UNREACHED`] and its
+    /// new one is not, and left it in the opposite case. For each changed
+    /// node u, on necklace N:
     /// - **Incremental argmin.** N is re-selected over its members
     ///   ([`TreeStage::select`]) when u is N's Y and its level rose
     ///   ([`UNREACHED`] counting as highest), or when u beats N's Y
@@ -1004,8 +935,11 @@ impl RingMaintainer {
         let Self {
             delta,
             tree,
+            bstar_bits,
+            component_size,
             level_counts,
             max_level,
+            snap_bstar_dirty,
             snap_level_dirty,
             dirty_stamp,
             dirty_necks,
@@ -1032,10 +966,19 @@ impl RingMaintainer {
         for (u, old) in delta.changed() {
             let u = u as usize;
             snap_level_dirty.mark(u);
+            let new = tree.levels.get(u);
+            if (old == UNREACHED) != (new == UNREACHED) {
+                bstar_bits[u / 64] ^= 1u64 << (u % 64);
+                snap_bstar_dirty.mark(u);
+                if new == UNREACHED {
+                    *component_size -= 1;
+                } else {
+                    *component_size += 1;
+                }
+            }
             if old != UNREACHED {
                 level_counts[old as usize] -= 1;
             }
-            let new = tree.levels.get(u);
             if new != UNREACHED {
                 let new = new as usize;
                 if level_counts.len() <= new {
@@ -1087,14 +1030,13 @@ impl RingMaintainer {
     }
 
     /// Overrides the delta work budget — queue pops per batch, shared by
-    /// every delta pass of the batch (forward and backward delete and
-    /// insert, broadcast delete and insert) — above which the batch falls
+    /// the batch's delete and insert passes — above which the batch falls
     /// back to a rebuild. `None` restores the automatic budget,
     /// `max(1024, d^n)` — a queue pop (a handful of implicit-edge probes)
     /// costs well under what the rebuild pays per node across its
-    /// level-emitting passes and tree build, so the break-even sits near
-    /// one pop per node. A budget of 0 forces every batch to rebuild (the
-    /// differential tests use this to pin fallback equality).
+    /// level-emitting forward pass and tree build, so the break-even sits
+    /// near one pop per node. A budget of 0 forces every batch to rebuild
+    /// (the differential tests use this to pin fallback equality).
     #[must_use]
     pub fn with_budget(mut self, budget: Option<usize>) -> Self {
         self.budget = budget;

@@ -6,6 +6,13 @@
 //! distinct symbols α ≠ β. The edge can be read as "leave `[X]` at node αw
 //! and enter `[Y]` at node wβ"; every w-edge has an antiparallel twin.
 //!
+//! The antiparallel twins are why the engine finds B* with one forward BFS:
+//! faults remove whole necklaces, so whatever the root reaches can reach
+//! the root back along the twins and the necklace rotations, and the
+//! forward set is B* (see [`crate::ffc`], "Component and broadcast"; the
+//! bitreach test `forward_set_is_bstar_under_necklace_faults` checks it
+//! against the forward ∩ backward oracle).
+//!
 //! The FFC algorithm only ever needs the *spanning* structure of N*, which
 //! it derives implicitly from a BFS of B* (see [`crate::ffc`]); this module
 //! materialises the full graph for figure regeneration, diagnostics and

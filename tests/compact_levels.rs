@@ -193,12 +193,12 @@ fn warmed_up_maintainer_absorbs_churn_without_allocating() {
         maint.publish(&mut publisher, round).expect("publish");
     }
     let level_bytes = maint.level_bytes();
-    // One byte per node per level array (plus the empty-in-steady-state
-    // overflow reserve): the compact arrays must beat the 3 × 4 × total
-    // bytes of the u32 storage they replaced by at least 3×.
+    // One byte per node in the one level array (plus the
+    // empty-in-steady-state overflow reserve): the compact array must beat
+    // the 4 × total bytes of u32 storage by at least 3×.
     assert!(
-        level_bytes * 3 <= 3 * 4 * total,
-        "compact level arrays must be ≥3× smaller: {level_bytes} bytes for {total} nodes"
+        level_bytes * 3 <= 4 * total,
+        "the compact level array must be ≥3× smaller: {level_bytes} bytes for {total} nodes"
     );
     let bytes = maint.allocated_bytes();
     assert!(bytes > 0);
