@@ -15,11 +15,14 @@
 //!     scratch) vs the bit-parallel engine (`embed_stats_into`), with
 //!     `speedup` = u8 / bit;
 //!   - `batch` — the batch sweep engine (`Ffc::embed_batch`, stats-only
-//!     plan, bit-parallel path) at 1 and 2 shards, and at 4 and 8 on hosts
-//!     with more than two CPUs; `speedup` is vs the serial `embed_into`
-//!     loop above. Each rep repeats the plan for at least
+//!     plan: delta trials over the fault-free levels, with the
+//!     bit-parallel pass as their fallback) at 1 and 2 shards, and at 4
+//!     and 8 on hosts with more than two CPUs; `speedup` is vs the serial
+//!     `embed_into` loop above. Each rep repeats the plan for at least
 //!     [`MIN_BATCH_REP`], and each round of reps runs every shard count
-//!     once, starting from a different one each round.
+//!     once, starting from a different one each round. Each row also
+//!     records the engine's `allocated_bytes` and, as `paths`, how one run
+//!     of the plan answered its trials (`BatchEmbedder::paths`).
 //! * **Stats-only tiers** (`"mode": "stats_only"`) — B(2,18), B(2,20),
 //!   B(2,22) and B(2,24), the million-node scale the bit-parallel engine
 //!   exists for (the top two tiers are what the PR 10 compact-level +
@@ -147,7 +150,7 @@ use debruijn_core::verify::{is_debruijn_ring, ring_avoids_nodes};
 use debruijn_core::{
     replay_churn, BatchEmbedder, BitReach, ChurnPlan, ChurnReport, ChurnStep, EmbedScratch,
     FaultEvent, FaultSchedule, Ffc, RingMaintainer, RingService, RingSnapshot, ServeOptions,
-    ServiceReport, SweepAccumulator, SweepPlan,
+    ServiceReport, SweepAccumulator, SweepPaths, SweepPlan,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -233,6 +236,20 @@ impl SweepAccumulator for Checksum {
     fn merge(&mut self, other: Self) {
         self.0 ^= other.0;
     }
+}
+
+/// The stats-only trials `after` counts beyond `before`, by path, as a
+/// JSON object.
+fn paths_json(after: &SweepPaths, before: &SweepPaths) -> String {
+    format!(
+        "{{ \"delta\": {}, \"fault_free\": {}, \"predicted_pass\": {}, \
+         \"budget_fallback\": {}, \"moved_root\": {} }}",
+        after.delta - before.delta,
+        after.fault_free - before.fault_free,
+        after.predicted_pass - before.predicted_pass,
+        after.budget_fallback - before.budget_fallback,
+        after.moved_root - before.moved_root,
+    )
 }
 
 /// Times `body` over the trial schedule, best of [`REPS`], returning
@@ -1339,21 +1356,28 @@ fn main() {
             }
         }
         let mut batch_rows = Vec::new();
-        for ((&shards, &plan_s), sum) in shard_counts.iter().zip(&best).zip(&sums) {
+        for (((&shards, &plan_s), sum), engine) in
+            shard_counts.iter().zip(&best).zip(&sums).zip(&mut engines)
+        {
             assert_eq!(
                 sum.0, sums[0].0,
                 "{label}: batch x{shards} disagrees with x1"
             );
             let batch_eps = plan.trials() as f64 / plan_s;
             let speedup = batch_eps / batch_baseline_eps;
+            // One more run of the plan, for its paths.
+            let before = engine.paths();
+            let _ = ffc.embed_batch(engine, &plan, |_: &mut Checksum, _| {});
+            let paths = paths_json(&engine.paths(), &before);
             eprintln!(
                 "{label}: batch x{shards}: {batch_eps:.0} embeds/s \
-                 ({speedup:.2}x serial baseline)  [checksum {}]",
+                 ({speedup:.2}x serial baseline)  [checksum {}] paths {paths}",
                 sum.0
             );
             batch_rows.push(format!(
                 "        {{ \"shards\": {shards}, \"embeds_per_sec\": {batch_eps:.1}, \
-                 \"speedup\": {speedup:.2} }}"
+                 \"speedup\": {speedup:.2}, \"allocated_bytes\": {}, \"paths\": {paths} }}",
+                engine.allocated_bytes(),
             ));
         }
 

@@ -251,9 +251,10 @@ impl BitFrontier {
 /// bitmap, the visited sets of the forward, backward and broadcast passes
 /// and the two frontiers (the dense block kernel folds into a stack tile,
 /// so there is no fold scratch). The engine's passes touch only the fault
-/// bitmap, the forward set and the frontiers.
-/// Grow-only; after the first call at a given graph size no method
-/// allocates.
+/// bitmap, the forward set and the frontiers, which [`BitReach::prepare`]
+/// grows; the backward and broadcast sets are grown by the passes that
+/// read them. Grow-only; after the first call of each pass at a given
+/// graph size no method allocates.
 #[derive(Clone, Debug, Default)]
 pub struct BitScratch {
     /// Bit `v` set ⟺ node `v` was removed with a faulty necklace.
@@ -392,8 +393,6 @@ impl BitReach {
         grow_to(&mut s.dead, self.words, 0);
         grow_to(&mut s.dead_sum, sw, 0);
         grow_to(&mut s.fwd, self.words, 0);
-        grow_to(&mut s.bwd, self.words, 0);
-        grow_to(&mut s.vis, self.words, 0);
         grow_to(&mut s.cur.bits, self.words, 0);
         grow_to(&mut s.cur.sum, sw, 0);
         grow_to(&mut s.nxt.bits, self.words, 0);
@@ -447,8 +446,11 @@ impl BitReach {
     }
 
     /// Backward BFS from `root` over live nodes (visited set left in the
-    /// scratch for [`BitReach::broadcast_levels`]).
+    /// scratch for [`BitReach::broadcast_levels`]). The backward visited
+    /// set is grown here, not by [`BitReach::prepare`]: no embedding path
+    /// runs this pass, so only the scratches that do pay its bitmap.
     pub fn backward(&self, s: &mut BitScratch, root: usize) {
+        grow_to(&mut s.bwd, self.words, 0);
         self.pass::<true>(s, root, |_, _| {});
     }
 
@@ -509,13 +511,16 @@ impl BitReach {
         found
     }
 
-    /// The broadcast setup: visited starts as "outside B* or dead".
+    /// The broadcast setup: visited starts as "outside B* or dead". Like
+    /// [`BitReach::backward`], it grows the bitmaps only it reads.
     fn broadcast(
         &self,
         s: &mut BitScratch,
         root: usize,
         on_level: impl FnMut(u32, &BitFrontier),
     ) -> (usize, usize) {
+        grow_to(&mut s.bwd, self.words, 0);
+        grow_to(&mut s.vis, self.words, 0);
         let BitScratch {
             dead,
             fwd,
@@ -911,18 +916,25 @@ impl std::error::Error for DeltaBudgetExceeded {}
 ///   an empty change log. Every pass until the next `open` charges its
 ///   pops to that budget, and the pass that takes the batch's total past
 ///   it fails with [`DeltaBudgetExceeded`].
-/// * Every pass appends each node whose level it changed to the log. A
-///   node already in the log keeps its entry, so a log spanning several
-///   passes holds each changed node once, with its level before the
-///   first pass that changed it.
+/// * Every pass appends each node whose level it changed to the log
+///   *before* writing the node's new level. A node already in the log
+///   keeps its entry, so a log spanning several passes holds each changed
+///   node once, with its level before the first pass that changed it.
+///   Because no level is written before it is logged, the log is complete
+///   after a budget abort too: writing each logged node's old level back
+///   restores the array the batch started from.
 ///
 /// Both passes drain one monotone two-level queue: every push lands
 /// exactly one level above the level being drained, so a sorted seed list
 /// plus a current/next ping-pong replaces a priority queue at O(1) per
-/// operation. Grow-only; the queues and the log are reserved to their
-/// worst case up front ([`DeltaScratch::fit`], which every pass calls),
-/// so repairs perform no heap allocation after warm-up at a fixed graph
-/// size.
+/// operation. Two bitmaps, one bit per node each, dedup the queue and the
+/// log: a node's queued bit is set while it has an entry in the drain that
+/// has not been popped (a seed's when its level is merged in), and its
+/// logged bit while it is in the log.
+///
+/// Grow-only. [`DeltaScratch::fit`] sizes the bitmaps and reserves the
+/// queues, the log and the seed list for batches up to a pop cap, so such
+/// batches perform no heap allocation after warm-up.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaScratch {
     /// Seed entries as packed `level << 32 | node`, sorted ascending and
@@ -932,20 +944,19 @@ pub struct DeltaScratch {
     cur: Vec<u32>,
     /// Nodes pending one level up.
     nxt: Vec<u32>,
-    /// The level each node is currently queued at (NONE-like
-    /// [`UNREACHED`] = not queued) — dedups pushes and catches stale
-    /// entries.
-    pending: Vec<u32>,
+    /// Bit `v` set ⟺ node `v` has an entry in `cur` or `nxt` that has not
+    /// been popped: at most one per node, so pushes are deduped.
+    queued: Vec<u64>,
     /// The nodes of the current log, in first-change order.
     changed: Vec<u32>,
     /// The level of each logged node before its first logged change
     /// (parallel to `changed`; [`UNREACHED`] for nodes that entered the
     /// structure).
     old_levels: Vec<u32>,
-    /// Per-node stamp marking "already in the current log".
-    changed_stamp: Vec<u32>,
-    /// Stamp of the current log; 0 until the first batch is opened.
-    stamp: u32,
+    /// Bit `v` set ⟺ node `v` is in the current log.
+    logged: Vec<u64>,
+    /// Whether a batch was ever opened.
+    opened: bool,
     /// Queue pops the open batch may perform.
     budget: usize,
     /// Queue pops the open batch has performed so far.
@@ -954,24 +965,37 @@ pub struct DeltaScratch {
 
 impl DeltaScratch {
     /// Creates an empty scratch; [`DeltaScratch::open`] must start a batch
-    /// before the first pass, and the passes size the buffers.
+    /// before the first pass, and the passes size the bitmaps.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sizes the per-node arrays for a graph of `n_nodes` nodes and
-    /// reserves the queues and the change log to their worst case, so no
-    /// pass on that graph allocates beyond its seed list. Every pass
-    /// calls it; calling it ahead moves that first sizing out of the
-    /// first pass. Grow-only.
-    pub fn fit(&mut self, n_nodes: usize) {
-        grow_to(&mut self.changed_stamp, n_nodes, 0);
-        grow_to(&mut self.pending, n_nodes, UNREACHED);
-        reserve_more(&mut self.cur, n_nodes);
-        reserve_more(&mut self.nxt, n_nodes);
-        reserve_more(&mut self.changed, n_nodes);
-        reserve_more(&mut self.old_levels, n_nodes);
+    /// Sizes the two bitmaps for `reach`'s graph and reserves the queues,
+    /// the change log and the seed list for every batch of at most `pops`
+    /// queue pops whose passes each seed from at most `seeded` nodes. A
+    /// pop pushes at most d + 1 queue entries and logs at most d nodes,
+    /// and a seeded node stages at most d seeds and logs itself, so the
+    /// queues and the log are reserved for (d + 1)·(`pops` + `seeded`)
+    /// entries, and the seed list for d·`seeded` + 1. The queues and the
+    /// log never hold more entries than the graph has nodes, which caps
+    /// the reservation: `fit(reach, n_nodes, 0)` covers every batch on the
+    /// graph and leaves the seed list to grow with the largest pass.
+    /// Grow-only. A pass sizes the bitmaps itself and lets the queues and
+    /// the log grow as it needs, so a scratch works without this call but
+    /// may then allocate inside a pass.
+    pub fn fit(&mut self, reach: &BitReach, pops: usize, seeded: usize) {
+        let d = reach.d;
+        let entries = (d + 1)
+            .saturating_mul(pops.saturating_add(seeded))
+            .min(reach.n_nodes);
+        grow_to(&mut self.queued, reach.words, 0);
+        grow_to(&mut self.logged, reach.words, 0);
+        reserve_more(&mut self.cur, entries);
+        reserve_more(&mut self.nxt, entries);
+        reserve_more(&mut self.changed, entries);
+        reserve_more(&mut self.old_levels, entries);
+        reserve_more(&mut self.seeds, d * seeded + 1);
     }
 
     /// Starts a batch: every pass until the next `open` shares `budget`
@@ -979,11 +1003,10 @@ impl DeltaScratch {
     pub fn open(&mut self, budget: usize) {
         self.budget = budget;
         self.pops = 0;
-        if self.stamp == u32::MAX {
-            self.changed_stamp.fill(0);
-            self.stamp = 0;
+        self.opened = true;
+        for &v in &self.changed {
+            clear_bit(&mut self.logged, v as usize);
         }
-        self.stamp += 1;
         self.changed.clear();
         self.old_levels.clear();
     }
@@ -997,41 +1020,45 @@ impl DeltaScratch {
             .zip(self.old_levels.iter().copied())
     }
 
+    /// Writes every logged node's level before the batch back into
+    /// `levels` and empties the log: `levels` is again the array the
+    /// batch's first pass started from. Exact after a budget abort too,
+    /// since a pass logs every node before it writes the node's level.
+    pub(crate) fn undo<L: LevelStore>(&mut self, levels: &mut L) {
+        for (&v, &old) in self.changed.iter().zip(&self.old_levels) {
+            levels.set_level(v as usize, old);
+            clear_bit(&mut self.logged, v as usize);
+        }
+        self.changed.clear();
+        self.old_levels.clear();
+    }
+
     /// Total bytes currently reserved by the scratch's buffers.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
         4 * (self.changed.capacity()
             + self.old_levels.capacity()
-            + self.changed_stamp.capacity()
             + self.cur.capacity()
-            + self.nxt.capacity()
-            + self.pending.capacity())
-            + 8 * self.seeds.capacity()
+            + self.nxt.capacity())
+            + 8 * (self.seeds.capacity() + self.queued.capacity() + self.logged.capacity())
     }
 
-    /// The largest graph the per-node arrays and the n-sized
-    /// reservations cover.
+    /// The largest graph the bitmaps and the queue and log reservations
+    /// cover.
     #[cfg(test)]
     pub(crate) fn fitted_nodes(&self) -> usize {
         let caps = [self.cur.capacity(), self.nxt.capacity()];
         let logs = [self.changed.capacity(), self.old_levels.capacity()];
-        let lens = [self.pending.len(), self.changed_stamp.len()];
-        caps.into_iter().chain(logs).chain(lens).min().unwrap_or(0)
+        let bits = [64 * self.queued.len(), 64 * self.logged.len()];
+        caps.into_iter().chain(logs).chain(bits).min().unwrap_or(0)
     }
 
-    /// The log stamp and the per-node stamps it is compared with, so a
-    /// test can move the log across its wrap-around.
-    #[cfg(test)]
-    pub(crate) fn stamps_mut(&mut self) -> (&mut u32, &mut [u32]) {
-        (&mut self.stamp, &mut self.changed_stamp)
-    }
-
-    /// Starts a pass: sizes the scratch for the graph, clears the queues
+    /// Starts a pass: sizes the bitmaps for the graph, clears the queues
     /// and reserves `seed_cap` seeds.
-    fn begin(&mut self, n_nodes: usize, seed_cap: usize) {
-        // Stamp 0 would read every node as already logged.
-        assert_ne!(self.stamp, 0, "DeltaScratch::open must start a batch");
-        self.fit(n_nodes);
+    fn begin(&mut self, reach: &BitReach, seed_cap: usize) {
+        assert!(self.opened, "DeltaScratch::open must start a batch");
+        grow_to(&mut self.queued, reach.words, 0);
+        grow_to(&mut self.logged, reach.words, 0);
         self.seeds.clear();
         self.cur.clear();
         self.nxt.clear();
@@ -1042,39 +1069,35 @@ impl DeltaScratch {
     /// already in the current log.
     #[inline]
     fn record(&mut self, v: u32, old: u32) {
-        if self.changed_stamp[v as usize] != self.stamp {
-            self.changed_stamp[v as usize] = self.stamp;
+        if !test_and_set(&mut self.logged, v as usize) {
             self.changed.push(v);
             self.old_levels.push(old);
         }
     }
 
-    /// Stages `v` as a seed at level `l`, unless it is already queued
-    /// there.
+    /// Stages `v` as a seed at level `l`. Duplicates are dropped when the
+    /// level is merged into the drain.
     #[inline]
     fn push_seed(&mut self, v: usize, l: u32) {
-        if self.pending[v] != l {
-            self.pending[v] = l;
-            self.seeds.push((u64::from(l) << 32) | v as u64);
-        }
+        self.seeds.push((u64::from(l) << 32) | v as u64);
     }
 
-    /// Queues `v` at level `l`, one above the level being drained, unless
-    /// it is already queued there.
+    /// Queues `v` one level above the level being drained, unless it is
+    /// already queued.
     #[inline]
-    fn push_next(&mut self, v: usize, l: u32) {
-        if self.pending[v] != l {
-            self.pending[v] = l;
+    fn push_next(&mut self, v: usize) {
+        if !test_and_set(&mut self.queued, v) {
             self.nxt.push(v as u32);
         }
     }
 
     /// The drain both passes share. Merges the sorted seeds into the queue
-    /// level by level and hands each entry whose node still holds the
-    /// level it was queued at to `step(ds, levels, node, level)`, which
-    /// may queue nodes one level up ([`DeltaScratch::push_next`]). Each
-    /// such pop is charged to the open batch; the pop that takes the
-    /// batch past its budget aborts the drain.
+    /// level by level, skipping nodes already queued, and hands each entry
+    /// whose node still holds the level it was queued at to `step(ds,
+    /// levels, node, level)`, which may queue nodes one level up
+    /// ([`DeltaScratch::push_next`]). Each such pop is charged to the open
+    /// batch; the pop that takes the batch past its budget aborts the
+    /// drain.
     fn drain<L: LevelStore>(
         &mut self,
         levels: &mut L,
@@ -1088,8 +1111,11 @@ impl DeltaScratch {
         let mut l = (self.seeds[0] >> 32) as u32;
         loop {
             while si < self.seeds.len() && (self.seeds[si] >> 32) as u32 == l {
-                self.cur.push(self.seeds[si] as u32);
+                let v = self.seeds[si] as u32;
                 si += 1;
+                if !test_and_set(&mut self.queued, v as usize) {
+                    self.cur.push(v);
+                }
             }
             if self.cur.is_empty() {
                 if si >= self.seeds.len() {
@@ -1102,9 +1128,7 @@ impl DeltaScratch {
             while head < self.cur.len() {
                 let u = self.cur[head];
                 head += 1;
-                if self.pending[u as usize] == l {
-                    self.pending[u as usize] = UNREACHED;
-                }
+                clear_bit(&mut self.queued, u as usize);
                 if levels.level(u as usize) != l {
                     continue; // stale entry
                 }
@@ -1125,19 +1149,31 @@ impl DeltaScratch {
         Ok(())
     }
 
-    /// Clears the pending markers of every still-queued entry (budget
-    /// aborts leave the queues mid-drain).
+    /// Clears the queued bits of every still-queued entry (budget aborts
+    /// leave the queues mid-drain; unmerged seeds hold no bit).
     fn abort(&mut self) {
         for &u in self.cur.iter().chain(&self.nxt) {
-            self.pending[u as usize] = UNREACHED;
-        }
-        for &e in &self.seeds {
-            self.pending[(e & u64::from(u32::MAX)) as usize] = UNREACHED;
+            clear_bit(&mut self.queued, u as usize);
         }
         self.cur.clear();
         self.nxt.clear();
         self.seeds.clear();
     }
+}
+
+/// Sets bit `v` of `bits` and returns whether it was set before.
+#[inline]
+fn test_and_set(bits: &mut [u64], v: usize) -> bool {
+    let (w, m) = (v / 64, 1u64 << (v % 64));
+    let was = bits[w] & m != 0;
+    bits[w] |= m;
+    was
+}
+
+/// Clears bit `v` of `bits`.
+#[inline]
+fn clear_bit(bits: &mut [u64], v: usize) {
+    bits[v / 64] &= !(1u64 << (v % 64));
 }
 
 impl BitReach {
@@ -1161,14 +1197,16 @@ impl BitReach {
     /// Levels only ever increase; a node whose level would reach
     /// `n_nodes` is unreachable and goes to [`UNREACHED`] directly. Every
     /// node whose level changed (including the deleted nodes) is appended
-    /// to `ds`'s change log, and every queue pop is charged to `ds`'s open
-    /// batch (see [`DeltaScratch`]).
+    /// to `ds`'s change log before its level is written, and every queue
+    /// pop is charged to `ds`'s open batch (see [`DeltaScratch`]).
     ///
     /// # Errors
     /// Returns [`DeltaBudgetExceeded`] when this pass takes the batch's
-    /// queue pops past its budget — the levels array is then partially
-    /// repaired and must be rebuilt from scratch (the log is meaningless
-    /// in that case).
+    /// queue pops past its budget. The levels array is then partially
+    /// repaired, but the log still names every node the batch changed with
+    /// its level before the batch, so writing those levels back restores
+    /// the array the batch started from; a caller that wants the new levels
+    /// recomputes them from scratch.
     ///
     /// The root must never be deleted (rebuild instead); `member` must
     /// already reflect the post-deletion membership.
@@ -1203,7 +1241,7 @@ impl BitReach {
         backward: bool,
     ) -> Result<(), DeltaBudgetExceeded> {
         let d = self.d;
-        ds.begin(self.n_nodes, deleted.len() * d + 1);
+        ds.begin(self, deleted.len() * d + 1);
         // Out-edges of the structure (the direction levels grow along) and
         // in-edges (the direction support is checked along).
         let out = |v: usize, a: usize| self.edge::<POW2>(v, a, backward);
@@ -1241,14 +1279,14 @@ impl BitReach {
             for a in 0..d {
                 let s = out(ui, a);
                 if member(s) && levels.level(s) == l + 1 {
-                    ds.push_next(s, l + 1);
+                    ds.push_next(s);
                 }
             }
             if l as usize + 1 >= self.n_nodes {
                 levels.set_level(ui, UNREACHED);
             } else {
                 levels.set_level(ui, l + 1);
-                ds.push_next(ui, l + 1);
+                ds.push_next(ui);
             }
         })
     }
@@ -1294,7 +1332,7 @@ impl BitReach {
         backward: bool,
     ) -> Result<(), DeltaBudgetExceeded> {
         let d = self.d;
-        ds.begin(self.n_nodes, inserted.len() + 1);
+        ds.begin(self, inserted.len() + 1);
         let out = |v: usize, a: usize| self.edge::<POW2>(v, a, backward);
         let inn = |v: usize, a: usize| self.edge::<POW2>(v, a, !backward);
         // Seed: each revived node joins one level below its best live
@@ -1326,7 +1364,7 @@ impl BitReach {
                 if member(s) && levels.level(s) > l + 1 {
                     ds.record(s as u32, levels.level(s));
                     levels.set_level(s, l + 1);
-                    ds.push_next(s, l + 1);
+                    ds.push_next(s);
                 }
             }
         })

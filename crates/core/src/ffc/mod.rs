@@ -185,7 +185,7 @@ pub struct EmbedScratch {
     probe: RootProbe,
     /// Word-packed bitmaps and frontiers of the bit-parallel reachability
     /// engine (the fault mask and the forward visited set).
-    bits: BitScratch,
+    pub(crate) bits: BitScratch,
     /// The spanning-tree stage — broadcast levels, necklace records, exit
     /// bitmap and entry digits — sized by the first full-ring call; the
     /// stats-only path never touches it.

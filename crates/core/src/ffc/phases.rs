@@ -56,7 +56,7 @@ impl Ffc {
     /// ring node, and it dominated the embed at a million nodes.
     pub fn embed_into(&self, scratch: &mut EmbedScratch, faulty_nodes: &[usize]) -> EmbedStats {
         let (t, s) = (&self.tables, scratch);
-        let mut stats = self.phases_to_root(s, faulty_nodes);
+        let mut stats = self.phases_to_root(s, faulty_nodes, |_| {});
         if stats.root == INFEASIBLE_ROOT {
             return stats;
         }
@@ -86,10 +86,12 @@ impl Ffc {
     /// the spanning-tree, successor-function and cycle-readoff phases are
     /// skipped entirely and [`EmbedScratch::cycle`] is left empty.
     ///
-    /// This is the hot path of Monte-Carlo sweeps that only tabulate
-    /// component sizes and eccentricities (Tables 2.1/2.2):
-    /// [`Ffc::embed_batch`] uses it whenever the plan does not request
-    /// cycles. |B*| and the eccentricity are the count and depth of one
+    /// Monte-Carlo sweeps that only tabulate component sizes and
+    /// eccentricities (Tables 2.1/2.2) run [`Ffc::embed_batch`], which
+    /// answers most such trials by a delta over the fault-free levels
+    /// ([`crate::sweep`]); its other trials run this function's phases, and
+    /// this function is the reference the delta is tested against.
+    /// |B*| and the eccentricity are the count and depth of one
     /// forward pass from the root (B* is the forward set, see the
     /// [`crate::ffc`] module docs) on the bit-parallel engine
     /// ([`crate::bitreach`]): a direction-optimizing BFS whose dense regime
@@ -101,7 +103,7 @@ impl Ffc {
         scratch: &mut EmbedScratch,
         faulty_nodes: &[usize],
     ) -> EmbedStats {
-        let mut stats = self.phases_to_root(scratch, faulty_nodes);
+        let mut stats = self.phases_to_root(scratch, faulty_nodes, |_| {});
         if stats.root != INFEASIBLE_ROOT {
             let (reached, depth) = self.tables.reach.forward(&mut scratch.bits, stats.root);
             stats.component_size = reached;
@@ -117,14 +119,22 @@ impl Ffc {
     /// the nearest live node ([`RootProbe::find`], Section 2.5.2),
     /// normalised to the minimal node of its necklace so N(R) = [R].
     ///
+    /// `killed` sees the members of each faulty necklace once, as the
+    /// marking kills them (the stats-only sweep trials collect them).
+    ///
     /// Returns the stats so far, with |B*| and the eccentricity left 0 for
     /// the caller's forward pass. When every necklace is faulty no root
     /// exists: the stats come back with root [`INFEASIBLE_ROOT`].
-    fn phases_to_root(&self, s: &mut EmbedScratch, faulty_nodes: &[usize]) -> EmbedStats {
+    pub(crate) fn phases_to_root(
+        &self,
+        s: &mut EmbedScratch,
+        faulty_nodes: &[usize],
+        killed: impl FnMut(&[u32]),
+    ) -> EmbedStats {
         let t = &self.tables;
         s.prepare(t);
         t.reach.prepare(&mut s.bits);
-        let (faulty_necklaces, removed_nodes) = self.phase_mark_faults(s, faulty_nodes);
+        let (faulty_necklaces, removed_nodes) = self.phase_mark_faults(s, faulty_nodes, killed);
         let membership = self.partition.membership();
         let (faulty, stamp) = (&s.faulty, s.stamp);
         let live = |v: usize| faulty[membership[v] as usize] != stamp;
@@ -139,9 +149,14 @@ impl Ffc {
     }
 
     /// Fault-marking phase: stamps each faulty necklace once and kills its
-    /// members in the word-packed fault mask. Returns
-    /// `(faulty_necklaces, removed_nodes)`.
-    fn phase_mark_faults(&self, s: &mut EmbedScratch, faulty_nodes: &[usize]) -> (usize, usize) {
+    /// members in the word-packed fault mask, handing them to `killed`.
+    /// Returns `(faulty_necklaces, removed_nodes)`.
+    fn phase_mark_faults(
+        &self,
+        s: &mut EmbedScratch,
+        faulty_nodes: &[usize],
+        mut killed: impl FnMut(&[u32]),
+    ) -> (usize, usize) {
         let t = &self.tables;
         let membership = self.partition.membership();
         let stamp = s.stamp;
@@ -158,6 +173,7 @@ impl Ffc {
                 for &member in members {
                     t.reach.kill(&mut s.bits, member as usize);
                 }
+                killed(members);
             }
         }
         (faulty_necklaces, removed_nodes)

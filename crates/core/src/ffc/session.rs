@@ -615,7 +615,7 @@ impl RingMaintainer {
         reserve_more(&mut self.dirty_necks, self.n_necks);
         reserve_more(&mut self.dirty_labels, t.suffix_count);
         self.probe.fit(n);
-        self.delta.fit(n);
+        self.delta.fit(&t.reach, n, 0);
         // Fault state restarts from empty.
         self.node_faulty[..n].fill(false);
         self.node_dead[..n].fill(false);
@@ -1257,17 +1257,15 @@ mod tests {
         }
     }
 
-    /// The maintainer's event stamp and the delta log's stamp both start
-    /// just below `u32::MAX`, at every offset up to 7, so their
-    /// wrap-arounds fall at each point of a batch. Every entry of
-    /// `dirty_stamp`, `label_stamp` and `changed_stamp` starts at 1, as if
-    /// last stamped in the previous cycle. After a batch in which a stamp
-    /// wrapped, it is moved back to the same offset below `u32::MAX` with
-    /// the arrays left as they are, standing in for the next cycle: a
+    /// The maintainer's event stamp starts just below `u32::MAX`, at every
+    /// offset up to 7, so its wrap-arounds fall at each point of a batch.
+    /// Every entry of `dirty_stamp` and `label_stamp` starts at 1, as if
+    /// last stamped in the previous cycle. After a batch in which the
+    /// stamp wrapped, it is moved back to the same offset below `u32::MAX`
+    /// with the arrays left as they are, standing in for the next cycle: a
     /// stamp of the old cycle written after a wrap's clear, or a clear
-    /// that was skipped, then reads a necklace, label or node as already
-    /// marked. Every batch must still match a fresh reset and
-    /// `embed_into`.
+    /// that was skipped, then reads a necklace or label as already marked.
+    /// Every batch must still match a fresh reset and `embed_into`.
     #[test]
     fn stamps_wrap_around_mid_stream() {
         const NEAR_WRAP: u32 = u32::MAX - 8;
@@ -1285,10 +1283,7 @@ mod tests {
             maint.stamp = u32::MAX - offset;
             maint.dirty_stamp.fill(1);
             maint.label_stamp.fill(1);
-            let (log_stamp, logged) = maint.delta.stamps_mut();
-            *log_stamp = u32::MAX - offset;
-            logged.fill(1);
-            let (mut wraps, mut log_wraps) = (0, 0);
+            let mut wraps = 0;
             for (i, step) in steps.iter().enumerate() {
                 maint
                     .apply_batch(&ffc, &step.batch)
@@ -1299,21 +1294,13 @@ mod tests {
                     maint.stamp = u32::MAX - offset;
                     wraps += 1;
                 }
-                let (log_stamp, _) = maint.delta.stamps_mut();
-                if *log_stamp < NEAR_WRAP {
-                    *log_stamp = u32::MAX - offset;
-                    log_wraps += 1;
-                }
             }
-            assert!(
-                wraps >= 3 && log_wraps >= 3,
-                "offset {offset}: {wraps} event-stamp and {log_wraps} log-stamp wraps"
-            );
+            assert!(wraps >= 3, "offset {offset}: {wraps} event-stamp wraps");
         }
     }
 
-    /// `reset` sizes the delta passes' per-node arrays and n-sized
-    /// reservations, so the first batch after it does not.
+    /// `reset` sizes the delta passes' bitmaps and n-sized reservations,
+    /// so the first batch after it does not.
     #[test]
     fn reset_sizes_the_delta_scratch_before_the_first_batch() {
         let ffc = Ffc::new(2, 10);

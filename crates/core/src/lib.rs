@@ -83,4 +83,6 @@ pub use ffc::{
 pub use modified::ModifiedDeBruijn;
 pub use necklace_graph::NecklaceAdjacency;
 pub use serve::{ReaderHandle, RingService, ServeOptions, ServiceReport, SubmitError};
-pub use sweep::{BatchEmbedder, FaultDrawer, FaultSchedule, SweepAccumulator, SweepPlan, Trial};
+pub use sweep::{
+    BatchEmbedder, FaultDrawer, FaultSchedule, SweepAccumulator, SweepPaths, SweepPlan, Trial,
+};

@@ -103,6 +103,31 @@ impl LevelVec {
         self.overflow.clear();
     }
 
+    /// Sets every slot of `range` to the inline level `l`, dropping any
+    /// side-table entry in the range: for filling an array from a closed
+    /// form.
+    ///
+    /// # Panics
+    /// Panics if `l` is above the inline maximum (253).
+    pub(crate) fn fill_range(&mut self, range: std::ops::Range<usize>, l: u32) {
+        assert!(
+            l <= MAX_INLINE_LEVEL,
+            "fill_range writes inline levels only"
+        );
+        self.overflow
+            .retain(|&(v, _)| !range.contains(&(v as usize)));
+        self.bytes[range].fill(l as u8);
+    }
+
+    /// Reserves the side table for every entry a delete pass of at most
+    /// `pops` queue pops can leave escaped at once, starting from levels
+    /// of at most `base`: a node climbs one level per pop, so each escaped
+    /// node has cost the pass at least the climb past the inline maximum.
+    pub(crate) fn reserve_escapes(&mut self, pops: usize, base: u32) {
+        let climb = (MAX_INLINE_LEVEL + 1).saturating_sub(base).max(1) as usize;
+        reserve_more(&mut self.overflow, pops / climb + 1);
+    }
+
     /// The level of node `i` ([`UNREACHED`] when outside the structure).
     #[inline]
     #[must_use]
