@@ -92,7 +92,7 @@
 //! (`oracle::kernel_step_scalar`: fold pass, then expand pass) against
 //! the block kernel the engine runs, here without summaries so that no
 //! block is skipped (`BitReach::kernel_step_fused`) — over warm bitmaps
-//! at B(2,16), B(2,18) and B(2,20) shapes, forward and backward. Rows
+//! at B(2,16), B(2,18) and B(2,20) shapes, one row per shape. Rows
 //! report words/sec per kernel and `speedup` = scalar / fused, gated at
 //! ≥ 1.0 by `--check` like every other speedup: the block kernel must
 //! never lose on the engine's hot shapes, even with nothing to skip. The
@@ -451,11 +451,11 @@ fn serve_run(
 const KERNEL_SHAPES: [(usize, usize); 3] = [(2, 1 << 16), (2, 1 << 18), (2, 1 << 20)];
 
 /// Races the two dense kernels over warm bitmaps and returns one JSON
-/// row per (shape, direction): words/sec for the retained two-phase
-/// scalar reference and the block kernel without summaries, plus `speedup` =
-/// scalar ns / fused ns. Both kernels start from identical bitmaps and
-/// their newly-visited checksums are asserted equal, so the race also
-/// re-pins bit-equality on every measured shape.
+/// row per shape: words/sec for the retained two-phase scalar reference
+/// and the block kernel without summaries, plus `speedup` = scalar ns /
+/// fused ns. Both kernels start from identical bitmaps and their
+/// newly-visited checksums are asserted equal, so the race also re-pins
+/// bit-equality on every measured shape.
 fn kernel_tier(smoke: bool) -> Vec<String> {
     let mut rows = Vec::new();
     let mut rng = StdRng::seed_from_u64(0x4EC7);
@@ -468,58 +468,52 @@ fn kernel_tier(smoke: bool) -> Vec<String> {
         // to beat timer noise, small enough to keep CI bounded.
         let iters = ((1usize << 22) / words).max(16) / if smoke { 8 } else { 1 };
         let iters = iters.max(4);
-        for backward in [false, true] {
-            let cur: Vec<u64> = (0..words).map(|_| rng.next_u64()).collect();
-            // A half-warm visited set: the kernels' work is
-            // data-independent, so saturation across iterations does not
-            // skew the comparison.
-            let vis0: Vec<u64> = (0..words)
-                .map(|_| rng.next_u64() & rng.next_u64())
-                .collect();
-            let mut nxt = vec![0u64; words];
-            let mut fold = vec![0u64; sw];
-            let mut time_kernel = |fused: bool| -> (f64, usize) {
-                let mut best = Duration::MAX;
-                let mut sink = 0usize;
-                for _ in 0..REPS {
-                    let mut vis = vis0.clone();
-                    let mut rep_sink = 0usize;
-                    let start = Instant::now();
-                    for _ in 0..iters {
-                        rep_sink ^= if fused {
-                            reach.kernel_step_fused(backward, &cur, &mut vis, &mut nxt)
-                        } else {
-                            oracle::kernel_step_scalar(
-                                &reach, backward, &cur, &mut vis, &mut nxt, &mut fold,
-                            )
-                        };
-                    }
-                    best = best.min(start.elapsed());
-                    sink = rep_sink;
+        let cur: Vec<u64> = (0..words).map(|_| rng.next_u64()).collect();
+        // A half-warm visited set: the kernels' work is data-independent,
+        // so saturation across iterations does not skew the comparison.
+        let vis0: Vec<u64> = (0..words)
+            .map(|_| rng.next_u64() & rng.next_u64())
+            .collect();
+        let mut nxt = vec![0u64; words];
+        let mut fold = vec![0u64; sw];
+        let mut time_kernel = |fused: bool| -> (f64, usize) {
+            let mut best = Duration::MAX;
+            let mut sink = 0usize;
+            for _ in 0..REPS {
+                let mut vis = vis0.clone();
+                let mut rep_sink = 0usize;
+                let start = Instant::now();
+                for _ in 0..iters {
+                    rep_sink ^= if fused {
+                        reach.kernel_step_fused(&cur, &mut vis, &mut nxt)
+                    } else {
+                        oracle::kernel_step_scalar(&reach, &cur, &mut vis, &mut nxt, &mut fold)
+                    };
                 }
-                let wps = (words * iters) as f64 / best.as_secs_f64();
-                (wps, sink)
-            };
-            let (scalar_wps, scalar_sum) = time_kernel(false);
-            let (fused_wps, fused_sum) = time_kernel(true);
-            assert_eq!(
-                scalar_sum, fused_sum,
-                "kernels diverge on d={d} words={words} bwd={backward}"
-            );
-            let speedup = fused_wps / scalar_wps;
-            let dir = if backward { "bwd" } else { "fwd" };
-            eprintln!(
-                "kernels d={d} words={words} {dir}: scalar {:.0} Mwords/s vs fused {:.0} \
-                 Mwords/s ({speedup:.2}x) [checksum {scalar_sum}]",
-                scalar_wps / 1e6,
-                fused_wps / 1e6,
-            );
-            rows.push(format!(
-                "    {{ \"d\": {d}, \"nodes\": {n_nodes}, \"words\": {words}, \
-                 \"dir\": \"{dir}\", \"scalar_words_per_sec\": {scalar_wps:.0}, \
-                 \"fused_words_per_sec\": {fused_wps:.0}, \"speedup\": {speedup:.2} }}"
-            ));
-        }
+                best = best.min(start.elapsed());
+                sink = rep_sink;
+            }
+            let wps = (words * iters) as f64 / best.as_secs_f64();
+            (wps, sink)
+        };
+        let (scalar_wps, scalar_sum) = time_kernel(false);
+        let (fused_wps, fused_sum) = time_kernel(true);
+        assert_eq!(
+            scalar_sum, fused_sum,
+            "kernels diverge on d={d} words={words}"
+        );
+        let speedup = fused_wps / scalar_wps;
+        eprintln!(
+            "kernels d={d} words={words}: scalar {:.0} Mwords/s vs fused {:.0} \
+             Mwords/s ({speedup:.2}x) [checksum {scalar_sum}]",
+            scalar_wps / 1e6,
+            fused_wps / 1e6,
+        );
+        rows.push(format!(
+            "    {{ \"d\": {d}, \"nodes\": {n_nodes}, \"words\": {words}, \
+             \"scalar_words_per_sec\": {scalar_wps:.0}, \
+             \"fused_words_per_sec\": {fused_wps:.0}, \"speedup\": {speedup:.2} }}"
+        ));
         // Skip-scan micro row: extracting a sparse frontier (the shape of
         // delta-pass seeds and early/late BFS levels — about one occupied
         // word per 64-word summary block) with the full-bitmap scan vs the
@@ -1448,9 +1442,10 @@ fn main() {
          every tier's allocated_bytes is the audited steady-state footprint of its scratch \
          or maintainer after warmup (serve tiers: the writer's session plus the final \
          snapshot's segments); \
-         the optional kernels array races the two-phase scalar dense kernel against the block \
-         kernel without summaries, so nothing is skipped (speedup = scalar/fused, \
-         newly-visited checksums asserted identical) and, in kind=skip_scan rows, \
+         the optional kernels array races, one row per shape, the two-phase scalar dense \
+         kernel against the block kernel without summaries, so nothing is skipped (both \
+         forward, the engine's only dense direction; speedup = scalar/fused, newly-visited \
+         checksums asserted identical) and, in kind=skip_scan rows, \
          full-bitmap sparse-frontier extraction against the hierarchical-summary skip-scan \
          (speedup = skip/full \
          words per second, outputs asserted identical, gated >= 1.0)\",\n{kernels_block}  \

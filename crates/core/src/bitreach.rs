@@ -3,24 +3,22 @@
 //! The FFC engine's hot loop is one forward BFS from the root over a de
 //! Bruijn graph with some necklaces removed: faults remove whole necklaces,
 //! so the forward set is the root's strongly connected component B* and
-//! its levels are the broadcast levels (see the `ffc` module docs). The
-//! backward pass and the broadcast restricted to fwd ∧ bwd remain public:
-//! they give B* under a dead set that is not a union of necklaces, and the
-//! ring benchmark's traced run times them beside the engine. For a
+//! its levels are the broadcast levels (see the `ffc` module docs). So
+//! every pass here runs forward, with one exception that no embedding
+//! runs: [`BitReach::backward`], a plain FIFO walk over predecessors with
+//! no dense kernel. [`BitReach::broadcast_levels`] intersects its visited
+//! set with the forward set, which gives B* under a dead set that is not a
+//! union of necklaces; the ring benchmark's traced run times both beside
+//! the engine. For a
 //! power-of-two alphabet the successor set of a *set* of nodes is pure
 //! word arithmetic on its bitmap: node `v`'s successors are the aligned
-//! block `d·(v mod d^(n−1)) + a`, so
+//! block `d·(v mod d^(n−1)) + a`, so the image of a frontier `F` under one
+//! BFS step is `expand_d(fold_d(F))`, where `fold_d` ORs the `d` equal
+//! chunks of `F` (erasing the leading digit) and `expand_d` duplicates
+//! every bit into `d` adjacent positions (appending every trailing digit)
+//! — 64 nodes per handful of shift/mask ops, branch-free.
 //!
-//! * the image of a frontier `F` under one BFS step is
-//!   `expand_d(fold_d(F))`, where `fold_d` ORs the `d` equal chunks of `F`
-//!   (erasing the leading digit) and `expand_d` duplicates every bit into
-//!   `d` adjacent positions (appending every trailing digit) — 64 nodes
-//!   per handful of shift/mask ops, branch-free;
-//! * the preimage is the mirror image, `replicate_d(squash_d(F))`, where
-//!   `squash_d` ORs each aligned `d`-bit group into one bit and the result
-//!   is replicated across the `d` chunks of the address space.
-//!
-//! [`BitReach`] packages those kernels behind direction-optimizing BFS
+//! [`BitReach`] packages that kernel behind direction-optimizing BFS
 //! passes: while the frontier is sparse a scalar top-down walk over a
 //! queue wins (it touches only live edges); once the frontier passes a
 //! density threshold the pass switches to the word-parallel bottom-up
@@ -37,31 +35,22 @@
 //!
 //! # The block kernel
 //!
-//! A dense level runs one **block kernel** per direction, instantiated for
-//! every power-of-two d ≤ 64. A block is the 64 output words one summary
-//! word covers (the whole bitmap when it is smaller than that):
+//! A dense level runs one **block kernel**, instantiated for every
+//! power-of-two d ≤ 64. A block is the 64 output words one summary word
+//! covers (the whole bitmap when it is smaller than that). Output word
+//! `d·i + r` expands chunk `r` of `G[i]`, the OR of suffix word `i` over
+//! the `d` leading digits, so a block reads `64/d` suffix words from each
+//! of the `d` strides of the frontier.
 //!
-//! * forward, output word `d·i + r` expands chunk `r` of `G[i]`, the OR of
-//!   suffix word `i` over the `d` leading digits, so a block reads `64/d`
-//!   suffix words from each of the `d` strides of the frontier;
-//! * backward, `H[i]` ORs the `d`-bit successor groups of suffix word `i`
-//!   and output word `a·sw + i` is `H[i]` for every leading digit `a`, so
-//!   a tile of 64 `H` words is squashed once from `64·d` contiguous input
-//!   words and feeds one block in each of the `d` strides (every block,
-//!   each holding several copies, when the suffix is shorter than 64
-//!   words).
-//!
-//! Per block the kernel folds or squashes into a stack tile, then expands,
-//! masks against visited, updates visited and stores the next frontier in
-//! one pass over exact chunks (no per-index bounds checks), and writes the
+//! Per block the kernel folds into a stack tile, then expands, masks
+//! against visited, updates visited and stores the next frontier in one
+//! pass over exact chunks (no per-index bounds checks), and writes the
 //! block's next-frontier summary word once. First it reads the current
 //! frontier's summary: when that marks every input word of the block
-//! empty, the block's output is zeroed instead of computed. Forward level
-//! `k` from the root lies in one aligned id range (the nodes sharing one
-//! (n−k)-digit prefix), so at B(2,18) the seven dense forward steps of a
-//! fault-free pass compute 127 of 448 blocks. A backward level is one
-//! residue class, spread over every block, so the backward pass skips next
-//! to nothing.
+//! empty, the block's output is zeroed instead of computed. Level `k`
+//! from the root lies in one aligned id range (the nodes sharing one
+//! (n−k)-digit prefix), so at B(2,18) the seven dense steps of a
+//! fault-free pass compute 127 of 448 blocks.
 //!
 //! The two-phase kernel (a fold pass into a buffer, then an expand pass)
 //! lives on as the oracle [`crate::oracle::kernel_step_scalar`].
@@ -139,20 +128,6 @@ pub fn spread2(x: u64) -> u64 {
     x = (x | (x << 2)) & 0x3333_3333_3333_3333;
     x = (x | (x << 1)) & 0x5555_5555_5555_5555;
     x | (x << 1)
-}
-
-/// ORs each adjacent bit pair of `x` into one bit of the low 32 —
-/// the factor-two compression of the backward sweep (inverse direction of
-/// [`spread2`]): output bit `i` is `x[2i] | x[2i+1]`.
-#[inline]
-#[must_use]
-pub fn squash2(x: u64) -> u64 {
-    let mut x = (x | (x >> 1)) & 0x5555_5555_5555_5555;
-    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
-    x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x >> 4)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
-    (x | (x >> 16)) & 0x0000_0000_FFFF_FFFF
 }
 
 /// A pass switches **to** the dense regime when `frontier · d ·
@@ -305,14 +280,14 @@ impl BitScratch {
 }
 
 /// The bit-parallel reachability engine for one B(d,n) shape: word-level
-/// constants plus the direction-optimizing passes — forward (the one the
-/// FFC embedding runs), backward, and the broadcast over their
-/// intersection.
+/// constants plus the direction-optimizing forward passes (the one the
+/// FFC embedding runs, and the broadcast over fwd ∧ bwd), and the
+/// backward walk the broadcast reads.
 #[derive(Clone, Copy, Debug)]
 pub struct BitReach {
     pub(crate) d: usize,
     n_nodes: usize,
-    /// d^(n−1) — the chunk size of the fold/replicate direction.
+    /// d^(n−1) — the chunk size of the fold.
     suffix: usize,
     /// Live words of every bitmap (`ceil(n_nodes / 64)`).
     words: usize,
@@ -442,21 +417,44 @@ impl BitReach {
     /// nodes form whole necklaces the forward set is B*, so these are |B*|
     /// and the broadcast eccentricity.
     pub fn forward(&self, s: &mut BitScratch, root: usize) -> (usize, usize) {
-        self.pass::<false>(s, root, |_, _| {})
+        self.pass(s, root, |_, _| {})
     }
 
-    /// Backward BFS from `root` over live nodes (visited set left in the
-    /// scratch for [`BitReach::broadcast_levels`]). The backward visited
-    /// set is grown here, not by [`BitReach::prepare`]: no embedding path
-    /// runs this pass, so only the scratches that do pay its bitmap.
+    /// Backward reachability from `root` over live nodes: a FIFO walk over
+    /// predecessors, its visited set left in the scratch for
+    /// [`BitReach::broadcast_levels`]. No embedding path runs it, so it
+    /// has no dense kernel, and its bitmap is grown here rather than by
+    /// [`BitReach::prepare`]: only the scratches that run it pay for it.
+    /// The queue is the current frontier's, which `prepare` reserved for
+    /// every node.
     pub fn backward(&self, s: &mut BitScratch, root: usize) {
         grow_to(&mut s.bwd, self.words, 0);
-        self.pass::<true>(s, root, |_, _| {});
+        let BitScratch { dead, bwd, cur, .. } = s;
+        let bwd = &mut bwd[..self.words];
+        bwd.copy_from_slice(&dead[..self.words]);
+        let root_dead = test_and_set(bwd, root);
+        debug_assert!(!root_dead, "root not live");
+        cur.queue.clear();
+        cur.queue.push(root as u32);
+        let mut head = 0;
+        while let Some(&v) = cur.queue.get(head) {
+            head += 1;
+            for a in 0..self.d {
+                let u = if self.pow2 {
+                    self.pred::<true>(v as usize, a)
+                } else {
+                    self.pred::<false>(v as usize, a)
+                };
+                if !test_and_set(bwd, u) {
+                    cur.queue.push(u as u32);
+                }
+            }
+        }
     }
 
-    /// The shared forward/backward pass: the direction's visited set
-    /// starts as the fault mask.
-    fn pass<const BACKWARD: bool>(
+    /// The forward pass of [`BitReach::forward`] and the level-emitting
+    /// passes: the visited set starts as the fault mask.
+    fn pass(
         &self,
         s: &mut BitScratch,
         root: usize,
@@ -465,14 +463,12 @@ impl BitReach {
         let BitScratch {
             dead,
             fwd,
-            bwd,
             cur,
             nxt,
             ..
         } = s;
-        let vis = if BACKWARD { bwd } else { fwd };
-        vis[..self.words].copy_from_slice(&dead[..self.words]);
-        self.run::<BACKWARD>(vis, cur, nxt, root, on_level)
+        fwd[..self.words].copy_from_slice(&dead[..self.words]);
+        self.run(fwd, cur, nxt, root, on_level)
     }
 
     /// The broadcast restricted to B* = `fwd ∧ bwd ∧ ¬dead`, emitting
@@ -538,7 +534,7 @@ impl BitReach {
         {
             *v = !(f & b) | x;
         }
-        self.run::<false>(vis, cur, nxt, root, on_level)
+        self.run(vis, cur, nxt, root, on_level)
     }
 
     /// The direct level write of the level-emitting passes: grows
@@ -557,7 +553,7 @@ impl BitReach {
     /// `on_level(l, frontier)` sees every level as it settles, the root's
     /// level 0 included; the stats-only passes hand it a no-op that
     /// compiles away. Returns `(newly visited count incl. root, depth)`.
-    fn run<const BACKWARD: bool>(
+    fn run(
         &self,
         vis: &mut [u64],
         cur: &mut BitFrontier,
@@ -566,14 +562,14 @@ impl BitReach {
         on_level: impl FnMut(u32, &BitFrontier),
     ) -> (usize, usize) {
         if self.pow2 {
-            self.run_impl::<true, BACKWARD>(vis, cur, nxt, root, on_level)
+            self.run_impl::<true>(vis, cur, nxt, root, on_level)
         } else {
-            self.run_impl::<false, BACKWARD>(vis, cur, nxt, root, on_level)
+            self.run_impl::<false>(vis, cur, nxt, root, on_level)
         }
     }
 
     /// [`BitReach::run`] with the edge arithmetic fixed at compile time.
-    fn run_impl<const POW2: bool, const BACKWARD: bool>(
+    fn run_impl<const POW2: bool>(
         &self,
         vis: &mut [u64],
         cur: &mut BitFrontier,
@@ -593,9 +589,9 @@ impl BitReach {
         let mut depth = 0usize;
         loop {
             if cur.dense {
-                self.step_dense::<BACKWARD>(vis, cur, nxt);
+                self.step_dense(vis, cur, nxt);
             } else {
-                self.step_sparse::<POW2, BACKWARD>(vis, cur, nxt);
+                self.step_sparse::<POW2>(vis, cur, nxt);
             }
             if nxt.len == 0 {
                 break;
@@ -629,7 +625,7 @@ impl BitReach {
     }
 
     /// Scalar top-down step: walk the queue's edges, test-and-set bits.
-    fn step_sparse<const POW2: bool, const BACKWARD: bool>(
+    fn step_sparse<const POW2: bool>(
         &self,
         vis: &mut [u64],
         cur: &BitFrontier,
@@ -639,7 +635,7 @@ impl BitReach {
         nxt.queue.clear();
         for &v in &cur.queue {
             for a in 0..self.d {
-                let u = self.edge::<POW2>(v as usize, a, BACKWARD);
+                let u = self.succ::<POW2>(v as usize, a);
                 let (j, m) = (u / 64, 1u64 << (u % 64));
                 if vis[j] & m == 0 {
                     vis[j] |= m;
@@ -654,15 +650,10 @@ impl BitReach {
     /// Word-parallel bottom-up step: the block kernel over the whole
     /// bitmap, skipping the blocks whose input words `cur`'s summary marks
     /// empty and writing `nxt`'s summary one word per block.
-    fn step_dense<const BACKWARD: bool>(
-        &self,
-        vis: &mut [u64],
-        cur: &BitFrontier,
-        nxt: &mut BitFrontier,
-    ) {
+    fn step_dense(&self, vis: &mut [u64], cur: &BitFrontier, nxt: &mut BitFrontier) {
         debug_assert!(cur.dense && self.dense_capable);
         let (words, sums) = (self.words, sum_words(self.words));
-        nxt.len = self.block_kernel::<BACKWARD>(
+        nxt.len = self.block_kernel(
             &cur.bits[..words],
             Some(&cur.sum[..sums]),
             &mut vis[..words],
@@ -673,9 +664,9 @@ impl BitReach {
     }
 
     /// The dense kernel over exactly `self.words` words of each buffer,
-    /// with `d` fixed at compile time: [`BitReach::forward_blocks`] or
-    /// [`BitReach::backward_blocks`]. Returns the newly visited node count.
-    fn block_kernel<const BACKWARD: bool>(
+    /// with `d` fixed at compile time: [`BitReach::forward_blocks`].
+    /// Returns the newly visited node count.
+    fn block_kernel(
         &self,
         cur: &[u64],
         cur_sum: Option<&[u64]>,
@@ -686,11 +677,7 @@ impl BitReach {
         macro_rules! by_d {
             ($($d:literal)*) => {
                 match self.d {
-                    $($d => if BACKWARD {
-                        self.backward_blocks::<$d>(cur, cur_sum, vis, nxt, nxt_sum)
-                    } else {
-                        self.forward_blocks::<$d>(cur, cur_sum, vis, nxt, nxt_sum)
-                    },)*
+                    $($d => self.forward_blocks::<$d>(cur, cur_sum, vis, nxt, nxt_sum),)*
                     d => unreachable!("dense sweeps need a power-of-two d <= 64, got {d}"),
                 }
             };
@@ -751,66 +738,6 @@ impl BitReach {
         newly
     }
 
-    /// The backward block kernel. `H[i]` ORs the `D`-bit successor groups
-    /// of suffix word `i` (input words `D·i .. D·i + D`), and output word
-    /// `a·sw + i` is `H[i]` for every leading digit `a`. A tile of
-    /// `ht = min(sw, 64)` `H` words is squashed once from `D·ht`
-    /// contiguous input words (zero when `cur_sum` marks them all empty)
-    /// and feeds `D·ht / bw` output blocks: one per stride when `sw ≥ 64`,
-    /// every block, each holding `bw / ht` copies, when the graph is
-    /// smaller. `nxt_sum`, when given, receives each block's occupancy
-    /// word.
-    fn backward_blocks<const D: usize>(
-        &self,
-        cur: &[u64],
-        cur_sum: Option<&[u64]>,
-        vis: &mut [u64],
-        nxt: &mut [u64],
-        mut nxt_sum: Option<&mut [u64]>,
-    ) -> usize {
-        let (sw, bw) = (self.suffix_words, self.words.min(64));
-        let ht = sw.min(64);
-        let (tiles, blocks) = (sw / ht, self.words / bw);
-        let bits = 64 / D;
-        let mut newly = 0usize;
-        for t in 0..tiles {
-            let base = D * ht * t;
-            let empty = cur_sum.is_some_and(|s| sum_clear(s, base, D * ht));
-            let mut tile = [0u64; 64];
-            let h = &mut tile[..ht];
-            if !empty {
-                let (src, _) = cur[base..base + D * ht].as_chunks::<D>();
-                for (hk, c) in h.iter_mut().zip(src) {
-                    let mut acc = 0u64;
-                    for (r, &w) in c.iter().enumerate() {
-                        acc |= squash_d::<D>(w) << (r * bits);
-                    }
-                    *hk = acc;
-                }
-            }
-            for b in (t..blocks).step_by(tiles) {
-                let vb = &mut vis[b * bw..][..bw];
-                let nb = &mut nxt[b * bw..][..bw];
-                if empty {
-                    nb.fill(0);
-                } else {
-                    for (vc, nc) in vb.chunks_exact_mut(ht).zip(nb.chunks_exact_mut(ht)) {
-                        for ((v, n), &hk) in vc.iter_mut().zip(nc.iter_mut()).zip(h.iter()) {
-                            let new = hk & !*v;
-                            *v |= new;
-                            *n = new;
-                            newly += new.count_ones() as usize;
-                        }
-                    }
-                }
-                if let Some(s) = nxt_sum.as_deref_mut() {
-                    s[b] = if empty { 0 } else { occupancy(nb) };
-                }
-            }
-        }
-        newly
-    }
-
     /// The dense step with no summaries: the block kernel on every block
     /// (nothing is skipped), the contract of
     /// [`crate::oracle::kernel_step_scalar`] minus the fold buffer.
@@ -818,21 +745,11 @@ impl BitReach {
     ///
     /// # Panics
     /// Panics if the shape is not dense-capable.
-    pub fn kernel_step_fused(
-        &self,
-        backward: bool,
-        cur: &[u64],
-        vis: &mut [u64],
-        nxt: &mut [u64],
-    ) -> usize {
+    pub fn kernel_step_fused(&self, cur: &[u64], vis: &mut [u64], nxt: &mut [u64]) -> usize {
         assert!(self.dense_capable, "the shape has no dense sweeps");
         let words = self.words;
         let (cur, vis, nxt) = (&cur[..words], &mut vis[..words], &mut nxt[..words]);
-        if backward {
-            self.block_kernel::<true>(cur, None, vis, nxt, None)
-        } else {
-            self.block_kernel::<false>(cur, None, vis, nxt, None)
-        }
+        self.block_kernel(cur, None, vis, nxt, None)
     }
 }
 
@@ -847,7 +764,7 @@ impl BitReach {
         root: usize,
         levels: &mut LevelVec,
     ) -> (usize, usize) {
-        self.pass::<false>(s, root, self.level_writer(levels))
+        self.pass(s, root, self.level_writer(levels))
     }
 
     /// [`BitReach::forward_levels`] for a from-scratch rebuild of
@@ -865,7 +782,7 @@ impl BitReach {
     ) -> (usize, usize) {
         let mut write = self.level_writer(levels);
         counts.clear();
-        let found = self.pass::<false>(s, root, |l, f| {
+        let found = self.pass(s, root, |l, f| {
             counts.push(f.len as u32);
             write(l, f);
         });
@@ -1182,9 +1099,8 @@ impl BitReach {
     ///
     /// `levels[v]` holds the BFS distance from a fixed root over the
     /// subgraph induced by `member` (with `UNREACHED` outside), following
-    /// successor edges (`backward == false`) or predecessor edges
-    /// (`backward == true`). The caller has just removed `deleted` from
-    /// the membership (each of them must already test `!member`); this
+    /// successor edges. The caller has just removed `deleted` from the
+    /// membership (each of them must already test `!member`); this
     /// pass sets their levels to [`UNREACHED`], then repairs every other
     /// node whose distance grew, Even–Shiloach style: nodes are
     /// re-evaluated in increasing level order, a node with a surviving
@@ -1223,12 +1139,11 @@ impl BitReach {
         ds: &mut DeltaScratch,
         deleted: &[u32],
         member: M,
-        backward: bool,
     ) -> Result<(), DeltaBudgetExceeded> {
         if self.pow2 {
-            self.levels_delete_impl::<true, L, M>(levels, ds, deleted, member, backward)
+            self.levels_delete_impl::<true, L, M>(levels, ds, deleted, member)
         } else {
-            self.levels_delete_impl::<false, L, M>(levels, ds, deleted, member, backward)
+            self.levels_delete_impl::<false, L, M>(levels, ds, deleted, member)
         }
     }
 
@@ -1238,14 +1153,9 @@ impl BitReach {
         ds: &mut DeltaScratch,
         deleted: &[u32],
         member: M,
-        backward: bool,
     ) -> Result<(), DeltaBudgetExceeded> {
         let d = self.d;
         ds.begin(self, deleted.len() * d + 1);
-        // Out-edges of the structure (the direction levels grow along) and
-        // in-edges (the direction support is checked along).
-        let out = |v: usize, a: usize| self.edge::<POW2>(v, a, backward);
-        let inn = |v: usize, a: usize| self.edge::<POW2>(v, a, !backward);
         // Seed: drop the deleted nodes and stage their dependents. Deleted
         // nodes never test as members, so none of them is staged.
         for &x in deleted {
@@ -1258,7 +1168,7 @@ impl BitReach {
             ds.record(x, lx);
             levels.set_level(xi, UNREACHED);
             for a in 0..d {
-                let s = out(xi, a);
+                let s = self.succ::<POW2>(xi, a);
                 if member(s) && levels.level(s) == lx + 1 {
                     ds.push_seed(s, lx + 1);
                 }
@@ -1269,7 +1179,7 @@ impl BitReach {
             // A surviving predecessor one level up keeps u settled:
             // every level below l is final, so the check is exact.
             let supported = (0..d).any(|a| {
-                let p = inn(ui, a);
+                let p = self.pred::<POW2>(ui, a);
                 member(p) && levels.level(p) == l - 1
             });
             if supported {
@@ -1277,7 +1187,7 @@ impl BitReach {
             }
             ds.record(u, l);
             for a in 0..d {
-                let s = out(ui, a);
+                let s = self.succ::<POW2>(ui, a);
                 if member(s) && levels.level(s) == l + 1 {
                     ds.push_next(s);
                 }
@@ -1314,12 +1224,11 @@ impl BitReach {
         ds: &mut DeltaScratch,
         inserted: &[u32],
         member: M,
-        backward: bool,
     ) -> Result<(), DeltaBudgetExceeded> {
         if self.pow2 {
-            self.levels_insert_impl::<true, L, M>(levels, ds, inserted, member, backward)
+            self.levels_insert_impl::<true, L, M>(levels, ds, inserted, member)
         } else {
-            self.levels_insert_impl::<false, L, M>(levels, ds, inserted, member, backward)
+            self.levels_insert_impl::<false, L, M>(levels, ds, inserted, member)
         }
     }
 
@@ -1329,12 +1238,9 @@ impl BitReach {
         ds: &mut DeltaScratch,
         inserted: &[u32],
         member: M,
-        backward: bool,
     ) -> Result<(), DeltaBudgetExceeded> {
         let d = self.d;
         ds.begin(self, inserted.len() + 1);
-        let out = |v: usize, a: usize| self.edge::<POW2>(v, a, backward);
-        let inn = |v: usize, a: usize| self.edge::<POW2>(v, a, !backward);
         // Seed: each revived node joins one level below its best live
         // predecessor (if it has one yet — relaxation finds the rest).
         for &x in inserted {
@@ -1347,7 +1253,7 @@ impl BitReach {
             );
             let mut best = UNREACHED;
             for a in 0..d {
-                let p = inn(xi, a);
+                let p = self.pred::<POW2>(xi, a);
                 if member(p) && levels.level(p) < best {
                     best = levels.level(p);
                 }
@@ -1360,7 +1266,7 @@ impl BitReach {
         }
         ds.drain(levels, |ds, levels, u, l| {
             for a in 0..d {
-                let s = out(u as usize, a);
+                let s = self.succ::<POW2>(u as usize, a);
                 if member(s) && levels.level(s) > l + 1 {
                     ds.record(s as u32, levels.level(s));
                     levels.set_level(s, l + 1);
@@ -1370,25 +1276,25 @@ impl BitReach {
         })
     }
 
-    /// One implicit edge of the structure: `backward == false` follows a
-    /// graph successor, `true` a graph predecessor. `POW2` compiles the
-    /// arithmetic to shifts and masks.
+    /// Successor `a` of `v`: the node `v` shifted left with digit `a`
+    /// appended. `POW2` compiles the arithmetic to shifts and masks.
     #[inline]
-    fn edge<const POW2: bool>(&self, v: usize, a: usize, backward: bool) -> usize {
-        if backward {
-            let base = if POW2 { v >> self.d_log } else { v / self.d };
-            base + if POW2 {
-                a << self.suffix_log
-            } else {
-                a * self.suffix
-            }
+    fn succ<const POW2: bool>(&self, v: usize, a: usize) -> usize {
+        if POW2 {
+            ((v & (self.suffix - 1)) << self.d_log) + a
         } else {
-            let base = if POW2 {
-                (v & (self.suffix - 1)) << self.d_log
-            } else {
-                (v % self.suffix) * self.d
-            };
-            base + a
+            (v % self.suffix) * self.d + a
+        }
+    }
+
+    /// Predecessor `a` of `v`: the node `v` shifted right with digit `a`
+    /// prepended. `POW2` compiles the arithmetic to shifts and masks.
+    #[inline]
+    fn pred<const POW2: bool>(&self, v: usize, a: usize) -> usize {
+        if POW2 {
+            (v >> self.d_log) + (a << self.suffix_log)
+        } else {
+            v / self.d + a * self.suffix
         }
     }
 }
@@ -1437,17 +1343,6 @@ fn expand_d<const D: usize>(x: u64) -> u64 {
     let mut x = x;
     for _ in 0..D.trailing_zeros() {
         x = spread2(x);
-    }
-    x
-}
-
-/// ORs each aligned `D`-bit group of `x` into one of the low `64 / D` bits
-/// ([`squash2`] applied log2 `D` times).
-#[inline(always)]
-fn squash_d<const D: usize>(x: u64) -> u64 {
-    let mut x = x;
-    for _ in 0..D.trailing_zeros() {
-        x = squash2(x);
     }
     x
 }
@@ -1527,35 +1422,6 @@ mod tests {
                 }
             }
             assert_eq!(got, want, "x={x:#x}");
-        }
-    }
-
-    #[test]
-    fn squash2_matches_bit_by_bit_definition() {
-        let mut rng = StdRng::seed_from_u64(2);
-        for case in 0..2000u64 {
-            let x = if case < 64 {
-                1u64 << case
-            } else {
-                rng.next_u64()
-            };
-            let got = squash2(x);
-            let mut want = 0u64;
-            for i in 0..32 {
-                if x & (0b11 << (2 * i)) != 0 {
-                    want |= 1 << i;
-                }
-            }
-            assert_eq!(got, want, "x={x:#x}");
-        }
-    }
-
-    #[test]
-    fn squash2_inverts_spread2() {
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..500 {
-            let x = rng.next_u64() & u64::from(u32::MAX);
-            assert_eq!(squash2(spread2(x)), x);
         }
     }
 
@@ -1655,7 +1521,7 @@ mod tests {
                 // Level l's flag is the regime level l − 1 expanded in
                 // (the root's: the regime it starts in).
                 let mut regimes = Vec::new();
-                let got = reach.pass::<false>(&mut s, root, |_, f| regimes.push(f.is_dense()));
+                let got = reach.pass(&mut s, root, |_, f| regimes.push(f.is_dense()));
                 assert_eq!(got, (fwd_reached, fwd_depth), "forward {tag}");
                 dense_root |= regimes[0];
                 to_dense |= regimes.windows(2).any(|w| !w[0] && w[1]);
@@ -1931,15 +1797,9 @@ mod tests {
     }
 
     /// Scalar level oracle as a u32 array with [`UNREACHED`] holes.
-    fn oracle_levels(
-        d: usize,
-        n_nodes: usize,
-        member: &[bool],
-        root: usize,
-        backward: bool,
-    ) -> Vec<u32> {
+    fn oracle_levels(d: usize, n_nodes: usize, member: &[bool], root: usize) -> Vec<u32> {
         let dead: Vec<bool> = member.iter().map(|&m| !m).collect();
-        let (lv, _, _) = oracle_bfs(d, n_nodes, &dead, root, backward, None);
+        let (lv, _, _) = oracle_bfs(d, n_nodes, &dead, root, false, None);
         lv.iter()
             .map(|&l| if l == usize::MAX { UNREACHED } else { l as u32 })
             .collect()
@@ -1947,88 +1807,88 @@ mod tests {
 
     /// The delta passes must be **bit-identical to recompute**: after any
     /// batch of deletions or insertions, the repaired level array equals a
-    /// from-scratch BFS over the new membership — in both edge directions,
-    /// across several mutation rounds on the same scratch, and the changed
-    /// log must name exactly the nodes whose level differs (with their
-    /// true pre-pass levels).
+    /// from-scratch BFS over the new membership — across several mutation
+    /// rounds on the same scratch, and the changed log must name exactly
+    /// the nodes whose level differs (with their true pre-pass levels).
     #[test]
     fn delta_passes_are_bit_identical_to_recompute() {
         let shapes = [(2usize, 1 << 9), (3, 243), (4, 256), (2, 64)];
         let mut rng = StdRng::seed_from_u64(0xde17a);
         for &(d, n_nodes) in &shapes {
             let reach = BitReach::new(d, n_nodes);
-            for backward in [false, true] {
-                let root = 1usize;
-                let mut member = vec![true; n_nodes];
-                let mut levels = oracle_levels(d, n_nodes, &member, root, backward);
-                let mut ds = DeltaScratch::new();
-                let mut removed: Vec<u32> = Vec::new();
-                for round in 0..30 {
-                    let before = levels.clone();
-                    let delete = round % 2 == 0 || removed.is_empty();
-                    let batch: Vec<u32> = if delete {
-                        let k = 1 + rng.gen_range(0..4);
-                        let mut b = Vec::new();
-                        for _ in 0..k {
-                            let v = rng.gen_range(0..n_nodes);
-                            if v != root && member[v] && !b.contains(&(v as u32)) {
-                                b.push(v as u32);
-                            }
+            let root = 1usize;
+            let mut member = vec![true; n_nodes];
+            let mut levels = oracle_levels(d, n_nodes, &member, root);
+            let mut ds = DeltaScratch::new();
+            let mut removed: Vec<u32> = Vec::new();
+            for round in 0..30 {
+                let before = levels.clone();
+                let delete = round % 2 == 0 || removed.is_empty();
+                let batch: Vec<u32> = if delete {
+                    let k = 1 + rng.gen_range(0..4);
+                    let mut b = Vec::new();
+                    for _ in 0..k {
+                        let v = rng.gen_range(0..n_nodes);
+                        if v != root && member[v] && !b.contains(&(v as u32)) {
+                            b.push(v as u32);
                         }
-                        b
-                    } else {
-                        let k = 1 + rng.gen_range(0..removed.len());
-                        removed.drain(..k).collect()
-                    };
-                    ds.open(usize::MAX);
-                    if delete {
-                        for &v in &batch {
-                            member[v as usize] = false;
-                            removed.push(v);
-                        }
-                        reach
-                            .levels_delete(&mut levels, &mut ds, &batch, |u| member[u], backward)
-                            .expect("unbounded budget");
-                    } else {
-                        for &v in &batch {
-                            member[v as usize] = true;
-                        }
-                        reach
-                            .levels_insert(&mut levels, &mut ds, &batch, |u| member[u], backward)
-                            .expect("unbounded budget");
                     }
-                    let want = oracle_levels(d, n_nodes, &member, root, backward);
-                    assert_eq!(
-                        levels, want,
-                        "d={d} n={n_nodes} bwd={backward} round={round} delete={delete}"
-                    );
-                    // The changed log is exact: every difference against the
-                    // pre-pass array is logged once with its true old level.
-                    let mut diff: Vec<(u32, u32)> = before
-                        .iter()
-                        .enumerate()
-                        .filter(|&(v, &l)| l != levels[v])
-                        .map(|(v, &l)| (v as u32, l))
-                        .collect();
-                    let mut logged: Vec<(u32, u32)> = ds.changed().collect();
-                    diff.sort_unstable();
-                    logged.sort_unstable();
-                    assert_eq!(logged, diff, "changed log round={round}");
+                    b
+                } else {
+                    let k = 1 + rng.gen_range(0..removed.len());
+                    removed.drain(..k).collect()
+                };
+                ds.open(usize::MAX);
+                if delete {
+                    for &v in &batch {
+                        member[v as usize] = false;
+                        removed.push(v);
+                    }
+                    reach
+                        .levels_delete(&mut levels, &mut ds, &batch, |u| member[u])
+                        .expect("unbounded budget");
+                } else {
+                    for &v in &batch {
+                        member[v as usize] = true;
+                    }
+                    reach
+                        .levels_insert(&mut levels, &mut ds, &batch, |u| member[u])
+                        .expect("unbounded budget");
                 }
+                let want = oracle_levels(d, n_nodes, &member, root);
+                assert_eq!(
+                    levels, want,
+                    "d={d} n={n_nodes} round={round} delete={delete}"
+                );
+                // The changed log is exact: every difference against the
+                // pre-pass array is logged once with its true old level.
+                let mut diff: Vec<(u32, u32)> = before
+                    .iter()
+                    .enumerate()
+                    .filter(|&(v, &l)| l != levels[v])
+                    .map(|(v, &l)| (v as u32, l))
+                    .collect();
+                let mut logged: Vec<(u32, u32)> = ds.changed().collect();
+                diff.sort_unstable();
+                logged.sort_unstable();
+                assert_eq!(logged, diff, "changed log round={round}");
             }
         }
     }
 
     /// A pathological deletion (large detached cycle) must trip the work
-    /// budget instead of grinding level-by-level to the cap, and an
-    /// unbounded retry from scratch still converges.
+    /// budget instead of grinding level-by-level to the cap. The change log
+    /// then restores the array the batch started from (a stats-only sweep
+    /// trial undoes a budget abort this way), and an unbounded retry from
+    /// there converges to the recompute.
     #[test]
     fn delta_delete_respects_the_work_budget() {
         let (d, n_nodes) = (2usize, 1 << 9);
         let reach = BitReach::new(d, n_nodes);
         let root = 1usize;
         let mut member = vec![true; n_nodes];
-        let mut levels = oracle_levels(d, n_nodes, &member, root, backward_false());
+        let mut levels = oracle_levels(d, n_nodes, &member, root);
+        let before = levels.clone();
         let mut ds = DeltaScratch::new();
         // Kill a thick band of nodes: plenty of cascading work.
         let batch: Vec<u32> = (64..256u32).collect();
@@ -2037,18 +1897,17 @@ mod tests {
         }
         ds.open(3);
         let err = reach
-            .levels_delete(&mut levels, &mut ds, &batch, |u| member[u], false)
+            .levels_delete(&mut levels, &mut ds, &batch, |u| member[u])
             .expect_err("three pops cannot absorb a 192-node deletion");
         assert!(err.pops > 3);
-        // The array is now partial; a recompute (what the maintainer's
-        // rebuild fallback does) restores the canonical levels.
-        let want = oracle_levels(d, n_nodes, &member, root, false);
-        levels.copy_from_slice(&want);
-        assert_eq!(levels, want);
-    }
-
-    fn backward_false() -> bool {
-        false
+        assert_ne!(levels, before, "the aborted pass left no partial state");
+        ds.undo(&mut levels);
+        assert_eq!(levels, before, "undo after a budget abort");
+        ds.open(usize::MAX);
+        reach
+            .levels_delete(&mut levels, &mut ds, &batch, |u| member[u])
+            .expect("unbounded budget");
+        assert_eq!(levels, oracle_levels(d, n_nodes, &member, root));
     }
 
     /// One budget spans every pass of a batch. At B(2,10), deleting both
@@ -2065,32 +1924,32 @@ mod tests {
         let mut ds = DeltaScratch::new();
         for pass in [&a, &b] {
             let mut member = vec![true; n_nodes];
-            let mut levels = oracle_levels(d, n_nodes, &member, root, false);
+            let mut levels = oracle_levels(d, n_nodes, &member, root);
             for &v in pass {
                 member[v as usize] = false;
             }
             ds.open(3000);
             reach
-                .levels_delete(&mut levels, &mut ds, pass, |u| member[u], false)
+                .levels_delete(&mut levels, &mut ds, pass, |u| member[u])
                 .expect("one pass alone fits 3000 pops");
         }
         for budget in [3000, usize::MAX] {
             let mut member = vec![true; n_nodes];
-            let mut levels = oracle_levels(d, n_nodes, &member, root, false);
+            let mut levels = oracle_levels(d, n_nodes, &member, root);
             ds.open(budget);
             for &v in &a {
                 member[v as usize] = false;
             }
             reach
-                .levels_delete(&mut levels, &mut ds, &a, |u| member[u], false)
+                .levels_delete(&mut levels, &mut ds, &a, |u| member[u])
                 .expect("pass A fits the batch");
             for &v in &b {
                 member[v as usize] = false;
             }
-            let got = reach.levels_delete(&mut levels, &mut ds, &b, |u| member[u], false);
+            let got = reach.levels_delete(&mut levels, &mut ds, &b, |u| member[u]);
             if budget == usize::MAX {
                 got.expect("unbounded budget");
-                assert_eq!(levels, oracle_levels(d, n_nodes, &member, root, false));
+                assert_eq!(levels, oracle_levels(d, n_nodes, &member, root));
             } else {
                 let err = got.expect_err("A and B together exceed 3000 pops");
                 assert!(err.pops > 3000, "pops {} count the whole batch", err.pops);
@@ -2109,7 +1968,7 @@ mod tests {
         let reach = BitReach::new(d, n_nodes);
         let root = 1usize;
         let mut member = vec![true; n_nodes];
-        let base = oracle_levels(d, n_nodes, &member, root, false);
+        let base = oracle_levels(d, n_nodes, &member, root);
         let mut u32_levels = base.clone();
         let mut lv = LevelVec::new();
         lv.grow(n_nodes);
@@ -2132,11 +1991,11 @@ mod tests {
         let mut lv_part = lv.clone();
         ds.open(500);
         let e1 = reach
-            .levels_delete(&mut u32_part, &mut ds, &batch, |u| member[u], false)
+            .levels_delete(&mut u32_part, &mut ds, &batch, |u| member[u])
             .expect_err("a 1000-step climb cannot fit 500 pops");
         ds.open(500);
         let e2 = reach
-            .levels_delete(&mut lv_part, &mut ds, &batch, |u| member[u], false)
+            .levels_delete(&mut lv_part, &mut ds, &batch, |u| member[u])
             .expect_err("a 1000-step climb cannot fit 500 pops");
         assert_eq!(e1.pops, e2.pops, "abort point must match");
         for (v, &u32_v) in u32_part.iter().enumerate() {
@@ -2149,13 +2008,13 @@ mod tests {
         // The unbounded run settles both stores at the recompute oracle.
         ds.open(usize::MAX);
         reach
-            .levels_delete(&mut u32_levels, &mut ds, &batch, |u| member[u], false)
+            .levels_delete(&mut u32_levels, &mut ds, &batch, |u| member[u])
             .expect("unbounded budget");
         ds.open(usize::MAX);
         reach
-            .levels_delete(&mut lv, &mut ds, &batch, |u| member[u], false)
+            .levels_delete(&mut lv, &mut ds, &batch, |u| member[u])
             .expect("unbounded budget");
-        let want = oracle_levels(d, n_nodes, &member, root, false);
+        let want = oracle_levels(d, n_nodes, &member, root);
         assert_eq!(u32_levels, want);
         for (v, &want_v) in want.iter().enumerate() {
             assert_eq!(lv.get(v), want_v, "settled state node {v}");
@@ -2233,12 +2092,36 @@ mod tests {
         }
     }
 
-    /// A frontier bitmap in one of the shapes the engine's dense levels
-    /// take: `0` one aligned id range (a forward level from the root), `1`
-    /// one residue class (a backward level), `2` random words in randomly
-    /// chosen 64-word blocks (so whole input blocks are empty while their
-    /// neighbours are not), `3` and `4` random words everywhere at about
-    /// 3% and 50% fill, either side of the density switches.
+    /// `prepare` and the forward passes never grow the backward and
+    /// broadcast visited sets, so no embedding or maintainer scratch holds
+    /// them; `backward` grows the backward set and `broadcast_levels` the
+    /// broadcast set, each to the shape's words.
+    #[test]
+    fn backward_and_broadcast_bitmaps_grow_only_on_demand() {
+        let (n_nodes, words) = (1usize << 10, (1usize << 10) / 64);
+        let reach = BitReach::new(2, n_nodes);
+        let mut s = BitScratch::new();
+        let mut lv = LevelVec::new();
+        let (mut counts, mut bits) = (Vec::new(), vec![0u64; words]);
+        reach.prepare(&mut s);
+        reach.kill(&mut s, 0);
+        let _ = reach.forward(&mut s, 1);
+        let _ = reach.forward_levels(&mut s, 1, &mut lv);
+        let _ = reach.forward_levels_reached(&mut s, 1, &mut lv, &mut counts, &mut bits);
+        assert_eq!((s.bwd.capacity(), s.vis.capacity()), (0, 0));
+        reach.backward(&mut s, 1);
+        assert_eq!((s.bwd.len(), s.vis.capacity()), (words, 0));
+        let (mut nodes, mut offsets) = (Vec::new(), Vec::new());
+        let _ = reach.broadcast_levels(&mut s, 1, &mut nodes, &mut offsets);
+        assert_eq!((s.bwd.len(), s.vis.len()), (words, words));
+    }
+
+    /// A frontier bitmap in one of these shapes: `0` one aligned id range
+    /// (a forward level from the root), `1` one residue class (spread over
+    /// every block), `2` random words in randomly chosen 64-word blocks
+    /// (so whole input blocks are empty while their neighbours are not),
+    /// `3` and `4` random words everywhere at about 3% and 50% fill,
+    /// either side of the density switches.
     fn shaped_frontier(kind: usize, n_nodes: usize, rng: &mut StdRng) -> Vec<u64> {
         let words = n_nodes / 64;
         let mut bits = vec![0u64; words];
@@ -2277,20 +2160,19 @@ mod tests {
     /// Both entry points of the dense block kernel must match the
     /// two-phase scalar reference word for word, on every power-of-two d
     /// the kernel is instantiated for, for shapes with one partial block,
-    /// one whole block and many blocks, forward and backward: the
-    /// summary-aware step the passes run ([`BitReach::step_dense`], which
-    /// may skip blocks) and the summary-free [`BitReach::kernel_step_fused`].
-    /// Frontiers come from [`shaped_frontier`]; their summaries carry
-    /// random false-positive bits, and the output buffers start with
-    /// garbage words and garbage summaries. Checked: the frontier words,
-    /// the visited words, the count, and that the output summary marks
-    /// every occupied output word.
+    /// one whole block and many blocks: the summary-aware step the passes
+    /// run ([`BitReach::step_dense`], which may skip blocks) and the
+    /// summary-free [`BitReach::kernel_step_fused`]. Frontiers come from
+    /// [`shaped_frontier`]; their summaries carry random false-positive
+    /// bits, and the output buffers start with garbage words and garbage
+    /// summaries. Checked: the frontier words, the visited words, the
+    /// count, and that the output summary marks every occupied output word.
     #[test]
     fn dense_step_matches_the_scalar_oracle() {
         let shapes = [
             (2usize, 1usize << 7), // 2 words: one partial block, 1-word suffix
             (2, 1 << 8),           // 4 words
-            (2, 1 << 12),          // one block, backward tile replicated
+            (2, 1 << 12),          // one block
             (2, 1 << 13),          // two blocks
             (2, 1 << 16),          // 16 blocks
             (4, 1 << 10),          // B(4,5): 16 words
@@ -2311,65 +2193,58 @@ mod tests {
             let mut fold = vec![0u64; words / d];
             for trial in 0..20 {
                 let kind = trial % 5;
-                for backward in [false, true] {
-                    let bits = shaped_frontier(kind, n_nodes, &mut rng);
-                    let mut sum = vec![0u64; sums];
-                    summarize_bits(&bits, &mut sum);
-                    // False positives: one stray bit in about half the
-                    // summary words, so some empty blocks stay unmarked.
-                    for s in &mut sum {
-                        if rng.gen_range(0..2) == 0 {
-                            *s |= 1u64 << rng.gen_range(0..64);
-                        }
+                let bits = shaped_frontier(kind, n_nodes, &mut rng);
+                let mut sum = vec![0u64; sums];
+                summarize_bits(&bits, &mut sum);
+                // False positives: one stray bit in about half the
+                // summary words, so some empty blocks stay unmarked.
+                for s in &mut sum {
+                    if rng.gen_range(0..2) == 0 {
+                        *s |= 1u64 << rng.gen_range(0..64);
                     }
-                    skipped += sum.iter().filter(|&&s| s == 0).count();
-                    let cur = BitFrontier {
-                        queue: Vec::new(),
-                        bits: bits.clone(),
-                        sum,
-                        dense: true,
-                        len: 0,
-                    };
-                    let vis0: Vec<u64> = (0..words)
-                        .map(|_| rng.next_u64() & rng.next_u64())
-                        .collect();
-                    let mut nxt = BitFrontier {
-                        queue: Vec::new(),
-                        bits: (0..words).map(|_| rng.next_u64()).collect(),
-                        sum: (0..sums).map(|_| rng.next_u64()).collect(),
-                        dense: false,
-                        len: 0,
-                    };
-                    let (mut vis_want, mut vis_got) = (vis0.clone(), vis0.clone());
-                    let mut want = vec![0u64; words];
-                    let count = crate::oracle::kernel_step_scalar(
-                        &reach,
-                        backward,
-                        &bits,
-                        &mut vis_want,
-                        &mut want,
-                        &mut fold,
-                    );
-                    if backward {
-                        reach.step_dense::<true>(&mut vis_got, &cur, &mut nxt);
-                    } else {
-                        reach.step_dense::<false>(&mut vis_got, &cur, &mut nxt);
-                    }
-                    let tag = format!("d={d} n={n_nodes} kind={kind} bwd={backward}");
-                    assert!(nxt.dense, "{tag}");
-                    assert_eq!(nxt.len, count, "count: {tag}");
-                    assert_eq!(nxt.bits, want, "frontier words: {tag}");
-                    assert_eq!(vis_got, vis_want, "visited words: {tag}");
-                    for (j, &w) in nxt.bits.iter().enumerate() {
-                        let marked = nxt.sum[j >> 6] >> (j & 63) & 1 == 1;
-                        assert!(w == 0 || marked, "word {j} occupied but unmarked: {tag}");
-                    }
-                    let (mut vis_free, mut free) = (vis0, vec![u64::MAX; words]);
-                    let got = reach.kernel_step_fused(backward, &bits, &mut vis_free, &mut free);
-                    assert_eq!(got, count, "summary-free count: {tag}");
-                    assert_eq!(free, want, "summary-free frontier words: {tag}");
-                    assert_eq!(vis_free, vis_want, "summary-free visited words: {tag}");
                 }
+                skipped += sum.iter().filter(|&&s| s == 0).count();
+                let cur = BitFrontier {
+                    queue: Vec::new(),
+                    bits: bits.clone(),
+                    sum,
+                    dense: true,
+                    len: 0,
+                };
+                let vis0: Vec<u64> = (0..words)
+                    .map(|_| rng.next_u64() & rng.next_u64())
+                    .collect();
+                let mut nxt = BitFrontier {
+                    queue: Vec::new(),
+                    bits: (0..words).map(|_| rng.next_u64()).collect(),
+                    sum: (0..sums).map(|_| rng.next_u64()).collect(),
+                    dense: false,
+                    len: 0,
+                };
+                let (mut vis_want, mut vis_got) = (vis0.clone(), vis0.clone());
+                let mut want = vec![0u64; words];
+                let count = crate::oracle::kernel_step_scalar(
+                    &reach,
+                    &bits,
+                    &mut vis_want,
+                    &mut want,
+                    &mut fold,
+                );
+                reach.step_dense(&mut vis_got, &cur, &mut nxt);
+                let tag = format!("d={d} n={n_nodes} kind={kind}");
+                assert!(nxt.dense, "{tag}");
+                assert_eq!(nxt.len, count, "count: {tag}");
+                assert_eq!(nxt.bits, want, "frontier words: {tag}");
+                assert_eq!(vis_got, vis_want, "visited words: {tag}");
+                for (j, &w) in nxt.bits.iter().enumerate() {
+                    let marked = nxt.sum[j >> 6] >> (j & 63) & 1 == 1;
+                    assert!(w == 0 || marked, "word {j} occupied but unmarked: {tag}");
+                }
+                let (mut vis_free, mut free) = (vis0, vec![u64::MAX; words]);
+                let got = reach.kernel_step_fused(&bits, &mut vis_free, &mut free);
+                assert_eq!(got, count, "summary-free count: {tag}");
+                assert_eq!(free, want, "summary-free frontier words: {tag}");
+                assert_eq!(vis_free, vis_want, "summary-free visited words: {tag}");
             }
         }
         assert!(skipped > 0, "no input block was ever empty");

@@ -892,8 +892,8 @@ impl RingMaintainer {
         } = self;
         delta.open(budget);
         let live = |u: usize| !node_dead[u];
-        reach.levels_delete(&mut tree.levels, delta, batch_buf, live, false)?;
-        reach.levels_insert(&mut tree.levels, delta, ins_buf, live, false)?;
+        reach.levels_delete(&mut tree.levels, delta, batch_buf, live)?;
+        reach.levels_insert(&mut tree.levels, delta, ins_buf, live)?;
         self.absorb_bcast_changes(ffc);
         Ok(())
     }

@@ -4,9 +4,12 @@
 //! w-groups) is the oracle of [`Ffc::embed_into`], [`embed_stats_into_u8`]
 //! (the u8-stamp stats engine it replaced) that of
 //! [`Ffc::embed_stats_into`], and [`kernel_step_scalar`] (fold pass, then
-//! expand pass) that of [`BitReach::kernel_step_fused`]. The algorithms
-//! are kept verbatim, stamps included, and nothing here is re-exported
-//! from the crate root or the facade prelude.
+//! expand pass) that of [`BitReach::kernel_step_fused`]. The two embedding
+//! oracles still find B* as the root's strongly connected component (an
+//! SCC search, or forward ∩ backward reachability), so the differential
+//! suites check the engine's forward-only B* against an independent
+//! definition. The algorithms are kept verbatim, stamps included, and
+//! nothing here is re-exported from the crate root or the facade prelude.
 
 use std::collections::HashMap;
 
@@ -14,7 +17,7 @@ use dbg_graph::algo::bfs::bfs_tree;
 use dbg_graph::algo::components::scc_component_ids;
 use dbg_graph::{DeBruijn, Topology};
 
-use crate::bitreach::{spread2, squash2, BitReach};
+use crate::bitreach::{spread2, BitReach};
 use crate::ffc::{EmbedStats, EngineTables, Ffc, FfcOutcome, RootProbe, INFEASIBLE_ROOT};
 use crate::mem::{grow_to, reserve_more};
 
@@ -470,7 +473,6 @@ fn stats_reach<const POW2: bool>(
 /// Panics (in debug builds) if the shape is not dense-capable.
 pub fn kernel_step_scalar(
     reach: &BitReach,
-    backward: bool,
     cur: &[u64],
     vis: &mut [u64],
     nxt: &mut [u64],
@@ -480,53 +482,29 @@ pub fn kernel_step_scalar(
     let d = reach.d;
     let steps = d.trailing_zeros();
     let expand = |x: u64| (0..steps).fold(x, |x, _| spread2(x));
-    let squash = |x: u64| (0..steps).fold(x, |x, _| squash2(x));
     let bits_per = 64 / d;
     let chunk_mask = if bits_per == 64 {
         u64::MAX
     } else {
         (1u64 << bits_per) - 1
     };
-    if backward {
-        for (i, h) in fold[..reach.suffix_words].iter_mut().enumerate() {
-            let mut acc = 0u64;
-            for t in 0..d {
-                acc |= squash(cur[d * i + t]) << (t * bits_per);
-            }
-            *h = acc;
+    for (i, g) in fold[..reach.suffix_words].iter_mut().enumerate() {
+        let mut acc = 0u64;
+        for a in 0..d {
+            acc |= cur[i + a * reach.suffix_words];
         }
-    } else {
-        for (i, g) in fold[..reach.suffix_words].iter_mut().enumerate() {
-            let mut acc = 0u64;
-            for a in 0..d {
-                acc |= cur[i + a * reach.suffix_words];
-            }
-            *g = acc;
-        }
+        *g = acc;
     }
     let mut newly = 0usize;
     let mut j = 0usize;
-    if backward {
-        // P word j replicates H word (j mod suffix_words).
-        for _a in 0..d {
-            for &h in &fold[..reach.suffix_words] {
-                let new = h & !vis[j];
-                vis[j] |= new;
-                nxt[j] = new;
-                newly += new.count_ones() as usize;
-                j += 1;
-            }
-        }
-    } else {
-        // S word j expands the (j mod d)-th chunk of G word (j div d).
-        for &g in &fold[..reach.suffix_words] {
-            for r in 0..d {
-                let new = expand((g >> (r * bits_per)) & chunk_mask) & !vis[j];
-                vis[j] |= new;
-                nxt[j] = new;
-                newly += new.count_ones() as usize;
-                j += 1;
-            }
+    // S word j expands the (j mod d)-th chunk of G word (j div d).
+    for &g in &fold[..reach.suffix_words] {
+        for r in 0..d {
+            let new = expand((g >> (r * bits_per)) & chunk_mask) & !vis[j];
+            vis[j] |= new;
+            nxt[j] = new;
+            newly += new.count_ones() as usize;
+            j += 1;
         }
     }
     newly

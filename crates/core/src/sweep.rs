@@ -442,8 +442,7 @@ impl DeltaTrials {
         let reach = ffc.tables.reach;
         let live = |u: usize| !reach.is_dead(bits, u);
         self.delta.open(self.budget);
-        let done =
-            reach.levels_delete(&mut self.levels, &mut self.delta, &self.killed, live, false);
+        let done = reach.levels_delete(&mut self.levels, &mut self.delta, &self.killed, live);
         let found = done.is_ok().then(|| {
             let counts = &mut self.counts[..self.hist.len()];
             counts.copy_from_slice(&self.hist);

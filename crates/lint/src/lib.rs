@@ -20,15 +20,16 @@
 //! * **`forbid-unsafe`** — every crate root (`src/lib.rs`,
 //!   `src/main.rs`, `src/bin/*.rs`) must declare
 //!   `#![forbid(unsafe_code)]`; no workspace crate holds `unsafe` code.
-//! * **`no-panic-path`** — in the repair/serve path modules
-//!   (`ffc/session.rs`, `serve.rs`) the panic family (`.unwrap()`,
+//! * **`no-panic-path`** — in the embed, repair and serve path modules
+//!   (`bitreach.rs` and `mem.rs`, whose delta passes and `LevelVec` every
+//!   repair batch runs, and `ffc/phases.rs`, `ffc/session.rs`,
+//!   `ffc/snapshot.rs` and `serve.rs`) the panic family (`.unwrap()`,
 //!   `.expect(`, `panic!`, `todo!`) is forbidden outside `#[cfg(test)]`
-//!   code: PR 6's contract is that the repair path returns typed errors,
-//!   never unwinds. A site that is unreachable by construction may carry
-//!   a `// PANIC-OK: <why>` justification on the same line (or in the
-//!   comment block directly above) — the lint turns every such panic
-//!   into an explicit, reviewable claim, exactly like `SAFETY:` does
-//!   for `unsafe`.
+//!   code: the repair path returns typed errors, never unwinds. A site
+//!   that is unreachable by construction may carry a `// PANIC-OK: <why>`
+//!   justification on the same line (or in the comment block directly
+//!   above) — the lint turns every such panic into an explicit,
+//!   reviewable claim, exactly like `SAFETY:` does for `unsafe`.
 //!
 //! The scanner strips string literals and comments before matching code
 //! tokens (so a log message containing `.unwrap(` or a doc sentence
@@ -111,6 +112,8 @@ impl Config {
     pub fn repo_default() -> Self {
         Config {
             no_panic_modules: vec![
+                PathBuf::from("crates/core/src/bitreach.rs"),
+                PathBuf::from("crates/core/src/mem.rs"),
                 PathBuf::from("crates/core/src/ffc/phases.rs"),
                 PathBuf::from("crates/core/src/ffc/session.rs"),
                 PathBuf::from("crates/core/src/ffc/snapshot.rs"),
