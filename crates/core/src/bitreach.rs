@@ -222,21 +222,21 @@ impl BitFrontier {
     }
 }
 
-/// The reusable buffers of the bit-parallel engine: the per-call fault
-/// bitmap, the visited sets of the forward, backward and broadcast passes
-/// and the two frontiers (the dense block kernel folds into a stack tile,
-/// so there is no fold scratch). The engine's passes touch only the fault
-/// bitmap, the forward set and the frontiers, which [`BitReach::prepare`]
-/// grows; the backward and broadcast sets are grown by the passes that
-/// read them. Grow-only; after the first call of each pass at a given
-/// graph size no method allocates.
+/// The reusable buffers of the bit-parallel engine: the fault bitmap, the
+/// visited sets of the forward, backward and broadcast passes and the two
+/// frontiers (the dense block kernel folds into a stack tile, so there is
+/// no fold scratch). The engine's passes touch only the fault bitmap, the
+/// forward set and the frontiers, which [`BitReach::prepare`] grows; the
+/// backward and broadcast sets are grown by the passes that read them.
+/// Grow-only; after the first call of each pass at a given graph size no
+/// method allocates.
 #[derive(Clone, Debug, Default)]
 pub struct BitScratch {
     /// Bit `v` set ⟺ node `v` was removed with a faulty necklace.
     dead: Vec<u64>,
-    /// Summary of `dead` (bit `j` ⟺ `dead[j]` may be non-zero), kept by
-    /// [`BitReach::kill`] so [`BitReach::prepare`] can skip-clear only
-    /// the occupied words — fault masks are extremely sparse (f ≪ d−1
+    /// Summary of `dead` (bit `j` set when `dead[j]` may be non-zero),
+    /// kept by [`BitReach::kill`] so [`BitReach::prepare`] can skip-clear
+    /// only the occupied words — fault masks are extremely sparse (f ≪ d−1
     /// necklaces) while the bitmap spans the whole node space.
     dead_sum: Vec<u64>,
     /// Word count `dead`/`dead_sum` were last prepared at; a shape change
@@ -362,7 +362,9 @@ impl BitReach {
     }
 
     /// Grows the scratch to this shape and clears the fault bitmap; call
-    /// once per embedding before [`BitReach::kill`]ing the faulty nodes.
+    /// once per embedding before [`BitReach::kill`]ing the faulty nodes
+    /// (a maintainer that keeps its mask current with
+    /// [`BitReach::revive`] calls it once per shape).
     pub fn prepare(&self, s: &mut BitScratch) {
         let sw = sum_words(self.words);
         grow_to(&mut s.dead, self.words, 0);
@@ -404,7 +406,16 @@ impl BitReach {
         s.dead_sum[v >> 12] |= 1u64 << ((v >> 6) & 63);
     }
 
-    /// Whether node `v` was marked dead this call.
+    /// Marks node `v` live again. Its summary bit stays set, as the
+    /// summary's occupied ⊆ marked rule allows; the next
+    /// [`BitReach::prepare`] clears it.
+    #[inline]
+    pub fn revive(&self, s: &mut BitScratch, v: usize) {
+        debug_assert!(v < self.n_nodes);
+        clear_bit(&mut s.dead, v);
+    }
+
+    /// Whether node `v` is marked dead.
     #[inline]
     #[must_use]
     pub fn is_dead(&self, s: &BitScratch, v: usize) -> bool {
@@ -1080,7 +1091,7 @@ impl DeltaScratch {
 
 /// Sets bit `v` of `bits` and returns whether it was set before.
 #[inline]
-fn test_and_set(bits: &mut [u64], v: usize) -> bool {
+pub(crate) fn test_and_set(bits: &mut [u64], v: usize) -> bool {
     let (w, m) = (v / 64, 1u64 << (v % 64));
     let was = bits[w] & m != 0;
     bits[w] |= m;
@@ -1089,7 +1100,7 @@ fn test_and_set(bits: &mut [u64], v: usize) -> bool {
 
 /// Clears bit `v` of `bits`.
 #[inline]
-fn clear_bit(bits: &mut [u64], v: usize) {
+pub(crate) fn clear_bit(bits: &mut [u64], v: usize) {
     bits[v / 64] &= !(1u64 << (v % 64));
 }
 

@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ffc::{FaultEvent, Ffc, RepairError, RepairOutcome, RingMaintainer};
+use crate::serve::quantile;
 
 /// Draws a uniform f64 in `[0, 1)` from the vendored generator (which only
 /// exposes integer ranges) using the top 53 bits of one output word.
@@ -186,26 +187,16 @@ pub struct ChurnReport {
 }
 
 impl ChurnReport {
-    fn percentile_ns(&self, p: f64) -> u64 {
-        if self.repair_ns.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.repair_ns.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    }
-
     /// Median per-batch repair latency.
     #[must_use]
     pub fn p50_ns(&self) -> u64 {
-        self.percentile_ns(0.50)
+        quantile(&self.repair_ns, 0.50)
     }
 
     /// 99th-percentile per-batch repair latency.
     #[must_use]
     pub fn p99_ns(&self) -> u64 {
-        self.percentile_ns(0.99)
+        quantile(&self.repair_ns, 0.99)
     }
 
     /// Fraction of simulated time spent degraded (or infeasible),

@@ -26,8 +26,9 @@
 //! an *engine*: [`Ffc::new`] precomputes immutable flat tables once (node →
 //! necklace id, necklace representatives/lengths, and a CSR layout of
 //! necklace members), and a reusable [`EmbedScratch`] owns every piece of
-//! per-call mutable state — the stamped fault marks, the bit-parallel
-//! reachability bitmaps, the spanning-tree stage (the one-byte broadcast
+//! per-call mutable state — the bit-parallel reachability bitmaps (the
+//! word-packed fault mask among them, the only record of which necklaces
+//! are dead), the spanning-tree stage (the one-byte broadcast
 //! levels, which the forward pass writes straight from its frontier, the
 //! per-necklace records, and the ring wiring: an exit bitmap plus one
 //! packed entry digit per node), and the output cycle buffer. After the
@@ -69,7 +70,7 @@ use dbg_graph::DeBruijn;
 use dbg_necklace::NecklacePartition;
 
 use crate::bitreach::{BitReach, BitScratch, SpaceTooLarge};
-use crate::mem::{grow_to, reserve_more};
+use crate::mem::reserve_more;
 
 mod phases;
 pub mod session;
@@ -78,7 +79,7 @@ pub mod snapshot;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use phases::{RootProbe, TreeStage};
+pub(crate) use phases::{probe_root, TreeStage};
 pub use session::{FaultEvent, RepairError, RepairOutcome, RepairStats, RingMaintainer};
 pub use snapshot::{LookupError, RingSnapshot, SnapshotPublisher};
 
@@ -171,18 +172,12 @@ pub(crate) const INFEASIBLE_ROOT: usize = usize::MAX;
 ///
 /// One scratch serves any number of [`Ffc::embed_into`] calls (including
 /// across different (d, n) — buffers grow to the largest graph seen and
-/// never shrink). The fault marks are invalidated by stamping: each call
-/// increments a call counter and a necklace is faulty this call iff its
-/// slot holds the current stamp. After the first call at a fixed (d, n),
-/// **no method of this type allocates**.
+/// never shrink). Each call clears the bit engine's fault mask and kills
+/// the faulty necklaces in it; fault marking, the root probe and the
+/// forward pass all read that one mask. After the first call at a fixed
+/// (d, n), **no method of this type allocates**.
 #[derive(Clone, Debug, Default)]
 pub struct EmbedScratch {
-    /// Monotone per-call stamp of `faulty`.
-    stamp: u32,
-    /// Stamp: necklace is faulty this call.
-    faulty: Vec<u32>,
-    /// The root-repair probe's buffers.
-    probe: RootProbe,
     /// Word-packed bitmaps and frontiers of the bit-parallel reachability
     /// engine (the fault mask and the forward visited set).
     pub(crate) bits: BitScratch,
@@ -214,23 +209,13 @@ impl EmbedScratch {
     /// property the engine tests pin down.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
-        4 * self.faulty.capacity()
-            + self.probe.allocated_bytes()
-            + self.bits.allocated_bytes()
+        self.bits.allocated_bytes()
             + self.tree.allocated_bytes()
             + std::mem::size_of::<usize>() * self.cycle.capacity()
     }
 
-    /// Grows the buffers both embedding paths use and advances the stamp.
+    /// Clears the cycle and reserves it for any fault pattern.
     fn prepare(&mut self, t: &EngineTables) {
-        if self.stamp == u32::MAX {
-            // Stamp wrap-around (once per 2^32 calls): forget all marks.
-            self.faulty.fill(0);
-            self.stamp = 0;
-        }
-        self.stamp += 1;
-        grow_to(&mut self.faulty, t.n_necks, 0);
-        self.probe.fit(t.n_nodes);
         // The cycle is presized to its worst case, every node, so no fault
         // pattern can grow it after the first call at this size.
         self.cycle.clear();
@@ -326,8 +311,8 @@ impl Ffc {
 
     /// Embeds a fault-free cycle avoiding `faulty_nodes`, rooted at the
     /// default root R = 0…01 (if R's necklace is faulty, the nearest
-    /// non-faulty node found by a breadth-first probe is used instead,
-    /// matching the protocol of Section 2.5.2). When every necklace is
+    /// non-faulty node by breadth-first distance is used instead, matching
+    /// the protocol of Section 2.5.2). When every necklace is
     /// faulty the outcome is infeasible: root `usize::MAX`, empty cycle.
     ///
     /// Allocates a fresh [`EmbedScratch`] per call; steady-state callers
@@ -362,19 +347,16 @@ impl Ffc {
     /// from `preferred` over the full graph (faults ignored while
     /// searching), ties broken by minimal node id**.
     ///
-    /// This is the same probe the engine's root phase and the
-    /// [`RingMaintainer`] run, fed the mask instead of their stamped fault
-    /// state; it allocates its probe buffers only when `preferred` is
-    /// dead.
+    /// This is the same arithmetic probe the engine's root phase and the
+    /// [`RingMaintainer`] run, fed the mask instead of their word-packed
+    /// fault mask; it allocates nothing.
     ///
     /// # Panics
     /// Panics if every necklace is faulty.
     #[must_use]
     pub fn pick_root(&self, preferred: usize, faulty_mask: &[bool]) -> usize {
-        let t = &self.tables;
         let live = |v: usize| !faulty_mask[self.partition.id_of(v as u64)];
-        RootProbe::default()
-            .find(t.d, t.suffix_count, preferred, live)
+        probe_root(self.tables.d, self.tables.n_nodes, preferred, live)
             .expect("every node of B(d,n) lies on a faulty necklace")
     }
 }

@@ -12,8 +12,8 @@
 //! event.
 //!
 //! The rules the maintainer and the snapshots share with the engine are
-//! written here once: root selection with the Section 2.5.2 repair probe
-//! ([`RootProbe`]), the spanning-tree stage ([`TreeStage`]: each
+//! written here once: root selection with the Section 2.5.2 repair rule
+//! ([`probe_root`]), the spanning-tree stage ([`TreeStage`]: each
 //! necklace's record — its earliest member Y and parent necklace — and the
 //! w-groups derived from the records), the w-edge geometry of a w-group
 //! ([`for_each_w_edge`]), the ring successor ([`ring_step`]: the
@@ -116,8 +116,8 @@ impl Ffc {
     /// selection.
     ///
     /// The root is the default root if its necklace survives, otherwise
-    /// the nearest live node ([`RootProbe::find`], Section 2.5.2),
-    /// normalised to the minimal node of its necklace so N(R) = [R].
+    /// the nearest live node ([`probe_root`] on the fault mask, Section
+    /// 2.5.2), normalised to the minimal node of its necklace so N(R) = [R].
     ///
     /// `killed` sees the members of each faulty necklace once, as the
     /// marking kills them (the stats-only sweep trials collect them).
@@ -135,10 +135,8 @@ impl Ffc {
         s.prepare(t);
         t.reach.prepare(&mut s.bits);
         let (faulty_necklaces, removed_nodes) = self.phase_mark_faults(s, faulty_nodes, killed);
-        let membership = self.partition.membership();
-        let (faulty, stamp) = (&s.faulty, s.stamp);
-        let live = |v: usize| faulty[membership[v] as usize] != stamp;
-        let root = s.probe.find(t.d, t.suffix_count, self.default_root(), live);
+        let live = |v: usize| !t.reach.is_dead(&s.bits, v);
+        let root = probe_root(t.d, t.n_nodes, self.default_root(), live);
         EmbedStats {
             root: root.map_or(INFEASIBLE_ROOT, |r| self.representative_of(r)),
             component_size: 0,
@@ -148,9 +146,10 @@ impl Ffc {
         }
     }
 
-    /// Fault-marking phase: stamps each faulty necklace once and kills its
-    /// members in the word-packed fault mask, handing them to `killed`.
-    /// Returns `(faulty_necklaces, removed_nodes)`.
+    /// Fault-marking phase: kills each faulty necklace's members in the
+    /// word-packed fault mask once, handing them to `killed`; a fault on an
+    /// already-killed necklace is itself dead and is skipped. Returns
+    /// `(faulty_necklaces, removed_nodes)`.
     fn phase_mark_faults(
         &self,
         s: &mut EmbedScratch,
@@ -159,16 +158,13 @@ impl Ffc {
     ) -> (usize, usize) {
         let t = &self.tables;
         let membership = self.partition.membership();
-        let stamp = s.stamp;
         let mut faulty_necklaces = 0usize;
         let mut removed_nodes = 0usize;
         for &v in faulty_nodes {
             assert!(v < t.n_nodes, "faulty node id {v} out of range");
-            let nid = membership[v] as usize;
-            if s.faulty[nid] != stamp {
-                s.faulty[nid] = stamp;
+            if !t.reach.is_dead(&s.bits, v) {
                 faulty_necklaces += 1;
-                let members = self.partition.members(nid);
+                let members = self.partition.members(membership[v] as usize);
                 removed_nodes += members.len();
                 for &member in members {
                     t.reach.kill(&mut s.bits, member as usize);
@@ -180,86 +176,33 @@ impl Ffc {
     }
 }
 
-/// The buffers of the root-repair probe: visit stamps over the node space
-/// and the two BFS frontiers. The engine's scratch, the maintainer and the
-/// u8 oracle each own one; [`Ffc::pick_root`] builds an empty one, which
-/// allocates only if the preferred root is dead.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RootProbe {
-    /// Monotone per-probe stamp of `seen`.
-    stamp: u32,
-    /// Stamp: node reached by the current probe.
-    seen: Vec<u32>,
-    /// Current BFS level.
-    queue: Vec<u32>,
-    /// Next BFS level.
-    next: Vec<u32>,
-}
-
-impl RootProbe {
-    /// Grows the buffers to `n_nodes` nodes, so no probe allocates.
-    pub(crate) fn fit(&mut self, n_nodes: usize) {
-        grow_to(&mut self.seen, n_nodes, 0);
-        reserve_more(&mut self.queue, n_nodes);
-        reserve_more(&mut self.next, n_nodes);
-    }
-
-    /// Bytes currently reserved by the buffers.
-    pub(crate) fn allocated_bytes(&self) -> usize {
-        4 * (self.seen.capacity() + self.queue.capacity() + self.next.capacity())
-    }
-
-    /// Root selection with the Section 2.5.2 repair rule, the one
-    /// implementation behind every root of the engine, the maintainer,
-    /// [`Ffc::pick_root`] and the u8 oracle: `preferred` if it is `live`,
-    /// otherwise the nearest live node by breadth-first distance from
-    /// `preferred` over the *full* graph B(d,n) (faults ignored while
-    /// searching), ties broken by minimal node id — each level is sorted
-    /// before it is scanned. `None` when no node is live. `suffix` is
-    /// d^(n−1). The exhaustive test `root_repair_order_is_identical` pins
-    /// the policy.
-    pub(crate) fn find(
-        &mut self,
-        d: usize,
-        suffix: usize,
-        preferred: usize,
-        live: impl Fn(usize) -> bool,
-    ) -> Option<usize> {
-        if live(preferred) {
-            return Some(preferred);
-        }
-        self.fit(d * suffix);
-        if self.stamp == u32::MAX {
-            // Stamp wrap-around (once per 2^32 probes): forget all visits.
-            self.seen.fill(0);
-            self.stamp = 0;
-        }
-        self.stamp += 1;
-        let (stamp, seen) = (self.stamp, &mut self.seen);
-        let (queue, next) = (&mut self.queue, &mut self.next);
-        queue.clear();
-        seen[preferred] = stamp;
-        queue.push(preferred as u32);
-        while !queue.is_empty() {
-            next.clear();
-            for &v in queue.iter() {
-                let base = (v as usize % suffix) * d;
-                for a in 0..d {
-                    let u = base + a;
-                    if seen[u] != stamp {
-                        seen[u] = stamp;
-                        next.push(u as u32);
-                    }
-                }
-            }
-            next.sort_unstable();
-            if let Some(&u) = next.iter().find(|&&u| live(u as usize)) {
-                return Some(u as usize);
-            }
-            std::mem::swap(queue, next);
-        }
-        None
-    }
+/// Root selection with the Section 2.5.2 repair rule, the one
+/// implementation behind every root of the engine, the maintainer,
+/// [`Ffc::pick_root`] and the u8 oracle: `preferred` if it is `live`,
+/// otherwise the nearest live node by breadth-first distance from
+/// `preferred` over the *full* graph B(d,n) (faults ignored while
+/// searching), ties broken by minimal node id. `None` when no node is
+/// live.
+///
+/// No search is needed: the ends of the k-edge walks from v are the
+/// aligned id range (v mod d^(n−k))·d^k + [0, d^k), so the ranges are
+/// scanned for k = 0, 1, …, n (range n is the whole graph) and the first
+/// live id wins. A node at distance j < k also lies in range j, which was
+/// scanned and found dead, so the least live id of range k is the least
+/// live node at distance k. Allocation-free; under 2·d^n `live` calls
+/// when every node is dead. `oracle::bfs_root` is the BFS definition the
+/// tests pin it to.
+pub(crate) fn probe_root(
+    d: usize,
+    n_nodes: usize,
+    preferred: usize,
+    live: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let mut widths = std::iter::successors(Some(1), |&w| (w < n_nodes).then(|| w * d));
+    widths.find_map(|width| {
+        let start = preferred % (n_nodes / width) * width;
+        (start..start + width).find(|&v| live(v))
+    })
 }
 
 /// Node v = αw's out-neighbour w·d + x of B(d,n): (v mod s)·d + x with

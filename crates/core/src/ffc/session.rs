@@ -72,10 +72,12 @@
 
 use std::sync::Arc;
 
-use crate::bitreach::{BitScratch, DeltaBudgetExceeded, DeltaScratch, UNREACHED};
+use crate::bitreach::{
+    clear_bit, test_and_set, BitScratch, DeltaBudgetExceeded, DeltaScratch, UNREACHED,
+};
 use crate::mem::{grow_to, reserve_more};
 
-use super::phases::{read_off_cycle, DigitWidth, RootProbe, TreeStage};
+use super::phases::{probe_root, read_off_cycle, DigitWidth, TreeStage};
 use super::snapshot::{ChunkMask, RingSnapshot, SnapshotParts, SnapshotPublisher};
 use super::{EmbedStats, Ffc, INFEASIBLE_ROOT, NONE};
 
@@ -321,10 +323,9 @@ pub struct RingMaintainer {
     /// The accumulated faulty links, unordered (linear-scan dedup — link
     /// fault sets are small compared to the graph).
     edge_faults: Vec<(u32, u32)>,
-    /// Number of excluded nodes per necklace; a necklace is dead iff > 0.
+    /// Number of excluded nodes per necklace; a necklace is dead iff > 0,
+    /// and then its members are killed in `bits`' fault mask.
     neck_fault_count: Vec<u32>,
-    /// Per node: member of a dead necklace.
-    node_dead: Vec<bool>,
     faulty_necklaces: usize,
     removed_nodes: usize,
     // -- reachability and spanning tree --
@@ -356,11 +357,13 @@ pub struct RingMaintainer {
     /// the nodes of the delta passes' change log.
     snap_level_dirty: ChunkMask,
     // -- reusable machinery --
+    /// The bit engine's buffers. Its fault mask is the maintainer's only
+    /// liveness record: `exclude` and `include` kill and revive necklace
+    /// members in it as their necklaces die and revive, and the probe,
+    /// the rebuild's forward pass and the delta passes read it.
     bits: BitScratch,
     /// The delta passes' queues, and the batch's budget and change log.
     delta: DeltaScratch,
-    /// Event-scoped dedup stamps and worklists of the delta path.
-    stamp: u32,
     /// Seeds of the batch's delete pass (members of killed necklaces).
     batch_buf: Vec<u32>,
     /// Seeds of the batch's insert pass (members of revived necklaces).
@@ -371,12 +374,17 @@ pub struct RingMaintainer {
     touched_necks: Vec<u64>,
     killed_necks: Vec<u32>,
     revived_necks: Vec<u32>,
-    dirty_stamp: Vec<u32>,
+    /// One bit per necklace: logged in `touched_necks` while a batch is
+    /// booked, or in `dirty_necks` while its changes are absorbed. Each
+    /// list clears the bits it set once it is read.
+    neck_marks: Vec<u64>,
+    /// Necklaces whose parent is recomputed after the change log is read.
     dirty_necks: Vec<u32>,
-    label_stamp: Vec<u32>,
+    /// One bit per label: logged in `dirty_labels`, which clears it after
+    /// rewiring.
+    label_marks: Vec<u64>,
+    /// Labels whose w-groups are rewired after the change log is read.
     dirty_labels: Vec<u32>,
-    /// The root-repair probe's buffers.
-    probe: RootProbe,
 }
 
 impl RingMaintainer {
@@ -539,7 +547,6 @@ impl RingMaintainer {
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
         self.node_faulty.capacity()
-            + self.node_dead.capacity()
             + std::mem::size_of::<usize>() * self.fault_list.capacity()
             + self.tree.allocated_bytes()
             + 4 * (self.fault_pos.capacity()
@@ -550,14 +557,13 @@ impl RingMaintainer {
                 + self.ins_buf.capacity()
                 + self.killed_necks.capacity()
                 + self.revived_necks.capacity()
-                + self.dirty_stamp.capacity()
                 + self.dirty_necks.capacity()
-                + self.label_stamp.capacity()
                 + self.dirty_labels.capacity())
             + 8 * (self.bstar_bits.capacity()
                 + self.edge_faults.capacity()
-                + self.touched_necks.capacity())
-            + self.probe.allocated_bytes()
+                + self.touched_necks.capacity()
+                + self.neck_marks.capacity()
+                + self.label_marks.capacity())
             + self.bits.allocated_bytes()
             + self.delta.allocated_bytes()
             + self.snap_ring_dirty.allocated_bytes()
@@ -569,19 +575,6 @@ impl RingMaintainer {
     // Sizing and fault bookkeeping.
     // ------------------------------------------------------------------
 
-    /// Advances the event stamp, clearing every stamp array on wrap-around
-    /// (once per 2^32 stamped scopes).
-    fn bump_stamp(&mut self) -> u32 {
-        if self.stamp == u32::MAX {
-            for arr in [&mut self.dirty_stamp, &mut self.label_stamp] {
-                arr.iter_mut().for_each(|x| *x = 0);
-            }
-            self.stamp = 0;
-        }
-        self.stamp += 1;
-        self.stamp
-    }
-
     /// Sizes every buffer for `ffc`'s shape and clears the fault state.
     fn adopt_shape(&mut self, ffc: &Ffc) {
         let t = &ffc.tables;
@@ -591,13 +584,12 @@ impl RingMaintainer {
         self.n_necks = t.n_necks;
         let n = self.n_nodes;
         grow_to(&mut self.node_faulty, n, false);
-        grow_to(&mut self.node_dead, n, false);
         grow_to(&mut self.fault_pos, n, NONE);
         grow_to(&mut self.edge_src, n, 0);
         grow_to(&mut self.bstar_bits, n.div_ceil(64), 0);
         grow_to(&mut self.neck_fault_count, self.n_necks, 0);
-        grow_to(&mut self.dirty_stamp, self.n_necks, 0);
-        grow_to(&mut self.label_stamp, t.suffix_count, 0);
+        grow_to(&mut self.neck_marks, self.n_necks.div_ceil(64), 0);
+        grow_to(&mut self.label_marks, t.suffix_count.div_ceil(64), 0);
         // Worklists are presized to their worst-case bounds so repair
         // events never grow them; `level_counts` can in principle index up
         // to n_nodes - 1 during a delete cascade, so it gets full range.
@@ -614,11 +606,10 @@ impl RingMaintainer {
         reserve_more(&mut self.level_counts, n + 1);
         reserve_more(&mut self.dirty_necks, self.n_necks);
         reserve_more(&mut self.dirty_labels, t.suffix_count);
-        self.probe.fit(n);
         self.delta.fit(&t.reach, n, 0);
         // Fault state restarts from empty.
+        t.reach.prepare(&mut self.bits);
         self.node_faulty[..n].fill(false);
-        self.node_dead[..n].fill(false);
         self.fault_pos[..n].fill(NONE);
         self.edge_src[..n].fill(0);
         self.edge_faults.clear();
@@ -650,10 +641,9 @@ impl RingMaintainer {
     }
 
     /// Logs a necklace's first dead-state toggle of the batch (dedup on
-    /// the batch stamp `self.stamp`, which `book_events` bumps once).
+    /// `neck_marks`, which `book_events` clears).
     fn touch_neck(&mut self, nid: usize, was_dead: bool) {
-        if self.dirty_stamp[nid] != self.stamp {
-            self.dirty_stamp[nid] = self.stamp;
+        if !test_and_set(&mut self.neck_marks, nid) {
             self.touched_necks
                 .push(((nid as u64) << 1) | u64::from(was_dead));
         }
@@ -673,7 +663,7 @@ impl RingMaintainer {
             let members = ffc.partition.members(nid);
             self.removed_nodes += members.len();
             for &m in members {
-                self.node_dead[m as usize] = true;
+                ffc.tables.reach.kill(&mut self.bits, m as usize);
             }
         }
         self.neck_fault_count[nid] += 1;
@@ -697,7 +687,7 @@ impl RingMaintainer {
             let members = ffc.partition.members(nid);
             self.removed_nodes -= members.len();
             for &m in members {
-                self.node_dead[m as usize] = false;
+                ffc.tables.reach.revive(&mut self.bits, m as usize);
             }
         }
     }
@@ -752,10 +742,9 @@ impl RingMaintainer {
     /// Books a validated event batch and classifies the **net** dead-state
     /// changes into `killed_necks` / `revived_necks` — a necklace that
     /// dies and revives inside one batch contributes to neither list.
-    fn book_events(&mut self, ffc: &Ffc, events: &[FaultEvent]) {
-        let _ = self.bump_stamp();
+    fn book_events(&mut self, ffc: &Ffc, events: impl IntoIterator<Item = FaultEvent>) {
         self.touched_necks.clear();
-        for &ev in events {
+        for ev in events {
             self.apply_event(ffc, ev);
         }
         self.killed_necks.clear();
@@ -763,6 +752,7 @@ impl RingMaintainer {
         for i in 0..self.touched_necks.len() {
             let packed = self.touched_necks[i];
             let nid = (packed >> 1) as usize;
+            clear_bit(&mut self.neck_marks, nid);
             let was_dead = packed & 1 == 1;
             let now_dead = self.neck_fault_count[nid] > 0;
             match (was_dead, now_dead) {
@@ -778,15 +768,11 @@ impl RingMaintainer {
     // ------------------------------------------------------------------
 
     /// The root the from-scratch engine would pick for the current fault
-    /// set: [`RootProbe::find`] fed the per-necklace fault counts, as a
-    /// necklace representative. `None` when every necklace is faulty.
-    fn policy_root(&mut self, ffc: &Ffc) -> Option<usize> {
-        let membership = ffc.partition.membership();
-        let fault_count = &self.neck_fault_count;
-        let live = |v: usize| fault_count[membership[v] as usize] == 0;
-        let root = self
-            .probe
-            .find(self.d, self.suffix, ffc.default_root(), live)?;
+    /// set: [`probe_root`] fed the fault mask, as a necklace
+    /// representative. `None` when every necklace is faulty.
+    fn policy_root(&self, ffc: &Ffc) -> Option<usize> {
+        let live = |v: usize| !ffc.tables.reach.is_dead(&self.bits, v);
+        let root = probe_root(self.d, self.n_nodes, ffc.default_root(), live)?;
         Some(ffc.representative_of(root))
     }
 
@@ -816,18 +802,9 @@ impl RingMaintainer {
     /// the tree stage's build (every necklace record and the exit/digit
     /// wiring).
     fn rebuild(&mut self, ffc: &Ffc) {
-        let t = &ffc.tables;
-        let reach = t.reach;
+        let reach = ffc.tables.reach;
         let membership = ffc.partition.membership();
         let n = self.n_nodes;
-
-        // Fault mask: kill every member of every dead necklace.
-        reach.prepare(&mut self.bits);
-        for v in 0..n {
-            if self.node_dead[v] {
-                reach.kill(&mut self.bits, v);
-            }
-        }
         let Some(root) = self.policy_root(ffc) else {
             self.enter_infeasible(ffc);
             return;
@@ -883,7 +860,7 @@ impl RingMaintainer {
         }
 
         let Self {
-            node_dead,
+            bits,
             tree,
             delta,
             batch_buf,
@@ -891,7 +868,7 @@ impl RingMaintainer {
             ..
         } = self;
         delta.open(budget);
-        let live = |u: usize| !node_dead[u];
+        let live = |u: usize| !reach.is_dead(bits, u);
         reach.levels_delete(&mut tree.levels, delta, batch_buf, live)?;
         reach.levels_insert(&mut tree.levels, delta, ins_buf, live)?;
         self.absorb_bcast_changes(ffc);
@@ -929,7 +906,6 @@ impl RingMaintainer {
     fn absorb_bcast_changes(&mut self, ffc: &Ffc) {
         let membership = ffc.partition.membership();
         let (d, suffix) = (self.d, self.suffix);
-        let stamp = self.bump_stamp();
         self.dirty_necks.clear();
         self.dirty_labels.clear();
         let Self {
@@ -941,23 +917,21 @@ impl RingMaintainer {
             max_level,
             snap_bstar_dirty,
             snap_level_dirty,
-            dirty_stamp,
+            neck_marks,
             dirty_necks,
-            label_stamp,
+            label_marks,
             dirty_labels,
             ..
         } = self;
         let mut mark = |nid: usize| {
-            if dirty_stamp[nid] != stamp {
-                dirty_stamp[nid] = stamp;
+            if !test_and_set(neck_marks, nid) {
                 dirty_necks.push(nid as u32);
             }
         };
         let mut mark_labels = |[old, new]: [Option<(usize, u32)>; 2]| {
             if old != new {
                 for (label, _) in old.into_iter().chain(new) {
-                    if label_stamp[label] != stamp {
-                        label_stamp[label] = stamp;
+                    if !test_and_set(label_marks, label) {
                         dirty_labels.push(label as u32);
                     }
                 }
@@ -999,6 +973,7 @@ impl RingMaintainer {
             }
         }
         for &nid in dirty_necks.iter() {
+            clear_bit(neck_marks, nid as usize);
             mark_labels(tree.reparent(ffc, nid as usize));
         }
         while self.max_level > 0 && self.level_counts[self.max_level] == 0 {
@@ -1013,6 +988,7 @@ impl RingMaintainer {
         // a·d^(n−1)+w, so their snapshot chunks are dirty.
         for i in 0..self.dirty_labels.len() {
             let label = self.dirty_labels[i] as usize;
+            clear_bit(&mut self.label_marks, label);
             for a in 0..d {
                 self.snap_ring_dirty.mark(a * suffix + label);
             }
@@ -1064,14 +1040,7 @@ impl RingMaintainer {
             return Err(RepairError::NodeOutOfRange { node: v, n_nodes });
         }
         self.adopt_shape(ffc);
-        let _ = self.bump_stamp();
-        self.touched_necks.clear();
-        for &v in faults {
-            if !self.node_faulty[v] {
-                self.node_faulty[v] = true;
-                self.sync_exclusion(ffc, v);
-            }
-        }
+        self.book_events(ffc, faults.iter().map(|&v| FaultEvent::NodeDown(v)));
         self.rebuild(ffc);
         self.repairs.rebuilds += 1;
         Ok(self.outcome())
@@ -1109,7 +1078,7 @@ impl RingMaintainer {
         for &ev in events {
             validate_event(self.d, self.suffix, self.n_nodes, ev)?;
         }
-        self.book_events(ffc, events);
+        self.book_events(ffc, events.iter().copied());
         if self.killed_necks.is_empty() && self.revived_necks.is_empty() {
             return Ok(self.outcome()); // no topology change
         }
@@ -1257,45 +1226,78 @@ mod tests {
         }
     }
 
-    /// The maintainer's event stamp starts just below `u32::MAX`, at every
-    /// offset up to 7, so its wrap-arounds fall at each point of a batch.
-    /// Every entry of `dirty_stamp` and `label_stamp` starts at 1, as if
-    /// last stamped in the previous cycle. After a batch in which the
-    /// stamp wrapped, it is moved back to the same offset below `u32::MAX`
-    /// with the arrays left as they are, standing in for the next cycle: a
-    /// stamp of the old cycle written after a wrap's clear, or a clear
-    /// that was skipped, then reads a necklace or label as already marked.
-    /// Every batch must still match a fresh reset and `embed_into`.
+    /// After every batch of seeded churn streams (node and link events,
+    /// bursts of 4) on B(2,10) and B(3,6): both mark bitmaps are clear,
+    /// the fault mask holds exactly the members of the necklaces with an
+    /// excluded node, and the maintainer matches a fresh reset.
     #[test]
-    fn stamps_wrap_around_mid_stream() {
-        const NEAR_WRAP: u32 = u32::MAX - 8;
+    fn fault_mask_and_marks_track_the_exclusion_set_under_churn() {
+        for (d, n) in [(2u64, 10u32), (3, 6)] {
+            let ffc = Ffc::new(d, n);
+            let (mut maint, mut fresh) = (RingMaintainer::new(), RingMaintainer::new());
+            let mut scratch = EmbedScratch::new();
+            let mut ring = Vec::new();
+            let membership = ffc.partition.membership();
+            for seed in 0..2u64 {
+                let steps = ChurnPlan::new(seed)
+                    .arrivals(60)
+                    .bursts(4, 0.5)
+                    .edge_fault_prob(0.3)
+                    .generate(&ffc);
+                maint.reset(&ffc, &[]).expect("in-range");
+                for (i, step) in steps.iter().enumerate() {
+                    maint
+                        .apply_batch(&ffc, &step.batch)
+                        .expect("generated events are valid");
+                    let ctx = format!("B({d},{n}) seed {seed} batch {i}");
+                    assert!(maint.neck_marks.iter().all(|&w| w == 0), "{ctx}");
+                    assert!(maint.label_marks.iter().all(|&w| w == 0), "{ctx}");
+                    let dead = ffc.faulty_necklace_mask(maint.faulty_nodes());
+                    for (v, &nid) in membership.iter().enumerate() {
+                        assert_eq!(
+                            ffc.tables.reach.is_dead(&maint.bits, v),
+                            dead[nid as usize],
+                            "fault mask at node {v} ({ctx})"
+                        );
+                    }
+                    assert_matches_fresh(&ffc, &maint, &mut fresh, &mut scratch, &mut ring, &ctx);
+                }
+            }
+        }
+    }
+
+    /// Small budgets abort the delta passes part-way through a batch; the
+    /// rebuild that follows must still leave every batch equal to a fresh
+    /// reset. Each budgeted replay rebuilds more often than the automatic
+    /// budget does on the same trace, so aborts did happen.
+    #[test]
+    fn aborted_deltas_rebuild_to_the_fresh_state() {
         let ffc = Ffc::new(2, 10);
-        let steps = ChurnPlan::new(7)
-            .arrivals(24)
-            .bursts(4, 0.5)
-            .edge_fault_prob(0.2)
+        let steps = ChurnPlan::new(29)
+            .arrivals(60)
+            .bursts(4, 0.4)
+            .edge_fault_prob(0.3)
             .generate(&ffc);
-        let (mut maint, mut fresh) = (RingMaintainer::new(), RingMaintainer::new());
-        let mut scratch = EmbedScratch::new();
-        let mut ring = Vec::new();
-        for offset in 0..8u32 {
+        let replay = |maint: &mut RingMaintainer| {
+            let (mut fresh, mut scratch, mut ring) =
+                (RingMaintainer::new(), EmbedScratch::new(), Vec::new());
             maint.reset(&ffc, &[]).expect("in-range");
-            maint.stamp = u32::MAX - offset;
-            maint.dirty_stamp.fill(1);
-            maint.label_stamp.fill(1);
-            let mut wraps = 0;
             for (i, step) in steps.iter().enumerate() {
                 maint
                     .apply_batch(&ffc, &step.batch)
                     .expect("generated events are valid");
-                let ctx = format!("offset {offset} batch {i}");
-                assert_matches_fresh(&ffc, &maint, &mut fresh, &mut scratch, &mut ring, &ctx);
-                if maint.stamp < NEAR_WRAP {
-                    maint.stamp = u32::MAX - offset;
-                    wraps += 1;
-                }
+                let ctx = format!("budget {:?} batch {i}", maint.budget);
+                assert_matches_fresh(&ffc, maint, &mut fresh, &mut scratch, &mut ring, &ctx);
             }
-            assert!(wraps >= 3, "offset {offset}: {wraps} event-stamp wraps");
+            maint.repairs().rebuilds
+        };
+        let automatic = replay(&mut RingMaintainer::new());
+        for budget in [1, 3, 17, 120] {
+            let rebuilds = replay(&mut RingMaintainer::new().with_budget(Some(budget)));
+            assert!(
+                rebuilds > automatic,
+                "budget {budget}: {rebuilds} rebuilds, {automatic} without a budget"
+            );
         }
     }
 

@@ -2,7 +2,7 @@
 //! differentials, allocation pins, and the incremental engine.
 
 use super::*;
-use crate::oracle::{embed_reference, embed_stats_into_u8, U8StatsScratch};
+use crate::oracle::{self, embed_reference, embed_stats_into_u8, U8StatsScratch};
 use dbg_graph::algo::cycles::is_cycle;
 use dbg_graph::FaultSet;
 
@@ -254,15 +254,17 @@ fn embed_into_does_not_allocate_after_warmup() {
     let mut scratch = EmbedScratch::new();
     let mut rng = StdRng::seed_from_u64(7);
     // Warm up: the worst-case cycle length (no faults) sizes the cycle
-    // buffer (and exercises the dense bit-parallel regime); a
-    // faulty-root call sizes the probe path; a heavy fault load keeps
-    // the bit passes in the sparse regime.
+    // buffer (and exercises the dense bit-parallel regime); a heavy fault
+    // load keeps the bit passes in the sparse regime.
     let _ = ffc.embed_into(&mut scratch, &[]);
-    let _ = ffc.embed_into(&mut scratch, &[1]);
     let heavy: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
     let _ = ffc.embed_into(&mut scratch, &heavy);
     let warm = scratch.allocated_bytes();
     let cycle_ptr = scratch.cycle().as_ptr();
+    // A faulty root moves the root by the probe, which allocates nothing.
+    let stats = ffc.embed_into(&mut scratch, &[1]);
+    assert_ne!(stats.root, ffc.default_root());
+    assert_eq!(scratch.allocated_bytes(), warm, "the root probe allocated");
     for trial in 0..200 {
         let f = if trial % 3 == 0 {
             250 + trial % 100
@@ -303,54 +305,52 @@ fn representative_and_members_match_partition() {
     }
 }
 
-/// Root repair must be one policy, not two: for every fault set of size
-/// ≤ 2 that kills the preferred root's necklace — exhaustively in
-/// B(2,5) and B(3,3), and for non-default preferred roots as well —
-/// `pick_root` (fed the necklace mask) and the shared probe as the engine
-/// calls it (fed the engine's stamped fault marks) must return the
-/// identical node ("nearest live node, ties broken by minimal id").
+/// Root repair must be one policy, and the rule's definition: for every
+/// fault set of size ≤ 2 — exhaustively in B(2,5) and B(3,3) — for 200
+/// random heavy sets each on B(2,10), B(3,6) and B(4,5), and for the
+/// all-faulty set, with four preferred roots each, the arithmetic probe
+/// fed the engine's fault mask and `pick_root` (fed the necklace mask)
+/// must return the root `oracle::bfs_root` finds by BFS over the full
+/// graph ("nearest live node, ties broken by minimal id"), and
+/// `embed_into` must root at its necklace's representative.
 #[test]
 fn root_repair_order_is_identical() {
-    for (d, n) in [(2u64, 5u32), (3, 3)] {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x2007);
+    let small = [(2u64, 5u32), (3, 3)];
+    let heavy = [(2u64, 10u32), (3, 6), (4, 5)];
+    for (d, n) in small.into_iter().chain(heavy) {
         let ffc = Ffc::new(d, n);
-        let total = ffc.graph().len();
+        let (t, total) = (&ffc.tables, ffc.graph().len());
         let mut scratch = EmbedScratch::new();
-        let mut fault_sets: Vec<Vec<usize>> = (0..total).map(|a| vec![a]).collect();
-        for a in 0..total {
-            for b in (a + 1)..total {
-                fault_sets.push(vec![a, b]);
+        let mut fault_sets: Vec<Vec<usize>> = vec![(0..total).collect()];
+        if small.contains(&(d, n)) {
+            fault_sets.extend((0..total).map(|a| vec![a]));
+            for a in 0..total {
+                fault_sets.extend(((a + 1)..total).map(|b| vec![a, b]));
+            }
+        } else {
+            for _ in 0..200 {
+                let f = rng.gen_range(1..total / 2);
+                fault_sets.push((0..f).map(|_| rng.gen_range(0..total)).collect());
             }
         }
-        for preferred in [ffc.default_root(), 0, total / 2, total - 1] {
-            for faults in &fault_sets {
-                let mask = ffc.faulty_necklace_mask(faults);
-                if !mask[ffc.partition().id_of(preferred as u64)] {
-                    continue; // repair only kicks in when the root dies
+        for faults in &fault_sets {
+            let mask = ffc.faulty_necklace_mask(faults);
+            let stats = ffc.embed_into(&mut scratch, faults);
+            for preferred in [ffc.default_root(), 0, total / 2, total - 1] {
+                let want = oracle::bfs_root(&ffc, preferred, &mask);
+                let live = |v: usize| !t.reach.is_dead(&scratch.bits, v);
+                let probed = probe_root(t.d, t.n_nodes, preferred, live);
+                let ctx = format!("preferred={preferred} faults={faults:?} in B({d},{n})");
+                assert_eq!(probed, want, "probe vs BFS root, {ctx}");
+                if let Some(root) = want {
+                    assert_eq!(ffc.pick_root(preferred, &mask), root, "{ctx}");
                 }
-                let picked = ffc.pick_root(preferred, &mask);
-                // Replay the engine's fault marking, then probe.
-                scratch.prepare(&ffc.tables);
-                let stamp = scratch.stamp;
-                let membership = ffc.partition().membership();
-                for &v in faults {
-                    scratch.faulty[membership[v] as usize] = stamp;
-                }
-                let faulty = &scratch.faulty;
-                let live = |v: usize| faulty[membership[v] as usize] != stamp;
-                let probed = scratch
-                    .probe
-                    .find(ffc.tables.d, ffc.tables.suffix_count, preferred, live)
-                    .expect("a fault set of size <= 2 leaves a live necklace");
-                assert_eq!(
-                    probed, picked,
-                    "repair roots diverge for preferred={preferred} faults={faults:?} \
-                     in B({d},{n})"
-                );
-                // And the engine's public entry point agrees (modulo the
-                // normalisation to the necklace representative).
                 if preferred == ffc.default_root() {
-                    let stats = ffc.embed_into(&mut scratch, faults);
-                    assert_eq!(stats.root, ffc.representative_of(picked), "{faults:?}");
+                    let root = want.map_or(INFEASIBLE_ROOT, |r| ffc.representative_of(r));
+                    assert_eq!(stats.root, root, "embed_into root, {ctx}");
                 }
             }
         }
@@ -406,13 +406,13 @@ fn stats_only_path_does_not_allocate_after_warmup() {
     let mut scratch = EmbedScratch::new();
     let mut u8s = U8StatsScratch::default();
     let mut rng = StdRng::seed_from_u64(3);
-    // Warm-up: no faults (dense regime, bottom-up buffers), a faulty
-    // root (probe path), and a heavy load (sparse regime throughout).
+    // Warm-up: no faults (dense regime, bottom-up buffers) and a heavy
+    // load (sparse regime throughout). A faulty root, which moves the
+    // root by the probe, runs inside the checked loop below.
     let _ = ffc.embed_stats_into(&mut scratch, &[]);
-    let _ = ffc.embed_stats_into(&mut scratch, &[1]);
     let heavy: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
     let _ = ffc.embed_stats_into(&mut scratch, &heavy);
-    let _ = embed_stats_into_u8(&ffc, &mut u8s, &[1]);
+    let _ = embed_stats_into_u8(&ffc, &mut u8s, &[]);
     assert_eq!(
         scratch.tree.allocated_bytes(),
         0,
@@ -426,7 +426,10 @@ fn stats_only_path_does_not_allocate_after_warmup() {
             1 => 60 + trial % 40,
             _ => 250 + trial % 100,
         };
-        let faults: Vec<usize> = (0..f).map(|_| rng.gen_range(0..total)).collect();
+        let mut faults: Vec<usize> = (0..f).map(|_| rng.gen_range(0..total)).collect();
+        if trial == 0 {
+            faults.push(ffc.default_root());
+        }
         let _ = ffc.embed_stats_into(&mut scratch, &faults);
         assert_eq!(
             scratch.allocated_bytes(),
@@ -702,17 +705,20 @@ fn incremental_repairs_do_not_allocate_after_warmup() {
     let mut maint = RingMaintainer::new();
     let mut rng = StdRng::seed_from_u64(0x5e55);
     // Warm up: a rebuild with a heavy fault set (a deep, sparse
-    // broadcast), a root-killing event (probe path + rebuild), and a few
-    // delta events.
+    // broadcast) and a few delta events.
     let heavy: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
     maint.reset(&ffc, &heavy).expect("in-range");
     maint.reset(&ffc, &[]).expect("in-range");
-    maint.add_fault(&ffc, 1).expect("in-range"); // kills the root necklace: rebuild + probe
-    maint.clear_fault(&ffc, 1).expect("in-range");
     for v in [5usize, 100, 731] {
         maint.add_fault(&ffc, v).expect("in-range");
     }
     let warm = maint.allocated_bytes();
+    // Killing the root's necklace moves the root (probe + rebuild), and
+    // reviving it moves it back.
+    maint.add_fault(&ffc, 1).expect("in-range");
+    assert_ne!(maint.root(), ffc.default_root());
+    maint.clear_fault(&ffc, 1).expect("in-range");
+    assert_eq!(maint.allocated_bytes(), warm, "a root move allocated");
     for trial in 0..300 {
         let v = rng.gen_range(0..total);
         if maint.faulty_nodes().contains(&v) {

@@ -1,7 +1,9 @@
 //! The differential oracles: slower, simpler twins of the engine's paths,
 //! which the exhaustive tests compare bit for bit and `bench_ffc` times as
 //! its baselines. [`embed_reference`] (materialised SCCs plus hash-map
-//! w-groups) is the oracle of [`Ffc::embed_into`], [`embed_stats_into_u8`]
+//! w-groups, rooted by [`bfs_root`]: the Section 2.5.2 repair rule as a
+//! BFS over the full graph) is the oracle of [`Ffc::embed_into`] and of
+//! the engine's arithmetic root probe, [`embed_stats_into_u8`]
 //! (the u8-stamp stats engine it replaced) that of
 //! [`Ffc::embed_stats_into`], and [`kernel_step_scalar`] (fold pass, then
 //! expand pass) that of [`BitReach::kernel_step_fused`]. The two embedding
@@ -18,7 +20,7 @@ use dbg_graph::algo::components::scc_component_ids;
 use dbg_graph::{DeBruijn, Topology};
 
 use crate::bitreach::{spread2, BitReach};
-use crate::ffc::{EmbedStats, EngineTables, Ffc, FfcOutcome, RootProbe, INFEASIBLE_ROOT};
+use crate::ffc::{probe_root, EmbedStats, EngineTables, Ffc, FfcOutcome, INFEASIBLE_ROOT};
 use crate::mem::{grow_to, reserve_more};
 
 /// A de Bruijn graph restricted to an alive-node mask, used by the
@@ -53,7 +55,7 @@ impl Topology for Masked<'_> {
 #[must_use]
 pub fn embed_reference(ffc: &Ffc, faulty_nodes: &[usize]) -> FfcOutcome {
     let faulty_mask = ffc.faulty_necklace_mask(faulty_nodes);
-    if faulty_mask.iter().all(|&faulty| faulty) {
+    let Some(root) = bfs_root(ffc, ffc.default_root(), &faulty_mask) else {
         return FfcOutcome {
             root: INFEASIBLE_ROOT,
             cycle: Vec::new(),
@@ -62,9 +64,26 @@ pub fn embed_reference(ffc: &Ffc, faulty_nodes: &[usize]) -> FfcOutcome {
             faulty_necklaces: faulty_mask.len(),
             removed_nodes: ffc.graph().len(),
         };
-    }
-    let root = ffc.pick_root(ffc.default_root(), &faulty_mask);
+    };
     embed_with_mask(ffc, root, &faulty_mask)
+}
+
+/// The Section 2.5.2 repair root by its definition: `preferred` when its
+/// necklace is live, otherwise the first node of a BFS from `preferred`
+/// over the full graph (faults ignored while searching; level by level,
+/// increasing id within a level) whose necklace is live. `None` when
+/// every necklace is faulty. [`Ffc::pick_root`] and the engine's probe
+/// are tested against it.
+#[must_use]
+pub fn bfs_root(ffc: &Ffc, preferred: usize, faulty_mask: &[bool]) -> Option<usize> {
+    let live = |v: usize| !faulty_mask[ffc.partition().id_of(v as u64)];
+    if live(preferred) {
+        return Some(preferred);
+    }
+    bfs_tree(ffc.graph(), preferred)
+        .order
+        .into_iter()
+        .find(|&v| live(v))
 }
 
 fn embed_with_mask(ffc: &Ffc, root: usize, faulty_mask: &[bool]) -> FfcOutcome {
@@ -234,7 +253,6 @@ pub struct U8StatsScratch {
     /// BFS frontiers.
     queue: Vec<u32>,
     next: Vec<u32>,
-    probe: RootProbe,
 }
 
 impl U8StatsScratch {
@@ -243,7 +261,6 @@ impl U8StatsScratch {
     pub fn allocated_bytes(&self) -> usize {
         4 * (self.faulty.capacity() + self.queue.capacity() + self.next.capacity())
             + (self.fwd8.capacity() + self.bwd8.capacity() + self.vis8.capacity())
-            + self.probe.allocated_bytes()
     }
 
     /// Grows the slot arrays to the engine's sizes and advances both
@@ -257,7 +274,6 @@ impl U8StatsScratch {
         grow_to(&mut self.faulty, t.n_necks, 0);
         reserve_more(&mut self.queue, t.n_nodes);
         reserve_more(&mut self.next, t.n_nodes);
-        self.probe.fit(t.n_nodes);
         grow_to(&mut self.fwd8, t.n_nodes, 0);
         grow_to(&mut self.bwd8, t.n_nodes, 0);
         grow_to(&mut self.vis8, t.n_nodes, 0);
@@ -315,7 +331,7 @@ pub fn embed_stats_into_u8(
     }
     let faulty = &s.faulty;
     let live = |v: usize| faulty[membership[v] as usize] != stamp;
-    let root = s.probe.find(t.d, t.suffix_count, ffc.default_root(), live);
+    let root = probe_root(t.d, t.n_nodes, ffc.default_root(), live);
     let root = root.map_or(INFEASIBLE_ROOT, |r| ffc.representative_of(r));
 
     // The reachability passes are monomorphised on whether d is a power

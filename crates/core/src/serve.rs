@@ -46,32 +46,27 @@ use crate::ffc::{
     RingMaintainer, RingSnapshot, SnapshotPublisher,
 };
 
-/// Tuning knobs for [`RingService::start`]. The defaults serve a heavy
-/// churn stream on one maintainer thread: a 1024-event queue, up to
-/// 64 events coalesced per repair batch.
+/// Capacity of the bounded fault-event queue: [`RingService::submit`]
+/// blocks when it is full, [`RingService::try_submit`] reports
+/// [`SubmitError::Backlog`].
+const QUEUE_CAP: usize = 1024;
+
+/// Tuning knobs for [`RingService::start`]. The default serves a heavy
+/// churn stream on one maintainer thread: up to 64 events coalesced per
+/// repair batch. The event queue holds 1024 events, and the epoch cell
+/// pins the [`epoch::DEFAULT_SLOTS`] most recent generations.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOptions {
-    /// Capacity of the bounded fault-event queue (clamped to ≥ 1).
-    /// [`RingService::submit`] blocks when it is full;
-    /// [`RingService::try_submit`] reports [`SubmitError::Backlog`].
-    pub queue_cap: usize,
     /// Maximum events drained into one [`RingMaintainer::apply_batch`]
     /// call (clamped to ≥ 1). Coalescing under backlog trades snapshot
     /// granularity for repair throughput: k queued events cost one fused
     /// delta pass and one publication instead of k.
     pub coalesce: usize,
-    /// Slot count of the epoch publication cell (how many recent
-    /// generations stay pinned by the cell itself).
-    pub slots: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions {
-            queue_cap: 1024,
-            coalesce: 64,
-            slots: epoch::DEFAULT_SLOTS,
-        }
+        ServeOptions { coalesce: 64 }
     }
 }
 
@@ -170,7 +165,9 @@ impl ServiceReport {
     }
 }
 
-fn quantile(samples: &[u64], q: f64) -> u64 {
+/// The `q`-quantile (0.0 ..= 1.0) of `samples`: the sample at rank
+/// round((len − 1)·q) in sorted order, 0 when there are none.
+pub(crate) fn quantile(samples: &[u64], q: f64) -> u64 {
     if samples.is_empty() {
         return 0;
     }
@@ -324,8 +321,8 @@ impl RingService {
         maint.reset(&ffc, initial_faults)?;
         let mut publisher = SnapshotPublisher::new();
         let first = maint.publish(&mut publisher, 0)?;
-        let cell = Arc::new(EpochCell::with_slots(first, opts.slots));
-        let (tx, rx) = channel::bounded::<FaultEvent>(opts.queue_cap.max(1));
+        let cell = Arc::new(EpochCell::new(first));
+        let (tx, rx) = channel::bounded::<FaultEvent>(QUEUE_CAP);
         let writer = {
             let cell = Arc::clone(&cell);
             let coalesce = opts.coalesce.max(1);

@@ -449,10 +449,7 @@ fn threaded_stress(d: u64, n: u32, seed: u64) {
     let ffc = Arc::new(Ffc::new(d, n));
     let events = seeded_stream(d as usize, ffc.graph().len(), seed, 80);
     // coalesce=1 maximises distinct generations readers can catch.
-    let opts = ServeOptions {
-        coalesce: 1,
-        ..ServeOptions::default()
-    };
+    let opts = ServeOptions { coalesce: 1 };
     let (captured, _) = stress_service(&ffc, &events, 3, opts);
     let mut scratch = EmbedScratch::new();
     let mut verified = std::collections::BTreeSet::new();
@@ -522,7 +519,7 @@ proptest! {
         let coalesce = [1usize, 2, 7][coalesce_idx];
         let ffc = Arc::new(Ffc::new(2, 14));
         let events = seeded_stream(2, ffc.graph().len(), seed, len);
-        let opts = ServeOptions { coalesce, ..ServeOptions::default() };
+        let opts = ServeOptions { coalesce };
         let (captured, batches) = stress_service(&ffc, &events, 2, opts);
         prop_assert!(batches >= (events.len() as u64).div_ceil(64));
         let mut scratch = EmbedScratch::new();
