@@ -72,11 +72,12 @@
 //! the queued nodes. Besides the next step's skip test, the summaries
 //! turn the dense → sparse switch and the dense level emission into
 //! two-level skip-scans ([`extract_bits_skip`]) that touch only occupied
-//! words, and the fault mask keeps one so that a re-prepare clears only
-//! the words a kill dirtied. Per-node level arrays use the
-//! compact one-byte [`LevelVec`] (levels are diameter-bounded, with an
-//! escape table for the transient deeper ones) behind the [`LevelStore`]
-//! trait, so the delta passes
+//! words (the emission writes each such word's levels at once,
+//! [`LevelVec::set_word`]), and the fault mask keeps one so that a
+//! re-prepare clears only the words a kill dirtied. Per-node level arrays
+//! use the compact one-byte [`LevelVec`] (levels are diameter-bounded,
+//! with an escape table for the transient deeper ones) behind the
+//! [`LevelStore`] trait, so the delta passes
 //! ([`BitReach::levels_delete`] / [`BitReach::levels_insert`]) run one
 //! monomorphised algorithm over both the compact array and the `u32`
 //! differential oracle.
@@ -210,14 +211,15 @@ impl BitFrontier {
         self.dense = false;
     }
 
-    /// Calls `f` on every frontier node: the queue in discovery order
-    /// while sparse, a summary skip-scan in increasing id order while
-    /// dense.
-    fn for_each_node(&self, words: usize, mut f: impl FnMut(usize)) {
+    /// Writes level `l` for every frontier node into `levels`: one
+    /// [`LevelVec::set_word`] per occupied word (a summary skip-scan) while
+    /// dense, one [`LevelVec::set`] per queued node while sparse.
+    fn write_level(&self, words: usize, levels: &mut LevelVec, l: u32) {
         if self.dense {
-            for_each_bit_skip(&self.bits[..words], &self.sum[..sum_words(words)], f);
+            let (bits, sum) = (&self.bits[..words], &self.sum[..sum_words(words)]);
+            for_each_word_skip(bits, sum, |j, w| levels.set_word(j, w, l));
         } else {
-            self.queue.iter().for_each(|&v| f(v as usize));
+            self.queue.iter().for_each(|&v| levels.set(v as usize, l));
         }
     }
 }
@@ -551,12 +553,13 @@ impl BitReach {
     /// The direct level write of the level-emitting passes: grows
     /// `levels` to the node space, marks every slot [`UNREACHED`], and
     /// returns the per-level callback that writes level `l` for every node
-    /// of a settled frontier.
+    /// of a settled frontier, a dense one word by word
+    /// ([`BitFrontier::write_level`]).
     fn level_writer<'a>(&self, levels: &'a mut LevelVec) -> impl FnMut(u32, &BitFrontier) + 'a {
         levels.grow(self.n_nodes);
         levels.fill_unreached();
         let words = self.words;
-        move |l, f| f.for_each_node(words, |v| levels.set(v, l))
+        move |l, f| f.write_level(words, levels, l)
     }
 
     /// One direction-optimizing BFS pass over `vis` (bits already set are
@@ -767,8 +770,10 @@ impl BitReach {
 impl BitReach {
     /// [`BitReach::forward`] writing every reached node's forward level
     /// into `levels` (grown to the node space; every other slot
-    /// [`UNREACHED`]): identical visited set, count and depth. This is
-    /// the pass `Ffc::embed_into` writes its tree stage's levels with.
+    /// [`UNREACHED`]): identical visited set, count and depth. A dense
+    /// level is written one bitmap word at a time
+    /// ([`LevelVec::set_word`]), a sparse one node by node. This is the
+    /// pass `Ffc::embed_into` writes its tree stage's levels with.
     pub fn forward_levels(
         &self,
         s: &mut BitScratch,
@@ -1386,12 +1391,17 @@ pub fn extract_bits(bits: &[u64], out: &mut Vec<u32>) {
 /// is set, in increasing order, so the output is identical whenever the
 /// summary covers every occupied word (`occupied ⊆ marked`).
 pub fn extract_bits_skip(bits: &[u64], sum: &[u64], out: &mut Vec<u32>) {
-    for_each_bit_skip(bits, sum, |v| out.push(v as u32));
+    for_each_word_skip(bits, sum, |j, mut w| {
+        while w != 0 {
+            out.push((j * 64) as u32 + w.trailing_zeros());
+            w &= w - 1;
+        }
+    });
 }
 
-/// Calls `f` on every set bit of `bits` in increasing order, visiting only
-/// the words whose summary bit is set (`occupied ⊆ marked`).
-fn for_each_bit_skip(bits: &[u64], sum: &[u64], mut f: impl FnMut(usize)) {
+/// Calls `f(j, bits[j])` on every word whose summary bit is set, in
+/// increasing `j` (a marked word may be zero).
+fn for_each_word_skip(bits: &[u64], sum: &[u64], mut f: impl FnMut(usize, u64)) {
     for (sj, &sword) in sum.iter().enumerate() {
         let mut s = sword;
         while s != 0 {
@@ -1400,11 +1410,7 @@ fn for_each_bit_skip(bits: &[u64], sum: &[u64], mut f: impl FnMut(usize)) {
             if j >= bits.len() {
                 break;
             }
-            let mut w = bits[j];
-            while w != 0 {
-                f(j * 64 + w.trailing_zeros() as usize);
-                w &= w - 1;
-            }
+            f(j, bits[j]);
         }
     }
 }
@@ -1604,6 +1610,62 @@ mod tests {
         assert!(BitReach::new(4, 1 << 10).dense_capable());
         assert!(!BitReach::new(3, 243).dense_capable()); // not pow2
         assert!(!BitReach::new(2, 32).dense_capable()); // suffix below a word
+    }
+
+    /// The level writer against per-node [`LevelVec::set`]: a dense
+    /// frontier goes word by word ([`LevelVec::set_word`]) at an inline
+    /// level and node by node above the inline maximum (253), a sparse
+    /// frontier node by node. Each leaves the bytes and side table the
+    /// per-node writes leave.
+    #[test]
+    fn level_writer_matches_per_node_set() {
+        let n_nodes = 1usize << 14;
+        let reach = BitReach::new(2, n_nodes);
+        let words = n_nodes / 64;
+        let mut rng = StdRng::seed_from_u64(0x5E7_3071);
+        let bits: Vec<u64> = (0..words)
+            .map(|_| rng.next_u64() & rng.next_u64())
+            .collect();
+        let mut sum = vec![0u64; sum_words(words)];
+        summarize_bits(&bits, &mut sum);
+        let dense = BitFrontier {
+            queue: Vec::new(),
+            bits: bits.clone(),
+            sum,
+            dense: true,
+            len: 0,
+        };
+        let queue: Vec<u32> = (0..500).map(|_| rng.gen_range(0..n_nodes as u32)).collect();
+        let sparse = BitFrontier {
+            queue: queue.clone(),
+            bits: Vec::new(),
+            sum: Vec::new(),
+            dense: false,
+            len: queue.len(),
+        };
+        let dense_nodes: Vec<usize> = (0..n_nodes)
+            .filter(|&v| bits[v / 64] >> (v % 64) & 1 == 1)
+            .collect();
+        for (l_dense, l_sparse) in [(3, 9), (253, 254), (300, 5), (7, 400), (600, 700)] {
+            let mut got = LevelVec::new();
+            {
+                let mut write = reach.level_writer(&mut got);
+                write(l_dense, &dense);
+                write(l_sparse, &sparse);
+            }
+            let mut want = LevelVec::new();
+            want.grow(n_nodes);
+            dense_nodes.iter().for_each(|&v| want.set(v, l_dense));
+            queue.iter().for_each(|&v| want.set(v as usize, l_sparse));
+            let tag = format!("dense level {l_dense}, sparse level {l_sparse}");
+            assert_eq!(got.as_bytes(), want.as_bytes(), "{tag}");
+            let sorted = |lv: &LevelVec| {
+                let mut o = lv.overflow().to_vec();
+                o.sort_unstable();
+                o
+            };
+            assert_eq!(sorted(&got), sorted(&want), "{tag}");
+        }
     }
 
     /// Every level-emitting pass must produce the scalar oracle's levels:

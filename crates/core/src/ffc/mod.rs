@@ -29,7 +29,8 @@
 //! per-call mutable state — the bit-parallel reachability bitmaps (the
 //! word-packed fault mask among them, the only record of which necklaces
 //! are dead), the spanning-tree stage (the one-byte broadcast
-//! levels, which the forward pass writes straight from its frontier, the
+//! levels, which the forward pass writes straight from its frontier, a
+//! dense one a bitmap word at a time, the
 //! per-necklace records, and the ring wiring: an exit bitmap plus one
 //! packed entry digit per node), and the output cycle buffer. After the
 //! first call at a given (d, n) ("warm-up"), [`Ffc::embed_into`] performs
@@ -50,13 +51,18 @@
 //!   backward reachability, and the differential suites check the two
 //!   agree.
 //! * **Cycle construction**: one record per necklace (its earliest member
-//!   Y and its parent necklace) in a flat array; the w-group of label w is
-//!   derived from the records of the d nodes w·d+β, with no hash map, sort
-//!   or group table. A w-exit αw's successor is its entry w·d+β, so the
-//!   wiring stores only β: b bits per node (b the smallest power of two
-//!   ≥ ⌈log2 d⌉, one bit at d = 2), non-zero only at the exits, which a
-//!   word-packed exit bitmap flags. The cycle is read off by a streaming
-//!   walk that computes every other step as a necklace rotation.
+//!   Y and the leading digit α_p of its parent node α_p·w) in a flat
+//!   array, Y chosen by a fold over the members' raw level bytes. Since
+//!   N(αw) = N(wα) for every digit α, the w-group of label w lies in the
+//!   d necklace ids of the nodes w·d+α, one block of the membership
+//!   table, and is derived from their records with no hash map, search or
+//!   group table; at d = 2 a group is one child and its parent, wired
+//!   straight from the child's record. A w-exit αw's successor is its
+//!   entry w·d+β, so the wiring stores only β: b bits per node (b the
+//!   smallest power of two ≥ ⌈log2 d⌉, one bit at d = 2), non-zero only at
+//!   the exits, which a word-packed exit bitmap flags. The cycle is read
+//!   off by a streaming walk that computes every other step as a necklace
+//!   rotation.
 //!
 //! The textbook formulation (materialised SCCs + hash-map groups) is kept
 //! as [`crate::oracle::embed_reference`]; it is used by the differential

@@ -14,19 +14,20 @@
 //! The rules the maintainer and the snapshots share with the engine are
 //! written here once: root selection with the Section 2.5.2 repair rule
 //! ([`probe_root`]), the spanning-tree stage ([`TreeStage`]: each
-//! necklace's record — its earliest member Y and parent necklace — and the
-//! w-groups derived from the records), the w-edge geometry of a w-group
-//! ([`for_each_w_edge`]), the ring successor ([`ring_step`]: the
-//! necklace rotation, or at a w-exit the entry w·d+β whose last digit β
-//! sits in a packed table, [`DigitWidth`]) and the ring walk built on it
-//! ([`read_off_cycle`]).
+//! necklace's record — its earliest member Y and the digit α_p of its
+//! parent node α_p·w — and the w-groups derived from the records, each
+//! wired from one block of d necklace ids), the ring successor
+//! ([`ring_step`]: the necklace rotation, or at a w-exit the entry w·d+β
+//! whose last digit β sits in a packed table, [`DigitWidth`]) and the
+//! ring walk built on it ([`read_off_cycle`]).
 //!
 //! Every level-emitting pass writes its levels straight into a
-//! [`LevelVec`](crate::mem::LevelVec) from the BFS frontier; no pass
-//! materialises a per-level node list.
+//! [`LevelVec`](crate::mem::LevelVec) from the BFS frontier, a dense
+//! frontier one bitmap word at a time; no pass materialises a per-level
+//! node list.
 
-use super::{EmbedScratch, EmbedStats, Ffc, INFEASIBLE_ROOT, NONE};
-use crate::mem::{grow_to, reserve_more, LevelVec, UNREACHED};
+use super::{EmbedScratch, EmbedStats, EngineTables, Ffc, INFEASIBLE_ROOT, NONE};
+use crate::mem::{grow_to, reserve_more, LevelVec, ESCAPED_U8, UNREACHED, UNREACHED_U8};
 
 impl Ffc {
     /// Embeds a fault-free cycle avoiding `faulty_nodes` using `scratch`
@@ -343,56 +344,26 @@ fn walk<const POW2: bool>(
     }
 }
 
-/// The w-edge geometry of one w-group, wired by [`TreeStage`] for the
-/// engine and the maintainer alike, so the ring bytes they produce can
-/// never drift. `members` lists the group's necklaces in ascending id
-/// order; each consecutive pair (wrapping) contributes one w-edge, whose
-/// exit node is the unique member αw of the source necklace and whose
-/// entry node wβ lies on the target necklace. `write(exit, β)` performs
-/// the stores.
-fn for_each_w_edge(
-    d: usize,
-    suffix: usize,
-    membership: &[u32],
-    label: usize,
-    members: &[u32],
-    mut write: impl FnMut(usize, usize),
-) {
-    let k = members.len();
-    for idx in 0..k {
-        let m = members[idx] as usize;
-        let target = members[(idx + 1) % k] as usize;
-        let exit = (0..d)
-            .map(|alpha| alpha * suffix + label)
-            .find(|&cand| membership[cand] as usize == m)
-            // PANIC-OK: every member of a w-group owns a node αw — that is
-            // what puts it in the group — so the source has an exit.
-            .expect("a w-edge of D always has an exit node on the source necklace");
-        let beta = (0..d)
-            .find(|&beta| membership[beta * suffix + label] as usize == target)
-            // PANIC-OK: likewise the target owns a node βw, and wβ lies on
-            // the same necklace; a miss means corrupted group tables.
-            .expect("a w-edge of D always has an entry node on the target necklace");
-        write(exit, beta);
-    }
-}
-
 /// The tree record of a non-root necklace of B* (Steps 1.2 and 2): its
-/// earliest-reached member Y and its parent necklace. Y's (n−1)-digit
-/// prefix ⌊Y/d⌋ is the label w of the necklace's tree edge.
+/// earliest-reached member Y and the leading digit α_p of its parent node
+/// α_p·w, the minimal predecessor of Y one level up. Y's (n−1)-digit prefix
+/// ⌊Y/d⌋ is the label w of the necklace's tree edge, and (w, α_p) names
+/// that edge as (w, parent necklace) would: the parent necklace is
+/// N(α_p·w), and nodes αw with distinct digits α hold distinct digit
+/// multisets, so they lie on distinct necklaces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct TreeRecord {
     /// Y, or [`NONE`] when the necklace has no record.
     y: u32,
-    /// The parent necklace (meaningful when `y` is set).
-    parent: u32,
+    /// α_p (meaningful when `y` is set).
+    parent_digit: u32,
 }
 
 impl TreeRecord {
     /// The record of a dead, off-B* or root necklace.
     const NONE: TreeRecord = TreeRecord {
         y: NONE,
-        parent: NONE,
+        parent_digit: NONE,
     };
 }
 
@@ -410,9 +381,12 @@ impl TreeRecord {
 /// written once, for the build and the repairs alike.
 ///
 /// It holds the broadcast levels, one [`TreeRecord`] per necklace, and the
-/// wiring the readoff walks. The w-groups are not stored: the children of
-/// label w are exactly the necklaces whose Y is one of the d nodes w·d+β,
-/// so wiring a label derives its group from d records.
+/// wiring the readoff walks. The w-groups are not stored. For every digit
+/// α, αw is a rotation of wα, so N(αw) = N(wα), and the d necklaces a
+/// group of label w can hold are the d ids `membership[w·d .. w·d+d]`, one
+/// per digit. Its children are the necklaces whose Y is one of the nodes
+/// w·d+β, and its parent is the entry at the children's α_p, so wiring a
+/// label reads one block of d ids and d records.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TreeStage {
     /// Broadcast level per node: the forward BFS level from the root over
@@ -429,7 +403,7 @@ pub(crate) struct TreeStage {
     /// readoff tests this bitmap and computes every other step as a
     /// necklace rotation.
     pub(crate) exit_bits: Vec<u64>,
-    /// The w-group being wired: at most d children plus their parent.
+    /// The digits of the w-group being wired: at most d.
     group: Vec<u32>,
 }
 
@@ -445,9 +419,14 @@ impl TreeStage {
     /// Builds the stage from scratch out of the broadcast levels of a root
     /// on necklace `root_neck`, which a level-writing forward pass has
     /// left in `levels` (every node outside B* [`UNREACHED`]): rewrites every
-    /// necklace's record, and wires each w-group once, from its first
-    /// child. All-[`UNREACHED`] levels build the empty tree: no records,
-    /// no exits.
+    /// necklace's record, then wires every w-group once. At d ≥ 3 a group
+    /// is wired from its first child ([`TreeStage::wire`]). At d = 2 each
+    /// label has one child at most. A child's Y = wβ sits one level after
+    /// its parent node α_p·w, so α_p ≠ β: βw lies on Y's own necklace,
+    /// whose earliest member is Y. And w·α_p, at Y's level, is no Y: its
+    /// necklace holds α_p·w a level earlier. So each record wires its
+    /// group's two w-edges directly: βw enters w·α_p and α_p·w enters wβ.
+    /// All-[`UNREACHED`] levels build the empty tree: no records, no exits.
     pub(crate) fn build(&mut self, ffc: &Ffc, root_neck: usize) {
         let t = &ffc.tables;
         let words = t.n_nodes.div_ceil(64);
@@ -461,52 +440,77 @@ impl TreeStage {
         // is rewritten.
         self.root_neck = root_neck;
         for nid in 0..t.n_necks {
-            let _ = self.select(ffc, nid);
+            self.records[nid] = self.selected(ffc, nid);
         }
         self.exit_bits[..words].fill(0);
         self.digits[..digit_words].fill(0);
         for nid in 0..t.n_necks {
-            if let Some((label, _)) = self.edge(t.d, nid) {
-                self.wire(ffc, label, Some(nid as u32));
+            let TreeRecord { y, parent_digit } = self.records[nid];
+            if y == NONE {
+                continue;
+            }
+            let y = y as usize;
+            if t.d == 2 {
+                let (label, beta, alpha) = (y >> 1, y & 1, parent_digit as usize);
+                debug_assert_ne!(alpha, beta, "a d = 2 parent node shares Y's necklace");
+                self.link(t, label, beta, alpha);
+                self.link(t, label, alpha, beta);
+            } else {
+                self.wire(ffc, y / t.d, Some(nid as u32));
             }
         }
     }
 
     /// Re-selects necklace `nid`'s record over all its members from the
-    /// current levels and returns its tree edge — (label w, parent
-    /// necklace) — before and after. The root's necklace and a necklace
+    /// current levels and returns its tree edge — (label w, parent digit
+    /// α_p) — before and after. The root's necklace and a necklace
     /// outside B* (dead ones included) have no record. Otherwise Y is the
     /// member with the least [`TreeStage::key`] (reached first, ties to
     /// the minimal node), and the parent follows from Y
     /// ([`TreeStage::parent_of`]).
+    ///
+    /// The members' raw level bytes order as their levels do, except that
+    /// every escaped level reads as one byte, so the scan folds byte keys
+    /// and decodes only when the least byte is the escape byte. A necklace
+    /// lies wholly inside or outside B*, so its first member's byte says
+    /// which.
     pub(crate) fn select(&mut self, ffc: &Ffc, nid: usize) -> [Option<(usize, u32)>; 2] {
-        let t = &ffc.tables;
-        let old = self.edge(t.d, nid);
-        let levels = &self.levels;
+        let old = self.edge(ffc.tables.d, nid);
+        self.records[nid] = self.selected(ffc, nid);
+        [old, self.edge(ffc.tables.d, nid)]
+    }
+
+    /// Necklace `nid`'s record under the current levels: the selection of
+    /// [`TreeStage::select`].
+    fn selected(&self, ffc: &Ffc, nid: usize) -> TreeRecord {
+        let bytes = self.levels.as_bytes();
         let members = ffc.partition.members(nid);
-        let best = if nid == self.root_neck {
-            u64::MAX
-        } else {
+        let outside = bytes[members[0] as usize] == UNREACHED_U8;
+        debug_assert!(
             members
                 .iter()
+                .all(|&m| (bytes[m as usize] == UNREACHED_U8) == outside),
+            "necklace split by B*"
+        );
+        if outside || nid == self.root_neck {
+            return TreeRecord::NONE;
+        }
+        let byte_key = |m: u32| u64::from(bytes[m as usize]) << 32 | u64::from(m);
+        let mut best = members
+            .iter()
+            .map(|&m| byte_key(m))
+            .fold(u64::MAX, u64::min);
+        if (best >> 32) as u8 == ESCAPED_U8 {
+            best = members
+                .iter()
                 .map(|&m| self.key(m as usize))
-                .fold(u64::MAX, u64::min)
-        };
-        let lvl = (best >> 32) as u32;
-        self.records[nid] = if lvl == UNREACHED {
-            TreeRecord::NONE
-        } else {
-            debug_assert!(
-                members.iter().all(|&m| levels.get(m as usize) != UNREACHED),
-                "B* necklace member without a level"
-            );
-            let y = best as u32;
-            TreeRecord {
-                y,
-                parent: self.parent_of(ffc, y as usize, lvl),
-            }
-        };
-        [old, self.edge(t.d, nid)]
+                .fold(u64::MAX, u64::min);
+        }
+        let y = best as u32;
+        TreeRecord {
+            y,
+            parent_digit: self.parent_of(ffc, y as usize, (best >> 32) as u32),
+        }
     }
 
     /// Recomputes necklace `nid`'s parent from its current Y in O(d), with
@@ -515,27 +519,25 @@ impl TreeStage {
         let old = self.edge(ffc.tables.d, nid);
         let y = self.records[nid].y as usize;
         if y != NONE as usize {
-            self.records[nid].parent = self.parent_of(ffc, y, self.levels.get(y));
+            self.records[nid].parent_digit = self.parent_of(ffc, y, self.levels.get(y));
         }
         [old, self.edge(ffc.tables.d, nid)]
     }
 
-    /// The parent rule: the necklace of the minimal predecessor of `y`, a
-    /// chosen node at level `lvl`, one broadcast level up. It reads only
-    /// the levels of y's d predecessors.
+    /// The parent rule: the leading digit α_p of the minimal predecessor
+    /// α_p·w of `y`, a chosen node at level `lvl`, one broadcast level up.
+    /// It reads only the levels of y's d predecessors.
     #[inline]
     fn parent_of(&self, ffc: &Ffc, y: usize, lvl: u32) -> u32 {
         let t = &ffc.tables;
         debug_assert!(lvl >= 1, "non-root necklace reached at level 0");
         let label = y / t.d;
-        let parent = (0..t.d)
-            .map(|a| label + a * t.suffix_count)
-            .find(|&p| self.levels.get(p) == lvl - 1)
+        (0..t.d)
+            .find(|&a| self.levels.get(a * t.suffix_count + label) == lvl - 1)
             // PANIC-OK: Y was first reached at level lvl >= 1, so one
             // of its d predecessors sat on the frontier one level up;
             // the exhaustive engine-vs-reference suites pin it.
-            .expect("chosen node with no frontier predecessor");
-        ffc.partition.membership()[parent]
+            .expect("chosen node with no frontier predecessor") as u32
     }
 
     /// Whether member `u` of necklace `nid` would be chosen over its
@@ -548,12 +550,12 @@ impl TreeStage {
             && (y == NONE || self.key(u) < self.key(y as usize))
     }
 
-    /// Necklace `nid`'s record as (Y, parent), [`NONE`] for both when it
-    /// has none.
+    /// Necklace `nid`'s record as (Y, α_p), [`NONE`] for both when it has
+    /// none.
     #[cfg(test)]
     pub(crate) fn record(&self, nid: usize) -> (u32, u32) {
         let r = self.records[nid];
-        (r.y, r.parent)
+        (r.y, r.parent_digit)
     }
 
     /// Necklace `nid`'s Y, or [`NONE`] when it has no record.
@@ -569,10 +571,10 @@ impl TreeStage {
         (u64::from(self.levels.get(v)) << 32) | v as u64
     }
 
-    /// The tree edge of necklace `nid`'s record: (label, parent necklace).
+    /// The tree edge of necklace `nid`'s record: (label w, α_p).
     fn edge(&self, d: usize, nid: usize) -> Option<(usize, u32)> {
         let r = self.records[nid];
-        (r.y != NONE).then_some((r.y as usize / d, r.parent))
+        (r.y != NONE).then_some((r.y as usize / d, r.parent_digit))
     }
 
     /// Clears the exit bits and digits of `label`'s d possible exit nodes
@@ -595,47 +597,57 @@ impl TreeStage {
     /// wired only if necklace `from` is its first child (the one with the
     /// smallest Y), so a build that calls this for every child wires each
     /// group once.
+    ///
+    /// A member of the group is named by its digit α: its necklace is
+    /// N(αw) = `membership[w·d + α]`, its exit node is αw, and a w-edge
+    /// into it enters wα. Those ids ascend with the digit: for α < β each
+    /// rotation of wα is below the same rotation of wβ, so N(wα)'s
+    /// representative is below N(wβ)'s, and ids follow representatives.
+    /// So the group is the children's digits β and their α_p in digit
+    /// order, and each member's exit αw enters w·d + α′, with α′ the next
+    /// member's digit (wrapping).
     fn wire(&mut self, ffc: &Ffc, label: usize, from: Option<u32>) {
-        let (d, suffix) = (ffc.tables.d, ffc.tables.suffix_count);
-        let membership = ffc.partition.membership();
-        let Self {
-            levels,
-            records,
-            digits,
-            exit_bits,
-            group,
-            ..
-        } = self;
-        group.clear();
-        let mut insert = |nid: u32| group.insert(group.partition_point(|&m| m < nid), nid);
+        let t = &ffc.tables;
+        let base = label * t.d;
+        let block = &ffc.partition.membership()[base..base + t.d];
+        self.group.clear();
         let mut parent = NONE;
-        let base = label * d;
-        for (y, &nid) in (base..).zip(&membership[base..base + d]) {
-            let r = records[nid as usize];
-            if r.y as usize == y {
+        for (beta, &nid) in block.iter().enumerate() {
+            let r = self.records[nid as usize];
+            if r.y as usize == base + beta {
                 if parent == NONE && from.is_some_and(|f| f != nid) {
                     return;
                 }
                 debug_assert!(
-                    parent == NONE || parent == r.parent,
+                    parent == NONE || parent == r.parent_digit,
                     "T_w must have a single parent necklace (height-one property)"
                 );
-                parent = r.parent;
-                insert(nid);
+                parent = r.parent_digit;
+                self.group.push(beta as u32);
             }
         }
         if parent == NONE {
             return;
         }
-        insert(parent);
-        let width = DigitWidth::of(d);
-        for_each_w_edge(d, suffix, membership, label, group, |exit, beta| {
-            debug_assert!(
-                levels.get(label * d + beta) != UNREACHED,
-                "w-edge entry outside B*"
-            );
-            width.set(digits, exit, beta);
-            exit_bits[exit / 64] |= 1u64 << (exit % 64);
-        });
+        let at = self.group.partition_point(|&a| a < parent);
+        self.group.insert(at, parent);
+        let k = self.group.len();
+        for i in 0..k {
+            let (alpha, next) = (self.group[i], self.group[(i + 1) % k]);
+            self.link(t, label, alpha as usize, next as usize);
+        }
+    }
+
+    /// Wires the w-edge of D that leaves αw (w = `label`) for the entry
+    /// w·d + β: sets αw's exit bit and stores β as its digit.
+    #[inline]
+    fn link(&mut self, t: &EngineTables, label: usize, alpha: usize, beta: usize) {
+        debug_assert!(
+            self.levels.get(label * t.d + beta) != UNREACHED,
+            "w-edge entry outside B*"
+        );
+        let exit = alpha * t.suffix_count + label;
+        DigitWidth::of(t.d).set(&mut self.digits, exit, beta);
+        self.exit_bits[exit / 64] |= 1u64 << (exit % 64);
     }
 }

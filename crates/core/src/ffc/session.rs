@@ -10,8 +10,9 @@
 //!   too: one BFS *level* array from the root over the live graph (the
 //!   levels, not just the reachable bitmap, are the certificate that makes
 //!   node deletion repairable), one record per necklace (earliest member Y
-//!   and parent necklace; a label's w-group is derived from the records of
-//!   its d nodes w·d+β), and the exit bitmap and packed entry digits β
+//!   and the digit α_p of its parent node α_p·w; a label's w-group is
+//!   derived from the records of its d nodes w·d+β), and the exit bitmap
+//!   and packed entry digits β
 //!   from which the ring is walked on demand
 //!   ([`RingMaintainer::ring_into`]);
 //! * the B* membership bitmap, |B*| and the level histogram (the

@@ -748,3 +748,30 @@ fn incremental_forward_histogram_is_consistent() {
     let reachable: usize = counts.iter().sum();
     assert_eq!(reachable, maint.stats().component_size);
 }
+
+/// `TreeStage::select` on a necklace whose members all hold escaped
+/// levels (above the inline maximum, 253), least on a member other than
+/// the minimal one: every byte key carries the escape byte, so the
+/// selection re-folds over decoded levels and picks the least level, and
+/// the parent digit follows from that Y.
+#[test]
+fn select_decodes_escaped_levels() {
+    let ffc = Ffc::new(2, 6);
+    let mut stage = TreeStage::default();
+    stage.levels.grow(64);
+    // All levels UNREACHED: the empty tree, with necklace 0 as the root's.
+    stage.build(&ffc, 0);
+    let nid = ffc.partition().membership()[0b000111] as usize;
+    let members = ffc.necklace_members(nid).to_vec();
+    assert!(members.len() == 6 && members.contains(&0b111000));
+    for (k, &m) in members.iter().enumerate() {
+        let l = if m == 0b111000 { 300 } else { 400 + k as u32 };
+        stage.levels.set(m as usize, l);
+    }
+    // Y = 111000 has label w = 11100; its predecessors are 011100 (on
+    // Y's own necklace, level 400+) and 111100, which is one level up.
+    stage.levels.set(0b111100, 299);
+    let edges = stage.select(&ffc, nid);
+    assert_eq!(stage.record(nid), (0b111000, 1));
+    assert_eq!(edges, [None, Some((0b11100, 1))]);
+}

@@ -17,8 +17,9 @@ pub const UNREACHED: u32 = u32::MAX;
 pub const UNREACHED_U8: u8 = 0xFF;
 
 /// Byte marking a level too large for inline u8 storage; the exact value
-/// lives in the [`LevelVec`]'s overflow side table.
-const ESCAPED_U8: u8 = 0xFE;
+/// lives in the [`LevelVec`]'s overflow side table. The three byte classes
+/// sort as their levels do: inline < escaped < [`UNREACHED_U8`].
+pub(crate) const ESCAPED_U8: u8 = 0xFE;
 
 /// Largest level stored inline as a byte. BFS levels are bounded by the
 /// component diameter, which fits a byte on every practical shape — the
@@ -27,6 +28,25 @@ const ESCAPED_U8: u8 = 0xFE;
 /// climb one level at a time toward `n_nodes` before settling at
 /// [`UNREACHED`].
 const MAX_INLINE_LEVEL: u32 = 0xFD;
+
+/// The byte-lane masks of [`LevelVec::set_word`]: entry `b` holds 0xFF in
+/// byte lane `i` of a u64 for every set bit `i` of `b`, so one byte of a
+/// bitmap word selects the level bytes of its eight nodes.
+const LANES: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            if b >> i & 1 == 1 {
+                table[b] |= 0xFF << (8 * i);
+            }
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// Overflow slots reserved up front so the common repair paths (whose
 /// levels never escape) keep the engine's no-allocation-after-warm-up
@@ -148,6 +168,36 @@ impl LevelVec {
             self.bytes[i] = UNREACHED_U8;
         } else {
             self.set_escaped(i, l);
+        }
+    }
+
+    /// Sets the level of node 64·`j` + i to `l` for every set bit i of
+    /// `word`; the other slots keep their bytes. This is [`LevelVec::set`]
+    /// for a whole bitmap word, the write of a dense BFS frontier. An
+    /// inline level goes out as eight masked u64 stores, one per byte of
+    /// `word`, each mask read from a 256-entry byte-lane table. A level
+    /// above the inline maximum (253), or a word reaching past the last
+    /// slot, takes one `set` per bit.
+    #[inline]
+    pub fn set_word(&mut self, j: usize, word: u64, l: u32) {
+        let base = 64 * j;
+        if l > MAX_INLINE_LEVEL || base + 64 > self.bytes.len() {
+            let mut w = word;
+            while w != 0 {
+                self.set(base + w.trailing_zeros() as usize, l);
+                w &= w - 1;
+            }
+            return;
+        }
+        if !self.overflow.is_empty() {
+            self.overflow
+                .retain(|&(v, _)| v as usize / 64 != j || word >> (v % 64) & 1 == 0);
+        }
+        let fill = u64::from(l) * 0x0101_0101_0101_0101;
+        let (lanes, _) = self.bytes[base..base + 64].as_chunks_mut::<8>();
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            let mask = LANES[(word >> (8 * k)) as u8 as usize];
+            *lane = (u64::from_le_bytes(*lane) & !mask | fill & mask).to_le_bytes();
         }
     }
 
@@ -313,6 +363,79 @@ mod tests {
         }
         lv.set(2, UNREACHED);
         assert_eq!(lv.overflow_len(), 0);
+    }
+
+    /// A background of inline levels, [`UNREACHED`] and escaped levels
+    /// over `len` slots.
+    fn mixed_levels(len: usize) -> LevelVec {
+        let mut lv = LevelVec::new();
+        lv.grow(len);
+        for i in 0..len {
+            match i % 5 {
+                0 => lv.set(i, (i % 200) as u32),
+                1 => lv.set(i, 300 + i as u32),
+                2 => lv.set(i, MAX_INLINE_LEVEL),
+                _ => {}
+            }
+        }
+        lv
+    }
+
+    /// Per-node [`LevelVec::set`] over the set bits of `word`: the
+    /// definition [`LevelVec::set_word`] is held to.
+    fn set_bits(lv: &mut LevelVec, j: usize, word: u64, l: u32) {
+        (0..64)
+            .filter(|&i| word >> i & 1 == 1)
+            .for_each(|i| lv.set(64 * j + i, l));
+    }
+
+    /// Same levels slot for slot, same escape bytes and the same side
+    /// table up to order.
+    fn assert_same(got: &LevelVec, want: &LevelVec, ctx: &str) {
+        assert_eq!(got.as_bytes(), want.as_bytes(), "{ctx}");
+        let sorted = |lv: &LevelVec| {
+            let mut o = lv.overflow().to_vec();
+            o.sort_unstable();
+            o
+        };
+        assert_eq!(sorted(got), sorted(want), "{ctx}");
+        assert!((0..got.len()).all(|i| got.get(i) == want.get(i)), "{ctx}");
+    }
+
+    #[test]
+    fn set_word_matches_per_node_set() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut words: Vec<u64> = (0..64).map(|i| 1u64 << i).collect();
+        words.extend([0, u64::MAX]);
+        words.extend((0..64).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }));
+        // Inline levels, the inline maximum, escaped levels and UNREACHED.
+        let levels = [0, 1, 7, MAX_INLINE_LEVEL, 254, 1000, UNREACHED];
+        for (k, &word) in words.iter().enumerate() {
+            for &l in &levels {
+                let j = k % 4;
+                let (mut got, mut want) = (mixed_levels(256), mixed_levels(256));
+                got.set_word(j, word, l);
+                set_bits(&mut want, j, word, l);
+                assert_same(&got, &want, &format!("word {word:#x} level {l}"));
+            }
+        }
+    }
+
+    #[test]
+    fn set_word_past_the_last_slot_matches_per_node_set() {
+        // 100 slots: word 1 covers slots 64..100 only.
+        let word = u64::MAX >> 28;
+        for l in [3, MAX_INLINE_LEVEL, 600] {
+            let (mut got, mut want) = (mixed_levels(100), mixed_levels(100));
+            got.set_word(1, word, l);
+            set_bits(&mut want, 1, word, l);
+            assert_same(&got, &want, &format!("level {l}"));
+        }
     }
 
     #[test]
