@@ -31,13 +31,10 @@
 //!   records `setup_ns`, the `stats_only` comparison, and `batch` rows
 //!   whose `speedup` is vs the serial **u8-stamp** loop (the PR 2 engine
 //!   this PR replaces).
-//! * **Full-ring tiers** (`"mode": "full"`) — B(2,16), B(2,18), B(2,20),
-//!   B(2,22) and B(4,8): `embed_ns` / `embeds_per_sec` of the full
-//!   `embed_into` pipeline over the trial schedule, with the first trial's
-//!   cycle verified as a de Bruijn ring that avoids its faults. The d = 2
-//!   tree stage wires each record's two w-edges directly; B(4,8) (65,536
-//!   nodes, kept under `--smoke`) times the block rule every d ≥ 3 wiring
-//!   runs.
+//! * **Full-ring tiers** (`"mode": "full"`) — B(2,16), B(2,18), B(2,20)
+//!   and B(2,22): `embed_ns` / `embeds_per_sec` of the full `embed_into`
+//!   pipeline over the trial schedule, with the first trial's cycle
+//!   verified as a de Bruijn ring that avoids its faults.
 //! * **Incremental tiers** (`"mode": "incremental"`) — B(2,16), B(2,18),
 //!   B(2,20) and B(2,22): single-fault repair on the `RingMaintainer`
 //!   (`add_fault` + `clear_fault` events over random single faults)
@@ -805,7 +802,6 @@ fn main() {
         ring_tier(2, 18, 16, true),
         ring_tier(2, 20, 6, true),
         ring_tier(2, 22, 4, true),
-        ring_tier(4, 8, 60, false),
         incr_tier(2, 16, 60, false),
         incr_tier(2, 18, 16, true),
         incr_tier(2, 20, 6, true),

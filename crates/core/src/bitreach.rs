@@ -73,7 +73,7 @@
 //! turn the dense → sparse switch and the dense level emission into
 //! two-level skip-scans ([`extract_bits_skip`]) that touch only occupied
 //! words (the emission writes each such word's levels at once,
-//! [`LevelVec::set_word`]), and the fault mask keeps one so that a
+//! `LevelVec::set_word`), and the fault mask keeps one so that a
 //! re-prepare clears only the words a kill dirtied. Per-node level arrays
 //! use the compact one-byte [`LevelVec`] (levels are diameter-bounded,
 //! with an escape table for the transient deeper ones) behind the
@@ -772,7 +772,7 @@ impl BitReach {
     /// into `levels` (grown to the node space; every other slot
     /// [`UNREACHED`]): identical visited set, count and depth. A dense
     /// level is written one bitmap word at a time
-    /// ([`LevelVec::set_word`]), a sparse one node by node. This is the
+    /// (`LevelVec::set_word`), a sparse one node by node. This is the
     /// pass `Ffc::embed_into` writes its tree stage's levels with.
     pub fn forward_levels(
         &self,

@@ -27,7 +27,7 @@
 //! node list.
 
 use super::{EmbedScratch, EmbedStats, EngineTables, Ffc, INFEASIBLE_ROOT, NONE};
-use crate::mem::{grow_to, reserve_more, LevelVec, ESCAPED_U8, UNREACHED, UNREACHED_U8};
+use crate::mem::{grow_to, reserve_more, LevelVec, UNREACHED};
 
 impl Ffc {
     /// Embeds a fault-free cycle avoiding `faulty_nodes` using `scratch`
@@ -426,7 +426,9 @@ impl TreeStage {
     /// whose earliest member is Y. And w·α_p, at Y's level, is no Y: its
     /// necklace holds α_p·w a level earlier. So each record wires its
     /// group's two w-edges directly: βw enters w·α_p and α_p·w enters wβ.
-    /// All-[`UNREACHED`] levels build the empty tree: no records, no exits.
+    /// That reads neither the membership block nor a sibling's record, as
+    /// the block rule would. All-[`UNREACHED`] levels build the empty
+    /// tree: no records, no exits.
     pub(crate) fn build(&mut self, ffc: &Ffc, root_neck: usize) {
         let t = &ffc.tables;
         let words = t.n_nodes.div_ceil(64);
@@ -464,16 +466,11 @@ impl TreeStage {
     /// Re-selects necklace `nid`'s record over all its members from the
     /// current levels and returns its tree edge — (label w, parent digit
     /// α_p) — before and after. The root's necklace and a necklace
-    /// outside B* (dead ones included) have no record. Otherwise Y is the
-    /// member with the least [`TreeStage::key`] (reached first, ties to
-    /// the minimal node), and the parent follows from Y
-    /// ([`TreeStage::parent_of`]).
-    ///
-    /// The members' raw level bytes order as their levels do, except that
-    /// every escaped level reads as one byte, so the scan folds byte keys
-    /// and decodes only when the least byte is the escape byte. A necklace
-    /// lies wholly inside or outside B*, so its first member's byte says
-    /// which.
+    /// outside B* (dead ones included) have no record; a necklace lies
+    /// wholly inside or outside B*, so its first member says which.
+    /// Otherwise Y is the member with the least [`TreeStage::key`]
+    /// (reached first, ties to the minimal node; [`LevelVec::min_key`]),
+    /// and the parent follows from Y ([`TreeStage::parent_of`]).
     pub(crate) fn select(&mut self, ffc: &Ffc, nid: usize) -> [Option<(usize, u32)>; 2] {
         let old = self.edge(ffc.tables.d, nid);
         self.records[nid] = self.selected(ffc, nid);
@@ -483,29 +480,19 @@ impl TreeStage {
     /// Necklace `nid`'s record under the current levels: the selection of
     /// [`TreeStage::select`].
     fn selected(&self, ffc: &Ffc, nid: usize) -> TreeRecord {
-        let bytes = self.levels.as_bytes();
+        let levels = &self.levels;
         let members = ffc.partition.members(nid);
-        let outside = bytes[members[0] as usize] == UNREACHED_U8;
+        let outside = levels.is_unreached(members[0] as usize);
         debug_assert!(
             members
                 .iter()
-                .all(|&m| (bytes[m as usize] == UNREACHED_U8) == outside),
+                .all(|&m| levels.is_unreached(m as usize) == outside),
             "necklace split by B*"
         );
         if outside || nid == self.root_neck {
             return TreeRecord::NONE;
         }
-        let byte_key = |m: u32| u64::from(bytes[m as usize]) << 32 | u64::from(m);
-        let mut best = members
-            .iter()
-            .map(|&m| byte_key(m))
-            .fold(u64::MAX, u64::min);
-        if (best >> 32) as u8 == ESCAPED_U8 {
-            best = members
-                .iter()
-                .map(|&m| self.key(m as usize))
-                .fold(u64::MAX, u64::min);
-        }
+        let best = levels.min_key(members);
         let y = best as u32;
         TreeRecord {
             y,
@@ -610,6 +597,10 @@ impl TreeStage {
         let t = &ffc.tables;
         let base = label * t.d;
         let block = &ffc.partition.membership()[base..base + t.d];
+        debug_assert!(
+            block.windows(2).all(|p| p[0] < p[1]),
+            "w-group ids must ascend with the digit"
+        );
         self.group.clear();
         let mut parent = NONE;
         for (beta, &nid) in block.iter().enumerate() {

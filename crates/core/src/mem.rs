@@ -19,7 +19,7 @@ pub const UNREACHED_U8: u8 = 0xFF;
 /// Byte marking a level too large for inline u8 storage; the exact value
 /// lives in the [`LevelVec`]'s overflow side table. The three byte classes
 /// sort as their levels do: inline < escaped < [`UNREACHED_U8`].
-pub(crate) const ESCAPED_U8: u8 = 0xFE;
+const ESCAPED_U8: u8 = 0xFE;
 
 /// Largest level stored inline as a byte. BFS levels are bounded by the
 /// component diameter, which fits a byte on every practical shape — the
@@ -175,13 +175,18 @@ impl LevelVec {
     /// `word`; the other slots keep their bytes. This is [`LevelVec::set`]
     /// for a whole bitmap word, the write of a dense BFS frontier. An
     /// inline level goes out as eight masked u64 stores, one per byte of
-    /// `word`, each mask read from a 256-entry byte-lane table. A level
-    /// above the inline maximum (253), or a word reaching past the last
-    /// slot, takes one `set` per bit.
+    /// `word`, each mask read from a 256-entry byte-lane table; a level
+    /// above the inline maximum (253) takes one `set` per bit.
+    ///
+    /// The masked stores expect the word to lie within the array and the
+    /// side table to be empty. A level pass gives both: its frontiers are
+    /// dense only on word-aligned shapes, and it starts from an all-
+    /// [`UNREACHED`] array and writes ascending levels, so nothing is
+    /// escaped before its first level above the inline maximum.
     #[inline]
-    pub fn set_word(&mut self, j: usize, word: u64, l: u32) {
+    pub(crate) fn set_word(&mut self, j: usize, word: u64, l: u32) {
         let base = 64 * j;
-        if l > MAX_INLINE_LEVEL || base + 64 > self.bytes.len() {
+        if l > MAX_INLINE_LEVEL {
             let mut w = word;
             while w != 0 {
                 self.set(base + w.trailing_zeros() as usize, l);
@@ -189,10 +194,11 @@ impl LevelVec {
             }
             return;
         }
-        if !self.overflow.is_empty() {
-            self.overflow
-                .retain(|&(v, _)| v as usize / 64 != j || word >> (v % 64) & 1 == 0);
-        }
+        debug_assert!(base + 64 <= self.bytes.len(), "word {j} past the last slot");
+        debug_assert!(
+            self.overflow.is_empty(),
+            "inline word write beside escaped levels"
+        );
         let fill = u64::from(l) * 0x0101_0101_0101_0101;
         let (lanes, _) = self.bytes[base..base + 64].as_chunks_mut::<8>();
         for (k, lane) in lanes.iter_mut().enumerate() {
@@ -212,6 +218,33 @@ impl LevelVec {
         if let Some(pos) = self.overflow.iter().position(|&(n, _)| n as usize == i) {
             self.overflow.swap_remove(pos);
         }
+    }
+
+    /// Whether node `i` is outside the structure ([`UNREACHED`]).
+    #[inline]
+    pub(crate) fn is_unreached(&self, i: usize) -> bool {
+        self.bytes[i] == UNREACHED_U8
+    }
+
+    /// The least key `level << 32 | node` over `nodes` (`u64::MAX` for
+    /// none). The raw bytes order as their levels do, except that every
+    /// escaped level reads as the one escape byte and [`UNREACHED`] as
+    /// [`UNREACHED_U8`], so the scan folds byte keys and decodes only when
+    /// the least byte is one of those two.
+    #[inline]
+    pub(crate) fn min_key(&self, nodes: &[u32]) -> u64 {
+        let key = |l: u32, v: u32| u64::from(l) << 32 | u64::from(v);
+        let best = nodes
+            .iter()
+            .map(|&v| key(u32::from(self.bytes[v as usize]), v))
+            .fold(u64::MAX, u64::min);
+        if (best >> 32) < u64::from(ESCAPED_U8) {
+            return best;
+        }
+        nodes
+            .iter()
+            .map(|&v| key(self.get(v as usize), v))
+            .fold(u64::MAX, u64::min)
     }
 
     /// The escaped entries as (node, level) pairs, for readers of
@@ -365,16 +398,15 @@ mod tests {
         assert_eq!(lv.overflow_len(), 0);
     }
 
-    /// A background of inline levels, [`UNREACHED`] and escaped levels
-    /// over `len` slots.
+    /// A background of inline levels and [`UNREACHED`] over `len` slots:
+    /// the array a level pass writes its inline levels into.
     fn mixed_levels(len: usize) -> LevelVec {
         let mut lv = LevelVec::new();
         lv.grow(len);
         for i in 0..len {
-            match i % 5 {
+            match i % 3 {
                 0 => lv.set(i, (i % 200) as u32),
-                1 => lv.set(i, 300 + i as u32),
-                2 => lv.set(i, MAX_INLINE_LEVEL),
+                1 => lv.set(i, MAX_INLINE_LEVEL),
                 _ => {}
             }
         }
@@ -427,14 +459,30 @@ mod tests {
     }
 
     #[test]
-    fn set_word_past_the_last_slot_matches_per_node_set() {
-        // 100 slots: word 1 covers slots 64..100 only.
-        let word = u64::MAX >> 28;
-        for l in [3, MAX_INLINE_LEVEL, 600] {
-            let (mut got, mut want) = (mixed_levels(100), mixed_levels(100));
-            got.set_word(1, word, l);
-            set_bits(&mut want, 1, word, l);
-            assert_same(&got, &want, &format!("level {l}"));
+    fn min_key_matches_the_decoded_fold() {
+        let mut lv = LevelVec::new();
+        lv.grow(8);
+        for (i, l) in [(1, 300), (2, 254), (3, 5), (4, 5), (6, 0), (7, 1000)] {
+            lv.set(i, l);
+        }
+        let decoded = |nodes: &[u32]| {
+            nodes
+                .iter()
+                .map(|&v| u64::from(lv.get(v as usize)) << 32 | u64::from(v))
+                .fold(u64::MAX, u64::min)
+        };
+        let sets: [&[u32]; 8] = [
+            &[],
+            &[0],
+            &[5, 0],
+            &[7, 1, 2],
+            &[0, 7, 1],
+            &[4, 3, 1],
+            &[0, 2, 6],
+            &[0, 1, 2, 3, 4, 5, 6, 7],
+        ];
+        for nodes in sets {
+            assert_eq!(lv.min_key(nodes), decoded(nodes), "{nodes:?}");
         }
     }
 

@@ -161,7 +161,8 @@ impl NecklacePartition {
     /// The raw word → necklace-id table, indexed by word code. Exposed so
     /// hot paths (the FFC embedding engine, the distributed protocol) can
     /// do flat-array lookups without going through `id_of`'s `usize`
-    /// conversions per call.
+    /// conversions per call. Ids number the necklaces by increasing
+    /// representative, so a word of lower representative has a lower id.
     #[must_use]
     pub fn membership(&self) -> &[u32] {
         &self.membership
