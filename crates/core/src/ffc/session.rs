@@ -339,10 +339,11 @@ pub struct RingMaintainer {
     component_size: usize,
     /// The forward BFS levels from the root over live nodes ([`UNREACHED`]
     /// outside B*) in the compact one-byte-per-node encoding, which are
-    /// the broadcast levels (published into snapshots as the level group);
-    /// the per-necklace tree records; and the exit bitmap and packed entry
-    /// digits the ring is walked from (published as the ring group).
-    tree: TreeStage,
+    /// the broadcast levels and the repair certificate (kept here, never
+    /// published); the per-necklace tree records; and the exit bitmap and
+    /// packed entry digits the ring is walked from (published as the ring
+    /// group).
+    pub(super) tree: TreeStage,
     /// Histogram of the levels (eccentricity = the last non-zero bin),
     /// filled by the rebuild's forward pass and kept by the delta path.
     level_counts: Vec<u32>,
@@ -354,9 +355,6 @@ pub struct RingMaintainer {
     /// Snapshot chunks whose `bstar_bits` changed since the last
     /// publication: the logged nodes that joined or left B*.
     snap_bstar_dirty: ChunkMask,
-    /// Snapshot chunks whose levels changed since the last publication:
-    /// the nodes of the delta passes' change log.
-    snap_level_dirty: ChunkMask,
     // -- reusable machinery --
     /// The bit engine's buffers. Its fault mask is the maintainer's only
     /// liveness record: `exclude` and `include` kill and revive necklace
@@ -513,16 +511,13 @@ impl RingMaintainer {
             stats: self.stats(),
             ring_dirty: &self.snap_ring_dirty,
             bstar_dirty: &self.snap_bstar_dirty,
-            level_dirty: &self.snap_level_dirty,
             digits: &self.tree.digits[..digit_words],
             exit_bits: &self.tree.exit_bits[..words],
             bstar_bits: &self.bstar_bits[..words],
-            bcast_level: &self.tree.levels,
             applied_events,
         });
         self.snap_ring_dirty.clear();
         self.snap_bstar_dirty.clear();
-        self.snap_level_dirty.clear();
         Ok(snap)
     }
 
@@ -531,7 +526,6 @@ impl RingMaintainer {
     fn dirty_all_chunks(&mut self) {
         self.snap_ring_dirty.mark_all();
         self.snap_bstar_dirty.mark_all();
-        self.snap_level_dirty.mark_all();
     }
 
     /// Bytes currently reserved by the per-node level array — the
@@ -569,7 +563,6 @@ impl RingMaintainer {
             + self.delta.allocated_bytes()
             + self.snap_ring_dirty.allocated_bytes()
             + self.snap_bstar_dirty.allocated_bytes()
-            + self.snap_level_dirty.allocated_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -621,7 +614,6 @@ impl RingMaintainer {
         self.bstar_bits[..n.div_ceil(64)].fill(0);
         self.snap_ring_dirty.fit(n);
         self.snap_bstar_dirty.fit(n);
-        self.snap_level_dirty.fit(n);
         self.dirty_all_chunks();
         self.initialized = true;
     }
@@ -917,7 +909,6 @@ impl RingMaintainer {
             level_counts,
             max_level,
             snap_bstar_dirty,
-            snap_level_dirty,
             neck_marks,
             dirty_necks,
             label_marks,
@@ -940,7 +931,6 @@ impl RingMaintainer {
         };
         for (u, old) in delta.changed() {
             let u = u as usize;
-            snap_level_dirty.mark(u);
             let new = tree.levels.get(u);
             if (old == UNREACHED) != (new == UNREACHED) {
                 bstar_bits[u / 64] ^= 1u64 << (u % 64);

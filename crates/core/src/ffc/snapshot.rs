@@ -4,21 +4,22 @@
 //! [`super::RingMaintainer`] is the *mutable* half of the embedding state:
 //! delta passes rewrite its levels, records and wiring in place. A
 //! [`RingSnapshot`] is the immutable read-side view carved off it — ring
-//! membership, the exit bitmap and entry digits, broadcast levels, root
-//! and stats, everything a reader needs to answer
-//! `successor`/`contains`/ring-walk queries — frozen behind `Arc`s so any
-//! number of readers can hold it while repairs continue on the maintainer.
+//! membership, the exit bitmap and entry digits, root and stats,
+//! everything a reader needs to answer `successor`/`contains`/ring-walk
+//! queries — frozen behind `Arc`s so any number of readers can hold it
+//! while repairs continue on the maintainer. The broadcast levels stay
+//! with the maintainer: they are its repair certificate, and no read
+//! needs them.
 //!
 //! A snapshot is cut into chunks of `CHUNK_NODES` (2048) consecutive node
-//! ids, in three groups:
+//! ids, in two groups:
 //!
 //! * a record of the chunk's membership and exit words, **interleaved**
 //!   word by word, so `contains` plus the exit test of `successor` read one
 //!   cache line;
 //! * the packed entry digits: a w-exit αw's successor is w·d+β, so the
 //!   chunk stores β in b bits per node (b the smallest power of two
-//!   ≥ ⌈log2 d⌉: 256 B per chunk at d = 2), zero at every non-exit node;
-//! * the broadcast levels in the compact one-byte [`LevelVec`] encoding.
+//!   ≥ ⌈log2 d⌉: 256 B per chunk at d = 2), zero at every non-exit node.
 //!
 //! Each group stores its chunks in **segments**: immutable `Arc<[_]>`
 //! blocks of chunks, at most `MAX_SEGMENTS` (64) per group, shared between
@@ -27,9 +28,8 @@
 //! costs one table load and one load from the small segment list before
 //! the chunk itself.
 //!
-//! The maintainer marks, per structure group (membership, ring wiring,
-//! broadcast levels), the chunks a repair dirtied, from change logs it keeps
-//! anyway. [`SnapshotPublisher`] writes exactly those chunks, once each,
+//! The maintainer marks, per structure group (membership, ring wiring),
+//! the chunks a repair dirtied, from change logs it keeps anyway. [`SnapshotPublisher`] writes exactly those chunks, once each,
 //! into one new segment per group, copies the previous location table and
 //! points the dirty chunks at their new slots; every other chunk stays
 //! where it was. A publication thus costs the dirty chunks' copies, a
@@ -61,8 +61,7 @@ use std::sync::Arc;
 use super::phases::{ring_step, DigitWidth};
 use super::session::RepairOutcome;
 use super::{EmbedStats, INFEASIBLE_ROOT};
-use crate::bitreach::{LevelVec, UNREACHED};
-use crate::mem::{decode_level, grow_to, UNREACHED_U8};
+use crate::mem::grow_to;
 
 /// Log2 of [`CHUNK_NODES`].
 const CHUNK_SHIFT: u32 = 11;
@@ -90,7 +89,6 @@ const SEG_MASK: u32 = (1 << SEG_BITS) - 1;
 
 /// One chunk's bitmaps: `[membership, exit]` per 64 nodes.
 type BitsChunk = [[u64; 2]; CHUNK_WORDS];
-type LevelChunk = [u8; CHUNK_NODES];
 /// Per-chunk dirty bits of one snapshot group, marked by node id. The
 /// maintainer keeps one per group and clears them after each publication.
 #[derive(Clone, Debug, Default)]
@@ -175,10 +173,12 @@ impl std::fmt::Display for LookupError {
 impl std::error::Error for LookupError {}
 
 /// One immutable generation of the maintained ring: everything the read
-/// path needs, in segments shared behind `Arc`s. Cheap to clone (one
-/// location table per group and one refcount bump per segment); safe to
-/// hold across any number of subsequent repairs — the segments it
-/// references are never mutated after publication.
+/// path needs — the membership/exit records and the entry digits, two
+/// chunk groups in segments shared behind `Arc`s — and no broadcast
+/// levels, which stay with the maintainer. Cheap to clone (one location
+/// table per group and one refcount bump per segment); safe to hold
+/// across any number of subsequent repairs — the segments it references
+/// are never mutated after publication.
 #[derive(Clone)]
 pub struct RingSnapshot {
     pub(crate) d: usize,
@@ -196,14 +196,9 @@ pub struct RingSnapshot {
     /// One segment table per group: node `v` lives in chunk
     /// `v / CHUNK_NODES` of each. A `bits` chunk is rewritten when the
     /// membership or the ring group dirtied it, a `digits` chunk (a run of
-    /// `DigitWidth::words(CHUNK_NODES)` words) when the ring group did, a
-    /// `levels` chunk when the level group did.
+    /// `DigitWidth::words(CHUNK_NODES)` words) when the ring group did.
     bits: Segments<BitsChunk>,
     digits: Segments<u64>,
-    levels: Segments<LevelChunk>,
-    /// Broadcast levels too large for the byte encoding, as (node, level)
-    /// pairs — empty in steady state (see [`LevelVec`]).
-    level_overflow: Vec<(u32, u32)>,
 }
 
 impl RingSnapshot {
@@ -250,10 +245,7 @@ impl RingSnapshot {
     /// the read side's footprint.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
-        self.bits.allocated_bytes()
-            + self.digits.allocated_bytes()
-            + self.levels.allocated_bytes()
-            + 8 * self.level_overflow.capacity()
+        self.bits.allocated_bytes() + self.digits.allocated_bytes()
     }
 
     /// Classifies the snapshot's state exactly like
@@ -301,19 +293,6 @@ impl RingSnapshot {
     pub fn contains(&self, u: usize) -> Result<bool, LookupError> {
         self.check_node(u)?;
         Ok(self.on_ring(u))
-    }
-
-    /// The broadcast level of `u` at publication time: its distance from
-    /// the ring root in the surviving component, or `None` for a node off
-    /// the broadcast tree (faulty or disconnected).
-    ///
-    /// # Errors
-    /// [`LookupError::NodeOutOfRange`] for an id outside the graph.
-    pub fn broadcast_level(&self, u: usize) -> Result<Option<u32>, LookupError> {
-        self.check_node(u)?;
-        let (seg, slot) = self.levels.locate(u >> CHUNK_SHIFT);
-        let l = decode_level(seg[slot][u & CHUNK_MASK], u, &self.level_overflow);
-        Ok((l != UNREACHED).then_some(l))
     }
 
     /// The ring successor of `u`: the next node the embedded cycle visits.
@@ -413,14 +392,11 @@ pub(crate) struct SnapshotParts<'a> {
     pub ring_dirty: &'a ChunkMask,
     /// Chunks whose `bstar_bits` changed since the last publication.
     pub bstar_dirty: &'a ChunkMask,
-    /// Chunks whose `bcast_level` changed since the last publication.
-    pub level_dirty: &'a ChunkMask,
     /// The packed entry digits, `DigitWidth::words(n_nodes)` words.
     pub digits: &'a [u64],
     /// `n_nodes.div_ceil(64)` words, like `bstar_bits`.
     pub exit_bits: &'a [u64],
     pub bstar_bits: &'a [u64],
-    pub bcast_level: &'a LevelVec,
     pub applied_events: u64,
 }
 
@@ -436,7 +412,6 @@ pub struct SnapshotPublisher {
     publications: u64,
     shared_ring: u64,
     shared_membership: u64,
-    shared_levels: u64,
     tally: Tally,
 }
 
@@ -466,16 +441,10 @@ impl SnapshotPublisher {
         self.shared_membership
     }
 
-    /// Publications that dirtied no chunk of the broadcast levels.
-    #[must_use]
-    pub fn shared_levels(&self) -> u64 {
-        self.shared_levels
-    }
-
     /// Dirty-chunk copies over all publications: a dirty chunk costs one
     /// copy in each group it touches (membership/exit record, entry
-    /// digits, levels). A first publication copies every chunk of all
-    /// three groups; later ones copy only what repairs dirtied, which is
+    /// digits). A first publication copies every chunk of both groups;
+    /// later ones copy only what repairs dirtied, which is
     /// what makes publication O(cone) rather than O(n). Chunks moved only
     /// to retire a segment are counted by
     /// [`SnapshotPublisher::forwarded_chunks`] instead.
@@ -535,24 +504,9 @@ impl SnapshotPublisher {
             |c, k| parts.digits.get(c * digit_words + k).copied().unwrap_or(0),
             tally,
         );
-        let levels = Segments::publish::<MAX_SEGMENTS>(
-            prev.map(|p| &p.levels),
-            n_chunks,
-            0,
-            |i| parts.level_dirty.word(i),
-            |c, _| {
-                let bytes = parts.bcast_level.as_bytes();
-                padded(
-                    &bytes[c * CHUNK_NODES..((c + 1) * CHUNK_NODES).min(n)],
-                    UNREACHED_U8,
-                )
-            },
-            tally,
-        );
         if prev.is_some() {
             self.shared_ring += u64::from(!parts.ring_dirty.any());
             self.shared_membership += u64::from(!parts.bstar_dirty.any());
-            self.shared_levels += u64::from(!parts.level_dirty.any());
         }
         self.publications += 1;
         let snap = Arc::new(RingSnapshot {
@@ -565,8 +519,6 @@ impl SnapshotPublisher {
             stats: parts.stats,
             bits,
             digits,
-            levels,
-            level_overflow: parts.bcast_level.overflow().to_vec(),
         });
         self.prev = Some(Arc::clone(&snap));
         snap
@@ -779,16 +731,6 @@ fn interleave(members: &[u64], exits: &[u64]) -> BitsChunk {
     rec
 }
 
-/// One chunk's worth of `src`: a full chunk as it is, the graph's short
-/// last chunk padded with `pad`.
-fn padded<T: Copy, const N: usize>(src: &[T], pad: T) -> [T; N] {
-    src.try_into().unwrap_or_else(|_| {
-        let mut buf = [pad; N];
-        buf[..src.len()].copy_from_slice(src);
-        buf
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{FaultEvent, Ffc, RingMaintainer};
@@ -872,29 +814,26 @@ mod tests {
         let first = maint.publish(&mut publisher, 0).expect("publish");
         assert_eq!(
             publisher.copied_chunks(),
-            3,
+            2,
             "a first publication copies all"
         );
         // No events in between: everything is clean and shared.
         let second = maint.publish(&mut publisher, 0).expect("publish");
         assert!(Arc::ptr_eq(&first.bits.segs[0], &second.bits.segs[0]));
         assert!(Arc::ptr_eq(&first.digits.segs[0], &second.digits.segs[0]));
-        assert!(Arc::ptr_eq(&first.levels.segs[0], &second.levels.segs[0]));
-        assert_eq!(publisher.copied_chunks(), 3);
+        assert_eq!(publisher.copied_chunks(), 2);
         assert_eq!(publisher.forwarded_chunks(), 0);
         assert_eq!(publisher.shared_ring(), 1);
         assert_eq!(publisher.shared_membership(), 1);
-        assert_eq!(publisher.shared_levels(), 1);
         // A topology-changing event dirties the chunk in every group.
         maint
             .apply_batch(&ffc, &[FaultEvent::NodeDown(5)])
             .expect("repair");
         let third = maint.publish(&mut publisher, 1).expect("publish");
         assert!(!same_chunk(&second.bits, &third.bits, 0));
-        assert!(!same_chunk(&second.levels, &third.levels, 0));
         // The one chunk left its segment, so the old segment is dropped
         // rather than forwarded.
-        assert_eq!(third.levels.segs.len(), 1);
+        assert_eq!(third.bits.segs.len(), 1);
         assert_eq!(publisher.forwarded_chunks(), 0);
         assert_eq!(third.seq(), 3);
         assert_eq!(third.applied_events(), 1);
@@ -911,7 +850,7 @@ mod tests {
         let mut publisher = SnapshotPublisher::new();
         let before = maint.publish(&mut publisher, 0).expect("publish");
         let full = publisher.copied_chunks();
-        assert_eq!(full, 3 * chunks as u64);
+        assert_eq!(full, 2 * chunks as u64);
         maint.add_fault(&ffc, 12_345).expect("repair");
         let after = maint.publish(&mut publisher, 1).expect("publish");
         let copied = publisher.copied_chunks() - full;
@@ -920,8 +859,8 @@ mod tests {
             .filter(|&c| same_chunk(&before.digits, &after.digits, c))
             .count();
         assert!(shared_digits > 0, "some digit chunk must be shared");
-        for table in [&after.bits.segs.len(), &after.levels.segs.len()] {
-            assert!(*table <= MAX_SEGMENTS);
+        for table in [after.bits.segs.len(), after.digits.segs.len()] {
+            assert!(table <= MAX_SEGMENTS);
         }
         // Every shared or copied chunk reads like a fresh publication.
         let mut fresh = RingMaintainer::new();
@@ -932,11 +871,6 @@ mod tests {
         for v in 0..after.n_nodes() {
             assert_eq!(after.contains(v), want.contains(v), "node {v}");
             assert_eq!(after.successor(v), want.successor(v), "node {v}");
-            assert_eq!(
-                after.broadcast_level(v),
-                want.broadcast_level(v),
-                "node {v}"
-            );
         }
     }
 
@@ -1043,34 +977,6 @@ mod tests {
         }
         let tally = drive_segment_store::<MAX_SEGMENTS>(150, 1, 4);
         assert!(tally.forwarded > 0, "the cleaner never ran");
-    }
-
-    #[test]
-    fn snapshot_broadcast_levels_match_membership_and_root() {
-        let (ffc, mut maint, mut publisher) = service_pair();
-        maint
-            .apply_batch(&ffc, &[FaultEvent::NodeDown(3), FaultEvent::NodeDown(17)])
-            .expect("repair");
-        let snap = maint.publish(&mut publisher, 2).expect("publish");
-        let root = snap.root().expect("feasible");
-        assert_eq!(snap.broadcast_level(root), Ok(Some(0)));
-        for v in 0..snap.n_nodes() {
-            let lvl = snap.broadcast_level(v).expect("in range");
-            // Level reach and ring membership agree on B* exactly.
-            assert_eq!(
-                lvl.is_some(),
-                snap.contains(v).expect("in range"),
-                "node {v}"
-            );
-        }
-        let n = snap.n_nodes();
-        assert_eq!(
-            snap.broadcast_level(n),
-            Err(LookupError::NodeOutOfRange {
-                node: n,
-                n_nodes: n
-            })
-        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! differentials, allocation pins, and the incremental engine.
 
 use super::*;
+use crate::bitreach::UNREACHED;
 use crate::oracle::{self, embed_reference, embed_stats_into_u8, U8StatsScratch};
 use dbg_graph::algo::cycles::is_cycle;
 use dbg_graph::FaultSet;
@@ -538,7 +539,10 @@ fn new_panics_on_oversized_spaces() {
 // ------------------------------------------------------------------
 
 /// Asserts the maintainer's state equals a from-scratch embed of its
-/// accumulated fault set: stats and ring bytes.
+/// accumulated fault set: stats, ring bytes and every node's decoded
+/// level (escaped levels compare by value). An infeasible embed leaves
+/// the scratch's levels stale, so there every maintained level must read
+/// [`UNREACHED`]. Either way a node has a level exactly when it is in B*.
 pub(super) fn assert_maintainer_matches_scratch(
     ffc: &Ffc,
     maint: &RingMaintainer,
@@ -559,6 +563,114 @@ pub(super) fn assert_maintainer_matches_scratch(
         scratch.cycle(),
         "ring bytes diverge ({ctx}) faults={faults:?}"
     );
+    let feasible = want.root != INFEASIBLE_ROOT;
+    for v in 0..ffc.tables.n_nodes {
+        let got = maint.tree.levels.get(v);
+        let expect = if feasible {
+            scratch.tree.levels.get(v)
+        } else {
+            UNREACHED
+        };
+        assert_eq!(
+            got, expect,
+            "level of node {v} diverges ({ctx}) faults={faults:?}"
+        );
+        assert_eq!(
+            got != UNREACHED,
+            maint.in_bstar(v),
+            "level reach and B* disagree at node {v} ({ctx}) faults={faults:?}"
+        );
+    }
+}
+
+/// Scalar broadcast-level oracle: BFS from `root` over the members along
+/// forward de Bruijn edges `u -> (u mod d^(n-1))·d + a`.
+fn oracle_levels(d: usize, member: &[bool], root: usize) -> Vec<u32> {
+    let suffix = member.len() / d;
+    let mut lv = vec![UNREACHED; member.len()];
+    if !member[root] {
+        return lv;
+    }
+    lv[root] = 0;
+    let mut q = std::collections::VecDeque::from([root]);
+    while let Some(u) = q.pop_front() {
+        for a in 0..d {
+            let v = (u % suffix) * d + a;
+            if member[v] && lv[v] == UNREACHED {
+                lv[v] = lv[u] + 1;
+                q.push_back(v);
+            }
+        }
+    }
+    lv
+}
+
+/// Asserts the maintainer's levels equal the scalar oracle's BFS from its
+/// root over its B* members, or are all [`UNREACHED`] when infeasible.
+fn assert_levels_match_oracle(ffc: &Ffc, maint: &RingMaintainer, ctx: &str) {
+    let total = ffc.tables.n_nodes;
+    let want = if maint.root() == INFEASIBLE_ROOT {
+        vec![UNREACHED; total]
+    } else {
+        let member: Vec<bool> = (0..total).map(|v| maint.in_bstar(v)).collect();
+        oracle_levels(ffc.tables.d, &member, maint.root())
+    };
+    for (v, &want_v) in want.iter().enumerate() {
+        assert_eq!(maint.tree.levels.get(v), want_v, "{ctx} node {v}");
+    }
+}
+
+/// On B(2,5) and B(3,3), for every fault set of size ≤ 2, a maintainer
+/// reset to the set holds the scalar oracle's levels.
+#[test]
+fn exhaustive_two_fault_levels_match_the_scalar_oracle() {
+    for (d, n) in [(2u64, 5u32), (3, 3)] {
+        let ffc = Ffc::new(d, n);
+        let total = ffc.tables.n_nodes;
+        let mut maint = RingMaintainer::new();
+        let mut sets = vec![Vec::new()];
+        for a in 0..total {
+            sets.push(vec![a]);
+            sets.extend((a + 1..total).map(|b| vec![a, b]));
+        }
+        for faults in sets {
+            maint.reset(&ffc, &faults).expect("in-range");
+            assert_levels_match_oracle(&ffc, &maint, &format!("B({d},{n}) faults={faults:?}"));
+        }
+    }
+}
+
+/// B(2,14) is dense-capable: random fault batches walk the maintainer
+/// across the sparse↔dense frontier switch, and its levels must match
+/// the scalar oracle after every batch.
+#[test]
+fn b2_14_levels_match_oracle_across_the_density_switch() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let ffc = Ffc::new(2, 14);
+    let total = ffc.tables.n_nodes;
+    let mut maint = RingMaintainer::new();
+    for seed in [0x14, 0x5eed, 0xd3a5, 0xb214_u64] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut faults: Vec<usize> = Vec::new();
+        maint.reset(&ffc, &faults).expect("in-range");
+        for step in 0..rng.gen_range(4..9) {
+            for _ in 0..rng.gen_range(1..5) {
+                if !faults.is_empty() && rng.gen_range(0..3) == 0 {
+                    let v = faults.swap_remove(rng.gen_range(0..faults.len()));
+                    maint.clear_fault(&ffc, v).expect("in-range");
+                } else {
+                    let v = rng.gen_range(0..total);
+                    if !faults.contains(&v) {
+                        faults.push(v);
+                    }
+                    maint.add_fault(&ffc, v).expect("in-range");
+                }
+            }
+            assert_ne!(maint.root(), INFEASIBLE_ROOT, "seed {seed} step {step}");
+            assert_levels_match_oracle(&ffc, &maint, &format!("seed {seed} step {step}"));
+        }
+    }
 }
 
 /// The arrival-order grid: on B(2,5), B(3,3), B(4,3) and B(5,3), for

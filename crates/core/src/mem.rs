@@ -71,7 +71,7 @@ pub(crate) fn reserve_more<T>(v: &mut Vec<T>, cap: usize) {
 /// A per-node BFS level array in one byte per node — 4× smaller than the
 /// `Vec<u32>` it replaces, which is 4× less DRAM traffic on every level
 /// sweep (the level writes of a rebuild, the histogram passes, the
-/// copy-on-write of snapshot level chunks).
+/// selection's byte-key folds).
 ///
 /// Encoding: bytes `0..=0xFD` hold the level inline, [`UNREACHED_U8`]
 /// encodes [`UNREACHED`], and the escape byte `0xFE` points into a tiny
@@ -247,14 +247,14 @@ impl LevelVec {
             .fold(u64::MAX, u64::min)
     }
 
-    /// The escaped entries as (node, level) pairs, for readers of
-    /// [`LevelVec::as_bytes`] to decode with.
+    /// The escaped entries as (node, level) pairs, for tests comparing
+    /// [`LevelVec::as_bytes`] encodings.
+    #[cfg(test)]
     pub(crate) fn overflow(&self) -> &[(u32, u32)] {
         &self.overflow
     }
 
-    /// The raw byte encoding (snapshot chunks copy it; test/bench
-    /// introspection).
+    /// The raw byte encoding, for introspection and tests.
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -279,7 +279,7 @@ impl LevelVec {
 /// Decodes byte `b` of node `node` in the [`LevelVec`] encoding, resolving
 /// an escape byte in `overflow` (the (node, level) side table).
 #[inline]
-pub(crate) fn decode_level(b: u8, node: usize, overflow: &[(u32, u32)]) -> u32 {
+fn decode_level(b: u8, node: usize, overflow: &[(u32, u32)]) -> u32 {
     if b < ESCAPED_U8 {
         u32::from(b)
     } else if b == UNREACHED_U8 {

@@ -117,7 +117,9 @@ pub struct ServiceReport {
     pub shared_ring: u64,
     /// Publications that dirtied no chunk of the membership bitmap.
     pub shared_membership: u64,
-    /// Publications that dirtied no chunk of the broadcast levels.
+    /// Always `publications`: snapshots hold no broadcast levels, so
+    /// every publication shares them. Kept so readers of the report still
+    /// compile.
     pub shared_levels: u64,
     /// Dirty chunks the per-batch publications copied
     /// ([`SnapshotPublisher::copied_chunks`], without the initial
@@ -258,15 +260,6 @@ impl ReaderHandle {
     /// See [`RingSnapshot::contains`].
     pub fn contains(&mut self, u: usize) -> Result<bool, LookupError> {
         self.refresh().contains(u)
-    }
-
-    /// Broadcast level of `u` against the latest snapshot (`None` when
-    /// off the broadcast tree).
-    ///
-    /// # Errors
-    /// See [`RingSnapshot::broadcast_level`].
-    pub fn broadcast_level(&mut self, u: usize) -> Result<Option<u32>, LookupError> {
-        self.refresh().broadcast_level(u)
     }
 
     /// Walks `len` ring nodes from `u` against the latest snapshot.
@@ -473,7 +466,7 @@ fn writer_loop(
     report.publications = publisher.publications();
     report.shared_ring = publisher.shared_ring();
     report.shared_membership = publisher.shared_membership();
-    report.shared_levels = publisher.shared_levels();
+    report.shared_levels = report.publications;
     report.copied_chunks = publisher.copied_chunks() - initial_copies;
     report.forwarded_chunks = publisher.forwarded_chunks() - initial_forwards;
     report.session_bytes = maint.allocated_bytes();

@@ -222,8 +222,8 @@ fn seeded_stream(d: usize, total: usize, seed: u64, len: usize) -> Vec<FaultEven
 }
 
 /// Chunked copy-on-write across several snapshot chunks: a seeded stream
-/// with one publication per event, where every node's `contains`,
-/// `successor` and `broadcast_level` must read exactly like a snapshot
+/// with one publication per event, where every node's `contains` and
+/// `successor` must read exactly like a snapshot
 /// freshly built by `RingMaintainer::reset` to the same exclusion set. The
 /// exhaustive grids above fit inside one chunk, so only graphs like these
 /// catch a chunk the session forgot to mark dirty.
@@ -252,11 +252,6 @@ fn chunked_publications_match_fresh_snapshots(d: u64, n: u32, seed: u64, len: us
         for v in 0..total {
             assert_eq!(snap.contains(v), want.contains(v), "event {i} node {v}");
             assert_eq!(snap.successor(v), want.successor(v), "event {i} node {v}");
-            assert_eq!(
-                snap.broadcast_level(v),
-                want.broadcast_level(v),
-                "event {i} node {v}"
-            );
         }
     }
     let copied = publisher.copied_chunks() - full_copy;
@@ -319,11 +314,6 @@ fn pinned_snapshot_survives_later_publications(n: u32, seed: u64, arrivals: usiz
             assert_eq!(
                 snap.successor(v),
                 want.successor(v),
-                "{later} later, node {v}"
-            );
-            assert_eq!(
-                snap.broadcast_level(v),
-                want.broadcast_level(v),
                 "{later} later, node {v}"
             );
         }
