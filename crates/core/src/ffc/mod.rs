@@ -31,8 +31,8 @@
 //! are dead), the spanning-tree stage (the one-byte broadcast
 //! levels, which the forward pass writes straight from its frontier, a
 //! dense one a bitmap word at a time, the
-//! per-necklace records, and the ring wiring: an exit bitmap plus one
-//! packed entry digit per node), and the output cycle buffer. After the
+//! per-necklace records, and the ring wiring: one exit bit per node), and
+//! the output cycle buffer. After the
 //! first call at a given (d, n) ("warm-up"), [`Ffc::embed_into`] performs
 //! **no heap allocation**: buffers only ever grow.
 //!
@@ -55,14 +55,15 @@
 //!   array, Y chosen by a fold over the members' raw level bytes. Since
 //!   N(αw) = N(wα) for every digit α, the w-group of label w lies in the
 //!   d necklace ids of the nodes w·d+α, one block of the membership
-//!   table, and is derived from their records with no hash map, search or
-//!   group table; at d = 2 a group is one child and its parent, wired
-//!   straight from the child's record. A w-exit αw's successor is its
-//!   entry w·d+β, so the wiring stores only β: b bits per node (b the
-//!   smallest power of two ≥ ⌈log2 d⌉, one bit at d = 2), non-zero only at
-//!   the exits, which a word-packed exit bitmap flags. The cycle is read
-//!   off by a streaming walk that computes every other step as a necklace
-//!   rotation.
+//!   table, and a member α leaves its necklace at its node αw. So the
+//!   group is the set of exits of label w, and the wiring is one
+//!   word-packed exit bitmap: each record sets its two exits, βw (Y = wβ)
+//!   and its parent node α_p·w, with no hash map, search or group table.
+//!   A w-exit αw's successor is its entry w·d+β, with β the next digit
+//!   after α, cyclically, whose node βw is an exit (α ^ 1 at d = 2, where
+//!   a group is one child and its parent), so no entry is stored. The
+//!   cycle is read off by a streaming walk that computes every other step
+//!   as a necklace rotation.
 //!
 //! The textbook formulation (materialised SCCs + hash-map groups) is kept
 //! as [`crate::oracle::embed_reference`]; it is used by the differential
@@ -76,7 +77,6 @@ use dbg_graph::DeBruijn;
 use dbg_necklace::NecklacePartition;
 
 use crate::bitreach::{BitReach, BitScratch, SpaceTooLarge};
-use crate::mem::reserve_more;
 
 mod phases;
 pub mod session;
@@ -187,11 +187,12 @@ pub struct EmbedScratch {
     /// Word-packed bitmaps and frontiers of the bit-parallel reachability
     /// engine (the fault mask and the forward visited set).
     pub(crate) bits: BitScratch,
-    /// The spanning-tree stage — broadcast levels, necklace records, exit
-    /// bitmap and entry digits — sized by the first full-ring call; the
-    /// stats-only path never touches it.
+    /// The spanning-tree stage — broadcast levels, necklace records and
+    /// the exit bitmap — sized by the first full-ring call; the stats-only
+    /// path never touches it.
     tree: TreeStage,
-    /// The output cycle of the most recent call.
+    /// The output cycle of the most recent call, reserved for every node by
+    /// the first full-ring call; the stats-only path leaves it empty.
     cycle: Vec<usize>,
 }
 
@@ -218,14 +219,6 @@ impl EmbedScratch {
         self.bits.allocated_bytes()
             + self.tree.allocated_bytes()
             + std::mem::size_of::<usize>() * self.cycle.capacity()
-    }
-
-    /// Clears the cycle and reserves it for any fault pattern.
-    fn prepare(&mut self, t: &EngineTables) {
-        // The cycle is presized to its worst case, every node, so no fault
-        // pattern can grow it after the first call at this size.
-        self.cycle.clear();
-        reserve_more(&mut self.cycle, t.n_nodes);
     }
 }
 

@@ -15,11 +15,11 @@
 //! written here once: root selection with the Section 2.5.2 repair rule
 //! ([`probe_root`]), the spanning-tree stage ([`TreeStage`]: each
 //! necklace's record — its earliest member Y and the digit α_p of its
-//! parent node α_p·w — and the w-groups derived from the records, each
-//! wired from one block of d necklace ids), the ring successor
-//! ([`ring_step`]: the necklace rotation, or at a w-exit the entry w·d+β
-//! whose last digit β sits in a packed table, [`DigitWidth`]) and the
-//! ring walk built on it ([`read_off_cycle`]).
+//! parent node α_p·w — and the two w-exits each record sets), the ring
+//! successor ([`ring_step`]: the necklace rotation, or at a w-exit αw the
+//! entry w·d+β, with β the next digit after α whose node βw is an exit)
+//! and the ring walk built on it ([`read_off_cycle`]). The exit bitmap is
+//! the whole wiring: no entry is stored.
 //!
 //! Every level-emitting pass writes its levels straight into a
 //! [`LevelVec`](crate::mem::LevelVec) from the BFS frontier, a dense
@@ -51,10 +51,10 @@ impl Ffc {
     /// The tree stage derives each necklace's parent from the levels
     /// instead of materialising a whole-B* parent array.
     /// The readoff walks the necklace rotation arithmetically: no per-node
-    /// successor array is materialised, and the packed entry digits are
-    /// consulted only where the exit bitmap is set — a pointer-chase
-    /// through a B*-sized successor array is one dependent DRAM load per
-    /// ring node, and it dominated the embed at a million nodes.
+    /// successor array is materialised, and an entry is derived from the
+    /// exit bitmap only where it is set — a pointer-chase through a
+    /// B*-sized successor array is one dependent DRAM load per ring node,
+    /// and it dominated the embed at a million nodes.
     pub fn embed_into(&self, scratch: &mut EmbedScratch, faulty_nodes: &[usize]) -> EmbedStats {
         let (t, s) = (&self.tables, scratch);
         let mut stats = self.phases_to_root(s, faulty_nodes, |_| {});
@@ -69,13 +69,15 @@ impl Ffc {
         stats.eccentricity = depth;
         let root_neck = self.partition.membership()[root] as usize;
         s.tree.build(self, root_neck);
+        // The cycle is reserved for its worst case, every node, so no fault
+        // pattern grows it after the first call at this size.
+        reserve_more(&mut s.cycle, t.n_nodes);
         read_off_cycle(
             t.d,
             t.suffix_count,
             root,
             reached,
             &s.tree.exit_bits,
-            &s.tree.digits,
             &mut s.cycle,
         );
         stats
@@ -114,7 +116,8 @@ impl Ffc {
     }
 
     /// The front both embedding paths share: fault marking and root
-    /// selection.
+    /// selection. It empties the cycle, which only [`Ffc::embed_into`]
+    /// refills.
     ///
     /// The root is the default root if its necklace survives, otherwise
     /// the nearest live node ([`probe_root`] on the fault mask, Section
@@ -133,7 +136,7 @@ impl Ffc {
         killed: impl FnMut(&[u32]),
     ) -> EmbedStats {
         let t = &self.tables;
-        s.prepare(t);
+        s.cycle.clear();
         t.reach.prepare(&mut s.bits);
         let (faulty_necklaces, removed_nodes) = self.phase_mark_faults(s, faulty_nodes, killed);
         let live = |v: usize| !t.reach.is_dead(&s.bits, v);
@@ -211,7 +214,7 @@ pub(crate) fn probe_root(
 /// compiles to a mask, a shift and an OR instead of a division; callers
 /// choose `POW2` once, outside their walk loop. Every ring successor has
 /// this form: x is α along the necklace ([`rotate`]) and the entry's last
-/// digit β along a w-edge.
+/// digit β along a w-edge ([`entry`]).
 #[inline(always)]
 fn shift_in<const POW2: bool>(v: usize, d: usize, suffix: usize, x: usize) -> usize {
     if POW2 {
@@ -221,103 +224,100 @@ fn shift_in<const POW2: bool>(v: usize, d: usize, suffix: usize, x: usize) -> us
     }
 }
 
+/// The leading digit α of node v = αw.
+#[inline(always)]
+fn lead<const POW2: bool>(v: usize, suffix: usize) -> usize {
+    if POW2 {
+        v >> suffix.trailing_zeros()
+    } else {
+        v / suffix
+    }
+}
+
 /// The necklace rotation of B(d,n), v ↦ (v mod s)·d + ⌊v / s⌋: the ring
 /// successor of every node that does not leave its necklace through a
 /// w-edge.
 #[inline(always)]
 fn rotate<const POW2: bool>(v: usize, d: usize, suffix: usize) -> usize {
-    let lead = if POW2 {
-        v >> suffix.trailing_zeros()
-    } else {
-        v / suffix
-    };
-    shift_in::<POW2>(v, d, suffix, lead)
+    shift_in::<POW2>(v, d, suffix, lead::<POW2>(v, suffix))
 }
 
 /// The ring successor rule of the engine's readoff, the maintainer's walk
-/// and the snapshots: a w-exit (`exit`) enters w·d+β with β = `digit()`,
-/// every other node takes the necklace rotation. The branch stays, so a
-/// non-exit step never waits on a digit load.
+/// and the snapshots: a w-exit (`exit(v)`) enters w·d+β ([`entry`]), every
+/// other node takes the necklace rotation.
+///
+/// The exit arm stays a call: inlined, the two d = 2 arms fold into the
+/// branch-free `rotate(v) ^ exit`, which puts the exit load on every
+/// step's dependency chain and cost a B(2,20) embed about 40% of its
+/// throughput. `exit` goes to it by value: by reference, its escaping
+/// address kept a snapshot reader's exit test from reusing the word its
+/// membership test had loaded, and random checked pairs paid about 20%.
 #[inline(always)]
 pub(crate) fn ring_step<const POW2: bool>(
     v: usize,
     d: usize,
     suffix: usize,
-    exit: bool,
-    digit: impl FnOnce() -> usize,
+    exit: impl Fn(usize) -> bool + Copy,
 ) -> usize {
-    if exit {
-        shift_in::<POW2>(v, d, suffix, digit())
+    if exit(v) {
+        entry::<POW2>(v, d, suffix, exit)
     } else {
         rotate::<POW2>(v, d, suffix)
     }
 }
 
-/// The packed digit table of the ring wiring: one digit β < d per node,
-/// b bits wide, where b is the smallest power of two ≥ ⌈log2 d⌉ (one bit
-/// at d = 2), so no digit straddles a word and every index is a shift.
-/// The width rule and the one get/set pair behind the engine's and the
-/// maintainer's [`TreeStage`] and the snapshots' digit chunks. Digits are
-/// zero except at the w-exits, so two tables of the same wiring hold the
-/// same bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct DigitWidth {
-    /// log2 b.
-    log: u32,
-    /// The low b bits.
-    mask: u64,
-}
-
-impl DigitWidth {
-    /// The width for alphabet size `d` ≥ 2.
-    pub(crate) fn of(d: usize) -> Self {
-        debug_assert!((2..=1 << 32).contains(&d), "digits must fit 32 bits");
-        let bits = (usize::BITS - (d - 1).leading_zeros()).next_power_of_two();
-        DigitWidth {
-            log: bits.trailing_zeros(),
-            mask: u64::MAX >> (64 - bits),
-        }
-    }
-
-    /// Words of a table holding `nodes` digits.
-    pub(crate) fn words(self, nodes: usize) -> usize {
-        (nodes << self.log).div_ceil(64)
-    }
-
-    /// The digit of node `v`.
-    #[inline]
-    pub(crate) fn get(self, table: &[u64], v: usize) -> usize {
-        (table[v >> (6 - self.log)] >> ((v << self.log) & 63) & self.mask) as usize
-    }
-
-    /// Sets the digit of node `v` to `digit` (< d).
-    #[inline]
-    pub(crate) fn set(self, table: &mut [u64], v: usize, digit: usize) {
-        let (j, off) = (v >> (6 - self.log), (v << self.log) & 63);
-        table[j] = table[j] & !(self.mask << off) | (digit as u64) << off;
-    }
+/// The entry w·d+β of the w-exit v = αw. Step 3 closes each w-group into
+/// a cycle of w-edges in necklace-id order, which is digit order: the
+/// member of digit α is N(wα), and for α < β each rotation of wα is below
+/// the same rotation of wβ, so N(wα)'s representative and id are below
+/// N(wβ)'s. A group's members are exactly the digits whose nodes of label
+/// w are exits, so β is the first digit among α+1, α+2, … (mod d) whose
+/// node βw is an exit — α ^ 1 at d = 2, where a group is one child and
+/// its parent. The nodes βw lie d^(n−1) apart, so at d ≥ 3 this reads up
+/// to d − 1 more exit bits.
+#[inline(never)]
+fn entry<const POW2: bool>(
+    v: usize,
+    d: usize,
+    suffix: usize,
+    exit: impl Fn(usize) -> bool,
+) -> usize {
+    let alpha = lead::<POW2>(v, suffix);
+    let label = v - alpha * suffix;
+    let beta = if d == 2 {
+        Some(alpha ^ 1)
+    } else {
+        (alpha + 1..d)
+            .chain(0..alpha)
+            .find(|&b| exit(b * suffix + label))
+    };
+    debug_assert!(
+        beta.is_some_and(|b| exit(b * suffix + label)),
+        "w-exit {v} has no sibling exit"
+    );
+    // A group has at least two members, so the fallback, the rotation, is
+    // never taken.
+    shift_in::<POW2>(v, d, suffix, beta.unwrap_or(alpha))
 }
 
 /// The ring walk shared by the engine's readoff and
 /// [`super::RingMaintainer::ring_into`]: follows the successor permutation
-/// from `root` into `out` (cleared first), entering w·d+β with β from the
-/// packed `digits` where `exit_bits` is set and taking the necklace
-/// rotation everywhere else. `len` is |B*|, which bounds the walk in debug
-/// builds.
+/// from `root` into `out` (cleared first), deriving each entry from
+/// `exit_bits` where it is set and taking the necklace rotation
+/// everywhere else. `len` is |B*|, which bounds the walk in debug builds.
 pub(crate) fn read_off_cycle(
     d: usize,
     suffix: usize,
     root: usize,
     len: usize,
     exit_bits: &[u64],
-    digits: &[u64],
     out: &mut Vec<usize>,
 ) {
     out.clear();
     if d.is_power_of_two() {
-        walk::<true>(d, suffix, root, len, exit_bits, digits, out);
+        walk::<true>(d, suffix, root, len, exit_bits, out);
     } else {
-        walk::<false>(d, suffix, root, len, exit_bits, digits, out);
+        walk::<false>(d, suffix, root, len, exit_bits, out);
     }
 }
 
@@ -328,15 +328,13 @@ fn walk<const POW2: bool>(
     root: usize,
     len: usize,
     exit_bits: &[u64],
-    digits: &[u64],
     out: &mut Vec<usize>,
 ) {
-    let width = DigitWidth::of(d);
+    let exit = |u: usize| exit_bits[u / 64] >> (u % 64) & 1 == 1;
     let mut v = root;
     loop {
         out.push(v);
-        let exit = exit_bits[v / 64] >> (v % 64) & 1 == 1;
-        v = ring_step::<POW2>(v, d, suffix, exit, || width.get(digits, v));
+        v = ring_step::<POW2>(v, d, suffix, exit);
         if v == root {
             break;
         }
@@ -381,12 +379,15 @@ impl TreeRecord {
 /// written once, for the build and the repairs alike.
 ///
 /// It holds the broadcast levels, one [`TreeRecord`] per necklace, and the
-/// wiring the readoff walks. The w-groups are not stored. For every digit
-/// α, αw is a rotation of wα, so N(αw) = N(wα), and the d necklaces a
-/// group of label w can hold are the d ids `membership[w·d .. w·d+d]`, one
-/// per digit. Its children are the necklaces whose Y is one of the nodes
-/// w·d+β, and its parent is the entry at the children's α_p, so wiring a
-/// label reads one block of d ids and d records.
+/// exit bitmap the readoff walks. The w-groups are not stored. For every
+/// digit α, αw is a rotation of wα, so N(αw) = N(wα), and the d necklaces
+/// a group of label w can hold are the d ids `membership[w·d .. w·d+d]`,
+/// one per digit. Its children are the necklaces whose Y is one of the
+/// nodes w·d+β, and its parent is the necklace of the children's α_p·w. A
+/// member's exit is its node αw, so the exits of label w are the group:
+/// each record sets two of them, βw on its own necklace (Y = wβ) and its
+/// parent node α_p·w ([`TreeStage::link`]), and [`ring_step`] closes the
+/// group into its cycle of w-edges from the exit bits alone.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TreeStage {
     /// Broadcast level per node: the forward BFS level from the root over
@@ -396,15 +397,10 @@ pub(crate) struct TreeStage {
     records: Vec<TreeRecord>,
     /// The root's necklace, which has no record.
     root_neck: usize,
-    /// The last digit β of each w-exit's entry w·d+β, packed per
-    /// [`DigitWidth`]; zero at every node not flagged in `exit_bits`.
-    pub(crate) digits: Vec<u64>,
     /// Bit `v` set ⟺ node `v` leaves its necklace through a w-edge. The
-    /// readoff tests this bitmap and computes every other step as a
-    /// necklace rotation.
+    /// readoff tests this bitmap, derives each exit's entry from it and
+    /// computes every other step as a necklace rotation.
     pub(crate) exit_bits: Vec<u64>,
-    /// The digits of the w-group being wired: at most d.
-    group: Vec<u32>,
 }
 
 impl TreeStage {
@@ -412,54 +408,27 @@ impl TreeStage {
     pub(crate) fn allocated_bytes(&self) -> usize {
         self.levels.allocated_bytes()
             + std::mem::size_of::<TreeRecord>() * self.records.capacity()
-            + 4 * self.group.capacity()
-            + 8 * (self.digits.capacity() + self.exit_bits.capacity())
+            + 8 * self.exit_bits.capacity()
     }
 
     /// Builds the stage from scratch out of the broadcast levels of a root
     /// on necklace `root_neck`, which a level-writing forward pass has
-    /// left in `levels` (every node outside B* [`UNREACHED`]): rewrites every
-    /// necklace's record, then wires every w-group once. At d ≥ 3 a group
-    /// is wired from its first child ([`TreeStage::wire`]). At d = 2 each
-    /// label has one child at most. A child's Y = wβ sits one level after
-    /// its parent node α_p·w, so α_p ≠ β: βw lies on Y's own necklace,
-    /// whose earliest member is Y. And w·α_p, at Y's level, is no Y: its
-    /// necklace holds α_p·w a level earlier. So each record wires its
-    /// group's two w-edges directly: βw enters w·α_p and α_p·w enters wβ.
-    /// That reads neither the membership block nor a sibling's record, as
-    /// the block rule would. All-[`UNREACHED`] levels build the empty
-    /// tree: no records, no exits.
+    /// left in `levels` (every node outside B* [`UNREACHED`]): selects
+    /// every necklace's record and sets its two exits as it goes, since a
+    /// record's exits depend on no other record. All-[`UNREACHED`] levels
+    /// build the empty tree: no records, no exits.
     pub(crate) fn build(&mut self, ffc: &Ffc, root_neck: usize) {
         let t = &ffc.tables;
         let words = t.n_nodes.div_ceil(64);
-        let digit_words = DigitWidth::of(t.d).words(t.n_nodes);
         debug_assert!(self.levels.len() >= t.n_nodes, "levels not written");
         grow_to(&mut self.records, t.n_necks, TreeRecord::NONE);
-        grow_to(&mut self.digits, digit_words, 0);
         grow_to(&mut self.exit_bits, words, 0);
-        reserve_more(&mut self.group, t.d + 1);
-        // Wiring reads the records of arbitrary necklaces, so every record
-        // is rewritten.
+        self.exit_bits[..words].fill(0);
         self.root_neck = root_neck;
         for nid in 0..t.n_necks {
-            self.records[nid] = self.selected(ffc, nid);
-        }
-        self.exit_bits[..words].fill(0);
-        self.digits[..digit_words].fill(0);
-        for nid in 0..t.n_necks {
-            let TreeRecord { y, parent_digit } = self.records[nid];
-            if y == NONE {
-                continue;
-            }
-            let y = y as usize;
-            if t.d == 2 {
-                let (label, beta, alpha) = (y >> 1, y & 1, parent_digit as usize);
-                debug_assert_ne!(alpha, beta, "a d = 2 parent node shares Y's necklace");
-                self.link(t, label, beta, alpha);
-                self.link(t, label, alpha, beta);
-            } else {
-                self.wire(ffc, y / t.d, Some(nid as u32));
-            }
+            let record = self.selected(ffc, nid);
+            self.records[nid] = record;
+            self.link(t, record);
         }
     }
 
@@ -564,81 +533,40 @@ impl TreeStage {
         (r.y != NONE).then_some((r.y as usize / d, r.parent_digit))
     }
 
-    /// Clears the exit bits and digits of `label`'s d possible exit nodes
-    /// αw, then wires its group from the current records.
+    /// Clears the exit bits of `label`'s d possible exit nodes αw, then
+    /// sets those of its children's records again: the group of label w
+    /// under the current records.
     pub(crate) fn rewire(&mut self, ffc: &Ffc, label: usize) {
         let t = &ffc.tables;
-        let width = DigitWidth::of(t.d);
         for a in 0..t.d {
             let e = a * t.suffix_count + label;
             self.exit_bits[e / 64] &= !(1u64 << (e % 64));
-            width.set(&mut self.digits, e, 0);
         }
-        self.wire(ffc, label, None);
-    }
-
-    /// Closes `label`'s w-group — the children plus their shared parent,
-    /// in necklace-id order — into a directed cycle of w-edges (the
-    /// modified tree D), writing each edge's entry digit and exit bit. A
-    /// label without children has no group. With `from` set, the group is
-    /// wired only if necklace `from` is its first child (the one with the
-    /// smallest Y), so a build that calls this for every child wires each
-    /// group once.
-    ///
-    /// A member of the group is named by its digit α: its necklace is
-    /// N(αw) = `membership[w·d + α]`, its exit node is αw, and a w-edge
-    /// into it enters wα. Those ids ascend with the digit: for α < β each
-    /// rotation of wα is below the same rotation of wβ, so N(wα)'s
-    /// representative is below N(wβ)'s, and ids follow representatives.
-    /// So the group is the children's digits β and their α_p in digit
-    /// order, and each member's exit αw enters w·d + α′, with α′ the next
-    /// member's digit (wrapping).
-    fn wire(&mut self, ffc: &Ffc, label: usize, from: Option<u32>) {
-        let t = &ffc.tables;
         let base = label * t.d;
         let block = &ffc.partition.membership()[base..base + t.d];
-        debug_assert!(
-            block.windows(2).all(|p| p[0] < p[1]),
-            "w-group ids must ascend with the digit"
-        );
-        self.group.clear();
-        let mut parent = NONE;
-        for (beta, &nid) in block.iter().enumerate() {
-            let r = self.records[nid as usize];
-            if r.y as usize == base + beta {
-                if parent == NONE && from.is_some_and(|f| f != nid) {
-                    return;
-                }
-                debug_assert!(
-                    parent == NONE || parent == r.parent_digit,
-                    "T_w must have a single parent necklace (height-one property)"
-                );
-                parent = r.parent_digit;
-                self.group.push(beta as u32);
+        for (y, &nid) in (base..).zip(block) {
+            let record = self.records[nid as usize];
+            if record.y as usize == y {
+                self.link(t, record);
             }
-        }
-        if parent == NONE {
-            return;
-        }
-        let at = self.group.partition_point(|&a| a < parent);
-        self.group.insert(at, parent);
-        let k = self.group.len();
-        for i in 0..k {
-            let (alpha, next) = (self.group[i], self.group[(i + 1) % k]);
-            self.link(t, label, alpha as usize, next as usize);
         }
     }
 
-    /// Wires the w-edge of D that leaves αw (w = `label`) for the entry
-    /// w·d + β: sets αw's exit bit and stores β as its digit.
+    /// Sets the exits of `record`'s tree edge (w, α_p), w = ⌊Y/d⌋: βw,
+    /// where Y = wβ, and the parent node α_p·w. The two differ, since Y
+    /// sits one level after α_p·w and βw shares Y's necklace. A necklace
+    /// without a record sets none.
     #[inline]
-    fn link(&mut self, t: &EngineTables, label: usize, alpha: usize, beta: usize) {
-        debug_assert!(
-            self.levels.get(label * t.d + beta) != UNREACHED,
-            "w-edge entry outside B*"
-        );
-        let exit = alpha * t.suffix_count + label;
-        DigitWidth::of(t.d).set(&mut self.digits, exit, beta);
-        self.exit_bits[exit / 64] |= 1u64 << (exit % 64);
+    fn link(&mut self, t: &EngineTables, record: TreeRecord) {
+        if record.y == NONE {
+            return;
+        }
+        let y = record.y as usize;
+        let (label, beta, parent) = (y / t.d, y % t.d, record.parent_digit as usize);
+        debug_assert_ne!(beta, parent, "a parent node shares Y's necklace");
+        for a in [beta, parent] {
+            let e = a * t.suffix_count + label;
+            self.exit_bits[e / 64] |= 1u64 << (e % 64);
+        }
     }
 }

@@ -12,8 +12,7 @@
 //!   node deletion repairable), one record per necklace (earliest member Y
 //!   and the digit α_p of its parent node α_p·w; a label's w-group is
 //!   derived from the records of its d nodes w·d+β), and the exit bitmap
-//!   and packed entry digits β
-//!   from which the ring is walked on demand
+//!   the records set, from which the ring is walked on demand
 //!   ([`RingMaintainer::ring_into`]);
 //! * the B* membership bitmap, |B*| and the level histogram (the
 //!   eccentricity is its maximum).
@@ -78,7 +77,7 @@ use crate::bitreach::{
 };
 use crate::mem::{grow_to, reserve_more};
 
-use super::phases::{probe_root, read_off_cycle, DigitWidth, TreeStage};
+use super::phases::{probe_root, read_off_cycle, TreeStage};
 use super::snapshot::{ChunkMask, RingSnapshot, SnapshotParts, SnapshotPublisher};
 use super::{EmbedStats, Ffc, INFEASIBLE_ROOT, NONE};
 
@@ -340,17 +339,16 @@ pub struct RingMaintainer {
     /// The forward BFS levels from the root over live nodes ([`UNREACHED`]
     /// outside B*) in the compact one-byte-per-node encoding, which are
     /// the broadcast levels and the repair certificate (kept here, never
-    /// published); the per-necklace tree records; and the exit bitmap and
-    /// packed entry digits the ring is walked from (published as the ring
-    /// group).
+    /// published); the per-necklace tree records; and the exit bitmap the
+    /// ring is walked from (published with the membership bitmap).
     pub(super) tree: TreeStage,
     /// Histogram of the levels (eccentricity = the last non-zero bin),
     /// filled by the rebuild's forward pass and kept by the delta path.
     level_counts: Vec<u32>,
     max_level: usize,
     // -- snapshot publication --
-    /// Snapshot chunks whose entry digits or exit bits changed since the
-    /// last publication: the d exit slots of every rewired label.
+    /// Snapshot chunks whose exit bits changed since the last
+    /// publication: the d exit slots of every rewired label.
     snap_ring_dirty: ChunkMask,
     /// Snapshot chunks whose `bstar_bits` changed since the last
     /// publication: the logged nodes that joined or left B*.
@@ -461,7 +459,6 @@ impl RingMaintainer {
             self.root,
             self.component_size,
             &self.tree.exit_bits,
-            &self.tree.digits,
             out,
         );
     }
@@ -483,8 +480,9 @@ impl RingMaintainer {
 
     /// Freezes the current ring into an immutable [`RingSnapshot`] via
     /// `publisher`, copying only the chunks mutated since the last
-    /// publication (each structure group carries a per-chunk dirty mask the
-    /// repair paths maintain) and sharing clean chunks with the previous
+    /// publication (the membership bitmap and the exit bitmap each carry a
+    /// per-chunk dirty mask the repair paths maintain; a chunk either
+    /// dirtied is copied once) and sharing clean chunks with the previous
     /// snapshot by `Arc`. The snapshot stays valid — and bit-identical — no
     /// matter how many further events this maintainer absorbs.
     /// `applied_events` is the caller's count of absorbed events, stamped
@@ -503,7 +501,6 @@ impl RingMaintainer {
             return Err(RepairError::NotInitialized);
         }
         let words = self.n_nodes.div_ceil(64);
-        let digit_words = DigitWidth::of(self.d).words(self.n_nodes);
         let snap = publisher.build(SnapshotParts {
             d: self.d,
             suffix: self.suffix,
@@ -511,7 +508,6 @@ impl RingMaintainer {
             stats: self.stats(),
             ring_dirty: &self.snap_ring_dirty,
             bstar_dirty: &self.snap_bstar_dirty,
-            digits: &self.tree.digits[..digit_words],
             exit_bits: &self.tree.exit_bits[..words],
             bstar_bits: &self.bstar_bits[..words],
             applied_events,
@@ -521,7 +517,7 @@ impl RingMaintainer {
         Ok(snap)
     }
 
-    /// Marks every snapshot chunk of every group dirty (a rebuild, the
+    /// Marks every snapshot chunk dirty in both masks (a rebuild, the
     /// infeasible state, or a new shape rewrote all state).
     fn dirty_all_chunks(&mut self) {
         self.snap_ring_dirty.mark_all();
@@ -792,8 +788,7 @@ impl RingMaintainer {
 
     /// Runs the full phase pipeline into the maintainer: one level-emitting
     /// forward pass, which also fills the histogram and the B* bitmap, and
-    /// the tree stage's build (every necklace record and the exit/digit
-    /// wiring).
+    /// the tree stage's build (every necklace record and its exits).
     fn rebuild(&mut self, ffc: &Ffc) {
         let reach = ffc.tables.reach;
         let membership = ffc.partition.membership();

@@ -4,43 +4,39 @@
 //! [`super::RingMaintainer`] is the *mutable* half of the embedding state:
 //! delta passes rewrite its levels, records and wiring in place. A
 //! [`RingSnapshot`] is the immutable read-side view carved off it — ring
-//! membership, the exit bitmap and entry digits, root and stats,
-//! everything a reader needs to answer `successor`/`contains`/ring-walk
-//! queries — frozen behind `Arc`s so any number of readers can hold it
-//! while repairs continue on the maintainer. The broadcast levels stay
-//! with the maintainer: they are its repair certificate, and no read
-//! needs them.
+//! membership, the exit bitmap, root and stats, everything a reader needs
+//! to answer `successor`/`contains`/ring-walk queries — frozen behind
+//! `Arc`s so any number of readers can hold it while repairs continue on
+//! the maintainer. The broadcast levels stay with the maintainer: they
+//! are its repair certificate, and no read needs them.
 //!
 //! A snapshot is cut into chunks of `CHUNK_NODES` (2048) consecutive node
-//! ids, in two groups:
+//! ids. A chunk is one record of its membership and exit words,
+//! **interleaved** word by word (512 B), so `contains` plus the exit test
+//! of `successor` read one cache line. No entry is stored: a w-exit αw's
+//! successor w·d+β follows from the exit bits of αw's siblings βw (the
+//! engine's `ring_step` rule), which at d = 2 it does not even read.
 //!
-//! * a record of the chunk's membership and exit words, **interleaved**
-//!   word by word, so `contains` plus the exit test of `successor` read one
-//!   cache line;
-//! * the packed entry digits: a w-exit αw's successor is w·d+β, so the
-//!   chunk stores β in b bits per node (b the smallest power of two
-//!   ≥ ⌈log2 d⌉: 256 B per chunk at d = 2), zero at every non-exit node.
+//! The chunks live in **segments**: immutable `Arc<[_]>` blocks of
+//! chunks, at most `MAX_SEGMENTS` (64), shared between generations. A
+//! snapshot holds a location table (segment and slot per chunk) and the
+//! `Arc`s of its segments, so a reader's lookup costs one table load and
+//! one load from the small segment list before the chunk itself.
 //!
-//! Each group stores its chunks in **segments**: immutable `Arc<[_]>`
-//! blocks of chunks, at most `MAX_SEGMENTS` (64) per group, shared between
-//! generations. A snapshot holds per group a location table (segment and
-//! slot per chunk) and the `Arc`s of its segments, so a reader's lookup
-//! costs one table load and one load from the small segment list before
-//! the chunk itself.
-//!
-//! The maintainer marks, per structure group (membership, ring wiring),
-//! the chunks a repair dirtied, from change logs it keeps anyway. [`SnapshotPublisher`] writes exactly those chunks, once each,
-//! into one new segment per group, copies the previous location table and
-//! points the dirty chunks at their new slots; every other chunk stays
-//! where it was. A publication thus costs the dirty chunks' copies, a
-//! table copy of a few KB and a refcount per segment — not one per chunk —
-//! and dropping a generation costs one decrement per segment. A single-
-//! necklace repair dirties the necklace's rotations, which land in a few
-//! dozen chunks of a million-node graph (PERF.md has the measured counts).
+//! The maintainer marks, per bitmap (membership, exits), the chunks a
+//! repair dirtied, from change logs it keeps anyway. [`SnapshotPublisher`]
+//! writes exactly the chunks either mask flags, once each, into one new
+//! segment, copies the previous location table and points the dirty
+//! chunks at their new slots; every other chunk stays where it was. A
+//! publication thus costs the dirty chunks' copies, a table copy of a few
+//! KB and a refcount per segment — not one per chunk — and dropping a
+//! generation costs one decrement per segment. A single-necklace repair
+//! dirties the necklace's rotations, which land in a few dozen chunks of a
+//! million-node graph (PERF.md has the measured counts).
 //!
 //! A chunk a later publication rewrote stays in its old segment as dead
 //! weight until the segment is retired: when a segment's live chunks fill
-//! less than a quarter of it, and, while a group would exceed
+//! less than a quarter of it, and, while the table would exceed
 //! `MAX_SEGMENTS` segments, for the segments with the fewest live chunks,
 //! the publisher *forwards* the segment's live chunks into the new segment
 //! and drops the old one from the table
@@ -49,16 +45,16 @@
 //! it references stay within four times one flat copy. A segment is freed
 //! when the last snapshot referencing it drops.
 //!
-//! A first publication puts each chunk in its own segment when a group has
-//! at most 512 chunks (B(2,20) has 512), and otherwise cuts it into 512
-//! equal segments; the next publication brings the group down to
+//! A first publication puts each chunk in its own segment when there are
+//! at most 512 chunks (B(2,20) has 512), and otherwise cuts them into 512
+//! equal segments; the next publication brings the table down to
 //! `MAX_SEGMENTS`, forwarding single chunks. Chunk-sized first pieces are
 //! the allocation pattern under which glibc keeps a torn-down service's
 //! heap for the next one (PERF.md, PR 22, measured the page faults).
 
 use std::sync::Arc;
 
-use super::phases::{ring_step, DigitWidth};
+use super::phases::ring_step;
 use super::session::RepairOutcome;
 use super::{EmbedStats, INFEASIBLE_ROOT};
 use crate::mem::grow_to;
@@ -73,7 +69,7 @@ const CHUNK_MASK: usize = CHUNK_NODES - 1;
 /// Bitmap words per chunk.
 const CHUNK_WORDS: usize = CHUNK_NODES / 64;
 
-/// Most segments a group keeps after any publication but the first. The
+/// Most segments a snapshot keeps after any publication but the first. The
 /// quarter-live rule alone keeps about 1.4 × chunks / dirty chunks per
 /// publication (28 at B(2,20), 105 at B(2,22)); above the bound the
 /// segments with the fewest live chunks, the cheapest to forward, go.
@@ -89,8 +85,9 @@ const SEG_MASK: u32 = (1 << SEG_BITS) - 1;
 
 /// One chunk's bitmaps: `[membership, exit]` per 64 nodes.
 type BitsChunk = [[u64; 2]; CHUNK_WORDS];
-/// Per-chunk dirty bits of one snapshot group, marked by node id. The
-/// maintainer keeps one per group and clears them after each publication.
+/// Per-chunk dirty bits of one bitmap of the snapshot, marked by node id.
+/// The maintainer keeps one per bitmap and clears them after each
+/// publication.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ChunkMask {
     words: Vec<u64>,
@@ -173,19 +170,16 @@ impl std::fmt::Display for LookupError {
 impl std::error::Error for LookupError {}
 
 /// One immutable generation of the maintained ring: everything the read
-/// path needs — the membership/exit records and the entry digits, two
-/// chunk groups in segments shared behind `Arc`s — and no broadcast
-/// levels, which stay with the maintainer. Cheap to clone (one location
-/// table per group and one refcount bump per segment); safe to hold
-/// across any number of subsequent repairs — the segments it references
-/// are never mutated after publication.
+/// path needs — the membership/exit records, in segments shared behind
+/// `Arc`s — and no broadcast levels, which stay with the maintainer.
+/// Cheap to clone (one location table and one refcount bump per
+/// segment); safe to hold across any number of subsequent repairs — the
+/// segments it references are never mutated after publication.
 #[derive(Clone)]
 pub struct RingSnapshot {
     pub(crate) d: usize,
     pub(crate) suffix: usize,
     pub(crate) n_nodes: usize,
-    /// The width of the entry digits.
-    width: DigitWidth,
     /// How many fault events the producing maintainer had absorbed when this
     /// snapshot was published — readers use it to line the snapshot up
     /// with a prefix of the event sequence.
@@ -193,12 +187,9 @@ pub struct RingSnapshot {
     /// Publication sequence number (1 = the initial publication).
     pub(crate) seq: u64,
     pub(crate) stats: EmbedStats,
-    /// One segment table per group: node `v` lives in chunk
-    /// `v / CHUNK_NODES` of each. A `bits` chunk is rewritten when the
-    /// membership or the ring group dirtied it, a `digits` chunk (a run of
-    /// `DigitWidth::words(CHUNK_NODES)` words) when the ring group did.
+    /// The segment table: node `v` lives in chunk `v / CHUNK_NODES`,
+    /// rewritten when its membership or exit words changed.
     bits: Segments<BitsChunk>,
-    digits: Segments<u64>,
 }
 
 impl RingSnapshot {
@@ -241,11 +232,11 @@ impl RingSnapshot {
     }
 
     /// Bytes of every segment this snapshot references, shared ones and
-    /// the dead chunks they still hold included, plus its location tables —
+    /// the dead chunks they still hold included, plus its location table —
     /// the read side's footprint.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
-        self.bits.allocated_bytes() + self.digits.allocated_bytes()
+        self.bits.allocated_bytes()
     }
 
     /// Classifies the snapshot's state exactly like
@@ -280,10 +271,9 @@ impl RingSnapshot {
 
     // `contains` and `successor` inline across crates, so a reader's checked
     // pair on one node loads its location-table entry, segment and word
-    // pair once. The exit path's digit decode put `successor` past the
-    // compiler's inlining threshold, and a call per lookup cost a quarter
-    // or more on random checked pairs at B(2,20), so the successor path is
-    // always inlined.
+    // pair once. A call per lookup cost a quarter or more on random checked
+    // pairs at B(2,20), so the successor path is always inlined; only its
+    // exit arm is a call (see `ring_step`).
 
     /// Whether node `u` rides the served ring.
     ///
@@ -312,19 +302,12 @@ impl RingSnapshot {
     #[inline(always)]
     fn successor_unchecked(&self, u: usize) -> usize {
         let (d, suffix) = (self.d, self.suffix);
-        let exit = self.words(u)[1] >> (u % 64) & 1 == 1;
-        // A digit chunk is a run of words in its segment, so the segment
-        // reads as one packed table in which the chunk's nodes sit at
-        // `slot * CHUNK_NODES` onwards.
-        let digit = || {
-            let (seg, slot) = self.digits.locate(u >> CHUNK_SHIFT);
-            self.width.get(seg, slot << CHUNK_SHIFT | (u & CHUNK_MASK))
-        };
+        let exit = |v: usize| self.words(v)[1] >> (v % 64) & 1 == 1;
         if d.is_power_of_two() {
             // The shift form: the two divisions would bound a ring walk.
-            ring_step::<true>(u, d, suffix, exit, digit)
+            ring_step::<true>(u, d, suffix, exit)
         } else {
-            ring_step::<false>(u, d, suffix, exit, digit)
+            ring_step::<false>(u, d, suffix, exit)
         }
     }
 
@@ -380,20 +363,17 @@ impl std::fmt::Debug for RingSnapshot {
 }
 
 /// The borrow bundle a maintainer hands the publisher: current structure
-/// slices plus the per-group masks of chunks changed since the last
+/// slices plus the per-bitmap masks of chunks changed since the last
 /// publication.
 pub(crate) struct SnapshotParts<'a> {
     pub d: usize,
     pub suffix: usize,
     pub n_nodes: usize,
     pub stats: EmbedStats,
-    /// Chunks whose `digits`/`exit_bits` changed since the last
-    /// publication.
+    /// Chunks whose `exit_bits` changed since the last publication.
     pub ring_dirty: &'a ChunkMask,
     /// Chunks whose `bstar_bits` changed since the last publication.
     pub bstar_dirty: &'a ChunkMask,
-    /// The packed entry digits, `DigitWidth::words(n_nodes)` words.
-    pub digits: &'a [u64],
     /// `n_nodes.div_ceil(64)` words, like `bstar_bits`.
     pub exit_bits: &'a [u64],
     pub bstar_bits: &'a [u64],
@@ -428,8 +408,8 @@ impl SnapshotPublisher {
         self.publications
     }
 
-    /// Publications that dirtied no chunk of the ring wiring (entry digits
-    /// + exit bits), sharing all of it with the previous snapshot.
+    /// Publications that dirtied no chunk of the ring wiring (the exit
+    /// bits), sharing all of it with the previous snapshot.
     #[must_use]
     pub fn shared_ring(&self) -> u64 {
         self.shared_ring
@@ -441,10 +421,9 @@ impl SnapshotPublisher {
         self.shared_membership
     }
 
-    /// Dirty-chunk copies over all publications: a dirty chunk costs one
-    /// copy in each group it touches (membership/exit record, entry
-    /// digits). A first publication copies every chunk of both groups;
-    /// later ones copy only what repairs dirtied, which is
+    /// Dirty-chunk copies over all publications: a chunk whose membership
+    /// or exit words changed costs one copy. A first publication copies
+    /// every chunk; later ones copy only what repairs dirtied, which is
     /// what makes publication O(cone) rather than O(n). Chunks moved only
     /// to retire a segment are counted by
     /// [`SnapshotPublisher::forwarded_chunks`] instead.
@@ -468,10 +447,10 @@ impl SnapshotPublisher {
     }
 
     /// Assembles a snapshot from the maintainer's current structures,
-    /// writing the chunks the masks flag dirty into one new segment per
-    /// group and leaving every other chunk in the segments it shares with
-    /// the previous publication. Without a previous publication of the
-    /// same shape, every chunk is copied.
+    /// writing the chunks the masks flag dirty into one new segment and
+    /// leaving every other chunk in the segments it shares with the
+    /// previous publication. Without a previous publication of the same
+    /// shape, every chunk is copied.
     pub(crate) fn build(&mut self, parts: SnapshotParts<'_>) -> Arc<RingSnapshot> {
         let n = parts.n_nodes;
         let prev = self
@@ -479,30 +458,16 @@ impl SnapshotPublisher {
             .as_ref()
             .filter(|p| p.n_nodes == n && p.d == parts.d);
         let n_chunks = n.div_ceil(CHUNK_NODES);
-        let width = DigitWidth::of(parts.d);
         let n_words = n.div_ceil(64);
-        let digit_words = width.words(CHUNK_NODES);
-        let tally = &mut self.tally;
         let bits = Segments::publish::<MAX_SEGMENTS>(
             prev.map(|p| &p.bits),
             n_chunks,
-            0,
             |i| parts.bstar_dirty.word(i) | parts.ring_dirty.word(i),
-            |c, _| {
+            |c| {
                 let words = c * CHUNK_WORDS..((c + 1) * CHUNK_WORDS).min(n_words);
                 interleave(&parts.bstar_bits[words.clone()], &parts.exit_bits[words])
             },
-            tally,
-        );
-        // A digit chunk is `digit_words` (a power of two) words, zero past
-        // the graph's last node.
-        let digits = Segments::publish::<MAX_SEGMENTS>(
-            prev.map(|p| &p.digits),
-            n_chunks,
-            digit_words.trailing_zeros(),
-            |i| parts.ring_dirty.word(i),
-            |c, k| parts.digits.get(c * digit_words + k).copied().unwrap_or(0),
-            tally,
+            &mut self.tally,
         );
         if prev.is_some() {
             self.shared_ring += u64::from(!parts.ring_dirty.any());
@@ -513,12 +478,10 @@ impl SnapshotPublisher {
             d: parts.d,
             suffix: parts.suffix,
             n_nodes: n,
-            width,
             applied_events: parts.applied_events,
             seq: self.publications,
             stats: parts.stats,
             bits,
-            digits,
         });
         self.prev = Some(Arc::clone(&snap));
         snap
@@ -534,8 +497,7 @@ struct Tally {
     forwarded: u64,
 }
 
-/// One group's chunks in a snapshot. A chunk is a run of `1 << unit_log`
-/// units (the group's element type `E`); chunk `c` is run `slot` of
+/// A snapshot's chunks (of type `E`): chunk `c` is entry `slot` of
 /// segment `seg`, where `loc[c]` packs `slot << SEG_BITS | seg`. Segments
 /// are shared between generations and never written once built.
 #[derive(Clone)]
@@ -546,7 +508,7 @@ struct Segments<E> {
     live: Box<[u32]>,
 }
 
-impl<E: Copy + PartialEq> Segments<E> {
+impl<E: PartialEq> Segments<E> {
     /// The segment holding chunk `c`, and the chunk's slot in it.
     #[inline(always)]
     fn locate(&self, c: usize) -> (&[E], usize) {
@@ -565,10 +527,10 @@ impl<E: Copy + PartialEq> Segments<E> {
             + self.segs.iter().map(|s| size_of_val(&**s)).sum::<usize>()
     }
 
-    /// The next generation's table of a group of `n_chunks` chunks: at most
-    /// `K` segments when there is a `prev`. `dirty(i)` is the word of chunks `64 i ..` that
-    /// changed since `prev` was built (bits past the last chunk are
-    /// ignored), and `unit(c, k)` reads unit `k` of chunk `c` from the
+    /// The next generation's table of `n_chunks` chunks: at most `K`
+    /// segments when there is a `prev`. `dirty(i)` is the word of chunks
+    /// `64 i ..` that changed since `prev` was built (bits past the last
+    /// chunk are ignored), and `chunk(c)` reads chunk `c` from the
     /// maintainer.
     ///
     /// Without `prev` every chunk is copied, one chunk per segment, or into
@@ -577,16 +539,16 @@ impl<E: Copy + PartialEq> Segments<E> {
     /// retired segment, are written once into one new segment, and every
     /// other chunk keeps its segment and slot. A segment is retired when
     /// its live chunks fill less than `1 / LIVE_DIVISOR` of it (one with
-    /// none left is simply dropped), and then, while the group would hold
+    /// none left is simply dropped), and then, while the table would hold
     /// more than `K` with the new segment, the one with the fewest live
     /// chunks is retired too. Debug builds check every clean chunk against
-    /// a fresh copy.
+    /// a fresh copy. Segments are collected from mapped ranges and slices,
+    /// whose exact length lets `Arc<[E]>` write them in place.
     fn publish<const K: usize>(
         prev: Option<&Self>,
         n_chunks: usize,
-        unit_log: u32,
         dirty: impl Fn(usize) -> u64,
-        unit: impl Fn(usize, usize) -> E,
+        chunk: impl Fn(usize) -> E,
         tally: &mut Tally,
     ) -> Self {
         const { assert!(K >= 1 && K <= 1 << SEG_BITS) };
@@ -598,12 +560,9 @@ impl<E: Copy + PartialEq> Segments<E> {
                 .collect();
             let segs: Box<[Arc<[E]>]> = (0..n_chunks)
                 .step_by(per)
-                .map(|first| {
-                    let len = per.min(n_chunks - first);
-                    write_segment(len, unit_log, |i| first + i, &unit)
-                })
+                .map(|first| (first..n_chunks.min(first + per)).map(&chunk).collect())
                 .collect();
-            let live = segs.iter().map(|s| (s.len() >> unit_log) as u32).collect();
+            let live = segs.iter().map(|s| s.len() as u32).collect();
             tally.copied += n_chunks as u64;
             return Segments { loc, segs, live };
         };
@@ -628,10 +587,9 @@ impl<E: Copy + PartialEq> Segments<E> {
             n_dirty += 1;
             live[seg_of(c)] -= 1;
         }
-        let slots = |s: usize| prev.segs[s].len() >> unit_log;
         let mut retired = [false; 1 << SEG_BITS];
         for s in 0..n_old {
-            retired[s] = (live[s] as usize) * LIVE_DIVISOR < slots(s);
+            retired[s] = (live[s] as usize) * LIVE_DIVISOR < prev.segs[s].len();
         }
         let forwards = |retired: &[bool]| -> usize {
             (0..n_old)
@@ -663,10 +621,8 @@ impl<E: Copy + PartialEq> Segments<E> {
         let fresh = segs.len() as u32;
         if cfg!(debug_assertions) {
             for c in (0..n_chunks).filter(|&c| dirty(c / 64) >> (c % 64) & 1 == 0) {
-                debug_assert!(
-                    prev.chunk_equals(c, unit_log, |k| unit(c, k)),
-                    "chunk {c} flagged clean but differs"
-                );
+                let (seg, slot) = prev.locate(c);
+                debug_assert!(seg[slot] == chunk(c), "chunk {c} flagged clean but differs");
             }
         }
         // Every chunk keeps its slot under its segment's new index; then
@@ -689,7 +645,7 @@ impl<E: Copy + PartialEq> Segments<E> {
         tally.forwarded += (moved.len() - n_dirty) as u64;
         if !moved.is_empty() {
             next_live.push(moved.len() as u32);
-            segs.push(write_segment(moved.len(), unit_log, |i| moved[i], &unit));
+            segs.push(moved.iter().map(|&c| chunk(c)).collect());
         }
         Segments {
             loc,
@@ -697,28 +653,6 @@ impl<E: Copy + PartialEq> Segments<E> {
             live: next_live.into_boxed_slice(),
         }
     }
-
-    /// Whether chunk `c` holds the units `fresh` reads.
-    fn chunk_equals(&self, c: usize, unit_log: u32, fresh: impl Fn(usize) -> E) -> bool {
-        let (seg, slot) = self.locate(c);
-        let run = &seg[slot << unit_log..(slot + 1) << unit_log];
-        run.iter().enumerate().all(|(k, &u)| u == fresh(k))
-    }
-}
-
-/// One new segment of `len` chunks: chunk `chunk(i)` goes to slot `i`.
-/// The units are written straight into the shared allocation (a mapped
-/// range has an exact length, so `Arc<[E]>` collects it in place).
-fn write_segment<E>(
-    len: usize,
-    unit_log: u32,
-    chunk: impl Fn(usize) -> usize,
-    unit: impl Fn(usize, usize) -> E,
-) -> Arc<[E]> {
-    let mask = (1 << unit_log) - 1;
-    (0..len << unit_log)
-        .map(|i| unit(chunk(i >> unit_log), i & mask))
-        .collect()
 }
 
 /// Interleaves one chunk's membership and exit words (the graph's short
@@ -803,7 +737,7 @@ mod tests {
     }
 
     /// Whether chunk `c` sits in the same segment and slot of both tables.
-    fn same_chunk<E: Copy + PartialEq>(a: &Segments<E>, b: &Segments<E>, c: usize) -> bool {
+    fn same_chunk<E: PartialEq>(a: &Segments<E>, b: &Segments<E>, c: usize) -> bool {
         let ((sa, ia), (sb, ib)) = (a.locate(c), b.locate(c));
         ia == ib && std::ptr::eq(sa, sb)
     }
@@ -814,18 +748,17 @@ mod tests {
         let first = maint.publish(&mut publisher, 0).expect("publish");
         assert_eq!(
             publisher.copied_chunks(),
-            2,
+            1,
             "a first publication copies all"
         );
         // No events in between: everything is clean and shared.
         let second = maint.publish(&mut publisher, 0).expect("publish");
         assert!(Arc::ptr_eq(&first.bits.segs[0], &second.bits.segs[0]));
-        assert!(Arc::ptr_eq(&first.digits.segs[0], &second.digits.segs[0]));
-        assert_eq!(publisher.copied_chunks(), 2);
+        assert_eq!(publisher.copied_chunks(), 1);
         assert_eq!(publisher.forwarded_chunks(), 0);
         assert_eq!(publisher.shared_ring(), 1);
         assert_eq!(publisher.shared_membership(), 1);
-        // A topology-changing event dirties the chunk in every group.
+        // A topology-changing event dirties the chunk.
         maint
             .apply_batch(&ffc, &[FaultEvent::NodeDown(5)])
             .expect("repair");
@@ -850,18 +783,16 @@ mod tests {
         let mut publisher = SnapshotPublisher::new();
         let before = maint.publish(&mut publisher, 0).expect("publish");
         let full = publisher.copied_chunks();
-        assert_eq!(full, 2 * chunks as u64);
+        assert_eq!(full, chunks as u64);
         maint.add_fault(&ffc, 12_345).expect("repair");
         let after = maint.publish(&mut publisher, 1).expect("publish");
         let copied = publisher.copied_chunks() - full;
         assert!(copied > 0 && copied < full, "copied {copied} of {full}");
-        let shared_digits = (0..chunks)
-            .filter(|&c| same_chunk(&before.digits, &after.digits, c))
+        let shared = (0..chunks)
+            .filter(|&c| same_chunk(&before.bits, &after.bits, c))
             .count();
-        assert!(shared_digits > 0, "some digit chunk must be shared");
-        for table in [after.bits.segs.len(), after.digits.segs.len()] {
-            assert!(table <= MAX_SEGMENTS);
-        }
+        assert!(shared > 0, "some chunk must be shared");
+        assert!(after.bits.segs.len() <= MAX_SEGMENTS);
         // Every shared or copied chunk reads like a fresh publication.
         let mut fresh = RingMaintainer::new();
         fresh.reset(&ffc, &[12_345]).expect("reset");
@@ -874,30 +805,21 @@ mod tests {
         }
     }
 
-    /// Drives the segment store of one group on its own: `n_chunks` chunks
-    /// of `1 << unit_log` words, random dirty masks from empty to dense,
+    /// Drives the segment store on its own: `n_chunks` one-word chunks,
+    /// random dirty masks from empty to dense,
     /// one publication per round, and a few old generations held at random
     /// with the data they were built from. After every publication but
     /// the first (which may name up to `1 << SEG_BITS` segments): at most
     /// `K` segments, each at least `1 / LIVE_DIVISOR` live (so the table
     /// references at most `LIVE_DIVISOR` flat copies); after every one,
     /// every chunk of every held generation equal to its copy.
-    fn drive_segment_store<const K: usize>(n_chunks: usize, unit_log: u32, seed: u64) -> Tally {
+    fn drive_segment_store<const K: usize>(n_chunks: usize, seed: u64) -> Tally {
         use rand::rngs::StdRng;
         use rand::{Rng, RngCore, SeedableRng};
-        let units = 1 << unit_log;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut data: Vec<u64> = (0..(n_chunks * units) as u64).collect();
+        let mut data: Vec<u64> = (0..n_chunks as u64).collect();
         let mut tally = Tally::default();
-        let read = |data: &[u64], c: usize, k: usize| data[c * units + k];
-        let mut table = Segments::publish::<K>(
-            None,
-            n_chunks,
-            unit_log,
-            |_| 0,
-            |c, k| read(&data, c, k),
-            &mut tally,
-        );
+        let mut table = Segments::publish::<K>(None, n_chunks, |_| 0, |c| data[c], &mut tally);
         assert!(table.segs.len() <= 1 << SEG_BITS, "first publication");
         let mut held = vec![(table.clone(), data.clone())];
         for round in 0..600 {
@@ -911,16 +833,13 @@ mod tests {
                 }
             }
             for c in (0..n_chunks).filter(|c| dirty[c / 64] >> (c % 64) & 1 == 1) {
-                for k in 0..units {
-                    data[c * units + k] = rng.next_u64();
-                }
+                data[c] = rng.next_u64();
             }
             table = Segments::publish::<K>(
                 Some(&table),
                 n_chunks,
-                unit_log,
                 |i| dirty[i],
-                |c, k| read(&data, c, k),
+                |c| data[c],
                 &mut tally,
             );
             assert!(
@@ -933,7 +852,7 @@ mod tests {
                 live[(at & SEG_MASK) as usize] += 1;
             }
             for (s, seg) in table.segs.iter().enumerate() {
-                let slots = seg.len() >> unit_log;
+                let slots = seg.len();
                 assert_eq!(
                     table.live[s] as usize, live[s],
                     "round {round}: segment {s}"
@@ -944,11 +863,8 @@ mod tests {
                     live[s]
                 );
             }
-            let seg_words: usize = table.segs.iter().map(|s| s.len()).sum();
-            assert!(
-                seg_words <= LIVE_DIVISOR * n_chunks * units,
-                "round {round}"
-            );
+            let seg_chunks: usize = table.segs.iter().map(|s| s.len()).sum();
+            assert!(seg_chunks <= LIVE_DIVISOR * n_chunks, "round {round}");
             if rng.gen_bool(0.2) {
                 held.push((table.clone(), data.clone()));
             }
@@ -956,9 +872,10 @@ mod tests {
                 held.swap_remove(rng.gen_range(0..held.len()));
             }
             for (t, want) in held.iter().chain([(table.clone(), data.clone())].iter()) {
-                for c in 0..n_chunks {
-                    assert!(
-                        t.chunk_equals(c, unit_log, |k| read(want, c, k)),
+                for (c, &chunk) in want.iter().enumerate() {
+                    let (seg, slot) = t.locate(c);
+                    assert_eq!(
+                        seg[slot], chunk,
                         "round {round}: chunk {c} of a held generation differs"
                     );
                 }
@@ -969,13 +886,12 @@ mod tests {
 
     #[test]
     fn segment_store_keeps_every_held_generation_exact() {
-        // K = 2 retires a segment at nearly every publication; multi-word
-        // chunks exercise the run arithmetic the digit group uses.
-        for (seed, unit_log) in [(1, 0), (2, 2), (3, 6)] {
-            let tally = drive_segment_store::<2>(37, unit_log, seed);
+        // K = 2 retires a segment at nearly every publication.
+        for seed in 1..=3 {
+            let tally = drive_segment_store::<2>(37, seed);
             assert!(tally.forwarded > 0, "the cleaner never ran");
         }
-        let tally = drive_segment_store::<MAX_SEGMENTS>(150, 1, 4);
+        let tally = drive_segment_store::<MAX_SEGMENTS>(150, 4);
         assert!(tally.forwarded > 0, "the cleaner never ran");
     }
 

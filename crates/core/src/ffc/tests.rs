@@ -377,6 +377,11 @@ fn stats_only_path_matches_full_pipeline() {
             let got = ffc.embed_stats_into(&mut fast, faults);
             assert_eq!(got, expected, "stats diverge for {faults:?} in B({d},{n})");
             assert!(fast.cycle().is_empty(), "stats path must not build a cycle");
+            assert_eq!(
+                fast.cycle.capacity(),
+                0,
+                "stats path must not reserve a cycle"
+            );
         };
         check(&[]);
         for v in 0..total {
@@ -680,8 +685,9 @@ fn b2_14_levels_match_oracle_across_the_density_switch() {
 /// accumulated fault set after every single event. Root-killing faults
 /// are included, so the rebuild fallback is exercised alongside the delta
 /// path; B(4,3) puts up to four children in one w-group on the delta
-/// path, and the four shapes cover every packed entry-digit width the
-/// walks read (1, 2 and 4 bits).
+/// path, and the four shapes cover every arm of the entry rule the walks
+/// derive from the exit bits (α ^ 1 at d = 2, the sibling scan at
+/// power-of-two and other d).
 #[test]
 fn incremental_matches_from_scratch_exhaustively_on_all_arrival_orders() {
     for (d, n) in [(2u64, 5u32), (3, 3), (4, 3), (5, 3)] {

@@ -17,13 +17,13 @@
 //!
 //! Publication is segmented copy-on-write
 //! ([`crate::ffc::SnapshotPublisher`]): a snapshot is cut into 2048-node
-//! chunks stored in shared segments per structure group, and a
-//! publication writes only the chunks the batch's repair dirtied into one
-//! new segment per group, leaving every other chunk where the previous
-//! generation has it. It costs those copies, a location-table copy of a
-//! few KB and one refcount per segment, so its cost follows the repair's
-//! footprint rather than the graph size (PERF.md). A segment is freed when
-//! the last generation holding it drops.
+//! chunks stored in shared segments, and a publication writes only the
+//! chunks the batch's repair dirtied into one new segment, leaving every
+//! other chunk where the previous generation has it. It costs those
+//! copies, a location-table copy of a few KB and one refcount per
+//! segment, so its cost follows the repair's footprint rather than the
+//! graph size (PERF.md). A segment is freed when the last generation
+//! holding it drops.
 //!
 //! Consistency model: readers are **eventually consistent with monotone
 //! generations** — every snapshot a reader observes is the *exact* output

@@ -7,9 +7,10 @@
 //! epochs observed by any one reader handle are monotone. Exhaustive on
 //! B(2,5)/B(3,3) (every ≤2-node fault set, plus link-fault sequences,
 //! with a publication after every event), seeded streams on B(3,9),
-//! B(5,6) and B(2,16) that span several copy-on-write snapshot chunks
-//! (between them every packed entry-digit width: 2, 4 and 1 bits),
-//! threaded stress on the live service, and property tests on B(2,14).
+//! B(5,6), B(4,8) and B(2,16) that span several copy-on-write snapshot
+//! chunks (between them every arm of the entry rule: the sibling-exit scan
+//! at non-power-of-two and power-of-two d, and α ^ 1 at d = 2), threaded
+//! stress on the live service, and property tests on B(2,14).
 //!
 //! ATOMICS: the stress test's stop flag is a single-writer boolean — the
 //! submitting thread alone stores it, with Release, after `shutdown()` has
@@ -264,15 +265,24 @@ fn chunked_publications_match_fresh_snapshots(d: u64, n: u32, seed: u64, len: us
 
 #[test]
 fn chunked_publications_match_fresh_snapshots_b3_9() {
-    // 19,683 nodes: five chunks, the last one partial.
+    // 19,683 nodes: ten chunks, the last one partial.
     chunked_publications_match_fresh_snapshots(3, 9, 0x39, 14);
 }
 
 #[test]
 fn chunked_publications_match_fresh_snapshots_b5_6() {
-    // 15,625 nodes at four-bit digits: four chunks, the last one partial,
-    // so the tail digit chunk is padded.
+    // 15,625 nodes: eight chunks, the last one partial. An exit's siblings
+    // lie 3,125 nodes apart, so the non-power-of-two sibling scan reads
+    // exit bits across chunks, the partial last one included.
     chunked_publications_match_fresh_snapshots(5, 6, 0x56, 14);
+}
+
+#[test]
+fn chunked_publications_match_fresh_snapshots_b4_8() {
+    // 65,536 nodes: 32 chunks. An exit's siblings lie 16,384 nodes (8
+    // chunks) apart, so the power-of-two sibling scan reads exit bits
+    // across chunks.
+    chunked_publications_match_fresh_snapshots(4, 8, 0x48, 12);
 }
 
 #[test]
